@@ -11,11 +11,7 @@ exhaustive search.
 """
 
 from hamext.conditions import check_star, is_claw_free
-from hamext.extension import (
-    apply_extension,
-    find_extension,
-    find_initial_cycle,
-)
+from hamext.extension import find_initial_cycle, iter_extensions
 from hamext.families import gen_G
 from hamext.graphcore import verify_cycle
 from hamext.oracle import hamilton_oracle
@@ -31,18 +27,13 @@ print("claw-free:", is_claw_free(G).claw_free)
 
 # Start from the smallest triangle and absorb the smallest admissible
 # neighbour until nothing is left outside.
-C = find_initial_cycle(G)
-print(f"\nstart cycle: {C.order}")
-while True:
-    outside = sorted(
-        v for u in C.order for v in G.neighbors(u) if v not in C.vertex_set
-    )
-    if not outside:
-        break
-    ext = find_extension(G, C, outside[0])
-    C = apply_extension(C, ext)
+start = find_initial_cycle(G)
+print(f"\nstart cycle: {start.order}")
+for ext, live in iter_extensions(G, start):
     detail = f" via {ext.u}" + (f" and helper {ext.x}" if ext.x is not None else "")
-    print(f"  kind {ext.kind:>3} absorbs {ext.target}{detail} -> {len(C)} vertices")
+    print(f"  kind {ext.kind:>3} absorbs {ext.target}{detail} -> {len(live)} vertices")
+# the loop rewires one live cycle in place; freeze it to keep it
+C = live.freeze()
 
 report = verify_cycle(G, C)
 print(f"\nfinal cycle: {C.order}")

@@ -22,12 +22,7 @@ import sys
 
 from .conditions import check_star, check_ungl_kette, is_claw_free
 from .errors import InputError, InvariantViolation, SamplingExhausted
-from .extension import (
-    apply_extension,
-    extend_to_hamilton,
-    find_extension,
-    find_initial_cycle,
-)
+from .extension import extend_to_hamilton, find_initial_cycle, iter_extensions
 from .families import descriptor_to_lazy, fiber_window, gen_G, gen_H
 from .graphcore import (
     Cycle,
@@ -58,6 +53,20 @@ STRUCTURE_EXTRA_RADIUS = 6
 
 def _emit(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=1))
+
+
+def _json_safe(value: object) -> object:
+    """``value`` with sets as sorted lists, tuples as lists and mapping
+    keys as strings; anything else JSON cannot hold becomes its repr."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(_json_safe(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)
 
 
 def _load_json_file(path: str) -> object:
@@ -141,20 +150,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _replay_extensions(G, C0: Cycle) -> list[dict]:
     """Re-run the extension loop recording each step for --trace."""
-    steps = []
-    C = C0
-    while True:
-        on = C.vertex_set
-        candidates = sorted(
-            v for u in C.order for v in G.neighbors(u) if v not in on
-        )
-        if not candidates:
-            return steps
-        ext = find_extension(G, C, candidates[0])
-        C = apply_extension(C, ext)
-        steps.append(
-            {"extension": ext.to_json_obj(), "cycle": cycle_to_json_obj(C)}
-        )
+    return [
+        {"extension": ext.to_json_obj(), "cycle": cycle_to_json_obj(C.freeze())}
+        for ext, C in iter_extensions(G, C0)
+    ]
 
 
 def _cmd_ham(args: argparse.Namespace) -> int:
@@ -329,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc), "kind": "input"})
         return EXIT_INPUT
     except InvariantViolation as exc:
-        _emit({"error": str(exc), "kind": "invariant"})
+        _emit({"error": str(exc), "kind": "invariant", "context": _json_safe(exc.context)})
         return EXIT_INVARIANT
 
 

@@ -12,11 +12,21 @@ rewirings, each anchored at cycle vertices adjacent to v:
 Under the degree condition at least one of the three always applies, so
 the finder does a plain exhaustive witness search in a fixed order and
 treats exhaustion as an invariant violation rather than a result.
+
+The finite constructor is one loop, iter_extensions: absorb the
+smallest admissible target, rewire, repeat.  It keeps the admissible
+targets in a min-heap fed only from the neighbours of newly absorbed
+vertices, and rewires one LiveCycle (a successor map) in place, so a
+whole run costs O(|E| log |V|) plus the witness searches and the arc
+reversals of kind III steps.  It yields that live cycle after every
+step; callers that keep a cycle must freeze() it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .conditions import check_star
 from .errors import InputError, InvariantViolation
@@ -64,7 +74,7 @@ class Extension:
         return obj
 
 
-def find_extension(G: Graph, C: Cycle, v: int) -> Extension:
+def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     """Find the first applicable extension absorbing v, in kind order
     I, III, II with witnesses tried in ascending id order.
 
@@ -104,77 +114,160 @@ def find_extension(G: Graph, C: Cycle, v: int) -> Extension:
     )
 
 
-def apply_extension(C: Cycle, e: Extension) -> Cycle:
-    """Rewire C according to e.  Validation here is purely structural
-    (membership and distinctness); adjacency of the new edges is the
-    finder's business and can be re-checked with verify_cycle.
+class LiveCycle:
+    """Mutable oriented cycle kept as a successor map.
+
+    It answers what find_extension asks of a Cycle (``in``, ``len``,
+    ``succ`` and ``order``).  ``order`` is walked from ``head`` on demand
+    and cached until the next rewiring; freeze() returns it as a Cycle.
     """
-    v = e.target
-    if v in C:
-        raise InputError(f"target {v} already lies on the cycle")
-    if e.u not in C:
-        raise InputError(f"anchor {e.u} does not lie on the cycle")
-    order = C.order
-    pos_u = order.index(e.u)
 
-    if e.kind == "I":
-        return Cycle(order[: pos_u + 1] + (v,) + order[pos_u + 1 :])
+    __slots__ = ("head", "_succ", "_order")
 
-    if e.kind == "II":
-        if e.x in C or e.x == v:
-            raise InputError(f"kind II intermediate {e.x} is not an outside vertex")
-        return Cycle(order[: pos_u + 1] + (v, e.x) + order[pos_u + 1 :])
+    def __init__(self, C: Cycle) -> None:
+        order = C.order
+        self.head = order[0]
+        self._succ = dict(zip(order, order[1:] + order[:1]))
+        self._order: tuple[int, ...] | None = order
 
-    y = e.y
-    if y not in C:
-        raise InputError(f"second anchor {y} does not lie on the cycle")
-    up = C.succ(e.u)
-    if y == e.u or y == up or C.succ(y) == e.u:
-        raise InputError("kind III anchors overlap degenerately")
-    # walk u+ .. y forwards, then emit v, reversed arc, y+ .. u
-    arc = []
-    w = up
-    while True:
-        arc.append(w)
-        if w == y:
-            break
-        w = C.succ(w)
-    rest = []
-    w = C.succ(y)
-    while True:
-        rest.append(w)
-        if w == e.u:
-            break
-        w = C.succ(w)
-    return Cycle((v, *reversed(arc), *rest))
+    def __len__(self) -> int:
+        return len(self._succ)
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._succ
+
+    def succ(self, v: int) -> int:
+        try:
+            return self._succ[v]
+        except KeyError:
+            raise InputError(f"vertex {v} not on cycle") from None
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:
+            succ, head = self._succ, self.head
+            walk = [head]
+            w = succ[head]
+            while w != head:
+                walk.append(w)
+                w = succ[w]
+            self._order = tuple(walk)
+        return self._order
+
+    def freeze(self) -> Cycle:
+        return Cycle(self.order)
+
+    def apply(self, e: Extension) -> None:
+        """Rewire in place according to e.  Validation is purely
+        structural (membership and distinctness); adjacency of the new
+        edges is the finder's business.  Kinds I and II keep the head;
+        kind III makes the target the head and reverses the arc u+ .. y.
+        """
+        v, u, succ = e.target, e.u, self._succ
+        if v in succ:
+            raise InputError(f"target {v} already lies on the cycle")
+        if u not in succ:
+            raise InputError(f"anchor {u} does not lie on the cycle")
+        up = succ[u]
+
+        if e.kind == "I":
+            succ[u], succ[v] = v, up
+        elif e.kind == "II":
+            if e.x in succ or e.x == v:
+                raise InputError(f"kind II intermediate {e.x} is not an outside vertex")
+            succ[u], succ[v], succ[e.x] = v, e.x, up
+        else:
+            y = e.y
+            if y not in succ:
+                raise InputError(f"second anchor {y} does not lie on the cycle")
+            if y == u or y == up or succ[y] == u:
+                raise InputError("kind III anchors overlap degenerately")
+            # u v y .. u+ y+ .. u: point each arc vertex back at its
+            # predecessor, u+ at y+
+            prev, w = succ[y], up
+            while True:
+                nxt = succ[w]
+                succ[w] = prev
+                if w == y:
+                    break
+                prev, w = w, nxt
+            succ[u], succ[v] = v, y
+            self.head = v
+        self._order = None
+
+
+def apply_extension(C: Cycle, e: Extension) -> Cycle:
+    """Rewire a copy of C according to e (see LiveCycle.apply)."""
+    live = LiveCycle(C)
+    live.apply(e)
+    return live.freeze()
+
+
+def iter_extensions(
+    G: Graph,
+    C0: Cycle,
+    target_filter: Callable[[int], bool] | None = None,
+) -> Iterator[tuple[Extension, LiveCycle]]:
+    """Grow C0 one extension at a time until no admissible target is left.
+
+    A target is admissible when it is off the cycle, has a neighbour on
+    the cycle, and passes target_filter (None admits everything; the
+    filter must not change during the run).  The smallest admissible id
+    is absorbed first.  Cycle vertices never leave, so a vertex stays
+    admissible until it is absorbed.  The heap therefore takes each
+    vertex once, when the first cycle vertex next to it is absorbed,
+    and drops entries already on the cycle when they reach the top.
+
+    Yields each extension with the cycle after it.  The cycle is one
+    LiveCycle rewired in place, so it is only valid until the next step;
+    freeze() it to keep it.
+    """
+    C = LiveCycle(C0)
+    seen: set[int] = set()
+    heap: list[int] = []
+
+    def admit(absorbed) -> None:
+        seen.update(absorbed)
+        for u in absorbed:
+            for w in G.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    if target_filter is None or target_filter(w):
+                        heappush(heap, w)
+
+    admit(C0.order)
+    while heap:
+        v = heappop(heap)
+        if v in C:
+            continue
+        e = find_extension(G, C, v)
+        C.apply(e)
+        admit(e.new_vertices())
+        yield e, C
+
+
+def saturate(
+    G: Graph,
+    C0: Cycle,
+    target_filter: Callable[[int], bool] | None = None,
+) -> Cycle:
+    """The cycle iter_extensions ends on, frozen; C0 when nothing is
+    admissible."""
+    C = C0
+    for _, C in iter_extensions(G, C0, target_filter):
+        pass
+    return C if C is C0 else C.freeze()
 
 
 def extension_sequence(
     G: FiniteGraph,
     C0: Cycle,
-    target_filter=None,
+    target_filter: Callable[[int], bool] | None = None,
 ) -> list[Cycle]:
-    """Grow C0 one extension at a time until no admissible target is left.
-
-    A target is admissible when it is off the cycle, has a neighbour on
-    the cycle, and passes target_filter (None admits everything).  The
-    smallest admissible id is absorbed first.  Returns the full list of
-    cycles, starting with C0.
-    """
-    seq = [C0]
-    C = C0
-    while True:
-        on = C.vertex_set
-        candidates = sorted(
-            v
-            for u in C.order
-            for v in G.neighbors(u)
-            if v not in on and (target_filter is None or target_filter(v))
-        )
-        if not candidates:
-            return seq
-        C = apply_extension(C, find_extension(G, C, candidates[0]))
-        seq.append(C)
+    """Every cycle iter_extensions passes through, frozen, starting with
+    C0.  The package no longer calls this; perfbench/tracer.py still
+    wraps it by name."""
+    return [C0] + [C.freeze() for _, C in iter_extensions(G, C0, target_filter)]
 
 
 def find_initial_cycle(G: FiniteGraph) -> Cycle:
@@ -206,8 +299,8 @@ def find_initial_cycle(G: FiniteGraph) -> Cycle:
 def extend_to_hamilton(G: FiniteGraph, seed: Cycle | None = None) -> Cycle:
     """Hamilton cycle of a connected graph meeting the degree condition.
 
-    Starts from seed (or a smallest triangle / 4-cycle) and exhausts the
-    unrestricted extension sequence.  The result is re-validated before
+    Starts from seed (or a smallest triangle / 4-cycle) and runs the
+    unrestricted extension loop to the end.  The result is re-validated before
     it is returned.
     """
     if len(G.vertices) < 3:
@@ -224,7 +317,7 @@ def extend_to_hamilton(G: FiniteGraph, seed: Cycle | None = None) -> Cycle:
         report = verify_cycle(G, seed)
         if not report.ok:
             raise InputError(f"seed cycle invalid: {report.reason}")
-    C = extension_sequence(G, seed or find_initial_cycle(G))[-1]
+    C = saturate(G, seed or find_initial_cycle(G))
     report = verify_cycle(G, C)
     if not report.is_hamiltonian:
         raise InvariantViolation(

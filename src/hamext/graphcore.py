@@ -240,11 +240,13 @@ class Cycle:
     def __post_init__(self) -> None:
         if len(self.order) < 3:
             raise InputError("a cycle needs at least three vertices")
-        idx = {}
-        for i, v in enumerate(self.order):
-            if v in idx:
-                raise InputError(f"repeated vertex {v} in cycle")
-            idx[v] = i
+        idx = dict(zip(self.order, range(len(self.order))))
+        if len(idx) < len(self.order):
+            seen: set[int] = set()
+            for v in self.order:
+                if v in seen:
+                    raise InputError(f"repeated vertex {v} in cycle")
+                seen.add(v)
         object.__setattr__(self, "_index", idx)
 
     def __len__(self) -> int:

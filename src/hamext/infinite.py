@@ -29,9 +29,9 @@ from .errors import FrontierContamination, InputError, InvariantViolation
 from .extension import (
     Extension,
     apply_extension,
-    extension_sequence,
     find_extension,
     find_initial_cycle,
+    saturate,
 )
 from .graphcore import (
     Cycle,
@@ -883,7 +883,7 @@ def _saturate_initial(G: LazyGraph, seed: Cycle) -> Cycle:
             for v in B.neighbors(u)
             if v not in seed.vertex_set
         }
-        C0 = extension_sequence(B, seed, target_filter=fixed.__contains__)[-1]
+        C0 = saturate(B, seed, target_filter=fixed.__contains__)
         reach = C0.vertex_set | neighborhood_k(B, C0.vertex_set, 2)
         if not reach & B.frontier:
             nc = neighborhood_k(B, C0.vertex_set, 1)

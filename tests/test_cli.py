@@ -4,11 +4,18 @@ import json
 
 import pytest
 
-from hamext import cli
+from hamext import cli, extension
 from hamext.errors import InvariantViolation
 from hamext.families import gen_G, gen_H
-from hamext.graphcore import Cycle, graph_from_json_obj, verify_cycle
+from hamext.graphcore import (
+    Cycle,
+    cycle_to_json_obj,
+    graph_from_json_obj,
+    graph_to_json_obj,
+    verify_cycle,
+)
 from hamext.infinite import SequenceTrace
+from test_extension import reference_steps, relabelled_G
 
 
 def run(capsys, *argv):
@@ -198,6 +205,25 @@ def test_ham_seed_cycle_and_trace(capsys, g42_file, tmp_path):
         assert step["extension"]["kind"] in ("I", "II", "III")
 
 
+def test_ham_trace_matches_rescan_loop(capsys, tmp_path):
+    G = relabelled_G(40, 3, seed=27)
+    graph_file = tmp_path / "g403.json"
+    graph_file.write_text(json.dumps(graph_to_json_obj(G)))
+    trace_file = tmp_path / "steps.json"
+    code, _ = run(capsys, "ham", "--input", str(graph_file), "--trace", str(trace_file))
+    assert code == 0
+    C0 = extension.find_initial_cycle(G)
+    expected = {
+        "graph": graph_to_json_obj(G),
+        "initial": cycle_to_json_obj(C0),
+        "steps": [
+            {"extension": e.to_json_obj(), "cycle": cycle_to_json_obj(C)}
+            for e, C in reference_steps(G, C0)
+        ],
+    }
+    assert trace_file.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+
+
 def test_ham_rejects_bad_seed(capsys, g42_file):
     code, payload = run(
         capsys, "ham", "--input", str(g42_file), "--seed-cycle", "0,1,99"
@@ -315,6 +341,31 @@ def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     )
     assert code == 3
     assert payload["kind"] == "invariant"
+
+
+def test_invariant_violation_reports_context(capsys, g42_file, monkeypatch):
+    def boom(G, C, v):
+        raise InvariantViolation(
+            "forced for the context test",
+            cycle=C.order,
+            target=v,
+            anchors=frozenset({3, 1, 2}),
+            edges={(2, 3), (0, 1)},
+            nested={"path": (0, 1)},
+        )
+
+    monkeypatch.setattr(extension, "find_extension", boom)
+    code, payload = run(capsys, "ham", "--input", str(g42_file))
+    assert code == 3
+    assert payload["kind"] == "invariant"
+    assert payload["error"] == "forced for the context test"
+    assert payload["context"] == {
+        "cycle": [0, 1, 2],
+        "target": 3,
+        "anchors": [1, 2, 3],
+        "edges": [[0, 1], [2, 3]],
+        "nested": {"path": [0, 1]},
+    }
 
 
 def test_infham_payload_reparses_as_trace(capsys, gz2_file):

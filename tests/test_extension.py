@@ -1,6 +1,8 @@
 """Extension operators: hand-built witness instances first, then the
 constructor on generated and sampled graphs."""
 
+import random
+
 import pytest
 
 from hamext.errors import InputError, InvariantViolation
@@ -11,6 +13,8 @@ from hamext.extension import (
     extension_sequence,
     find_extension,
     find_initial_cycle,
+    iter_extensions,
+    saturate,
 )
 from hamext.families import gen_G, gen_H
 from hamext.graphcore import Cycle, FiniteGraph, verify_cycle
@@ -114,12 +118,14 @@ def test_apply_rejects_stale_witnesses():
 def test_sequence_trivial_when_spanning():
     G = k4()
     C = Cycle((0, 1, 2, 3))
-    assert extension_sequence(G, C) == [C]
+    assert list(iter_extensions(G, C)) == []
+    assert saturate(G, C) is C
 
 
 def test_sequence_reaches_hamilton_cycle():
     G = gen_G(4, 2)
-    seq = extension_sequence(G, find_initial_cycle(G))
+    C0 = find_initial_cycle(G)
+    seq = [C0] + [C.freeze() for _, C in iter_extensions(G, C0)]
     assert verify_cycle(G, seq[-1]).is_hamiltonian
     for a, b in zip(seq, seq[1:]):
         assert a.vertex_set < b.vertex_set
@@ -132,11 +138,129 @@ def test_sequence_with_neighborhood_filter():
     G = gen_G(6, 2)
     C0 = find_initial_cycle(G)
     fixed = {v for u in C0.order for v in G.neighbors(u)} - C0.vertex_set
-    seq = extension_sequence(G, C0, target_filter=fixed.__contains__)
-    final = seq[-1]
+    for _, live in iter_extensions(G, C0, target_filter=fixed.__contains__):
+        pass
+    final = live.freeze()
     assert fixed <= final.vertex_set
     for u in C0.order:
         assert set(G.neighbors(u)) <= final.vertex_set
+
+
+# ---------------------------------------------------------------------------
+# the heap-driven loop against the rescan loop it replaced
+
+
+def reference_apply(C, e):
+    """The tuple-slicing rewiring that LiveCycle.apply replaced."""
+    v = e.target
+    order = C.order
+    pos_u = order.index(e.u)
+    if e.kind == "I":
+        return Cycle(order[: pos_u + 1] + (v,) + order[pos_u + 1 :])
+    if e.kind == "II":
+        return Cycle(order[: pos_u + 1] + (v, e.x) + order[pos_u + 1 :])
+    y = e.y
+    up = C.succ(e.u)
+    arc = []
+    w = up
+    while True:
+        arc.append(w)
+        if w == y:
+            break
+        w = C.succ(w)
+    rest = []
+    w = C.succ(y)
+    while True:
+        rest.append(w)
+        if w == e.u:
+            break
+        w = C.succ(w)
+    return Cycle((v, *reversed(arc), *rest))
+
+
+def reference_steps(G, C0, target_filter=None):
+    """The rescan loop iter_extensions replaced: every step collects all
+    admissible targets afresh and rebuilds the cycle.  Returns the
+    (extension, cycle) pairs."""
+    steps = []
+    C = C0
+    while True:
+        on = C.vertex_set
+        candidates = sorted(
+            v
+            for u in C.order
+            for v in G.neighbors(u)
+            if v not in on and (target_filter is None or target_filter(v))
+        )
+        if not candidates:
+            return steps
+        e = find_extension(G, C, candidates[0])
+        C = reference_apply(C, e)
+        steps.append((e, C))
+
+
+def relabelled_G(q, n, seed):
+    G = gen_G(q, n)
+    perm = list(G.vertices)
+    random.Random(seed).shuffle(perm)
+    return FiniteGraph.from_edges(G.vertices, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def assert_same_steps(G, C0, target_filter=None):
+    expected = reference_steps(G, C0, target_filter)
+    got = [(e, C.freeze()) for e, C in iter_extensions(G, C0, target_filter)]
+    assert got == expected
+    assert [C.order for _, C in got] == [C.order for _, C in expected]
+    return [e.kind for e, _ in got]
+
+
+def test_iter_extensions_matches_rescan_loop_on_corpus():
+    for seed in range(60):
+        G = random_star_clawfree(seed)
+        assert_same_steps(G, find_initial_cycle(G))
+
+
+def test_iter_extensions_matches_rescan_loop_with_filter():
+    G = gen_G(6, 2)
+    C0 = find_initial_cycle(G)
+    fixed = {v for u in C0.order for v in G.neighbors(u)} - C0.vertex_set
+    assert_same_steps(G, C0, fixed.__contains__)
+    assert extension_sequence(G, C0, fixed.__contains__) == [C0] + [
+        C for _, C in reference_steps(G, C0, fixed.__contains__)
+    ]
+
+
+def test_iter_extensions_matches_rescan_loop_through_kind_three():
+    G = relabelled_G(40, 3, seed=27)
+    kinds = assert_same_steps(G, find_initial_cycle(G))
+    assert "III" in kinds and "II" in kinds
+
+
+class CountingGraph:
+    """A FiniteGraph that counts its neighbors() calls."""
+
+    def __init__(self, G):
+        self.G = G
+        self.calls = 0
+
+    def neighbors(self, v):
+        self.calls += 1
+        return self.G.neighbors(v)
+
+    def adjacent(self, u, v):
+        return self.G.adjacent(u, v)
+
+
+def test_iter_extensions_reads_each_neighbourhood_boundedly_often():
+    # the rescan loop reads every cycle vertex's neighbours on every
+    # step, Theta(|V|^2) calls; the heap-driven loop reads each absorbed
+    # vertex once plus what find_extension asks for
+    G = gen_G(300, 4)
+    counted = CountingGraph(G)
+    for _, live in iter_extensions(counted, find_initial_cycle(G)):
+        pass
+    assert len(live) == len(G.vertices)
+    assert counted.calls <= 4 * len(G.vertices)
 
 
 def test_initial_cycle_prefers_triangle():
