@@ -1,5 +1,6 @@
 """Exit codes, payload shapes, and file side effects of the CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -366,6 +367,48 @@ def test_invariant_violation_reports_context(capsys, g42_file, monkeypatch):
         "edges": [[0, 1], [2, 3]],
         "nested": {"path": [0, 1]},
     }
+
+
+# sha256 of the stdout of `infham --depth D --window 5` and of `verify`
+# on that trace; any refactor of the construction or the checker must
+# leave both byte-identical
+GOLDEN_DIGESTS = {
+    (2, 6): (
+        "fecaeee6e96b332bceb0b94c0b2b14aa2e12f37aa751d720e6ca8a81d76166bd",
+        "392f2e45d7a896ffb8ac48131eff0bc01c0a789ba87daea607470a8a2919669c",
+    ),
+    (2, 20): (
+        "4130005283b0c81ec4831fb275e57be2e4573ac66c76c1d649a8038afa7d6e3b",
+        "1ed8990ef30a49ddac6747536d51ca6a52cdb5ac9a08da06c0a54169c9e49245",
+    ),
+    (3, 6): (
+        "16189013d936a8369eff78d2b3b219b5feca905b0f0bb48524708de4df25d9ce",
+        "0910f6d02d01751311bffeba008e42e19fff5dda8d8236b99b6d9ad51a7f5eb6",
+    ),
+    (3, 20): (
+        "74c167bb34172cd889b24460dfe9ffa2111ea76a8fe00689a1c526e805376483",
+        "5ee06aaef693aa249cf07f25a3f74373060eaf73654670d8c65690eb84876114",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, depth", sorted(GOLDEN_DIGESTS))
+def test_infham_and_verify_stdout_golden(capsys, tmp_path, n, depth):
+    desc = tmp_path / "desc.json"
+    assert cli.main(["gen", "--family", "GZn", "--n", str(n), "--out", str(desc)]) == 0
+    capsys.readouterr()
+    assert cli.main(
+        ["infham", "--descriptor", str(desc), "--depth", str(depth), "--window", "5"]
+    ) == 0
+    infham_out = capsys.readouterr().out
+    trace = tmp_path / "trace.json"
+    trace.write_text(infham_out)
+    assert cli.main(["verify", "--trace", str(trace)]) == 0
+    verify_out = capsys.readouterr().out
+    digests = tuple(
+        hashlib.sha256(out.encode()).hexdigest() for out in (infham_out, verify_out)
+    )
+    assert digests == GOLDEN_DIGESTS[(n, depth)]
 
 
 def test_infham_payload_reparses_as_trace(capsys, gz2_file):
