@@ -281,14 +281,6 @@ def family_width(desc: Mapping[str, object]) -> int:
     raise InputError(f"unknown infinite family {family!r}")
 
 
-def fiber_of(desc: Mapping[str, object], v: int) -> int:
-    """Fiber index of a vertex id under a family descriptor."""
-    width = family_width(desc)
-    if v < 0:
-        raise InputError(f"invalid vertex id {v}")
-    return unzigzag(v // width)
-
-
 def fiber_vertices(desc: Mapping[str, object], f: int) -> tuple[int, ...]:
     """All vertex ids of one fiber of an infinite family."""
     width = family_width(desc)

@@ -21,12 +21,11 @@ lists ascending, components ordered by smallest member.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .errors import FrontierContamination, InputError, InvariantViolation
+from .errors import InputError, InvariantViolation
 
 Edge = tuple[int, int]
 
@@ -313,42 +312,6 @@ def verify_cycle(G: GraphLike, C: Cycle) -> CycleReport:
 
 
 # ---------------------------------------------------------------------------
-# cuts
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A vertex set together with its (finite) edge boundary."""
-
-    side: frozenset[int]
-    edges: frozenset[Edge]
-
-
-def cut_edges(G: FiniteGraph, side: Iterable[int]) -> Cut:
-    """Edges of ``G`` with exactly one endpoint in ``side``.
-
-    On a ball, boundary edges at frontier vertices are only known
-    partially; an edge is reported when at least one endpoint has
-    complete adjacency, which is exact whenever ``side`` together with
-    its neighbours avoids the frontier.  Callers working on balls are
-    expected to size them accordingly; a crossing edge between two
-    frontier vertices cannot occur because one endpoint of a crossing
-    pair is always interior in that discipline.
-    """
-    sset = frozenset(side)
-    missing = sset - G.vertex_set
-    if missing:
-        raise InputError(f"cut side contains unknown vertices: {sorted(missing)}")
-    crossing = set()
-    for u in G.vertices:
-        inside = u in sset
-        for v in G.adj[u]:
-            if u < v and inside != (v in sset):
-                crossing.add((u, v))
-    return Cut(side=sset, edges=frozenset(crossing))
-
-
-# ---------------------------------------------------------------------------
 # traversals
 
 
@@ -498,16 +461,6 @@ def components(
     return out
 
 
-def assert_no_frontier(G: FiniteGraph, needed: Iterable[int], what: str) -> None:
-    """Guard: refuse to use frontier vertices where full adjacency matters."""
-    bad = sorted(set(needed) & G.frontier)
-    if bad:
-        raise FrontierContamination(
-            f"{what} needs complete neighbourhoods at frontier vertices {bad[:6]}"
-            + ("..." if len(bad) > 6 else "")
-        )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -522,10 +475,6 @@ def graph_to_json_obj(G: FiniteGraph) -> dict:
     if G.labels is not None:
         obj["labels"] = {str(v): G.labels[v] for v in sorted(G.labels)}
     return obj
-
-
-def graph_to_json(G: FiniteGraph) -> str:
-    return json.dumps(graph_to_json_obj(G), sort_keys=True)
 
 
 def graph_from_json_obj(obj: object) -> FiniteGraph:
@@ -555,24 +504,21 @@ def graph_from_json_obj(obj: object) -> FiniteGraph:
     return FiniteGraph.from_edges(vertices, [tuple(e) for e in edges], labels=labels)
 
 
-def graph_from_json(text: str) -> FiniteGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    return graph_from_json_obj(obj)
-
-
 def cycle_to_json_obj(C: Cycle) -> list[int]:
     return list(C.order)
 
 
-def cycle_from_json_obj(obj: object) -> Cycle:
+def ids_from_json_obj(obj: object, what: str) -> tuple[int, ...]:
+    """A JSON array of vertex ids; anything but plain integers is refused."""
     if not isinstance(obj, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in obj
     ):
-        raise InputError("cycle JSON must be an array of integer ids")
-    return Cycle(tuple(obj))
+        raise InputError(f"{what} JSON must be an array of integer ids")
+    return tuple(obj)
+
+
+def cycle_from_json_obj(obj: object) -> Cycle:
+    return Cycle(ids_from_json_obj(obj, "cycle"))
 
 
 def graph_to_dot(

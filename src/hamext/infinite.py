@@ -22,7 +22,7 @@ error, never silently tolerated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conditions import check_star_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -36,17 +36,22 @@ from .extension import (
 from .graphcore import (
     Cycle,
     Edge,
-    FiniteGraph,
     LazyGraph,
     ball,
     canonical_edge,
     cycle_from_json_obj,
     cycle_to_json_obj,
     distances_from,
+    ids_from_json_obj,
     neighborhood_k,
     verify_cycle,
 )
-from .structure import SeparatorDecomposition, decompose, minimal_ray_blocker
+from .structure import (
+    SeparatorDecomposition,
+    component_membership,
+    decompose,
+    minimal_ray_blocker,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +95,13 @@ def remove_cycle_vertex(C: Cycle, h: int) -> Cycle:
     return Cycle(tuple(v for v in C.order if v != h))
 
 
+def protected_vertices(G, cycle_vertices) -> frozenset[int]:
+    """Cycle vertices outside N(C) and N(N(C)); an enlargement never
+    rewires an edge between two of them."""
+    nc = neighborhood_k(G, cycle_vertices, 1)
+    return frozenset(cycle_vertices) - nc - neighborhood_k(G, nc, 1)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -129,10 +141,14 @@ class CutWitness:
         try:
             return CutWitness(
                 j=int(obj["j"]),
-                part=frozenset(obj["part"]),
-                piece=frozenset(obj["piece"]),
-                included=frozenset(obj["included"]),
-                excluded=frozenset(obj["excluded"]),
+                part=frozenset(ids_from_json_obj(obj["part"], "witness part")),
+                piece=frozenset(ids_from_json_obj(obj["piece"], "witness piece")),
+                included=frozenset(
+                    ids_from_json_obj(obj["included"], "witness included")
+                ),
+                excluded=frozenset(
+                    ids_from_json_obj(obj["excluded"], "witness excluded")
+                ),
                 crossing_edges=tuple(
                     canonical_edge(*e) for e in obj["crossing_edges"]
                 ),
@@ -201,24 +217,33 @@ class SequenceTrace:
             trace = SequenceTrace(
                 descriptor=obj["descriptor"],
                 cycles=tuple(cycle_from_json_obj(c) for c in obj["cycles"]),
-                blockers=tuple(frozenset(b) for b in obj["blockers"]),
+                blockers=tuple(
+                    frozenset(ids_from_json_obj(b, "blocker")) for b in obj["blockers"]
+                ),
                 ks=tuple(int(k) for k in obj["ks"]),
-                k0s=tuple(frozenset(p) for p in obj["k0s"]),
+                k0s=tuple(frozenset(ids_from_json_obj(p, "K0")) for p in obj["k0s"]),
                 witnesses=tuple(
                     tuple(CutWitness.from_json_obj(w) for w in per_i)
                     for per_i in obj["witnesses"]
                 ),
                 end_selectors={
-                    name: tuple(int(x) for x in sel)
+                    name: ids_from_json_obj(sel, "end selector")
                     for name, sel in obj["end_selectors"].items()
                 },
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed trace: {exc}") from None
         if len(trace.cycles) != trace.depth + 1:
             raise InputError("trace cycle count does not match depth")
         if not (len(trace.ks) == len(trace.k0s) == len(trace.witnesses) == trace.depth):
             raise InputError("trace iteration data lengths disagree")
+        for name, sel in trace.end_selectors.items():
+            for i, (x, per_i) in enumerate(zip(sel, trace.witnesses)):
+                if x not in range(len(per_i)):
+                    raise InputError(
+                        f"end {name!r} selects component {x} of iteration "
+                        f"{i + 1}, which has {len(per_i)}"
+                    )
         return trace
 
     @staticmethod
@@ -389,21 +414,12 @@ class _CutBuilder:
                 return j
         return None
 
-    def piece_index(self, v: int) -> int | None:
-        for j, piece in enumerate(self.pieces):
-            if v in piece:
-                return j
-        return None
-
     def absorb(self, C: Cycle, v: int) -> tuple[Cycle, Extension]:
         e = find_extension(self.B, C, v)
         return apply_extension(C, e), e
 
-    def cycle_cut_edges(self, C: Cycle, member) -> list[Edge]:
-        return [e for e in C.edges() if member(e[0]) != member(e[1])]
-
     def check_cut_twice(self, C: Cycle, member, label: str, j: int) -> list[Edge]:
-        crossing = self.cycle_cut_edges(C, member)
+        crossing = [e for e in C.edges() if member(e[0]) != member(e[1])]
         if len(crossing) != 2:
             raise InvariantViolation(
                 f"{label} crossed {len(crossing)} times, expected 2",
@@ -771,6 +787,7 @@ class _CutBuilder:
                 missing=sorted(missing),
             )
 
+        n_script = neighborhood_k(self.B, self.script_S, 1)
         witnesses = []
         for j, m in enumerate(self.msets):
             n_sj = neighborhood_k(self.B, self.parts[j], 1)
@@ -781,7 +798,6 @@ class _CutBuilder:
                     j=j,
                     vertices=sorted(bad_excluded),
                 )
-            n_script = neighborhood_k(self.B, self.script_S, 1)
             stray = {
                 v
                 for v in m.included
@@ -807,11 +823,7 @@ class _CutBuilder:
                 )
             )
 
-        nc = neighborhood_k(self.B, self.C.vertex_set, 1)
-        nnc = nc | neighborhood_k(self.B, nc, 1)
-        protected = {
-            v for v in self.C.order if v not in nnc
-        }
+        protected = protected_vertices(self.B, self.C.vertex_set)
         cur_edges = cur.edge_set
         for a, b in self.C.edges():
             if a in protected and b in protected and canonical_edge(a, b) not in cur_edges:
@@ -819,6 +831,7 @@ class _CutBuilder:
                     "protected cycle edge vanished",
                     edge=canonical_edge(a, b),
                 )
+        nc = neighborhood_k(self.B, self.C.vertex_set, 1)
         n2_nc = nc | neighborhood_k(self.B, nc, 2)
         old_vertices = self.C.vertex_set
         for a, b in sorted(cur_edges - self.C.edge_set):
@@ -840,10 +853,7 @@ def construct_cut1(
     Returns the new cycle and one CutWitness per infinite component;
     all three output clauses are checked before returning.
     """
-    B = decomp.ball
-    nc = neighborhood_k(B, C.vertex_set, 1)
-    nnc = nc | neighborhood_k(B, nc, 1)
-    if not (C.vertex_set - nnc):
+    if not protected_vertices(decomp.ball, C.vertex_set):
         raise InputError(
             "every cycle vertex touches the cycle's second neighbourhood"
         )
@@ -877,18 +887,11 @@ def _saturate_initial(G: LazyGraph, seed: Cycle) -> Cycle:
     radius = 4
     while True:
         B = ball(G, seed.vertex_set, radius)
-        fixed = {
-            v
-            for u in seed.order
-            for v in B.neighbors(u)
-            if v not in seed.vertex_set
-        }
+        fixed = neighborhood_k(B, seed.vertex_set, 1)
         C0 = saturate(B, seed, target_filter=fixed.__contains__)
         reach = C0.vertex_set | neighborhood_k(B, C0.vertex_set, 2)
         if not reach & B.frontier:
-            nc = neighborhood_k(B, C0.vertex_set, 1)
-            nnc = nc | neighborhood_k(B, nc, 1)
-            if not seed.vertex_set <= C0.vertex_set - nnc:
+            if not seed.vertex_set <= protected_vertices(B, C0.vertex_set):
                 raise InvariantViolation(
                     "saturation left the seed exposed",
                     seed=seed.order,
@@ -943,11 +946,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     selectors: dict[str, list[int]] = {name: [] for name in sorted(G.end_rays)}
 
     for _ in range(depth):
-        nc = {w for u in C.order for w in G.neighbors(u)} - C.vertex_set
-        nnc = nc | {
-            w for u in sorted(nc) for w in G.neighbors(u)
-        }
-        if not (C.vertex_set - nnc):
+        if not protected_vertices(G, C.vertex_set):
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
             )
@@ -987,45 +986,26 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 # ---------------------------------------------------------------------------
 # verification, independent of the construction
 
-_RESOLVER_RING_CAP = 64
 
+def first_persistence_failure(
+    edge_sets,
+) -> tuple[int, int, list[Edge]] | None:
+    """First pair i < j of cycles sharing an edge that cycle j+1 lacks.
 
-def _component_resolver(G: LazyGraph, blocker, home, foreign):
-    """Membership test for the component of G - blocker that meets
-    ``home``, deciding by bounded search toward known territory."""
-    blocker = frozenset(blocker)
-    home = frozenset(home)
-    foreign = frozenset(foreign)
-
-    def member(v: int) -> bool:
-        if v in blocker:
-            return False
-        if v in home:
-            return True
-        if v in foreign:
-            return False
-        seen = {v}
-        ring = [v]
-        for _ in range(_RESOLVER_RING_CAP):
-            nxt = []
-            for u in ring:
-                for w in G.neighbors(u):
-                    if w in blocker or w in seen:
-                        continue
-                    if w in home:
-                        return True
-                    if w in foreign:
-                        return False
-                    seen.add(w)
-                    nxt.append(w)
-            if not nxt:
-                return False
-            ring = sorted(nxt)
-        raise InputError(
-            f"component membership query for {v} exceeded the search cap"
-        )
-
-    return member
+    Pairs are ordered by j, then i, and the lost edges come sorted.
+    One pass keeps the union E_0 | ... | E_{j-1}: an edge of E_j seen
+    earlier must survive into E_{j+1}.  Only a failing j is searched
+    for its smallest i.
+    """
+    earlier: set[Edge] = set()
+    for j in range(len(edge_sets) - 1):
+        if not (earlier & edge_sets[j]) <= edge_sets[j + 1]:
+            for i in range(j):
+                lost = (edge_sets[i] & edge_sets[j]) - edge_sets[j + 1]
+                if lost:
+                    return i, j, sorted(lost)
+        earlier |= edge_sets[j]
+    return None
 
 
 @dataclass(frozen=True)
@@ -1093,9 +1073,7 @@ def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
     for jj, other in enumerate(trace.witnesses[i]):
         if jj != j:
             foreign |= other.piece
-    in_component = _component_resolver(
-        G, trace.blockers[i], w.piece, frozenset(foreign)
-    )
+    in_component = component_membership(G, trace.blockers[i], w.piece, foreign)
     return w.membership(in_component), in_component
 
 
@@ -1248,22 +1226,17 @@ def verify_hc_extract(
         )
 
     # edge persistence: shared edges never disappear again
-    d_ok, d_detail = True, ""
     edge_sets = [C.edge_set for C in trace.cycles]
-    for j_idx in range(1, d):
-        for i_idx in range(j_idx):
-            shared = edge_sets[i_idx] & edge_sets[j_idx]
-            if not shared <= edge_sets[j_idx + 1]:
-                lost = sorted(shared - edge_sets[j_idx + 1])
-                d_ok, d_detail = False, (
-                    f"edges {lost[:4]} shared by cycles {i_idx} and {j_idx} "
-                    f"missing from cycle {j_idx + 1}"
-                )
-                break
-        if not d_ok:
-            break
+    failure = first_persistence_failure(edge_sets)
+    d_ok = failure is None
     if d_ok:
         d_detail = f"checked {d * (d + 1) // 2} cycle pairs"
+    else:
+        i_idx, j_idx, lost = failure
+        d_detail = (
+            f"edges {lost[:4]} shared by cycles {i_idx} and {j_idx} "
+            f"missing from cycle {j_idx + 1}"
+        )
 
     # cut agreement: every later cycle crosses each frozen cut in the
     # same two edges
@@ -1313,14 +1286,12 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
     """
     wset = frozenset(window)
     edge_sets = [C.edge_set for C in trace.cycles]
-    for j_idx in range(1, len(edge_sets) - 1):
-        for i_idx in range(j_idx):
-            shared = edge_sets[i_idx] & edge_sets[j_idx]
-            if not shared <= edge_sets[j_idx + 1]:
-                raise InvariantViolation(
-                    "edge persistence fails; trace is not limit-ready",
-                    cycles=(i_idx, j_idx),
-                )
+    failure = first_persistence_failure(edge_sets)
+    if failure is not None:
+        raise InvariantViolation(
+            "edge persistence fails; trace is not limit-ready",
+            cycles=failure[:2],
+        )
     seen_twice: set[Edge] = set()
     seen_once: set[Edge] = set()
     for es in edge_sets:

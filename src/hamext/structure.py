@@ -24,14 +24,6 @@ from .graphcore import (
 )
 
 
-def is_ray_blocking(G: LazyGraph, X, blocked) -> bool:
-    """True when no vertex of X escapes to infinity once ``blocked``
-    is removed.  X must be connected in G - blocked for the one-vertex
-    shortcut used elsewhere; this helper tests every vertex."""
-    bset = frozenset(blocked)
-    return not any(G.escapes(bset, v) for v in X if v not in bset)
-
-
 def minimal_ray_blocker(G: LazyGraph, C: Cycle) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
@@ -65,64 +57,69 @@ def minimal_ray_blocker(G: LazyGraph, C: Cycle) -> frozenset[int]:
     return frozenset(blocker)
 
 
+def component_membership(G: LazyGraph, blocker, home, foreign):
+    """Membership test for the component of G - blocker that meets
+    ``home``, given vertices ``foreign`` known to lie outside it.
+
+    A query outside the known sets walks toward them and answers from
+    the first one it reaches.  The walk is capped at
+    ``HAMEXT_BALL_RADIUS_MAX`` rings, read once here, so a query far
+    from both sets fails fast instead of looping.
+    """
+    blocker = frozenset(blocker)
+    home = frozenset(home)
+    foreign = frozenset(foreign)
+    cap = _ball_radius_cap()
+
+    def member(v: int) -> bool:
+        if v in blocker:
+            return False
+        if v in home:
+            return True
+        if v in foreign:
+            return False
+        seen = {v}
+        ring = [v]
+        for _ in range(cap):
+            nxt = []
+            for u in ring:
+                for w in G.neighbors(u):
+                    if w in blocker or w in seen:
+                        continue
+                    if w in home:
+                        return True
+                    if w in foreign:
+                        return False
+                    seen.add(w)
+                    nxt.append(w)
+            if not nxt:
+                return False
+            ring = sorted(nxt)
+        raise InputError(
+            f"component membership query for {v} exceeded the search cap {cap}"
+        )
+
+    return member
+
+
 class ComponentHandle:
     """One infinite component of G - blocker, seen through a ball.
 
     ``piece`` is the part inside the working ball; membership outside
-    it is decided by a bounded search toward the piece, and members are
-    only ever enumerated within an explicit radius.
+    it is decided by :func:`component_membership`.
     """
 
     def __init__(self, G: LazyGraph, blocker, piece, ball_vertices) -> None:
         if not piece:
             raise InputError("component handle needs a non-empty piece")
         self.piece = frozenset(piece)
-        self.blocker = frozenset(blocker)
-        self.ball_vertices = frozenset(ball_vertices)
         self.representative = min(self.piece)
-        self._G = G
-
-    def __contains__(self, v: int) -> bool:
-        if v in self.piece:
-            return True
-        if v in self.blocker or v in self.ball_vertices:
-            return False
-        # walk toward the working ball; the first ball vertex reached
-        # pins down which component v lives in
-        cap = _ball_radius_cap()
-        seen = {v}
-        ring = [v]
-        for _ in range(cap):
-            nxt = []
-            for u in ring:
-                for w in self._G.neighbors(u):
-                    if w in self.blocker:
-                        continue
-                    if w in self.ball_vertices:
-                        return w in self.piece
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                return False
-            ring = nxt
-        raise InputError(
-            f"membership of {v} undecided within radius cap {cap}"
+        self._member = component_membership(
+            G, blocker, self.piece, frozenset(ball_vertices) - self.piece
         )
 
-    def members_within(self, radius: int) -> frozenset[int]:
-        """All component vertices within ``radius`` of the representative."""
-        reached = {self.representative}
-        ring = [self.representative]
-        for _ in range(radius):
-            nxt = []
-            for u in ring:
-                for w in self._G.neighbors(u):
-                    if w not in reached and w not in self.blocker:
-                        reached.add(w)
-                        nxt.append(w)
-            ring = nxt
-        return frozenset(reached)
+    def __contains__(self, v: int) -> bool:
+        return self._member(v)
 
     def __repr__(self) -> str:
         return f"ComponentHandle(rep={self.representative}, |piece|={len(self.piece)})"
@@ -143,14 +140,7 @@ class SeparatorDecomposition:
     parts: tuple[frozenset[int], ...]
     infinite_components: tuple[ComponentHandle, ...]
     finite_component: frozenset[int]
-    seeds: frozenset[int]
     ball: FiniteGraph
-
-    def part_of(self, s: int) -> int:
-        for j, part in enumerate(self.parts):
-            if s in part:
-                return j
-        raise InputError(f"{s} is not a separator vertex")
 
     def to_json_obj(self) -> dict:
         return {
@@ -301,7 +291,6 @@ def decompose(
         parts=tuple(parts),
         infinite_components=handles,
         finite_component=K0,
-        seeds=X,
         ball=B,
     )
 

@@ -332,6 +332,33 @@ def test_verify_rejects_malformed_trace(capsys, tmp_path):
     assert payload["kind"] == "input"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("end_selectors", {"left": [5, 0, 0], "right": [1, 1, 1]}),
+        ("end_selectors", {"left": [-1, -1, -1], "right": [1, 1, 1]}),
+        ("end_selectors", [[0, 0, 0]]),
+        ("blockers", None),
+    ],
+)
+def test_verify_rejects_hostile_trace_fields(capsys, gz2_file, tmp_path, field, value):
+    out = tmp_path / "trace.json"
+    code, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "3", "--out", str(out),
+    )
+    assert code == 0
+    obj = json.loads(out.read_text())
+    if value is None:
+        obj["blockers"][1][0] = "x"
+    else:
+        obj[field] = value
+    out.write_text(json.dumps(obj))
+    code, payload = run(capsys, "verify", "--trace", str(out))
+    assert code == 2
+    assert payload["kind"] == "input"
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from hamext.errors import InputError
 from hamext.families import (
     descriptor_to_lazy,
-    fiber_of,
     fiber_vertices,
     fiber_window,
     gen_G,
@@ -100,7 +99,9 @@ def test_zigzag_is_bijective_on_window():
 
 def test_infinite_family_fibers():
     G = gen_G_inf(2)
-    assert fiber_of(G.descriptor, 0) == 0
+    # width-2 ids: fiber = unzigzag(v // 2)
+    assert unzigzag(G.root // 2) == 0
+    assert [unzigzag(v // 2) for v in (2, 3, 4, 5)] == [-1, -1, 1, 1]
     assert fiber_vertices(G.descriptor, 1) == (4, 5)
     assert fiber_vertices(G.descriptor, -1) == (2, 3)
     assert fiber_window(G.descriptor, 1) == frozenset({0, 1, 2, 3, 4, 5})
@@ -152,9 +153,9 @@ def test_escape_agrees_with_ball_reachability():
         v for f in (-2, -1, 0, 1, 2) for v in fiber_vertices(desc, f)
     )
     B = ball(G, G.root, 7)
-    far = {v for v in B.vertices if abs(fiber_of(desc, v)) >= 6}
+    far = {v for v in B.vertices if abs(unzigzag(v // 3)) >= 6}
     for v in sorted(B.vertex_set - blocked):
-        if abs(fiber_of(desc, v)) > 4:
+        if abs(unzigzag(v // 3)) > 4:
             continue
         reach = {v}
         stack = [v]

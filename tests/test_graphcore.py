@@ -8,19 +8,20 @@ from hamext.families import gen_G_inf
 from hamext.graphcore import (
     Cycle,
     FiniteGraph,
+    LazyGraph,
     ball,
     canonical_edge,
     components,
-    cut_edges,
     cycle_from_json_obj,
     cycle_to_json_obj,
     distances_from,
-    graph_from_json,
+    graph_from_json_obj,
     graph_to_dot,
-    graph_to_json,
+    graph_to_json_obj,
     neighborhood_k,
     verify_cycle,
 )
+from hamext.infinite import CutWitness, _explicit_cut
 
 
 def k4():
@@ -107,10 +108,16 @@ def test_distances_and_neighborhood():
     assert neighborhood_k(G, {2}, 2) == frozenset({0, 1, 3, 4})
 
 
-def test_cut_edges():
+def test_explicit_cut_on_k4():
     G = k4()
-    cut = cut_edges(G, {0, 1})
-    assert cut.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+    lazy = LazyGraph(G.neighbors, lambda blocked, v: False, root=0)
+    side = frozenset({0, 1})
+    w = CutWitness(
+        j=0, part=side, piece=frozenset(), included=side,
+        excluded=frozenset(), crossing_edges=(),
+    )
+    cut = _explicit_cut(lazy, w, side.__contains__)
+    assert cut == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
 
 
 # Ball of radius 2 around the root of the width-2 double-ray family:
@@ -143,8 +150,6 @@ def test_ball_radius_cap(monkeypatch):
 
 
 def test_ball_detects_asymmetric_oracle():
-    from hamext.graphcore import LazyGraph
-
     def nbrs(v):
         if v == 0:
             return (1,)
@@ -161,6 +166,14 @@ def test_escape_requires_unblocked_vertex():
     G = gen_G_inf(2)
     with pytest.raises(InputError):
         G.escapes(frozenset({0, 1}), 0)
+
+
+def graph_to_json(G):
+    return json.dumps(graph_to_json_obj(G), sort_keys=True)
+
+
+def graph_from_json(text):
+    return graph_from_json_obj(json.loads(text))
 
 
 def test_graph_json_round_trip():

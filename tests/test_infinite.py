@@ -1,6 +1,7 @@
 """Enlargement construction, driver traces, and the limit checker."""
 
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from hamext.families import gen_G_inf, gen_H_inf, zigzag
 from hamext.graphcore import Cycle, LazyGraph
 from hamext.infinite import (
     SequenceTrace,
+    _witness_membership,
     construct_cut1,
+    first_persistence_failure,
     hamilton_sequence,
     remove_cycle_vertex,
     replace_arc,
@@ -352,6 +355,59 @@ def test_verify_requires_iterations():
     )
     with pytest.raises(InputError):
         verify_hc_extract(empty)
+
+
+def test_witness_membership_search_is_capped(gz2_trace, monkeypatch):
+    G = gen_G_inf(2)
+    left = gz2_trace.end_selectors["left"][0]
+    right = gz2_trace.end_selectors["right"][0]
+    far_left = gz_fiber(2, -20)[0]
+    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
+    _, in_left = _witness_membership(G, gz2_trace, 0, left)
+    with pytest.raises(InputError, match="search cap 3"):
+        in_left(far_left)
+    monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
+    _, in_left = _witness_membership(G, gz2_trace, 0, left)
+    _, in_right = _witness_membership(G, gz2_trace, 0, right)
+    assert in_left(far_left)
+    assert not in_right(far_left)
+
+
+def pairwise_persistence_failure(edge_sets):
+    """Reference: test every pair i < j of cycles directly."""
+    for j in range(1, len(edge_sets) - 1):
+        for i in range(j):
+            shared = edge_sets[i] & edge_sets[j]
+            if not shared <= edge_sets[j + 1]:
+                return i, j, sorted(shared - edge_sets[j + 1])
+    return None
+
+
+def random_edge_sets(rng):
+    # each next set keeps what persistence demands, plus random edges;
+    # sometimes one demanded edge is dropped to break persistence
+    universe = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    sets = [frozenset(rng.sample(universe, rng.randint(0, 8)))]
+    earlier = set()
+    for _ in range(rng.randint(1, 7)):
+        keep = earlier & sets[-1]
+        nxt = keep | set(rng.sample(universe, rng.randint(0, 8)))
+        if keep and rng.random() < 0.15:
+            nxt.discard(rng.choice(sorted(keep)))
+        earlier |= sets[-1]
+        sets.append(frozenset(nxt))
+    return sets
+
+
+def test_persistence_pass_matches_pairwise_loop():
+    outcomes = Counter()
+    for seed in range(400):
+        sets = random_edge_sets(random.Random(seed))
+        want = pairwise_persistence_failure(sets)
+        assert first_persistence_failure(sets) == want, seed
+        outcomes[want is None] += 1
+    # both persistent and broken sequences were exercised
+    assert outcomes[True] > 50 and outcomes[False] > 50
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, components
 from hamext.oracle import minimal_separators, random_star_clawfree
 from hamext.structure import (
     decompose,
-    is_ray_blocking,
     minimal_ray_blocker,
     verify_complete_attachment,
     verify_two_components,
@@ -25,10 +24,12 @@ def test_blocker_on_width_two_family():
     S = minimal_ray_blocker(G, C)
     want = set(fiber_vertices(G.descriptor, -1)) | set(fiber_vertices(G.descriptor, 2))
     assert S == frozenset(want)
-    assert is_ray_blocking(G, C.order, S)
+    # decompose refuses a blocker that does not block or is not minimal
+    decompose(G, C.order, S)
+    assert not any(G.escapes(S, v) for v in C.order)
     # inclusion-minimal: every vertex is load-bearing
     for s in S:
-        assert not is_ray_blocking(G, C.order, S - {s})
+        assert any(G.escapes(S - {s}, v) for v in C.order)
 
 
 def test_blocker_on_width_three_family():
@@ -70,7 +71,9 @@ def test_decompose_width_two():
     assert D.parts[0] == frozenset(fiber_vertices(desc, -1))
     assert D.parts[1] == frozenset(fiber_vertices(desc, 2))
     assert D.script_S == S
-    assert D.part_of(min(D.parts[1])) == 1
+    # the parts partition the blocker
+    assert frozenset().union(*D.parts) == D.script_S
+    assert sum(len(p) for p in D.parts) == len(D.script_S)
     left, right = D.infinite_components
     assert fiber_vertices(desc, -2)[0] in left
     assert fiber_vertices(desc, 3)[0] in right
@@ -83,11 +86,12 @@ def test_decompose_component_handles_enumerate():
     C = four_cycle_on_home_fibers(G)
     D = decompose(G, C.order, minimal_ray_blocker(G, C))
     left = D.infinite_components[0]
-    assert left.members_within(0) == frozenset({left.representative})
-    # three hops from the representative of the negative-side component
-    # reach exactly fibers -5..-2
-    want = {v for f in (-5, -4, -3, -2) for v in fiber_vertices(G.descriptor, f)}
-    assert left.members_within(3) == frozenset(want)
+    assert left.representative in left
+    # fibers -5..-2 lie in the negative-side component, the separator
+    # fiber -1 does not
+    for f in (-5, -4, -3, -2):
+        assert all(v in left for v in fiber_vertices(G.descriptor, f))
+    assert not any(v in left for v in fiber_vertices(G.descriptor, -1))
 
 
 def test_decompose_rejects_one_sided_blocker():
@@ -187,6 +191,26 @@ def test_separator_regressions_on_corpus():
     assert checked > 50
 
 
-def test_is_ray_blocking_empty_never_blocks():
+def test_empty_set_never_blocks_rays():
     G = gen_G_inf(2)
-    assert not is_ray_blocking(G, (0,), ())
+    assert G.escapes(frozenset(), 0)
+
+
+def test_component_membership_search_is_capped(monkeypatch):
+    G = gen_G_inf(2)
+    desc = G.descriptor
+    C = four_cycle_on_home_fibers(G)
+    S = minimal_ray_blocker(G, C)
+    far = fiber_vertices(desc, -8)[0]
+    # a ball of radius 2 sees fibers -2..3; fiber -8 is six hops out
+    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
+    left, right = decompose(G, C.order, S, extra_radius=1).infinite_components
+    with pytest.raises(InputError, match="search cap 3"):
+        far in left
+    monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
+    # the cap is read when the handle is built, not on each query
+    with pytest.raises(InputError, match="search cap 3"):
+        far in right
+    left, right = decompose(G, C.order, S, extra_radius=1).infinite_components
+    assert far in left
+    assert far not in right
