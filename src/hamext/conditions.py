@@ -8,6 +8,15 @@ the shipped families is directly assertable in tests.
 
 For infinite graphs the check runs on a ball and only evaluates triples
 whose neighbourhoods are provably complete; the verdict says so.
+
+Cost.  Each check builds a table of BFS ranks and neighbourhood bit
+masks in O(|E|) (``_RankTable``) and then tests each centre with a few
+mask operations per neighbour or per non-adjacent neighbour pair.  A
+mask spans only the BFS layers its neighbourhood touches, so the table
+holds the sum of those window widths in bits, not |V|^2.  The table is
+built per call and not kept.  Witnesses and both compared numbers come
+from the exact scan, in id order, of the first centre the masks flag,
+so they are the ones a triple-by-triple scan of the whole graph finds.
 """
 
 from __future__ import annotations
@@ -95,13 +104,162 @@ def _star_at(G: FiniteGraph, u: int, v: int, w: int) -> tuple[int, int]:
     return lhs, len(union)
 
 
+class _RankTable:
+    """BFS ranks and neighbourhood masks of a finite graph.
+
+    Ranks come from one breadth-first search that starts each component
+    at its smallest vertex and takes neighbours in adjacency order, so
+    a neighbourhood lies within three consecutive BFS layers.  In
+    ``bits[v]``, bit ``r - lo[v]`` marks the neighbour of rank ``r``;
+    the mask is as wide as that window, not |V|.  Built in O(|E|).
+    """
+
+    __slots__ = ("adj", "rank", "lo", "bits")
+
+    def __init__(self, G: FiniteGraph) -> None:
+        adj = G.adj
+        rank: dict[int, int] = {}
+        order: list[int] = []
+        head = 0
+        for s in G.vertices:
+            if s in rank:
+                continue
+            rank[s] = len(order)
+            order.append(s)
+            while head < len(order):
+                for w in adj[order[head]]:
+                    if w not in rank:
+                        rank[w] = len(order)
+                        order.append(w)
+                head += 1
+        lo: dict[int, int] = {}
+        bits: dict[int, int] = {}
+        for v in G.vertices:
+            ranks = [rank[w] for w in adj[v]]
+            first = min(ranks, default=0)
+            mask = 0
+            for r in ranks:
+                mask |= 1 << (r - first)
+            lo[v] = first
+            bits[v] = mask
+        self.adj, self.rank, self.lo, self.bits = adj, rank, lo, bits
+
+    def base(self, v: int, ends) -> int:
+        """The lowest rank in N(v) or in N(u) for any u in ``ends``: the
+        start of one window over which all their masks are aligned."""
+        lo = self.lo
+        base = lo[v]
+        for u in ends:
+            if lo[u] < base:
+                base = lo[u]
+        return base
+
+
+def _star_fails_near(table: _RankTable, v: int, ends) -> bool:
+    """Whether some induced path u-v-w with u, w in ``ends`` fails the
+    degree condition.
+
+    With c(x) = |N(x) & N(v)| and A(x) = N(x) - N(v), the condition
+    d(u) + d(w) >= |N(u) | N(v) | N(w)| reads c(u) + c(w) + |A(u) & A(w)|
+    >= d(v).  A(u) & A(w) always holds v, so a u with c(u) + min c + 1
+    >= d(v) cannot be on a failing path.
+    """
+    if len(ends) < 2:
+        return False
+    rank, lo, bits = table.rank, table.lo, table.bits
+    base = table.base(v, ends)
+    nv = bits[v] << (lo[v] - base)
+    dv = nv.bit_count()
+    ends_mask = 0
+    local = {}
+    for u in ends:
+        b = 1 << (rank[u] - base)
+        nu = bits[u] << (lo[u] - base)
+        ends_mask |= b
+        local[b] = (nu, (nu & nv).bit_count(), nu & ~nv)
+    c_min = min(c for _, c, _ in local.values())
+    for b, (nu, c_u, a_u) in local.items():
+        if c_u + c_min + 1 >= dv:
+            continue
+        # non-adjacent ends after u, so each pair is seen once
+        rest = ends_mask & ~nu & ~((b << 1) - 1)
+        while rest:
+            bw = rest & -rest
+            rest ^= bw
+            _, c_w, a_w = local[bw]
+            if c_u + c_w + (a_u & a_w).bit_count() < dv:
+                return True
+    return False
+
+
+def _claw_near(table: _RankTable, v: int) -> bool:
+    """Whether v is the centre of a claw: for some neighbour u, the
+    neighbours of v that are neither u nor adjacent to u are not a
+    clique.  Neighbours with equal such sets are tested once."""
+    nbrs = table.adj[v]
+    if len(nbrs) < 3:
+        return False
+    rank, lo, bits = table.rank, table.lo, table.bits
+    base = table.base(v, nbrs)
+    nv = bits[v] << (lo[v] - base)
+    apart = {}
+    for u in nbrs:
+        b = 1 << (rank[u] - base)
+        apart[b] = nv & ~(bits[u] << (lo[u] - base)) & ~b
+    seen = set()
+    for x_u in apart.values():
+        # a set of fewer than two vertices is a clique
+        if x_u & (x_u - 1) == 0 or x_u in seen:
+            continue
+        seen.add(x_u)
+        rest = x_u
+        while rest:
+            bw = rest & -rest
+            rest ^= bw
+            if x_u & apart[bw]:
+                return True
+    return False
+
+
+def _star_scan_at(
+    G: FiniteGraph, v: int, ends
+) -> tuple[tuple[int, int, int], int, int] | None:
+    """The first induced path u-v-w (u, w in ``ends``, in adjacency
+    order) failing the degree condition, with both compared numbers."""
+    for a_pos, u in enumerate(ends):
+        for w in ends[a_pos + 1 :]:
+            if not G.adjacent(u, w):
+                lhs, rhs = _star_at(G, u, v, w)
+                if lhs < rhs:
+                    return (u, v, w), lhs, rhs
+    return None
+
+
+def _star_verdict(
+    G: FiniteGraph,
+    centers: Iterable[int],
+    eligible: frozenset[int] | None = None,
+    scope: str = "graph",
+) -> StarVerdict:
+    """The verdict at the first failing induced path, centres in the
+    given order; only the first centre the mask test flags is scanned
+    triple by triple."""
+    table = _RankTable(G)
+    for v in centers:
+        ends = G.adj[v]
+        if eligible is not None:
+            ends = [u for u in ends if u in eligible]
+        if _star_fails_near(table, v, ends):
+            found = _star_scan_at(G, v, ends)
+            if found is not None:
+                witness, lhs, rhs = found
+                return StarVerdict(False, witness=witness, lhs=lhs, rhs=rhs, scope=scope)
+    return StarVerdict(True, scope=scope)
+
+
 def check_star(G: FiniteGraph) -> StarVerdict:
     """Check the degree condition on every induced path of a finite graph."""
-    for u, v, w in induced_paths_3(G):
-        lhs, rhs = _star_at(G, u, v, w)
-        if lhs < rhs:
-            return StarVerdict(False, witness=(u, v, w), lhs=lhs, rhs=rhs)
-    return StarVerdict(True)
+    return _star_verdict(G, G.vertices)
 
 
 def check_star_ball(
@@ -119,25 +277,15 @@ def check_star_ball(
         center = (center,)
     B = ball(G, center, radius)
     dist = distances_from(B, set(center))
-    eligible = {v for v in B.vertices if dist[v] <= radius - 2}
-    for v in sorted(eligible):
-        nbrs = B.adj[v]
-        for a_pos, u in enumerate(nbrs):
-            if u not in eligible:
-                continue
-            for w in nbrs[a_pos + 1 :]:
-                if w not in eligible or B.adjacent(u, w):
-                    continue
-                if {u, v, w} & B.frontier:
-                    raise FrontierContamination(
-                        f"triple ({u}, {v}, {w}) touches the frontier"
-                    )
-                lhs, rhs = _star_at(B, u, v, w)
-                if lhs < rhs:
-                    return StarVerdict(
-                        False, witness=(u, v, w), lhs=lhs, rhs=rhs, scope="ball"
-                    )
-    return StarVerdict(True, scope="ball")
+    eligible = frozenset(v for v in B.vertices if dist[v] <= radius - 2)
+    # The frontier lies at distance radius and eligible vertices at most
+    # radius - 2, so no evaluated triple can touch it; the guard stays
+    # in case the ball's distances and frontier ever disagree.
+    if eligible & B.frontier:
+        raise FrontierContamination(
+            f"eligible vertices {sorted(eligible & B.frontier)[:6]} lie on the frontier"
+        )
+    return _star_verdict(B, sorted(eligible), eligible, scope="ball")
 
 
 def _claw_at(G: FiniteGraph, v: int) -> tuple[int, int, int] | None:
@@ -157,10 +305,12 @@ def _claw_at(G: FiniteGraph, v: int) -> tuple[int, int, int] | None:
 
 def is_claw_free(G: FiniteGraph) -> ClawVerdict:
     """Scan for a vertex with three pairwise non-adjacent neighbours."""
+    table = _RankTable(G)
     for v in G.vertices:
-        leaves = _claw_at(G, v)
-        if leaves is not None:
-            return ClawVerdict(False, witness=(v, leaves))
+        if _claw_near(table, v):
+            leaves = _claw_at(G, v)
+            if leaves is not None:
+                return ClawVerdict(False, witness=(v, leaves))
     return ClawVerdict(True)
 
 
@@ -171,12 +321,14 @@ def claw_free_on_ball(B: FiniteGraph, centers: Iterable[int]) -> ClawVerdict:
     the ball; leaves may touch the frontier since only their mutual
     adjacency is read, and that is complete for ball members.
     """
+    table = _RankTable(B)
     for v in sorted(set(centers)):
         if v in B.frontier:
             raise FrontierContamination(f"claw center {v} lies on the frontier")
-        leaves = _claw_at(B, v)
-        if leaves is not None:
-            return ClawVerdict(False, witness=(v, leaves))
+        if _claw_near(table, v):
+            leaves = _claw_at(B, v)
+            if leaves is not None:
+                return ClawVerdict(False, witness=(v, leaves))
     return ClawVerdict(True)
 
 

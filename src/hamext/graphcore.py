@@ -300,15 +300,21 @@ def verify_cycle(G: GraphLike, C: Cycle) -> CycleReport:
     :class:`Cycle`), consecutive adjacency under the cycle's
     orientation, and reports whether the cycle spans a finite ``G``.
     """
-    n = len(C.order)
-    for i in range(n):
-        u, v = C.order[i], C.order[(i + 1) % n]
-        if isinstance(G, FiniteGraph) and not G.has_vertex(u):
-            return CycleReport(False, f"vertex {u} not in graph")
+    order = C.order
+    pairs = zip(order, order[1:] + order[:1])
+    if isinstance(G, FiniteGraph):
+        adjsets = G._adjsets
+        for u, v in pairs:
+            nbrs = adjsets.get(u)
+            if nbrs is None:
+                return CycleReport(False, f"vertex {u} not in graph")
+            if v not in nbrs:
+                return CycleReport(False, f"consecutive cycle vertices {u}, {v} not adjacent")
+        return CycleReport(True, None, C.vertex_set == G.vertex_set)
+    for u, v in pairs:
         if not G.adjacent(u, v):
             return CycleReport(False, f"consecutive cycle vertices {u}, {v} not adjacent")
-    spanning = isinstance(G, FiniteGraph) and C.vertex_set == G.vertex_set
-    return CycleReport(True, None, spanning)
+    return CycleReport(True, None, False)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def protected_vertices(G, cycle_vertices) -> frozenset[int]:
 # certificates
 
 
+def _int_from_json_obj(x: object, what: str) -> int:
+    """A plain JSON integer; booleans and numeric strings are refused."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CutWitness:
     """Membership description of one M set and its two crossing edges.
@@ -140,7 +147,7 @@ class CutWitness:
     def from_json_obj(obj: dict) -> "CutWitness":
         try:
             return CutWitness(
-                j=int(obj["j"]),
+                j=_int_from_json_obj(obj["j"], "witness j"),
                 part=frozenset(ids_from_json_obj(obj["part"], "witness part")),
                 piece=frozenset(ids_from_json_obj(obj["piece"], "witness piece")),
                 included=frozenset(
@@ -214,13 +221,14 @@ class SequenceTrace:
     @staticmethod
     def from_json_obj(obj: dict) -> "SequenceTrace":
         try:
+            depth = _int_from_json_obj(obj["depth"], "trace depth")
             trace = SequenceTrace(
                 descriptor=obj["descriptor"],
                 cycles=tuple(cycle_from_json_obj(c) for c in obj["cycles"]),
                 blockers=tuple(
                     frozenset(ids_from_json_obj(b, "blocker")) for b in obj["blockers"]
                 ),
-                ks=tuple(int(k) for k in obj["ks"]),
+                ks=tuple(_int_from_json_obj(k, "ks entry") for k in obj["ks"]),
                 k0s=tuple(frozenset(ids_from_json_obj(p, "K0")) for p in obj["k0s"]),
                 witnesses=tuple(
                     tuple(CutWitness.from_json_obj(w) for w in per_i)
@@ -233,10 +241,24 @@ class SequenceTrace:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed trace: {exc}") from None
+        if depth != trace.depth:
+            raise InputError(
+                f"trace depth {depth} does not match its {trace.depth} iterations"
+            )
         if len(trace.cycles) != trace.depth + 1:
             raise InputError("trace cycle count does not match depth")
         if not (len(trace.ks) == len(trace.k0s) == len(trace.witnesses) == trace.depth):
             raise InputError("trace iteration data lengths disagree")
+        for i, (k, per_i) in enumerate(zip(trace.ks, trace.witnesses)):
+            if k != len(per_i):
+                raise InputError(
+                    f"iteration {i + 1} records k = {k} but {len(per_i)} witnesses"
+                )
+            for j, w in enumerate(per_i):
+                if w.j != j:
+                    raise InputError(
+                        f"witness {j} of iteration {i + 1} records j = {w.j}"
+                    )
         for name, sel in trace.end_selectors.items():
             for i, (x, per_i) in enumerate(zip(sel, trace.witnesses)):
                 if x not in range(len(per_i)):

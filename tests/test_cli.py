@@ -332,6 +332,9 @@ def test_verify_rejects_malformed_trace(capsys, tmp_path):
     assert payload["kind"] == "input"
 
 
+_DROP = object()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -339,6 +342,14 @@ def test_verify_rejects_malformed_trace(capsys, tmp_path):
         ("end_selectors", {"left": [-1, -1, -1], "right": [1, 1, 1]}),
         ("end_selectors", [[0, 0, 0]]),
         ("blockers", None),
+        # a dotted field names a nested entry; each case breaks one rule
+        # of the trace schema and exited 0 before that rule was checked
+        ("witnesses.0.1.j", True),
+        ("ks.0", "2"),
+        ("witnesses.0.0.j", 1),
+        ("ks.1", 3),
+        ("depth", 4),
+        ("depth", _DROP),
     ],
 )
 def test_verify_rejects_hostile_trace_fields(capsys, gz2_file, tmp_path, field, value):
@@ -352,7 +363,15 @@ def test_verify_rejects_hostile_trace_fields(capsys, gz2_file, tmp_path, field, 
     if value is None:
         obj["blockers"][1][0] = "x"
     else:
-        obj[field] = value
+        *path, last = field.split(".")
+        target = obj
+        for key in path:
+            target = target[int(key) if isinstance(target, list) else key]
+        key = int(last) if isinstance(target, list) else last
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
     out.write_text(json.dumps(obj))
     code, payload = run(capsys, "verify", "--trace", str(out))
     assert code == 2

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
 from hamext.errors import FrontierContamination, InputError
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
-from hamext.graphcore import FiniteGraph, ball
+from hamext.graphcore import FiniteGraph, ball, distances_from
+from hamext.oracle import random_star_clawfree
 from hamext.conditions import (
+    ClawVerdict,
+    StarVerdict,
+    _RankTable,
     check_star,
     check_star_ball,
     check_ungl_kette,
@@ -139,3 +145,151 @@ def test_chain_condition_counts():
         private = nv - nu - nw
         common = nu & nw
         assert len(common) >= len(private) >= 2
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the mask detectors against the set-based scans they
+# replaced, kept here as the reference
+
+
+def ref_star_at(G, u, v, w):
+    lhs = G.degree(u) + G.degree(w)
+    return lhs, len(set(G.adj[u]) | set(G.adj[v]) | set(G.adj[w]))
+
+
+def ref_check_star(G):
+    for u, v, w in induced_paths_3(G):
+        lhs, rhs = ref_star_at(G, u, v, w)
+        if lhs < rhs:
+            return StarVerdict(False, witness=(u, v, w), lhs=lhs, rhs=rhs)
+    return StarVerdict(True)
+
+
+def ref_check_star_ball(G, center, radius):
+    if isinstance(center, int):
+        center = (center,)
+    B = ball(G, center, radius)
+    dist = distances_from(B, set(center))
+    eligible = {v for v in B.vertices if dist[v] <= radius - 2}
+    for v in sorted(eligible):
+        nbrs = B.adj[v]
+        for a_pos, u in enumerate(nbrs):
+            if u not in eligible:
+                continue
+            for w in nbrs[a_pos + 1 :]:
+                if w not in eligible or B.adjacent(u, w):
+                    continue
+                lhs, rhs = ref_star_at(B, u, v, w)
+                if lhs < rhs:
+                    return StarVerdict(
+                        False, witness=(u, v, w), lhs=lhs, rhs=rhs, scope="ball"
+                    )
+    return StarVerdict(True, scope="ball")
+
+
+def ref_claw_at(G, v):
+    nbrs = G.adj[v]
+    for i, a in enumerate(nbrs):
+        for j in range(i + 1, len(nbrs)):
+            b = nbrs[j]
+            if G.adjacent(a, b):
+                continue
+            for c in nbrs[j + 1 :]:
+                if not G.adjacent(a, c) and not G.adjacent(b, c):
+                    return (a, b, c)
+    return None
+
+
+def ref_claw_scan(G, centers):
+    for v in centers:
+        leaves = ref_claw_at(G, v)
+        if leaves is not None:
+            return ClawVerdict(False, witness=(v, leaves))
+    return ClawVerdict(True)
+
+
+def assert_same_verdicts(G):
+    assert check_star(G) == ref_check_star(G)
+    assert is_claw_free(G) == ref_claw_scan(G, G.vertices)
+
+
+def relabel(G, rng):
+    ids = list(range(len(G.vertices)))
+    rng.shuffle(ids)
+    perm = dict(zip(G.vertices, ids))
+    return FiniteGraph.from_edges(ids, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def test_detectors_match_set_scans_on_corpus():
+    for seed in range(60):
+        assert_same_verdicts(random_star_clawfree(seed))
+
+
+def test_detectors_match_set_scans_on_family_grids():
+    rng = random.Random(3)
+    failing = 0
+    for q in range(3, 9):
+        for n in range(2, 5):
+            for G in (gen_G(q, n), relabel(gen_G(q, n), rng)):
+                assert_same_verdicts(G)
+    for q in (2, 3, 4):
+        for n in range(2, 8):
+            for G in (gen_H(q, n), relabel(gen_H(q, n), rng)):
+                assert_same_verdicts(G)
+                failing += not check_star(G).holds
+    assert check_star(gen_H(3, 5)) == StarVerdict(False, witness=(1, 4, 10), lhs=22, rhs=23)
+    assert failing > 0
+
+
+def test_detectors_match_set_scans_on_random_graphs():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        p = rng.uniform(0.05, 0.95)
+        ids = rng.sample(range(-40, 40), n)
+        edges = [
+            (ids[i], ids[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ]
+        if n > 3 and rng.random() < 0.3:
+            # isolate a few vertices
+            lonely = set(rng.sample(ids, rng.randint(1, 3)))
+            edges = [e for e in edges if not lonely & set(e)]
+        G = FiniteGraph.from_edges(ids, edges)
+        assert_same_verdicts(G)
+        outcomes.add((G.is_connected(), check_star(G).holds, is_claw_free(G).claw_free))
+    # every combination of connected, degree condition and claw-free occurs
+    assert len(outcomes) == 8
+
+
+@pytest.mark.parametrize(
+    "family, n, claw_at_root",
+    [("GZn", 2, False), ("GZn", 3, False), ("HZn", 2, True)],
+)
+def test_ball_detectors_match_set_scans(family, n, claw_at_root):
+    G = gen_G_inf(n) if family == "GZn" else gen_H_inf(n)
+    near = max(ball(G, G.root, 1).vertices)
+    far = tuple(sorted(ball(G, G.root, 5).frontier)[:2])
+    for radius in (3, 4, 5, 7):
+        for center in (G.root, (G.root, near), far):
+            assert check_star_ball(G, center, radius) == ref_check_star_ball(
+                G, center, radius
+            )
+        B = ball(G, G.root, radius)
+        interior = sorted(B.vertex_set - B.frontier)
+        assert claw_free_on_ball(B, interior) == ref_claw_scan(B, interior)
+        assert claw_free_on_ball(B, interior[1:]) == ref_claw_scan(B, interior[1:])
+    v = claw_free_on_ball(ball(G, G.root, 3), [G.root])
+    assert v.claw_free is not claw_at_root
+
+
+@pytest.mark.parametrize("q", [100, 1000])
+def test_rank_table_masks_stay_narrow(q):
+    # a neighbourhood spans a few BFS layers whatever |V| is; masks over
+    # plain id ranks would be up to 4q bits wide here
+    G = relabel(gen_G(q, 4), random.Random(q))
+    table = _RankTable(G)
+    assert max(m.bit_length() for m in table.bits.values()) <= 32
