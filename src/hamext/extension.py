@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 
 from .conditions import check_star
 from .errors import InputError, InvariantViolation
-from .graphcore import Cycle, FiniteGraph, LazyGraph, verify_cycle
+from .graphcore import Cycle, Edge, FiniteGraph, LazyGraph, verify_cycle
 
 Graph = FiniteGraph | LazyGraph
 
@@ -120,15 +120,17 @@ class LiveCycle:
     It answers what find_extension asks of a Cycle (``in``, ``len``,
     ``succ`` and ``order``).  ``order`` is walked from ``head`` on demand
     and cached until the next rewiring; freeze() returns it as a Cycle.
+    last_edge_diff() says which edges the last rewiring swapped.
     """
 
-    __slots__ = ("head", "_succ", "_order")
+    __slots__ = ("head", "_succ", "_order", "_last")
 
     def __init__(self, C: Cycle) -> None:
         order = C.order
         self.head = order[0]
         self._succ = dict(zip(order, order[1:] + order[:1]))
         self._order: tuple[int, ...] | None = order
+        self._last: tuple[Extension, int, int | None] | None = None
 
     def __len__(self) -> int:
         return len(self._succ)
@@ -169,6 +171,7 @@ class LiveCycle:
         if u not in succ:
             raise InputError(f"anchor {u} does not lie on the cycle")
         up = succ[u]
+        yp = None
 
         if e.kind == "I":
             succ[u], succ[v] = v, up
@@ -184,7 +187,8 @@ class LiveCycle:
                 raise InputError("kind III anchors overlap degenerately")
             # u v y .. u+ y+ .. u: point each arc vertex back at its
             # predecessor, u+ at y+
-            prev, w = succ[y], up
+            yp = succ[y]
+            prev, w = yp, up
             while True:
                 nxt = succ[w]
                 succ[w] = prev
@@ -194,6 +198,18 @@ class LiveCycle:
             succ[u], succ[v] = v, y
             self.head = v
         self._order = None
+        self._last = (e, up, yp)
+
+    def last_edge_diff(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        """The cycle edges the last apply removed and added, each as a
+        pair (a, b) with b the successor of a before or after it."""
+        e, up, yp = self._last
+        u, v = e.u, e.target
+        if e.kind == "I":
+            return ((u, up),), ((u, v), (v, up))
+        if e.kind == "II":
+            return ((u, up),), ((u, v), (v, e.x), (e.x, up))
+        return ((u, up), (e.y, yp)), ((u, v), (v, e.y), (up, yp))
 
 
 def apply_extension(C: Cycle, e: Extension) -> Cycle:

@@ -15,8 +15,13 @@ Vertex ids follow documented bijections from (fiber, inner) coordinates:
   the id is ``zigzag(f) * width + inner`` with a fixed per-family width.
 
 Class A fibers sit on even fiber indices, and inner index 0 is the star
-center.  Escape oracles for the double-ray families are exact: they do
-a finite search bounded by the fiber span of the blocked set.
+center.  Escape oracles for the double-ray families are exact and walk
+no graph.  Edges stay inside a fiber or join consecutive fibers, and
+consecutive fibers are completely joined, so a free vertex reaches every
+free vertex of both neighbouring fibers and only a fully blocked fiber
+stops it: ``v`` escapes ``F`` iff no fiber on one of the two sides of
+``v``'s fiber is fully blocked.  The answer comes from per-fiber blocked
+counts in O(|F|).
 """
 
 from __future__ import annotations
@@ -189,23 +194,16 @@ def _make_double_ray_family(
         return tuple(sorted(out))
 
     def escapes(blocked: frozenset[int], v: int) -> bool:
-        decode(v)
+        # the fiber-count rule of the module docstring
+        f, _ = decode(v)
         if not blocked:
             return True
-        span = [decode(b)[0] for b in blocked]
-        lo, hi = min(span), max(span)
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            f, _ = decode(u)
-            if f < lo or f > hi:
-                return True
-            for w in neighbors(u):
-                if w not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        counts: dict[int, int] = {}
+        for b in blocked:
+            g = decode(b)[0]
+            counts[g] = counts.get(g, 0) + 1
+        full = [g for g, c in counts.items() if c == fiber_size(g)]
+        return not (any(g < f for g in full) and any(g > f for g in full))
 
     return LazyGraph(
         neighbor_oracle=neighbors,

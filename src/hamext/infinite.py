@@ -31,6 +31,7 @@ from .extension import (
     apply_extension,
     find_extension,
     find_initial_cycle,
+    iter_extensions,
     saturate,
 )
 from .graphcore import (
@@ -401,6 +402,17 @@ class _MState:
         self.included -= set(vs)
 
 
+def require_twice(crossing, C, label: str, j: int) -> None:
+    """Raise unless the cycle C crosses cut j in exactly two edges."""
+    if len(crossing) != 2:
+        raise InvariantViolation(
+            f"{label} crossed {len(crossing)} times, expected 2",
+            j=j,
+            crossing=sorted(crossing),
+            cycle=C.order,
+        )
+
+
 class _CutBuilder:
     def __init__(self, G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition):
         self.G = G
@@ -430,62 +442,46 @@ class _CutBuilder:
             )
         return self.B.neighbors(v)
 
+    def guard(self, vertices) -> None:
+        """Read the neighbours of each vertex, in order, through the
+        frontier guard.  Cycle vertices never leave, so guarding the
+        start cycle and then each newly absorbed vertex raises on the
+        same vertex and step as guarding the whole cycle every step."""
+        for v in vertices:
+            self.guarded_neighbors(v)
+
     def part_index(self, v: int) -> int | None:
         for j, part in enumerate(self.parts):
             if v in part:
                 return j
         return None
 
-    def absorb(self, C: Cycle, v: int) -> tuple[Cycle, Extension]:
-        e = find_extension(self.B, C, v)
-        return apply_extension(C, e), e
-
     def check_cut_twice(self, C: Cycle, member, label: str, j: int) -> list[Edge]:
         crossing = [e for e in C.edges() if member(e[0]) != member(e[1])]
-        if len(crossing) != 2:
-            raise InvariantViolation(
-                f"{label} crossed {len(crossing)} times, expected 2",
-                j=j,
-                crossing=sorted(crossing),
-                cycle=C.order,
-            )
+        require_twice(crossing, C, label, j)
         return crossing
 
     # -- stage A: fill the finite component --------------------------------
+    # One iter_extensions run over the finite component: smallest
+    # admissible target first, one live cycle, O(1) work per step beyond
+    # the witness search.
 
     def stage_fill_finite(self) -> Cycle:
-        cur = self.C
-        while True:
-            on = cur.vertex_set
-            targets = sorted(
-                v
-                for u in cur.order
-                for v in self.guarded_neighbors(u)
-                if v in self.K0 and v not in on
-            )
-            if not targets:
-                break
-            v = targets[0]
-            e = find_extension(self.B, cur, v)
+        self.guard(self.C.order)
+        live = None
+        for e, live in iter_extensions(self.B, self.C, self.K0.__contains__):
+            # the target lies in K0; a kind II helper outside it would need
+            # a one-vertex rewiring at the same anchor, which find_extension
+            # would have returned as kind I instead
             if e.kind == "II" and e.x not in self.K0:
-                # the helper vertex sits in the separator, so complete
-                # attachment makes v and the anchor's successor adjacent
-                # and a one-vertex rewiring does the job
-                if not self.B.adjacent(v, cur.succ(e.u)):
-                    raise InvariantViolation(
-                        "separator-escaping absorption without the "
-                        "complete-attachment fallback",
-                        target=v,
-                        helper=e.x,
-                    )
-                e = Extension("I", v, e.u)
-            cur = apply_extension(cur, e)
-            gained = set(e.new_vertices())
-            if not gained <= self.K0:
                 raise InvariantViolation(
-                    "finite-component fill left the component",
-                    gained=sorted(gained - self.K0),
+                    "separator-escaping absorption without the "
+                    "complete-attachment fallback",
+                    target=e.target,
+                    helper=e.x,
                 )
+            self.guard(e.new_vertices())
+        cur = self.C if live is None else live.freeze()
         if cur.vertex_set != self.K0:
             raise InvariantViolation(
                 "finite component not exhausted",
@@ -669,36 +665,40 @@ class _CutBuilder:
                 )
 
     # -- stage C: absorb the trees, cuts stay tight ------------------------
+    # One iter_extensions run over the tree vertices.  For each part j it
+    # keeps the cycle edges crossing parts[j] | pieces[j], read from the
+    # cycle once and then updated from the edges each rewiring swaps.
 
     def stage_absorb_trees(self, cur: Cycle) -> Cycle:
-        wanted = set()
-        for tree in self.trees:
-            wanted |= tree.vertices
-        while True:
-            on = cur.vertex_set
-            missing = wanted - on
+        wanted = frozenset().union(*(tree.vertices for tree in self.trees))
+        missing = set(wanted - cur.vertex_set)
+        if not missing:
+            return cur
+        self.guard(cur.order)
+        regions = [self.parts[j] | self.pieces[j] for j in range(self.k)]
+        edges = cur.edges()
+        crossing = [
+            {(a, b) for a, b in edges if (a in region) != (b in region)}
+            for region in regions
+        ]
+        for e, live in iter_extensions(self.B, cur, wanted.__contains__):
+            removed, added = live.last_edge_diff()
+            for region, cut in zip(regions, crossing):
+                for a, b in removed:
+                    cut.discard(canonical_edge(a, b))
+                for a, b in added:
+                    if (a in region) != (b in region):
+                        cut.add(canonical_edge(a, b))
+            for j, cut in enumerate(crossing):
+                require_twice(cut, live, "separator-plus-component cut", j)
+            missing.difference_update(e.new_vertices())
             if not missing:
-                return cur
-            targets = sorted(
-                v
-                for u in cur.order
-                for v in self.guarded_neighbors(u)
-                if v in missing
-            )
-            if not targets:
-                raise InvariantViolation(
-                    "tree vertices unreachable as extension targets",
-                    missing=sorted(missing),
-                )
-            cur, _ = self.absorb(cur, targets[0])
-            for j in range(self.k):
-                region = self.parts[j] | self.pieces[j]
-                self.check_cut_twice(
-                    cur,
-                    lambda v, region=region: v in region,
-                    "separator-plus-component cut",
-                    j,
-                )
+                return live.freeze()
+            self.guard(e.new_vertices())
+        raise InvariantViolation(
+            "tree vertices unreachable as extension targets",
+            missing=sorted(missing),
+        )
 
     # -- stage D: mop up the separator, maintaining the M sets -------------
 
@@ -932,7 +932,7 @@ def _select_end(
     cap = len(B.vertices) + 1
     while t <= cap:
         v = ray(t)
-        if v not in B.vertex_set:
+        if not B.has_vertex(v):
             break
         last = v
         t += 1
@@ -1099,6 +1099,26 @@ def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
     return w.membership(in_component), in_component
 
 
+def _blocker_failure(G: LazyGraph, trace: SequenceTrace, i: int) -> str | None:
+    """Why the blocker of iteration i + 1 is not an inclusion-minimal
+    ray blocker of cycle i, or None when it is one."""
+    S, C = trace.blockers[i], trace.cycles[i]
+    on = sorted(v for v in S if v in C)
+    if on:
+        return f"blocker of iteration {i + 1} meets cycle {i} at vertex {on[0]}"
+    # the cycle is connected and avoids S, so one probe speaks for it
+    probe = C.order[0]
+    if G.escapes(S, probe):
+        return (
+            f"blocker of iteration {i + 1} lets rays escape from cycle "
+            f"vertex {probe}"
+        )
+    for s in sorted(S):
+        if not G.escapes(S - {s}, probe):
+            return f"blocker vertex {s} of iteration {i + 1} is removable"
+    return None
+
+
 def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
     """The full edge boundary of M, rendered as an explicit finite list.
 
@@ -1158,7 +1178,13 @@ def verify_hc_extract(
             "monotone"
         )
 
-    # finite cuts: materialize every boundary and compare stored edges
+    # finite cuts: every stored blocker is a minimal ray blocker of its
+    # cycle; materialize every boundary and compare stored edges
+    blocker_failure = None
+    for i in range(d):
+        blocker_failure = _blocker_failure(G, trace, i)
+        if blocker_failure:
+            break
     b_ok, b_detail = True, ""
     cuts: dict[tuple[int, int], frozenset[Edge]] = {}
     members: dict[tuple[int, int], _Membership] = {}
@@ -1179,6 +1205,8 @@ def verify_hc_extract(
                 )
     if b_ok:
         b_detail = f"all {len(sizes)} cuts explicit, sizes {sorted(set(sizes))}"
+    if blocker_failure:
+        b_ok, b_detail = False, blocker_failure
 
     # nested M sets along each tracked end
     c_ok, c_detail = True, ""

@@ -378,6 +378,43 @@ def test_verify_rejects_hostile_trace_fields(capsys, gz2_file, tmp_path, field, 
     assert payload["kind"] == "input"
 
 
+@pytest.mark.parametrize(
+    "i, old, new, code, detail",
+    [
+        # each replacement verified all_ok before blockers were checked
+        (0, 9, 2, 1, "blocker of iteration 1 meets cycle 0 at vertex 2"),
+        (2, 40, 2, 1, "blocker of iteration 3 meets cycle 2 at vertex 2"),
+        (2, 41, -1, 2, None),
+        (2, 42, 5, 1, "blocker of iteration 3 meets cycle 2 at vertex 5"),
+        (2, 43, 10**6, 1,
+         "blocker of iteration 3 lets rays escape from cycle vertex 4"),
+        # an added vertex leaves the blocker blocking but not minimal
+        (0, None, 12, 1, "blocker vertex 12 of iteration 1 is removable"),
+    ],
+)
+def test_verify_rejects_changed_blocker(capsys, gz2_file, tmp_path, i, old, new, code, detail):
+    out = tmp_path / "trace.json"
+    code0, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "3", "--out", str(out),
+    )
+    assert code0 == 0
+    obj = json.loads(out.read_text())
+    blocker = obj["blockers"][i]
+    if old is None:
+        blocker.append(new)
+    else:
+        blocker[blocker.index(old)] = new
+    out.write_text(json.dumps(obj))
+    got, payload = run(capsys, "verify", "--trace", str(out))
+    assert got == code
+    if detail is None:
+        assert payload["kind"] == "input"
+    else:
+        assert payload["all_ok"] is False
+        assert payload["finite_cuts"] == {"ok": False, "detail": detail}
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")
@@ -434,6 +471,14 @@ GOLDEN_DIGESTS = {
     (3, 20): (
         "74c167bb34172cd889b24460dfe9ffa2111ea76a8fe00689a1c526e805376483",
         "5ee06aaef693aa249cf07f25a3f74373060eaf73654670d8c65690eb84876114",
+    ),
+    (4, 10): (
+        "d34436398bf12d7d8fa2fc1af145bfa753bee8d81985b93946533a700241dff9",
+        "d8bf8b7d75e2560de814f20aaddb1650a542be9481ba5dc7d6119c39d4a52ddf",
+    ),
+    (2, 32): (
+        "de3bc8721e980566830b7c4d1c2c3da2b34c21cbe5a0c64aeebcac2d8f70ee28",
+        "ba6637272a6db322575dc7d745f0bc10a598c080187aeeeea26bf8f0283ab462",
     ),
 }
 

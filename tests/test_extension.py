@@ -17,7 +17,7 @@ from hamext.extension import (
     saturate,
 )
 from hamext.families import gen_G, gen_H
-from hamext.graphcore import Cycle, FiniteGraph, verify_cycle
+from hamext.graphcore import Cycle, FiniteGraph, canonical_edge, verify_cycle
 from hamext.oracle import hamilton_oracle, random_star_clawfree
 
 
@@ -234,6 +234,24 @@ def test_iter_extensions_matches_rescan_loop_through_kind_three():
     G = relabelled_G(40, 3, seed=27)
     kinds = assert_same_steps(G, find_initial_cycle(G))
     assert "III" in kinds and "II" in kinds
+
+
+def test_last_edge_diff_is_the_edge_swap():
+    # removed and added edges, oriented along the cycle after the step,
+    # are exactly what separates consecutive edge sets
+    G = relabelled_G(40, 3, seed=27)
+    prev = find_initial_cycle(G)
+    kinds = set()
+    for e, live in iter_extensions(G, prev):
+        removed, added = live.last_edge_diff()
+        C = live.freeze()
+        assert all(C.succ(a) == b for a, b in added)
+        assert {canonical_edge(*p) for p in removed} == prev.edge_set - C.edge_set
+        assert {canonical_edge(*p) for p in added} == C.edge_set - prev.edge_set
+        assert all(prev.succ(a) == b for a, b in removed)
+        kinds.add(e.kind)
+        prev = C
+    assert kinds == {"I", "II", "III"}
 
 
 class CountingGraph:

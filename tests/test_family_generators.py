@@ -5,12 +5,16 @@ star/clique family has three distinct degrees; its degree condition
 holds exactly when n is large enough to cover the cross-fiber cases.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hamext.errors import InputError
 from hamext.families import (
     descriptor_to_lazy,
+    family_width,
     fiber_vertices,
     fiber_window,
     gen_G,
@@ -178,3 +182,96 @@ def test_descriptor_round_trip():
         descriptor_to_lazy({"family": "nope", "params": {"n": 2}})
     with pytest.raises(InputError):
         descriptor_to_lazy({"family": "GZn", "params": {}})
+
+
+def _walk_escapes(G, blocked, v):
+    """Reference escape oracle by graph walk: a DFS from v that escapes
+    once it leaves the fiber span of the blocked set."""
+    width = family_width(G.descriptor)
+
+    def fiber(u):
+        return unzigzag(u // width)
+
+    if not blocked:
+        return True
+    span = [fiber(b) for b in blocked]
+    lo, hi = min(span), max(span)
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if not lo <= fiber(u) <= hi:
+            return True
+        for w in G.neighbors(u):
+            if w not in blocked and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+@pytest.mark.parametrize(
+    "make, n", [(gen_G_inf, 2), (gen_G_inf, 3), (gen_H_inf, 2), (gen_H_inf, 3)]
+)
+def test_fiber_count_escape_matches_graph_walk(make, n):
+    G = make(n)
+    desc = G.descriptor
+    rng = random.Random(20 + n)
+    fibers = {f: fiber_vertices(desc, f) for f in range(-9, 10)}
+    seen_cases = Counter()
+    for _ in range(400):
+        # each fiber of a random window is fully blocked, partly
+        # blocked or free
+        lo = rng.randint(-6, 2)
+        blocked = set()
+        full = []
+        for f in range(lo, lo + rng.randint(1, 5)):
+            mode = rng.random()
+            if mode < 0.3:
+                blocked.update(fibers[f])
+                full.append(f)
+            elif mode < 0.7:
+                blocked.update(rng.sample(fibers[f], rng.randint(1, len(fibers[f]) - 1)))
+        blocked = frozenset(blocked)
+        span = [f for f in fibers if set(fibers[f]) & blocked]
+        for f in range(-9, 10):
+            for v in fibers[f]:
+                if v in blocked:
+                    continue
+                want = _walk_escapes(G, blocked, v)
+                assert G.escapes(blocked, v) == want, (sorted(blocked), v)
+                sides = (any(g < f for g in full), any(g > f for g in full))
+                seen_cases[sides] += 1
+                if f - 1 in full or f + 1 in full:
+                    seen_cases["next to a full fiber"] += 1
+                if not blocked or not min(span) <= f <= max(span):
+                    seen_cases["outside the span"] += 1
+                seen_cases[want] += 1
+    # every shape of the rule was exercised, both verdicts included
+    for case in ((True, True), (True, False), (False, True), (False, False),
+                 "next to a full fiber", "outside the span", True, False):
+        assert seen_cases[case] > 0, case
+
+
+def test_fiber_count_escape_edge_cases():
+    G = gen_G_inf(2)
+    desc = G.descriptor
+    left, right = fiber_vertices(desc, -2), fiber_vertices(desc, 1)
+    walled = frozenset(left + right)
+    # v right next to a full fiber on each side, and outside the span
+    for f, want in ((-1, False), (0, False), (-3, True), (2, True), (7, True)):
+        for v in fiber_vertices(desc, f):
+            assert G.escapes(walled, v) is want
+            assert _walk_escapes(G, walled, v) is want
+    # a wall with one hole lets everything out
+    assert G.escapes(frozenset(left + right[:1]), 0)
+    # v outside the span of a partial blocked set
+    assert G.escapes(frozenset(right[:1]), fiber_vertices(desc, -5)[0])
+    # invalid ids still raise, the queried vertex first
+    with pytest.raises(InputError):
+        G.escapes(frozenset(), -1)
+    with pytest.raises(InputError):
+        G.escapes(frozenset({-1}), 0)
+    with pytest.raises(InputError, match="id -2"):
+        G.escapes(frozenset({-3}), -2)
+    with pytest.raises(InputError):
+        gen_H_inf(2).escapes(frozenset({6}), 0)  # inner 2 of a 2-vertex fiber

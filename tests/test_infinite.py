@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from hamext.errors import InputError, InvariantViolation
+from hamext.extension import apply_extension, find_extension
 from hamext.families import gen_G_inf, gen_H_inf, zigzag
 from hamext.graphcore import Cycle, LazyGraph
 from hamext.infinite import (
@@ -181,6 +182,165 @@ class TestConstructCut1:
         decomp = decompose(self.G, C_flat.vertex_set, blocker, extra_radius=6)
         with pytest.raises(InputError, match="second neighbourhood"):
             construct_cut1(self.G, C_flat, decomp)
+
+
+def test_stage_c_reads_cycle_edges_once(monkeypatch):
+    # stage C keeps its crossing sets up to date from the edges each
+    # rewiring swaps; it reads the whole cycle once, not once per
+    # absorbed vertex per part
+    from hamext import infinite
+
+    reads = []
+    stages = []
+    regions = []
+    edges = Cycle.edges
+    stage = infinite._CutBuilder.stage_absorb_trees
+    require_twice = infinite.require_twice
+
+    def counting_edges(self):
+        reads.append(len(self))
+        return edges(self)
+
+    def counted_stage(self, cur):
+        regions[:] = [self.parts[j] | self.pieces[j] for j in range(self.k)]
+        before = len(reads)
+        out = stage(self, cur)
+        stages.append((len(reads) - before, len(out) - len(cur), self.k))
+        return out
+
+    def recounting_require_twice(crossing, C, label, j):
+        if label == "separator-plus-component cut":
+            # the kept set equals a recount over the whole cycle
+            order = C.order
+            recount = {
+                tuple(sorted(e))
+                for e in zip(order, order[1:] + order[:1])
+                if (e[0] in regions[j]) != (e[1] in regions[j])
+            }
+            assert set(crossing) == recount
+        return require_twice(crossing, C, label, j)
+
+    monkeypatch.setattr(Cycle, "edges", counting_edges)
+    monkeypatch.setattr(infinite._CutBuilder, "stage_absorb_trees", counted_stage)
+    monkeypatch.setattr(infinite, "require_twice", recounting_require_twice)
+    for n in (2, 3):
+        hamilton_sequence(gen_G_inf(n), 4)
+    assert len(stages) == 8
+    assert all(n_reads <= 1 for n_reads, _, _ in stages)
+    # a per-step recount would read the cycle k times per absorption
+    assert all(absorbed >= 4 and k == 2 for _, absorbed, k in stages)
+
+
+def _rescan_stage_a(b):
+    """Reference for stage A: rescan the whole cycle for the smallest
+    target on every step."""
+    cur = b.C
+    while True:
+        on = cur.vertex_set
+        targets = sorted(
+            v
+            for u in cur.order
+            for v in b.guarded_neighbors(u)
+            if v in b.K0 and v not in on
+        )
+        if not targets:
+            break
+        e = find_extension(b.B, cur, targets[0])
+        if e.kind == "II" and e.x not in b.K0:
+            raise InvariantViolation(
+                "separator-escaping absorption without the "
+                "complete-attachment fallback",
+                target=e.target,
+                helper=e.x,
+            )
+        cur = apply_extension(cur, e)
+    if cur.vertex_set != b.K0:
+        raise InvariantViolation(
+            "finite component not exhausted",
+            missing=sorted(b.K0 - cur.vertex_set),
+        )
+    return cur
+
+
+def _rescan_stage_c(b, cur):
+    """Reference for stage C: rescan the whole cycle for targets and
+    recount every cut after each absorption."""
+    wanted = set().union(*(t.vertices for t in b.trees))
+    while True:
+        missing = wanted - cur.vertex_set
+        if not missing:
+            return cur
+        targets = sorted(
+            v for u in cur.order for v in b.guarded_neighbors(u) if v in missing
+        )
+        if not targets:
+            raise InvariantViolation(
+                "tree vertices unreachable as extension targets",
+                missing=sorted(missing),
+            )
+        cur = apply_extension(cur, find_extension(b.B, cur, targets[0]))
+        for j in range(b.k):
+            region = b.parts[j] | b.pieces[j]
+            b.check_cut_twice(
+                cur, lambda v, region=region: v in region,
+                "separator-plus-component cut", j,
+            )
+
+
+def _outcome(stage, *args):
+    try:
+        return "ok", stage(*args).order
+    except InvariantViolation as exc:
+        return type(exc).__name__, str(exc), exc.context
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stages_a_and_c_match_rescan_loops(n):
+    # same cycles, and the same error at the same step with the same
+    # context, on real inputs and on builders whose pieces or frontier
+    # were tampered with
+    from hamext.infinite import _CutBuilder
+
+    G = gen_G_inf(n)
+    trace = hamilton_sequence(G, 3)
+    # a cycle over fibers -3..3 that leaves out one vertex of each end
+    # fiber (and of fiber 1 when n > 2), so stage A has vertices to fill
+    drop = {gz_fiber(n, -3)[-1], gz_fiber(n, 3)[-1]}
+    if n > 2:
+        drop.add(gz_fiber(n, 1)[-1])
+    kept = {f: [v for v in gz_fiber(n, f) if v not in drop] for f in range(-3, 4)}
+    partial = Cycle(
+        tuple(kept[f][0] for f in range(-3, 4))
+        + tuple(v for f in range(3, -4, -1) for v in kept[f][1:])
+    )
+    rng = random.Random(n)
+    seen = Counter()
+    for C in (*trace.cycles[:3], partial):
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        for trial in range(12):
+            b = _CutBuilder(G, C, decomp)
+            tree_vertices = sorted(set().union(*(t.vertices for t in b.trees)))
+            pool = (None, sorted(C.vertex_set), sorted(b.K0 - C.vertex_set),
+                    tree_vertices)[trial % 4]
+            if pool:
+                # one frontier vertex on the start cycle, in K0 or in a tree
+                b.B = replace(b.B, frontier=b.B.frontier | {rng.choice(pool)})
+            got = _outcome(_rescan_stage_a, b)
+            assert _outcome(b.stage_fill_finite) == got
+            if got[0] == "ok":
+                cur = Cycle(got[1])
+                for j in range(b.k):
+                    cur = b.thread_part(cur, j)
+                if trial % 4 == 0 and trial:
+                    # move tree vertices out of their component, so the
+                    # cut boundary runs through the tree
+                    moved = set(rng.sample(tree_vertices, rng.randint(1, 4)))
+                    b.pieces = tuple(p - moved for p in b.pieces)
+                got = _outcome(_rescan_stage_c, b, cur)
+                assert _outcome(b.stage_absorb_trees, cur) == got
+            seen[got[0] if got[0] != "InvariantViolation" else got[1]] += 1
+    assert seen["ok"] and seen["FrontierContamination"] >= 12
+    assert any("crossed" in key for key in seen)
 
 
 def test_construct_cut1_gz3():
