@@ -17,12 +17,17 @@ holds the sum of those window widths in bits, not |V|^2.  The table is
 built per call and not kept.  Witnesses and both compared numbers come
 from the exact scan, in id order, of the first centre the masks flag,
 so they are the ones a triple-by-triple scan of the whole graph finds.
+
+The ball checks take a set of certified centres: a centre that passed
+with its whole neighbourhood in view passes on every later ball of the
+same graph, so it is skipped, and the table covers only the centres
+left and the vertices their masks can mark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from .errors import FrontierContamination, InputError
 from .graphcore import FiniteGraph, LazyGraph, ball, distances_from
@@ -235,31 +240,90 @@ def _star_scan_at(
     return None
 
 
-def _star_verdict(
-    G: FiniteGraph,
-    centers: Iterable[int],
-    eligible: frozenset[int] | None = None,
-    scope: str = "graph",
-) -> StarVerdict:
-    """The verdict at the first failing induced path, centres in the
-    given order; only the first centre the mask test flags is scanned
-    triple by triple."""
+def check_star(G: FiniteGraph) -> StarVerdict:
+    """Check the degree condition on every induced path of a finite graph.
+
+    Centres are taken in id order; only the first centre the mask test
+    flags is scanned triple by triple."""
     table = _RankTable(G)
-    for v in centers:
+    for v in G.vertices:
         ends = G.adj[v]
-        if eligible is not None:
-            ends = [u for u in ends if u in eligible]
         if _star_fails_near(table, v, ends):
             found = _star_scan_at(G, v, ends)
             if found is not None:
                 witness, lhs, rhs = found
-                return StarVerdict(False, witness=witness, lhs=lhs, rhs=rhs, scope=scope)
-    return StarVerdict(True, scope=scope)
+                return StarVerdict(False, witness=witness, lhs=lhs, rhs=rhs)
+    return StarVerdict(True)
 
 
-def check_star(G: FiniteGraph) -> StarVerdict:
-    """Check the degree condition on every induced path of a finite graph."""
-    return _star_verdict(G, G.vertices)
+class _Window:
+    """The part of a graph a rank table is built over: what _RankTable
+    reads of a FiniteGraph."""
+
+    __slots__ = ("vertices", "adj")
+
+    def __init__(self, vertices: list[int], adj: dict[int, tuple[int, ...]]) -> None:
+        self.vertices, self.adj = vertices, adj
+
+
+def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
+    """A rank table over the closed ``hops``-neighbourhood of ``core``.
+
+    The detectors at a centre read masks of the centre and, for the
+    degree condition, of its neighbours; with ``hops`` 2 (star) or 1
+    (claw) every vertex those masks can mark lies in the window, so the
+    verdicts equal those of a table over all of B."""
+    adj = B.adj
+    keep = set(core)
+    ring = keep
+    for _ in range(hops):
+        ring = {w for u in ring for w in adj[u]} - keep
+        keep |= ring
+    vertices = sorted(keep)
+    window = {v: tuple(w for w in adj[v] if w in keep) for v in vertices}
+    return _RankTable(_Window(vertices, window))
+
+
+def star_on_ball(
+    B: FiniteGraph, dist: Mapping[int, int], limit: int, certified: set[int]
+) -> StarVerdict:
+    """The degree condition on the induced paths of a ball whose three
+    vertices lie at distance <= ``limit`` from its centre.
+
+    ``dist`` holds the distances from the centre in B.  The frontier
+    must lie at distance >= limit + 2, so every neighbourhood read is
+    complete; a closer frontier raises FrontierContamination.
+
+    ``certified`` holds centres known to pass and is updated in place:
+    a centre that passes with all of its neighbours eligible has been
+    checked on every induced path through it, so it passes on every
+    later ball and is added.  A centre with ineligible neighbours is
+    checked again next time.  Skipping certified centres leaves the
+    first failing centre, and so the witness, unchanged, since centres
+    are visited in id order either way.
+    """
+    close = sorted(v for v in B.frontier if dist[v] < limit + 2)
+    if close:
+        raise FrontierContamination(
+            f"frontier vertices {close[:6]} lie closer than {limit + 2} "
+            "to the centre"
+        )
+    eligible = frozenset(v for v, d in dist.items() if d <= limit)
+    centers = sorted(v for v in eligible if v not in certified)
+    table = _window_table(B, centers, 2)
+    for v in centers:
+        nbrs = B.adj[v]
+        ends = [u for u in nbrs if u in eligible]
+        if _star_fails_near(table, v, ends):
+            found = _star_scan_at(B, v, ends)
+            if found is not None:
+                witness, lhs, rhs = found
+                return StarVerdict(
+                    False, witness=witness, lhs=lhs, rhs=rhs, scope="ball"
+                )
+        if len(ends) == len(nbrs):
+            certified.add(v)
+    return StarVerdict(True, scope="ball")
 
 
 def check_star_ball(
@@ -269,23 +333,15 @@ def check_star_ball(
 
     Only induced paths whose three vertices lie at distance <= radius-2
     from the center are evaluated; for those every needed neighbourhood
-    is complete inside the ball.  The verdict's scope is "ball".
+    is complete inside the ball.  The verdict's scope is "ball".  This
+    is :func:`star_on_ball` on a fresh ball with nothing certified.
     """
     if radius < 3:
         raise InputError("check_star_ball needs radius >= 3")
     if isinstance(center, int):
         center = (center,)
     B = ball(G, center, radius)
-    dist = distances_from(B, set(center))
-    eligible = frozenset(v for v in B.vertices if dist[v] <= radius - 2)
-    # The frontier lies at distance radius and eligible vertices at most
-    # radius - 2, so no evaluated triple can touch it; the guard stays
-    # in case the ball's distances and frontier ever disagree.
-    if eligible & B.frontier:
-        raise FrontierContamination(
-            f"eligible vertices {sorted(eligible & B.frontier)[:6]} lie on the frontier"
-        )
-    return _star_verdict(B, sorted(eligible), eligible, scope="ball")
+    return star_on_ball(B, distances_from(B, set(center)), radius - 2, set())
 
 
 def _claw_at(G: FiniteGraph, v: int) -> tuple[int, int, int] | None:
@@ -314,21 +370,35 @@ def is_claw_free(G: FiniteGraph) -> ClawVerdict:
     return ClawVerdict(True)
 
 
-def claw_free_on_ball(B: FiniteGraph, centers: Iterable[int]) -> ClawVerdict:
+def claw_free_on_ball(
+    B: FiniteGraph, centers: Iterable[int], certified: set[int] | None = None
+) -> ClawVerdict:
     """Claw scan restricted to centers with complete neighbourhoods.
 
     ``centers`` must avoid the frontier and have all neighbours inside
     the ball; leaves may touch the frontier since only their mutual
     adjacency is read, and that is complete for ball members.
+
+    With ``certified``, centres in it are skipped and each centre that
+    passes is added to it: claw-freeness at a vertex with a complete
+    neighbourhood is a property of the graph, so a centre that passes
+    once passes on every later ball.  Centres are still visited in id
+    order, so the first claw and its witness are the same as without.
     """
-    table = _RankTable(B)
-    for v in sorted(set(centers)):
+    centers = sorted(set(centers))
+    todo = [v for v in centers if v not in certified] if certified else centers
+    table = _window_table(B, todo, 1)
+    for v in centers:
         if v in B.frontier:
             raise FrontierContamination(f"claw center {v} lies on the frontier")
+        if certified is not None and v in certified:
+            continue
         if _claw_near(table, v):
             leaves = _claw_at(B, v)
             if leaves is not None:
                 return ClawVerdict(False, witness=(v, leaves))
+        if certified is not None:
+            certified.add(v)
     return ClawVerdict(True)
 
 

@@ -162,12 +162,16 @@ def unzigzag(z: int) -> int:
 
 def _make_double_ray_family(
     fiber_size: Callable[[int], int],
-    fiber_edges: Callable[[int], list[tuple[int, int]]],
+    fiber_edges: Callable[[int], list[tuple[int, int]] | None],
     width: int,
     descriptor: Mapping[str, object],
 ) -> LazyGraph:
     """Shared machinery: fibers indexed by all integers, consecutive
-    fibers completely joined, inner structure per fiber."""
+    fibers completely joined, inner structure per fiber.
+
+    ``fiber_edges(f)`` lists the inner edges of fiber f, or is None for
+    a complete fiber, whose inner neighbours come from its index range
+    without any edge list."""
 
     def encode(f: int, i: int) -> int:
         return zigzag(f) * width + i
@@ -183,12 +187,12 @@ def _make_double_ray_family(
 
     def neighbors(v: int) -> tuple[int, ...]:
         f, i = decode(v)
-        out = []
-        for a, b in fiber_edges(f):
-            if a == i:
-                out.append(encode(f, b))
-            elif b == i:
-                out.append(encode(f, a))
+        inner = fiber_edges(f)
+        if inner is None:
+            out = [encode(f, j) for j in range(fiber_size(f)) if j != i]
+        else:
+            out = [encode(f, b) for a, b in inner if a == i]
+            out += [encode(f, a) for a, b in inner if b == i]
         for g in (f - 1, f + 1):
             out.extend(encode(g, j) for j in range(fiber_size(g)))
         return tuple(sorted(out))
@@ -222,10 +226,9 @@ def gen_G_inf(n: int) -> LazyGraph:
     integers.  Id bijection: ``zigzag(f) * n + i``."""
     if n < 2:
         raise InputError("gen_G_inf requires n >= 2")
-    clique = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return _make_double_ray_family(
         fiber_size=lambda f: n,
-        fiber_edges=lambda f: clique,
+        fiber_edges=lambda f: None,
         width=n,
         descriptor={"family": "GZn", "params": {"n": n}},
     )
@@ -237,10 +240,9 @@ def gen_H_inf(n: int) -> LazyGraph:
     if n < 2:
         raise InputError("gen_H_inf requires n >= 2")
     star = [(0, 1), (0, 2), (0, 3)]
-    clique = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return _make_double_ray_family(
         fiber_size=lambda f: _h_fiber_size(f, n),
-        fiber_edges=lambda f: star if f % 2 == 0 else clique,
+        fiber_edges=lambda f: star if f % 2 == 0 else None,
         width=max(4, n),
         descriptor={"family": "HZn", "params": {"n": n}},
     )

@@ -15,8 +15,20 @@ The construction follows five stages:
   D  absorb leftover separator vertices, maintaining the M sets,
   E  check the three output clauses and freeze the certificates.
 
+Stages C and D keep the cycle edges crossing each cut, read from the
+cycle once and updated from the edges each step swaps; stage E reads
+D's kept sets.
+
 Everything works inside one finite ball; frontier contamination is an
-error, never silently tolerated.
+error, never silently tolerated.  The driver keeps one run state
+(_RunState) per run.  It checks the ball saturation starts from for
+claws and the degree condition first, so an input failing either is
+refused before saturation.  Each iteration then grows one ball around
+the cycle (decompose's), checks claw-freeness and the degree condition
+on it, and reads N(C), its second neighbourhood and the protected
+vertices off it once.  Both conditions are properties of the graph, so
+a centre certified once is never checked again, and an iteration's
+condition checks cost what its new annulus adds.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .conditions import check_star_ball
+from .conditions import star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
 from .extension import (
     Extension,
@@ -37,6 +49,7 @@ from .extension import (
 from .graphcore import (
     Cycle,
     Edge,
+    FiniteGraph,
     LazyGraph,
     ball,
     canonical_edge,
@@ -52,6 +65,7 @@ from .structure import (
     component_membership,
     decompose,
     minimal_ray_blocker,
+    require_claw_free,
 )
 
 
@@ -96,11 +110,28 @@ def remove_cycle_vertex(C: Cycle, h: int) -> Cycle:
     return Cycle(tuple(v for v in C.order if v != h))
 
 
-def protected_vertices(G, cycle_vertices) -> frozenset[int]:
+def protected_vertices(G, cycle_vertices, nc=None) -> frozenset[int]:
     """Cycle vertices outside N(C) and N(N(C)); an enlargement never
-    rewires an edge between two of them."""
-    nc = neighborhood_k(G, cycle_vertices, 1)
+    rewires an edge between two of them.  ``nc`` is N(C) when the
+    caller already has it."""
+    if nc is None:
+        nc = neighborhood_k(G, cycle_vertices, 1)
     return frozenset(cycle_vertices) - nc - neighborhood_k(G, nc, 1)
+
+
+class _Rim:
+    """What an enlargement of C may rewire, read once off a ball B
+    around C: ``near`` is N(C) with its second neighbourhood,
+    ``protected`` the cycle vertices outside N(C) and N(N(C)).  ``dist``
+    holds the distances from C in B, which must reach three steps past
+    N(C)."""
+
+    __slots__ = ("near", "protected")
+
+    def __init__(self, B: FiniteGraph, cycle_vertices, dist) -> None:
+        nc = frozenset(v for v, d in dist.items() if d == 1)
+        self.near = nc | neighborhood_k(B, nc, 2)
+        self.protected = protected_vertices(B, cycle_vertices, nc)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +346,15 @@ class SteinerTree:
         return tuple(reversed(out))
 
 
-def steiner_tree_T(G: LazyGraph, S_j, K_j) -> SteinerTree:
+def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
     """Finite tree inside the component K_j covering N_3(S_j) there.
 
     Required vertices are joined one at a time by shortest paths that
     stay inside the component; connectivity of the component guarantees
-    termination.
+    termination.  ``K_j`` decides which of N_3(S_j) is required.  The
+    path search only steps from a vertex of K_j to a neighbour, which
+    lies in K_j iff it is not in the whole separator ``script_S``, so it
+    tests that instead of asking K_j.
     """
     required = set()
     layer = set(S_j)
@@ -352,7 +386,7 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j) -> SteinerTree:
             nxt = []
             for u in ring:
                 for w in G.neighbors(u):
-                    if w in parent or w not in K_j:
+                    if w in parent or w in script_S:
                         continue
                     parent[w] = u
                     nxt.append(w)
@@ -414,10 +448,13 @@ def require_twice(crossing, C, label: str, j: int) -> None:
 
 
 class _CutBuilder:
-    def __init__(self, G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition):
+    def __init__(
+        self, G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition, rim: _Rim
+    ):
         self.G = G
         self.C = C
         self.decomp = decomp
+        self.rim = rim
         self.B = decomp.ball
         self.K0 = decomp.finite_component
         self.parts = decomp.parts
@@ -425,12 +462,16 @@ class _CutBuilder:
         self.script_S = decomp.script_S
         self.k = decomp.k
         self.trees = tuple(
-            steiner_tree_T(G, self.parts[j], decomp.infinite_components[j])
+            steiner_tree_T(
+                G, self.parts[j], decomp.infinite_components[j], self.script_S
+            )
             for j in range(self.k)
         )
         self.msets = [
             _MState(self.pieces[j], self.parts[j]) for j in range(self.k)
         ]
+        # the cycle edges crossing each M set, kept from stage D on
+        self.cuts: list[set[Edge]] = []
         self.paths: list[tuple[int, ...] | None] = [None] * self.k
 
     # -- shared helpers ----------------------------------------------------
@@ -455,11 +496,6 @@ class _CutBuilder:
             if v in part:
                 return j
         return None
-
-    def check_cut_twice(self, C: Cycle, member, label: str, j: int) -> list[Edge]:
-        crossing = [e for e in C.edges() if member(e[0]) != member(e[1])]
-        require_twice(crossing, C, label, j)
-        return crossing
 
     # -- stage A: fill the finite component --------------------------------
     # One iter_extensions run over the finite component: smallest
@@ -701,6 +737,10 @@ class _CutBuilder:
         )
 
     # -- stage D: mop up the separator, maintaining the M sets -------------
+    # Like stage C, it keeps the cycle edges crossing each M set: read
+    # from the cycle once, then updated on the edges each step swaps and
+    # the cycle edges at the vertices whose membership update_msets
+    # changes; no other edge changes its crossing.
 
     def consecutive_pair(self, cur: Cycle, nbrs: set[int]) -> tuple[int, int] | None:
         for a in cur.order:
@@ -715,12 +755,32 @@ class _CutBuilder:
             else:
                 m.discard(gained)
 
+    def recount_cuts(self, cur: Cycle, swapped, gained) -> None:
+        """Bring the kept crossing sets up to date after a step that
+        swapped the cycle edges ``swapped`` and moved ``gained`` into
+        the M sets by update_msets."""
+        touched = list(swapped)
+        for v in gained:
+            touched += ((cur.pred(v), v), (v, cur.succ(v)))
+        for a, b in touched:
+            e = canonical_edge(a, b)
+            on = a in cur and b in cur and (cur.succ(a) == b or cur.succ(b) == a)
+            for m, cut in zip(self.msets, self.cuts):
+                if on and (a in m) != (b in m):
+                    cut.add(e)
+                else:
+                    cut.discard(e)
+
     def stage_absorb_separator(self, cur: Cycle) -> Cycle:
-        for j, m in enumerate(self.msets):
-            self.check_cut_twice(cur, m.__contains__, "initial M cut", j)
+        edges = cur.edges()
+        self.cuts = [
+            {(a, b) for a, b in edges if (a in m) != (b in m)} for m in self.msets
+        ]
+        for j, cut in enumerate(self.cuts):
+            require_twice(cut, cur, "initial M cut", j)
         rounds = 0
         while True:
-            leftovers = sorted(self.script_S - cur.vertex_set)
+            leftovers = [s for s in sorted(self.script_S) if s not in cur]
             if not leftovers:
                 return cur
             rounds += 1
@@ -730,25 +790,29 @@ class _CutBuilder:
                     leftovers=leftovers,
                 )
             u = leftovers[0]
-            nbrs_on = {
-                w for w in self.guarded_neighbors(u) if w in cur.vertex_set
-            }
+            nbrs_on = {w for w in self.guarded_neighbors(u) if w in cur}
             pair = self.consecutive_pair(cur, nbrs_on)
             if pair is not None:
                 w1, w2 = pair
                 cur = apply_extension(cur, Extension("I", u, w1))
-                self.update_msets(w1, w2, (u,))
+                gained = (u,)
+                self.update_msets(w1, w2, gained)
+                swapped = ((w1, w2), (w1, u), (u, w2))
             else:
-                cur = self.absorb_isolated_separator_vertex(cur, u, nbrs_on)
-            for j, m in enumerate(self.msets):
-                self.check_cut_twice(cur, m.__contains__, "M cut", j)
+                cur, swapped, gained = self.absorb_isolated_separator_vertex(
+                    cur, u, nbrs_on
+                )
+            self.recount_cuts(cur, swapped, gained)
+            for j, cut in enumerate(self.cuts):
+                require_twice(cut, cur, "M cut", j)
 
     def absorb_isolated_separator_vertex(
         self, cur: Cycle, u: int, nbrs_on: set[int]
-    ) -> Cycle:
+    ) -> tuple[Cycle, tuple[Edge, ...], tuple[int, int]]:
         """No two cycle neighbours of u are consecutive: shortcut all but
         the smallest, force the two-vertex absorption there, then redo
-        the shortcuts on the real cycle."""
+        the shortcuts on the real cycle.  Returns the new cycle, the
+        cycle edges it swapped and the two vertices gained."""
         if not nbrs_on:
             raise InvariantViolation(
                 f"separator vertex {u} has no neighbour on the cycle"
@@ -773,12 +837,14 @@ class _CutBuilder:
             )
         w2 = aux.succ(w1)
         h = e.x
-        if h not in cur.vertex_set:
+        if h not in cur:
             if h not in self.script_S:
                 raise InvariantViolation(
                     f"fresh helper {h} is not a separator vertex", u=u
                 )
+            w1p = cur.succ(w1)
             cur = apply_extension(cur, Extension("II", u, w1, x=h))
+            swapped = ((w1, w1p), (w1, u), (u, h), (h, w1p))
         else:
             hp, hm = cur.succ(h), cur.pred(h)
             if not self.B.adjacent(hp, hm):
@@ -788,8 +854,11 @@ class _CutBuilder:
                 )
             cur = remove_cycle_vertex(cur, h)
             cur = replace_arc(cur, (w1, w2), (w1, u, h, w2))
+            swapped = (
+                (hm, h), (h, hp), (hm, hp), (w1, w2), (w1, u), (u, h), (h, w2)
+            )
         self.update_msets(w1, w2, (u, h))
-        return cur
+        return cur, swapped, (u, h)
 
     # -- stage E: output clauses -------------------------------------------
 
@@ -833,7 +902,8 @@ class _CutBuilder:
                     j=j,
                     vertices=sorted(stray),
                 )
-            crossing = self.check_cut_twice(cur, m.__contains__, "final M cut", j)
+            crossing = self.cuts[j]
+            require_twice(crossing, cur, "final M cut", j)
             witnesses.append(
                 CutWitness(
                     j=j,
@@ -845,7 +915,7 @@ class _CutBuilder:
                 )
             )
 
-        protected = protected_vertices(self.B, self.C.vertex_set)
+        protected = self.rim.protected
         cur_edges = cur.edge_set
         for a, b in self.C.edges():
             if a in protected and b in protected and canonical_edge(a, b) not in cur_edges:
@@ -853,8 +923,7 @@ class _CutBuilder:
                     "protected cycle edge vanished",
                     edge=canonical_edge(a, b),
                 )
-        nc = neighborhood_k(self.B, self.C.vertex_set, 1)
-        n2_nc = nc | neighborhood_k(self.B, nc, 2)
+        n2_nc = self.rim.near
         old_vertices = self.C.vertex_set
         for a, b in sorted(cur_edges - self.C.edge_set):
             for end in (a, b):
@@ -868,18 +937,19 @@ class _CutBuilder:
 
 
 def construct_cut1(
-    G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition
+    G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition, rim: _Rim
 ) -> tuple[Cycle, tuple[CutWitness, ...]]:
     """Enlarge C past its blocker and certify the crossing structure.
 
     Returns the new cycle and one CutWitness per infinite component;
-    all three output clauses are checked before returning.
+    all three output clauses are checked before returning.  ``rim`` is
+    read off the decomposition's ball.
     """
-    if not protected_vertices(decomp.ball, C.vertex_set):
+    if not rim.protected:
         raise InputError(
             "every cycle vertex touches the cycle's second neighbourhood"
         )
-    builder = _CutBuilder(G, C, decomp)
+    builder = _CutBuilder(G, C, decomp, rim)
     cur = builder.stage_fill_finite()
     for j in range(decomp.k):
         cur = builder.thread_part(cur, j)
@@ -946,19 +1016,88 @@ def _select_end(
     )
 
 
+# the radius of the first ball saturation works in around the seed
+_SEED_RADIUS = 4
+
+
+class _RunState:
+    """What one hamilton_sequence run keeps across its iterations.
+
+    The local degree condition and claw-freeness are properties of G,
+    so a centre that passes once passes in every later iteration.
+    ``star_certified`` and ``claw_certified`` hold the centres already
+    certified, and each ball checks only the others (see star_on_ball
+    and claw_free_on_ball for when a centre counts as certified).
+    """
+
+    def __init__(self, G: LazyGraph) -> None:
+        self.G = G
+        self.star_certified: set[int] = set()
+        self.claw_certified: set[int] = set()
+
+    def require_star(self, B: FiniteGraph, dist, limit: int) -> None:
+        star = star_on_ball(B, dist, limit, self.star_certified)
+        if not star.holds:
+            raise InputError(
+                f"local degree condition fails near the cycle at "
+                f"{star.witness}"
+            )
+
+    def check_seed(self, seed: Cycle) -> None:
+        """The claw scan, then the degree condition, on the ball that
+        saturation starts from, so that an input failing either is
+        refused before saturation can trip over it."""
+        B = ball(self.G, seed.vertex_set, _SEED_RADIUS)
+        require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
+        self.require_star(
+            B, distances_from(B, seed.vertex_set), _SEED_RADIUS - 2
+        )
+
+    def enlarge(
+        self, C: Cycle
+    ) -> tuple[
+        frozenset[int], SeparatorDecomposition, Cycle, tuple[CutWitness, ...]
+    ]:
+        """One iteration: block C, decompose, check both conditions on
+        the decomposition's ball, and enlarge."""
+        blocker = minimal_ray_blocker(self.G, C)
+        decomp = decompose(
+            self.G,
+            C.vertex_set,
+            blocker,
+            extra_radius=6,
+            certified=self.claw_certified,
+        )
+        dist = distances_from(decomp.ball, C.vertex_set)
+        rim = _Rim(decomp.ball, C.vertex_set, dist)
+        if not rim.protected:
+            raise InvariantViolation(
+                "cycle has no protected vertex; enlargement hypothesis broken"
+            )
+        # the ball reaches at least blocker_depth + 6 from C, so the
+        # paths within blocker_depth + 3 are complete in it
+        blocker_depth = max(dist[s] for s in blocker)
+        self.require_star(decomp.ball, dist, blocker_depth + 3)
+        C2, wits = construct_cut1(self.G, C, decomp, rim)
+        return blocker, decomp, C2, wits
+
+
 def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     """Run the full construction for ``depth`` iterations.
 
-    Each iteration certifies the degree condition on its working ball,
-    blocks the current cycle, decomposes, and enlarges.  The trace is
-    deterministic for identical inputs.
+    The seed ball is checked first.  Each iteration then blocks the
+    current cycle, decomposes, certifies the degree condition and
+    claw-freeness on the decomposition's ball, and enlarges.  The trace
+    is deterministic for identical inputs.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
 
+    state = _RunState(G)
     seed = _initial_cycle(G)
+    state.check_seed(seed)
     C = _saturate_initial(G, seed)
     cycles = [C]
     blockers: list[frozenset[int]] = []
@@ -968,21 +1107,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     selectors: dict[str, list[int]] = {name: [] for name in sorted(G.end_rays)}
 
     for _ in range(depth):
-        if not protected_vertices(G, C.vertex_set):
-            raise InvariantViolation(
-                "cycle has no protected vertex; enlargement hypothesis broken"
-            )
-        blocker = minimal_ray_blocker(G, C)
-        decomp = decompose(G, C.vertex_set, blocker, extra_radius=6)
-        dist = distances_from(decomp.ball, C.vertex_set)
-        blocker_depth = max(dist[s] for s in blocker)
-        star = check_star_ball(G, C.vertex_set, blocker_depth + 5)
-        if not star.holds:
-            raise InputError(
-                f"local degree condition fails near the cycle at "
-                f"{star.witness}"
-            )
-        C2, wits = construct_cut1(G, C, decomp)
+        blocker, decomp, C2, wits = state.enlarge(C)
         if not C.vertex_set <= C2.vertex_set:
             raise InvariantViolation("enlargement dropped cycle vertices")
         for name in selectors:
@@ -1042,8 +1167,9 @@ class ConditionReport:
 @dataclass(frozen=True)
 class HCExtractVerdict:
     """One report per limit condition; names follow the checker order:
-    vertex persistence, finite cuts, nested M sets per end, edge
-    persistence, and cut agreement across iterations."""
+    vertex persistence, finite cuts (with blocker minimality and the
+    coverage of blocker, K0 and N^3 of the blocker), nested M sets per
+    end, edge persistence, and cut agreement across iterations."""
 
     vertex_persistence: ConditionReport
     finite_cuts: ConditionReport
@@ -1119,6 +1245,20 @@ def _blocker_failure(G: LazyGraph, trace: SequenceTrace, i: int) -> str | None:
     return None
 
 
+def _coverage_failure(G: LazyGraph, trace: SequenceTrace) -> str | None:
+    """Why some cycle C_{i+1} misses a vertex of blocker_i, K0_i or
+    N^3(blocker_i), or None when every cycle covers all three."""
+    for i, S in enumerate(trace.blockers):
+        needed = S | trace.k0s[i] | neighborhood_k(G, S, 3)
+        missing = sorted(needed - trace.cycles[i + 1].vertex_set)
+        if missing:
+            return (
+                f"cycle {i + 1} misses {missing[:6]} of the blocker, K0 and "
+                f"third neighbourhood of iteration {i + 1}"
+            )
+    return None
+
+
 def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
     """The full edge boundary of M, rendered as an explicit finite list.
 
@@ -1179,12 +1319,15 @@ def verify_hc_extract(
         )
 
     # finite cuts: every stored blocker is a minimal ray blocker of its
-    # cycle; materialize every boundary and compare stored edges
+    # cycle, and the next cycle covers it, K0 and N^3 of it; materialize
+    # every boundary and compare stored edges
     blocker_failure = None
     for i in range(d):
         blocker_failure = _blocker_failure(G, trace, i)
         if blocker_failure:
             break
+    # the blocker ids are known vertices once they passed
+    coverage_failure = None if blocker_failure else _coverage_failure(G, trace)
     b_ok, b_detail = True, ""
     cuts: dict[tuple[int, int], frozenset[Edge]] = {}
     members: dict[tuple[int, int], _Membership] = {}
@@ -1205,6 +1348,8 @@ def verify_hc_extract(
                 )
     if b_ok:
         b_detail = f"all {len(sizes)} cuts explicit, sizes {sorted(set(sizes))}"
+    if coverage_failure:
+        b_ok, b_detail = False, coverage_failure
     if blocker_failure:
         b_ok, b_detail = False, blocker_failure
 

@@ -24,6 +24,17 @@ from .graphcore import (
 )
 
 
+def require_claw_free(
+    B: FiniteGraph, centers, certified: set[int] | None = None
+) -> None:
+    """Raise InputError at the first claw centred in ``centers`` (see
+    :func:`claw_free_on_ball`)."""
+    verdict = claw_free_on_ball(B, centers, certified)
+    if not verdict.claw_free:
+        center, leaves = verdict.witness
+        raise InputError(f"graph has a claw at {center} with leaves {leaves}")
+
+
 def minimal_ray_blocker(G: LazyGraph, C: Cycle) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
@@ -152,6 +163,20 @@ class SeparatorDecomposition:
         }
 
 
+def _connected_within(B: FiniteGraph, X: frozenset[int]) -> bool:
+    """Whether X induces a connected subgraph of B."""
+    start = min(X)
+    seen = {start}
+    stack = [start]
+    adj = B.adj
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in X and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(X)
+
+
 def decompose(
     G: LazyGraph,
     X,
@@ -159,6 +184,7 @@ def decompose(
     *,
     check_claw_free: bool = True,
     extra_radius: int = 4,
+    certified: set[int] | None = None,
 ) -> SeparatorDecomposition:
     """Split G along a minimal ray blocker of X.
 
@@ -169,6 +195,10 @@ def decompose(
     components are identified with components of G - script_S, which
     holds once the ball is grown past every finite bridge between
     pieces; the invariant checks below catch violations in practice.
+
+    The claw scan covers the ball's interior; ``certified`` is passed
+    on to :func:`claw_free_on_ball`, which skips the centres in it and
+    adds those that pass.
     """
     X = frozenset(X)
     script_S = frozenset(script_S)
@@ -210,7 +240,7 @@ def decompose(
             raise InvariantViolation(
                 "blocker vertex unreachable from X", missing=sorted(missing)
             )
-        if not B.induced(X).is_connected():
+        if not _connected_within(B, X):
             raise InputError("X does not induce a connected subgraph")
         pieces = components(B, removed=script_S)
         finite_pieces = []
@@ -236,13 +266,7 @@ def decompose(
             )
 
     if check_claw_free:
-        interior = sorted(B.vertex_set - B.frontier)
-        verdict = claw_free_on_ball(B, interior)
-        if not verdict.claw_free:
-            center, leaves = verdict.witness
-            raise InputError(
-                f"graph has a claw at {center} with leaves {leaves}"
-            )
+        require_claw_free(B, B.vertex_set - B.frontier, certified)
 
     K0 = k0_candidates[0]
     stray = [p for p in finite_pieces if p is not K0]

@@ -7,7 +7,7 @@ import pytest
 
 from hamext import cli, extension
 from hamext.errors import InvariantViolation
-from hamext.families import gen_G, gen_H
+from hamext.families import gen_G, gen_G_inf, gen_H, unzigzag
 from hamext.graphcore import (
     Cycle,
     cycle_to_json_obj,
@@ -415,6 +415,82 @@ def test_verify_rejects_changed_blocker(capsys, gz2_file, tmp_path, i, old, new,
         assert payload["finite_cuts"] == {"ok": False, "detail": detail}
 
 
+def _gz2_depth3_trace(capsys, gz2_file, tmp_path):
+    out = tmp_path / "trace.json"
+    code, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "3", "--out", str(out),
+    )
+    assert code == 0
+    return out, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_verify_rejects_k0_outside_next_cycle(capsys, gz2_file, tmp_path, i):
+    # the extra K0 vertex only widens the foreign set of the membership
+    # search, so every other clause still holds
+    out, obj = _gz2_depth3_trace(capsys, gz2_file, tmp_path)
+    on = set(obj["cycles"][i + 1])
+    extra = min(v for v in range(10**3) if v not in on)
+    obj["k0s"][i] = sorted(obj["k0s"][i] + [extra])
+    out.write_text(json.dumps(obj))
+    code, payload = run(capsys, "verify", "--trace", str(out))
+    assert code == 1
+    assert payload["finite_cuts"] == {
+        "ok": False,
+        "detail": f"cycle {i + 1} misses [{extra}] of the blocker, K0 and "
+        f"third neighbourhood of iteration {i + 1}",
+    }
+
+
+def test_verify_rejects_blocker_dropped_from_next_cycle(capsys, gz2_file, tmp_path):
+    # cut the last cycle back to the fibers before the right-hand blocker
+    # of iteration 3: still a cycle of G that holds cycle 2, but without
+    # that blocker fiber
+    out, obj = _gz2_depth3_trace(capsys, gz2_file, tmp_path)
+    G = gen_G_inf(2)
+    last = obj["cycles"][3]
+    right = max(unzigzag(s // 2) for s in obj["blockers"][2])
+    keep = [v for v in last if unzigzag(v // 2) < right]
+    ends = [v for v in keep if unzigzag(v // 2) == right - 1]
+    assert len(ends) == 2
+    start = last.index(ends[0])
+    walk = last[start:] + last[:start]
+    if unzigzag(walk[1] // 2) >= right:
+        walk = [walk[0]] + walk[:0:-1]
+    cut = walk[: walk.index(ends[1]) + 1]
+    assert set(cut) == set(keep) and set(obj["cycles"][2]) <= set(cut)
+    assert verify_cycle(G, Cycle(tuple(cut))).ok
+    obj["cycles"][3] = cut
+    out.write_text(json.dumps(obj))
+    code, payload = run(capsys, "verify", "--trace", str(out))
+    assert code == 1
+    assert payload["finite_cuts"]["ok"] is False
+    assert payload["finite_cuts"]["detail"].startswith("cycle 3 misses [")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("depth", [3, 12, 28])
+def test_infham_refuses_hz_claw_before_saturation(capsys, tmp_path, n, depth):
+    desc = tmp_path / "hz.json"
+    assert cli.main(["gen", "--family", "HZn", "--n", str(n), "--out", str(desc)]) == 0
+    capsys.readouterr()
+    code, payload = run(
+        capsys, "infham", "--descriptor", str(desc), "--depth", str(depth)
+    )
+    assert code == 2
+    assert payload == {
+        "error": "graph has a claw at 0 with leaves (1, 2, 3)",
+        "kind": "input",
+    }
+
+
+def test_gen_huge_complete_fibers(capsys):
+    code, payload = run(capsys, "gen", "--family", "GZn", "--n", "1000000000")
+    assert code == 0
+    assert payload == {"family": "GZn", "params": {"n": 1000000000}}
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")
@@ -479,6 +555,10 @@ GOLDEN_DIGESTS = {
     (2, 32): (
         "de3bc8721e980566830b7c4d1c2c3da2b34c21cbe5a0c64aeebcac2d8f70ee28",
         "ba6637272a6db322575dc7d745f0bc10a598c080187aeeeea26bf8f0283ab462",
+    ),
+    (3, 28): (
+        "b68395e42bb186562f0531e00114cec55da62819dcf292f5a68e34af9dc180a0",
+        "b30620db5d3cb8cdf9aa45075dc67446c05dc311f7812c0589c21199f70fc48d",
     ),
 }
 

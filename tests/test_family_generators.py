@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from hamext.errors import InputError
 from hamext.families import (
+    _make_double_ray_family,
     descriptor_to_lazy,
     family_width,
     fiber_vertices,
@@ -121,6 +122,39 @@ def test_infinite_neighbor_structure():
     assert not H.adjacent(1, 2)
     with pytest.raises(InputError):
         G.neighbors(-1)
+
+
+def test_complete_fibers_need_no_edge_list():
+    # the generators hold nothing that grows with n
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        gen_G_inf(10**9)
+        gen_H_inf(10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("make, star_fibers", [(gen_G_inf, False), (gen_H_inf, True)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_complete_fibers_match_edge_lists(make, star_fibers, n):
+    lazy = make(n)
+    width = max(4, n) if star_fibers else n
+
+    def size(f):
+        return 4 if star_fibers and f % 2 == 0 else n
+
+    def edges(f):
+        if star_fibers and f % 2 == 0:
+            return [(0, 1), (0, 2), (0, 3)]
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    listed = _make_double_ray_family(size, edges, width, lazy.descriptor)
+    for v in ball(lazy, lazy.root, 4).vertices:
+        assert lazy.neighbors(v) == listed.neighbors(v)
 
 
 def test_infinite_neighbor_symmetry_near_root():

@@ -10,15 +10,17 @@ import pytest
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import gen_G_inf, gen_H_inf, zigzag
-from hamext.graphcore import Cycle, LazyGraph
+from hamext.graphcore import Cycle, LazyGraph, distances_from
 from hamext.infinite import (
     SequenceTrace,
+    _Rim,
     _witness_membership,
     construct_cut1,
     first_persistence_failure,
     hamilton_sequence,
     remove_cycle_vertex,
     replace_arc,
+    require_twice,
     stable_limit,
     steiner_tree_T,
     verify_hc_extract,
@@ -29,6 +31,12 @@ from hamext.structure import decompose, minimal_ray_blocker
 def gz_fiber(n, f):
     base = zigzag(f) * n
     return [base + i for i in range(n)]
+
+
+def rim_of(decomp, C):
+    """The rim hamilton_sequence reads off the decomposition's ball."""
+    dist = distances_from(decomp.ball, C.vertex_set)
+    return _Rim(decomp.ball, C.vertex_set, dist)
 
 
 def home_cycle_gz2():
@@ -103,7 +111,9 @@ def test_steiner_tree_covers_third_neighbourhood_gz2():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
-    tree = steiner_tree_T(G, decomp.parts[0], decomp.infinite_components[0])
+    tree = steiner_tree_T(
+        G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
+    )
     assert sorted(tree.vertices) == [12, 13, 16, 17, 20, 21]
     assert len(tree.edges) == 5
     assert tree.path(12, 21) == (12, 16, 21)
@@ -115,7 +125,9 @@ def test_steiner_tree_gz3_both_sides():
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
     assert decomp.k == 2
     for j in range(decomp.k):
-        tree = steiner_tree_T(G, decomp.parts[j], decomp.infinite_components[j])
+        tree = steiner_tree_T(
+            G, decomp.parts[j], decomp.infinite_components[j], decomp.script_S
+        )
         # three fibers of three vertices each, spanned without detours
         assert len(tree.vertices) == 9
         assert len(tree.edges) == 8
@@ -126,7 +138,9 @@ def test_steiner_tree_path_rejects_foreign_endpoint():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
-    tree = steiner_tree_T(G, decomp.parts[0], decomp.infinite_components[0])
+    tree = steiner_tree_T(
+        G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
+    )
     with pytest.raises(InputError):
         tree.path(12, 23)
 
@@ -145,7 +159,9 @@ class TestConstructCut1:
         )
 
     def test_result_covers_required_region(self):
-        C2, _ = construct_cut1(self.G, self.C, self.decomp)
+        C2, _ = construct_cut1(
+            self.G, self.C, self.decomp, rim_of(self.decomp, self.C)
+        )
         want = set()
         for f in range(-6, 6):
             want.update(gz_fiber(2, f))
@@ -153,7 +169,9 @@ class TestConstructCut1:
         assert len(C2) == 24
 
     def test_witnesses_cross_exactly_twice(self):
-        C2, wits = construct_cut1(self.G, self.C, self.decomp)
+        C2, wits = construct_cut1(
+            self.G, self.C, self.decomp, rim_of(self.decomp, self.C)
+        )
         assert [w.j for w in wits] == [0, 1]
         assert wits[0].part == frozenset({8, 9})
         assert wits[0].crossing_edges == ((4, 8), (5, 9))
@@ -170,7 +188,9 @@ class TestConstructCut1:
             assert sorted(crossing) == sorted(w.crossing_edges)
 
     def test_monotone_and_protected_edges_survive(self):
-        C2, _ = construct_cut1(self.G, self.C, self.decomp)
+        C2, _ = construct_cut1(
+            self.G, self.C, self.decomp, rim_of(self.decomp, self.C)
+        )
         assert self.C.vertex_set <= C2.vertex_set
         # fibers -1 and 0 have every neighbour on the old cycle; their
         # cycle edges must be untouched
@@ -181,7 +201,7 @@ class TestConstructCut1:
         blocker = minimal_ray_blocker(self.G, C_flat)
         decomp = decompose(self.G, C_flat.vertex_set, blocker, extra_radius=6)
         with pytest.raises(InputError, match="second neighbourhood"):
-            construct_cut1(self.G, C_flat, decomp)
+            construct_cut1(self.G, C_flat, decomp, rim_of(decomp, C_flat))
 
 
 def test_stage_c_reads_cycle_edges_once(monkeypatch):
@@ -281,10 +301,8 @@ def _rescan_stage_c(b, cur):
         cur = apply_extension(cur, find_extension(b.B, cur, targets[0]))
         for j in range(b.k):
             region = b.parts[j] | b.pieces[j]
-            b.check_cut_twice(
-                cur, lambda v, region=region: v in region,
-                "separator-plus-component cut", j,
-            )
+            crossing = [e for e in cur.edges() if (e[0] in region) != (e[1] in region)]
+            require_twice(crossing, cur, "separator-plus-component cut", j)
 
 
 def _outcome(stage, *args):
@@ -317,8 +335,9 @@ def test_stages_a_and_c_match_rescan_loops(n):
     seen = Counter()
     for C in (*trace.cycles[:3], partial):
         decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        rim = rim_of(decomp, C)
         for trial in range(12):
-            b = _CutBuilder(G, C, decomp)
+            b = _CutBuilder(G, C, decomp, rim)
             tree_vertices = sorted(set().union(*(t.vertices for t in b.trees)))
             pool = (None, sorted(C.vertex_set), sorted(b.K0 - C.vertex_set),
                     tree_vertices)[trial % 4]
@@ -348,7 +367,7 @@ def test_construct_cut1_gz3():
     trace = hamilton_sequence(G, 1)
     C = trace.cycles[0]
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
-    C2, wits = construct_cut1(G, C, decomp)
+    C2, wits = construct_cut1(G, C, decomp, rim_of(decomp, C))
     want = set()
     for f in range(-5, 6):
         want.update(gz_fiber(3, f))

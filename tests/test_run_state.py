@@ -1,0 +1,461 @@
+"""The run state of hamilton_sequence: centres certified once, one ball
+per iteration, the rim read once, and the kept stage D/E cut sets.
+
+Each test compares the incremental machinery with a fresh, whole-ball
+or whole-cycle computation of the same thing."""
+
+import random
+from collections import Counter
+
+import pytest
+
+import hamext.infinite as infinite
+import hamext.structure as structure
+from hamext.conditions import check_star_ball, claw_free_on_ball, star_on_ball
+from hamext.errors import FrontierContamination, InputError, InvariantViolation
+from hamext.extension import Extension, apply_extension, find_extension
+from hamext.families import _make_double_ray_family, gen_G_inf, gen_H_inf
+from hamext.graphcore import FiniteGraph, ball, canonical_edge, distances_from
+from hamext.infinite import (
+    SteinerTree,
+    _CutBuilder,
+    _initial_cycle,
+    _saturate_initial,
+    construct_cut1,
+    hamilton_sequence,
+    protected_vertices,
+    remove_cycle_vertex,
+    replace_arc,
+    require_twice,
+    steiner_tree_T,
+)
+from hamext.structure import decompose, minimal_ray_blocker
+from test_infinite import rim_of
+
+RUNS = ((2, 8), (3, 8), (4, 5))
+
+
+# ---------------------------------------------------------------------------
+# certified centres
+
+
+@pytest.mark.parametrize("n, depth", RUNS)
+def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
+    # every ball check of a run, skipping its certified centres, gives
+    # the verdict of a fresh check of the whole ball
+    G = gen_G_inf(n)
+    star_calls, claw_calls = [], []
+
+    def recording_star(B, dist, limit, certified):
+        eligible = [v for v, d in dist.items() if d <= limit]
+        unchecked = sum(1 for v in eligible if v not in certified)
+        verdict = star_on_ball(B, dist, limit, certified)
+        star_calls.append((dist, limit, verdict, unchecked, len(eligible)))
+        return verdict
+
+    def recording_claw(B, centers, certified=None):
+        centers = sorted(centers)
+        unchecked = sum(1 for v in centers if v not in certified)
+        verdict = claw_free_on_ball(B, centers, certified)
+        claw_calls.append((B, centers, verdict, unchecked, len(centers)))
+        return verdict
+
+    monkeypatch.setattr(infinite, "star_on_ball", recording_star)
+    monkeypatch.setattr(structure, "claw_free_on_ball", recording_claw)
+    hamilton_sequence(G, depth)
+    # the seed ball, then one ball per iteration
+    assert len(star_calls) == len(claw_calls) == depth + 1
+    for dist, limit, verdict, _, _ in star_calls:
+        center = [v for v, d in dist.items() if d == 0]
+        assert verdict == check_star_ball(G, center, limit + 2)
+    for B, centers, verdict, _, _ in claw_calls:
+        assert verdict == claw_free_on_ball(B, centers)
+    # from the second iteration on each ball checks only the annulus it
+    # adds, which is the same size at every depth of GZn
+    for calls in (star_calls, claw_calls):
+        unchecked = {call[-2] for call in calls[2:]}
+        assert len(unchecked) == 1
+        assert unchecked.pop() < calls[-1][-1] / 2
+
+
+def test_certified_centres_skip_work():
+    G = gen_G_inf(3)
+    B = ball(G, G.root, 8)
+    dist = distances_from(B, [G.root])
+    certified: set[int] = set()
+    assert star_on_ball(B, dist, 6, certified).holds
+    # only centres whose whole neighbourhood was eligible
+    assert certified == {v for v, d in dist.items() if d <= 5}
+    claws: set[int] = set()
+    interior = B.vertex_set - B.frontier
+    assert claw_free_on_ball(B, interior, claws).claw_free
+    assert claws == interior
+    # a certified centre is skipped: on HZ3 the scan moves on to the
+    # next claw centre, and certifies only the centres before it
+    H = gen_H_inf(3)
+    B = ball(H, H.root, 4)
+    interior = sorted(B.vertex_set - B.frontier)
+    assert claw_free_on_ball(B, interior).witness[0] == H.root
+    claws = {H.root}
+    verdict = claw_free_on_ball(B, interior, claws)
+    assert verdict == claw_free_on_ball(B, interior[1:])
+    center = verdict.witness[0]
+    assert claws == {v for v in interior if v < center}
+
+
+def test_star_on_ball_refuses_a_close_frontier():
+    G = gen_G_inf(2)
+    B = ball(G, G.root, 5)
+    dist = distances_from(B, [G.root])
+    assert star_on_ball(B, dist, 3, set()).holds
+    with pytest.raises(FrontierContamination, match="closer than 6"):
+        star_on_ball(B, dist, 4, set())
+
+
+def _defect_family(n, f0, kind):
+    """GZn with fiber f0 replaced by one vertex (fails the degree
+    condition) or by a four-vertex star (a claw)."""
+
+    def size(f):
+        if f != f0:
+            return n
+        return 1 if kind == "single" else 4
+
+    def edges(f):
+        if f == f0 and kind == "star":
+            return [(0, 1), (0, 2), (0, 3)]
+        return None
+
+    return _make_double_ray_family(size, edges, max(4, n), {"family": "test"})
+
+
+def _reference_failure(G, depth):
+    """Today's per-iteration checks, done in full every time: a fresh
+    degree-condition ball and a claw scan of the whole interior."""
+    C = _saturate_initial(G, _initial_cycle(G))
+    for i in range(depth):
+        if not protected_vertices(G, C.vertex_set):
+            raise AssertionError("no protected vertex")
+        blocker = minimal_ray_blocker(G, C)
+        try:
+            decomp = decompose(G, C.vertex_set, blocker, extra_radius=6)
+            dist = distances_from(decomp.ball, C.vertex_set)
+            star = check_star_ball(
+                G, C.vertex_set, max(dist[s] for s in blocker) + 5
+            )
+            if not star.holds:
+                raise InputError(
+                    f"local degree condition fails near the cycle at "
+                    f"{star.witness}"
+                )
+        except InputError as exc:
+            return i, type(exc), str(exc)
+        C, _ = construct_cut1(G, C, decomp, rim_of(decomp, C))
+    return None
+
+
+@pytest.mark.parametrize("kind", ["single", "star"])
+@pytest.mark.parametrize("f0", [6, -6, 20, -20])
+def test_defects_fail_where_full_checks_fail(monkeypatch, kind, f0):
+    G = _defect_family(2, f0, kind)
+    want = _reference_failure(G, 12)
+    assert want is not None
+    iterations = []
+    blocker = infinite.minimal_ray_blocker
+
+    def counting_blocker(G, C):
+        iterations.append(C)
+        return blocker(G, C)
+
+    monkeypatch.setattr(infinite, "minimal_ray_blocker", counting_blocker)
+    with pytest.raises(InputError) as info:
+        hamilton_sequence(_defect_family(2, f0, kind), 12)
+    assert (len(iterations) - 1, type(info.value), str(info.value)) == want
+    if abs(f0) > 6:
+        # found only after certified centres were skipped for a while
+        assert want[0] >= 3
+    assert ("claw" in want[2]) == (kind == "star")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hz_seed_ball_is_refused_before_saturation(n):
+    with pytest.raises(InputError, match=r"claw at 0 with leaves \(1, 2, 3\)"):
+        hamilton_sequence(gen_H_inf(n), 3)
+
+
+# ---------------------------------------------------------------------------
+# one rim per iteration
+
+
+def test_protected_vertices_runs_once_per_iteration(monkeypatch):
+    calls = []
+    protected = infinite.protected_vertices
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return protected(*args)
+
+    monkeypatch.setattr(infinite, "protected_vertices", counting)
+    for n, depth in RUNS:
+        calls.clear()
+        hamilton_sequence(gen_G_inf(n), depth)
+        # one for the saturated seed, then one per iteration
+        assert len(calls) == depth + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rim_matches_lazy_graph_sets(n):
+    G = gen_G_inf(n)
+    trace = hamilton_sequence(G, 3)
+    for C in trace.cycles[:3]:
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        rim = rim_of(decomp, C)
+        nc = frozenset(w for v in C.order for w in G.neighbors(v)) - C.vertex_set
+        second = frozenset(w for v in nc for w in G.neighbors(v)) - nc
+        third = frozenset(w for v in second for w in G.neighbors(v)) - nc
+        assert rim.near == nc | second | third
+        assert rim.protected == C.vertex_set - nc - second
+
+
+# ---------------------------------------------------------------------------
+# connector trees
+
+
+def _tree_by_handle(G, S_j, K_j):
+    """The tree search asking the component handle at every step."""
+    required = set()
+    layer, seen = set(S_j), set(S_j)
+    for _ in range(3):
+        nxt = set()
+        for u in sorted(layer):
+            for w in G.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.add(w)
+        required |= {w for w in nxt if w in K_j}
+        layer = nxt
+    todo = sorted(required)
+    tree_vertices, tree_edges = {todo[0]}, set()
+    for goal in todo[1:]:
+        if goal in tree_vertices:
+            continue
+        parent = {v: v for v in tree_vertices}
+        ring = sorted(tree_vertices)
+        while goal not in parent:
+            nxt = []
+            for u in ring:
+                for w in G.neighbors(u):
+                    if w not in parent and w in K_j:
+                        parent[w] = u
+                        nxt.append(w)
+            assert nxt
+            ring = sorted(nxt)
+        v = goal
+        while v not in tree_vertices:
+            tree_vertices.add(v)
+            tree_edges.add(canonical_edge(parent[v], v))
+            v = parent[v]
+    return SteinerTree(frozenset(tree_vertices), frozenset(tree_edges))
+
+
+def test_tree_search_never_steps_through_the_separator():
+    # 1-3-5-4-2 is a path in the component, and separator vertex 0
+    # joins its two ends: the tree must take the long way round
+    G = FiniteGraph.from_edges(
+        range(6), [(0, 1), (0, 2), (1, 3), (3, 5), (5, 4), (4, 2)]
+    )
+    K = frozenset({1, 2, 3, 4, 5})
+    tree = steiner_tree_T(G, {0}, K, frozenset({0}))
+    assert tree == _tree_by_handle(G, {0}, K)
+    assert tree.vertices == K and tree.path(1, 2) == (1, 3, 5, 4, 2)
+
+
+def test_trees_match_handle_membership(monkeypatch):
+    checked = []
+    steiner = infinite.steiner_tree_T
+
+    def comparing(G, S_j, K_j, script_S):
+        tree = steiner(G, S_j, K_j, script_S)
+        assert tree == _tree_by_handle(G, S_j, K_j)
+        checked.append(len(tree.vertices))
+        return tree
+
+    monkeypatch.setattr(infinite, "steiner_tree_T", comparing)
+    for n, depth in RUNS:
+        hamilton_sequence(gen_G_inf(n), depth)
+    assert len(checked) == 2 * sum(depth for _, depth in RUNS)
+
+
+# ---------------------------------------------------------------------------
+# kept stage D/E cut sets
+
+
+def _recount(C, m):
+    return {e for e in C.edges() if (e[0] in m) != (e[1] in m)}
+
+
+M_LABELS = ("initial M cut", "M cut", "final M cut")
+
+
+def test_kept_cuts_equal_recount_at_every_check(monkeypatch):
+    builders = []
+    labels = Counter()
+    stage = _CutBuilder.stage_absorb_separator
+
+    def remembering_stage(self, cur):
+        builders.append(self)
+        return stage(self, cur)
+
+    def recounting_require_twice(crossing, C, label, j):
+        if label in M_LABELS:
+            assert set(crossing) == _recount(C, builders[-1].msets[j])
+            labels[label] += 1
+        return require_twice(crossing, C, label, j)
+
+    monkeypatch.setattr(_CutBuilder, "stage_absorb_separator", remembering_stage)
+    monkeypatch.setattr(infinite, "require_twice", recounting_require_twice)
+    for n, depth in RUNS:
+        hamilton_sequence(gen_G_inf(n), depth)
+    # GZ3 and GZ4 leave separator vertices for stage D to absorb
+    assert labels["M cut"] > 0
+    assert labels["initial M cut"] == labels["final M cut"]
+
+
+def _rescan_stage_d(b, cur):
+    """Reference for stage D: recount every cut over the whole cycle
+    after each step."""
+
+    def check(C, label):
+        for j, m in enumerate(b.msets):
+            require_twice(sorted(_recount(C, m)), C, label, j)
+
+    check(cur, "initial M cut")
+    rounds = 0
+    while True:
+        leftovers = sorted(b.script_S - cur.vertex_set)
+        if not leftovers:
+            return cur
+        rounds += 1
+        if rounds > len(b.script_S) + 1:
+            raise InvariantViolation(
+                "separator absorption failed to terminate", leftovers=leftovers
+            )
+        u = leftovers[0]
+        nbrs_on = {w for w in b.guarded_neighbors(u) if w in cur.vertex_set}
+        pair = b.consecutive_pair(cur, nbrs_on)
+        if pair is not None:
+            w1, w2 = pair
+            cur = apply_extension(cur, Extension("I", u, w1))
+            b.update_msets(w1, w2, (u,))
+        else:
+            w1 = min(nbrs_on)
+            aux = cur
+            for w in sorted(nbrs_on - {w1}):
+                wp, wm = aux.succ(w), aux.pred(w)
+                if not b.B.adjacent(wp, wm):
+                    raise InvariantViolation(
+                        "claw-freeness did not close the shortcut",
+                        around=w,
+                        pair=(wm, wp),
+                    )
+                aux = remove_cycle_vertex(aux, w)
+            e = find_extension(b.B, aux, u)
+            if e.kind != "II" or e.u != w1:
+                raise InvariantViolation(
+                    "isolated separator vertex was not absorbed by the forced "
+                    "two-vertex kind",
+                    extension=e.to_json_obj(),
+                )
+            w2 = aux.succ(w1)
+            h = e.x
+            if h not in cur.vertex_set:
+                if h not in b.script_S:
+                    raise InvariantViolation(
+                        f"fresh helper {h} is not a separator vertex", u=u
+                    )
+                cur = apply_extension(cur, Extension("II", u, w1, x=h))
+            else:
+                hp, hm = cur.succ(h), cur.pred(h)
+                if not b.B.adjacent(hp, hm):
+                    raise InvariantViolation(
+                        "claw-freeness did not close the relocation shortcut",
+                        around=h,
+                    )
+                cur = remove_cycle_vertex(cur, h)
+                cur = replace_arc(cur, (w1, w2), (w1, u, h, w2))
+            b.update_msets(w1, w2, (u, h))
+        check(cur, "M cut")
+
+
+def _without_edges(B, u, keep):
+    """B with every edge at u dropped except those to ``keep``."""
+    adj = {
+        v: tuple(w for w in nbrs if u not in (v, w) or {v, w} - {u} <= keep)
+        for v, nbrs in B.adj.items()
+    }
+    return FiniteGraph(vertices=B.vertices, adj=adj, frontier=B.frontier)
+
+
+def _stages_d_and_e(b, cur, reference):
+    try:
+        if reference:
+            out = _rescan_stage_d(b, cur)
+            b.cuts = [_recount(out, m) for m in b.msets]
+        else:
+            out = b.stage_absorb_separator(cur)
+        wits = b.check_output_clauses(out)
+        return "ok", out.order, wits
+    except (InvariantViolation, InputError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "context", None)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stage_d_matches_rescan_loop(n):
+    # same cycles and witnesses, or the same error at the same step with
+    # the same context, on real inputs and on balls where the first
+    # leftover separator vertex lost edges (which reaches the isolated
+    # absorption) or an M set was given a wrong exclusion
+    G = gen_G_inf(n)
+    trace = hamilton_sequence(G, 2)
+    rng = random.Random(n)
+    seen = Counter()
+    for C in trace.cycles[:2]:
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        rim = rim_of(decomp, C)
+        b = _CutBuilder(G, C, decomp, rim)
+        cur = b.stage_fill_finite()
+        for j in range(b.k):
+            cur = b.thread_part(cur, j)
+        cur = b.stage_absorb_trees(cur)
+        u = min(s for s in b.script_S if s not in cur)
+        on = [w for w in b.B.neighbors(u) if w in cur]
+        for trial in range(60):
+            pair = [_CutBuilder(G, C, decomp, rim) for _ in range(2)]
+            if trial % 3:
+                keep = set(rng.sample(on, rng.randint(2, min(5, len(on)))))
+                B = _without_edges(b.B, u, keep)
+                for x in pair:
+                    x.B = B
+            if trial % 5 == 4:
+                # a tree vertex inside the piece, so both its cycle
+                # edges start crossing
+                j = trial % b.k
+                v = rng.choice(sorted(b.trees[j].vertices))
+                for x in pair:
+                    x.msets[j].discard((v,))
+            isolated = []
+            kept = pair[0]
+            absorb = kept.absorb_isolated_separator_vertex
+
+            def counting(*args, absorb=absorb):
+                isolated.append(args[1])
+                return absorb(*args)
+
+            kept.absorb_isolated_separator_vertex = counting
+            got = _stages_d_and_e(kept, cur, reference=False)
+            want = _stages_d_and_e(pair[1], cur, reference=True)
+            assert got == want
+            key = got[0] if got[0] != "InvariantViolation" else got[1][:30]
+            seen[(key, bool(isolated))] += 1
+    assert seen[("ok", True)] and seen[("ok", False)]
+    assert any("crossed" in key for key, _ in seen)
