@@ -48,8 +48,6 @@ EXIT_INVARIANT = 3
 FINITE_FAMILIES = ("Gqn", "H2qn", "rand")
 INFINITE_FAMILIES = ("GZn", "HZn")
 
-STRUCTURE_EXTRA_RADIUS = 6
-
 
 def _emit(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=1))
@@ -187,7 +185,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
     G = descriptor_to_lazy(desc)
     C = _parse_cycle(args.cycle)
     blocker = minimal_ray_blocker(G, C)
-    decomp = decompose(G, C.vertex_set, blocker, extra_radius=STRUCTURE_EXTRA_RADIUS)
+    decomp = decompose(G, C.vertex_set, blocker)
     payload = decomp.to_json_obj()
     payload["blocker"] = sorted(blocker)
     _emit(payload)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
 from .errors import FrontierContamination, InputError
-from .graphcore import FiniteGraph, LazyGraph, ball, distances_from
+from .graphcore import FiniteGraph, LazyGraph, ball, distances_from, neighborhood_k
 
 
 @dataclass(frozen=True)
@@ -274,11 +274,8 @@ def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
     (claw) every vertex those masks can mark lies in the window, so the
     verdicts equal those of a table over all of B."""
     adj = B.adj
-    keep = set(core)
-    ring = keep
-    for _ in range(hops):
-        ring = {w for u in ring for w in adj[u]} - keep
-        keep |= ring
+    core = frozenset(core)
+    keep = core | neighborhood_k(B, core, hops)
     vertices = sorted(keep)
     window = {v: tuple(w for w in adj[v] if w in keep) for v in vertices}
     return _RankTable(_Window(vertices, window))

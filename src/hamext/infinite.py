@@ -15,9 +15,9 @@ The construction follows five stages:
   D  absorb leftover separator vertices, maintaining the M sets,
   E  check the three output clauses and freeze the certificates.
 
-Stages C and D keep the cycle edges crossing each cut, read from the
-cycle once and updated from the edges each step swaps; stage E reads
-D's kept sets.
+The cycle edges crossing each M set are read from the cycle once per
+enlargement, after stage B; stages C and D update them from the edges
+each step swaps, and stage E reads them.
 
 Everything works inside one finite ball; frontier contamination is an
 error, never silently tolerated.  The driver keeps one run state
@@ -34,7 +34,7 @@ condition checks cost what its new annulus adds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .conditions import star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -61,6 +61,7 @@ from .graphcore import (
     verify_cycle,
 )
 from .structure import (
+    BALL_MARGIN,
     SeparatorDecomposition,
     component_membership,
     decompose,
@@ -145,6 +146,14 @@ def _int_from_json_obj(x: object, what: str) -> int:
     return x
 
 
+def _edge_from_json_obj(obj: object) -> Edge:
+    """A JSON pair of plain integer ids, as a canonical edge."""
+    ends = ids_from_json_obj(obj, "witness crossing edge")
+    if len(ends) != 2:
+        raise InputError(f"witness crossing edge must join two ids, got {obj!r}")
+    return canonical_edge(*ends)
+
+
 @dataclass(frozen=True)
 class CutWitness:
     """Membership description of one M set and its two crossing edges.
@@ -189,7 +198,7 @@ class CutWitness:
                     ids_from_json_obj(obj["excluded"], "witness excluded")
                 ),
                 crossing_edges=tuple(
-                    canonical_edge(*e) for e in obj["crossing_edges"]
+                    _edge_from_json_obj(e) for e in obj["crossing_edges"]
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -356,18 +365,7 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
     lies in K_j iff it is not in the whole separator ``script_S``, so it
     tests that instead of asking K_j.
     """
-    required = set()
-    layer = set(S_j)
-    seen = set(S_j)
-    for _ in range(3):
-        nxt = set()
-        for u in sorted(layer):
-            for w in G.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        required |= {w for w in nxt if w in K_j}
-        layer = nxt
+    required = {w for w in neighborhood_k(G, S_j, 3) if w in K_j}
     if not required:
         raise InvariantViolation(
             "separator has no third neighbourhood inside its component",
@@ -470,8 +468,6 @@ class _CutBuilder:
         self.msets = [
             _MState(self.pieces[j], self.parts[j]) for j in range(self.k)
         ]
-        # the cycle edges crossing each M set, kept from stage D on
-        self.cuts: list[set[Edge]] = []
         self.paths: list[tuple[int, ...] | None] = [None] * self.k
 
     # -- shared helpers ----------------------------------------------------
@@ -490,6 +486,35 @@ class _CutBuilder:
         same vertex and step as guarding the whole cycle every step."""
         for v in vertices:
             self.guarded_neighbors(v)
+
+    def read_cuts(self, cur: Cycle) -> None:
+        """Read the cycle edges crossing each M set off the cycle, once
+        per enlargement, after stage B; stages C and D keep them up to
+        date."""
+        edges = cur.edges()
+        self.cuts: list[set[Edge]] = [
+            {(a, b) for a, b in edges if (a in m) != (b in m)} for m in self.msets
+        ]
+
+    def recount_cuts(self, cur, swapped, gained) -> None:
+        """Bring the kept crossing sets up to date after a step that
+        swapped the cycle edges ``swapped`` and moved ``gained`` into
+        the M sets by update_msets; no other edge changes its crossing."""
+        touched = list(swapped)
+        for v in gained:
+            touched += ((cur.pred(v), v), (v, cur.succ(v)))
+        for a, b in touched:
+            e = canonical_edge(a, b)
+            on = a in cur and b in cur and (cur.succ(a) == b or cur.succ(b) == a)
+            for m, cut in zip(self.msets, self.cuts):
+                if on and (a in m) != (b in m):
+                    cut.add(e)
+                else:
+                    cut.discard(e)
+
+    def require_cuts(self, cur, label: str) -> None:
+        for j, cut in enumerate(self.cuts):
+            require_twice(cut, cur, label, j)
 
     def part_index(self, v: int) -> int | None:
         for j, part in enumerate(self.parts):
@@ -701,9 +726,9 @@ class _CutBuilder:
                 )
 
     # -- stage C: absorb the trees, cuts stay tight ------------------------
-    # One iter_extensions run over the tree vertices.  For each part j it
-    # keeps the cycle edges crossing parts[j] | pieces[j], read from the
-    # cycle once and then updated from the edges each rewiring swaps.
+    # One iter_extensions run over the tree vertices.  No vertex changes
+    # its M set here, so msets[j] is parts[j] | pieces[j] throughout and
+    # the kept cuts follow the edges each rewiring swaps.
 
     def stage_absorb_trees(self, cur: Cycle) -> Cycle:
         wanted = frozenset().union(*(tree.vertices for tree in self.trees))
@@ -711,22 +736,10 @@ class _CutBuilder:
         if not missing:
             return cur
         self.guard(cur.order)
-        regions = [self.parts[j] | self.pieces[j] for j in range(self.k)]
-        edges = cur.edges()
-        crossing = [
-            {(a, b) for a, b in edges if (a in region) != (b in region)}
-            for region in regions
-        ]
         for e, live in iter_extensions(self.B, cur, wanted.__contains__):
             removed, added = live.last_edge_diff()
-            for region, cut in zip(regions, crossing):
-                for a, b in removed:
-                    cut.discard(canonical_edge(a, b))
-                for a, b in added:
-                    if (a in region) != (b in region):
-                        cut.add(canonical_edge(a, b))
-            for j, cut in enumerate(crossing):
-                require_twice(cut, live, "separator-plus-component cut", j)
+            self.recount_cuts(live, removed + added, ())
+            self.require_cuts(live, "separator-plus-component cut")
             missing.difference_update(e.new_vertices())
             if not missing:
                 return live.freeze()
@@ -737,10 +750,9 @@ class _CutBuilder:
         )
 
     # -- stage D: mop up the separator, maintaining the M sets -------------
-    # Like stage C, it keeps the cycle edges crossing each M set: read
-    # from the cycle once, then updated on the edges each step swaps and
+    # It keeps stage C's cuts up to date on the edges each step swaps and
     # the cycle edges at the vertices whose membership update_msets
-    # changes; no other edge changes its crossing.
+    # changes.
 
     def consecutive_pair(self, cur: Cycle, nbrs: set[int]) -> tuple[int, int] | None:
         for a in cur.order:
@@ -755,29 +767,8 @@ class _CutBuilder:
             else:
                 m.discard(gained)
 
-    def recount_cuts(self, cur: Cycle, swapped, gained) -> None:
-        """Bring the kept crossing sets up to date after a step that
-        swapped the cycle edges ``swapped`` and moved ``gained`` into
-        the M sets by update_msets."""
-        touched = list(swapped)
-        for v in gained:
-            touched += ((cur.pred(v), v), (v, cur.succ(v)))
-        for a, b in touched:
-            e = canonical_edge(a, b)
-            on = a in cur and b in cur and (cur.succ(a) == b or cur.succ(b) == a)
-            for m, cut in zip(self.msets, self.cuts):
-                if on and (a in m) != (b in m):
-                    cut.add(e)
-                else:
-                    cut.discard(e)
-
     def stage_absorb_separator(self, cur: Cycle) -> Cycle:
-        edges = cur.edges()
-        self.cuts = [
-            {(a, b) for a, b in edges if (a in m) != (b in m)} for m in self.msets
-        ]
-        for j, cut in enumerate(self.cuts):
-            require_twice(cut, cur, "initial M cut", j)
+        self.require_cuts(cur, "initial M cut")
         rounds = 0
         while True:
             leftovers = [s for s in sorted(self.script_S) if s not in cur]
@@ -803,8 +794,7 @@ class _CutBuilder:
                     cur, u, nbrs_on
                 )
             self.recount_cuts(cur, swapped, gained)
-            for j, cut in enumerate(self.cuts):
-                require_twice(cut, cur, "M cut", j)
+            self.require_cuts(cur, "M cut")
 
     def absorb_isolated_separator_vertex(
         self, cur: Cycle, u: int, nbrs_on: set[int]
@@ -954,6 +944,7 @@ def construct_cut1(
     for j in range(decomp.k):
         cur = builder.thread_part(cur, j)
         builder.check_threading_invariants(cur, j)
+    builder.read_cuts(cur)
     cur = builder.stage_absorb_trees(cur)
     cur = builder.stage_absorb_separator(cur)
     witnesses = builder.check_output_clauses(cur)
@@ -975,10 +966,15 @@ def _initial_cycle(G: LazyGraph) -> Cycle:
         ) from None
 
 
-def _saturate_initial(G: LazyGraph, seed: Cycle) -> Cycle:
-    radius = 4
+# the radius of the first ball saturation works in around the seed
+_SEED_RADIUS = 4
+
+
+def _saturate_initial(G: LazyGraph, seed: Cycle, B: FiniteGraph) -> Cycle:
+    """Saturate N(seed) in B, the ball of radius _SEED_RADIUS around
+    the seed, growing the ball until the result clears its frontier."""
+    radius = _SEED_RADIUS
     while True:
-        B = ball(G, seed.vertex_set, radius)
         fixed = neighborhood_k(B, seed.vertex_set, 1)
         C0 = saturate(B, seed, target_filter=fixed.__contains__)
         reach = C0.vertex_set | neighborhood_k(B, C0.vertex_set, 2)
@@ -990,6 +986,7 @@ def _saturate_initial(G: LazyGraph, seed: Cycle) -> Cycle:
                 )
             return C0
         radius += 2
+        B = ball(G, seed.vertex_set, radius)
 
 
 def _select_end(
@@ -1016,10 +1013,6 @@ def _select_end(
     )
 
 
-# the radius of the first ball saturation works in around the seed
-_SEED_RADIUS = 4
-
-
 class _RunState:
     """What one hamilton_sequence run keeps across its iterations.
 
@@ -1043,30 +1036,29 @@ class _RunState:
                 f"{star.witness}"
             )
 
-    def check_seed(self, seed: Cycle) -> None:
+    def check_seed(self, seed: Cycle) -> FiniteGraph:
         """The claw scan, then the degree condition, on the ball that
         saturation starts from, so that an input failing either is
-        refused before saturation can trip over it."""
+        refused before saturation can trip over it.  Returns that ball."""
         B = ball(self.G, seed.vertex_set, _SEED_RADIUS)
         require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
         self.require_star(
             B, distances_from(B, seed.vertex_set), _SEED_RADIUS - 2
         )
+        return B
 
     def enlarge(
         self, C: Cycle
     ) -> tuple[
         frozenset[int], SeparatorDecomposition, Cycle, tuple[CutWitness, ...]
     ]:
-        """One iteration: block C, decompose, check both conditions on
-        the decomposition's ball, and enlarge."""
+        """One iteration: block C, decompose (which scans its ball for
+        claws), check the degree condition on the same ball, and
+        enlarge; the crossing sets of the M sets are read off the
+        cycle once, in construct_cut1."""
         blocker = minimal_ray_blocker(self.G, C)
         decomp = decompose(
-            self.G,
-            C.vertex_set,
-            blocker,
-            extra_radius=6,
-            certified=self.claw_certified,
+            self.G, C.vertex_set, blocker, certified=self.claw_certified
         )
         dist = distances_from(decomp.ball, C.vertex_set)
         rim = _Rim(decomp.ball, C.vertex_set, dist)
@@ -1074,10 +1066,11 @@ class _RunState:
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
             )
-        # the ball reaches at least blocker_depth + 6 from C, so the
-        # paths within blocker_depth + 3 are complete in it
+        # the ball reaches at least blocker_depth + BALL_MARGIN from C,
+        # so the paths within blocker_depth + BALL_MARGIN - 3 are
+        # complete in it
         blocker_depth = max(dist[s] for s in blocker)
-        self.require_star(decomp.ball, dist, blocker_depth + 3)
+        self.require_star(decomp.ball, dist, blocker_depth + BALL_MARGIN - 3)
         C2, wits = construct_cut1(self.G, C, decomp, rim)
         return blocker, decomp, C2, wits
 
@@ -1097,8 +1090,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 
     state = _RunState(G)
     seed = _initial_cycle(G)
-    state.check_seed(seed)
-    C = _saturate_initial(G, seed)
+    C = _saturate_initial(G, seed, state.check_seed(seed))
     cycles = [C]
     blockers: list[frozenset[int]] = []
     ks: list[int] = []
@@ -1179,25 +1171,12 @@ class HCExtractVerdict:
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            r.ok
-            for r in (
-                self.vertex_persistence,
-                self.finite_cuts,
-                self.nested_msets,
-                self.edge_persistence,
-                self.cut_agreement,
-            )
-        )
+        return all(getattr(self, f.name).ok for f in fields(self))
 
     def to_json_obj(self) -> dict:
         return {
             "all_ok": self.all_ok,
-            "vertex_persistence": self.vertex_persistence.to_json_obj(),
-            "finite_cuts": self.finite_cuts.to_json_obj(),
-            "nested_msets": self.nested_msets.to_json_obj(),
-            "edge_persistence": self.edge_persistence.to_json_obj(),
-            "cut_agreement": self.cut_agreement.to_json_obj(),
+            **{f.name: getattr(self, f.name).to_json_obj() for f in fields(self)},
         }
 
 
@@ -1278,6 +1257,131 @@ def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
     return frozenset(edges)
 
 
+def _vertex_persistence(trace: SequenceTrace) -> ConditionReport:
+    """Once on a cycle, on every later cycle."""
+    total = set(trace.cycles[0].vertex_set)
+    for i in range(trace.depth):
+        here, after = trace.cycles[i].vertex_set, trace.cycles[i + 1].vertex_set
+        if not here <= after:
+            lost = sorted(here - after)
+            return ConditionReport(
+                False, f"vertices {lost[:6]} fell out of cycle {i + 1}"
+            )
+        total |= after
+    return ConditionReport(True, f"{len(total)} vertices reached, monotone")
+
+
+def _finite_cuts(
+    trace: SequenceTrace, cuts: dict, failure: str | None
+) -> ConditionReport:
+    """Every stored crossing edge is a boundary edge of its explicit
+    cut.  ``failure``, a blocker or coverage failure, outranks that
+    check; of several failing witnesses the last is reported."""
+    if failure:
+        return ConditionReport(False, failure)
+    for (i, j), (_, _, cut) in reversed(cuts.items()):
+        if not set(trace.witnesses[i][j].crossing_edges) <= cut:
+            return ConditionReport(
+                False,
+                f"stored crossing edges of iteration {i + 1} part {j} "
+                "are not boundary edges",
+            )
+    sizes = sorted({len(cut) for _, _, cut in cuts.values()})
+    return ConditionReport(True, f"all {len(cuts)} cuts explicit, sizes {sizes}")
+
+
+def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionReport:
+    """Along each tracked end, each M set lies in the previous one."""
+    d = trace.depth
+    if not trace.end_selectors:
+        return ConditionReport(True, "no tracked ends in trace")
+    for name, sel in sorted(trace.end_selectors.items()):
+        if len(sel) != d:
+            raise InputError(f"end {name!r} has {len(sel)} selections, need {d}")
+        for i in range(d - 1):
+            fi, fn = sel[i], sel[i + 1]
+            w_next = trace.witnesses[i + 1][fn]
+            member_next = cuts[(i + 1, fn)][0]
+            member_here, in_comp_here, _ = cuts[(i, fi)]
+            rep = min(w_next.piece)
+            if not in_comp_here(rep):
+                return ConditionReport(
+                    False,
+                    f"end {name!r}: component representative {rep} of "
+                    f"iteration {i + 2} left the selected component",
+                )
+            core = sorted(w_next.included - w_next.excluded)
+            stray = [v for v in core if not in_comp_here(v)]
+            if stray:
+                return ConditionReport(
+                    False,
+                    f"end {name!r}: M additions {stray[:4]} left the "
+                    f"selected component of iteration {i + 1}",
+                )
+            blocked = [s for s in sorted(trace.blockers[i]) if member_next(s)]
+            if blocked:
+                return ConditionReport(
+                    False,
+                    f"end {name!r}: blocker vertices {blocked[:4]} of "
+                    f"iteration {i + 1} survive in the next M set",
+                )
+            part = trace.witnesses[i][fi].part
+            shield = sorted(neighborhood_k(G, part, 1) | part)
+            touching = [v for v in shield if member_next(v)]
+            if touching:
+                return ConditionReport(
+                    False,
+                    f"end {name!r}: next M set reaches the separator "
+                    f"neighbourhood at {touching[:4]}",
+                )
+            sample = sorted(w_next.piece | w_next.included)
+            broken = [v for v in sample if member_next(v) and not member_here(v)]
+            if broken:
+                return ConditionReport(
+                    False,
+                    f"end {name!r}: nesting fails at {broken[:4]} between "
+                    f"iterations {i + 1} and {i + 2}",
+                )
+    return ConditionReport(
+        True, f"{len(trace.end_selectors)} ends nested through {d} iterations"
+    )
+
+
+def _edge_persistence(trace: SequenceTrace, edge_sets) -> ConditionReport:
+    """Shared edges never disappear again."""
+    failure = first_persistence_failure(edge_sets)
+    if failure is None:
+        d = trace.depth
+        return ConditionReport(True, f"checked {d * (d + 1) // 2} cycle pairs")
+    i, j, lost = failure
+    return ConditionReport(
+        False, f"edges {lost[:4]} shared by cycles {i} and {j} missing from cycle {j + 1}"
+    )
+
+
+def _cut_agreement(trace: SequenceTrace, edge_sets, cuts: dict) -> ConditionReport:
+    """Every later cycle crosses each frozen cut in the same two edges."""
+    checked = 0
+    for (p, j), (_, _, cut) in cuts.items():
+        base = edge_sets[p + 1] & cut
+        if len(base) != 2 or base != set(trace.witnesses[p][j].crossing_edges):
+            return ConditionReport(
+                False,
+                f"triple (i={p + 1}, p={p + 1}, j={j}): constructing "
+                f"cycle crosses its own cut in {sorted(base)}",
+            )
+        for i in range(p + 1, trace.depth):
+            checked += 1
+            later = edge_sets[i + 1] & cut
+            if later != base:
+                return ConditionReport(
+                    False,
+                    f"triple (i={i + 1}, p={p + 1}, j={j}): crossing "
+                    f"edges changed to {sorted(later)}",
+                )
+    return ConditionReport(True, f"{checked} later-cycle agreements plus base cuts")
+
+
 def verify_hc_extract(
     trace: SequenceTrace, G: LazyGraph | None = None
 ) -> HCExtractVerdict:
@@ -1299,176 +1403,24 @@ def verify_hc_extract(
         if not report.ok:
             raise InputError(f"trace cycle {idx} invalid: {report.reason}")
 
-    # vertex persistence: once on a cycle, on every later cycle
-    a_ok, a_detail = True, ""
-    total = set()
-    for i in range(d):
-        if not trace.cycles[i].vertex_set <= trace.cycles[i + 1].vertex_set:
-            lost = sorted(
-                trace.cycles[i].vertex_set - trace.cycles[i + 1].vertex_set
-            )
-            a_ok, a_detail = False, (
-                f"vertices {lost[:6]} fell out of cycle {i + 1}"
-            )
-            break
-        total |= trace.cycles[i + 1].vertex_set
-    if a_ok:
-        a_detail = (
-            f"{len(total | trace.cycles[0].vertex_set)} vertices reached, "
-            "monotone"
-        )
-
-    # finite cuts: every stored blocker is a minimal ray blocker of its
-    # cycle, and the next cycle covers it, K0 and N^3 of it; materialize
-    # every boundary and compare stored edges
-    blocker_failure = None
-    for i in range(d):
-        blocker_failure = _blocker_failure(G, trace, i)
-        if blocker_failure:
-            break
-    # the blocker ids are known vertices once they passed
-    coverage_failure = None if blocker_failure else _coverage_failure(G, trace)
-    b_ok, b_detail = True, ""
-    cuts: dict[tuple[int, int], frozenset[Edge]] = {}
-    members: dict[tuple[int, int], _Membership] = {}
-    component_tests: dict[tuple[int, int], object] = {}
-    sizes = []
+    # the blocker ids are known vertices once they passed, so coverage
+    # runs only then; every cut is materialized after both, into one
+    # (i, j) -> (M membership, component test, explicit cut) map
+    failure = next(
+        filter(None, (_blocker_failure(G, trace, i) for i in range(d))), None
+    ) or _coverage_failure(G, trace)
+    cuts = {}
     for i in range(d):
         for j, w in enumerate(trace.witnesses[i]):
             member, in_component = _witness_membership(G, trace, i, j)
-            members[(i, j)] = member
-            component_tests[(i, j)] = in_component
-            cut = _explicit_cut(G, w, member)
-            cuts[(i, j)] = cut
-            sizes.append(len(cut))
-            if not set(w.crossing_edges) <= cut:
-                b_ok, b_detail = False, (
-                    f"stored crossing edges of iteration {i + 1} part {j} "
-                    "are not boundary edges"
-                )
-    if b_ok:
-        b_detail = f"all {len(sizes)} cuts explicit, sizes {sorted(set(sizes))}"
-    if coverage_failure:
-        b_ok, b_detail = False, coverage_failure
-    if blocker_failure:
-        b_ok, b_detail = False, blocker_failure
-
-    # nested M sets along each tracked end
-    c_ok, c_detail = True, ""
-    if not trace.end_selectors:
-        c_detail = "no tracked ends in trace"
-    for name, sel in sorted(trace.end_selectors.items()):
-        if not c_ok:
-            break
-        if len(sel) != d:
-            raise InputError(f"end {name!r} has {len(sel)} selections, need {d}")
-        for i in range(d - 1):
-            fi, fn = sel[i], sel[i + 1]
-            w_next = trace.witnesses[i + 1][fn]
-            member_next = members[(i + 1, fn)]
-            member_here = members[(i, fi)]
-            in_comp_here = component_tests[(i, fi)]
-            rep = min(w_next.piece)
-            if not in_comp_here(rep):
-                c_ok, c_detail = False, (
-                    f"end {name!r}: component representative {rep} of "
-                    f"iteration {i + 2} left the selected component"
-                )
-                break
-            core = sorted(w_next.included - w_next.excluded)
-            stray = [v for v in core if not in_comp_here(v)]
-            if stray:
-                c_ok, c_detail = False, (
-                    f"end {name!r}: M additions {stray[:4]} left the "
-                    f"selected component of iteration {i + 1}"
-                )
-                break
-            blocked = [
-                s for s in sorted(trace.blockers[i]) if member_next(s)
-            ]
-            if blocked:
-                c_ok, c_detail = False, (
-                    f"end {name!r}: blocker vertices {blocked[:4]} of "
-                    f"iteration {i + 1} survive in the next M set"
-                )
-                break
-            shield = sorted(
-                neighborhood_k(G, trace.witnesses[i][fi].part, 1)
-                | trace.witnesses[i][fi].part
-            )
-            touching = [v for v in shield if member_next(v)]
-            if touching:
-                c_ok, c_detail = False, (
-                    f"end {name!r}: next M set reaches the separator "
-                    f"neighbourhood at {touching[:4]}"
-                )
-                break
-            sample = sorted(w_next.piece | w_next.included)
-            broken = [
-                v
-                for v in sample
-                if member_next(v) and not member_here(v)
-            ]
-            if broken:
-                c_ok, c_detail = False, (
-                    f"end {name!r}: nesting fails at {broken[:4]} between "
-                    f"iterations {i + 1} and {i + 2}"
-                )
-                break
-    if c_ok and trace.end_selectors:
-        c_detail = (
-            f"{len(trace.end_selectors)} ends nested through {d} iterations"
-        )
-
-    # edge persistence: shared edges never disappear again
+            cuts[(i, j)] = member, in_component, _explicit_cut(G, w, member)
     edge_sets = [C.edge_set for C in trace.cycles]
-    failure = first_persistence_failure(edge_sets)
-    d_ok = failure is None
-    if d_ok:
-        d_detail = f"checked {d * (d + 1) // 2} cycle pairs"
-    else:
-        i_idx, j_idx, lost = failure
-        d_detail = (
-            f"edges {lost[:4]} shared by cycles {i_idx} and {j_idx} "
-            f"missing from cycle {j_idx + 1}"
-        )
-
-    # cut agreement: every later cycle crosses each frozen cut in the
-    # same two edges
-    e_ok, e_detail = True, ""
-    checked = 0
-    for p in range(d):
-        for j, w in enumerate(trace.witnesses[p]):
-            cut = cuts[(p, j)]
-            base = edge_sets[p + 1] & cut
-            if len(base) != 2 or base != set(w.crossing_edges):
-                e_ok, e_detail = False, (
-                    f"triple (i={p + 1}, p={p + 1}, j={j}): constructing "
-                    f"cycle crosses its own cut in {sorted(base)}"
-                )
-                break
-            for i in range(p + 1, d):
-                checked += 1
-                later = edge_sets[i + 1] & cut
-                if later != base:
-                    e_ok, e_detail = False, (
-                        f"triple (i={i + 1}, p={p + 1}, j={j}): crossing "
-                        f"edges changed to {sorted(later)}"
-                    )
-                    break
-            if not e_ok:
-                break
-        if not e_ok:
-            break
-    if e_ok:
-        e_detail = f"{checked} later-cycle agreements plus base cuts"
-
     return HCExtractVerdict(
-        vertex_persistence=ConditionReport(a_ok, a_detail),
-        finite_cuts=ConditionReport(b_ok, b_detail),
-        nested_msets=ConditionReport(c_ok, c_detail),
-        edge_persistence=ConditionReport(d_ok, d_detail),
-        cut_agreement=ConditionReport(e_ok, e_detail),
+        vertex_persistence=_vertex_persistence(trace),
+        finite_cuts=_finite_cuts(trace, cuts, failure),
+        nested_msets=_nested_msets(G, trace, cuts),
+        edge_persistence=_edge_persistence(trace, edge_sets),
+        cut_agreement=_cut_agreement(trace, edge_sets, cuts),
     )
 
 

@@ -177,18 +177,21 @@ def _connected_within(B: FiniteGraph, X: frozenset[int]) -> bool:
     return len(seen) == len(X)
 
 
+# how far past the deepest separator vertex decompose's first ball
+# reaches; the degree-condition check of hamilton_sequence relies on it
+BALL_MARGIN = 6
+
+
 def decompose(
     G: LazyGraph,
     X,
     script_S,
     *,
-    check_claw_free: bool = True,
-    extra_radius: int = 4,
     certified: set[int] | None = None,
 ) -> SeparatorDecomposition:
     """Split G along a minimal ray blocker of X.
 
-    Works on a ball around X that starts ``extra_radius`` past the
+    Works on a ball around X that starts ``BALL_MARGIN`` past the
     deepest separator vertex and grows while any ball component that
     touches the frontier fails to certify as escaping; a component
     fully inside the ball is a true component of G - script_S.  Ball
@@ -196,9 +199,9 @@ def decompose(
     holds once the ball is grown past every finite bridge between
     pieces; the invariant checks below catch violations in practice.
 
-    The claw scan covers the ball's interior; ``certified`` is passed
-    on to :func:`claw_free_on_ball`, which skips the centres in it and
-    adds those that pass.
+    A claw centred in the ball's interior is refused with InputError;
+    ``certified`` is passed on to :func:`claw_free_on_ball`, which
+    skips the centres in it and adds those that pass.
     """
     X = frozenset(X)
     script_S = frozenset(script_S)
@@ -231,7 +234,7 @@ def decompose(
                     seen.add(w)
                     nxt.append(w)
         ring = sorted(nxt)
-    radius = max(depth, 1) + extra_radius
+    radius = max(depth, 1) + BALL_MARGIN
     # first ball big enough to see all of script_S plus slack
     while True:
         B = ball(G, X, radius)
@@ -265,8 +268,7 @@ def decompose(
                 f"decomposition ball exceeded radius cap {_ball_radius_cap()}"
             )
 
-    if check_claw_free:
-        require_claw_free(B, B.vertex_set - B.frontier, certified)
+    require_claw_free(B, B.vertex_set - B.frontier, certified)
 
     K0 = k0_candidates[0]
     stray = [p for p in finite_pieces if p is not K0]

@@ -264,6 +264,20 @@ def test_structure_rejects_non_cycle(capsys, gz2_file):
     assert payload["kind"] == "input"
 
 
+def test_structure_refuses_hz_claw(capsys, tmp_path):
+    desc = tmp_path / "hz2.json"
+    assert cli.main(["gen", "--family", "HZn", "--n", "2", "--out", str(desc)]) == 0
+    capsys.readouterr()
+    code, payload = run(
+        capsys, "structure", "--input", str(desc), "--cycle", "0,4,1,5"
+    )
+    assert code == 2
+    assert payload == {
+        "error": "graph has a claw at 0 with leaves (1, 2, 3)",
+        "kind": "input",
+    }
+
+
 # ---------------------------------------------------------------------------
 # infham and verify
 
@@ -350,6 +364,10 @@ _DROP = object()
         ("ks.1", 3),
         ("depth", 4),
         ("depth", _DROP),
+        # crossing edges as floats, booleans or triples passed as ids
+        ("witnesses.0.0.crossing_edges", [[4.0, 9.0], [5.0, 8.0]]),
+        ("witnesses.0.0.crossing_edges", [[True, 9], [5, 8]]),
+        ("witnesses.0.0.crossing_edges", [[4, 9, 5], [5, 8]]),
     ],
 )
 def test_verify_rejects_hostile_trace_fields(capsys, gz2_file, tmp_path, field, value):

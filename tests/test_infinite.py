@@ -110,7 +110,7 @@ class TestRemoveCycleVertex:
 def test_steiner_tree_covers_third_neighbourhood_gz2():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
     tree = steiner_tree_T(
         G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
     )
@@ -122,7 +122,7 @@ def test_steiner_tree_covers_third_neighbourhood_gz2():
 def test_steiner_tree_gz3_both_sides():
     G = gen_G_inf(3)
     C = hamilton_sequence(G, 1).cycles[0]
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
     assert decomp.k == 2
     for j in range(decomp.k):
         tree = steiner_tree_T(
@@ -137,7 +137,7 @@ def test_steiner_tree_gz3_both_sides():
 def test_steiner_tree_path_rejects_foreign_endpoint():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
     tree = steiner_tree_T(
         G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
     )
@@ -154,9 +154,7 @@ class TestConstructCut1:
         self.G = gen_G_inf(2)
         self.C = home_cycle_gz2()
         self.blocker = minimal_ray_blocker(self.G, self.C)
-        self.decomp = decompose(
-            self.G, self.C.vertex_set, self.blocker, extra_radius=6
-        )
+        self.decomp = decompose(self.G, self.C.vertex_set, self.blocker)
 
     def test_result_covers_required_region(self):
         C2, _ = construct_cut1(
@@ -199,38 +197,47 @@ class TestConstructCut1:
     def test_rejects_cycle_without_protected_vertex(self):
         C_flat = Cycle((0, 4, 1, 5))
         blocker = minimal_ray_blocker(self.G, C_flat)
-        decomp = decompose(self.G, C_flat.vertex_set, blocker, extra_radius=6)
+        decomp = decompose(self.G, C_flat.vertex_set, blocker)
         with pytest.raises(InputError, match="second neighbourhood"):
             construct_cut1(self.G, C_flat, decomp, rim_of(decomp, C_flat))
 
 
-def test_stage_c_reads_cycle_edges_once(monkeypatch):
-    # stage C keeps its crossing sets up to date from the edges each
-    # rewiring swaps; it reads the whole cycle once, not once per
-    # absorbed vertex per part
+def test_kept_cuts_read_cycle_edges_once(monkeypatch):
+    # the crossing sets of the M sets are read off the cycle once per
+    # enlargement, after stage B; stages C and D keep them up to date
+    # from the edges each step swaps and read no cycle themselves
     from hamext import infinite
 
     reads = []
-    stages = []
+    runs = []
     regions = []
     edges = Cycle.edges
-    stage = infinite._CutBuilder.stage_absorb_trees
     require_twice = infinite.require_twice
+    cut_cls = infinite._CutBuilder
 
     def counting_edges(self):
         reads.append(len(self))
         return edges(self)
 
-    def counted_stage(self, cur):
-        regions[:] = [self.parts[j] | self.pieces[j] for j in range(self.k)]
-        before = len(reads)
-        out = stage(self, cur)
-        stages.append((len(reads) - before, len(out) - len(cur), self.k))
-        return out
+    def counted(name, method):
+        def run(self, cur):
+            if name == "read":
+                runs.append({})
+                regions[:] = [self.parts[j] | self.pieces[j] for j in range(self.k)]
+            before = len(reads)
+            out = method(self, cur)
+            runs[-1][name] = len(reads) - before
+            if name == "C":
+                runs[-1]["absorbed"] = len(out) - len(cur)
+                runs[-1]["k"] = self.k
+            return out
+
+        return run
 
     def recounting_require_twice(crossing, C, label, j):
         if label == "separator-plus-component cut":
-            # the kept set equals a recount over the whole cycle
+            # the kept set equals a recount over the whole cycle, and
+            # the M set is still the separator part plus its piece
             order = C.order
             recount = {
                 tuple(sorted(e))
@@ -241,14 +248,21 @@ def test_stage_c_reads_cycle_edges_once(monkeypatch):
         return require_twice(crossing, C, label, j)
 
     monkeypatch.setattr(Cycle, "edges", counting_edges)
-    monkeypatch.setattr(infinite._CutBuilder, "stage_absorb_trees", counted_stage)
+    for name, attr in (
+        ("read", "read_cuts"),
+        ("C", "stage_absorb_trees"),
+        ("D", "stage_absorb_separator"),
+    ):
+        monkeypatch.setattr(cut_cls, attr, counted(name, getattr(cut_cls, attr)))
     monkeypatch.setattr(infinite, "require_twice", recounting_require_twice)
     for n in (2, 3):
         hamilton_sequence(gen_G_inf(n), 4)
-    assert len(stages) == 8
-    assert all(n_reads <= 1 for n_reads, _, _ in stages)
+    assert len(runs) == 8
+    assert all(
+        (run["read"], run["C"], run["D"]) == (1, 0, 0) for run in runs
+    ), runs
     # a per-step recount would read the cycle k times per absorption
-    assert all(absorbed >= 4 and k == 2 for _, absorbed, k in stages)
+    assert all(run["absorbed"] >= 4 and run["k"] == 2 for run in runs)
 
 
 def _rescan_stage_a(b):
@@ -334,7 +348,7 @@ def test_stages_a_and_c_match_rescan_loops(n):
     rng = random.Random(n)
     seen = Counter()
     for C in (*trace.cycles[:3], partial):
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
         rim = rim_of(decomp, C)
         for trial in range(12):
             b = _CutBuilder(G, C, decomp, rim)
@@ -351,11 +365,14 @@ def test_stages_a_and_c_match_rescan_loops(n):
                 for j in range(b.k):
                     cur = b.thread_part(cur, j)
                 if trial % 4 == 0 and trial:
-                    # move tree vertices out of their component, so the
-                    # cut boundary runs through the tree
+                    # move tree vertices out of their component and its
+                    # M set, so the cut boundary runs through the tree
                     moved = set(rng.sample(tree_vertices, rng.randint(1, 4)))
                     b.pieces = tuple(p - moved for p in b.pieces)
+                    for m, piece in zip(b.msets, b.pieces):
+                        m.piece = piece
                 got = _outcome(_rescan_stage_c, b, cur)
+                b.read_cuts(cur)
                 assert _outcome(b.stage_absorb_trees, cur) == got
             seen[got[0] if got[0] != "InvariantViolation" else got[1]] += 1
     assert seen["ok"] and seen["FrontierContamination"] >= 12
@@ -366,7 +383,7 @@ def test_construct_cut1_gz3():
     G = gen_G_inf(3)
     trace = hamilton_sequence(G, 1)
     C = trace.cycles[0]
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
     C2, wits = construct_cut1(G, C, decomp, rim_of(decomp, C))
     want = set()
     for f in range(-5, 6):

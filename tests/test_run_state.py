@@ -132,13 +132,14 @@ def _defect_family(n, f0, kind):
 def _reference_failure(G, depth):
     """Today's per-iteration checks, done in full every time: a fresh
     degree-condition ball and a claw scan of the whole interior."""
-    C = _saturate_initial(G, _initial_cycle(G))
+    seed = _initial_cycle(G)
+    C = _saturate_initial(G, seed, ball(G, seed.vertex_set, infinite._SEED_RADIUS))
     for i in range(depth):
         if not protected_vertices(G, C.vertex_set):
             raise AssertionError("no protected vertex")
         blocker = minimal_ray_blocker(G, C)
         try:
-            decomp = decompose(G, C.vertex_set, blocker, extra_radius=6)
+            decomp = decompose(G, C.vertex_set, blocker)
             dist = distances_from(decomp.ball, C.vertex_set)
             star = check_star_ball(
                 G, C.vertex_set, max(dist[s] for s in blocker) + 5
@@ -208,7 +209,7 @@ def test_rim_matches_lazy_graph_sets(n):
     G = gen_G_inf(n)
     trace = hamilton_sequence(G, 3)
     for C in trace.cycles[:3]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
         rim = rim_of(decomp, C)
         nc = frozenset(w for v in C.order for w in G.neighbors(v)) - C.vertex_set
         second = frozenset(w for v in nc for w in G.neighbors(v)) - nc
@@ -402,6 +403,7 @@ def _stages_d_and_e(b, cur, reference):
             out = _rescan_stage_d(b, cur)
             b.cuts = [_recount(out, m) for m in b.msets]
         else:
+            b.read_cuts(cur)
             out = b.stage_absorb_separator(cur)
         wits = b.check_output_clauses(out)
         return "ok", out.order, wits
@@ -420,12 +422,13 @@ def test_stage_d_matches_rescan_loop(n):
     rng = random.Random(n)
     seen = Counter()
     for C in trace.cycles[:2]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C), extra_radius=6)
+        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
         rim = rim_of(decomp, C)
         b = _CutBuilder(G, C, decomp, rim)
         cur = b.stage_fill_finite()
         for j in range(b.k):
             cur = b.thread_part(cur, j)
+        b.read_cuts(cur)
         cur = b.stage_absorb_trees(cur)
         u = min(s for s in b.script_S if s not in cur)
         on = [w for w in b.B.neighbors(u) if w in cur]

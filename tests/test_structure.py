@@ -5,6 +5,7 @@ from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
 from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, components
 from hamext.oracle import minimal_separators, random_star_clawfree
 from hamext.structure import (
+    ComponentHandle,
     decompose,
     minimal_ray_blocker,
     verify_complete_attachment,
@@ -122,18 +123,13 @@ def test_decompose_rejects_overlap_and_empty():
 
 
 def test_decompose_stress_family_with_claws():
-    # the alternating family is not claw-free; decompose still splits it
-    # cleanly once the claw-free gate is switched off
+    # the alternating family is not claw-free, and decompose refuses it
     G = gen_H_inf(6)
     desc = G.descriptor
     X = tuple(fiber_vertices(desc, 0)) + tuple(fiber_vertices(desc, 1))
     S = set(fiber_vertices(desc, -1)) | set(fiber_vertices(desc, 2))
     with pytest.raises(InputError, match="claw"):
         decompose(G, X, S)
-    D = decompose(G, X, S, check_claw_free=False)
-    assert D.k == 2
-    assert D.finite_component == frozenset(X)
-    assert {frozenset(fiber_vertices(desc, -1)), frozenset(fiber_vertices(desc, 2))} == set(D.parts)
 
 
 def test_two_components_on_path():
@@ -202,15 +198,23 @@ def test_component_membership_search_is_capped(monkeypatch):
     C = four_cycle_on_home_fibers(G)
     S = minimal_ray_blocker(G, C)
     far = fiber_vertices(desc, -8)[0]
-    # a ball of radius 2 sees fibers -2..3; fiber -8 is six hops out
+
+    def handles():
+        # the two components as a ball of radius 2 sees them: it holds
+        # fibers -2..3, and fiber -8 is six hops out
+        seen = [v for f in range(-2, 4) for v in fiber_vertices(desc, f)]
+        return tuple(
+            ComponentHandle(G, S, fiber_vertices(desc, f), seen) for f in (-2, 3)
+        )
+
     monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
-    left, right = decompose(G, C.order, S, extra_radius=1).infinite_components
+    left, right = handles()
     with pytest.raises(InputError, match="search cap 3"):
         far in left
     monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
     # the cap is read when the handle is built, not on each query
     with pytest.raises(InputError, match="search cap 3"):
         far in right
-    left, right = decompose(G, C.order, S, extra_radius=1).infinite_components
+    left, right = handles()
     assert far in left
     assert far not in right
