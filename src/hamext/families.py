@@ -255,14 +255,22 @@ _INFINITE_FAMILIES = {"GZn": gen_G_inf, "HZn": gen_H_inf}
 _FINITE_FAMILIES = {"Gqn": gen_G, "H2qn": gen_H}
 
 
+def _infinite_family(desc: Mapping[str, object]) -> str:
+    """The descriptor's family name, refused unless it is a known string."""
+    family = desc.get("family")
+    if not isinstance(family, str):
+        raise InputError(f"descriptor family must be a string, got {family!r}")
+    if family not in _INFINITE_FAMILIES:
+        raise InputError(f"unknown infinite family {family!r}")
+    return family
+
+
 def descriptor_to_lazy(desc: Mapping[str, object]) -> LazyGraph:
     """Rebuild an infinite family from its descriptor JSON object."""
     if not isinstance(desc, Mapping):
         raise InputError("descriptor must be a JSON object")
-    family = desc.get("family")
+    family = _infinite_family(desc)
     params = desc.get("params")
-    if family not in _INFINITE_FAMILIES:
-        raise InputError(f"unknown infinite family {family!r}")
     if not isinstance(params, Mapping) or "n" not in params:
         raise InputError("descriptor params must contain n")
     n = params["n"]
@@ -272,13 +280,9 @@ def descriptor_to_lazy(desc: Mapping[str, object]) -> LazyGraph:
 
 
 def family_width(desc: Mapping[str, object]) -> int:
-    family = desc["family"]
-    n = desc["params"]["n"]  # type: ignore[index]
-    if family == "GZn":
-        return int(n)  # type: ignore[arg-type]
-    if family == "HZn":
-        return max(4, int(n))  # type: ignore[arg-type]
-    raise InputError(f"unknown infinite family {family!r}")
+    family = _infinite_family(desc)
+    n = int(desc["params"]["n"])  # type: ignore[index, arg-type]
+    return n if family == "GZn" else max(4, n)
 
 
 def fiber_vertices(desc: Mapping[str, object], f: int) -> tuple[int, ...]:

@@ -274,9 +274,10 @@ class Cycle:
 
     def edges(self) -> list[Edge]:
         """Cycle edges as canonical pairs in traversal order."""
-        n = len(self.order)
+        order = self.order
         return [
-            canonical_edge(self.order[i], self.order[(i + 1) % n]) for i in range(n)
+            (u, v) if u <= v else (v, u)
+            for u, v in zip(order, order[1:] + order[:1])
         ]
 
     @property

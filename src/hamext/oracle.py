@@ -1,9 +1,8 @@
 """Independent brute-force ground truth.
 
 Nothing here shares logic with the constructive machinery: the
-Hamilton search is plain exhaustive backtracking, separator enumeration
-walks all vertex subsets, and the corpus sampler only uses the public
-checkers as rejection filters.  Tests lean on this module whenever a
+Hamilton search is plain exhaustive backtracking, and the corpus
+sampler only uses the public checkers as rejection filters.  Tests lean on this module whenever a
 derived expectation needs a second, dumber opinion.
 """
 
@@ -91,73 +90,6 @@ def hamilton_oracle(G: FiniteGraph, bound: int = DEFAULT_ORACLE_BOUND) -> Cycle 
     if backtrack(1, 0):
         return Cycle(tuple(G.vertices[i] for i in path))
     return None
-
-
-def minimal_separators(G: FiniteGraph, max_size: int | None = None) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex separators, by subset enumeration.
-
-    A subset S is inclusion-minimal separating iff G - S is
-    disconnected and every s in S has a neighbour in every component of
-    G - S (otherwise removing s from S would still separate).  Intended
-    for corpus-scale graphs; the loop is exponential by design.
-    """
-    n = len(G.vertices)
-    if n > 16:
-        raise InputError(f"separator enumeration limited to 16 vertices, got {n}")
-    index = {v: i for i, v in enumerate(G.vertices)}
-    adj_mask = [0] * n
-    for v in G.vertices:
-        m = 0
-        for w in G.adj[v]:
-            m |= 1 << index[w]
-        adj_mask[index[v]] = m
-    full = (1 << n) - 1
-    limit = n - 2 if max_size is None else min(max_size, n - 2)
-
-    def component_masks(alive: int) -> list[int]:
-        comps = []
-        rest = alive
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= adj_mask[b.bit_length() - 1]
-                nxt &= alive & ~comp
-                comp |= nxt
-                frontier = nxt
-            comps.append(comp)
-            rest &= ~comp
-        return comps
-
-    out = []
-    for subset in range(1, full):
-        if bin(subset).count("1") > limit:
-            continue
-        alive = full & ~subset
-        comps = component_masks(alive)
-        if len(comps) < 2:
-            continue
-        s = subset
-        minimal = True
-        while s:
-            b = s & -s
-            s ^= b
-            sees_all = all(adj_mask[b.bit_length() - 1] & c for c in comps)
-            if not sees_all:
-                minimal = False
-                break
-        if minimal:
-            out.append(
-                frozenset(G.vertices[i] for i in range(n) if subset >> i & 1)
-            )
-    out.sort(key=sorted)
-    return out
 
 
 def random_star_clawfree(

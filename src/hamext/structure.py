@@ -319,61 +319,3 @@ def decompose(
         finite_component=K0,
         ball=B,
     )
-
-
-@dataclass(frozen=True)
-class TwoComponentsVerdict:
-    ok: bool
-    component_count: int
-    components: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class AttachmentVerdict:
-    ok: bool
-    witness: tuple[int, int, int] | None = None  # (s, a, b) non-adjacent pair
-
-
-def _require_minimal_separator(G: FiniteGraph, S: frozenset[int]) -> list[frozenset[int]]:
-    if not S:
-        raise InputError("separator must be non-empty")
-    missing = S - G.vertex_set
-    if missing:
-        raise InputError(f"separator vertices not in graph: {sorted(missing)}")
-    if not G.is_connected():
-        raise InputError("graph is not connected")
-    claw = is_claw_free(G)
-    if not claw.claw_free:
-        raise InputError(f"graph has a claw at {claw.witness[0]}")
-    comps = components(G, removed=S)
-    if len(comps) < 2:
-        raise InputError("set does not separate the graph")
-    for s in sorted(S):
-        if len(components(G, removed=S - {s})) >= 2:
-            raise InputError(f"separator is not inclusion-minimal: {s} is removable")
-    return comps
-
-
-def verify_two_components(G: FiniteGraph, S) -> TwoComponentsVerdict:
-    """Removing a minimal separator from a connected claw-free graph
-    leaves exactly two components; report what actually happened."""
-    comps = _require_minimal_separator(G, frozenset(S))
-    return TwoComponentsVerdict(
-        ok=len(comps) == 2,
-        component_count=len(comps),
-        components=tuple(comps),
-    )
-
-
-def verify_complete_attachment(G: FiniteGraph, S) -> AttachmentVerdict:
-    """Each separator vertex must see each component in a clique."""
-    S = frozenset(S)
-    comps = _require_minimal_separator(G, S)
-    for s in sorted(S):
-        for comp in comps:
-            attach = sorted(set(G.neighbors(s)) & comp)
-            for i, a in enumerate(attach):
-                for b in attach[i + 1 :]:
-                    if not G.adjacent(a, b):
-                        return AttachmentVerdict(ok=False, witness=(s, a, b))
-    return AttachmentVerdict(ok=True)

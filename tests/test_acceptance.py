@@ -24,8 +24,12 @@ from hamext.infinite import (
     stable_limit,
     verify_hc_extract,
 )
-from hamext.oracle import hamilton_oracle, minimal_separators, random_star_clawfree
-from hamext.structure import verify_complete_attachment, verify_two_components
+from hamext.oracle import hamilton_oracle, random_star_clawfree
+from separators import (
+    minimal_separators,
+    verify_complete_attachment,
+    verify_two_components,
+)
 
 CORPUS_SEEDS = range(200)
 

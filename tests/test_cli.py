@@ -503,6 +503,31 @@ def test_infham_refuses_hz_claw_before_saturation(capsys, tmp_path, n, depth):
     }
 
 
+@pytest.mark.parametrize("family", [[1, 2], {"a": 1}])
+def test_non_string_family_is_refused(capsys, gz2_file, tmp_path, family):
+    # both ended in an unhashable-type traceback with exit 1
+    trace = tmp_path / "trace.json"
+    code, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "3", "--out", str(trace),
+    )
+    assert code == 0
+    obj = json.loads(trace.read_text())
+    obj["descriptor"]["family"] = family
+    trace.write_text(json.dumps(obj))
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps({"family": family, "params": {"n": 2}}))
+    want = {
+        "error": f"descriptor family must be a string, got {family!r}",
+        "kind": "input",
+    }
+    for argv in (
+        ("verify", "--trace", str(trace)),
+        ("infham", "--descriptor", str(desc), "--depth", "3"),
+    ):
+        assert run(capsys, *argv) == (2, want)
+
+
 def test_gen_huge_complete_fibers(capsys):
     code, payload = run(capsys, "gen", "--family", "GZn", "--n", "1000000000")
     assert code == 0

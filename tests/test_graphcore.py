@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,6 +69,17 @@ def test_cycle_navigation():
     assert C.edge_set == {(1, 3), (1, 4), (4, 5), (3, 5)}
     with pytest.raises(InputError):
         C.succ(7)
+
+
+def test_cycle_edges_equal_canonical_pairs():
+    rng = random.Random(8)
+    for _ in range(200):
+        order = rng.sample(range(-50, 50), rng.randint(3, 40))
+        C = Cycle(tuple(order))
+        n = len(order)
+        want = [canonical_edge(order[i], order[(i + 1) % n]) for i in range(n)]
+        assert C.edges() == want
+        assert C.edge_set == frozenset(want)
 
 
 def test_cycle_rejects_degenerate():

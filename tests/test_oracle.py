@@ -4,7 +4,8 @@ from hamext.conditions import check_star, is_claw_free
 from hamext.errors import InputError, SamplingExhausted
 from hamext.families import gen_G
 from hamext.graphcore import FiniteGraph, verify_cycle
-from hamext.oracle import hamilton_oracle, minimal_separators, random_star_clawfree
+from hamext.oracle import hamilton_oracle, random_star_clawfree
+from separators import minimal_separators
 
 
 def complete(n):

@@ -3,11 +3,10 @@ import pytest
 from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
 from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, components
-from hamext.oracle import minimal_separators, random_star_clawfree
-from hamext.structure import (
-    ComponentHandle,
-    decompose,
-    minimal_ray_blocker,
+from hamext.oracle import random_star_clawfree
+from hamext.structure import ComponentHandle, decompose, minimal_ray_blocker
+from separators import (
+    minimal_separators,
     verify_complete_attachment,
     verify_two_components,
 )
