@@ -27,10 +27,10 @@ left and the vertices their masks can mark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence, Set
 
 from .errors import FrontierContamination, InputError
-from .graphcore import FiniteGraph, LazyGraph, ball, distances_from, neighborhood_k
+from .graphcore import FiniteGraph, LazyGraph, Region, neighborhood_k
 
 
 @dataclass(frozen=True)
@@ -282,14 +282,15 @@ def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
 
 
 def star_on_ball(
-    B: FiniteGraph, dist: Mapping[int, int], limit: int, certified: set[int]
+    B: FiniteGraph, layers: Sequence[Set[int]], limit: int, certified: set[int]
 ) -> StarVerdict:
     """The degree condition on the induced paths of a ball whose three
     vertices lie at distance <= ``limit`` from its centre.
 
-    ``dist`` holds the distances from the centre in B.  The frontier
-    must lie at distance >= limit + 2, so every neighbourhood read is
-    complete; a closer frontier raises FrontierContamination.
+    ``layers[d]`` holds the vertices at distance d from the centre in B
+    (see :class:`Region`).  The frontier must lie at distance >= limit
+    + 2, so every neighbourhood read is complete; a closer frontier
+    raises FrontierContamination.
 
     ``certified`` holds centres known to pass and is updated in place:
     a centre that passes with all of its neighbours eligible has been
@@ -299,14 +300,14 @@ def star_on_ball(
     first failing centre, and so the witness, unchanged, since centres
     are visited in id order either way.
     """
-    close = sorted(v for v in B.frontier if dist[v] < limit + 2)
+    eligible = frozenset().union(*layers[: limit + 1])
+    close = sorted(B.frontier & eligible.union(*layers[limit + 1 : limit + 2]))
     if close:
         raise FrontierContamination(
             f"frontier vertices {close[:6]} lie closer than {limit + 2} "
             "to the centre"
         )
-    eligible = frozenset(v for v, d in dist.items() if d <= limit)
-    centers = sorted(v for v in eligible if v not in certified)
+    centers = sorted(eligible - certified)
     table = _window_table(B, centers, 2)
     for v in centers:
         nbrs = B.adj[v]
@@ -331,14 +332,16 @@ def check_star_ball(
     Only induced paths whose three vertices lie at distance <= radius-2
     from the center are evaluated; for those every needed neighbourhood
     is complete inside the ball.  The verdict's scope is "ball".  This
-    is :func:`star_on_ball` on a fresh ball with nothing certified.
+    is :func:`star_on_ball` on the ball of a fresh region grown from the
+    center, with nothing certified.
     """
     if radius < 3:
         raise InputError("check_star_ball needs radius >= 3")
     if isinstance(center, int):
         center = (center,)
-    B = ball(G, center, radius)
-    return star_on_ball(B, distances_from(B, set(center)), radius - 2, set())
+    region = Region(G, center)
+    B = region.ball(radius)
+    return star_on_ball(B, region.layers, radius - 2, set())
 
 
 def _claw_at(G: FiniteGraph, v: int) -> tuple[int, int, int] | None:
@@ -382,20 +385,23 @@ def claw_free_on_ball(
     once passes on every later ball.  Centres are still visited in id
     order, so the first claw and its witness are the same as without.
     """
-    centers = sorted(set(centers))
-    todo = [v for v in centers if v not in certified] if certified else centers
+    centers = frozenset(centers)
+    todo = sorted(centers - certified if certified else centers)
+    # the first frontier centre ends the scan, certified or not
+    close = centers & B.frontier
+    stop = min(close) if close else None
     table = _window_table(B, todo, 1)
-    for v in centers:
-        if v in B.frontier:
-            raise FrontierContamination(f"claw center {v} lies on the frontier")
-        if certified is not None and v in certified:
-            continue
+    for v in todo:
+        if stop is not None and v >= stop:
+            break
         if _claw_near(table, v):
             leaves = _claw_at(B, v)
             if leaves is not None:
                 return ClawVerdict(False, witness=(v, leaves))
         if certified is not None:
             certified.add(v)
+    if stop is not None:
+        raise FrontierContamination(f"claw center {stop} lies on the frontier")
     return ClawVerdict(True)
 
 

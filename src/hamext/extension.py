@@ -24,7 +24,7 @@ step; callers that keep a cycle must freeze() it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -118,18 +118,21 @@ class LiveCycle:
     """Mutable oriented cycle kept as a successor map.
 
     It answers what find_extension asks of a Cycle (``in``, ``len``,
-    ``succ`` and ``order``).  ``order`` is walked from ``head`` on demand
-    and cached until the next rewiring; freeze() returns it as a Cycle.
-    last_edge_diff() says which edges the last rewiring swapped.
+    ``succ`` and ``order``).  ``order`` is cached until the next
+    rewiring; freeze() returns it as a Cycle.  After one rewiring of a
+    known order it is cut and pasted from that order, otherwise walked
+    from ``head``.  last_edge_diff() says which edges the last rewiring
+    swapped.
     """
 
-    __slots__ = ("head", "_succ", "_order", "_last")
+    __slots__ = ("head", "_succ", "_order", "_before", "_last")
 
     def __init__(self, C: Cycle) -> None:
         order = C.order
         self.head = order[0]
         self._succ = dict(zip(order, order[1:] + order[:1]))
         self._order: tuple[int, ...] | None = order
+        self._before: tuple[int, ...] | None = None
         self._last: tuple[Extension, int, int | None] | None = None
 
     def __len__(self) -> int:
@@ -146,6 +149,8 @@ class LiveCycle:
 
     @property
     def order(self) -> tuple[int, ...]:
+        if self._order is None and self._before is not None:
+            self._order = _rewired(self._before, self._last[0])
         if self._order is None:
             succ, head = self._succ, self.head
             walk = [head]
@@ -197,7 +202,7 @@ class LiveCycle:
                 prev, w = w, nxt
             succ[u], succ[v] = v, y
             self.head = v
-        self._order = None
+        self._before, self._order = self._order, None
         self._last = (e, up, yp)
 
     def last_edge_diff(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
@@ -212,6 +217,21 @@ class LiveCycle:
         return ((u, up), (e.y, yp)), ((u, v), (v, e.y), (up, yp))
 
 
+def _rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
+    """The order LiveCycle.apply leaves when it rewires a cycle whose
+    order from its head was ``order``: what walking the successor map
+    from the head gives, cut and pasted from slices instead."""
+    i = order.index(e.u) + 1
+    if e.kind == "I":
+        return order[:i] + (e.target,) + order[i:]
+    if e.kind == "II":
+        return order[:i] + (e.target, e.x) + order[i:]
+    # the walk starts at the target: v, y back to u+, then y+ on to u
+    rot = order[i:] + order[:i]
+    k = rot.index(e.y)
+    return (e.target,) + rot[k::-1] + rot[k + 1 :]
+
+
 def apply_extension(C: Cycle, e: Extension) -> Cycle:
     """Rewire a copy of C according to e (see LiveCycle.apply)."""
     live = LiveCycle(C)
@@ -223,6 +243,7 @@ def iter_extensions(
     G: Graph,
     C0: Cycle,
     target_filter: Callable[[int], bool] | None = None,
+    targets: Iterable[int] | None = None,
 ) -> Iterator[tuple[Extension, LiveCycle]]:
     """Grow C0 one extension at a time until no admissible target is left.
 
@@ -233,6 +254,10 @@ def iter_extensions(
     admissible until it is absorbed.  The heap therefore takes each
     vertex once, when the first cycle vertex next to it is absorbed,
     and drops entries already on the cycle when they reach the top.
+
+    ``targets``, when given, must be the admissible targets of C0; the
+    heap starts from them instead of from a scan of C0's neighbours, so
+    a long start cycle costs no Python-level step per vertex.
 
     Yields each extension with the cycle after it.  The cycle is one
     LiveCycle rewired in place, so it is only valid until the next step;
@@ -251,7 +276,13 @@ def iter_extensions(
                     if target_filter is None or target_filter(w):
                         heappush(heap, w)
 
-    admit(C0.order)
+    if targets is None:
+        admit(C0.order)
+    else:
+        # a sorted list is a heap; a neighbour of C0 the filter refused
+        # is refused again if a later step reaches it
+        heap.extend(sorted(targets))
+        seen.update(C0.order, heap)
     while heap:
         v = heappop(heap)
         if v in C:

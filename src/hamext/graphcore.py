@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, InvariantViolation
 
@@ -55,14 +56,18 @@ class FiniteGraph:
     adj: Mapping[int, tuple[int, ...]]
     frontier: frozenset[int] = frozenset()
     labels: Mapping[int, str] | None = None
-    _adjsets: Mapping[int, frozenset[int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    # the neighbour sets, built from adj unless the caller (a Region)
+    # already holds them
+    _adjsets: Mapping[int, frozenset[int]] | None = field(
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_adjsets", {v: frozenset(nbrs) for v, nbrs in self.adj.items()}
-        )
+        if self._adjsets is None:
+            adj = self.adj
+            object.__setattr__(
+                self, "_adjsets", dict(zip(adj, map(frozenset, adj.values())))
+            )
 
     @staticmethod
     def from_edges(
@@ -118,7 +123,7 @@ class FiniteGraph:
     def has_vertex(self, v: int) -> bool:
         return v in self._adjsets
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -254,9 +259,24 @@ class Cycle:
     def __contains__(self, v: int) -> bool:
         return v in self._index
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.order)
+
+    def pair_sets(self) -> tuple[set[Edge], set[Edge]]:
+        """The pairs (v, succ(v)) and the same pairs reversed, built
+        without a Python step per vertex; every cycle edge, walked
+        either way, is in their union."""
+        order = self.order
+        nxt = order[1:] + order[:1]
+        return set(zip(order, nxt)), set(zip(nxt, order))
+
+    def index(self, v: int) -> int:
+        """Position of v in ``order``."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise InputError(f"vertex {v} not on cycle") from None
 
     def succ(self, v: int) -> int:
         try:
@@ -390,6 +410,176 @@ def _ball_radius_cap() -> int:
     return cap
 
 
+class Region:
+    """A vertex set X that only grows, with the graph around it.
+
+    The region keeps the distance from X of every vertex within
+    ``reach`` of it: ``dist`` maps each such vertex to its distance and
+    ``layers[d]`` holds the vertices at distance d, so ``layers[0]`` is
+    X and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
+    every vertex closer than ``reach``, and ``sets`` the same as
+    frozensets.
+
+    As X grows, distances only fall: grow() runs a breadth-first search
+    from the gained vertices that stops wherever no label improves.
+    ball(r) extends the labels outward when r exceeds ``reach`` and
+    returns what ``ball(G, X, r)`` returns, reading the interior's
+    neighbour tuples off ``nbrs``; it checks the neighbour oracle's
+    symmetry only on the pairs whose ends are interior for the first
+    time.  Per call, Python-level work is bounded by what X gained and
+    by the ball's frontier, not by the size of X.
+    """
+
+    def __init__(self, G: GraphLike, X: Iterable[int]) -> None:
+        X = sorted(set(X))
+        self.G = G
+        self.dist: dict[int, int] = dict.fromkeys(X, 0)
+        self.layers: list[set[int]] = [set(X)]
+        self.reach = 0
+        self.nbrs: dict[int, tuple[int, ...]] = {}
+        self.sets: dict[int, frozenset[int]] = {}
+        # vertices interior to some ball handed out, and for each vertex
+        # not yet among them the interior vertices listing it
+        self._interior: set[int] = set()
+        self._listed_by: dict[int, list[int]] = {}
+        # vertices of X not yet checked to connect to the rest of X
+        self._loose: set[int] = set(X)
+        # the directed cycle edges minimal_ray_blocker found in G
+        self.checked_edges: set[Edge] = set()
+
+    def _fetch(self, u: int) -> tuple[int, ...]:
+        row = self.nbrs.get(u)
+        if row is None:
+            row = self.nbrs[u] = self.G.neighbors(u)
+            self.sets[u] = frozenset(row)
+        return row
+
+    def extend(self, radius: int) -> None:
+        """Label every vertex within ``radius`` of X."""
+        dist, layers = self.dist, self.layers
+        while self.reach < radius:
+            d = self.reach + 1
+            ring: set[int] = set()
+            for u in sorted(layers[-1]):
+                for w in self._fetch(u):
+                    if w not in dist:
+                        dist[w] = d
+                        ring.add(w)
+            layers.append(ring)
+            self.reach = d
+
+    def grow(self, gained: Iterable[int]) -> None:
+        """Add ``gained`` to X and lower the labels around it."""
+        dist, layers, reach = self.dist, self.layers, self.reach
+        queue: deque[int] = deque()
+        for v in sorted(gained):
+            d = dist.get(v)
+            if d == 0:
+                continue
+            if d is not None:
+                layers[d].discard(v)
+            dist[v] = 0
+            layers[0].add(v)
+            self._loose.add(v)
+            queue.append(v)
+        while queue:
+            u = queue.popleft()
+            d = dist[u] + 1
+            if d > reach:
+                continue
+            for w in self._fetch(u):
+                old = dist.get(w)
+                if old is None or old > d:
+                    if old is not None:
+                        layers[old].discard(w)
+                    dist[w] = d
+                    layers[d].add(w)
+                    queue.append(w)
+
+    def ball(self, radius: int) -> FiniteGraph:
+        """The ball of ``radius`` around X: equal to ``ball(G, X, radius)``."""
+        _check_ball_radius(radius)
+        layers = self.layers
+        if not layers[0]:
+            raise InputError("ball needs a non-empty center")
+        self.extend(radius)
+        interior = set().union(*layers[:radius])
+        self._check_symmetry(interior - self._interior)
+        dist = self.dist
+        outer = radius + 1
+        rows = {
+            v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) <= radius)
+            for v in sorted(layers[radius])
+        }
+        vertices = tuple(sorted(interior.union(rows)))
+        adj = dict(zip(vertices, map(self.nbrs.get, vertices)))
+        adj.update(rows)
+        sets = dict(zip(vertices, map(self.sets.get, vertices)))
+        sets.update(zip(rows, map(frozenset, rows.values())))
+        return FiniteGraph(
+            vertices=vertices, adj=adj, frontier=frozenset(rows), _adjsets=sets
+        )
+
+    def _check_symmetry(self, fresh: set[int]) -> None:
+        """Check each pair with both ends interior, once: when the later
+        of its two ends first becomes interior.  The pair named is the
+        first a whole-ball scan in id and adjacency order would name."""
+        if not fresh:
+            return
+        nbrs, interior, listed_by = self.nbrs, self._interior, self._listed_by
+        interior |= fresh
+        bad = []
+        for x in fresh:
+            row = nbrs[x]
+            for w in row:
+                if w in interior:
+                    if x not in nbrs[w]:
+                        bad.append((x, w))
+                else:
+                    listed_by.setdefault(w, []).append(x)
+            for y in listed_by.pop(x, ()):
+                if y not in row:
+                    bad.append((y, x))
+        if bad:
+            v, w = min(bad, key=lambda p: (p[0], nbrs[p[0]].index(p[1])))
+            raise InvariantViolation(f"neighbor oracle is asymmetric on pair ({v}, {w})")
+
+    def require_connected(self) -> None:
+        """Raise InputError unless X induces a connected subgraph.  Only
+        the vertices gained since the last check are searched: they must
+        all reach the part of X checked before (or, on the first check,
+        the smallest vertex of X) inside X."""
+        loose = self._loose
+        if not loose:
+            return
+        X, nbrs = self.layers[0], self.nbrs
+        if len(loose) < len(X):
+            reached = {
+                v for v in loose if any(w in X and w not in loose for w in nbrs[v])
+            }
+        else:
+            reached = {min(loose)}
+        stack = list(reached)
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w in loose and w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != len(loose):
+            raise InputError("X does not induce a connected subgraph")
+        loose.clear()
+
+
+def _check_ball_radius(radius: int) -> None:
+    if radius < 0:
+        raise InputError("ball radius must be non-negative")
+    cap = _ball_radius_cap()
+    if radius > cap:
+        raise InputError(
+            f"ball radius {radius} exceeds HAMEXT_BALL_RADIUS_MAX={cap}"
+        )
+
+
 def ball(G: LazyGraph, center: int | Iterable[int], radius: int) -> FiniteGraph:
     """Induced subgraph on ``center`` and everything within ``radius``.
 
@@ -401,44 +591,37 @@ def ball(G: LazyGraph, center: int | Iterable[int], radius: int) -> FiniteGraph:
     runaway queries on adversarial oracles.
 
     Symmetry of the neighbour oracle is validated on every edge with
-    both endpoints interior.
+    both endpoints interior.  This is the ball of a fresh
+    :class:`Region` grown from ``center``.
     """
-    if radius < 0:
-        raise InputError("ball radius must be non-negative")
-    cap = _ball_radius_cap()
-    if radius > cap:
-        raise InputError(
-            f"ball radius {radius} exceeds HAMEXT_BALL_RADIUS_MAX={cap}"
-        )
+    _check_ball_radius(radius)
     if isinstance(center, int):
         center = (center,)
-    cset = sorted(set(center))
-    if not cset:
-        raise InputError("ball needs a non-empty center")
-    dist = {v: 0 for v in cset}
-    ring = list(cset)
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in ring:
-            for w in G.neighbors(u):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        ring = sorted(nxt)
-    members = frozenset(dist)
-    adj = {}
-    for v in sorted(members):
-        adj[v] = tuple(w for w in G.neighbors(v) if w in members)
-    for v, nbrs in adj.items():
-        if dist[v] >= radius:
+    return Region(G, center).ball(radius)
+
+
+def _components_within(
+    adj: Mapping[int, tuple[int, ...]], keep: Iterable[int]
+) -> list[frozenset[int]]:
+    """Connected components of the subgraph ``adj`` induces on ``keep``,
+    ordered by smallest member."""
+    unseen = set(keep)
+    out: list[frozenset[int]] = []
+    for start in sorted(unseen):
+        if start not in unseen:
             continue
-        for w in nbrs:
-            if dist[w] < radius and v not in adj[w]:
-                raise InvariantViolation(
-                    f"neighbor oracle is asymmetric on pair ({v}, {w})"
-                )
-    frontier = frozenset(v for v in members if dist[v] == radius)
-    return FiniteGraph(vertices=tuple(sorted(members)), adj=adj, frontier=frontier)
+        comp = {start}
+        unseen.discard(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w in unseen:
+                    unseen.discard(w)
+                    comp.add(w)
+                    queue.append(w)
+        out.append(frozenset(comp))
+    return out
 
 
 def components(
@@ -449,23 +632,7 @@ def components(
     missing = rset - G.vertex_set
     if missing:
         raise InputError(f"cannot remove unknown vertices: {sorted(missing)}")
-    unseen = set(G.vertices) - rset
-    out: list[frozenset[int]] = []
-    for start in G.vertices:
-        if start not in unseen:
-            continue
-        comp = {start}
-        unseen.discard(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+    return _components_within(G.adj, G.vertex_set - rset)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,11 @@ from .graphcore import (
     Edge,
     FiniteGraph,
     LazyGraph,
+    Region,
     ball,
     canonical_edge,
     cycle_from_json_obj,
     cycle_to_json_obj,
-    distances_from,
     ids_from_json_obj,
     neighborhood_k,
     verify_cycle,
@@ -122,15 +122,14 @@ def protected_vertices(G, cycle_vertices, nc=None) -> frozenset[int]:
 
 class _Rim:
     """What an enlargement of C may rewire, read once off a ball B
-    around C: ``near`` is N(C) with its second neighbourhood,
-    ``protected`` the cycle vertices outside N(C) and N(N(C)).  ``dist``
-    holds the distances from C in B, which must reach three steps past
-    N(C)."""
+    around C that reaches three steps past N(C): ``nc`` is N(C),
+    ``near`` is N(C) with its second neighbourhood, ``protected`` the
+    cycle vertices outside N(C) and N(N(C))."""
 
-    __slots__ = ("near", "protected")
+    __slots__ = ("nc", "near", "protected")
 
-    def __init__(self, B: FiniteGraph, cycle_vertices, dist) -> None:
-        nc = frozenset(v for v, d in dist.items() if d == 1)
+    def __init__(self, B: FiniteGraph, cycle_vertices, nc) -> None:
+        self.nc = nc = frozenset(nc)
         self.near = nc | neighborhood_k(B, nc, 2)
         self.protected = protected_vertices(B, cycle_vertices, nc)
 
@@ -483,18 +482,29 @@ class _CutBuilder:
         """Read the neighbours of each vertex, in order, through the
         frontier guard.  Cycle vertices never leave, so guarding the
         start cycle and then each newly absorbed vertex raises on the
-        same vertex and step as guarding the whole cycle every step."""
+        same vertex and step as guarding the whole cycle every step.
+        Only when some vertex lies on the frontier or outside the ball
+        are they walked in order, to name the first."""
+        B = self.B
+        vs = frozenset(vertices)
+        if B.frontier.isdisjoint(vs) and B.adj.keys() >= vs:
+            return
         for v in vertices:
             self.guarded_neighbors(v)
 
     def read_cuts(self, cur: Cycle) -> None:
         """Read the cycle edges crossing each M set off the cycle, once
         per enlargement, after stage B; stages C and D keep them up to
-        date."""
-        edges = cur.edges()
-        self.cuts: list[set[Edge]] = [
-            {(a, b) for a, b in edges if (a in m) != (b in m)} for m in self.msets
-        ]
+        date.  Only the cycle edges at members of each M set are read."""
+        self.cuts: list[set[Edge]] = []
+        for m in self.msets:
+            cut = set()
+            for v in (m.included | m.piece) - m.excluded:
+                if v in cur:
+                    for w in (cur.pred(v), cur.succ(v)):
+                        if w not in m:
+                            cut.add(canonical_edge(v, w))
+            self.cuts.append(cut)
 
     def recount_cuts(self, cur, swapped, gained) -> None:
         """Bring the kept crossing sets up to date after a step that
@@ -530,7 +540,9 @@ class _CutBuilder:
     def stage_fill_finite(self) -> Cycle:
         self.guard(self.C.order)
         live = None
-        for e, live in iter_extensions(self.B, self.C, self.K0.__contains__):
+        for e, live in iter_extensions(
+            self.B, self.C, self.K0.__contains__, self.rim.nc & self.K0
+        ):
             # the target lies in K0; a kind II helper outside it would need
             # a one-vertex rewiring at the same anchor, which find_extension
             # would have returned as kind I instead
@@ -685,13 +697,14 @@ class _CutBuilder:
 
     def check_threading_invariants(self, cur: Cycle, upto: int) -> None:
         on = cur.vertex_set
-        cycle_edges = cur.edge_set
         for ell in range(upto + 1):
             path = self.paths[ell]
             if path is None:
                 raise InvariantViolation("missing path", ell=ell)
             for a, b in zip(path, path[1:]):
-                if canonical_edge(a, b) not in cycle_edges:
+                if not (
+                    a in on and b in on and b in (cur.succ(a), cur.pred(a))
+                ):
                     raise InvariantViolation(
                         "stored path edge left the cycle",
                         ell=ell,
@@ -736,7 +749,10 @@ class _CutBuilder:
         if not missing:
             return cur
         self.guard(cur.order)
-        for e, live in iter_extensions(self.B, cur, wanted.__contains__):
+        targets = [
+            t for t in missing if any(w in cur for w in self.B.neighbors(t))
+        ]
+        for e, live in iter_extensions(self.B, cur, wanted.__contains__, targets):
             removed, added = live.last_edge_diff()
             self.recount_cuts(live, removed + added, ())
             self.require_cuts(live, "separator-plus-component cut")
@@ -755,10 +771,12 @@ class _CutBuilder:
     # changes.
 
     def consecutive_pair(self, cur: Cycle, nbrs: set[int]) -> tuple[int, int] | None:
-        for a in cur.order:
-            if a in nbrs and cur.succ(a) in nbrs:
-                return a, cur.succ(a)
-        return None
+        """The first a in cycle order with a and its successor in nbrs."""
+        firsts = [a for a in nbrs if a in cur and cur.succ(a) in nbrs]
+        if not firsts:
+            return None
+        a = min(firsts, key=cur.index)
+        return a, cur.succ(a)
 
     def update_msets(self, w1: int, w2: int, gained: tuple[int, ...]) -> None:
         for m in self.msets:
@@ -905,17 +923,24 @@ class _CutBuilder:
                 )
             )
 
+        # the edges C lost and the edges cur gained, as pairs (v, succ(v))
+        # of the cycle they lie on; an edge walked the other way round
+        # is the same edge
+        old_forward, old_backward = self.C.pair_sets()
+        new_forward, new_backward = cur.pair_sets()
+        lost = old_forward - new_forward - new_backward
+        gained = new_forward - old_forward - old_backward
         protected = self.rim.protected
-        cur_edges = cur.edge_set
-        for a, b in self.C.edges():
-            if a in protected and b in protected and canonical_edge(a, b) not in cur_edges:
-                raise InvariantViolation(
-                    "protected cycle edge vanished",
-                    edge=canonical_edge(a, b),
-                )
+        if any(a in protected and b in protected for a, b in lost):
+            cur_edges = cur.edge_set
+            for a, b in self.C.edges():
+                if a in protected and b in protected and (a, b) not in cur_edges:
+                    raise InvariantViolation(
+                        "protected cycle edge vanished", edge=(a, b)
+                    )
         n2_nc = self.rim.near
         old_vertices = self.C.vertex_set
-        for a, b in sorted(cur_edges - self.C.edge_set):
+        for a, b in sorted(canonical_edge(a, b) for a, b in gained):
             for end in (a, b):
                 if end in old_vertices and end not in n2_nc:
                     raise InvariantViolation(
@@ -1027,9 +1052,10 @@ class _RunState:
         self.G = G
         self.star_certified: set[int] = set()
         self.claw_certified: set[int] = set()
+        self.region: Region | None = None
 
-    def require_star(self, B: FiniteGraph, dist, limit: int) -> None:
-        star = star_on_ball(B, dist, limit, self.star_certified)
+    def require_star(self, B: FiniteGraph, limit: int) -> None:
+        star = star_on_ball(B, self.region.layers, limit, self.star_certified)
         if not star.holds:
             raise InputError(
                 f"local degree condition fails near the cycle at "
@@ -1039,12 +1065,12 @@ class _RunState:
     def check_seed(self, seed: Cycle) -> FiniteGraph:
         """The claw scan, then the degree condition, on the ball that
         saturation starts from, so that an input failing either is
-        refused before saturation can trip over it.  Returns that ball."""
-        B = ball(self.G, seed.vertex_set, _SEED_RADIUS)
+        refused before saturation can trip over it.  Returns that ball.
+        The run's region starts here, grown from the seed."""
+        self.region = Region(self.G, seed.order)
+        B = self.region.ball(_SEED_RADIUS)
         require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
-        self.require_star(
-            B, distances_from(B, seed.vertex_set), _SEED_RADIUS - 2
-        )
+        self.require_star(B, _SEED_RADIUS - 2)
         return B
 
     def enlarge(
@@ -1052,16 +1078,18 @@ class _RunState:
     ) -> tuple[
         frozenset[int], SeparatorDecomposition, Cycle, tuple[CutWitness, ...]
     ]:
-        """One iteration: block C, decompose (which scans its ball for
-        claws), check the degree condition on the same ball, and
-        enlarge; the crossing sets of the M sets are read off the
-        cycle once, in construct_cut1."""
-        blocker = minimal_ray_blocker(self.G, C)
+        """One iteration: grow the region by what C gained, block C,
+        decompose (which scans its ball for claws), check the degree
+        condition on the same ball, and enlarge; the crossing sets of
+        the M sets are read off the cycle once, in construct_cut1."""
+        region = self.region
+        X = C.vertex_set
+        region.grow(X - region.layers[0])
+        blocker = minimal_ray_blocker(self.G, C, region)
         decomp = decompose(
-            self.G, C.vertex_set, blocker, certified=self.claw_certified
+            self.G, X, blocker, certified=self.claw_certified, region=region
         )
-        dist = distances_from(decomp.ball, C.vertex_set)
-        rim = _Rim(decomp.ball, C.vertex_set, dist)
+        rim = _Rim(decomp.ball, X, region.layers[1])
         if not rim.protected:
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
@@ -1069,8 +1097,8 @@ class _RunState:
         # the ball reaches at least blocker_depth + BALL_MARGIN from C,
         # so the paths within blocker_depth + BALL_MARGIN - 3 are
         # complete in it
-        blocker_depth = max(dist[s] for s in blocker)
-        self.require_star(decomp.ball, dist, blocker_depth + BALL_MARGIN - 3)
+        blocker_depth = max(region.dist[s] for s in blocker)
+        self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
         C2, wits = construct_cut1(self.G, C, decomp, rim)
         return blocker, decomp, C2, wits
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import claw_free_on_ball, is_claw_free
+from .conditions import claw_free_on_ball
 from .errors import InputError, InvariantViolation
 from .graphcore import (
     Cycle,
     FiniteGraph,
     LazyGraph,
+    Region,
     _ball_radius_cap,
-    ball,
-    components,
+    _components_within,
 )
 
 
@@ -35,23 +35,39 @@ def require_claw_free(
         raise InputError(f"graph has a claw at {center} with leaves {leaves}")
 
 
-def minimal_ray_blocker(G: LazyGraph, C: Cycle) -> frozenset[int]:
+def _require_cycle_edges(G: LazyGraph, C: Cycle, region: Region) -> None:
+    """Raise InputError at the first edge of C, in cycle order, missing
+    in G.  Edges the region has already seen checked are skipped, so a
+    run checks each edge of each cycle once: when it first appears."""
+    forward, backward = C.pair_sets()
+    if not all(G.adjacent(u, v) for u, v in forward - region.checked_edges):
+        for u in C.order:
+            if not G.adjacent(u, C.succ(u)):
+                raise InputError(f"cycle edge ({u}, {C.succ(u)}) missing in graph")
+    # an edge walked the other way round is the same edge
+    region.checked_edges = forward | backward
+
+
+def minimal_ray_blocker(
+    G: LazyGraph, C: Cycle, region: Region | None = None
+) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
     The full neighbourhood N(C) always blocks: a ray starting on the
     cycle first leaves V(C) at a vertex adjacent to the cycle.  One
     greedy pass in ascending id order then removes whatever is not
     needed; monotonicity of blocking makes the single pass sufficient.
+
+    N(C) is layer 1 of ``region``, whose X must be V(C); without one, a
+    fresh region is grown from V(C).
     """
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
-    for u in C.order:
-        if not G.adjacent(u, C.succ(u)):
-            raise InputError(f"cycle edge ({u}, {C.succ(u)}) missing in graph")
-    on = C.vertex_set
-    candidates = sorted(
-        {w for u in C.order for w in G.neighbors(u)} - on
-    )
+    if region is None:
+        region = Region(G, C.order)
+    _require_cycle_edges(G, C, region)
+    region.extend(1)
+    candidates = sorted(region.layers[1])
     # the cycle is connected and disjoint from every candidate set, so
     # all its vertices share one escape verdict; testing one suffices
     probe = C.order[0]
@@ -163,18 +179,27 @@ class SeparatorDecomposition:
         }
 
 
-def _connected_within(B: FiniteGraph, X: frozenset[int]) -> bool:
-    """Whether X induces a connected subgraph of B."""
-    start = min(X)
-    seen = {start}
-    stack = [start]
+def _pieces(
+    B: FiniteGraph, X: frozenset[int], nx, script_S: frozenset[int]
+) -> list[frozenset[int]]:
+    """Components of B - script_S, ordered by smallest member, for a
+    connected X inside B with neighbourhood ``nx``.
+
+    X's piece is X plus what a search from N(X) - script_S reaches
+    without entering X; the rest of the ball splits into the others.
+    Only the ball outside X is searched.
+    """
     adj = B.adj
+    home = set(nx) - script_S
+    stack = list(home)
     while stack:
         for w in adj[stack.pop()]:
-            if w in X and w not in seen:
-                seen.add(w)
+            if w not in home and w not in X and w not in script_S:
+                home.add(w)
                 stack.append(w)
-    return len(seen) == len(X)
+    own = X.union(home)
+    rest = B.vertex_set - own - script_S
+    return sorted([own, *_components_within(adj, rest)], key=min)
 
 
 # how far past the deepest separator vertex decompose's first ball
@@ -188,6 +213,7 @@ def decompose(
     script_S,
     *,
     certified: set[int] | None = None,
+    region: Region | None = None,
 ) -> SeparatorDecomposition:
     """Split G along a minimal ray blocker of X.
 
@@ -202,6 +228,9 @@ def decompose(
     A claw centred in the ball's interior is refused with InputError;
     ``certified`` is passed on to :func:`claw_free_on_ball`, which
     skips the centres in it and adds those that pass.
+
+    The balls come from ``region``, whose X must be X; without one, a
+    fresh region is grown from X.
     """
     X = frozenset(X)
     script_S = frozenset(script_S)
@@ -217,35 +246,33 @@ def decompose(
         if not G.escapes(script_S - {s}, probe):
             raise InputError(f"blocker is not inclusion-minimal: {s} is removable")
 
-    seen = set(X)
-    ring = sorted(X)
-    depth = 0
-    while script_S - seen:
-        depth += 1
-        if depth > _ball_radius_cap():
+    if region is None:
+        region = Region(G, X)
+    elif X != region.layers[0]:
+        raise InputError("decompose's region does not hold X")
+    dist = region.dist
+    cap = _ball_radius_cap()
+    while True:
+        missing = [s for s in script_S if dist.get(s, cap + 1) > cap]
+        if not missing:
+            break
+        if region.reach >= cap:
             raise InvariantViolation(
-                "blocker vertex unreachable from X",
-                missing=sorted(script_S - seen),
+                "blocker vertex unreachable from X", missing=sorted(missing)
             )
-        nxt = []
-        for u in ring:
-            for w in G.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        ring = sorted(nxt)
+        region.extend(region.reach + 1)
+    depth = max(dist[s] for s in script_S)
     radius = max(depth, 1) + BALL_MARGIN
     # first ball big enough to see all of script_S plus slack
     while True:
-        B = ball(G, X, radius)
+        B = region.ball(radius)
         missing = script_S - B.vertex_set
         if missing:
             raise InvariantViolation(
                 "blocker vertex unreachable from X", missing=sorted(missing)
             )
-        if not _connected_within(B, X):
-            raise InputError("X does not induce a connected subgraph")
-        pieces = components(B, removed=script_S)
+        region.require_connected()
+        pieces = _pieces(B, X, region.layers[1], script_S)
         finite_pieces = []
         infinite_pieces = []
         ambiguous = False

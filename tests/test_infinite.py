@@ -10,7 +10,7 @@ import pytest
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import gen_G_inf, gen_H_inf, zigzag
-from hamext.graphcore import Cycle, LazyGraph, distances_from
+from hamext.graphcore import Cycle, LazyGraph, neighborhood_k
 from hamext.infinite import (
     SequenceTrace,
     _Rim,
@@ -35,8 +35,8 @@ def gz_fiber(n, f):
 
 def rim_of(decomp, C):
     """The rim hamilton_sequence reads off the decomposition's ball."""
-    dist = distances_from(decomp.ball, C.vertex_set)
-    return _Rim(decomp.ball, C.vertex_set, dist)
+    nc = neighborhood_k(decomp.ball, C.vertex_set, 1)
+    return _Rim(decomp.ball, C.vertex_set, nc)
 
 
 def home_cycle_gz2():
@@ -204,8 +204,9 @@ class TestConstructCut1:
 
 def test_kept_cuts_read_cycle_edges_once(monkeypatch):
     # the crossing sets of the M sets are read off the cycle once per
-    # enlargement, after stage B; stages C and D keep them up to date
-    # from the edges each step swaps and read no cycle themselves
+    # enlargement, after stage B, from the cycle edges at M-set members
+    # only; stages C and D keep them up to date from the edges each
+    # step swaps; no stage reads the whole cycle's edge list
     from hamext import infinite
 
     reads = []
@@ -259,7 +260,7 @@ def test_kept_cuts_read_cycle_edges_once(monkeypatch):
         hamilton_sequence(gen_G_inf(n), 4)
     assert len(runs) == 8
     assert all(
-        (run["read"], run["C"], run["D"]) == (1, 0, 0) for run in runs
+        (run["read"], run["C"], run["D"]) == (0, 0, 0) for run in runs
     ), runs
     # a per-step recount would read the cycle k times per absorption
     assert all(run["absorbed"] >= 4 and run["k"] == 2 for run in runs)

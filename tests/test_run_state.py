@@ -35,6 +35,14 @@ from test_infinite import rim_of
 RUNS = ((2, 8), (3, 8), (4, 5))
 
 
+def layers_of(dist):
+    """The distance layers star_on_ball reads, from a distance map."""
+    layers = [set() for _ in range(max(dist.values()) + 1)]
+    for v, d in dist.items():
+        layers[d].add(v)
+    return layers
+
+
 # ---------------------------------------------------------------------------
 # certified centres
 
@@ -46,11 +54,12 @@ def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
     G = gen_G_inf(n)
     star_calls, claw_calls = [], []
 
-    def recording_star(B, dist, limit, certified):
-        eligible = [v for v, d in dist.items() if d <= limit]
+    def recording_star(B, layers, limit, certified):
+        eligible = set().union(*layers[: limit + 1])
         unchecked = sum(1 for v in eligible if v not in certified)
-        verdict = star_on_ball(B, dist, limit, certified)
-        star_calls.append((dist, limit, verdict, unchecked, len(eligible)))
+        verdict = star_on_ball(B, layers, limit, certified)
+        center = sorted(layers[0])
+        star_calls.append((center, limit, verdict, unchecked, len(eligible)))
         return verdict
 
     def recording_claw(B, centers, certified=None):
@@ -65,8 +74,7 @@ def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
     hamilton_sequence(G, depth)
     # the seed ball, then one ball per iteration
     assert len(star_calls) == len(claw_calls) == depth + 1
-    for dist, limit, verdict, _, _ in star_calls:
-        center = [v for v, d in dist.items() if d == 0]
+    for center, limit, verdict, _, _ in star_calls:
         assert verdict == check_star_ball(G, center, limit + 2)
     for B, centers, verdict, _, _ in claw_calls:
         assert verdict == claw_free_on_ball(B, centers)
@@ -83,7 +91,7 @@ def test_certified_centres_skip_work():
     B = ball(G, G.root, 8)
     dist = distances_from(B, [G.root])
     certified: set[int] = set()
-    assert star_on_ball(B, dist, 6, certified).holds
+    assert star_on_ball(B, layers_of(dist), 6, certified).holds
     # only centres whose whole neighbourhood was eligible
     assert certified == {v for v, d in dist.items() if d <= 5}
     claws: set[int] = set()
@@ -106,10 +114,10 @@ def test_certified_centres_skip_work():
 def test_star_on_ball_refuses_a_close_frontier():
     G = gen_G_inf(2)
     B = ball(G, G.root, 5)
-    dist = distances_from(B, [G.root])
-    assert star_on_ball(B, dist, 3, set()).holds
+    layers = layers_of(distances_from(B, [G.root]))
+    assert star_on_ball(B, layers, 3, set()).holds
     with pytest.raises(FrontierContamination, match="closer than 6"):
-        star_on_ball(B, dist, 4, set())
+        star_on_ball(B, layers, 4, set())
 
 
 def _defect_family(n, f0, kind):
@@ -164,9 +172,9 @@ def test_defects_fail_where_full_checks_fail(monkeypatch, kind, f0):
     iterations = []
     blocker = infinite.minimal_ray_blocker
 
-    def counting_blocker(G, C):
+    def counting_blocker(G, C, *region):
         iterations.append(C)
-        return blocker(G, C)
+        return blocker(G, C, *region)
 
     monkeypatch.setattr(infinite, "minimal_ray_blocker", counting_blocker)
     with pytest.raises(InputError) as info:
