@@ -13,7 +13,9 @@ Infinite graphs are only ever inspected through finite windows obtained
 from :func:`ball`.  A ball records which of its vertices sit on the
 exploration frontier; adjacency of frontier vertices is incomplete, and
 operations that would need it must refuse (:class:`FrontierContamination`)
-rather than answer wrongly.
+rather than answer wrongly.  A :class:`Region` keeps the distance
+layers around a vertex set that only grows, so that a run whose cycle
+grows hands out each iteration's ball from what the cycle gained.
 
 All public containers are deterministic: vertices ascending, neighbour
 lists ascending, components ordered by smallest member.

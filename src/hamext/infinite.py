@@ -21,14 +21,22 @@ each step swaps, and stage E reads them.
 
 Everything works inside one finite ball; frontier contamination is an
 error, never silently tolerated.  The driver keeps one run state
-(_RunState) per run.  It checks the ball saturation starts from for
-claws and the degree condition first, so an input failing either is
-refused before saturation.  Each iteration then grows one ball around
-the cycle (decompose's), checks claw-freeness and the degree condition
-on it, and reads N(C), its second neighbourhood and the protected
-vertices off it once.  Both conditions are properties of the graph, so
-a centre certified once is never checked again, and an iteration's
-condition checks cost what its new annulus adds.
+(_RunState) per run, and in it one growing region (graphcore.Region):
+V(C), the distance layers around it and their adjacency, which each
+iteration updates from the vertices the cycle gained.  The run checks
+the ball saturation starts from for claws and the degree condition
+first, so an input failing either is refused before saturation.  Each
+iteration then takes N(C) for the blocker, and the ball for decompose,
+off the region, checks claw-freeness and the degree condition on that
+ball, and reads N(C), its second neighbourhood and the protected
+vertices once.  Both conditions are properties of the graph, so a
+centre certified once is never checked again.  No step of an
+iteration walks all of V(C) or the ball's interior in Python: whole-set
+work is done by set, dict and tuple operations, and Python loops run
+over what the cycle gained, the ball's frontier and the shell between
+V(C) and the frontier, so an iteration's cost does not grow with |C|
+beyond those operations and the one walk of the live cycle that ends
+stage C.
 """
 
 from __future__ import annotations
@@ -1041,11 +1049,15 @@ def _select_end(
 class _RunState:
     """What one hamilton_sequence run keeps across its iterations.
 
-    The local degree condition and claw-freeness are properties of G,
-    so a centre that passes once passes in every later iteration.
-    ``star_certified`` and ``claw_certified`` hold the centres already
-    certified, and each ball checks only the others (see star_on_ball
-    and claw_free_on_ball for when a centre counts as certified).
+    ``region`` is grown from the seed cycle and then follows the cycle:
+    each iteration adds what the cycle gained, and the blocker's N(C),
+    decompose's balls and distances, and the degree condition's layers
+    are read off it.  The local degree condition and claw-freeness are
+    properties of G, so a centre that passes once passes in every later
+    iteration.  ``star_certified`` and ``claw_certified`` hold the
+    centres already certified, and each ball checks only the others
+    (see star_on_ball and claw_free_on_ball for when a centre counts as
+    certified).
     """
 
     def __init__(self, G: LazyGraph) -> None:
