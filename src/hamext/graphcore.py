@@ -58,18 +58,36 @@ class FiniteGraph:
     adj: Mapping[int, tuple[int, ...]]
     frontier: frozenset[int] = frozenset()
     labels: Mapping[int, str] | None = None
-    # the neighbour sets, built from adj unless the caller (a Region)
-    # already holds them
-    _adjsets: Mapping[int, frozenset[int]] | None = field(
-        default=None, repr=False, compare=False
+    _adjsets: Mapping[int, frozenset[int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        if self._adjsets is None:
-            adj = self.adj
-            object.__setattr__(
-                self, "_adjsets", dict(zip(adj, map(frozenset, adj.values())))
-            )
+        adj = self.adj
+        object.__setattr__(
+            self, "_adjsets", dict(zip(adj, map(frozenset, adj.values())))
+        )
+
+    @classmethod
+    def _with_sets(
+        cls,
+        vertices: tuple[int, ...],
+        adj: Mapping[int, tuple[int, ...]],
+        frontier: frozenset[int],
+        adjsets: Mapping[int, frozenset[int]],
+    ) -> "FiniteGraph":
+        """The graph with these fields, for a caller (a Region) that
+        already holds the neighbour sets: they are not built again."""
+        G = cls.__new__(cls)
+        for name, value in (
+            ("vertices", vertices),
+            ("adj", adj),
+            ("frontier", frontier),
+            ("labels", None),
+            ("_adjsets", adjsets),
+        ):
+            object.__setattr__(G, name, value)
+        return G
 
     @staticmethod
     def from_edges(
@@ -344,24 +362,6 @@ def verify_cycle(G: GraphLike, C: Cycle) -> CycleReport:
 # traversals
 
 
-def distances_from(G: FiniteGraph, sources: Iterable[int]) -> dict[int, int]:
-    """BFS distances from a source set within a finite graph."""
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
-        if not G.has_vertex(s):
-            raise InputError(f"unknown source vertex {s}")
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in G.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def neighborhood_k(G: GraphLike, X: Iterable[int], k: int) -> frozenset[int]:
     """Vertices at distance between 1 and ``k`` from the set ``X``.
 
@@ -518,9 +518,7 @@ class Region:
         adj.update(rows)
         sets = dict(zip(vertices, map(self.sets.get, vertices)))
         sets.update(zip(rows, map(frozenset, rows.values())))
-        return FiniteGraph(
-            vertices=vertices, adj=adj, frontier=frozenset(rows), _adjsets=sets
-        )
+        return FiniteGraph._with_sets(vertices, adj, frozenset(rows), sets)
 
     def _check_symmetry(self, fresh: set[int]) -> None:
         """Check each pair with both ends interior, once: when the later

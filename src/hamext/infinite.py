@@ -1060,11 +1060,11 @@ class _RunState:
     certified).
     """
 
-    def __init__(self, G: LazyGraph) -> None:
+    def __init__(self, G: LazyGraph, seed: Cycle) -> None:
         self.G = G
         self.star_certified: set[int] = set()
         self.claw_certified: set[int] = set()
-        self.region: Region | None = None
+        self.region = Region(G, seed.order)
 
     def require_star(self, B: FiniteGraph, limit: int) -> None:
         star = star_on_ball(B, self.region.layers, limit, self.star_certified)
@@ -1074,12 +1074,11 @@ class _RunState:
                 f"{star.witness}"
             )
 
-    def check_seed(self, seed: Cycle) -> FiniteGraph:
+    def check_seed(self) -> FiniteGraph:
         """The claw scan, then the degree condition, on the ball that
         saturation starts from, so that an input failing either is
-        refused before saturation can trip over it.  Returns that ball.
-        The run's region starts here, grown from the seed."""
-        self.region = Region(self.G, seed.order)
+        refused before saturation can trip over it.  Returns that ball,
+        the region's first."""
         B = self.region.ball(_SEED_RADIUS)
         require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
         self.require_star(B, _SEED_RADIUS - 2)
@@ -1128,9 +1127,9 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
 
-    state = _RunState(G)
     seed = _initial_cycle(G)
-    C = _saturate_initial(G, seed, state.check_seed(seed))
+    state = _RunState(G, seed)
+    C = _saturate_initial(G, seed, state.check_seed())
     cycles = [C]
     blockers: list[frozenset[int]] = []
     ks: list[int] = []

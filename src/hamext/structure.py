@@ -248,8 +248,6 @@ def decompose(
 
     if region is None:
         region = Region(G, X)
-    elif X != region.layers[0]:
-        raise InputError("decompose's region does not hold X")
     dist = region.dist
     cap = _ball_radius_cap()
     while True:

@@ -4,7 +4,7 @@ import pytest
 
 from hamext.errors import FrontierContamination, InputError
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
-from hamext.graphcore import FiniteGraph, ball, distances_from
+from hamext.graphcore import FiniteGraph, ball
 from hamext.oracle import random_star_clawfree
 from hamext.conditions import (
     ClawVerdict,
@@ -17,6 +17,7 @@ from hamext.conditions import (
     induced_paths_3,
     is_claw_free,
 )
+from wholeball import distances_from
 
 
 def star_k13():

@@ -15,7 +15,6 @@ from hamext.graphcore import (
     components,
     cycle_from_json_obj,
     cycle_to_json_obj,
-    distances_from,
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json_obj,
@@ -23,6 +22,7 @@ from hamext.graphcore import (
     verify_cycle,
 )
 from hamext.infinite import CutWitness, _explicit_cut
+from wholeball import distances_from
 
 
 def k4():

@@ -39,37 +39,7 @@ from hamext.infinite import _CutBuilder, hamilton_sequence
 from hamext.oracle import random_star_clawfree
 from hamext.structure import decompose, minimal_ray_blocker
 from test_infinite import rim_of
-
-
-def reference_ball(G, center, radius):
-    """A whole-ball search, as ball() ran before the region: the ball
-    and the distances from the center inside it."""
-    cset = sorted(set(center))
-    dist = {v: 0 for v in cset}
-    ring = list(cset)
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in ring:
-            for w in G.neighbors(u):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        ring = sorted(nxt)
-    members = frozenset(dist)
-    adj = {
-        v: tuple(w for w in G.neighbors(v) if w in members) for v in sorted(members)
-    }
-    for v, nbrs in adj.items():
-        if dist[v] >= radius:
-            continue
-        for w in nbrs:
-            if dist[w] < radius and v not in adj[w]:
-                raise InvariantViolation(
-                    f"neighbor oracle is asymmetric on pair ({v}, {w})"
-                )
-    frontier = frozenset(v for v in members if dist[v] == radius)
-    B = FiniteGraph(vertices=tuple(sorted(members)), adj=adj, frontier=frontier)
-    return B, dist
+from wholeball import reference_ball
 
 
 def assert_ball_matches(region, radius, B):
@@ -484,7 +454,7 @@ def test_seeded_heap_runs_the_same_extensions():
 # flatness: one iteration's Python lines do not grow with |C|
 
 
-def _lines_per_enlarge(n, depth):
+def _lines_per_enlarge(monkeypatch, n, depth):
     """The Python lines run inside the package by each iteration, with
     the cycle length before it."""
     root = os.path.dirname(hamext.__file__)
@@ -510,17 +480,14 @@ def _lines_per_enlarge(n, depth):
         finally:
             sys.settrace(None)
 
-    infinite._RunState.enlarge = traced
-    try:
-        hamilton_sequence(gen_G_inf(n), depth)
-    finally:
-        infinite._RunState.enlarge = enlarge
+    monkeypatch.setattr(infinite._RunState, "enlarge", traced)
+    hamilton_sequence(gen_G_inf(n), depth)
     return counts
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_iteration_lines_do_not_grow_with_the_cycle(n):
-    counts = _lines_per_enlarge(n, 24)
+def test_iteration_lines_do_not_grow_with_the_cycle(monkeypatch, n):
+    counts = _lines_per_enlarge(monkeypatch, n, 24)
     (c5, l5), (c23, l23) = counts[5], counts[23]
     assert c23 > 3 * c5
     # the whole-cycle passes cost 226 (GZ2) and 288 (GZ3) lines per

@@ -15,7 +15,7 @@ from hamext.conditions import check_star_ball, claw_free_on_ball, star_on_ball
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.extension import Extension, apply_extension, find_extension
 from hamext.families import _make_double_ray_family, gen_G_inf, gen_H_inf
-from hamext.graphcore import FiniteGraph, ball, canonical_edge, distances_from
+from hamext.graphcore import FiniteGraph, ball, canonical_edge
 from hamext.infinite import (
     SteinerTree,
     _CutBuilder,
@@ -31,6 +31,7 @@ from hamext.infinite import (
 )
 from hamext.structure import decompose, minimal_ray_blocker
 from test_infinite import rim_of
+from wholeball import distances_from
 
 RUNS = ((2, 8), (3, 8), (4, 5))
 
