@@ -118,21 +118,18 @@ class LiveCycle:
     """Mutable oriented cycle kept as a successor map.
 
     It answers what find_extension asks of a Cycle (``in``, ``len``,
-    ``succ`` and ``order``).  ``order`` is cached until the next
-    rewiring; freeze() returns it as a Cycle.  After one rewiring of a
-    known order it is cut and pasted from that order, otherwise walked
-    from ``head``.  last_edge_diff() says which edges the last rewiring
-    swapped.
+    ``succ`` and ``order``).  ``order`` is walked from ``head`` on demand
+    and cached until the next rewiring; freeze() returns it as a Cycle.
+    last_edge_diff() says which edges the last rewiring swapped.
     """
 
-    __slots__ = ("head", "_succ", "_order", "_before", "_last")
+    __slots__ = ("head", "_succ", "_order", "_last")
 
     def __init__(self, C: Cycle) -> None:
         order = C.order
         self.head = order[0]
         self._succ = dict(zip(order, order[1:] + order[:1]))
         self._order: tuple[int, ...] | None = order
-        self._before: tuple[int, ...] | None = None
         self._last: tuple[Extension, int, int | None] | None = None
 
     def __len__(self) -> int:
@@ -149,8 +146,6 @@ class LiveCycle:
 
     @property
     def order(self) -> tuple[int, ...]:
-        if self._order is None and self._before is not None:
-            self._order = _rewired(self._before, self._last[0])
         if self._order is None:
             succ, head = self._succ, self.head
             walk = [head]
@@ -165,31 +160,21 @@ class LiveCycle:
         return Cycle(self.order)
 
     def apply(self, e: Extension) -> None:
-        """Rewire in place according to e.  Validation is purely
-        structural (membership and distinctness); adjacency of the new
-        edges is the finder's business.  Kinds I and II keep the head;
-        kind III makes the target the head and reverses the arc u+ .. y.
+        """Rewire in place according to e, after the structural checks
+        of _check_rewiring.  Kinds I and II keep the head; kind III
+        makes the target the head and reverses the arc u+ .. y.
         """
         v, u, succ = e.target, e.u, self._succ
-        if v in succ:
-            raise InputError(f"target {v} already lies on the cycle")
-        if u not in succ:
-            raise InputError(f"anchor {u} does not lie on the cycle")
+        _check_rewiring(e, succ, succ.__getitem__)
         up = succ[u]
         yp = None
 
         if e.kind == "I":
             succ[u], succ[v] = v, up
         elif e.kind == "II":
-            if e.x in succ or e.x == v:
-                raise InputError(f"kind II intermediate {e.x} is not an outside vertex")
             succ[u], succ[v], succ[e.x] = v, e.x, up
         else:
             y = e.y
-            if y not in succ:
-                raise InputError(f"second anchor {y} does not lie on the cycle")
-            if y == u or y == up or succ[y] == u:
-                raise InputError("kind III anchors overlap degenerately")
             # u v y .. u+ y+ .. u: point each arc vertex back at its
             # predecessor, u+ at y+
             yp = succ[y]
@@ -202,7 +187,7 @@ class LiveCycle:
                 prev, w = w, nxt
             succ[u], succ[v] = v, y
             self.head = v
-        self._before, self._order = self._order, None
+        self._order = None
         self._last = (e, up, yp)
 
     def last_edge_diff(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
@@ -215,6 +200,26 @@ class LiveCycle:
         if e.kind == "II":
             return ((u, up),), ((u, v), (v, e.x), (e.x, up))
         return ((u, up), (e.y, yp)), ((u, v), (v, e.y), (up, yp))
+
+
+def _check_rewiring(e: Extension, on, succ) -> None:
+    """Raise InputError unless e can rewire the cycle whose vertices are
+    ``on`` (anything supporting ``in``) and whose successor function is
+    ``succ``.  The checks are purely structural (membership and
+    distinctness); adjacency of the new edges is the finder's business."""
+    v, u = e.target, e.u
+    if v in on:
+        raise InputError(f"target {v} already lies on the cycle")
+    if u not in on:
+        raise InputError(f"anchor {u} does not lie on the cycle")
+    if e.kind == "II" and (e.x in on or e.x == v):
+        raise InputError(f"kind II intermediate {e.x} is not an outside vertex")
+    if e.kind == "III":
+        y = e.y
+        if y not in on:
+            raise InputError(f"second anchor {y} does not lie on the cycle")
+        if y == u or y == succ(u) or succ(y) == u:
+            raise InputError("kind III anchors overlap degenerately")
 
 
 def _rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
@@ -233,10 +238,10 @@ def _rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
 
 
 def apply_extension(C: Cycle, e: Extension) -> Cycle:
-    """Rewire a copy of C according to e (see LiveCycle.apply)."""
-    live = LiveCycle(C)
-    live.apply(e)
-    return live.freeze()
+    """The cycle LiveCycle.apply would leave after rewiring C according
+    to e, cut and pasted from C's order."""
+    _check_rewiring(e, C, C.succ)
+    return Cycle(_rewired(C.order, e))
 
 
 def iter_extensions(
@@ -263,7 +268,6 @@ def iter_extensions(
     LiveCycle rewired in place, so it is only valid until the next step;
     freeze() it to keep it.
     """
-    C = LiveCycle(C0)
     seen: set[int] = set()
     heap: list[int] = []
 
@@ -282,7 +286,9 @@ def iter_extensions(
         # a sorted list is a heap; a neighbour of C0 the filter refused
         # is refused again if a later step reaches it
         heap.extend(sorted(targets))
-        seen.update(C0.order, heap)
+        if heap:
+            seen.update(C0.order, heap)
+    C = LiveCycle(C0) if heap else None
     while heap:
         v = heappop(heap)
         if v in C:

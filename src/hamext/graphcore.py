@@ -27,6 +27,8 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
+from operator import not_, sub
 
 from .errors import InputError, InvariantViolation
 
@@ -283,13 +285,21 @@ class Cycle:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.order)
 
-    def pair_sets(self) -> tuple[set[Edge], set[Edge]]:
-        """The pairs (v, succ(v)) and the same pairs reversed, built
-        without a Python step per vertex; every cycle edge, walked
-        either way, is in their union."""
-        order = self.order
-        nxt = order[1:] + order[:1]
-        return set(zip(order, nxt)), set(zip(nxt, order))
+    def edges_outside(self, other: "Cycle") -> list[Edge]:
+        """The pairs (v, succ(v)) of this cycle whose edge is not an edge
+        of ``other``, in cycle order.
+
+        Two vertices are consecutive on ``other`` when their positions
+        on it differ by 1 or by its length less 1, so the pairs are
+        found from those differences, without a Python step per vertex.
+        """
+        order, n = self.order, len(other)
+        # a vertex off ``other`` is placed too far from any other to pass
+        pos = list(map(other._index.get, order, repeat(-2 * n - 5, len(order))))
+        steps = map(sub, pos[1:] + pos[:1], pos)
+        adjacent = {1, -1, n - 1, 1 - n}.__contains__
+        picked = compress(range(len(order)), map(not_, map(adjacent, steps)))
+        return [(order[i], order[i + 1 - len(order)]) for i in picked]
 
     def index(self, v: int) -> int:
         """Position of v in ``order``."""
@@ -446,8 +456,8 @@ class Region:
         self._listed_by: dict[int, list[int]] = {}
         # vertices of X not yet checked to connect to the rest of X
         self._loose: set[int] = set(X)
-        # the directed cycle edges minimal_ray_blocker found in G
-        self.checked_edges: set[Edge] = set()
+        # the last cycle whose edges minimal_ray_blocker found in G
+        self.checked_cycle: Cycle | None = None
 
     def _fetch(self, u: int) -> tuple[int, ...]:
         row = self.nbrs.get(u)

@@ -103,7 +103,7 @@ def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cyc
         i = order.index(arc[0])
     rotated = order[i:] + order[:i]
     interior = set(new_arc[1:-1])
-    if interior & set(rotated):
+    if any(v in C for v in interior):
         raise InputError("replacement interior collides with the cycle")
     if len(interior) != len(new_arc) - 2:
         raise InputError("replacement interior repeats a vertex")
@@ -490,15 +490,17 @@ class _CutBuilder:
         """Read the neighbours of each vertex, in order, through the
         frontier guard.  Cycle vertices never leave, so guarding the
         start cycle and then each newly absorbed vertex raises on the
-        same vertex and step as guarding the whole cycle every step.
-        Only when some vertex lies on the frontier or outside the ball
-        are they walked in order, to name the first."""
-        B = self.B
-        vs = frozenset(vertices)
-        if B.frontier.isdisjoint(vs) and B.adj.keys() >= vs:
-            return
+        same vertex and step as guarding the whole cycle every step."""
         for v in vertices:
             self.guarded_neighbors(v)
+
+    def guard_cycle(self, cur: Cycle) -> None:
+        """guard(cur.order), with the cycle walked only when one of its
+        vertices lies on the frontier or outside the ball, to name the
+        first."""
+        B, on = self.B, cur.vertex_set
+        if not (B.frontier.isdisjoint(on) and B.adj.keys() >= on):
+            self.guard(cur.order)
 
     def read_cuts(self, cur: Cycle) -> None:
         """Read the cycle edges crossing each M set off the cycle, once
@@ -546,7 +548,7 @@ class _CutBuilder:
     # the witness search.
 
     def stage_fill_finite(self) -> Cycle:
-        self.guard(self.C.order)
+        self.guard_cycle(self.C)
         live = None
         for e, live in iter_extensions(
             self.B, self.C, self.K0.__contains__, self.rim.nc & self.K0
@@ -704,21 +706,20 @@ class _CutBuilder:
         return cur
 
     def check_threading_invariants(self, cur: Cycle, upto: int) -> None:
-        on = cur.vertex_set
         for ell in range(upto + 1):
             path = self.paths[ell]
             if path is None:
                 raise InvariantViolation("missing path", ell=ell)
             for a, b in zip(path, path[1:]):
                 if not (
-                    a in on and b in on and b in (cur.succ(a), cur.pred(a))
+                    a in cur and b in cur and b in (cur.succ(a), cur.pred(a))
                 ):
                     raise InvariantViolation(
                         "stored path edge left the cycle",
                         ell=ell,
                         edge=canonical_edge(a, b),
                     )
-            seen_sep = sorted(on & self.parts[ell])
+            seen_sep = sorted(s for s in self.parts[ell] if s in cur)
             if len(seen_sep) != 2:
                 raise InvariantViolation(
                     f"cycle holds {len(seen_sep)} vertices of part {ell}, "
@@ -738,7 +739,7 @@ class _CutBuilder:
                     "path interior left its component", ell=ell
                 )
         for later in range(upto + 1, self.k):
-            spill = on & (self.parts[later] | self.pieces[later])
+            spill = {v for v in self.parts[later] | self.pieces[later] if v in cur}
             if spill:
                 raise InvariantViolation(
                     "cycle entered an unprocessed part",
@@ -756,7 +757,7 @@ class _CutBuilder:
         missing = set(wanted - cur.vertex_set)
         if not missing:
             return cur
-        self.guard(cur.order)
+        self.guard_cycle(cur)
         targets = [
             t for t in missing if any(w in cur for w in self.B.neighbors(t))
         ]
@@ -886,8 +887,8 @@ class _CutBuilder:
                 f"third neighbourhood reaches the frontier: "
                 f"{sorted(contaminated)[:6]}"
             )
-        needed = self.K0 | self.script_S | n3
-        missing = needed - cur.vertex_set
+        on = cur.vertex_set
+        missing = (self.K0 - on) | ((self.script_S | n3) - on)
         if missing:
             raise InvariantViolation(
                 "coverage clause failed",
@@ -931,24 +932,15 @@ class _CutBuilder:
                 )
             )
 
-        # the edges C lost and the edges cur gained, as pairs (v, succ(v))
-        # of the cycle they lie on; an edge walked the other way round
-        # is the same edge
-        old_forward, old_backward = self.C.pair_sets()
-        new_forward, new_backward = cur.pair_sets()
-        lost = old_forward - new_forward - new_backward
-        gained = new_forward - old_forward - old_backward
         protected = self.rim.protected
-        if any(a in protected and b in protected for a, b in lost):
-            cur_edges = cur.edge_set
-            for a, b in self.C.edges():
-                if a in protected and b in protected and (a, b) not in cur_edges:
-                    raise InvariantViolation(
-                        "protected cycle edge vanished", edge=(a, b)
-                    )
+        for a, b in self.C.edges_outside(cur):
+            if a in protected and b in protected:
+                raise InvariantViolation(
+                    "protected cycle edge vanished", edge=canonical_edge(a, b)
+                )
         n2_nc = self.rim.near
         old_vertices = self.C.vertex_set
-        for a, b in sorted(canonical_edge(a, b) for a, b in gained):
+        for a, b in sorted(canonical_edge(*e) for e in cur.edges_outside(self.C)):
             for end in (a, b):
                 if end in old_vertices and end not in n2_nc:
                     raise InvariantViolation(

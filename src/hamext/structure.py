@@ -39,13 +39,15 @@ def _require_cycle_edges(G: LazyGraph, C: Cycle, region: Region) -> None:
     """Raise InputError at the first edge of C, in cycle order, missing
     in G.  Edges the region has already seen checked are skipped, so a
     run checks each edge of each cycle once: when it first appears."""
-    forward, backward = C.pair_sets()
-    if not all(G.adjacent(u, v) for u, v in forward - region.checked_edges):
-        for u in C.order:
-            if not G.adjacent(u, C.succ(u)):
-                raise InputError(f"cycle edge ({u}, {C.succ(u)}) missing in graph")
-    # an edge walked the other way round is the same edge
-    region.checked_edges = forward | backward
+    order, last = C.order, region.checked_cycle
+    if last is None:
+        fresh = zip(order, order[1:] + order[:1])
+    else:
+        fresh = C.edges_outside(last)
+    for u, v in fresh:
+        if not G.adjacent(u, v):
+            raise InputError(f"cycle edge ({u}, {v}) missing in graph")
+    region.checked_cycle = C
 
 
 def minimal_ray_blocker(

@@ -82,6 +82,32 @@ def test_cycle_edges_equal_canonical_pairs():
         assert C.edge_set == frozenset(want)
 
 
+def test_edges_outside_another_cycle():
+    rng = random.Random(9)
+    for _ in range(300):
+        order = rng.sample(range(-30, 30), rng.randint(3, 25))
+        other = list(order)
+        # move, drop and add a few vertices, or reverse an arc
+        for _ in range(rng.randint(0, 4)):
+            step = rng.randrange(3)
+            if step == 0 and len(other) > 3:
+                other.pop(rng.randrange(len(other)))
+            elif step == 1:
+                fresh = rng.choice([v for v in range(-40, 40) if v not in other])
+                other.insert(rng.randrange(len(other) + 1), fresh)
+            else:
+                i, j = sorted(rng.sample(range(len(other)), 2))
+                other[i:j] = reversed(other[i:j])
+        C, D = Cycle(tuple(order)), Cycle(tuple(other))
+        n = len(order)
+        want = [
+            (order[i], order[(i + 1) % n])
+            for i in range(n)
+            if canonical_edge(order[i], order[(i + 1) % n]) not in D.edge_set
+        ]
+        assert C.edges_outside(D) == want
+
+
 def test_cycle_rejects_degenerate():
     with pytest.raises(InputError):
         Cycle((1, 2))

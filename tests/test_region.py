@@ -22,6 +22,7 @@ from hamext.extension import (
     Extension,
     LiveCycle,
     _rewired,
+    apply_extension,
     find_initial_cycle,
     iter_extensions,
 )
@@ -425,6 +426,7 @@ def test_order_after_one_rewiring_equals_the_walk():
         while live.succ(walk[-1]) != live.head:
             walk.append(live.succ(walk[-1]))
         assert _rewired(order, e) == tuple(walk) == live.order
+        assert apply_extension(C, e).order == live.order
         kinds[kind] += 1
     assert len(kinds) == 3
 
@@ -490,6 +492,6 @@ def test_iteration_lines_do_not_grow_with_the_cycle(monkeypatch, n):
     counts = _lines_per_enlarge(monkeypatch, n, 24)
     (c5, l5), (c23, l23) = counts[5], counts[23]
     assert c23 > 3 * c5
-    # the whole-cycle passes cost 226 (GZ2) and 288 (GZ3) lines per
-    # cycle vertex; what is left is one walk of the live cycle
+    # per added cycle vertex; the one walk of the live cycle that ends
+    # stage C costs 3
     assert (l23 - l5) / (c23 - c5) <= 40
