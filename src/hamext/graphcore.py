@@ -450,10 +450,10 @@ class Region:
         self.reach = 0
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
-        # vertices interior to some ball handed out, and for each vertex
-        # not yet among them the interior vertices listing it
+        # vertices interior to some ball handed out, and the pairs
+        # (v, w) with w listed by v but v not by w found at them
         self._interior: set[int] = set()
-        self._listed_by: dict[int, list[int]] = {}
+        self._asymmetric: list[Edge] = []
         # vertices of X not yet checked to connect to the rest of X
         self._loose: set[int] = set(X)
         # the last cycle whose edges minimal_ray_blocker found in G
@@ -516,11 +516,10 @@ class Region:
             raise InputError("ball needs a non-empty center")
         self.extend(radius)
         interior = set().union(*layers[:radius])
-        self._check_symmetry(interior - self._interior)
-        dist = self.dist
-        outer = radius + 1
+        self._check_symmetry(interior)
+        dist, outer = self.dist, radius + 1
         rows = {
-            v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) <= radius)
+            v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) < outer)
             for v in sorted(layers[radius])
         }
         vertices = tuple(sorted(interior.union(rows)))
@@ -530,29 +529,27 @@ class Region:
         sets.update(zip(rows, map(frozenset, rows.values())))
         return FiniteGraph._with_sets(vertices, adj, frozenset(rows), sets)
 
-    def _check_symmetry(self, fresh: set[int]) -> None:
-        """Check each pair with both ends interior, once: when the later
-        of its two ends first becomes interior.  The pair named is the
-        first a whole-ball scan in id and adjacency order would name."""
-        if not fresh:
-            return
-        nbrs, interior, listed_by = self.nbrs, self._interior, self._listed_by
-        interior |= fresh
-        bad = []
+    def _check_symmetry(self, interior: set[int]) -> None:
+        """Raise at the first pair (v, w) of ``interior``, in id and
+        adjacency order, where v lists w but w does not list v: the pair
+        a whole-ball scan names.  Each vertex's list is compared with its
+        neighbours' once, when it is first interior; the asymmetric pairs
+        found are kept, and raised once both ends are interior in one
+        ball, which a smaller radius than before may delay."""
+        nbrs, asymmetric = self.nbrs, self._asymmetric
+        fresh = interior - self._interior
+        self._interior |= fresh
         for x in fresh:
-            row = nbrs[x]
-            for w in row:
-                if w in interior:
-                    if x not in nbrs[w]:
-                        bad.append((x, w))
-                else:
-                    listed_by.setdefault(w, []).append(x)
-            for y in listed_by.pop(x, ()):
-                if y not in row:
-                    bad.append((y, x))
+            for w in nbrs[x]:
+                row = nbrs.get(w)
+                if x not in (self.G.neighbors(w) if row is None else row):
+                    asymmetric.append((x, w))
+        bad = [(v, w) for v, w in asymmetric if v in interior and w in interior]
         if bad:
             v, w = min(bad, key=lambda p: (p[0], nbrs[p[0]].index(p[1])))
-            raise InvariantViolation(f"neighbor oracle is asymmetric on pair ({v}, {w})")
+            raise InvariantViolation(
+                f"neighbor oracle is asymmetric on pair ({v}, {w})"
+            )
 
     def require_connected(self) -> None:
         """Raise InputError unless X induces a connected subgraph.  Only

@@ -167,30 +167,65 @@ def dropped_edges(G, drops):
     return LazyGraph(neighbors, G._escape_oracle, root=G.root)
 
 
-def test_symmetry_check_names_the_whole_ball_pair():
-    # an oracle dropping a few directed edges; the region grows fiber by
-    # fiber and hands out balls of varying radius: each ball, or the
-    # first asymmetric pair named, is the whole-ball search's
-    G2 = gen_G_inf(2)
+def grid():
+    """The square grid near the origin, (x, y) with |x|, |y| < 1000
+    numbered (x + 1000) * 4000 + y + 1000; only its neighbours are
+    read."""
+
+    def neighbors(v):
+        return (v - 4000, v - 1, v + 1, v + 4000)
+
+    return LazyGraph(neighbors, lambda blocked, v: True, root=1000 * 4000 + 1000)
+
+
+@pytest.mark.parametrize("shape", ["fibers", "grid"])
+def test_symmetry_check_names_the_whole_ball_pair(shape):
+    # an oracle dropping a few directed edges; the region grows (along
+    # the double ray of GZ2, or in scattered steps over the grid, where a
+    # vertex can come close from a new side) and hands out balls whose
+    # radius may fall below an earlier one: each ball, or the first
+    # asymmetric pair named, is the whole-ball search's
+    base = gen_G_inf(2) if shape == "fibers" else grid()
     rng = random.Random(5)
     outcomes = Counter()
-    for trial in range(40):
-        # a few dropped edges near one or two fibers, so that one ball
-        # often holds several asymmetric pairs
+    for trial in range(120):
+        if shape == "fibers":
+            centre = rng.randint(-16, 16)
+            pool = [
+                v
+                for f in range(centre - 1, centre + 2)
+                for v in fiber_vertices(base.descriptor, f)
+            ]
+        else:
+            cx, cy = rng.randint(-6, 6), rng.randint(-6, 6)
+            pool = [
+                base.root + (cx + dx) * 4000 + cy + dy
+                for dx in range(-1, 2)
+                for dy in range(-1, 2)
+            ]
+        # a few dropped edges close together, so that one ball often
+        # holds several asymmetric pairs
         drops = set()
-        centre = rng.randint(-9, 9)
         for _ in range(rng.randint(1, 5)):
-            f = centre + rng.randint(-1, 1) * (trial % 3)
-            v = rng.choice(fiber_vertices(G2.descriptor, f))
-            drops.add((v, rng.choice(G2.neighbors(v))))
-        G = dropped_edges(G2, drops)
-        region = Region(G, fiber_vertices(G2.descriptor, 0))
-        for k in range(1, 8):
-            X = set(region.layers[0])
-            for f in (-k, k):
-                X.update(fiber_vertices(G2.descriptor, f))
+            v = rng.choice(pool)
+            drops.add((v, rng.choice(base.neighbors(v))))
+        G = dropped_edges(base, drops)
+        region = Region(G, [base.root])
+        X = {base.root}
+        for k in range(1, 10):
+            if shape == "fibers":
+                lo = -k if rng.random() < 0.7 else -k - rng.randint(1, 5)
+                gained = [
+                    v for f in range(lo, k + 1) for v in fiber_vertices(base.descriptor, f)
+                ]
+            else:
+                gained = [
+                    base.root + rng.randint(-k, k) * 4000 + rng.randint(-k, k)
+                    for _ in range(rng.randint(1, 6))
+                ]
+            X.update(gained)
             region.grow(X - region.layers[0])
-            radius = rng.randint(1, 4)
+            radius = rng.randint(1, 6)
             try:
                 want = ("ok", reference_ball(G, X, radius)[0])
             except InvariantViolation as exc:
