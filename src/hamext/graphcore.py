@@ -546,7 +546,8 @@ class Region:
                     asymmetric.append((x, w))
         bad = [(v, w) for v, w in asymmetric if v in interior and w in interior]
         if bad:
-            v, w = min(bad, key=lambda p: (p[0], nbrs[p[0]].index(p[1])))
+            # neighbour tuples are sorted, so adjacency order is id order
+            v, w = min(bad)
             raise InvariantViolation(
                 f"neighbor oracle is asymmetric on pair ({v}, {w})"
             )

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -29,7 +30,6 @@ from hamext.extension import (
 from hamext.families import fiber_vertices, gen_G_inf, gen_H_inf
 from hamext.graphcore import (
     Cycle,
-    FiniteGraph,
     LazyGraph,
     Region,
     ball,
@@ -215,9 +215,8 @@ def test_symmetry_check_names_the_whole_ball_pair(shape):
         for k in range(1, 10):
             if shape == "fibers":
                 lo = -k if rng.random() < 0.7 else -k - rng.randint(1, 5)
-                gained = [
-                    v for f in range(lo, k + 1) for v in fiber_vertices(base.descriptor, f)
-                ]
+                fibers = range(lo, k + 1)
+                gained = [v for f in fibers for v in fiber_vertices(base.descriptor, f)]
             else:
                 gained = [
                     base.root + rng.randint(-k, k) * 4000 + rng.randint(-k, k)
@@ -351,12 +350,11 @@ def test_claw_scan_with_set_operations_matches_centre_loop():
         for _ in range(80):
             centers = rng.sample(vertices, rng.randint(1, len(vertices)))
             certified = set(rng.sample(centers, rng.randint(0, len(centers))))
-            mode = rng.choice((None, "empty", "some"))
-            got_cert = None if mode is None else (set() if mode == "empty" else set(certified))
+            got_cert = rng.choice((None, set(), set(certified)))
             want_cert = None if got_cert is None else set(got_cert)
             try:
                 verdict = claw_free_on_ball(B, centers, got_cert)
-                got = ("free",) if verdict.claw_free else ("claw", verdict.witness[0], verdict.witness[1])
+                got = ("free",) if verdict.claw_free else ("claw", *verdict.witness)
             except FrontierContamination as exc:
                 got = ("frontier", str(exc))
             try:
@@ -425,7 +423,7 @@ def test_stage_e_edge_clauses_match_whole_cycle_scan(n):
             b.rim.protected = rim.protected | set(rng.sample(old, rng.randint(0, 8)))
             b.rim.near = rim.near - set(rng.sample(old, rng.randint(0, 8)))
             outcomes = []
-            for check in (b.check_output_clauses, lambda cur: reference_edge_clauses(b, cur)):
+            for check in (b.check_output_clauses, partial(reference_edge_clauses, b)):
                 try:
                     check(cur)
                     outcomes.append("ok")
