@@ -284,10 +284,10 @@ def iter_extensions(
         admit(C0.order)
     else:
         # a sorted list is a heap; a neighbour of C0 the filter refused
-        # is refused again if a later step reaches it
+        # is refused again if a later step reaches it, and a vertex of
+        # C0 a later step reaches is dropped when it reaches the top
         heap.extend(sorted(targets))
-        if heap:
-            seen.update(C0.order, heap)
+        seen.update(heap)
     C = LiveCycle(C0) if heap else None
     while heap:
         v = heappop(heap)
