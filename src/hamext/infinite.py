@@ -499,7 +499,7 @@ class _CutBuilder:
         vertices lies on the frontier or outside the ball, to name the
         first."""
         B, on = self.B, cur.vertex_set
-        if not (B.frontier.isdisjoint(on) and B.adj.keys() >= on):
+        if not (B.frontier.isdisjoint(on) and on <= B.vertex_set):
             self.guard(cur.order)
 
     def read_cuts(self, cur: Cycle) -> None:
@@ -888,7 +888,9 @@ class _CutBuilder:
                 f"{sorted(contaminated)[:6]}"
             )
         on = cur.vertex_set
-        missing = (self.K0 - on) | ((self.script_S | n3) - on)
+        missing = (self.script_S | n3) - on
+        if not self.K0 <= on:
+            missing |= self.K0 - on
         if missing:
             raise InvariantViolation(
                 "coverage clause failed",
