@@ -27,6 +27,7 @@ from .families import descriptor_to_lazy, fiber_window, gen_G, gen_H
 from .graphcore import (
     Cycle,
     cycle_to_json_obj,
+    dumps_json,
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json_obj,
@@ -49,8 +50,12 @@ FINITE_FAMILIES = ("Gqn", "H2qn", "rand")
 INFINITE_FAMILIES = ("GZn", "HZn")
 
 
-def _emit(obj: object) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=1))
+def _emit(obj: object, out: str | None = None) -> None:
+    """Print ``obj`` as JSON; with ``out``, also write the same text there."""
+    text = dumps_json(obj)
+    if out is not None:
+        _write_text(out, text + "\n")
+    print(text)
 
 
 def _json_safe(value: object) -> object:
@@ -125,9 +130,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         payload = graph_to_json_obj(G)
         if args.dot is not None:
             _write_text(args.dot, graph_to_dot(G))
-    if args.out is not None:
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    _emit(payload)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -169,7 +172,7 @@ def _cmd_ham(args: argparse.Namespace) -> int:
             "initial": cycle_to_json_obj(C0),
             "steps": steps,
         }
-        _write_text(args.trace, json.dumps(trace, sort_keys=True, indent=1) + "\n")
+        _write_text(args.trace, dumps_json(trace) + "\n")
     if args.dot is not None:
         _write_text(args.dot, graph_to_dot(G, highlight=C.edges()))
     _emit(
@@ -197,18 +200,16 @@ def _cmd_infham(args: argparse.Namespace) -> int:
     if not isinstance(desc, dict):
         raise InputError("descriptor must be a JSON object")
     G = descriptor_to_lazy(desc)
+    if args.window is not None and args.window < 0:
+        raise InputError("--window must be non-negative")
     trace = hamilton_sequence(G, args.depth)
     payload = trace.to_json_obj()
     if args.window is not None:
-        if args.window < 0:
-            raise InputError("--window must be non-negative")
         window = fiber_window(desc, args.window)
         stable = stable_limit(trace, window)
         payload["stable_edges"] = [list(e) for e in sorted(stable)]
         payload["window_half_width"] = args.window
-    if args.out is not None:
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    _emit(payload)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ lists ascending, components ordered by smallest member.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -646,6 +647,40 @@ def components(
 # ---------------------------------------------------------------------------
 # serialization
 
+
+def dumps_json(obj: object) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=1)``.
+
+    With ``indent`` set, ``json`` encodes in pure Python; this walks the
+    lists, tuples and str-keyed dicts itself and writes a list of plain
+    ints in one ``join``, so a trace's long id arrays cost C time.
+    """
+    return _dumps_at(obj, "\n")
+
+
+def _dumps_at(x: object, nl: str) -> str:
+    """``x`` encoded as if nested where each line starts with ``nl``."""
+    t = type(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + " "
+        if set(map(type, x)) == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_dumps_at(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict and set(map(type, x)) <= {str}:
+        if not x:
+            return "{}"
+        inner = nl + " "
+        items = [json.dumps(k) + ": " + _dumps_at(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    # scalars, other keys and subclasses; json escapes every newline
+    # inside a string, so each raw one starts a line of the structure
+    return json.dumps(x, sort_keys=True, indent=1).replace("\n", nl)
+
+
 GRAPH_JSON_KEYS = {"vertices", "edges", "labels"}
 
 
@@ -692,8 +727,9 @@ def cycle_to_json_obj(C: Cycle) -> list[int]:
 
 def ids_from_json_obj(obj: object, what: str) -> tuple[int, ...]:
     """A JSON array of vertex ids; anything but plain integers is refused."""
-    if not isinstance(obj, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in obj
+    if not isinstance(obj, list) or not (
+        set(map(type, obj)) <= {int}
+        or all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
     ):
         raise InputError(f"{what} JSON must be an array of integer ids")
     return tuple(obj)

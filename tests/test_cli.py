@@ -284,11 +284,14 @@ def test_structure_refuses_hz_claw(capsys, tmp_path):
 
 def test_infham_trace_verifies(capsys, gz2_file, tmp_path):
     out = tmp_path / "trace.json"
-    code, payload = run(
-        capsys, "infham", "--descriptor", str(gz2_file),
+    code = cli.main([
+        "infham", "--descriptor", str(gz2_file),
         "--depth", "2", "--window", "5", "--out", str(out),
-    )
+    ])
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout)
     assert code == 0
+    assert out.read_bytes() == stdout.encode()
     assert payload["depth"] == 2
     assert [len(c) for c in payload["cycles"]] == [8, 24, 40]
     assert payload["window_half_width"] == 5
@@ -306,6 +309,29 @@ def test_infham_rejects_bad_depth(capsys, gz2_file):
     )
     assert code == 2
     assert payload["kind"] == "input"
+
+
+@pytest.mark.parametrize("family", ["GZn", "HZn"])
+def test_infham_refuses_negative_window_before_building(
+    capsys, tmp_path, monkeypatch, family
+):
+    # HZ2 is refused by the construction as well; the flag is read first
+    desc = tmp_path / "desc.json"
+    assert cli.main(["gen", "--family", family, "--n", "2", "--out", str(desc)]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli, "hamilton_sequence", unreachable)
+    out = tmp_path / "trace.json"
+    code, payload = run(
+        capsys, "infham", "--descriptor", str(desc), "--depth", "30",
+        "--window", "-1", "--out", str(out),
+    )
+    assert code == 2
+    assert payload == {"error": "--window must be non-negative", "kind": "input"}
+    assert not out.exists()
 
 
 def test_infham_is_bit_identical(capsys, gz2_file):

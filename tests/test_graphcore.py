@@ -1,8 +1,9 @@
 import json
 import random
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.families import gen_G_inf
@@ -15,13 +16,15 @@ from hamext.graphcore import (
     components,
     cycle_from_json_obj,
     cycle_to_json_obj,
+    dumps_json,
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json_obj,
+    ids_from_json_obj,
     neighborhood_k,
     verify_cycle,
 )
-from hamext.infinite import CutWitness, _explicit_cut
+from hamext.infinite import CutWitness, _explicit_cut, hamilton_sequence
 from wholeball import distances_from
 
 
@@ -239,6 +242,55 @@ def test_cycle_json_round_trip():
     assert cycle_from_json_obj(cycle_to_json_obj(C)).order == (2, 0, 1)
     with pytest.raises(InputError):
         cycle_from_json_obj({"cycle": [1, 2]})
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 7
+
+
+def test_ids_from_json_obj_refuses_all_but_plain_ints():
+    assert ids_from_json_obj([3, -1, 10**30], "x") == (3, -1, 10**30)
+    assert ids_from_json_obj([], "x") == ()
+    for bad in ([1, True], [True], [1.0], [2, "1"], (1, 2), {"1": 2}):
+        with pytest.raises(InputError, match="^x JSON must be an array of integer ids$"):
+            ids_from_json_obj(bad, "x")
+    # an int subclass other than bool passes, member intact
+    ids = ids_from_json_obj([Colour.BLUE, 2], "x")
+    assert ids == (7, 2) and type(ids[0]) is Colour
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(Colour)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@example({"a\nb": ["\u00e9\u2028", "\"\\", {}, [], ()], "": {"\t": [True, 1, 1.5]}})
+@example([[float("nan"), float("-inf")], {2: [Colour.RED, 3], 10: {}}, (4, 5)])
+@example({"k": [1, True, 2], "j": [Colour.BLUE, 0]})
+def test_dumps_json_equals_indented_json_dumps(x):
+    assert dumps_json(x) == json.dumps(x, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 32), (3, 28)])
+def test_dumps_json_equals_json_dumps_on_traces(n, depth):
+    obj = hamilton_sequence(gen_G_inf(n), depth).to_json_obj()
+    assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
 
 def test_dot_output_mentions_all_edges():

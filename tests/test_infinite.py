@@ -10,7 +10,7 @@ import pytest
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import gen_G_inf, gen_H_inf, zigzag
-from hamext.graphcore import Cycle, LazyGraph, neighborhood_k
+from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
 from hamext.infinite import (
     SequenceTrace,
     _Rim,
@@ -522,6 +522,75 @@ def test_verify_catches_tampered_cycle(gz2_trace):
     bad = replace(gz2_trace, cycles=tuple(cycles))
     with pytest.raises(InputError, match="cycle 1 invalid"):
         verify_hc_extract(bad)
+
+
+def first_cycle_failure(G, trace):
+    """What a whole-cycle scan of every trace cycle, in order, reports
+    first: the InputError text verify_hc_extract must raise."""
+    for idx, C in enumerate(trace.cycles):
+        try:
+            report = verify_cycle(G, C)
+        except InputError as exc:
+            return str(exc)
+        if not report.ok:
+            return f"trace cycle {idx} invalid: {report.reason}"
+    return None
+
+
+def with_cycle(trace, idx, order):
+    cycles = list(trace.cycles)
+    cycles[idx] = Cycle(tuple(order))
+    return replace(trace, cycles=tuple(cycles))
+
+
+@pytest.mark.parametrize("idx", [0, 2, 4])
+@pytest.mark.parametrize("plant", ["swap", "far", "invalid"])
+def test_verify_cycle_pairs_fail_as_a_whole_scan(gz2_trace, idx, plant):
+    order = list(gz2_trace.cycles[idx].order)
+    far = 10**6  # a GZ2 vertex far down one ray, adjacent to nothing here
+    head = f"trace cycle {idx} invalid: consecutive cycle vertices"
+    if plant == "swap":
+        order[1], order[3] = order[3], order[1]
+    elif plant == "far":
+        order[-1] = far
+    else:
+        # no negative id is a vertex: asking for the neighbours of one
+        # raises, so the one pair that only ends in -1 must be judged
+        # first, as a scan would
+        order[2:7] = range(-1, -6, -1)
+        head = f"{head} {order[1]}, -1 not adjacent"
+    bad = with_cycle(gz2_trace, idx, order)
+    want = first_cycle_failure(gen_G_inf(2), bad)
+    assert want.startswith(head)
+    with pytest.raises(InputError) as err:
+        verify_hc_extract(bad)
+    assert str(err.value) == want
+
+
+def test_verify_cycle_pairs_are_oriented(gz2_trace):
+    # an oracle listing u -> v but not v -> u: cycle 0 walks u, v and
+    # passes, a later cycle walks the same edge as v, u and must fail
+    base = gen_G_inf(2)
+    k = len(gz2_trace.cycles) - 1
+    walked = [set(zip(C.order, C.order[1:] + C.order[:1])) for C in gz2_trace.cycles]
+    u, v = next(
+        (u, v) for u, v in sorted(walked[0])
+        if (u, v) in walked[k] and not any((v, u) in w for w in walked[:k])
+    )
+    G = LazyGraph(
+        lambda w: tuple(x for x in base.neighbors(w) if (w, x) != (v, u)),
+        base.escapes,
+        base.root,
+        base.end_rays,
+    )
+    bad = with_cycle(gz2_trace, k, reversed(gz2_trace.cycles[k].order))
+    want = f"trace cycle {k} invalid: consecutive cycle vertices {v}, {u} not adjacent"
+    assert first_cycle_failure(G, bad) == want
+    with pytest.raises(InputError) as err:
+        verify_hc_extract(bad, G)
+    assert str(err.value) == want
+    # the trace as built walks u, v throughout and verifies
+    assert verify_hc_extract(gz2_trace, G).all_ok
 
 
 def test_verify_catches_dropped_vertices(gz2_trace):
