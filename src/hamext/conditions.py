@@ -18,6 +18,17 @@ built per call and not kept.  Witnesses and both compared numbers come
 from the exact scan, in id order, of the first centre the masks flag,
 so they are the ones a triple-by-triple scan of the whole graph finds.
 
+On a finite graph both checks first merge closed twins (vertices with
+equal N[v]; one pass over the neighbour sets).  Both conditions are
+the same at twins, and the ends of an induced path or the leaves of a
+claw lie in distinct classes, none of them the centre's.  So the table
+is built over the classes, with one centre per class (its smallest
+id, where the first failure in id order always lies) and one end per
+neighbouring class; for the degree condition each class takes a block
+of ranks, one bit per vertex, so the compared numbers stay exact.  A
+blow-up G0[K_n] costs what G0 does, and a twin-free graph keeps the
+per-vertex table.
+
 The ball checks take a set of certified centres: a centre that passed
 with its whole neighbourhood in view passes on every later ball of the
 same graph, so it is skipped, and the table covers only the centres
@@ -26,8 +37,9 @@ left and the vertices their masks can mark.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence, Set
 
 from .errors import FrontierContamination, InputError
 from .graphcore import FiniteGraph, LazyGraph, Region, neighborhood_k
@@ -110,43 +122,69 @@ def _star_at(G: FiniteGraph, u: int, v: int, w: int) -> tuple[int, int]:
 
 
 class _RankTable:
-    """BFS ranks and neighbourhood masks of a finite graph.
+    """BFS ranks and neighbourhood masks of a finite graph, given by its
+    ``vertices`` in id order and its adjacency ``adj``.
 
     Ranks come from one breadth-first search that starts each component
     at its smallest vertex and takes neighbours in adjacency order, so
     a neighbourhood lies within three consecutive BFS layers.  In
     ``bits[v]``, bit ``r - lo[v]`` marks the neighbour of rank ``r``;
     the mask is as wide as that window, not |V|.  Built in O(|E|).
+
+    With ``size``, the graph is a quotient: each vertex v stands for a
+    class of ``size[v]`` closed twins, and the class takes a block of
+    consecutive ranks, starting at ``rank[v]`` with v itself.  Then
+    ``bits[v]`` marks v's neighbours in the graph the classes come from:
+    the blocks of the neighbouring classes, and v's own block but v.
     """
 
     __slots__ = ("adj", "rank", "lo", "bits")
 
-    def __init__(self, G: FiniteGraph) -> None:
-        adj = G.adj
+    def __init__(
+        self,
+        vertices: Sequence[int],
+        adj: Mapping[int, Sequence[int]],
+        size: Mapping[int, int] | None = None,
+    ) -> None:
         rank: dict[int, int] = {}
-        order: list[int] = []
-        head = 0
-        for s in G.vertices:
+        for s in vertices:
             if s in rank:
                 continue
-            rank[s] = len(order)
-            order.append(s)
-            while head < len(order):
-                for w in adj[order[head]]:
+            rank[s] = len(rank)
+            queue = [s]
+            for x in queue:
+                for w in adj[x]:
                     if w not in rank:
-                        rank[w] = len(order)
-                        order.append(w)
-                head += 1
+                        rank[w] = len(rank)
+                        queue.append(w)
         lo: dict[int, int] = {}
         bits: dict[int, int] = {}
-        for v in G.vertices:
-            ranks = [rank[w] for w in adj[v]]
-            first = min(ranks, default=0)
-            mask = 0
-            for r in ranks:
-                mask |= 1 << (r - first)
-            lo[v] = first
-            bits[v] = mask
+        ranked = rank.__getitem__
+        if size is None:
+            for v in vertices:
+                ranks = list(map(ranked, adj[v]))
+                first = min(ranks) if ranks else 0
+                mask = 0
+                for r in ranks:
+                    mask |= 1 << (r - first)
+                lo[v] = first
+                bits[v] = mask
+        else:
+            # rank holds the BFS order; each class gets a block from there
+            start = 0
+            for v in rank:
+                rank[v] = start
+                start += size[v]
+            for v in vertices:
+                blocks = [(rank[w], size[w]) for w in adj[v]]
+                if size[v] > 1:
+                    blocks.append((rank[v] + 1, size[v] - 1))
+                first = min([r for r, _ in blocks], default=0)
+                mask = 0
+                for r, k in blocks:
+                    mask |= ((1 << k) - 1) << (r - first)
+                lo[v] = first
+                bits[v] = mask
         self.adj, self.rank, self.lo, self.bits = adj, rank, lo, bits
 
     def base(self, v: int, ends) -> int:
@@ -158,6 +196,34 @@ class _RankTable:
             if lo[u] < base:
                 base = lo[u]
         return base
+
+
+def _twin_classes(
+    G: FiniteGraph,
+) -> tuple[Sequence[int], Mapping[int, Sequence[int]], Mapping[int, int] | None]:
+    """The quotient of G by its closed-twin classes (equal N[v]).
+
+    Returns the first vertex of each class in id order, the quotient
+    adjacency (for each of them, the first vertices of the neighbouring
+    classes, in the order they first appear in its adjacency list) and
+    the class sizes.  Without twins that is ``G.vertices``, ``G.adj`` and
+    None.
+    """
+    vertices, adj = G.vertices, G.adj
+    closed = G.closed_neighborhoods()
+    if len(set(closed)) == len(closed):
+        return vertices, adj, None
+    # later pairs overwrite earlier ones, so each class keeps its first vertex
+    first = dict(zip(reversed(closed), reversed(vertices)))
+    rep = dict(zip(vertices, map(first.__getitem__, closed)))
+    # counted in vertex order, so its keys are the classes in id order
+    size = Counter(rep.values())
+    quotient = {}
+    for r in size:
+        nbrs = dict.fromkeys(map(rep.__getitem__, adj[r]))
+        nbrs.pop(r, None)
+        quotient[r] = tuple(nbrs)
+    return list(size), quotient, size
 
 
 def _star_fails_near(table: _RankTable, v: int, ends) -> bool:
@@ -243,27 +309,19 @@ def _star_scan_at(
 def check_star(G: FiniteGraph) -> StarVerdict:
     """Check the degree condition on every induced path of a finite graph.
 
-    Centres are taken in id order; only the first centre the mask test
-    flags is scanned triple by triple."""
-    table = _RankTable(G)
-    for v in G.vertices:
-        ends = G.adj[v]
-        if _star_fails_near(table, v, ends):
-            found = _star_scan_at(G, v, ends)
+    The condition is the same at closed twins, so centres are the first
+    vertices of the twin classes, in id order, and the mask test takes
+    one end per neighbouring class; only the first centre it flags is
+    scanned triple by triple, over all its neighbours."""
+    centers, quotient, size = _twin_classes(G)
+    table = _RankTable(centers, quotient, size)
+    for v in centers:
+        if _star_fails_near(table, v, quotient[v]):
+            found = _star_scan_at(G, v, G.adj[v])
             if found is not None:
                 witness, lhs, rhs = found
                 return StarVerdict(False, witness=witness, lhs=lhs, rhs=rhs)
     return StarVerdict(True)
-
-
-class _Window:
-    """The part of a graph a rank table is built over: what _RankTable
-    reads of a FiniteGraph."""
-
-    __slots__ = ("vertices", "adj")
-
-    def __init__(self, vertices: list[int], adj: dict[int, tuple[int, ...]]) -> None:
-        self.vertices, self.adj = vertices, adj
 
 
 def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
@@ -278,7 +336,7 @@ def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
     keep = core | neighborhood_k(B, core, hops)
     vertices = sorted(keep)
     window = {v: tuple(w for w in adj[v] if w in keep) for v in vertices}
-    return _RankTable(_Window(vertices, window))
+    return _RankTable(vertices, window)
 
 
 def star_on_ball(
@@ -360,9 +418,15 @@ def _claw_at(G: FiniteGraph, v: int) -> tuple[int, int, int] | None:
 
 
 def is_claw_free(G: FiniteGraph) -> ClawVerdict:
-    """Scan for a vertex with three pairwise non-adjacent neighbours."""
-    table = _RankTable(G)
-    for v in G.vertices:
+    """Scan for a vertex with three pairwise non-adjacent neighbours.
+
+    A claw's leaves lie in distinct closed-twin classes, none of them
+    the centre's, so the mask test runs on the quotient by those
+    classes, one centre per class in id order; the first centre it
+    flags is scanned over all its neighbours."""
+    centers, quotient, _ = _twin_classes(G)
+    table = _RankTable(centers, quotient)
+    for v in centers:
         if _claw_near(table, v):
             leaves = _claw_at(G, v)
             if leaves is not None:

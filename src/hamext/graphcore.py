@@ -112,12 +112,21 @@ class FiniteGraph:
                 u, v = e
             except (TypeError, ValueError):
                 raise InputError(f"edge must be a pair, got {e!r}") from None
+            # exact types first, as that test is cheap; True and 1.0 equal
+            # vertex ids, so membership alone would let them in
+            if (type(u) is not int or type(v) is not int) and not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in (u, v)
+            ):
+                raise InputError(f"edge endpoints must be integer ids, got {e!r}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
-                raise InputError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            try:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            except KeyError:
+                raise InputError(
+                    f"edge ({u}, {v}) has an endpoint outside the vertex set"
+                ) from None
         if labels is not None:
             unknown = set(labels) - vset
             if unknown:
@@ -145,6 +154,13 @@ class FiniteGraph:
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adjsets
+
+    def closed_neighborhoods(self) -> list[frozenset[int]]:
+        """N[v] = N(v) | {v} of every vertex, in vertex order."""
+        vertices = self.vertices
+        return list(
+            map(frozenset.union, map(self._adjsets.__getitem__, vertices), zip(vertices))
+        )
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -718,7 +734,7 @@ def graph_from_json_obj(obj: object) -> FiniteGraph:
                 labels[int(k)] = str(s)
             except ValueError:
                 raise InputError(f"label key {k!r} is not an integer id") from None
-    return FiniteGraph.from_edges(vertices, [tuple(e) for e in edges], labels=labels)
+    return FiniteGraph.from_edges(vertices, edges, labels=labels)
 
 
 def cycle_to_json_obj(C: Cycle) -> list[int]:

@@ -178,6 +178,26 @@ def test_check_rejects_malformed_json(capsys, tmp_path):
     assert "JSON" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [5],
+        [[0, [1]]],
+        [[0, {"a": 1}]],
+        [[0, True], [1, 2], [0, 2]],
+        [[0, 1.0], [1, 2], [0, 2]],
+    ],
+    ids=["not-a-pair", "list-endpoint", "object-endpoint", "bool-endpoint", "float-endpoint"],
+)
+@pytest.mark.parametrize("command", [["check", "--what", "star"], ["ham"]], ids=["check", "ham"])
+def test_bad_edge_entries_are_refused(capsys, tmp_path, command, edges):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": edges}))
+    code, payload = run(capsys, command[0], "--input", str(path), *command[1:])
+    assert code == 2
+    assert payload["kind"] == "input"
+
+
 # ---------------------------------------------------------------------------
 # ham
 

@@ -10,6 +10,11 @@ from hamext.conditions import (
     ClawVerdict,
     StarVerdict,
     _RankTable,
+    _claw_at,
+    _claw_near,
+    _star_fails_near,
+    _star_scan_at,
+    _twin_classes,
     check_star,
     check_star_ball,
     check_ungl_kette,
@@ -292,5 +297,121 @@ def test_rank_table_masks_stay_narrow(q):
     # a neighbourhood spans a few BFS layers whatever |V| is; masks over
     # plain id ranks would be up to 4q bits wide here
     G = relabel(gen_G(q, 4), random.Random(q))
-    table = _RankTable(G)
-    assert max(m.bit_length() for m in table.bits.values()) <= 32
+    for table in (_RankTable(G.vertices, G.adj), _RankTable(*_twin_classes(G))):
+        assert max(m.bit_length() for m in table.bits.values()) <= 32
+
+
+# ---------------------------------------------------------------------------
+# closed-twin classes: the finite checks visit one centre per class
+
+
+def blow_up(base, sizes, ids):
+    """G0[K_s]: vertex i of the base graph becomes a clique of sizes[i]
+    vertices, and the cliques of adjacent base vertices are joined."""
+    fibers, pos = [], 0
+    for s in sizes:
+        fibers.append(ids[pos : pos + s])
+        pos += s
+    edges = [(a, b) for f in fibers for i, a in enumerate(f) for b in f[i + 1 :]]
+    edges += [(a, b) for i, j in base for a in fibers[i] for b in fibers[j]]
+    return edges
+
+
+def with_shuffled_adjacency(G, rng):
+    """G with every neighbour tuple in a random order."""
+    adj = {v: tuple(rng.sample(G.adj[v], len(G.adj[v]))) for v in G.vertices}
+    return FiniteGraph(vertices=G.vertices, adj=adj)
+
+
+def test_twin_classes_of_blow_ups():
+    for q in (4, 10, 100):
+        G = relabel(gen_G(q, 4), random.Random(q))
+        centers, quotient, size = _twin_classes(G)
+        assert len(centers) == q and sorted(size.values()) == [4] * q
+        # each class is named by its smallest id, and neighbours in the
+        # quotient are classes again
+        assert list(centers) == sorted(centers)
+        assert all(set(quotient[v]) <= set(centers) for v in centers)
+    # the star fibers' leaves have equal open but not closed neighbourhoods
+    for q, n in ((2, 5), (3, 6)):
+        centers, _, size = _twin_classes(gen_H(q, n))
+        assert len(centers) == 5 * q
+        assert sorted(size.values()) == [1] * 4 * q + [n] * q
+
+
+def test_twin_free_graphs_keep_the_per_vertex_table():
+    rng = random.Random(8)
+    for q in (9, 40, 300):
+        ids = list(range(q))
+        rng.shuffle(ids)
+        C = FiniteGraph.from_edges(
+            range(q), [(ids[i], ids[(i + d) % q]) for i in range(q) for d in (1, 2, 3)]
+        )
+        assert _twin_classes(C) == (C.vertices, C.adj, None)
+        plain = _RankTable(C.vertices, C.adj)
+        for table in (
+            _RankTable(*_twin_classes(C)),
+            _RankTable(C.vertices, C.adj, dict.fromkeys(C.vertices, 1)),
+        ):
+            assert (table.rank, table.lo, table.bits) == (plain.rank, plain.lo, plain.bits)
+
+
+def assert_masks_flag_exactly(G):
+    """The mask tests over the classes flag a centre exactly when the
+    exact scans find a failure there, so no flagged centre is scanned
+    in vain."""
+    centers, quotient, size = _twin_classes(G)
+    star, claw = _RankTable(centers, quotient, size), _RankTable(centers, quotient)
+    for v in centers:
+        fails = _star_scan_at(G, v, G.adj[v]) is not None
+        assert _star_fails_near(star, v, quotient[v]) is fails
+        assert _claw_near(claw, v) is (_claw_at(G, v) is not None)
+
+
+def test_detectors_match_set_scans_on_blow_ups():
+    rng = random.Random(10)
+    outcomes = set()
+    with_twins = 0
+    for i in range(2000):
+        k = rng.randint(1, 7)
+        p = rng.uniform(0.2, 0.9)
+        base = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p]
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        ids = rng.sample(range(-60, 61), sum(sizes))
+        edges = blow_up(base, sizes, ids)
+        # break some twins
+        for _ in range(rng.randint(0, min(3, len(edges)))):
+            edges.pop(rng.randrange(len(edges)))
+        G = FiniteGraph.from_edges(ids, edges)
+        if i % 4 == 0:
+            G = with_shuffled_adjacency(G, rng)
+        assert_same_verdicts(G)
+        if i % 4 == 1:
+            assert_masks_flag_exactly(G)
+        with_twins += _twin_classes(G)[2] is not None
+        outcomes.add((check_star(G).holds, is_claw_free(G).claw_free))
+    assert len(outcomes) == 4
+    assert 1000 < with_twins < 2000
+    for q in (2, 3, 4):
+        for n in range(2, 8):
+            G = relabel(gen_H(q, n), rng)
+            assert_same_verdicts(G)
+            assert_same_verdicts(with_shuffled_adjacency(G, rng))
+
+
+def test_first_failing_class_is_named_by_its_smallest_id():
+    # K_{1,3}[K_2] fails the degree condition and has claws only at the
+    # centre class {0, 4}; neighbour tuples run in descending id order,
+    # so 4 comes before 0 in every adjacency list
+    ids = [4, 0, 7, 1, 6, 2, 5, 3]
+    G = FiniteGraph.from_edges(ids, blow_up([(0, 1), (0, 2), (0, 3)], [2] * 4, ids))
+    G = FiniteGraph(
+        vertices=G.vertices, adj={v: G.adj[v][::-1] for v in G.vertices}
+    )
+    assert G.adj[7].index(4) < G.adj[7].index(0)
+    assert check_star(G) == ref_check_star(G) == StarVerdict(
+        False, witness=(7, 0, 6), lhs=6, rhs=8
+    )
+    assert is_claw_free(G) == ref_claw_scan(G, G.vertices) == ClawVerdict(
+        False, witness=(0, (7, 6, 5))
+    )
