@@ -18,16 +18,17 @@ built per call and not kept.  Witnesses and both compared numbers come
 from the exact scan, in id order, of the first centre the masks flag,
 so they are the ones a triple-by-triple scan of the whole graph finds.
 
-On a finite graph both checks first merge closed twins (vertices with
-equal N[v]; one pass over the neighbour sets).  Both conditions are
-the same at twins, and the ends of an induced path or the leaves of a
-claw lie in distinct classes, none of them the centre's.  So the table
-is built over the classes, with one centre per class (its smallest
-id, where the first failure in id order always lies) and one end per
-neighbouring class; for the degree condition each class takes a block
-of ranks, one bit per vertex, so the compared numbers stay exact.  A
-blow-up G0[K_n] costs what G0 does, and a twin-free graph keeps the
-per-vertex table.
+On a finite graph both checks read the graph's closed-twin quotient
+(``FiniteGraph.twin_quotient``: vertices with equal N[v] merged, built
+once per graph and shared with the connectivity test and the chain
+check).  Both conditions are the same at twins, and the ends of an
+induced path or the leaves of a claw lie in distinct classes, none of
+them the centre's.  So the table is built over the classes, with one
+centre per class (its smallest id, where the first failure in id order
+always lies) and one end per neighbouring class; for the degree
+condition each class takes a block of ranks, one bit per vertex, so
+the compared numbers stay exact.  A blow-up G0[K_n] costs what G0
+does, and a twin-free graph keeps the per-vertex table.
 
 The ball checks take a set of certified centres: a centre that passed
 with its whole neighbourhood in view passes on every later ball of the
@@ -37,7 +38,6 @@ left and the vertices their masks can mark.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
@@ -198,34 +198,6 @@ class _RankTable:
         return base
 
 
-def _twin_classes(
-    G: FiniteGraph,
-) -> tuple[Sequence[int], Mapping[int, Sequence[int]], Mapping[int, int] | None]:
-    """The quotient of G by its closed-twin classes (equal N[v]).
-
-    Returns the first vertex of each class in id order, the quotient
-    adjacency (for each of them, the first vertices of the neighbouring
-    classes, in the order they first appear in its adjacency list) and
-    the class sizes.  Without twins that is ``G.vertices``, ``G.adj`` and
-    None.
-    """
-    vertices, adj = G.vertices, G.adj
-    closed = G.closed_neighborhoods()
-    if len(set(closed)) == len(closed):
-        return vertices, adj, None
-    # later pairs overwrite earlier ones, so each class keeps its first vertex
-    first = dict(zip(reversed(closed), reversed(vertices)))
-    rep = dict(zip(vertices, map(first.__getitem__, closed)))
-    # counted in vertex order, so its keys are the classes in id order
-    size = Counter(rep.values())
-    quotient = {}
-    for r in size:
-        nbrs = dict.fromkeys(map(rep.__getitem__, adj[r]))
-        nbrs.pop(r, None)
-        quotient[r] = tuple(nbrs)
-    return list(size), quotient, size
-
-
 def _star_fails_near(table: _RankTable, v: int, ends) -> bool:
     """Whether some induced path u-v-w with u, w in ``ends`` fails the
     degree condition.
@@ -313,7 +285,7 @@ def check_star(G: FiniteGraph) -> StarVerdict:
     vertices of the twin classes, in id order, and the mask test takes
     one end per neighbouring class; only the first centre it flags is
     scanned triple by triple, over all its neighbours."""
-    centers, quotient, size = _twin_classes(G)
+    centers, quotient, size = G.twin_quotient
     table = _RankTable(centers, quotient, size)
     for v in centers:
         if _star_fails_near(table, v, quotient[v]):
@@ -424,7 +396,7 @@ def is_claw_free(G: FiniteGraph) -> ClawVerdict:
     the centre's, so the mask test runs on the quotient by those
     classes, one centre per class in id order; the first centre it
     flags is scanned over all its neighbours."""
-    centers, quotient, _ = _twin_classes(G)
+    centers, quotient, _ = G.twin_quotient
     table = _RankTable(centers, quotient)
     for v in centers:
         if _claw_near(table, v):
@@ -485,6 +457,46 @@ def check_ungl_kette(G: FiniteGraph) -> ChainVerdict:
             "check_ungl_kette requires the degree condition; "
             f"it fails at {star.witness} ({star.lhs} < {star.rhs})"
         )
+    return _chain_on_classes(G)
+
+
+def _chain_on_classes(G: FiniteGraph) -> ChainVerdict:
+    """The chain on one induced path per triple of closed-twin classes.
+
+    Swapping a vertex of a path for a closed twin changes neither
+    number, and the three vertices of an induced path lie in distinct
+    classes, so a path U-V-W of the quotient stands for all of its
+    class triple.  With Q the quotient's open neighbourhoods and s the
+    class sizes, common = s(Q(U) & Q(W)) and private = s(Q(V) - Q(U) -
+    Q(W)) less the s(U) - 1 and s(W) - 1 twins of u and w, which are
+    neighbours of u or w.  Only when a triple fails are the paths of G
+    scanned one by one, so the witness is the first failing path in the
+    order of ``induced_paths_3``.
+    """
+    centers, quotient, size = G.twin_quotient
+    if size is None:
+        size = dict.fromkeys(centers, 1)
+    weight = size.__getitem__
+    near = {r: frozenset(quotient[r]) for r in centers}
+    for v in centers:
+        nv = near[v]
+        nbrs = quotient[v]
+        for a_pos, u in enumerate(nbrs):
+            nu = near[u]
+            for w in nbrs[a_pos + 1 :]:
+                if w in nu:
+                    continue
+                nw = near[w]
+                common = sum(map(weight, nu & nw))
+                private = sum(map(weight, nv - nu - nw)) - weight(u) - weight(w) + 2
+                if not (common >= private >= 2):
+                    return _chain_scan(G)
+    return ChainVerdict(True)
+
+
+def _chain_scan(G: FiniteGraph) -> ChainVerdict:
+    """The chain on every induced path of G, in ``induced_paths_3``
+    order; the verdict names the first path that fails."""
     for u, v, w in induced_paths_3(G):
         nu, nv, nw = set(G.adj[u]), set(G.adj[v]), set(G.adj[w])
         common = len(nu & nw)

@@ -82,27 +82,35 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     on C; running out of candidates therefore signals a precondition
     failure or a bug and raises InvariantViolation.
     """
-    if v in C:
+    # the cycle's own map keyed by its vertices: the anchors are picked
+    # out at C level, and a live cycle's successors are dict lookups
+    if isinstance(C, LiveCycle):
+        on = C._succ
+        succ = on.__getitem__
+    else:
+        on, succ = C._index, C.succ
+    if v in on:
         raise InputError(f"target {v} already lies on the cycle")
-    anchors = sorted(w for w in G.neighbors(v) if w in C)
+    nbrs = G.neighbors(v)
+    anchors = sorted(filter(on.__contains__, nbrs))
     if not anchors:
         raise InputError(f"target {v} has no neighbour on the cycle")
 
+    # kind I mostly fits at the first anchor, so its successors are read
+    # one at a time; kinds III and II read them all, once
     for u in anchors:
-        if G.adjacent(v, C.succ(u)):
+        if G.adjacent(v, succ(u)):
             return Extension("I", v, u)
-    for u in anchors:
-        up = C.succ(u)
-        for y in anchors:
-            if y == u or y == up or C.succ(y) == u:
+    ups = list(map(succ, anchors))
+    for u, up in zip(anchors, ups):
+        for y, yp in zip(anchors, ups):
+            if y == u or y == up or yp == u:
                 continue
-            if G.adjacent(up, C.succ(y)):
+            if G.adjacent(up, yp):
                 return Extension("III", v, u, y=y)
-    for u in anchors:
-        up = C.succ(u)
-        for x in sorted(G.neighbors(v)):
-            if x in C or x == v:
-                continue
+    outside = [x for x in sorted(nbrs) if x not in on and x != v]
+    for u, up in zip(anchors, ups):
+        for x in outside:
             if G.adjacent(x, up):
                 return Extension("II", v, u, x=x)
     raise InvariantViolation(
@@ -117,8 +125,9 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
 class LiveCycle:
     """Mutable oriented cycle kept as a successor map.
 
-    It answers what find_extension asks of a Cycle (``in``, ``len``,
-    ``succ`` and ``order``).  ``order`` is walked from ``head`` on demand
+    It answers what a Cycle does (``in``, ``len``, ``succ`` and
+    ``order``); find_extension reads the successor map itself, as it
+    reads a Cycle's index.  ``order`` is walked from ``head`` on demand
     and cached until the next rewiring; freeze() returns it as a Cycle.
     last_edge_diff() says which edges the last rewiring swapped.
     """

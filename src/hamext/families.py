@@ -31,6 +31,22 @@ from collections.abc import Callable, Mapping
 from .errors import InputError
 from .graphcore import FiniteGraph, LazyGraph
 
+# The most vertices and the most edges a finite generator builds.  An
+# edge costs about 500 bytes on its way into a FiniteGraph and out as
+# JSON, so a graph at the budget peaks near 0.5 GB.
+MAX_FINITE_EDGES = 10**6
+
+
+def _within_budget(what: str, vertices: int, edges: int) -> None:
+    """Refuse a graph larger than MAX_FINITE_EDGES, from its counts,
+    before anything of it is allocated."""
+    if max(vertices, edges) > MAX_FINITE_EDGES:
+        raise InputError(
+            f"{what} would have {vertices} vertices and {edges} edges; "
+            f"at most {MAX_FINITE_EDGES} of each are built"
+        )
+
+
 # ---------------------------------------------------------------------------
 # small building blocks
 
@@ -49,11 +65,6 @@ def cycle_graph(q: int) -> FiniteGraph:
     return FiniteGraph.from_edges(range(q), [(i, (i + 1) % q) for i in range(q)])
 
 
-def star_k13() -> FiniteGraph:
-    """The claw: center 0, leaves 1..3."""
-    return FiniteGraph.from_edges(range(4), [(0, 1), (0, 2), (0, 3)])
-
-
 # ---------------------------------------------------------------------------
 # lexicographic product
 
@@ -67,7 +78,9 @@ def lexicographic_product(G: FiniteGraph, H: FiniteGraph) -> FiniteGraph:
     """
     if not G.vertices or not H.vertices:
         raise InputError("lexicographic product needs non-empty factors")
-    nh = len(H.vertices)
+    ng, nh = len(G.vertices), len(H.vertices)
+    eg, eh = (sum(map(len, F.adj.values())) // 2 for F in (G, H))
+    _within_budget("the lexicographic product", ng * nh, eg * nh * nh + ng * eh)
     gidx = {u: i for i, u in enumerate(G.vertices)}
     hidx = {h: i for i, h in enumerate(H.vertices)}
     ids = {}
@@ -101,6 +114,8 @@ def gen_G(q: int, n: int) -> FiniteGraph:
         raise InputError("gen_G requires q >= 3")
     if n < 2:
         raise InputError("gen_G requires n >= 2")
+    # n(n-1)/2 edges inside each fiber, n^2 to the next one
+    _within_budget(f"G({q},{n})", q * n, q * (n * (n - 1) // 2 + n * n))
     return lexicographic_product(cycle_graph(q), complete_graph(n))
 
 
@@ -119,6 +134,8 @@ def gen_H(q: int, n: int) -> FiniteGraph:
         raise InputError("gen_H requires q >= 2")
     if n < 2:
         raise InputError("gen_H requires n >= 2")
+    # per pair of fibers: a star, a clique, and 4n edges to each neighbour
+    _within_budget(f"H({q},{n})", q * (4 + n), q * (3 + n * (n - 1) // 2 + 8 * n))
     fibers = 2 * q
     offsets = []
     total = 0

@@ -24,8 +24,8 @@ lists ascending, components ordered by smallest member.
 from __future__ import annotations
 
 import json
-from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -155,16 +155,37 @@ class FiniteGraph:
     def has_vertex(self, v: int) -> bool:
         return v in self._adjsets
 
-    def closed_neighborhoods(self) -> list[frozenset[int]]:
-        """N[v] = N(v) | {v} of every vertex, in vertex order."""
-        vertices = self.vertices
-        return list(
-            map(frozenset.union, map(self._adjsets.__getitem__, vertices), zip(vertices))
-        )
-
     @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
+
+    @cached_property
+    def twin_quotient(
+        self,
+    ) -> tuple[Sequence[int], Mapping[int, Sequence[int]], Mapping[int, int] | None]:
+        """The quotient of the graph by its closed-twin classes (equal N[v]).
+
+        The first vertex of each class in id order, the quotient
+        adjacency (for each of them, the first vertices of the
+        neighbouring classes, in adjacency order) and the class sizes.
+        Without twins that is ``vertices``, ``adj`` and None.  Built once
+        per graph, with C-level passes over the neighbour sets; every
+        finite check reads it.
+        """
+        vertices, adj = self.vertices, self.adj
+        closed = list(
+            map(frozenset.union, map(self._adjsets.__getitem__, vertices), zip(vertices))
+        )
+        # later pairs overwrite earlier ones, so each class keeps its first vertex
+        first = dict(zip(reversed(closed), reversed(vertices)))
+        if len(first) == len(closed):
+            return vertices, adj, None
+        # counted in vertex order, so its keys are the classes in id order
+        size = Counter(map(first.__getitem__, closed))
+        # a class next to r lies wholly in N(r), its first vertex too
+        is_first = size.__contains__
+        quotient = {r: tuple(filter(is_first, adj[r])) for r in size}
+        return list(size), quotient, size
 
     def edges(self) -> list[Edge]:
         """All edges as canonical pairs, sorted."""
@@ -174,9 +195,6 @@ class FiniteGraph:
                 if u < v:
                     out.append((u, v))
         return out
-
-    def edge_count(self) -> int:
-        return sum(len(self.adj[v]) for v in self.vertices) // 2
 
     def induced(self, keep: Iterable[int]) -> "FiniteGraph":
         """Induced subgraph on ``keep`` (ids must exist)."""
@@ -194,9 +212,20 @@ class FiniteGraph:
         )
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        """Whether the graph is connected, read from ``twin_quotient``:
+        each closed-twin class is a clique, so the graph is connected
+        exactly when its quotient is."""
+        centers, quotient, _ = self.twin_quotient
+        if not centers:
             return True
-        return len(components(self)) == 1
+        seen = {centers[0]}
+        queue = [centers[0]]
+        for x in queue:
+            for w in quotient[x]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == len(centers)
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,15 @@ def test_gen_huge_complete_fibers(capsys):
     assert payload == {"family": "GZn", "params": {"n": 1000000000}}
 
 
+@pytest.mark.parametrize("family", ["Gqn", "H2qn"])
+def test_gen_refuses_finite_graphs_over_the_budget(capsys, family):
+    code, payload = run(
+        capsys, "gen", "--family", family, "--q", "100000000", "--n", "100"
+    )
+    assert code == 2
+    assert payload["kind"] == "input" and "at most 1000000" in payload["error"]
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")

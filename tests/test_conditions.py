@@ -1,20 +1,24 @@
 import random
+from functools import cached_property
 
 import pytest
 
+from hamext import conditions
 from hamext.errors import FrontierContamination, InputError
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
-from hamext.graphcore import FiniteGraph, ball
+from hamext.extension import extend_to_hamilton
+from hamext.graphcore import FiniteGraph, ball, components
 from hamext.oracle import random_star_clawfree
 from hamext.conditions import (
+    ChainVerdict,
     ClawVerdict,
     StarVerdict,
     _RankTable,
+    _chain_on_classes,
     _claw_at,
     _claw_near,
     _star_fails_near,
     _star_scan_at,
-    _twin_classes,
     check_star,
     check_star_ball,
     check_ungl_kette,
@@ -297,7 +301,7 @@ def test_rank_table_masks_stay_narrow(q):
     # a neighbourhood spans a few BFS layers whatever |V| is; masks over
     # plain id ranks would be up to 4q bits wide here
     G = relabel(gen_G(q, 4), random.Random(q))
-    for table in (_RankTable(G.vertices, G.adj), _RankTable(*_twin_classes(G))):
+    for table in (_RankTable(G.vertices, G.adj), _RankTable(*G.twin_quotient)):
         assert max(m.bit_length() for m in table.bits.values()) <= 32
 
 
@@ -326,7 +330,7 @@ def with_shuffled_adjacency(G, rng):
 def test_twin_classes_of_blow_ups():
     for q in (4, 10, 100):
         G = relabel(gen_G(q, 4), random.Random(q))
-        centers, quotient, size = _twin_classes(G)
+        centers, quotient, size = G.twin_quotient
         assert len(centers) == q and sorted(size.values()) == [4] * q
         # each class is named by its smallest id, and neighbours in the
         # quotient are classes again
@@ -334,7 +338,7 @@ def test_twin_classes_of_blow_ups():
         assert all(set(quotient[v]) <= set(centers) for v in centers)
     # the star fibers' leaves have equal open but not closed neighbourhoods
     for q, n in ((2, 5), (3, 6)):
-        centers, _, size = _twin_classes(gen_H(q, n))
+        centers, _, size = gen_H(q, n).twin_quotient
         assert len(centers) == 5 * q
         assert sorted(size.values()) == [1] * 4 * q + [n] * q
 
@@ -347,10 +351,10 @@ def test_twin_free_graphs_keep_the_per_vertex_table():
         C = FiniteGraph.from_edges(
             range(q), [(ids[i], ids[(i + d) % q]) for i in range(q) for d in (1, 2, 3)]
         )
-        assert _twin_classes(C) == (C.vertices, C.adj, None)
+        assert C.twin_quotient == (C.vertices, C.adj, None)
         plain = _RankTable(C.vertices, C.adj)
         for table in (
-            _RankTable(*_twin_classes(C)),
+            _RankTable(*C.twin_quotient),
             _RankTable(C.vertices, C.adj, dict.fromkeys(C.vertices, 1)),
         ):
             assert (table.rank, table.lo, table.bits) == (plain.rank, plain.lo, plain.bits)
@@ -360,7 +364,7 @@ def assert_masks_flag_exactly(G):
     """The mask tests over the classes flag a centre exactly when the
     exact scans find a failure there, so no flagged centre is scanned
     in vain."""
-    centers, quotient, size = _twin_classes(G)
+    centers, quotient, size = G.twin_quotient
     star, claw = _RankTable(centers, quotient, size), _RankTable(centers, quotient)
     for v in centers:
         fails = _star_scan_at(G, v, G.adj[v]) is not None
@@ -388,7 +392,7 @@ def test_detectors_match_set_scans_on_blow_ups():
         assert_same_verdicts(G)
         if i % 4 == 1:
             assert_masks_flag_exactly(G)
-        with_twins += _twin_classes(G)[2] is not None
+        with_twins += G.twin_quotient[2] is not None
         outcomes.add((check_star(G).holds, is_claw_free(G).claw_free))
     assert len(outcomes) == 4
     assert 1000 < with_twins < 2000
@@ -415,3 +419,135 @@ def test_first_failing_class_is_named_by_its_smallest_id():
     assert is_claw_free(G) == ref_claw_scan(G, G.vertices) == ClawVerdict(
         False, witness=(0, (7, 6, 5))
     )
+
+
+# ---------------------------------------------------------------------------
+# the chain check over class triples, against the per-path scan it replaced
+
+
+def ref_chain_scan(G):
+    """check_ungl_kette's scan before it ran over closed-twin classes:
+    every induced path, three neighbour sets each."""
+    for u, v, w in induced_paths_3(G):
+        nu, nv, nw = set(G.adj[u]), set(G.adj[v]), set(G.adj[w])
+        common = len(nu & nw)
+        private = len(nv - (nu | nw))
+        if not (common >= private >= 2):
+            return ChainVerdict(False, witness=(u, v, w), common=common, private=private)
+    return ChainVerdict(True)
+
+
+def ref_check_ungl_kette(G):
+    if not ref_check_star(G).holds:
+        return "refused"
+    return ref_chain_scan(G)
+
+
+def chain_outcome(G):
+    try:
+        return check_ungl_kette(G)
+    except InputError:
+        return "refused"
+
+
+def test_chain_matches_path_scan_on_blow_ups_and_corpus(monkeypatch):
+    # the class triples must flag exactly the graphs with a failing path,
+    # so the per-path scan runs only then
+    scans = []
+    monkeypatch.setattr(
+        conditions, "_chain_scan", lambda G: scans.append(G) or ref_chain_scan(G)
+    )
+    rng = random.Random(11)
+    outcomes = set()
+    for i in range(600):
+        k = rng.randint(1, 7)
+        p = rng.uniform(0.3, 0.95)
+        base = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p]
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        ids = rng.sample(range(-60, 61), sum(sizes))
+        edges = blow_up(base, sizes, ids)
+        if edges and i % 2:
+            # break some twins
+            edges.pop(rng.randrange(len(edges)))
+        G = FiniteGraph.from_edges(ids, edges)
+        if i % 3 == 0:
+            G = with_shuffled_adjacency(G, rng)
+        expected = ref_check_ungl_kette(G)
+        assert chain_outcome(G) == expected
+        # the class triples alone, on graphs the degree condition refuses too
+        scans.clear()
+        verdict = _chain_on_classes(G)
+        assert verdict == ref_chain_scan(G)
+        assert scans == ([] if verdict.holds else [G])
+        outcomes.add(expected == "refused")
+    assert outcomes == {True, False}
+    for seed in range(40):
+        G = random_star_clawfree(seed)
+        for H in (G, relabel(G, rng)):
+            assert chain_outcome(H) == ref_check_ungl_kette(H) == ChainVerdict(True)
+    for q, n in ((3, 5), (4, 7), (2, 6)):
+        G = relabel(gen_H(q, n), rng)
+        assert chain_outcome(G) == ref_check_ungl_kette(G)
+        assert _chain_on_classes(G) == ref_chain_scan(G)
+
+
+def test_chain_failure_is_the_first_failing_path():
+    # the claw fails the chain at its first induced path, as the scan does
+    v = _chain_on_classes(star_k13())
+    assert v == ChainVerdict(False, witness=(1, 0, 2), common=1, private=3)
+    v = _chain_on_classes(bull())
+    assert v == ref_chain_scan(bull()) and not v.holds
+
+
+# ---------------------------------------------------------------------------
+# the closed-twin quotient is built once per graph and shared
+
+
+def test_finite_checks_share_one_quotient(monkeypatch):
+    built = []
+    cached = FiniteGraph.__dict__["twin_quotient"]
+    assert isinstance(cached, cached_property)
+    original = cached.func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cached, "func", counting)
+    for F in (relabel(gen_G(12, 5), random.Random(3)), random_star_clawfree(4)):
+        # a fresh copy, whose quotient nothing has asked for yet
+        G = FiniteGraph.from_edges(F.vertices, F.edges())
+        built.clear()
+        assert is_claw_free(G).claw_free
+        assert check_star(G).holds
+        assert G.is_connected()
+        assert check_ungl_kette(G).holds
+        extend_to_hamilton(G)
+        assert len(built) == 1 and built[0] is G
+
+
+def test_quotient_connectivity_matches_components():
+    rng = random.Random(12)
+    seen = set()
+    for i in range(800):
+        k = rng.randint(1, 8)
+        p = rng.uniform(0.05, 0.6)
+        base = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p]
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        lonely = rng.randint(0, 2)
+        ids = rng.sample(range(-80, 81), sum(sizes) + lonely)
+        edges = blow_up(base, sizes, ids)
+        if edges and i % 2:
+            edges.pop(rng.randrange(len(edges)))
+        G = FiniteGraph.from_edges(ids, edges)
+        if i % 3 == 0:
+            G = with_shuffled_adjacency(G, rng)
+        connected = len(components(G)) <= 1
+        assert G.is_connected() is connected
+        seen.add((connected, lonely > 0, G.twin_quotient[2] is not None))
+    # with and without twins: connected, and disconnected with and
+    # without isolated vertices (blow_up leaves the extra ids isolated)
+    assert len(seen) == 6
+    assert FiniteGraph.from_edges([], []).is_connected()
+    assert FiniteGraph.from_edges([5], []).is_connected()
+    assert not FiniteGraph.from_edges([5, 7], []).is_connected()

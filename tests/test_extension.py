@@ -8,6 +8,7 @@ import pytest
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import (
     Extension,
+    LiveCycle,
     apply_extension,
     extend_to_hamilton,
     extension_sequence,
@@ -16,7 +17,7 @@ from hamext.extension import (
     iter_extensions,
     saturate,
 )
-from hamext.families import gen_G, gen_H
+from hamext.families import fiber_window, gen_G, gen_G_inf, gen_H
 from hamext.graphcore import Cycle, FiniteGraph, canonical_edge, verify_cycle
 from hamext.oracle import hamilton_oracle, random_star_clawfree
 
@@ -356,3 +357,105 @@ def test_corpus_hamiltonicity():
         assert verify_cycle(G, C).is_hamiltonian
         if len(G.vertices) <= 12:
             assert hamilton_oracle(G) is not None
+
+
+# ---------------------------------------------------------------------------
+# the finder against the one it replaced, which asked the cycle for each
+# membership and successor through its methods
+
+
+def reference_find_extension(G, C, v):
+    if v in C:
+        raise InputError(f"target {v} already lies on the cycle")
+    anchors = sorted(w for w in G.neighbors(v) if w in C)
+    if not anchors:
+        raise InputError(f"target {v} has no neighbour on the cycle")
+
+    for u in anchors:
+        if G.adjacent(v, C.succ(u)):
+            return Extension("I", v, u)
+    for u in anchors:
+        up = C.succ(u)
+        for y in anchors:
+            if y == u or y == up or C.succ(y) == u:
+                continue
+            if G.adjacent(up, C.succ(y)):
+                return Extension("III", v, u, y=y)
+    for u in anchors:
+        up = C.succ(u)
+        for x in sorted(G.neighbors(v)):
+            if x in C or x == v:
+                continue
+            if G.adjacent(x, up):
+                return Extension("II", v, u, x=x)
+    raise InvariantViolation(
+        f"no extension absorbs target {v}; the degree condition cannot hold here",
+        cycle=C.order,
+        target=v,
+        anchors=tuple(anchors),
+        neighborhood=tuple(G.neighbors(v)),
+    )
+
+
+def finder_outcome(finder, G, C, v):
+    try:
+        return finder(G, C, v)
+    except (InputError, InvariantViolation) as err:
+        return type(err).__name__, str(err), getattr(err, "context", None)
+
+
+def assert_finders_agree_along_run(G, C0, targets, target_filter=None, frozen=True):
+    """Compare the finders on every target, at C0 and at every cycle the
+    extension loop passes through (live, and frozen when ``frozen``),
+    up to where the loop fails.  Returns the outcome kinds seen."""
+    seen = set()
+
+    def compare(C):
+        for v in targets:
+            got = finder_outcome(find_extension, G, C, v)
+            assert got == finder_outcome(reference_find_extension, G, C, v)
+            seen.add(got.kind if isinstance(got, Extension) else got[0])
+
+    compare(LiveCycle(C0))
+    if frozen:
+        compare(C0)
+    try:
+        for _, C in iter_extensions(G, C0, target_filter):
+            compare(C)
+            if frozen:
+                compare(C.freeze())
+    except InvariantViolation:
+        pass
+    return seen
+
+
+def test_find_extension_matches_reference_on_finite_graphs():
+    seen = set()
+    graphs = [random_star_clawfree(seed) for seed in range(30)]
+    graphs += [relabelled_G(40, 3, seed=27), relabelled_G(12, 4, seed=5), gen_H(2, 6)]
+    rng = random.Random(31)
+    while len(graphs) < 80:
+        # graphs the degree condition need not hold on, so the finder can run dry
+        n = rng.randint(5, 11)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+        G = FiniteGraph.from_edges(range(n), edges)
+        try:
+            find_initial_cycle(G)
+        except InputError:
+            continue
+        graphs.append(G)
+    for G in graphs:
+        # an id off the graph is refused by both
+        targets = list(G.vertices) + [max(G.vertices) + 1]
+        seen |= assert_finders_agree_along_run(G, find_initial_cycle(G), targets)
+    assert {"I", "II", "III", "InputError", "InvariantViolation"} <= seen
+
+
+def test_find_extension_matches_reference_on_gz2():
+    G = gen_G_inf(2)
+    window = fiber_window(G.descriptor, 8)
+    targets = sorted(window.union(*map(G.neighbors, window)))
+    seen = assert_finders_agree_along_run(
+        G, Cycle((0, 2, 1, 3)), targets, window.__contains__, frozen=False
+    )
+    assert {"I", "InputError"} <= seen

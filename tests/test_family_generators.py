@@ -11,8 +11,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from hamext import families
 from hamext.errors import InputError
 from hamext.families import (
+    MAX_FINITE_EDGES,
     _make_double_ray_family,
     descriptor_to_lazy,
     family_width,
@@ -31,11 +33,11 @@ from hamext.graphcore import FiniteGraph, ball
 
 def test_gen_G_small_sizes():
     G = gen_G(3, 2)  # collapses to the complete graph on 6 vertices
-    assert len(G.vertices) == 6 and G.edge_count() == 15
+    assert len(G.vertices) == 6 and len(G.edges()) == 15
     G = gen_G(4, 2)
-    assert len(G.vertices) == 8 and G.edge_count() == 20
+    assert len(G.vertices) == 8 and len(G.edges()) == 20
     G = gen_G(5, 2)
-    assert len(G.vertices) == 10 and G.edge_count() == 25
+    assert len(G.vertices) == 10 and len(G.edges()) == 25
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (5, 3), (6, 4), (8, 2)])
@@ -63,16 +65,16 @@ def test_lexicographic_product_matches_hand_count():
     K2 = FiniteGraph.from_edges(range(2), [(0, 1)])
     G = lexicographic_product(P2, K2)
     # two fiber edges plus the complete join: 2 + 4
-    assert G.edge_count() == 6
+    assert len(G.edges()) == 6
     assert len(G.vertices) == 4
 
 
 def test_gen_H_sizes():
     H = gen_H(2, 6)
-    assert len(H.vertices) == 20 and H.edge_count() == 132
+    assert len(H.vertices) == 20 and len(H.edges()) == 132
     assert sorted({H.degree(v) for v in H.vertices}) == [13, 15]
     H = gen_H(3, 5)
-    assert len(H.vertices) == 27 and H.edge_count() == 159
+    assert len(H.vertices) == 27 and len(H.edges()) == 159
 
 
 def test_gen_H_degree_identities():
@@ -88,6 +90,37 @@ def test_gen_H_rejects_small_params():
         gen_H(1, 4)
     with pytest.raises(InputError):
         gen_H(2, 1)
+
+
+def test_finite_generators_refuse_graphs_over_the_budget():
+    # refused from the counts alone: building these would take terabytes
+    for make in (gen_G, gen_H):
+        with pytest.raises(InputError, match="at most 1000000"):
+            make(10**8, 100)
+    assert MAX_FINITE_EDGES == 10**6
+
+
+def test_budget_counts_match_the_graphs_built(monkeypatch):
+    # with the budget set to a graph's exact size it is built, one less
+    # and it is refused
+    K3 = FiniteGraph.from_edges(range(3), [(0, 1), (1, 2), (0, 2)])
+    C5 = FiniteGraph.from_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    cases = [
+        (lambda: gen_G(5, 3), gen_G(5, 3)),
+        (lambda: gen_G(3, 4), gen_G(3, 4)),
+        (lambda: gen_H(3, 5), gen_H(3, 5)),
+        (lambda: gen_H(2, 2), gen_H(2, 2)),
+        (lambda: lexicographic_product(C5, K3), lexicographic_product(C5, K3)),
+        (lambda: lexicographic_product(K3, C5), lexicographic_product(K3, C5)),
+    ]
+    for make, G in cases:
+        size = max(len(G.vertices), len(G.edges()))
+        monkeypatch.setattr(families, "MAX_FINITE_EDGES", size)
+        assert make() == G
+        monkeypatch.setattr(families, "MAX_FINITE_EDGES", size - 1)
+        with pytest.raises(InputError):
+            make()
+        monkeypatch.undo()
 
 
 @given(st.integers(min_value=-200, max_value=200))

@@ -59,7 +59,7 @@ def test_from_edges_rejects_bad_input():
 def test_induced_subgraph():
     G = k4().induced([0, 1, 2])
     assert G.vertices == (0, 1, 2)
-    assert G.edge_count() == 3
+    assert len(G.edges()) == 3
     assert G.is_connected()
 
 
