@@ -188,10 +188,15 @@ def _make_double_ray_family(
 
     ``fiber_edges(f)`` lists the inner edges of fiber f, or is None for
     a complete fiber, whose inner neighbours come from its index range
-    without any edge list."""
+    without any edge list.  Each fiber's ids are one range, so a
+    neighbour tuple is up to three ranges, sorted once."""
 
     def encode(f: int, i: int) -> int:
         return zigzag(f) * width + i
+
+    def fiber(f: int) -> range:
+        base = zigzag(f) * width
+        return range(base, base + fiber_size(f))
 
     def decode(v: int) -> tuple[int, int]:
         if v < 0:
@@ -204,15 +209,17 @@ def _make_double_ray_family(
 
     def neighbors(v: int) -> tuple[int, ...]:
         f, i = decode(v)
+        out = [*fiber(f - 1), *fiber(f + 1)]
         inner = fiber_edges(f)
         if inner is None:
-            out = [encode(f, j) for j in range(fiber_size(f)) if j != i]
+            out += fiber(f)
+            out.remove(v)
         else:
-            out = [encode(f, b) for a, b in inner if a == i]
-            out += [encode(f, a) for a, b in inner if b == i]
-        for g in (f - 1, f + 1):
-            out.extend(encode(g, j) for j in range(fiber_size(g)))
-        return tuple(sorted(out))
+            base = v - i
+            out += [base + b for a, b in inner if a == i]
+            out += [base + a for a, b in inner if b == i]
+        out.sort()
+        return tuple(out)
 
     def escapes(blocked: frozenset[int], v: int) -> bool:
         # the fiber-count rule of the module docstring

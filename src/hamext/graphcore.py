@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii
 from operator import not_, sub
 
 from .errors import InputError, InvariantViolation
@@ -468,6 +469,12 @@ def _ball_radius_cap() -> int:
     return cap
 
 
+# The most neighbour entries one Region holds.  An entry costs about
+# 60 bytes with its frozenset, so a region at the budget holds about
+# 0.25 GB; GZ80 at depth 4 holds 745,680 entries.
+MAX_REGION_NEIGHBORS = 4 * 10**6
+
+
 class Region:
     """A vertex set X that only grows, with the graph around it.
 
@@ -476,7 +483,8 @@ class Region:
     ``layers[d]`` holds the vertices at distance d, so ``layers[0]`` is
     X and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
     every vertex closer than ``reach``, and ``sets`` the same as
-    frozensets.
+    frozensets; ``held`` counts their entries, which may not pass
+    MAX_REGION_NEIGHBORS.
 
     As X grows, distances only fall: grow() runs a breadth-first search
     from the gained vertices that stops wherever no label improves.
@@ -496,6 +504,7 @@ class Region:
         self.reach = 0
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
+        self.held = 0
         # vertices interior to some ball handed out, and the pairs
         # (v, w) with w listed by v but v not by w found at them
         self._interior: set[int] = set()
@@ -508,7 +517,14 @@ class Region:
     def _fetch(self, u: int) -> tuple[int, ...]:
         row = self.nbrs.get(u)
         if row is None:
-            row = self.nbrs[u] = self.G.neighbors(u)
+            row = self.G.neighbors(u)
+            self.held += len(row)
+            if self.held > MAX_REGION_NEIGHBORS:
+                raise InputError(
+                    f"the region around the cycle would hold over "
+                    f"{MAX_REGION_NEIGHBORS} neighbour entries"
+                )
+            self.nbrs[u] = row
             self.sets[u] = frozenset(row)
         return row
 
@@ -678,17 +694,6 @@ def _components_within(
     return out
 
 
-def components(
-    G: FiniteGraph, removed: Iterable[int] = ()
-) -> list[frozenset[int]]:
-    """Connected components of ``G - removed``, ordered by smallest member."""
-    rset = frozenset(removed)
-    missing = rset - G.vertex_set
-    if missing:
-        raise InputError(f"cannot remove unknown vertices: {sorted(missing)}")
-    return _components_within(G.adj, G.vertex_set - rset)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -698,7 +703,9 @@ def dumps_json(obj: object) -> str:
 
     With ``indent`` set, ``json`` encodes in pure Python; this walks the
     lists, tuples and str-keyed dicts itself and writes a list of plain
-    ints in one ``join``, so a trace's long id arrays cost C time.
+    ints in one ``join``, so a trace's long id arrays cost C time.  A
+    plain int is written by ``int.__repr__`` and a plain str, value or
+    key, by ``encode_basestring_ascii``, as ``json`` writes them.
     """
     return _dumps_at(obj, "\n")
 
@@ -706,6 +713,10 @@ def dumps_json(obj: object) -> str:
 def _dumps_at(x: object, nl: str) -> str:
     """``x`` encoded as if nested where each line starts with ``nl``."""
     t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
     if t is list or t is tuple:
         if not x:
             return "[]"
@@ -719,7 +730,10 @@ def _dumps_at(x: object, nl: str) -> str:
         if not x:
             return "{}"
         inner = nl + " "
-        items = [json.dumps(k) + ": " + _dumps_at(x[k], inner) for k in sorted(x)]
+        items = [
+            encode_basestring_ascii(k) + ": " + _dumps_at(x[k], inner)
+            for k in sorted(x)
+        ]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     # scalars, other keys and subclasses; json escapes every newline
     # inside a string, so each raw one starts a line of the structure

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import filterfalse
 
 from .conditions import star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -67,7 +68,6 @@ from .graphcore import (
     dumps_json,
     ids_from_json_obj,
     neighborhood_k,
-    verify_cycle,
 )
 from .structure import (
     BALL_MARGIN,
@@ -1160,6 +1160,60 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 # verification, independent of the construction
 
 
+def _cycle_steps(
+    cycles, G: LazyGraph | None = None
+) -> tuple[list[set[Edge]], list[tuple[set[Edge], set[Edge]]]]:
+    """Every cycle's edge set, and the edges each step C_i -> C_{i+1}
+    gains and loses, from one successor map per cycle.
+
+    The pairs (u, v) that C_{i+1} walks and C_i does not are found by
+    looking each pair up in C_i's map at C speed.  C_i's pairs that
+    C_{i+1} does not walk are (u, succ_i(u)) for the first vertices u
+    of those new pairs, plus the pairs of the vertices C_{i+1} dropped.
+    A cycle walks each of its edges in one direction, so an edge among
+    the new pairs and not the old ones is gained, the reverse lost, and
+    E_{i+1} is (E_i - lost) | gained.
+
+    With ``G``, each new pair is checked for adjacency in cycle order,
+    so the first failing pair is the one a whole-cycle scan names: a
+    pair C_i walks in the same direction passed on C_i, and its first
+    vertex's neighbours are cached, so the oracle is asked what a scan
+    would ask it, in the same order.  Cycle 0's pairs are all new.
+    """
+    edge_sets: list[set[Edge]] = []
+    steps: list[tuple[set[Edge], set[Edge]]] = []
+    prev: dict[int, int] = {}
+    for idx, C in enumerate(cycles):
+        order = C.order
+        nxt = order[1:] + order[:1]
+        succ = dict(zip(order, nxt))
+        new = list(filterfalse(prev.items().__contains__, zip(order, nxt)))
+        if G is not None:
+            adjacent = G.adjacent
+            for u, v in new:
+                if not adjacent(u, v):
+                    raise InputError(
+                        f"trace cycle {idx} invalid: consecutive cycle "
+                        f"vertices {u}, {v} not adjacent"
+                    )
+        gained = {(u, v) if u <= v else (v, u) for u, v in new}
+        if idx:
+            old = [(u, prev[u]) for u, _ in new if u in prev]
+            if not prev.keys() <= succ.keys():
+                old += [(u, w) for u, w in prev.items() if u not in succ]
+            lost = {(u, w) if u <= w else (w, u) for u, w in old}
+            gained, lost = gained - lost, lost - gained
+            E = set(edge_sets[-1])
+            E -= lost
+            E |= gained
+            edge_sets.append(E)
+            steps.append((gained, lost))
+        else:
+            edge_sets.append(gained)
+        prev = succ
+    return edge_sets, steps
+
+
 def first_persistence_failure(
     edge_sets,
 ) -> tuple[int, int, list[Edge]] | None:
@@ -1178,6 +1232,20 @@ def first_persistence_failure(
                 if lost:
                     return i, j, sorted(lost)
         earlier |= edge_sets[j]
+    return None
+
+
+def _persistence_failure(
+    edge_sets, steps
+) -> tuple[int, int, list[Edge]] | None:
+    """first_persistence_failure(edge_sets), searched only when a step
+    fails: step j loses an edge of E_0 | ... | E_{j-1}, which is
+    E_0 | gained_0 | ... | gained_{j-2}, the gains of the steps before."""
+    first, reached = edge_sets[0], set()
+    for (gained, _), (_, lost) in zip(steps, steps[1:]):
+        if not (lost.isdisjoint(first) and lost.isdisjoint(reached)):
+            return first_persistence_failure(edge_sets)
+        reached |= gained
     return None
 
 
@@ -1292,8 +1360,8 @@ def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
 
 
 def _vertex_persistence(trace: SequenceTrace) -> ConditionReport:
-    """Once on a cycle, on every later cycle."""
-    total = set(trace.cycles[0].vertex_set)
+    """Once on a cycle, on every later cycle; then the last cycle holds
+    every vertex reached."""
     for i in range(trace.depth):
         here, after = trace.cycles[i].vertex_set, trace.cycles[i + 1].vertex_set
         if not here <= after:
@@ -1301,8 +1369,9 @@ def _vertex_persistence(trace: SequenceTrace) -> ConditionReport:
             return ConditionReport(
                 False, f"vertices {lost[:6]} fell out of cycle {i + 1}"
             )
-        total |= after
-    return ConditionReport(True, f"{len(total)} vertices reached, monotone")
+    return ConditionReport(
+        True, f"{len(trace.cycles[-1])} vertices reached, monotone"
+    )
 
 
 def _finite_cuts(
@@ -1381,9 +1450,9 @@ def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionRe
     )
 
 
-def _edge_persistence(trace: SequenceTrace, edge_sets) -> ConditionReport:
+def _edge_persistence(trace: SequenceTrace, edge_sets, steps) -> ConditionReport:
     """Shared edges never disappear again."""
-    failure = first_persistence_failure(edge_sets)
+    failure = _persistence_failure(edge_sets, steps)
     if failure is None:
         d = trace.depth
         return ConditionReport(True, f"checked {d * (d + 1) // 2} cycle pairs")
@@ -1432,11 +1501,7 @@ def verify_hc_extract(
     if d < 1:
         raise InputError("trace has no iterations to verify")
 
-    for idx, C in enumerate(trace.cycles):
-        report = verify_cycle(G, C)
-        if not report.ok:
-            raise InputError(f"trace cycle {idx} invalid: {report.reason}")
-
+    edge_sets, steps = _cycle_steps(trace.cycles, G)
     # the blocker ids are known vertices once they passed, so coverage
     # runs only then; every cut is materialized after both, into one
     # (i, j) -> (M membership, component test, explicit cut) map
@@ -1448,12 +1513,11 @@ def verify_hc_extract(
         for j, w in enumerate(trace.witnesses[i]):
             member, in_component = _witness_membership(G, trace, i, j)
             cuts[(i, j)] = member, in_component, _explicit_cut(G, w, member)
-    edge_sets = [C.edge_set for C in trace.cycles]
     return HCExtractVerdict(
         vertex_persistence=_vertex_persistence(trace),
         finite_cuts=_finite_cuts(trace, cuts, failure),
         nested_msets=_nested_msets(G, trace, cuts),
-        edge_persistence=_edge_persistence(trace, edge_sets),
+        edge_persistence=_edge_persistence(trace, edge_sets, steps),
         cut_agreement=_cut_agreement(trace, edge_sets, cuts),
     )
 
@@ -1466,8 +1530,8 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
     precondition, so these edges belong to the limit object.
     """
     wset = frozenset(window)
-    edge_sets = [C.edge_set for C in trace.cycles]
-    failure = first_persistence_failure(edge_sets)
+    edge_sets, steps = _cycle_steps(trace.cycles)
+    failure = _persistence_failure(edge_sets, steps)
     if failure is not None:
         raise InvariantViolation(
             "edge persistence fails; trace is not limit-ready",

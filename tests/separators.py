@@ -8,11 +8,23 @@ attachment) on whatever separator they are given.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from hamext.conditions import is_claw_free
 from hamext.errors import InputError
-from hamext.graphcore import FiniteGraph, components
+from hamext.graphcore import FiniteGraph, _components_within
+
+
+def components(
+    G: FiniteGraph, removed: Iterable[int] = ()
+) -> list[frozenset[int]]:
+    """Connected components of ``G - removed``, ordered by smallest member."""
+    rset = frozenset(removed)
+    missing = rset - G.vertex_set
+    if missing:
+        raise InputError(f"cannot remove unknown vertices: {sorted(missing)}")
+    return _components_within(G.adj, G.vertex_set - rset)
 
 
 def minimal_separators(G: FiniteGraph, max_size: int | None = None) -> list[frozenset[int]]:

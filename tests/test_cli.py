@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hamext import cli, extension
+from hamext import cli, extension, graphcore
 from hamext.errors import InvariantViolation
 from hamext.families import gen_G, gen_G_inf, gen_H, unzigzag
 from hamext.graphcore import (
@@ -587,6 +587,16 @@ def test_gen_refuses_finite_graphs_over_the_budget(capsys, family):
     )
     assert code == 2
     assert payload["kind"] == "input" and "at most 1000000" in payload["error"]
+
+
+def test_infham_refuses_a_region_over_the_budget(capsys, gz2_file, monkeypatch):
+    monkeypatch.setattr(graphcore, "MAX_REGION_NEIGHBORS", 200)
+    code, payload = run(
+        capsys, "infham", "--descriptor", str(gz2_file), "--depth", "3"
+    )
+    assert code == 2
+    assert payload["kind"] == "input"
+    assert "over 200 neighbour entries" in payload["error"]
 
 
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):

@@ -7,7 +7,7 @@ from hamext import conditions
 from hamext.errors import FrontierContamination, InputError
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
 from hamext.extension import extend_to_hamilton
-from hamext.graphcore import FiniteGraph, ball, components
+from hamext.graphcore import FiniteGraph, ball
 from hamext.oracle import random_star_clawfree
 from hamext.conditions import (
     ChainVerdict,
@@ -26,6 +26,7 @@ from hamext.conditions import (
     induced_paths_3,
     is_claw_free,
 )
+from separators import components
 from wholeball import distances_from
 
 

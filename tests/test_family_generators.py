@@ -190,6 +190,62 @@ def test_complete_fibers_match_edge_lists(make, star_fibers, n):
         assert lazy.neighbors(v) == listed.neighbors(v)
 
 
+def reference_double_ray_neighbors(fiber_size, fiber_edges, width):
+    """The double-ray neighbour oracle as it was before fibers became id
+    ranges: one ``encode`` call per neighbour, then one sort."""
+
+    def encode(f, i):
+        return zigzag(f) * width + i
+
+    def decode(v):
+        if v < 0:
+            raise InputError(f"invalid vertex id {v}")
+        f = unzigzag(v // width)
+        i = v % width
+        if i >= fiber_size(f):
+            raise InputError(f"invalid vertex id {v} (inner index out of range)")
+        return f, i
+
+    def neighbors(v):
+        f, i = decode(v)
+        inner = fiber_edges(f)
+        if inner is None:
+            out = [encode(f, j) for j in range(fiber_size(f)) if j != i]
+        else:
+            out = [encode(f, b) for a, b in inner if a == i]
+            out += [encode(f, a) for a, b in inner if b == i]
+        for g in (f - 1, f + 1):
+            out.extend(encode(g, j) for j in range(fiber_size(g)))
+        return tuple(sorted(out))
+
+    return neighbors
+
+
+def _oracle_outcome(oracle, v):
+    try:
+        return oracle(v)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+@pytest.mark.parametrize("make, star_fibers", [(gen_G_inf, False), (gen_H_inf, True)])
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+def test_range_oracle_matches_per_neighbour_encoding(make, star_fibers, n):
+    width = max(4, n) if star_fibers else n
+
+    def size(f):
+        return 4 if star_fibers and f % 2 == 0 else n
+
+    def edges(f):
+        return [(0, 1), (0, 2), (0, 3)] if star_fibers and f % 2 == 0 else None
+
+    oracle = make(n)._neighbor_oracle
+    reference = reference_double_ray_neighbors(size, edges, width)
+    # negative ids and, on HZn, star-fiber ids past inner index 3 are invalid
+    for v in range(-3, 2000):
+        assert _oracle_outcome(oracle, v) == _oracle_outcome(reference, v), v
+
+
 def test_infinite_neighbor_symmetry_near_root():
     for G in (gen_G_inf(3), gen_H_inf(4)):
         B = ball(G, G.root, 3)

@@ -13,7 +13,6 @@ from hamext.graphcore import (
     LazyGraph,
     ball,
     canonical_edge,
-    components,
     cycle_from_json_obj,
     cycle_to_json_obj,
     dumps_json,
@@ -25,6 +24,7 @@ from hamext.graphcore import (
     verify_cycle,
 )
 from hamext.infinite import CutWitness, _explicit_cut, hamilton_sequence
+from separators import components
 from wholeball import distances_from
 
 

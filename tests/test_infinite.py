@@ -4,15 +4,19 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+import hamext.infinite as infinite
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import gen_G_inf, gen_H_inf, zigzag
 from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
 from hamext.infinite import (
     SequenceTrace,
+    _cycle_steps,
+    _persistence_failure,
     _Rim,
     _witness_membership,
     construct_cut1,
@@ -674,6 +678,81 @@ def test_persistence_pass_matches_pairwise_loop():
         outcomes[want is None] += 1
     # both persistent and broken sequences were exercised
     assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+def random_cycle_sequence(rng):
+    """A few cycles on ids 0..7, each a random edit of the one before:
+    rotated, reversed, two neighbours swapped, a segment reversed, a
+    vertex added or dropped, or kept as it is."""
+    order = rng.sample(range(8), rng.randint(3, 6))
+    cycles = [order]
+    for _ in range(rng.randint(1, 5)):
+        order = list(order)
+        op = rng.randrange(7)
+        i, j = sorted(rng.sample(range(len(order)), 2))
+        if op == 0:
+            order = order[i:] + order[:i]
+        elif op == 1:
+            order.reverse()
+        elif op == 2:
+            order[i], order[i + 1] = order[i + 1], order[i]
+        elif op == 3:
+            order[i : j + 1] = reversed(order[i : j + 1])
+        elif op == 4 and len(order) < 8:
+            order.insert(i, rng.choice(sorted(set(range(8)) - set(order))))
+        elif op == 5 and len(order) > 3:
+            del order[i]
+        cycles.append(order)
+    return [Cycle(tuple(c)) for c in cycles]
+
+
+def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
+    # the pairwise search runs only for a sequence that fails
+    searched = []
+    monkeypatch.setattr(
+        infinite,
+        "first_persistence_failure",
+        lambda sets: searched.append(sets) or first_persistence_failure(sets),
+    )
+    outcomes = Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        cycles = random_cycle_sequence(rng)
+        # a dense random graph on 0..7 whose neighbour lists drop some
+        # directions of edges, so a pair may pass one way and fail the other
+        adj = {
+            v: tuple(w for w in range(8) if w != v and rng.random() < 0.9)
+            for v in range(8)
+        }
+
+        def graph(asked):
+            return LazyGraph(
+                lambda v: asked.append(v) or adj[v], lambda F, v: True, 0
+            )
+
+        scanned, passed = [], []
+        want = first_cycle_failure(graph(scanned), SimpleNamespace(cycles=cycles))
+        try:
+            edge_sets, steps = _cycle_steps(cycles, graph(passed))
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == want, seed
+        # the oracle is asked the same vertices in the same order
+        assert passed == scanned, seed
+        if want is not None:
+            outcomes["refused"] += 1
+            continue
+        assert edge_sets == _cycle_steps(cycles)[0]
+        rebuilt = [C.edge_set for C in cycles]
+        assert edge_sets == rebuilt, seed
+        assert steps == [(b - a, a - b) for a, b in zip(rebuilt, rebuilt[1:])], seed
+        failure = first_persistence_failure(rebuilt)
+        searched.clear()
+        assert _persistence_failure(edge_sets, steps) == failure, seed
+        assert len(searched) == (failure is not None), seed
+        outcomes["persistent" if failure is None else "broken"] += 1
+    assert min(outcomes.values()) > 30, outcomes
 
 
 # ---------------------------------------------------------------------------

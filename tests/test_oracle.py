@@ -5,7 +5,7 @@ from hamext.errors import InputError, SamplingExhausted
 from hamext.families import gen_G
 from hamext.graphcore import FiniteGraph, verify_cycle
 from hamext.oracle import hamilton_oracle, random_star_clawfree
-from separators import minimal_separators
+from separators import components, minimal_separators
 
 
 def complete(n):
@@ -71,8 +71,6 @@ def test_minimal_separators_frozen_cases():
 
 
 def test_minimal_separators_every_member_sees_every_component():
-    from hamext.graphcore import components
-
     G = gen_G(5, 2)
     for S in minimal_separators(G, max_size=4):
         comps = components(G, removed=S)

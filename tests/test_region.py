@@ -34,11 +34,11 @@ from hamext.graphcore import (
     Region,
     ball,
     canonical_edge,
-    components,
 )
 from hamext.infinite import _CutBuilder, hamilton_sequence
 from hamext.oracle import random_star_clawfree
 from hamext.structure import decompose, minimal_ray_blocker
+from separators import components
 from test_infinite import rim_of
 from wholeball import reference_ball
 
@@ -238,6 +238,30 @@ def test_symmetry_check_names_the_whole_ball_pair(shape):
                 break
         outcomes[got[0]] += 1
     assert outcomes["raise"] > 20 and outcomes["ok"] > 0
+
+
+def test_region_refuses_past_its_neighbour_budget(monkeypatch):
+    # a region counts the neighbour entries it fetches, once each: with
+    # the budget at the count a ball needs it is handed out, one less
+    # and it is refused as input
+    assert hamext.graphcore.MAX_REGION_NEIGHBORS == 4 * 10**6
+    X = fiber_vertices(gen_G_inf(3).descriptor, 0)
+    region = Region(gen_G_inf(3), X)
+    B = region.ball(4)
+    held = region.held
+    assert held == sum(map(len, region.nbrs.values())) > 0
+    region.grow(fiber_vertices(region.G.descriptor, 1))
+    region.ball(4)
+    assert region.held == sum(map(len, region.nbrs.values()))
+    monkeypatch.setattr(hamext.graphcore, "MAX_REGION_NEIGHBORS", held)
+    assert Region(gen_G_inf(3), X).ball(4) == B
+    monkeypatch.setattr(hamext.graphcore, "MAX_REGION_NEIGHBORS", held - 1)
+    with pytest.raises(InputError, match=f"over {held - 1} neighbour entries"):
+        Region(gen_G_inf(3), X).ball(4)
+    # a run reads every ball off its one region, so it is refused too
+    monkeypatch.setattr(hamext.graphcore, "MAX_REGION_NEIGHBORS", 200)
+    with pytest.raises(InputError, match="over 200 neighbour entries"):
+        hamilton_sequence(gen_G_inf(2), 3)
 
 
 def _connected(adj, X):

@@ -2,7 +2,7 @@ import pytest
 
 from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
-from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, components
+from hamext.graphcore import Cycle, FiniteGraph, LazyGraph
 from hamext.oracle import random_star_clawfree
 from hamext.structure import ComponentHandle, decompose, minimal_ray_blocker
 from separators import (

@@ -2,19 +2,21 @@
 
 The reference below is the verifier as it stood before its five
 clauses became one function each: flag pairs, break chains and three
-parallel dicts of memberships, component tests and cuts.  Seeded
-mutations of a stored GZ2 trace must give both the same verdict JSON,
-or the same exception type and message."""
+parallel dicts of memberships, component tests and cuts, and a
+whole-cycle scan of every cycle.  Seeded mutations of a stored GZ2
+trace, and reordered cycles of GZ2 and GZ3 traces, must give both the
+same verdict JSON, or the same exception type and message."""
 
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
-from hamext.graphcore import neighborhood_k, verify_cycle
+from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
 from hamext.infinite import (
     ConditionReport,
     SequenceTrace,
@@ -283,3 +285,101 @@ def test_clause_functions_match_reference_on_mutations(gz2_depth3_obj):
     assert seen["refused"] and seen["InputError"] and seen["all_ok"]
     for clause in ("finite_cuts", "nested_msets", "cut_agreement"):
         assert any(clause in key for key in seen), seen
+
+
+# ---------------------------------------------------------------------------
+# reordered cycles: the verifier checks a pair of a cycle only when the
+# previous cycle does not walk it in the same direction, which the
+# single-field mutations above never exercise
+
+
+def _reorderings(order, rng):
+    n = len(order)
+    k = rng.randrange(1, n)
+    i = rng.randrange(n - 1)
+    a, b = sorted(rng.sample(range(n), 2))
+    swapped = list(order)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    yield "reverse", order[::-1]
+    yield "rotate", order[k:] + order[:k]
+    yield "swap", tuple(swapped)
+    yield "segment", order[:a] + order[a : b + 1][::-1] + order[b + 1 :]
+
+
+def _with_cycle(trace, idx, C):
+    cycles = list(trace.cycles)
+    cycles[idx] = C
+    return replace(trace, cycles=tuple(cycles))
+
+
+def _recording(base, dropped=None):
+    """``base`` behind a fresh cache, listing the vertices its neighbour
+    oracle is asked for; ``dropped`` is a pair (u, v) whose v the oracle
+    leaves out of u's neighbours."""
+    asked = []
+
+    def neighbors(u):
+        asked.append(u)
+        return tuple(w for w in base.neighbors(u) if (u, w) != dropped)
+
+    return LazyGraph(neighbors, base.escapes, base.root, base.end_rays), asked
+
+
+def _same_outcome(trace, base, dropped=None, label=None):
+    """Both verifiers give the same outcome on ``trace``, asking the
+    neighbour oracle the same vertices in the same order."""
+    G, asked = _recording(base, dropped)
+    want = _outcome(lambda t: reference_verify(t, G), trace)
+    H, got_asked = _recording(base, dropped)
+    got = _outcome(lambda t: verify_hc_extract(t, H).to_json_obj(), trace)
+    assert got == want, label
+    assert got_asked == asked, label
+    return want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reordered_cycles_match_reference(n):
+    base = gen_G_inf(n)
+    trace = hamilton_sequence(base, 3)
+    rng = random.Random(n)
+    cases = [
+        (f"{name} cycle {idx}", _with_cycle(trace, idx, Cycle(order)))
+        for _ in range(3)
+        for idx, C in enumerate(trace.cycles)
+        for name, order in _reorderings(C.order, rng)
+    ]
+    cases += [
+        (f"cycle {i + 1} copies cycle {i}", _with_cycle(trace, i + 1, C))
+        for i, C in enumerate(trace.cycles[:-1])
+    ]
+    seen = Counter()
+    for label, bad in cases:
+        kind, value = _same_outcome(bad, base, label=label)
+        seen[kind if kind != "verdict" else value["all_ok"]] += 1
+    # reversed and rotated cycles walk the same edges and verify; swaps
+    # and reversed segments mostly break adjacency; a copied cycle misses
+    # the blocker of its iteration
+    assert seen[True] and seen[False] and seen["InputError"], seen
+
+
+def test_one_way_oracle_matches_reference():
+    # the last cycle reversed walks every edge of the cycle before it the
+    # other way; an oracle that drops one direction of such an edge fails
+    # exactly the cycles that walk it in that direction
+    base = gen_G_inf(2)
+    trace = hamilton_sequence(base, 3)
+    k = trace.depth
+    flipped = _with_cycle(trace, k, Cycle(trace.cycles[k].order[::-1]))
+    before = trace.cycles[k - 1].order
+    u, v = next(
+        (u, v)
+        for u, v in zip(before, before[1:] + before[:1])
+        if trace.cycles[k].succ(u) == v
+    )
+    assert _same_outcome(trace, base, dropped=(v, u))[1]["all_ok"]
+    want = f"trace cycle {k} invalid: consecutive cycle vertices {v}, {u} not adjacent"
+    assert _same_outcome(flipped, base, dropped=(v, u)) == ("InputError", want)
+    # dropped the other way, the first cycle that walks u, v fails
+    first = next(i for i, C in enumerate(trace.cycles) if u in C and C.succ(u) == v)
+    kind, message = _same_outcome(flipped, base, dropped=(u, v))
+    assert (kind, message.split(":")[0]) == ("InputError", f"trace cycle {first} invalid")
