@@ -331,7 +331,10 @@ def star_on_ball(
     are visited in id order either way.
     """
     eligible = frozenset().union(*layers[: limit + 1])
-    close = sorted(B.frontier & eligible.union(*layers[limit + 1 : limit + 2]))
+    # layer by layer: each intersection runs over the smaller set
+    close = sorted(
+        set().union(*map(B.frontier.intersection, layers[: limit + 2]))
+    )
     if close:
         raise FrontierContamination(
             f"frontier vertices {close[:6]} lie closer than {limit + 2} "

@@ -255,7 +255,7 @@ def apply_extension(C: Cycle, e: Extension) -> Cycle:
 
 def iter_extensions(
     G: Graph,
-    C0: Cycle,
+    C0: Cycle | LiveCycle,
     target_filter: Callable[[int], bool] | None = None,
     targets: Iterable[int] | None = None,
 ) -> Iterator[tuple[Extension, LiveCycle]]:
@@ -275,7 +275,7 @@ def iter_extensions(
 
     Yields each extension with the cycle after it.  The cycle is one
     LiveCycle rewired in place, so it is only valid until the next step;
-    freeze() it to keep it.
+    freeze() it to keep it.  A LiveCycle C0 is that cycle itself.
     """
     seen: set[int] = set()
     heap: list[int] = []
@@ -297,7 +297,10 @@ def iter_extensions(
         # C0 a later step reaches is dropped when it reaches the top
         heap.extend(sorted(targets))
         seen.update(heap)
-    C = LiveCycle(C0) if heap else None
+    if isinstance(C0, LiveCycle):
+        C = C0
+    else:
+        C = LiveCycle(C0) if heap else None
     while heap:
         v = heappop(heap)
         if v in C:

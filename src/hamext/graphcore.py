@@ -28,9 +28,7 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import not_, sub
 
 from .errors import InputError, InvariantViolation
 
@@ -79,9 +77,11 @@ class FiniteGraph:
         adj: Mapping[int, tuple[int, ...]],
         frontier: frozenset[int],
         adjsets: Mapping[int, frozenset[int]],
+        vertex_set: frozenset[int],
     ) -> "FiniteGraph":
         """The graph with these fields, for a caller (a Region) that
-        already holds the neighbour sets: they are not built again."""
+        already holds the neighbour sets and the vertex set: they are
+        not built again."""
         G = cls.__new__(cls)
         for name, value in (
             ("vertices", vertices),
@@ -89,6 +89,7 @@ class FiniteGraph:
             ("frontier", frontier),
             ("labels", None),
             ("_adjsets", adjsets),
+            ("vertex_set", vertex_set),
         ):
             object.__setattr__(G, name, value)
         return G
@@ -296,6 +297,18 @@ GraphLike = FiniteGraph | LazyGraph
 # cycles
 
 
+_POSITIONS: tuple[int, ...] = ()
+
+
+def _positions(n: int) -> tuple[int, ...]:
+    """0, 1, ..., at least n of them: one tuple kept for every cycle
+    index, so that building one allocates no position ints."""
+    global _POSITIONS
+    if len(_POSITIONS) < n:
+        _POSITIONS = tuple(range(max(n, 2 * len(_POSITIONS))))
+    return _POSITIONS
+
+
 @dataclass(frozen=True)
 class Cycle:
     """Oriented cycle given by its vertex order.
@@ -313,7 +326,7 @@ class Cycle:
     def __post_init__(self) -> None:
         if len(self.order) < 3:
             raise InputError("a cycle needs at least three vertices")
-        idx = dict(zip(self.order, range(len(self.order))))
+        idx = dict(zip(self.order, _positions(len(self.order))))
         if len(idx) < len(self.order):
             seen: set[int] = set()
             for v in self.order:
@@ -332,21 +345,11 @@ class Cycle:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.order)
 
-    def edges_outside(self, other: "Cycle") -> list[Edge]:
-        """The pairs (v, succ(v)) of this cycle whose edge is not an edge
-        of ``other``, in cycle order.
-
-        Two vertices are consecutive on ``other`` when their positions
-        on it differ by 1 or by its length less 1, so the pairs are
-        found from those differences, without a Python step per vertex.
-        """
-        order, n = self.order, len(other)
-        # a vertex off ``other`` is placed too far from any other to pass
-        pos = list(map(other._index.get, order, repeat(-2 * n - 5, len(order))))
-        steps = map(sub, pos[1:] + pos[:1], pos)
-        adjacent = {1, -1, n - 1, 1 - n}.__contains__
-        picked = compress(range(len(order)), map(not_, map(adjacent, steps)))
-        return [(order[i], order[i + 1 - len(order)]) for i in picked]
+    def _with_vertex_set(self, vertex_set: frozenset[int]) -> "Cycle":
+        """This cycle with ``vertex_set`` cached, for a caller that
+        already holds V(C): the order is not hashed again."""
+        self.__dict__["vertex_set"] = vertex_set
+        return self
 
     def index(self, v: int) -> int:
         """Position of v in ``order``."""
@@ -376,10 +379,6 @@ class Cycle:
             (u, v) if u <= v else (v, u)
             for u, v in zip(order, order[1:] + order[:1])
         ]
-
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
 
 
 @dataclass(frozen=True)
@@ -492,8 +491,9 @@ class Region:
     returns what ``ball(G, X, r)`` returns, reading the interior's
     neighbour tuples off ``nbrs``; it checks the neighbour oracle's
     symmetry only on the pairs whose ends are interior for the first
-    time.  Per call, Python-level work is bounded by what X gained and
-    by the ball's frontier, not by the size of X.
+    time.  ``radius`` is the radius of the last ball handed out.  Per
+    call, Python-level work is bounded by what X gained and by the
+    ball's frontier, not by the size of X.
     """
 
     def __init__(self, G: GraphLike, X: Iterable[int]) -> None:
@@ -513,6 +513,14 @@ class Region:
         self._loose: set[int] = set(X)
         # the last cycle whose edges minimal_ray_blocker found in G
         self.checked_cycle: Cycle | None = None
+        # the radius of the last ball, its sorted vertices, vertex set,
+        # adjacency rows, neighbour sets and frontier rows
+        self.radius = -1
+        self._vertices: list[int] = []
+        self._members: set[int] = set()
+        self._adj: dict[int, tuple[int, ...]] = {}
+        self._sets: dict[int, frozenset[int]] = {}
+        self._frontier_rows: dict[int, tuple[int, ...]] = {}
 
     def _fetch(self, u: int) -> tuple[int, ...]:
         row = self.nbrs.get(u)
@@ -571,7 +579,12 @@ class Region:
                     queue.append(w)
 
     def ball(self, radius: int) -> FiniteGraph:
-        """The ball of ``radius`` around X: equal to ``ball(G, X, radius)``."""
+        """The ball of ``radius`` around X: equal to ``ball(G, X, radius)``.
+
+        The region keeps the last ball's sorted vertices, vertex set and
+        two dicts.  At the same radius the ball only gains vertices, and
+        of its old ones only the frontier's rows change, so those are
+        updated in place and the ball gets copies of them."""
         _check_ball_radius(radius)
         layers = self.layers
         if not layers[0]:
@@ -584,12 +597,34 @@ class Region:
             v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) < outer)
             for v in sorted(layers[radius])
         }
-        vertices = tuple(sorted(interior.union(rows)))
-        adj = dict(zip(vertices, map(self.nbrs.get, vertices)))
+        if radius != self.radius:
+            self.radius = radius
+            self._vertices, self._adj, self._sets = [], {}, {}
+            self._members = set()
+            inside = interior
+        else:
+            # the old frontier rows that are interior now, and the
+            # vertices new to the ball
+            inside = interior.intersection(self._frontier_rows)
+            inside.update(interior.difference(self._adj))
+        self._frontier_rows = rows
+        vertices, adj, sets = self._vertices, self._adj, self._sets
+        new = inside.union(rows).difference(adj)
+        if new:
+            vertices += new
+            vertices.sort()
+            self._members |= new
+        adj.update(zip(inside, map(self.nbrs.get, inside)))
         adj.update(rows)
-        sets = dict(zip(vertices, map(self.sets.get, vertices)))
+        sets.update(zip(inside, map(self.sets.get, inside)))
         sets.update(zip(rows, map(frozenset, rows.values())))
-        return FiniteGraph._with_sets(vertices, adj, frozenset(rows), sets)
+        return FiniteGraph._with_sets(
+            tuple(vertices),
+            adj.copy(),
+            frozenset(rows),
+            sets.copy(),
+            frozenset(self._members),
+        )
 
     def _check_symmetry(self, interior: set[int]) -> None:
         """Raise at the first pair (v, w) of ``interior``, in id and

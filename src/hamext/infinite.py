@@ -17,7 +17,9 @@ The construction follows five stages:
 
 The cycle edges crossing each M set are read from the cycle once per
 enlargement, after stage B; stages C and D update them from the edges
-each step swaps, and stage E reads them.
+each step swaps, and stage E reads them.  All five stages rewire one
+live cycle in place (_RunCycle), whose ledger of edges gained and lost
+feeds stage E's edge clauses.
 
 Everything works inside one finite ball; frontier contamination is an
 error, never silently tolerated.  The driver keeps one run state
@@ -30,13 +32,16 @@ iteration then takes N(C) for the blocker, and the ball for decompose,
 off the region, checks claw-freeness and the degree condition on that
 ball, and reads N(C), its second neighbourhood and the protected
 vertices once.  Both conditions are properties of the graph, so a
-centre certified once is never checked again.  No step of an
-iteration walks all of V(C) or the ball's interior in Python: whole-set
-work is done by set, dict and tuple operations, and Python loops run
-over what the cycle gained, the ball's frontier and the shell between
-V(C) and the frontier, so an iteration's cost does not grow with |C|
-beyond those operations and the one walk of the live cycle that ends
-stage C.
+centre certified once is never checked again.  The run keeps one live
+cycle across its iterations and freezes it once per iteration for the
+trace; the ledger of what an enlargement gained and lost is what the
+next one grows the region by and checks for edges in G, and each end's
+ray walk resumes where it stopped.  No step of an iteration walks all
+of V(C) or the ball's interior in Python: whole-set work is done by
+set, dict and tuple operations (the frozen cycle's order and index
+among them), and Python loops run over what the cycle gained, the
+ball's frontier and the shell between V(C) and the frontier, so an
+iteration's cost does not grow with |C| beyond those operations.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .conditions import star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
 from .extension import (
     Extension,
+    LiveCycle,
     apply_extension,
     find_extension,
     find_initial_cycle,
@@ -126,7 +132,137 @@ def protected_vertices(G, cycle_vertices, nc=None) -> frozenset[int]:
     caller already has it."""
     if nc is None:
         nc = neighborhood_k(G, cycle_vertices, 1)
-    return frozenset(cycle_vertices) - nc - neighborhood_k(G, nc, 1)
+    return frozenset(cycle_vertices) - (neighborhood_k(G, nc, 1) | nc)
+
+
+def _canonical_pairs(pairs) -> set[Edge]:
+    return {(a, b) if a <= b else (b, a) for a, b in pairs}
+
+
+class _RunCycle(LiveCycle):
+    """The live cycle of an infinite run, rewired in place by every
+    enlargement and frozen once per iteration for the trace.
+
+    Beside the successor map it keeps each vertex's predecessor, and a
+    ledger of the net change since ``base``, the enlargement's start
+    cycle: ``gained`` holds the edges it has and ``base`` lacks, and
+    ``lost`` the edges of ``base`` it lacks, as canonical pairs, so an
+    edge added and then removed cancels out.  apply() keeps both up to
+    date with O(1) work for kinds I and II; kind III also walks the
+    reversed arc, as LiveCycle.apply does.  The cold branches of the
+    construction freeze it, run the Cycle functions and reset() it to
+    their result.
+
+    While only kinds I and II have rewired it since ``base`` (``kept``),
+    the head and the order of base's vertices stay, and every vertex
+    gained lies on the path that replaced a lost edge of base; ``order``
+    is then base's order with those paths spliced in, not a walk.
+    """
+
+    __slots__ = ("_pred", "base", "gained", "lost", "kept")
+
+    def __init__(self, C: Cycle) -> None:
+        super().__init__(C)
+        self._pred_from(C.order)
+        self.start(C)
+
+    def _pred_from(self, order: tuple[int, ...]) -> None:
+        self._pred = dict(zip(order, order[-1:] + order[:-1]))
+
+    def start(self, C: Cycle) -> None:
+        """Start an empty ledger at C, which is this cycle frozen."""
+        self.base = C
+        self.gained: set[Edge] = set()
+        self.lost: set[Edge] = set()
+        self.kept = True
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None and self.kept:
+            base, succ = self.base, self._succ
+            cuts = []
+            for a, b in self.lost:
+                if base.succ(a) != b:
+                    a, b = b, a
+                path = []
+                w = succ[a]
+                while w != b:
+                    path.append(w)
+                    w = succ[w]
+                cuts.append((base.index(a) + 1, path))
+            order = list(base.order)
+            for i, path in sorted(cuts, reverse=True):
+                order[i:i] = path
+            self._order = tuple(order)
+        return LiveCycle.order.fget(self)
+
+    def pred(self, v: int) -> int:
+        try:
+            return self._pred[v]
+        except KeyError:
+            raise InputError(f"vertex {v} not on cycle") from None
+
+    def apply(self, e: Extension) -> None:
+        super().apply(e)
+        removed, added = self.last_edge_diff()
+        pred = self._pred
+        for a, b in added:
+            pred[b] = a
+        if e.kind == "III":
+            self.kept = False
+            # the arc now runs from y back to u+
+            succ, up, w = self._succ, added[2][0], e.y
+            while w != up:
+                pred[succ[w]] = w
+                w = succ[w]
+        self._record(removed, added)
+
+    def _record(self, removed, added) -> None:
+        gained, lost = self.gained, self.lost
+        for e in _canonical_pairs(removed):
+            if e in gained:
+                gained.remove(e)
+            else:
+                lost.add(e)
+        for e in _canonical_pairs(added):
+            if e in lost:
+                lost.remove(e)
+            else:
+                gained.add(e)
+
+    def reset(self, C: Cycle) -> None:
+        """Become C, which a cold branch built from this cycle frozen;
+        the ledger takes in the change from a whole-cycle diff."""
+        before, after = set(self.freeze().edges()), set(C.edges())
+        self._record(before - after, after - before)
+        LiveCycle.__init__(self, C)
+        self._pred_from(C.order)
+        self.kept = False
+
+    def freeze(self) -> Cycle:
+        C = Cycle(self.order)
+        if self.kept:
+            # no vertex left, so V(C) is V(base) with the gained ones
+            C._with_vertex_set(self.base.vertex_set | self.new_vertices())
+        return C
+
+    def rank(self, v: int):
+        """A key that orders the vertices as ``order`` does.  While
+        ``kept`` it is read off base, without the order: a vertex gained
+        since base sorts after the base vertex it follows, by the steps
+        back to it."""
+        if not self.kept:
+            return self.order.index(v)
+        base, pred, steps = self.base, self._pred, 0
+        while v not in base:
+            v = pred[v]
+            steps += 1
+        return base.index(v), steps
+
+    def new_vertices(self) -> set[int]:
+        """The vertices on this cycle and not on ``base``."""
+        base = self.base
+        return {v for e in self.gained for v in e if v not in base}
 
 
 class _Rim:
@@ -454,8 +590,21 @@ def require_twice(crossing, C, label: str, j: int) -> None:
 
 
 class _CutBuilder:
+    """The five stages of one enlargement of C, on one live cycle.
+
+    Stage A starts from ``live``, the run's live cycle, which must equal
+    C (a new one when None); every stage rewires it in place and hands
+    it on.  A stage given a frozen Cycle instead works on a new live
+    cycle following it, and leaves the Cycle as it was.
+    """
+
     def __init__(
-        self, G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition, rim: _Rim
+        self,
+        G: LazyGraph,
+        C: Cycle,
+        decomp: SeparatorDecomposition,
+        rim: _Rim,
+        live: _RunCycle | None = None,
     ):
         self.G = G
         self.C = C
@@ -477,8 +626,22 @@ class _CutBuilder:
             _MState(self.pieces[j], self.parts[j]) for j in range(self.k)
         ]
         self.paths: list[tuple[int, ...] | None] = [None] * self.k
+        if live is None:
+            live = _RunCycle(C)
+        else:
+            live.start(C)
+        self.start_live = live
 
     # -- shared helpers ----------------------------------------------------
+
+    def as_live(self, cur: Cycle | _RunCycle) -> _RunCycle:
+        """cur as a live cycle whose ledger starts at C."""
+        if isinstance(cur, _RunCycle) and cur.base is self.C:
+            return cur
+        live = _RunCycle(self.C)
+        if cur is not self.C:
+            live.reset(cur if isinstance(cur, Cycle) else cur.freeze())
+        return live
 
     def guarded_neighbors(self, v: int) -> tuple[int, ...]:
         if v in self.B.frontier:
@@ -495,18 +658,22 @@ class _CutBuilder:
         for v in vertices:
             self.guarded_neighbors(v)
 
-    def guard_cycle(self, cur: Cycle) -> None:
+    def guard_cycle(self, cur: _RunCycle) -> None:
         """guard(cur.order), with the cycle walked only when one of its
         vertices lies on the frontier or outside the ball, to name the
-        first."""
-        B, on = self.B, cur.vertex_set
-        if not (B.frontier.isdisjoint(on) and on <= B.vertex_set):
-            self.guard(cur.order)
+        first.  C's vertices are tested as one set, and the ones cur
+        gained since are read off the ledger."""
+        B = self.B
+        for on in (self.C.vertex_set, cur.new_vertices()):
+            if not (B.frontier.isdisjoint(on) and on <= B.vertex_set):
+                self.guard(cur.order)
+                return
 
-    def read_cuts(self, cur: Cycle) -> None:
+    def read_cuts(self, cur) -> None:
         """Read the cycle edges crossing each M set off the cycle, once
         per enlargement, after stage B; stages C and D keep them up to
         date.  Only the cycle edges at members of each M set are read."""
+        cur = self.as_live(cur)
         self.cuts: list[set[Edge]] = []
         for m in self.msets:
             cut = set()
@@ -545,14 +712,14 @@ class _CutBuilder:
 
     # -- stage A: fill the finite component --------------------------------
     # One iter_extensions run over the finite component: smallest
-    # admissible target first, one live cycle, O(1) work per step beyond
-    # the witness search.
+    # admissible target first, O(1) work per step beyond the witness
+    # search.
 
-    def stage_fill_finite(self) -> Cycle:
-        self.guard_cycle(self.C)
-        live = None
-        for e, live in iter_extensions(
-            self.B, self.C, self.K0.__contains__, self.rim.nc & self.K0
+    def stage_fill_finite(self) -> _RunCycle:
+        live = self.start_live
+        self.guard_cycle(live)
+        for e, _ in iter_extensions(
+            self.B, live, self.K0.__contains__, self.rim.nc & self.K0
         ):
             # the target lies in K0; a kind II helper outside it would need
             # a one-vertex rewiring at the same anchor, which find_extension
@@ -565,21 +732,21 @@ class _CutBuilder:
                     helper=e.x,
                 )
             self.guard(e.new_vertices())
-        cur = self.C if live is None else live.freeze()
-        if cur.vertex_set != self.K0:
+        if live._succ.keys() != self.K0:
             raise InvariantViolation(
                 "finite component not exhausted",
-                missing=sorted(self.K0 - cur.vertex_set),
+                missing=sorted(self.K0.difference(live._succ)),
             )
-        return cur
+        return live
 
     # -- stage B: thread one path per infinite component -------------------
 
-    def forced_two_step_absorb(
-        self, D: Cycle, s1: int, j: int
-    ) -> tuple[Cycle, tuple[int, ...]]:
-        """Absorb a component vertex next to s1; the second separator
-        vertex comes in for free and closes the path."""
+    def forced_two_step(
+        self, D, s1: int, j: int
+    ) -> tuple[Extension, tuple[int, ...]]:
+        """The extension absorbing a component vertex next to s1, with
+        the path it threads: the second separator vertex comes in for
+        free and closes the path."""
         inside = sorted(
             w for w in self.guarded_neighbors(s1) if w in self.pieces[j]
         )
@@ -601,19 +768,26 @@ class _CutBuilder:
                 f"second endpoint {s2} is not in the expected separator part",
                 j=j,
             )
-        return apply_extension(D, e), (s1, a, s2)
+        return e, (s1, a, s2)
 
-    def thread_part(self, cur: Cycle, j: int) -> Cycle:
+    def thread_part(self, cur, j: int) -> _RunCycle:
+        cur = self.as_live(cur)
         s1 = min(self.parts[j])
         e = find_extension(self.B, cur, s1)
         if e.kind in ("I", "III"):
-            D = apply_extension(cur, e)
-            cur, path = self.forced_two_step_absorb(D, s1, j)
-            self.paths[j] = path
-            return cur
+            cur.apply(e)
+            e, self.paths[j] = self.forced_two_step(cur, s1, j)
+            cur.apply(e)
+        else:
+            cur.reset(self.thread_through_helper(cur.freeze(), j, s1, e))
+        return cur
 
-        # the two-vertex absorption pulled in a helper x, necessarily a
-        # separator vertex of some part
+    def thread_through_helper(
+        self, cur: Cycle, j: int, s1: int, e: Extension
+    ) -> Cycle:
+        """thread_part when absorbing s1 pulled in a helper x, necessarily
+        a separator vertex of some part: the Cycle it leaves.  No shipped
+        family gets here."""
         y = e.u
         z = cur.succ(y)
         x = e.x
@@ -666,9 +840,8 @@ class _CutBuilder:
             new_arc = (s_other, *through, x)
             D2 = replace_arc(D, oriented + (x,), new_arc)
             self.paths[ell] = new_arc
-            cur, path = self.forced_two_step_absorb(D2, s1, j)
-            self.paths[j] = path
-            return cur
+            e2, self.paths[j] = self.forced_two_step(D2, s1, j)
+            return apply_extension(D2, e2)
 
         # remaining situation: the helper belongs to a foreign part and
         # the displaced edge endpoint z is no separator vertex of it
@@ -702,11 +875,10 @@ class _CutBuilder:
                     w=w,
                 )
             D3 = apply_extension(cur, Extension("I", s1, w))
-        cur, path = self.forced_two_step_absorb(D3, s1, j)
-        self.paths[j] = path
-        return cur
+        e3, self.paths[j] = self.forced_two_step(D3, s1, j)
+        return apply_extension(D3, e3)
 
-    def check_threading_invariants(self, cur: Cycle, upto: int) -> None:
+    def check_threading_invariants(self, cur, upto: int) -> None:
         for ell in range(upto + 1):
             path = self.paths[ell]
             if path is None:
@@ -753,9 +925,10 @@ class _CutBuilder:
     # its M set here, so msets[j] is parts[j] | pieces[j] throughout and
     # the kept cuts follow the edges each rewiring swaps.
 
-    def stage_absorb_trees(self, cur: Cycle) -> Cycle:
+    def stage_absorb_trees(self, cur) -> _RunCycle:
+        cur = self.as_live(cur)
         wanted = frozenset().union(*(tree.vertices for tree in self.trees))
-        missing = set(wanted - cur.vertex_set)
+        missing = set(wanted.difference(cur._succ))
         if not missing:
             return cur
         self.guard_cycle(cur)
@@ -768,7 +941,7 @@ class _CutBuilder:
             self.require_cuts(live, "separator-plus-component cut")
             missing.difference_update(e.new_vertices())
             if not missing:
-                return live.freeze()
+                return live
             self.guard(e.new_vertices())
         raise InvariantViolation(
             "tree vertices unreachable as extension targets",
@@ -780,12 +953,12 @@ class _CutBuilder:
     # the cycle edges at the vertices whose membership update_msets
     # changes.
 
-    def consecutive_pair(self, cur: Cycle, nbrs: set[int]) -> tuple[int, int] | None:
+    def consecutive_pair(self, cur, nbrs: set[int]) -> tuple[int, int] | None:
         """The first a in cycle order with a and its successor in nbrs."""
         firsts = [a for a in nbrs if a in cur and cur.succ(a) in nbrs]
         if not firsts:
             return None
-        a = min(firsts, key=cur.index)
+        a = min(firsts, key=cur.rank if isinstance(cur, _RunCycle) else cur.index)
         return a, cur.succ(a)
 
     def update_msets(self, w1: int, w2: int, gained: tuple[int, ...]) -> None:
@@ -795,7 +968,8 @@ class _CutBuilder:
             else:
                 m.discard(gained)
 
-    def stage_absorb_separator(self, cur: Cycle) -> Cycle:
+    def stage_absorb_separator(self, cur) -> _RunCycle:
+        cur = self.as_live(cur)
         self.require_cuts(cur, "initial M cut")
         rounds = 0
         while True:
@@ -813,14 +987,15 @@ class _CutBuilder:
             pair = self.consecutive_pair(cur, nbrs_on)
             if pair is not None:
                 w1, w2 = pair
-                cur = apply_extension(cur, Extension("I", u, w1))
+                cur.apply(Extension("I", u, w1))
                 gained = (u,)
                 self.update_msets(w1, w2, gained)
                 swapped = ((w1, w2), (w1, u), (u, w2))
             else:
-                cur, swapped, gained = self.absorb_isolated_separator_vertex(
-                    cur, u, nbrs_on
+                D, swapped, gained = self.absorb_isolated_separator_vertex(
+                    cur.freeze(), u, nbrs_on
                 )
+                cur.reset(D)
             self.recount_cuts(cur, swapped, gained)
             self.require_cuts(cur, "M cut")
 
@@ -830,7 +1005,8 @@ class _CutBuilder:
         """No two cycle neighbours of u are consecutive: shortcut all but
         the smallest, force the two-vertex absorption there, then redo
         the shortcuts on the real cycle.  Returns the new cycle, the
-        cycle edges it swapped and the two vertices gained."""
+        cycle edges it swapped and the two vertices gained.  No shipped
+        family gets here."""
         if not nbrs_on:
             raise InvariantViolation(
                 f"separator vertex {u} has no neighbour on the cycle"
@@ -880,7 +1056,8 @@ class _CutBuilder:
 
     # -- stage E: output clauses -------------------------------------------
 
-    def check_output_clauses(self, cur: Cycle) -> tuple[CutWitness, ...]:
+    def check_output_clauses(self, cur) -> tuple[CutWitness, ...]:
+        cur = self.as_live(cur)
         n3 = neighborhood_k(self.B, self.script_S, 3)
         contaminated = (n3 | self.script_S) & self.B.frontier
         if contaminated:
@@ -888,10 +1065,10 @@ class _CutBuilder:
                 f"third neighbourhood reaches the frontier: "
                 f"{sorted(contaminated)[:6]}"
             )
-        on = cur.vertex_set
-        missing = (self.script_S | n3) - on
-        if not self.K0 <= on:
-            missing |= self.K0 - on
+        missing = (self.script_S | n3).difference(cur._succ)
+        lacking = self.K0.difference(cur._succ)
+        if lacking:
+            missing |= lacking
         if missing:
             raise InvariantViolation(
                 "coverage clause failed",
@@ -935,17 +1112,19 @@ class _CutBuilder:
                 )
             )
 
-        protected = self.rim.protected
-        for a, b in self.C.edges_outside(cur):
-            if a in protected and b in protected:
-                raise InvariantViolation(
-                    "protected cycle edge vanished", edge=canonical_edge(a, b)
-                )
+        # the ledger's lost edges, first in C's order, and its gained
+        # edges, in canonical order
+        C, protected = self.C, self.rim.protected
+        vanished = [(a, b) for a, b in cur.lost if a in protected and b in protected]
+        if vanished:
+            raise InvariantViolation(
+                "protected cycle edge vanished",
+                edge=min(vanished, key=lambda e: C.index(_tail(C, *e))),
+            )
         n2_nc = self.rim.near
-        old_vertices = self.C.vertex_set
-        for a, b in sorted(canonical_edge(*e) for e in cur.edges_outside(self.C)):
+        for a, b in sorted(cur.gained):
             for end in (a, b):
-                if end in old_vertices and end not in n2_nc:
+                if end in C and end not in n2_nc:
                     raise InvariantViolation(
                         "new edge lands on a protected old vertex",
                         edge=(a, b),
@@ -954,20 +1133,31 @@ class _CutBuilder:
         return tuple(witnesses)
 
 
+def _tail(C: Cycle, a: int, b: int) -> int:
+    """Which end of the cycle edge ab C walks first: a when b = succ(a)."""
+    return a if C.succ(a) == b else b
+
+
 def construct_cut1(
-    G: LazyGraph, C: Cycle, decomp: SeparatorDecomposition, rim: _Rim
+    G: LazyGraph,
+    C: Cycle,
+    decomp: SeparatorDecomposition,
+    rim: _Rim,
+    live: _RunCycle | None = None,
 ) -> tuple[Cycle, tuple[CutWitness, ...]]:
     """Enlarge C past its blocker and certify the crossing structure.
 
     Returns the new cycle and one CutWitness per infinite component;
     all three output clauses are checked before returning.  ``rim`` is
-    read off the decomposition's ball.
+    read off the decomposition's ball.  ``live``, when given, is a live
+    cycle equal to C; it is rewired into the new cycle in place, and its
+    ledger then holds the edges the new cycle gained and lost.
     """
     if not rim.protected:
         raise InputError(
             "every cycle vertex touches the cycle's second neighbourhood"
         )
-    builder = _CutBuilder(G, C, decomp, rim)
+    builder = _CutBuilder(G, C, decomp, rim, live)
     cur = builder.stage_fill_finite()
     for j in range(decomp.k):
         cur = builder.thread_part(cur, j)
@@ -976,7 +1166,7 @@ def construct_cut1(
     cur = builder.stage_absorb_trees(cur)
     cur = builder.stage_absorb_separator(cur)
     witnesses = builder.check_output_clauses(cur)
-    return cur, witnesses
+    return cur.freeze(), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -1018,12 +1208,20 @@ def _saturate_initial(G: LazyGraph, seed: Cycle, B: FiniteGraph) -> Cycle:
 
 
 def _select_end(
-    G: LazyGraph, name: str, decomp: SeparatorDecomposition
-) -> int:
+    G: LazyGraph,
+    name: str,
+    decomp: SeparatorDecomposition,
+    walked: tuple[int, int | None] = (0, None),
+) -> tuple[int, tuple[int, int | None]]:
+    """The component the end's ray settles in: the one holding the last
+    ray vertex before the ray first leaves the ball, with the walk
+    stopped after t = |B| + 1.  ``walked`` is (t, ray(t - 1)) for a t
+    with ray(0) .. ray(t - 1) all in the ball, where the walk goes on;
+    the component index comes back with the same pair for where this
+    walk stopped."""
     ray = G.end_rays[name]
     B = decomp.ball
-    t = 0
-    last = None
+    t, last = walked
     cap = len(B.vertices) + 1
     while t <= cap:
         v = ray(t)
@@ -1035,7 +1233,7 @@ def _select_end(
         raise InvariantViolation(f"ray {name!r} never enters the ball")
     for j, handle in enumerate(decomp.infinite_components):
         if last in handle.piece:
-            return j
+            return j, (t, last)
     raise InvariantViolation(
         f"ray {name!r} representative {last} sits outside every component"
     )
@@ -1053,6 +1251,13 @@ class _RunState:
     centres already certified, and each ball checks only the others
     (see star_on_ball and claw_free_on_ball for when a centre counts as
     certified).
+
+    ``live`` is the run's one live cycle (see _RunCycle), from the first
+    enlargement on: each enlargement rewires it in place, and its
+    ledger says what the next one's region, edge check and monotonicity
+    check read.  ``last`` is the cycle the last enlargement froze.
+    ``walks`` holds, per end, where its ray walk stopped and the radius
+    of that ball.
     """
 
     def __init__(self, G: LazyGraph, seed: Cycle) -> None:
@@ -1060,6 +1265,9 @@ class _RunState:
         self.star_certified: set[int] = set()
         self.claw_certified: set[int] = set()
         self.region = Region(G, seed.order)
+        self.live: _RunCycle | None = None
+        self.last: Cycle | None = None
+        self.walks: dict[str, tuple[int, int | None, int]] = {}
 
     def require_star(self, B: FiniteGraph, limit: int) -> None:
         star = star_on_ball(B, self.region.layers, limit, self.star_certified)
@@ -1087,11 +1295,21 @@ class _RunState:
         """One iteration: grow the region by what C gained, block C,
         decompose (which scans its ball for claws), check the degree
         condition on the same ball, and enlarge; the crossing sets of
-        the M sets are read off the cycle once, in construct_cut1."""
-        region = self.region
+        the M sets are read off the cycle once, in construct_cut1.
+
+        When C is the cycle the last enlargement left, what C gained is
+        read off the live cycle's ledger; otherwise (the saturated seed)
+        off V(C), and the live cycle starts from C."""
+        region, live = self.region, self.live
         X = C.vertex_set
-        region.grow(X - region.layers[0])
-        blocker = minimal_ray_blocker(self.G, C, region)
+        if live is not None and C is self.last:
+            gained = live.gained
+            region.grow(live.new_vertices())
+        else:
+            gained = None
+            region.grow(X - region.layers[0])
+            live = self.live = _RunCycle(C)
+        blocker = minimal_ray_blocker(self.G, C, region, gained)
         decomp = decompose(
             self.G, X, blocker, certified=self.claw_certified, region=region
         )
@@ -1105,8 +1323,27 @@ class _RunState:
         # complete in it
         blocker_depth = max(region.dist[s] for s in blocker)
         self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
-        C2, wits = construct_cut1(self.G, C, decomp, rim)
+        C2, wits = construct_cut1(self.G, C, decomp, rim, live)
+        # a vertex of C off C2 lost both its cycle edges
+        if any(v not in live for e in live.lost for v in e):
+            raise InvariantViolation("enlargement dropped cycle vertices")
+        self.last = C2
         return blocker, decomp, C2, wits
+
+    def select_end(self, name: str, decomp: SeparatorDecomposition) -> int:
+        """_select_end, resumed where this end's last walk stopped.
+        decomp's ball is the region's last, of radius region.radius.
+        The vertices walked before lay within the radius r of that ball
+        from the cycle, and the cycle only grew, so they lie in any ball
+        of radius r or more around it now; after a smaller ball the walk
+        starts again from 0."""
+        radius = self.region.radius
+        t, last, r = self.walks.get(name, (0, None, radius))
+        if r > radius:
+            t, last = 0, None
+        j, (t, last) = _select_end(self.G, name, decomp, (t, last))
+        self.walks[name] = (t, last, radius)
+        return j
 
 
 def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
@@ -1134,10 +1371,8 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 
     for _ in range(depth):
         blocker, decomp, C2, wits = state.enlarge(C)
-        if not C.vertex_set <= C2.vertex_set:
-            raise InvariantViolation("enlargement dropped cycle vertices")
         for name in selectors:
-            selectors[name].append(_select_end(G, name, decomp))
+            selectors[name].append(state.select_end(name, decomp))
         cycles.append(C2)
         blockers.append(blocker)
         ks.append(decomp.k)
@@ -1527,7 +1762,9 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
 
     An edge on two distinct cycles of the trace stays on every later
     cycle by edge persistence, which is re-checked here as a
-    precondition, so these edges belong to the limit object.
+    precondition, so these edges belong to the limit object.  Which
+    edges lie on two cycles is read off the edges each step gains and
+    loses, not off the whole edge sets.
     """
     wset = frozenset(window)
     edge_sets, steps = _cycle_steps(trace.cycles)
@@ -1537,11 +1774,16 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
             "edge persistence fails; trace is not limit-ready",
             cycles=failure[:2],
         )
+    # an edge lies on two cycles when it stays on for the step after
+    # the one that brought it (fresh), or comes back after it was lost;
+    # an edge that stayed before was counted then
+    seen, fresh = set(edge_sets[0]), edge_sets[0]
     seen_twice: set[Edge] = set()
-    seen_once: set[Edge] = set()
-    for es in edge_sets:
-        seen_twice |= seen_once & es
-        seen_once |= es
+    for gained, lost in steps:
+        seen_twice |= fresh - lost
+        seen_twice |= gained & seen
+        seen |= gained
+        fresh = gained
     return frozenset(
         e for e in seen_twice if e[0] in wset and e[1] in wset
     )

@@ -35,15 +35,26 @@ def require_claw_free(
         raise InputError(f"graph has a claw at {center} with leaves {leaves}")
 
 
-def _require_cycle_edges(G: LazyGraph, C: Cycle, region: Region) -> None:
+def _require_cycle_edges(
+    G: LazyGraph, C: Cycle, region: Region, gained=None
+) -> None:
     """Raise InputError at the first edge of C, in cycle order, missing
     in G.  Edges the region has already seen checked are skipped, so a
-    run checks each edge of each cycle once: when it first appears."""
+    run checks each edge of each cycle once: when it first appears.
+    ``gained``, when given, holds the edges of C that the region's last
+    checked cycle lacks, as canonical pairs; otherwise they are found
+    from both cycles' edge lists."""
     order, last = C.order, region.checked_cycle
     if last is None:
         fresh = zip(order, order[1:] + order[:1])
     else:
-        fresh = C.edges_outside(last)
+        if gained is None:
+            gained = set(C.edges()).difference(last.edges())
+        # each pair as C walks it, in C's order
+        fresh = sorted(
+            ((u, v) if C.succ(u) == v else (v, u) for u, v in gained),
+            key=lambda pair: C.index(pair[0]),
+        )
     for u, v in fresh:
         if not G.adjacent(u, v):
             raise InputError(f"cycle edge ({u}, {v}) missing in graph")
@@ -51,7 +62,7 @@ def _require_cycle_edges(G: LazyGraph, C: Cycle, region: Region) -> None:
 
 
 def minimal_ray_blocker(
-    G: LazyGraph, C: Cycle, region: Region | None = None
+    G: LazyGraph, C: Cycle, region: Region | None = None, gained=None
 ) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
@@ -61,13 +72,14 @@ def minimal_ray_blocker(
     needed; monotonicity of blocking makes the single pass sufficient.
 
     N(C) is layer 1 of ``region``, whose X must be V(C); without one, a
-    fresh region is grown from V(C).
+    fresh region is grown from V(C).  ``gained`` is passed on to
+    _require_cycle_edges.
     """
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
     if region is None:
         region = Region(G, C.order)
-    _require_cycle_edges(G, C, region)
+    _require_cycle_edges(G, C, region, gained)
     region.extend(1)
     candidates = sorted(region.layers[1])
     # the cycle is connected and disjoint from every candidate set, so
@@ -143,9 +155,9 @@ class ComponentHandle:
             raise InputError("component handle needs a non-empty piece")
         self.piece = frozenset(piece)
         self.representative = min(self.piece)
-        self._member = component_membership(
-            G, blocker, self.piece, frozenset(ball_vertices) - self.piece
-        )
+        # the piece is asked first, so the ball's other vertices are
+        # the foreign ones: the ball stands in for them
+        self._member = component_membership(G, blocker, self.piece, ball_vertices)
 
     def __contains__(self, v: int) -> bool:
         return self._member(v)

@@ -25,6 +25,7 @@ from hamext.infinite import (
     verify_hc_extract,
 )
 from hamext.oracle import hamilton_oracle, random_star_clawfree
+from cycles import edge_set
 from separators import (
     minimal_separators,
     verify_complete_attachment,
@@ -175,12 +176,12 @@ def _check_iteration_clauses(G, trace, failures, label):
                     f"{label} i={i} j={w.j}: {len(w.crossing_edges)} crossings"
                 )
             for p in range(i + 1, trace.depth + 1):
-                if not set(w.crossing_edges) <= trace.cycles[p].edge_set:
+                if not set(w.crossing_edges) <= edge_set(trace.cycles[p]):
                     failures.append(
                         f"{label} i={i} j={w.j}: crossing lost in cycle {p}"
                     )
         # protected vertices keep both incident cycle edges
-        prev_edges, nxt_edges = prev.edge_set, nxt.edge_set
+        prev_edges, nxt_edges = edge_set(prev), edge_set(nxt)
         for v in prev.order:
             if any(u not in prev.vertex_set for u in G.neighbors(v)):
                 continue

@@ -13,9 +13,9 @@ import hamext.infinite as infinite
 import hamext.structure as structure
 from hamext.conditions import check_star_ball, claw_free_on_ball, star_on_ball
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
-from hamext.extension import Extension, apply_extension, find_extension
+from hamext.extension import Extension, LiveCycle, apply_extension, find_extension
 from hamext.families import _make_double_ray_family, gen_G_inf, gen_H_inf
-from hamext.graphcore import FiniteGraph, ball, canonical_edge
+from hamext.graphcore import Cycle, FiniteGraph, ball, canonical_edge
 from hamext.infinite import (
     SteinerTree,
     _CutBuilder,
@@ -30,6 +30,7 @@ from hamext.infinite import (
     steiner_tree_T,
 )
 from hamext.structure import decompose, minimal_ray_blocker
+from cycles import edge_set
 from test_infinite import rim_of
 from wholeball import distances_from
 
@@ -301,7 +302,7 @@ def test_trees_match_handle_membership(monkeypatch):
 
 
 def _recount(C, m):
-    return {e for e in C.edges() if (e[0] in m) != (e[1] in m)}
+    return {e for e in edge_set(C) if (e[0] in m) != (e[1] in m)}
 
 
 M_LABELS = ("initial M cut", "M cut", "final M cut")
@@ -438,7 +439,9 @@ def test_stage_d_matches_rescan_loop(n):
         for j in range(b.k):
             cur = b.thread_part(cur, j)
         b.read_cuts(cur)
-        cur = b.stage_absorb_trees(cur)
+        # every trial starts stage D from this copy of stage C's cycle,
+        # which the stages would otherwise rewire in place
+        cur = b.stage_absorb_trees(cur).freeze()
         u = min(s for s in b.script_S if s not in cur)
         on = [w for w in b.B.neighbors(u) if w in cur]
         for trial in range(60):
@@ -471,3 +474,45 @@ def test_stage_d_matches_rescan_loop(n):
             seen[(key, bool(isolated))] += 1
     assert seen[("ok", True)] and seen[("ok", False)]
     assert any("crossed" in key for key, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# work per iteration
+
+
+@pytest.mark.parametrize("n, depth", [(2, 24), (3, 16)])
+def test_iteration_work_does_not_read_the_whole_cycle(monkeypatch, n, depth):
+    # from the second iteration on, an iteration builds one Cycle (the
+    # trace's), reads no whole-cycle edge list, builds no live cycle
+    # from a Cycle, and walks each end's ray only past what it gained
+    G = gen_G_inf(n)
+    counts = []
+
+    def counting(key, func):
+        def run(*args):
+            if counts:
+                counts[-1][key] += 1
+            return func(*args)
+
+        return run
+
+    enlarge = infinite._RunState.enlarge
+
+    def next_iteration(self, C):
+        counts.append(Counter())
+        return enlarge(self, C)
+
+    monkeypatch.setattr(infinite._RunState, "enlarge", next_iteration)
+    monkeypatch.setattr(Cycle, "__post_init__", counting("Cycle", Cycle.__post_init__))
+    monkeypatch.setattr(Cycle, "edges", counting("edges", Cycle.edges))
+    monkeypatch.setattr(LiveCycle, "__init__", counting("live", LiveCycle.__init__))
+    for name in G.end_rays:
+        G.end_rays[name] = counting("ray", G.end_rays[name])
+    hamilton_sequence(G, depth)
+    assert len(counts) == depth and not hasattr(Cycle, "edges_outside")
+    # the first iteration starts the live cycle from the saturated seed
+    assert counts[0]["live"] == 1
+    later = counts[1:]
+    assert all(c["Cycle"] == 1 and c["edges"] == c["live"] == 0 for c in later)
+    rays = [c["ray"] for c in later]
+    assert max(rays[len(rays) // 2 :]) <= max(rays[: len(rays) // 2]) <= 4 * n + 4

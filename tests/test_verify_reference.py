@@ -29,6 +29,7 @@ from hamext.infinite import (
     hamilton_sequence,
     verify_hc_extract,
 )
+from cycles import edge_set
 
 
 def reference_verify(trace, G=None):
@@ -149,7 +150,7 @@ def reference_verify(trace, G=None):
             f"{len(trace.end_selectors)} ends nested through {d} iterations"
         )
 
-    edge_sets = [C.edge_set for C in trace.cycles]
+    edge_sets = [edge_set(C) for C in trace.cycles]
     failure = first_persistence_failure(edge_sets)
     d_ok = failure is None
     if d_ok:
