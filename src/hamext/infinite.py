@@ -594,8 +594,7 @@ class _CutBuilder:
 
     Stage A starts from ``live``, the run's live cycle, which must equal
     C (a new one when None); every stage rewires it in place and hands
-    it on.  A stage given a frozen Cycle instead works on a new live
-    cycle following it, and leaves the Cycle as it was.
+    it on.
     """
 
     def __init__(
@@ -634,15 +633,6 @@ class _CutBuilder:
 
     # -- shared helpers ----------------------------------------------------
 
-    def as_live(self, cur: Cycle | _RunCycle) -> _RunCycle:
-        """cur as a live cycle whose ledger starts at C."""
-        if isinstance(cur, _RunCycle) and cur.base is self.C:
-            return cur
-        live = _RunCycle(self.C)
-        if cur is not self.C:
-            live.reset(cur if isinstance(cur, Cycle) else cur.freeze())
-        return live
-
     def guarded_neighbors(self, v: int) -> tuple[int, ...]:
         if v in self.B.frontier:
             raise FrontierContamination(
@@ -669,11 +659,10 @@ class _CutBuilder:
                 self.guard(cur.order)
                 return
 
-    def read_cuts(self, cur) -> None:
+    def read_cuts(self, cur: _RunCycle) -> None:
         """Read the cycle edges crossing each M set off the cycle, once
         per enlargement, after stage B; stages C and D keep them up to
         date.  Only the cycle edges at members of each M set are read."""
-        cur = self.as_live(cur)
         self.cuts: list[set[Edge]] = []
         for m in self.msets:
             cut = set()
@@ -684,7 +673,7 @@ class _CutBuilder:
                             cut.add(canonical_edge(v, w))
             self.cuts.append(cut)
 
-    def recount_cuts(self, cur, swapped, gained) -> None:
+    def recount_cuts(self, cur: _RunCycle, swapped, gained) -> None:
         """Bring the kept crossing sets up to date after a step that
         swapped the cycle edges ``swapped`` and moved ``gained`` into
         the M sets by update_msets; no other edge changes its crossing."""
@@ -700,7 +689,7 @@ class _CutBuilder:
                 else:
                     cut.discard(e)
 
-    def require_cuts(self, cur, label: str) -> None:
+    def require_cuts(self, cur: _RunCycle, label: str) -> None:
         for j, cut in enumerate(self.cuts):
             require_twice(cut, cur, label, j)
 
@@ -770,8 +759,7 @@ class _CutBuilder:
             )
         return e, (s1, a, s2)
 
-    def thread_part(self, cur, j: int) -> _RunCycle:
-        cur = self.as_live(cur)
+    def thread_part(self, cur: _RunCycle, j: int) -> _RunCycle:
         s1 = min(self.parts[j])
         e = find_extension(self.B, cur, s1)
         if e.kind in ("I", "III"):
@@ -878,7 +866,7 @@ class _CutBuilder:
         e3, self.paths[j] = self.forced_two_step(D3, s1, j)
         return apply_extension(D3, e3)
 
-    def check_threading_invariants(self, cur, upto: int) -> None:
+    def check_threading_invariants(self, cur: _RunCycle, upto: int) -> None:
         for ell in range(upto + 1):
             path = self.paths[ell]
             if path is None:
@@ -925,8 +913,7 @@ class _CutBuilder:
     # its M set here, so msets[j] is parts[j] | pieces[j] throughout and
     # the kept cuts follow the edges each rewiring swaps.
 
-    def stage_absorb_trees(self, cur) -> _RunCycle:
-        cur = self.as_live(cur)
+    def stage_absorb_trees(self, cur: _RunCycle) -> _RunCycle:
         wanted = frozenset().union(*(tree.vertices for tree in self.trees))
         missing = set(wanted.difference(cur._succ))
         if not missing:
@@ -953,12 +940,14 @@ class _CutBuilder:
     # the cycle edges at the vertices whose membership update_msets
     # changes.
 
-    def consecutive_pair(self, cur, nbrs: set[int]) -> tuple[int, int] | None:
+    def consecutive_pair(
+        self, cur: _RunCycle, nbrs: set[int]
+    ) -> tuple[int, int] | None:
         """The first a in cycle order with a and its successor in nbrs."""
         firsts = [a for a in nbrs if a in cur and cur.succ(a) in nbrs]
         if not firsts:
             return None
-        a = min(firsts, key=cur.rank if isinstance(cur, _RunCycle) else cur.index)
+        a = min(firsts, key=cur.rank)
         return a, cur.succ(a)
 
     def update_msets(self, w1: int, w2: int, gained: tuple[int, ...]) -> None:
@@ -968,8 +957,7 @@ class _CutBuilder:
             else:
                 m.discard(gained)
 
-    def stage_absorb_separator(self, cur) -> _RunCycle:
-        cur = self.as_live(cur)
+    def stage_absorb_separator(self, cur: _RunCycle) -> _RunCycle:
         self.require_cuts(cur, "initial M cut")
         rounds = 0
         while True:
@@ -1056,8 +1044,7 @@ class _CutBuilder:
 
     # -- stage E: output clauses -------------------------------------------
 
-    def check_output_clauses(self, cur) -> tuple[CutWitness, ...]:
-        cur = self.as_live(cur)
+    def check_output_clauses(self, cur: _RunCycle) -> tuple[CutWitness, ...]:
         n3 = neighborhood_k(self.B, self.script_S, 3)
         contaminated = (n3 | self.script_S) & self.B.frontier
         if contaminated:

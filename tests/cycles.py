@@ -1,11 +1,13 @@
-"""Whole-cycle edge reads that only the tests need: the edge set of a
-cycle, and the pairs of one cycle whose edges another lacks.  Both take
-anything with an ``order``, a Cycle or a live cycle."""
+"""Whole-cycle reads that only the tests need: the edge set of a cycle,
+the pairs of one cycle whose edges another lacks (both take anything
+with an ``order``, a Cycle or a live cycle), and a live cycle to hand a
+construction stage in place of a frozen one."""
 
 from itertools import compress, repeat
 from operator import not_, sub
 
 from hamext.graphcore import Edge
+from hamext.infinite import _RunCycle
 
 
 def edge_set(C) -> frozenset[Edge]:
@@ -32,3 +34,11 @@ def edges_outside(C, other) -> list[Edge]:
     adjacent = {1, -1, n - 1, 1 - n}.__contains__
     picked = compress(range(len(order)), map(not_, map(adjacent, steps)))
     return [(order[i], order[i + 1 - len(order)]) for i in picked]
+
+
+def live_following(builder, C) -> _RunCycle:
+    """A live cycle equal to the frozen cycle C, whose ledger starts at
+    the builder's start cycle, as the stages after stage A take it."""
+    live = _RunCycle(builder.C)
+    live.reset(C)
+    return live

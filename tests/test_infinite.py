@@ -30,7 +30,7 @@ from hamext.infinite import (
     verify_hc_extract,
 )
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set
+from cycles import edge_set, live_following
 
 
 def gz_fiber(n, f):
@@ -368,12 +368,9 @@ def test_stages_a_and_c_match_rescan_loops(n):
             got = _outcome(_rescan_stage_a, b)
             assert _outcome(b.stage_fill_finite) == got
             if got[0] == "ok":
-                cur = Cycle(got[1])
+                cur = live_following(b, Cycle(got[1]))
                 for j in range(b.k):
                     cur = b.thread_part(cur, j)
-                # the stages rewire a live cycle in place; the reference
-                # and the stage under test each start from this copy
-                cur = cur.freeze()
                 if trial % 4 == 0 and trial:
                     # move tree vertices out of their component and its
                     # M set, so the cut boundary runs through the tree
@@ -381,7 +378,9 @@ def test_stages_a_and_c_match_rescan_loops(n):
                     b.pieces = tuple(p - moved for p in b.pieces)
                     for m, piece in zip(b.msets, b.pieces):
                         m.piece = piece
-                got = _outcome(_rescan_stage_c, b, cur)
+                # the reference starts from a frozen copy, as the stage
+                # rewires the live cycle in place
+                got = _outcome(_rescan_stage_c, b, cur.freeze())
                 b.read_cuts(cur)
                 assert _outcome(b.stage_absorb_trees, cur) == got
             seen[got[0] if got[0] != "InvariantViolation" else got[1]] += 1

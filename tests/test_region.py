@@ -440,7 +440,7 @@ def test_consecutive_pair_matches_cycle_walk():
             if a in nbrs and C.succ(a) in nbrs:
                 want = (a, C.succ(a))
                 break
-        assert b.consecutive_pair(C, nbrs) == want
+        assert b.consecutive_pair(infinite._RunCycle(C), nbrs) == want
 
 
 def reference_edge_clauses(b, cur):

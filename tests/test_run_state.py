@@ -30,7 +30,7 @@ from hamext.infinite import (
     steiner_tree_T,
 )
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set
+from cycles import edge_set, live_following
 from test_infinite import rim_of
 from wholeball import distances_from
 
@@ -353,7 +353,14 @@ def _rescan_stage_d(b, cur):
             )
         u = leftovers[0]
         nbrs_on = {w for w in b.guarded_neighbors(u) if w in cur.vertex_set}
-        pair = b.consecutive_pair(cur, nbrs_on)
+        pair = next(
+            (
+                (a, cur.succ(a))
+                for a in cur.order
+                if a in nbrs_on and cur.succ(a) in nbrs_on
+            ),
+            None,
+        )
         if pair is not None:
             w1, w2 = pair
             cur = apply_extension(cur, Extension("I", u, w1))
@@ -412,9 +419,11 @@ def _stages_d_and_e(b, cur, reference):
         if reference:
             out = _rescan_stage_d(b, cur)
             b.cuts = [_recount(out, m) for m in b.msets]
+            out = live_following(b, out)
         else:
-            b.read_cuts(cur)
-            out = b.stage_absorb_separator(cur)
+            out = live_following(b, cur)
+            b.read_cuts(out)
+            out = b.stage_absorb_separator(out)
         wits = b.check_output_clauses(out)
         return "ok", out.order, wits
     except (InvariantViolation, InputError) as exc:
