@@ -297,18 +297,6 @@ GraphLike = FiniteGraph | LazyGraph
 # cycles
 
 
-_POSITIONS: tuple[int, ...] = ()
-
-
-def _positions(n: int) -> tuple[int, ...]:
-    """0, 1, ..., at least n of them: one tuple kept for every cycle
-    index, so that building one allocates no position ints."""
-    global _POSITIONS
-    if len(_POSITIONS) < n:
-        _POSITIONS = tuple(range(max(n, 2 * len(_POSITIONS))))
-    return _POSITIONS
-
-
 @dataclass(frozen=True)
 class Cycle:
     """Oriented cycle given by its vertex order.
@@ -326,7 +314,7 @@ class Cycle:
     def __post_init__(self) -> None:
         if len(self.order) < 3:
             raise InputError("a cycle needs at least three vertices")
-        idx = dict(zip(self.order, _positions(len(self.order))))
+        idx = dict(zip(self.order, range(len(self.order))))
         if len(idx) < len(self.order):
             seen: set[int] = set()
             for v in self.order:
