@@ -33,16 +33,20 @@ does, and a twin-free graph keeps the per-vertex table.
 The ball checks take a set of certified centres: a centre that passed
 with its whole neighbourhood in view passes on every later ball of the
 same graph, so it is skipped, and the table covers only the centres
-left and the vertices their masks can mark.
+left and the vertices their masks can mark.  They run on closed-twin
+classes too, those the ball's region keeps (``graphcore.TwinClasses``),
+with the table built from the classes' quotient rows: one centre and
+one end per class, in the same forms as on a finite graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 
 from .errors import FrontierContamination, InputError
-from .graphcore import FiniteGraph, LazyGraph, Region, neighborhood_k
+from .graphcore import FiniteGraph, LazyGraph, Region, TwinClasses
 
 
 @dataclass(frozen=True)
@@ -296,19 +300,24 @@ def check_star(G: FiniteGraph) -> StarVerdict:
     return StarVerdict(True)
 
 
-def _window_table(B: FiniteGraph, core: Iterable[int], hops: int) -> _RankTable:
-    """A rank table over the closed ``hops``-neighbourhood of ``core``.
-
-    The detectors at a centre read masks of the centre and, for the
-    degree condition, of its neighbours; with ``hops`` 2 (star) or 1
-    (claw) every vertex those masks can mark lies in the window, so the
-    verdicts equal those of a table over all of B."""
+def _classes(B: FiniteGraph, twins: TwinClasses | None):
+    """How a ball check names the classes it runs on: the class of a
+    vertex, the row of a class and the class sizes.  These are the
+    ball's closed-twin classes (``B.twins``) or, without them, each
+    vertex alone."""
+    if twins is None:
+        return (lambda v: v), B.adj.__getitem__, None
     adj = B.adj
-    core = frozenset(core)
-    keep = core | neighborhood_k(B, core, hops)
-    vertices = sorted(keep)
-    window = {v: tuple(w for w in adj[v] if w in keep) for v in vertices}
-    return _RankTable(vertices, window)
+    return twins.of.__getitem__, (lambda c: twins.row(c, adj)), twins.size
+
+
+def _first_of_class(centers: Sequence[int], node) -> dict[int, int]:
+    """Each class of ``centers``, which are in id order, mapped to its
+    first centre, in the order of those centres."""
+    first: dict[int, int] = {}
+    for v in centers:
+        first.setdefault(node(v), v)
+    return first
 
 
 def star_on_ball(
@@ -329,6 +338,21 @@ def star_on_ball(
     checked again next time.  Skipping certified centres leaves the
     first failing centre, and so the witness, unchanged, since centres
     are visited in id order either way.
+
+    The check runs on the ball's closed-twin classes (``B.twins``), as
+    check_star does on a finite graph.  An eligible vertex and its
+    neighbours are interior, so their rows are their rows in G and
+    their classes are whole.  Twins are neighbours and lie at equal
+    distance from the centre, except a twin on it (distance 0) beside
+    one at distance 1, and once ``limit`` >= 1 both of those are
+    eligible: eligibility is the same across a class.  So each class is
+    tested once, at its first centre left in id order, with one end per
+    eligible neighbouring class and a block of ranks per class; a
+    flagged class is scanned exactly at that centre, over all its
+    eligible neighbours, and every centre left of a class that passes
+    with all its neighbours eligible is certified, as each of them
+    would be alone.  With ``limit`` 0, or a ball without classes, each
+    vertex is a class of its own.
     """
     eligible = frozenset().union(*layers[: limit + 1])
     # layer by layer: each intersection runs over the smaller set
@@ -341,20 +365,36 @@ def star_on_ball(
             "to the centre"
         )
     centers = sorted(eligible - certified)
-    table = _window_table(B, centers, 2)
-    for v in centers:
-        nbrs = B.adj[v]
-        ends = [u for u in nbrs if u in eligible]
-        if _star_fails_near(table, v, ends):
-            found = _star_scan_at(B, v, ends)
+    node, row, size = _classes(B, B.twins if limit >= 1 else None)
+    first = _first_of_class(centers, node)
+    rows = {c: row(c) for c in first}
+    ends = {c: [e for e in rows[c] if e in eligible] for c in first}
+    # masks of the centres and their ends; the ends' neighbours only
+    # take ranks
+    for es in ends.values():
+        for e in es:
+            if e not in rows:
+                rows[e] = row(e)
+    holders = list(rows)
+    for x in holders:
+        for w in rows[x]:
+            if w not in rows:
+                rows[w] = ()
+    table = _RankTable(holders, rows, size)
+    failed = None
+    for c, v in first.items():
+        if _star_fails_near(table, c, ends[c]):
+            found = _star_scan_at(B, v, [u for u in B.adj[v] if u in eligible])
             if found is not None:
-                witness, lhs, rhs = found
-                return StarVerdict(
-                    False, witness=witness, lhs=lhs, rhs=rhs, scope="ball"
-                )
-        if len(ends) == len(nbrs):
-            certified.add(v)
-    return StarVerdict(True, scope="ball")
+                failed = v
+                break
+    full = {c for c, es in ends.items() if len(es) == len(rows[c])}
+    passed = centers if failed is None else centers[: bisect_left(centers, failed)]
+    certified.update([v for v in passed if node(v) in full])
+    if failed is None:
+        return StarVerdict(True, scope="ball")
+    witness, lhs, rhs = found
+    return StarVerdict(False, witness=witness, lhs=lhs, rhs=rhs, scope="ball")
 
 
 def check_star_ball(
@@ -423,22 +463,41 @@ def claw_free_on_ball(
     neighbourhood is a property of the graph, so a centre that passes
     once passes on every later ball.  Centres are still visited in id
     order, so the first claw and its witness are the same as without.
+
+    The scan runs on the ball's closed-twin classes (``B.twins``), with
+    one bit per class as in is_claw_free: a claw's leaves lie in
+    distinct classes, none of them the centre's, so each class is
+    tested once, at its first centre in id order, which is the one
+    scanned when it has a claw.
     """
     centers = frozenset(centers)
     todo = sorted(centers - certified if certified else centers)
     # the first frontier centre ends the scan, certified or not
     close = centers & B.frontier
     stop = min(close) if close else None
-    table = _window_table(B, todo, 1)
-    for v in todo:
-        if stop is not None and v >= stop:
-            break
-        if _claw_near(table, v):
+    if stop is not None:
+        todo = todo[: bisect_left(todo, stop)]
+    node, row, _ = _classes(B, B.twins)
+    first = _first_of_class(todo, node)
+    rows = {c: row(c) for c in first}
+    for c in first:
+        for u in rows[c]:
+            if u not in rows:
+                rows[u] = None
+    # the neighbouring classes' masks need only their rows in the window
+    for u, r in rows.items():
+        if r is None:
+            rows[u] = tuple(w for w in row(u) if w in rows)
+    table = _RankTable(list(rows), rows)
+    for c, v in first.items():
+        if _claw_near(table, c):
             leaves = _claw_at(B, v)
             if leaves is not None:
+                if certified is not None:
+                    certified.update(todo[: bisect_left(todo, v)])
                 return ClawVerdict(False, witness=(v, leaves))
-        if certified is not None:
-            certified.add(v)
+    if certified is not None:
+        certified.update(todo)
     if stop is not None:
         raise FrontierContamination(f"claw center {stop} lies on the frontier")
     return ClawVerdict(True)

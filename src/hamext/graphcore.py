@@ -63,6 +63,10 @@ class FiniteGraph:
     _adjsets: Mapping[int, frozenset[int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # the closed-twin classes of the region a ball came from (see Region)
+    twins: TwinClasses | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         adj = self.adj
@@ -78,6 +82,7 @@ class FiniteGraph:
         frontier: frozenset[int],
         adjsets: Mapping[int, frozenset[int]],
         vertex_set: frozenset[int],
+        twins: TwinClasses | None,
     ) -> "FiniteGraph":
         """The graph with these fields, for a caller (a Region) that
         already holds the neighbour sets and the vertex set: they are
@@ -89,6 +94,7 @@ class FiniteGraph:
             ("frontier", frontier),
             ("labels", None),
             ("_adjsets", adjsets),
+            ("twins", twins),
             ("vertex_set", vertex_set),
         ):
             object.__setattr__(G, name, value)
@@ -462,6 +468,59 @@ def _ball_radius_cap() -> int:
 MAX_REGION_NEIGHBORS = 4 * 10**6
 
 
+class TwinClasses:
+    """The closed-twin classes (equal N[v]) of the vertices a Region has
+    seen interior to one of its balls.
+
+    A vertex is keyed by its closed neighbourhood, its row in G plus
+    itself, so these are the classes of G: a fact about one graph, kept
+    by one region and never shared.  ``of`` maps each vertex classified
+    to its class, named by the class's first vertex classified, and
+    ``size`` each class to its number of members.
+
+    Twins are neighbours, so twins not in X lie at equal distance from
+    X, and a twin in X lies beside twins at distance 1.  So in a ball of
+    radius >= 2 the class of an interior vertex is wholly interior:
+    classified, counted in full and named by an interior vertex.  A
+    frontier vertex has a truncated row in the ball; its G-twins lie on
+    the frontier with it and are its twins in the ball too, and one not
+    classified is a class of its own.
+    """
+
+    __slots__ = ("of", "size", "_nbrs", "_sets", "_keys", "_rows")
+
+    def __init__(
+        self, nbrs: Mapping[int, tuple[int, ...]], sets: Mapping[int, frozenset[int]]
+    ) -> None:
+        self.of: dict[int, int] = {}
+        self.size: dict[int, int] = {}
+        self._nbrs, self._sets = nbrs, sets
+        self._keys: dict[frozenset[int], int] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
+
+    def add(self, vertices: Iterable[int]) -> None:
+        """Classify ``vertices``, whose rows the region holds."""
+        of, size, keys, sets = self.of, self.size, self._keys, self._sets
+        for v in vertices:
+            c = of[v] = keys.setdefault(sets[v].union((v,)), v)
+            size[c] = size.get(c, 0) + 1
+
+    def row(self, c: int, adj: Mapping[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """The classes next to class ``c``, in the order of c's row, a
+        vertex not classified standing for itself.  A class's row is its
+        row in G, kept once all its neighbours are classified; a vertex
+        not classified takes its row in ``adj``, the ball's."""
+        got = self._rows.get(c)
+        if got is not None:
+            return got
+        of = self.of
+        nbrs = self._nbrs[c] if c in of else adj[c]
+        got = tuple(dict.fromkeys(filter(c.__ne__, [of.get(w, w) for w in nbrs])))
+        if c in of and all(map(of.__contains__, nbrs)):
+            self._rows[c] = got
+        return got
+
+
 class Region:
     """A vertex set X that only grows, with the graph around it.
 
@@ -471,7 +530,9 @@ class Region:
     X and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
     every vertex closer than ``reach``, and ``sets`` the same as
     frozensets; ``held`` counts their entries, which may not pass
-    MAX_REGION_NEIGHBORS.
+    MAX_REGION_NEIGHBORS.  ``twins`` holds the closed-twin classes of
+    the vertices interior to its balls (see TwinClasses); a ball of
+    radius >= 2 carries them for the ball checks.
 
     As X grows, distances only fall: grow() runs a breadth-first search
     from the gained vertices that stops wherever no label improves.
@@ -493,6 +554,7 @@ class Region:
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
         self.held = 0
+        self.twins = TwinClasses(self.nbrs, self.sets)
         # vertices interior to some ball handed out, and the pairs
         # (v, w) with w listed by v but v not by w found at them
         self._interior: set[int] = set()
@@ -579,7 +641,10 @@ class Region:
             raise InputError("ball needs a non-empty center")
         self.extend(radius)
         interior = set().union(*layers[:radius])
-        self._check_symmetry(interior)
+        fresh = interior - self._interior
+        self._interior |= fresh
+        self.twins.add(fresh)
+        self._check_symmetry(fresh, interior)
         dist, outer = self.dist, radius + 1
         rows = {
             v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) < outer)
@@ -612,21 +677,22 @@ class Region:
             frozenset(rows),
             sets.copy(),
             frozenset(self._members),
+            self.twins if radius >= 2 else None,
         )
 
-    def _check_symmetry(self, interior: set[int]) -> None:
+    def _check_symmetry(self, fresh: set[int], interior: set[int]) -> None:
         """Raise at the first pair (v, w) of ``interior``, in id and
         adjacency order, where v lists w but w does not list v: the pair
         a whole-ball scan names.  Each vertex's list is compared with its
-        neighbours' once, when it is first interior; the asymmetric pairs
-        found are kept, and raised once both ends are interior in one
-        ball, which a smaller radius than before may delay."""
-        nbrs, asymmetric = self.nbrs, self._asymmetric
-        fresh = interior - self._interior
-        self._interior |= fresh
+        neighbours' once, when it is first interior (it is in ``fresh``);
+        the asymmetric pairs found are kept, and raised once both ends
+        are interior in one ball, which a smaller radius than before may
+        delay.  A neighbour's list is read as its set when the region
+        holds it, so a pair costs O(1)."""
+        nbrs, sets, asymmetric = self.nbrs, self.sets, self._asymmetric
         for x in fresh:
             for w in nbrs[x]:
-                row = nbrs.get(w)
+                row = sets.get(w)
                 if x not in (self.G.neighbors(w) if row is None else row):
                     asymmetric.append((x, w))
         bad = [(v, w) for v, w in asymmetric if v in interior and w in interior]

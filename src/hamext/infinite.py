@@ -508,6 +508,16 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
     path search only steps from a vertex of K_j to a neighbour, which
     lies in K_j iff it is not in the whole separator ``script_S``, so it
     tests that instead of asking K_j.
+
+    A search from the whole tree would first scan the tree in id order,
+    and so find each vertex next to the tree from its smallest tree
+    neighbour.  That first ring is kept instead (``touch``): each tree
+    vertex's row is read once, at the first goal after it joined, where
+    the search would first read it (of the vertices one goal adds, the
+    search has read all rows but the goal's).  A goal in the ring joins
+    through its entry, and only a goal farther away is searched for,
+    from the ring outward.  The tree, and the order of the neighbour
+    oracle's calls, are the search's.
     """
     required = {w for w in neighborhood_k(G, S_j, 3) if w in K_j}
     if not required:
@@ -518,36 +528,50 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
     todo = sorted(required)
     tree_vertices = {todo[0]}
     tree_edges: set[Edge] = set()
+    touch: dict[int, int] = {}
+    unread = [todo[0]]
     for goal in todo[1:]:
         if goal in tree_vertices:
             continue
-        parent: dict[int, int] = {v: v for v in tree_vertices}
-        ring = sorted(tree_vertices)
-        found = goal in parent
-        while not found:
-            nxt = []
-            for u in ring:
-                for w in G.neighbors(u):
-                    if w in parent or w in script_S:
-                        continue
-                    parent[w] = u
-                    nxt.append(w)
-                    if w == goal:
-                        found = True
-            if found:
-                break
-            if not nxt:
-                raise InvariantViolation(
-                    "required vertex unreachable inside its component",
-                    goal=goal,
-                )
-            ring = sorted(nxt)
+        for u in unread:
+            for w in G.neighbors(u):
+                if w in tree_vertices or w in script_S:
+                    continue
+                t = touch.get(w)
+                if t is None or u < t:
+                    touch[w] = u
+        unread = []
+        parent = touch
+        if goal not in touch:
+            parent = dict(zip(tree_vertices, tree_vertices))
+            parent.update(touch)
+            ring = sorted(touch)
+            found = False
+            while not found:
+                if not ring:
+                    raise InvariantViolation(
+                        "required vertex unreachable inside its component",
+                        goal=goal,
+                    )
+                nxt = []
+                for u in ring:
+                    for w in G.neighbors(u):
+                        if w in parent or w in script_S:
+                            continue
+                        parent[w] = u
+                        nxt.append(w)
+                        if w == goal:
+                            found = True
+                ring = sorted(nxt)
         v = goal
         while v not in tree_vertices:
-            tree_vertices.add(v)
             u = parent[v]
+            tree_vertices.add(v)
+            unread.append(v)
             tree_edges.add(canonical_edge(u, v))
             v = u
+        for v in unread:
+            touch.pop(v, None)
     return SteinerTree(frozenset(tree_vertices), frozenset(tree_edges))
 
 

@@ -15,7 +15,7 @@ from hamext.conditions import check_star_ball, claw_free_on_ball, star_on_ball
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.extension import Extension, LiveCycle, apply_extension, find_extension
 from hamext.families import _make_double_ray_family, gen_G_inf, gen_H_inf
-from hamext.graphcore import Cycle, FiniteGraph, ball, canonical_edge
+from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, ball, canonical_edge, neighborhood_k
 from hamext.infinite import (
     SteinerTree,
     _CutBuilder,
@@ -295,6 +295,95 @@ def test_trees_match_handle_membership(monkeypatch):
     for n, depth in RUNS:
         hamilton_sequence(gen_G_inf(n), depth)
     assert len(checked) == 2 * sum(depth for _, depth in RUNS)
+
+
+def restarted_steiner_tree_T(G, S_j, K_j, script_S):
+    """steiner_tree_T with one search from the whole tree per goal, a
+    goal next to the tree included."""
+    required = {w for w in neighborhood_k(G, S_j, 3) if w in K_j}
+    todo = sorted(required)
+    tree_vertices = {todo[0]}
+    tree_edges = set()
+    for goal in todo[1:]:
+        if goal in tree_vertices:
+            continue
+        parent = {v: v for v in tree_vertices}
+        ring = sorted(tree_vertices)
+        found = False
+        while not found:
+            nxt = []
+            for u in ring:
+                for w in G.neighbors(u):
+                    if w in parent or w in script_S:
+                        continue
+                    parent[w] = u
+                    nxt.append(w)
+                    if w == goal:
+                        found = True
+            if found:
+                break
+            assert nxt
+            ring = sorted(nxt)
+        v = goal
+        while v not in tree_vertices:
+            tree_vertices.add(v)
+            u = parent[v]
+            tree_edges.add(canonical_edge(u, v))
+            v = u
+    return SteinerTree(frozenset(tree_vertices), frozenset(tree_edges))
+
+
+def recording_graph(G):
+    """G with its neighbour oracle calls listed in ``G.calls``."""
+    calls = []
+
+    def oracle(v):
+        calls.append(v)
+        return G.neighbors(v)
+
+    lazy = LazyGraph(oracle, G.escapes, G.root, G.end_rays, G.descriptor)
+    lazy.calls = calls
+    return lazy
+
+
+def _steiner_run(monkeypatch, n, depth, tree_of):
+    G = recording_graph(gen_G_inf(n))
+    trees = []
+
+    def recording(*args):
+        trees.append(tree_of(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(infinite, "steiner_tree_T", recording)
+    trace = hamilton_sequence(G, depth)
+    return trees, G.calls, trace.to_json()
+
+
+@pytest.mark.parametrize("n, depth", [(2, 12), (3, 8), (8, 4)])
+def test_steiner_trees_match_restarted_search(monkeypatch, n, depth):
+    # the same tree at every iteration, and the same neighbour oracle
+    # calls in the same order over the whole run
+    got = _steiner_run(monkeypatch, n, depth, steiner_tree_T)
+    want = _steiner_run(monkeypatch, n, depth, restarted_steiner_tree_T)
+    assert len(got[0]) == 2 * depth
+    assert got == want
+
+
+def test_steiner_search_for_a_goal_away_from_the_tree():
+    # goal 2 lies four steps from the tree {1}, and 4 two steps from
+    # {1, 2, 3, 5}; the tree and the oracle calls are the search's
+    finite = FiniteGraph.from_edges(
+        range(8), [(0, 1), (0, 2), (1, 3), (3, 5), (5, 4), (4, 2), (4, 6), (6, 7)]
+    )
+    K = frozenset(range(1, 8))
+    runs = []
+    for tree_of in (steiner_tree_T, restarted_steiner_tree_T):
+        G = LazyGraph(finite.neighbors, lambda F, v: True, 0)
+        G = recording_graph(G)
+        runs.append((tree_of(G, {0}, K, frozenset({0})), G.calls))
+    assert runs[0] == runs[1]
+    tree = runs[0][0]
+    assert tree.path(1, 2) == (1, 3, 5, 4, 2)
 
 
 # ---------------------------------------------------------------------------
