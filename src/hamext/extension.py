@@ -82,13 +82,13 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     on C; running out of candidates therefore signals a precondition
     failure or a bug and raises InvariantViolation.
     """
-    # the cycle's own map keyed by its vertices: the anchors are picked
+    # a set or map keyed by the cycle's vertices: the anchors are picked
     # out at C level, and a live cycle's successors are dict lookups
     if isinstance(C, LiveCycle):
         on = C._succ
         succ = on.__getitem__
     else:
-        on, succ = C._index, C.succ
+        on, succ = C.vertex_set, C.succ
     if v in on:
         raise InputError(f"target {v} already lies on the cycle")
     nbrs = G.neighbors(v)
@@ -127,7 +127,7 @@ class LiveCycle:
 
     It answers what a Cycle does (``in``, ``len``, ``succ`` and
     ``order``); find_extension reads the successor map itself, as it
-    reads a Cycle's index.  ``order`` is walked from ``head`` on demand
+    reads a Cycle's vertex set.  ``order`` is walked from ``head`` on demand
     and cached until the next rewiring; freeze() returns it as a Cycle.
     last_edge_diff() says which edges the last rewiring swapped.
     """

@@ -189,7 +189,9 @@ def _make_double_ray_family(
     ``fiber_edges(f)`` lists the inner edges of fiber f, or is None for
     a complete fiber, whose inner neighbours come from its index range
     without any edge list.  Each fiber's ids are one range, so a
-    neighbour tuple is up to three ranges, sorted once."""
+    neighbour tuple is up to three ranges, sorted.  Every vertex of a
+    complete fiber has the same closed neighbourhood: it is sorted once
+    per fiber, and a vertex's neighbours are that tuple without it."""
 
     def encode(f: int, i: int) -> int:
         return zigzag(f) * width + i
@@ -207,19 +209,30 @@ def _make_double_ray_family(
             raise InputError(f"invalid vertex id {v} (inner index out of range)")
         return f, i
 
+    # zigzag(f) of a complete fiber f -> its sorted closed neighbourhood,
+    # the position of the fiber's first id in it, and the fiber's size
+    closed: dict[int, tuple[tuple[int, ...], int, int]] = {}
+
     def neighbors(v: int) -> tuple[int, ...]:
-        f, i = decode(v)
-        out = [*fiber(f - 1), *fiber(f + 1)]
-        inner = fiber_edges(f)
-        if inner is None:
-            out += fiber(f)
-            out.remove(v)
-        else:
+        z, i = divmod(v, width)
+        entry = closed.get(z)
+        if entry is None or i >= entry[2]:
+            # a fiber not kept yet, a star fiber, or an id past the kept
+            # fiber's size, which decode refuses
+            f, i = decode(v)
             base = v - i
-            out += [base + b for a, b in inner if a == i]
-            out += [base + a for a, b in inner if b == i]
-        out.sort()
-        return tuple(out)
+            inner = fiber_edges(f)
+            if inner is not None:
+                out = [*fiber(f - 1), *fiber(f + 1)]
+                out += [base + b for a, b in inner if a == i]
+                out += [base + a for a, b in inner if b == i]
+                out.sort()
+                return tuple(out)
+            near = tuple(sorted([*fiber(f - 1), *fiber(f), *fiber(f + 1)]))
+            entry = closed[z] = near, near.index(base), fiber_size(f)
+        near, at, _ = entry
+        at += i
+        return near[:at] + near[at + 1 :]
 
     def escapes(blocked: frozenset[int], v: int) -> bool:
         # the fiber-count rule of the module docstring

@@ -276,7 +276,7 @@ class LazyGraph:
         cached = self._nbr_cache.get(v)
         if cached is None:
             cached = tuple(self._neighbor_oracle(v))
-            if any(w == v for w in cached):
+            if v in cached:
                 raise InvariantViolation(f"neighbor oracle reports a self-loop at {v}")
             self._nbr_cache[v] = cached
         return cached
@@ -309,41 +309,36 @@ class Cycle:
 
     The orientation is semantic: ``succ``/``pred`` define the successor
     map that the extension operators rely on.  At least three distinct
-    vertices are required.
+    vertices are required.  ``vertex_set`` is built with the cycle and
+    answers ``in``; the position index behind ``index``/``succ``/``pred``
+    is built on the first of those calls, so a cycle that is only
+    stored, compared or tested for membership never builds it.
     """
 
     order: tuple[int, ...]
-    _index: Mapping[int, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    vertex_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.order) < 3:
             raise InputError("a cycle needs at least three vertices")
-        idx = dict(zip(self.order, range(len(self.order))))
-        if len(idx) < len(self.order):
+        vertex_set = frozenset(self.order)
+        if len(vertex_set) < len(self.order):
             seen: set[int] = set()
             for v in self.order:
                 if v in seen:
                     raise InputError(f"repeated vertex {v} in cycle")
                 seen.add(v)
-        object.__setattr__(self, "_index", idx)
+        object.__setattr__(self, "vertex_set", vertex_set)
 
     def __len__(self) -> int:
         return len(self.order)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._index
+        return v in self.vertex_set
 
     @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.order)
-
-    def _with_vertex_set(self, vertex_set: frozenset[int]) -> "Cycle":
-        """This cycle with ``vertex_set`` cached, for a caller that
-        already holds V(C): the order is not hashed again."""
-        self.__dict__["vertex_set"] = vertex_set
-        return self
+    def _index(self) -> dict[int, int]:
+        return dict(zip(self.order, range(len(self.order))))
 
     def index(self, v: int) -> int:
         """Position of v in ``order``."""

@@ -38,8 +38,8 @@ trace; the ledger of what an enlargement gained and lost is what the
 next one grows the region by and checks for edges in G, and each end's
 ray walk resumes where it stopped.  No step of an iteration walks all
 of V(C) or the ball's interior in Python: whole-set work is done by
-set, dict and tuple operations (the frozen cycle's order and index
-among them), and Python loops run over what the cycle gained, the
+set, dict and tuple operations (the frozen cycle's order, vertex set
+and index among them), and Python loops run over what the cycle gained, the
 ball's frontier and the shell between V(C) and the frontier, so an
 iteration's cost does not grow with |C| beyond those operations.
 """
@@ -238,13 +238,6 @@ class _RunCycle(LiveCycle):
         LiveCycle.__init__(self, C)
         self._pred_from(C.order)
         self.kept = False
-
-    def freeze(self) -> Cycle:
-        C = Cycle(self.order)
-        if self.kept:
-            # no vertex left, so V(C) is V(base) with the gained ones
-            C._with_vertex_set(self.base.vertex_set | self.new_vertices())
-        return C
 
     def rank(self, v: int):
         """A key that orders the vertices as ``order`` does.  While
@@ -1543,11 +1536,10 @@ def _trace_graph(trace: SequenceTrace, G: LazyGraph | None) -> LazyGraph:
 def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
     """Membership test for M at iteration i, part j, plus the bare
     component test (both as callables)."""
-    w = trace.witnesses[i][j]
-    foreign = set(trace.k0s[i])
-    for jj, other in enumerate(trace.witnesses[i]):
-        if jj != j:
-            foreign |= other.piece
+    per_i = trace.witnesses[i]
+    w = per_i[j]
+    # K0 and the other pieces lie outside, and are consulted in place
+    foreign = [trace.k0s[i], *(o.piece for jj, o in enumerate(per_i) if jj != j)]
     in_component = component_membership(G, trace.blockers[i], w.piece, foreign)
     return w.membership(in_component), in_component
 
@@ -1593,14 +1585,22 @@ def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
     neighbourhood, or one of the membership corrections, so scanning
     those vertices' neighbourhoods is exhaustive.
     """
-    region = set(w.part) | set(w.included) | set(w.excluded)
-    for v in sorted(set(region)):
-        region |= set(G.neighbors(v))
+    near = w.part | w.included | w.excluded
+    region = set(near)
+    for v in sorted(near):
+        region.update(G.neighbors(v))
+    # each vertex's side is asked once, in the order a scan first asks it
+    sides: dict[int, bool] = {}
     edges = set()
     for a in sorted(region):
-        side = member(a)
+        side = sides.get(a)
+        if side is None:
+            side = sides[a] = member(a)
         for b in G.neighbors(a):
-            if side != member(b):
+            other = sides.get(b)
+            if other is None:
+                other = sides[b] = member(b)
+            if side != other:
                 edges.add(canonical_edge(a, b))
     return frozenset(edges)
 

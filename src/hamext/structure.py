@@ -100,8 +100,10 @@ def minimal_ray_blocker(
 
 def component_membership(G: LazyGraph, blocker, home, foreign):
     """Membership test for the component of G - blocker that meets
-    ``home``, given vertices ``foreign`` known to lie outside it.
+    ``home``, given vertex sets ``foreign`` known to lie outside it.
 
+    ``foreign`` is a sequence of sets, each consulted in place: none is
+    copied or merged, so a caller may pass large sets it already holds.
     A query outside the known sets walks toward them and answers from
     the first one it reaches.  The walk is capped at
     ``HAMEXT_BALL_RADIUS_MAX`` rings, read once here, so a query far
@@ -109,7 +111,7 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
     """
     blocker = frozenset(blocker)
     home = frozenset(home)
-    foreign = frozenset(foreign)
+    foreign = tuple(foreign)
     cap = _ball_radius_cap()
 
     def member(v: int) -> bool:
@@ -117,8 +119,9 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
             return False
         if v in home:
             return True
-        if v in foreign:
-            return False
+        for out in foreign:
+            if v in out:
+                return False
         seen = {v}
         ring = [v]
         for _ in range(cap):
@@ -129,8 +132,9 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
                         continue
                     if w in home:
                         return True
-                    if w in foreign:
-                        return False
+                    for out in foreign:
+                        if w in out:
+                            return False
                     seen.add(w)
                     nxt.append(w)
             if not nxt:
@@ -157,7 +161,9 @@ class ComponentHandle:
         self.representative = min(self.piece)
         # the piece is asked first, so the ball's other vertices are
         # the foreign ones: the ball stands in for them
-        self._member = component_membership(G, blocker, self.piece, ball_vertices)
+        self._member = component_membership(
+            G, blocker, self.piece, (frozenset(ball_vertices),)
+        )
 
     def __contains__(self, v: int) -> bool:
         return self._member(v)

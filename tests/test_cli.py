@@ -384,6 +384,31 @@ def test_verify_flags_corrupted_trace(capsys, gz2_file, tmp_path):
     assert verdict["cut_agreement"]["ok"] is False
 
 
+def test_verify_fails_a_moved_crossing_edge(capsys, gz2_file, tmp_path):
+    # the CI exit-code step's case: the first crossing edge of iteration
+    # 10, part 0, replaced by another edge of cycle 10, the cycle that
+    # iteration built; that cycle crosses the cut only in the two stored
+    # edges, so the replacement is no boundary edge
+    out = tmp_path / "trace.json"
+    code, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "12", "--out", str(out),
+    )
+    assert code == 0
+    obj = json.loads(out.read_text())
+    crossing, order = obj["witnesses"][9][0]["crossing_edges"], obj["cycles"][10]
+    crossing[0] = next(
+        e for e in map(sorted, zip(order, order[1:] + order[:1])) if e not in crossing
+    )
+    out.write_text(json.dumps(obj))
+    code, verdict = run(capsys, "verify", "--trace", str(out))
+    assert code == 1
+    assert verdict["finite_cuts"] == {
+        "ok": False,
+        "detail": "stored crossing edges of iteration 10 part 0 are not boundary edges",
+    }
+
+
 def test_verify_rejects_malformed_trace(capsys, tmp_path):
     bad = tmp_path / "t.json"
     bad.write_text(json.dumps({"cycles": []}))

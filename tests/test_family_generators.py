@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamext import families
-from hamext.errors import InputError
+from hamext.errors import InputError, InvariantViolation
 from hamext.families import (
     MAX_FINITE_EDGES,
     _make_double_ray_family,
@@ -28,7 +28,7 @@ from hamext.families import (
     unzigzag,
     zigzag,
 )
-from hamext.graphcore import FiniteGraph, ball
+from hamext.graphcore import FiniteGraph, LazyGraph, ball
 
 
 def test_gen_G_small_sizes():
@@ -244,6 +244,91 @@ def test_range_oracle_matches_per_neighbour_encoding(make, star_fibers, n):
     # negative ids and, on HZn, star-fiber ids past inner index 3 are invalid
     for v in range(-3, 2000):
         assert _oracle_outcome(oracle, v) == _oracle_outcome(reference, v), v
+
+
+def frozen_range_neighbors(fiber_size, fiber_edges, width):
+    """The double-ray neighbour oracle as it was before each complete
+    fiber kept one sorted closed neighbourhood: up to three id ranges,
+    merged and sorted on every call."""
+
+    def fiber(f):
+        base = zigzag(f) * width
+        return range(base, base + fiber_size(f))
+
+    def decode(v):
+        if v < 0:
+            raise InputError(f"invalid vertex id {v}")
+        f = unzigzag(v // width)
+        i = v % width
+        if i >= fiber_size(f):
+            raise InputError(f"invalid vertex id {v} (inner index out of range)")
+        return f, i
+
+    def neighbors(v):
+        f, i = decode(v)
+        out = [*fiber(f - 1), *fiber(f + 1)]
+        inner = fiber_edges(f)
+        if inner is None:
+            out += fiber(f)
+            out.remove(v)
+        else:
+            base = v - i
+            out += [base + b for a, b in inner if a == i]
+            out += [base + a for a, b in inner if b == i]
+        out.sort()
+        return tuple(out)
+
+    return neighbors
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(gen_G_inf, 2), (gen_G_inf, 3), (gen_G_inf, 5), (gen_G_inf, 40),
+     (gen_H_inf, 2), (gen_H_inf, 3)],
+)
+def test_closed_neighbourhood_oracle_matches_range_formula(make, n):
+    star_fibers = make is gen_H_inf
+    width = max(4, n) if star_fibers else n
+
+    def size(f):
+        return 4 if star_fibers and f % 2 == 0 else n
+
+    def edges(f):
+        return [(0, 1), (0, 2), (0, 3)] if star_fibers and f % 2 == 0 else None
+
+    reference = frozen_range_neighbors(size, edges, width)
+    # every slot of fibers -20..20: on HZn with n < 4 the slots of a
+    # clique fiber past n are ids no fiber holds
+    ids = [zigzag(f) * width + i for f in range(-20, 21) for i in range(width)]
+    ids.append(-1)
+    # a fresh oracle per order: a fiber's neighbourhood is first built
+    # for its first, its last or a middle vertex
+    for order in (ids, ids[::-1], random.Random(n).sample(ids, len(ids))):
+        oracle = make(n)._neighbor_oracle
+        for v in order:
+            assert _oracle_outcome(oracle, v) == _oracle_outcome(reference, v), v
+
+
+def test_invalid_ids_keep_their_messages():
+    G = gen_G_inf(2)
+    with pytest.raises(InputError, match=r"^invalid vertex id -1$"):
+        G.neighbors(-1)
+    # HZ2 has width 4 and two-vertex clique fibers: id 11 is slot 3 of
+    # fiber 1, whose vertices are 8 and 9; refused before and after the
+    # fiber's neighbourhood is built
+    H = gen_H_inf(2)
+    message = r"^invalid vertex id 11 \(inner index out of range\)$"
+    with pytest.raises(InputError, match=message):
+        H.neighbors(11)
+    assert H.neighbors(8) == (0, 1, 2, 3, 9, 16, 17, 18, 19)
+    with pytest.raises(InputError, match=message):
+        H.neighbors(11)
+
+
+def test_self_loop_oracle_is_refused():
+    G = LazyGraph(lambda v: (v - 1, v, v + 1), lambda blocked, v: True, root=0)
+    with pytest.raises(InvariantViolation, match="self-loop at 5"):
+        G.neighbors(5)
 
 
 def test_infinite_neighbor_symmetry_near_root():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from enum import IntEnum
@@ -23,7 +24,13 @@ from hamext.graphcore import (
     neighborhood_k,
     verify_cycle,
 )
-from hamext.infinite import CutWitness, _explicit_cut, hamilton_sequence
+from hamext.infinite import (
+    CutWitness,
+    SequenceTrace,
+    _explicit_cut,
+    hamilton_sequence,
+    verify_hc_extract,
+)
 from cycles import edge_set, edges_outside
 from separators import components
 from wholeball import distances_from
@@ -117,6 +124,58 @@ def test_cycle_rejects_degenerate():
         Cycle((1, 2))
     with pytest.raises(InputError):
         Cycle((1, 2, 1))
+
+
+def test_lazy_cycle_index_matches_eager_positions():
+    rng = random.Random(15)
+    for _ in range(200):
+        order = tuple(rng.sample(range(-60, 60), rng.randint(3, 40)))
+        C = Cycle(order)
+        n, pos = len(order), {v: i for i, v in enumerate(order)}
+        assert C.vertex_set == frozenset(order)
+        assert C.edges() == [
+            canonical_edge(order[i], order[(i + 1) % n]) for i in range(n)
+        ]
+        # in, vertex_set and edges read the order, not the index
+        assert "_index" not in C.__dict__
+        for v in rng.sample(range(-61, 61), 30):
+            assert (v in C) == (v in pos)
+            if v in pos:
+                assert C.index(v) == pos[v]
+                assert C.succ(v) == order[(pos[v] + 1) % n]
+                assert C.pred(v) == order[pos[v] - 1]
+        absent = next(v for v in range(-61, 61) if v not in pos)
+        for read in (C.index, C.succ, C.pred):
+            with pytest.raises(InputError, match=f"^vertex {absent} not on cycle$"):
+                read(absent)
+
+
+def test_cycle_names_its_first_repeated_vertex():
+    # 7 repeats at position 3, before 4 repeats at position 4
+    with pytest.raises(InputError, match="^repeated vertex 7 in cycle$"):
+        Cycle((4, 7, 9, 7, 4))
+    with pytest.raises(InputError, match="^repeated vertex 1 in cycle$"):
+        Cycle((1, 2, 3, 1, 2, 3))
+
+
+def test_cycle_equality_hash_and_replace_ignore_the_index():
+    C, D = Cycle((1, 2, 3, 4)), Cycle((1, 2, 3, 4))
+    assert C.succ(4) == 1
+    assert "_index" in C.__dict__ and "_index" not in D.__dict__
+    assert C == D and hash(C) == hash(D) and len({C, D}) == 1
+    assert C != Cycle((1, 2, 4, 3))
+    assert repr(C) == "Cycle(order=(1, 2, 3, 4))"
+    E = dataclasses.replace(C, order=(5, 6, 7))
+    assert E.vertex_set == {5, 6, 7} and 1 not in E and E.pred(5) == 7
+    with pytest.raises(InputError, match="^repeated vertex 6 in cycle$"):
+        dataclasses.replace(C, order=(5, 6, 6))
+
+
+def test_verify_builds_no_cycle_index():
+    text = hamilton_sequence(gen_G_inf(2), 4).to_json()
+    trace = SequenceTrace.from_json(text)
+    assert verify_hc_extract(trace).all_ok
+    assert not any("_index" in C.__dict__ for C in trace.cycles)
 
 
 def test_verify_cycle():

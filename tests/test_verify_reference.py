@@ -5,7 +5,10 @@ clauses became one function each: flag pairs, break chains and three
 parallel dicts of memberships, component tests and cuts, and a
 whole-cycle scan of every cycle.  Seeded mutations of a stored GZ2
 trace, and reordered cycles of GZ2 and GZ3 traces, must give both the
-same verdict JSON, or the same exception type and message."""
+same verdict JSON, or the same exception type and message.  The
+helpers that build each cut's membership test and explicit cut are
+frozen here too, as they stood then: K0 and the other pieces merged
+into one copied set, and every side of a cut asked afresh."""
 
 import json
 import random
@@ -16,20 +19,85 @@ import pytest
 
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
-from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
+from hamext.graphcore import (
+    Cycle,
+    LazyGraph,
+    _ball_radius_cap,
+    canonical_edge,
+    neighborhood_k,
+    verify_cycle,
+)
 from hamext.infinite import (
     ConditionReport,
     SequenceTrace,
     _blocker_failure,
     _coverage_failure,
-    _explicit_cut,
     _trace_graph,
-    _witness_membership,
     first_persistence_failure,
     hamilton_sequence,
     verify_hc_extract,
 )
 from cycles import edge_set
+
+
+def _component_membership(G, blocker, home, foreign):
+    blocker = frozenset(blocker)
+    home = frozenset(home)
+    foreign = frozenset(foreign)
+    cap = _ball_radius_cap()
+
+    def member(v):
+        if v in blocker:
+            return False
+        if v in home:
+            return True
+        if v in foreign:
+            return False
+        seen = {v}
+        ring = [v]
+        for _ in range(cap):
+            nxt = []
+            for u in ring:
+                for w in G.neighbors(u):
+                    if w in blocker or w in seen:
+                        continue
+                    if w in home:
+                        return True
+                    if w in foreign:
+                        return False
+                    seen.add(w)
+                    nxt.append(w)
+            if not nxt:
+                return False
+            ring = sorted(nxt)
+        raise InputError(
+            f"component membership query for {v} exceeded the search cap {cap}"
+        )
+
+    return member
+
+
+def _witness_membership(G, trace, i, j):
+    w = trace.witnesses[i][j]
+    foreign = set(trace.k0s[i])
+    for jj, other in enumerate(trace.witnesses[i]):
+        if jj != j:
+            foreign |= other.piece
+    in_component = _component_membership(G, trace.blockers[i], w.piece, foreign)
+    return w.membership(in_component), in_component
+
+
+def _explicit_cut(G, w, member):
+    region = set(w.part) | set(w.included) | set(w.excluded)
+    for v in sorted(set(region)):
+        region |= set(G.neighbors(v))
+    edges = set()
+    for a in sorted(region):
+        side = member(a)
+        for b in G.neighbors(a):
+            if side != member(b):
+                edges.add(canonical_edge(a, b))
+    return frozenset(edges)
 
 
 def reference_verify(trace, G=None):
