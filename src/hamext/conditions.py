@@ -43,14 +43,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence, Set
-from dataclasses import dataclass
-
 from .errors import FrontierContamination, InputError
-from .graphcore import FiniteGraph, LazyGraph, Region, TwinClasses
+from .graphcore import FiniteGraph, LazyGraph, Record, Region, TwinClasses
 
 
-@dataclass(frozen=True)
-class StarVerdict:
+class StarVerdict(Record):
     """Outcome of a condition check on induced paths.
 
     ``lhs``/``rhs`` are the two compared quantities at the witness
@@ -59,11 +56,21 @@ class StarVerdict:
     graph was examined.
     """
 
-    holds: bool
-    witness: tuple[int, int, int] | None = None
-    lhs: int | None = None
-    rhs: int | None = None
-    scope: str = "graph"
+    __slots__ = _fields = ("holds", "witness", "lhs", "rhs", "scope")
+
+    def __init__(
+        self,
+        holds: bool,
+        witness: tuple[int, int, int] | None = None,
+        lhs: int | None = None,
+        rhs: int | None = None,
+        scope: str = "graph",
+    ) -> None:
+        self.holds = holds
+        self.witness = witness
+        self.lhs = lhs
+        self.rhs = rhs
+        self.scope = scope
 
     def to_json_obj(self) -> dict:
         obj: dict = {"holds": self.holds, "scope": self.scope}
@@ -74,10 +81,14 @@ class StarVerdict:
         return obj
 
 
-@dataclass(frozen=True)
-class ClawVerdict:
-    claw_free: bool
-    witness: tuple[int, tuple[int, int, int]] | None = None
+class ClawVerdict(Record):
+    __slots__ = _fields = ("claw_free", "witness")
+
+    def __init__(
+        self, claw_free: bool, witness: tuple[int, tuple[int, int, int]] | None = None
+    ) -> None:
+        self.claw_free = claw_free
+        self.witness = witness
 
     def to_json_obj(self) -> dict:
         obj: dict = {"claw_free": self.claw_free}
@@ -87,15 +98,23 @@ class ClawVerdict:
         return obj
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(Record):
     """Two-sided inequality on induced paths: common-neighbour count of
     the endpoints >= private-neighbour count of the middle >= 2."""
 
-    holds: bool
-    witness: tuple[int, int, int] | None = None
-    common: int | None = None
-    private: int | None = None
+    __slots__ = _fields = ("holds", "witness", "common", "private")
+
+    def __init__(
+        self,
+        holds: bool,
+        witness: tuple[int, int, int] | None = None,
+        common: int | None = None,
+        private: int | None = None,
+    ) -> None:
+        self.holds = holds
+        self.witness = witness
+        self.common = common
+        self.private = private
 
     def to_json_obj(self) -> dict:
         obj: dict = {"holds": self.holds}

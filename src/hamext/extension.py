@@ -25,20 +25,18 @@ step; callers that keep a cycle must freeze() it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .conditions import check_star
 from .errors import InputError, InvariantViolation
-from .graphcore import Cycle, Edge, FiniteGraph, LazyGraph, verify_cycle
+from .graphcore import Cycle, Edge, FiniteGraph, LazyGraph, Record, verify_cycle
 
 Graph = FiniteGraph | LazyGraph
 
 KINDS = ("I", "II", "III")
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Record):
     """One rewiring step: which kind, the absorbed target, and witnesses.
 
     u is always the anchor whose outgoing cycle edge is removed; x is
@@ -46,19 +44,22 @@ class Extension:
     (kind III only).
     """
 
-    kind: str
-    target: int
-    u: int
-    x: int | None = None
-    y: int | None = None
+    __slots__ = _fields = ("kind", "target", "u", "x", "y")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InputError(f"unknown extension kind {self.kind!r}")
-        if self.kind == "II" and self.x is None:
+    def __init__(
+        self, kind: str, target: int, u: int, x: int | None = None, y: int | None = None
+    ) -> None:
+        if kind not in KINDS:
+            raise InputError(f"unknown extension kind {kind!r}")
+        if kind == "II" and x is None:
             raise InputError("kind II needs the intermediate vertex x")
-        if self.kind == "III" and self.y is None:
+        if kind == "III" and y is None:
             raise InputError("kind III needs the second anchor y")
+        self.kind = kind
+        self.target = target
+        self.u = u
+        self.x = x
+        self.y = y
 
     def new_vertices(self) -> tuple[int, ...]:
         if self.kind == "II":

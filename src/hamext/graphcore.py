@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
@@ -41,11 +40,46 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the package's records: equality, hashing and a repr of
+    the form ``Name(field=value, ...)`` over the names in ``_fields``.
+
+    Records are plain classes with ``__slots__`` and hand-written
+    constructors, with no class decorator generating methods: a fresh
+    import with bytecode writing off compiles every line and builds
+    every class, and generated methods (and the modules that generate
+    them) would be paid for again at every import.  Records are
+    immutable by convention; nothing assigns to a field after
+    construction.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+# ---------------------------------------------------------------------------
 # finite graphs
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(Record):
     """Immutable simple undirected graph.
 
     ``adj`` maps every vertex to its sorted neighbour tuple.  ``frontier``
@@ -53,26 +87,28 @@ class FiniteGraph:
     vertices whose neighbour lists may be truncated by the exploration
     radius.  ``labels`` optionally carries human-readable vertex names
     (family generators use coordinate labels); it never affects equality
-    of the combinatorial data callers should rely on.
+    of the combinatorial data callers should rely on.  ``twins`` holds
+    the closed-twin classes of the region a ball came from (see
+    :class:`Region`); it takes no part in equality or repr.
     """
 
-    vertices: tuple[int, ...]
-    adj: Mapping[int, tuple[int, ...]]
-    frontier: frozenset[int] = frozenset()
-    labels: Mapping[int, str] | None = None
-    _adjsets: Mapping[int, frozenset[int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # the closed-twin classes of the region a ball came from (see Region)
-    twins: TwinClasses | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _fields = ("vertices", "adj", "frontier", "labels")
+    # the instance dict holds the cached properties
+    __slots__ = _fields + ("_adjsets", "twins", "__dict__")
 
-    def __post_init__(self) -> None:
-        adj = self.adj
-        object.__setattr__(
-            self, "_adjsets", dict(zip(adj, map(frozenset, adj.values())))
-        )
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        adj: Mapping[int, tuple[int, ...]],
+        frontier: frozenset[int] = frozenset(),
+        labels: Mapping[int, str] | None = None,
+    ) -> None:
+        self.vertices = vertices
+        self.adj = adj
+        self.frontier = frontier
+        self.labels = labels
+        self._adjsets = dict(zip(adj, map(frozenset, adj.values())))
+        self.twins = None
 
     @classmethod
     def _with_sets(
@@ -88,16 +124,13 @@ class FiniteGraph:
         already holds the neighbour sets and the vertex set: they are
         not built again."""
         G = cls.__new__(cls)
-        for name, value in (
-            ("vertices", vertices),
-            ("adj", adj),
-            ("frontier", frontier),
-            ("labels", None),
-            ("_adjsets", adjsets),
-            ("twins", twins),
-            ("vertex_set", vertex_set),
-        ):
-            object.__setattr__(G, name, value)
+        G.vertices = vertices
+        G.adj = adj
+        G.frontier = frontier
+        G.labels = None
+        G._adjsets = adjsets
+        G.twins = twins
+        G.vertex_set = vertex_set
         return G
 
     @staticmethod
@@ -303,8 +336,7 @@ GraphLike = FiniteGraph | LazyGraph
 # cycles
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Oriented cycle given by its vertex order.
 
     The orientation is semantic: ``succ``/``pred`` define the successor
@@ -315,20 +347,22 @@ class Cycle:
     stored, compared or tested for membership never builds it.
     """
 
-    order: tuple[int, ...]
-    vertex_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    _fields = ("order",)
+    # the instance dict holds the cached index
+    __slots__ = _fields + ("vertex_set", "__dict__")
 
-    def __post_init__(self) -> None:
-        if len(self.order) < 3:
+    def __init__(self, order: tuple[int, ...]) -> None:
+        if len(order) < 3:
             raise InputError("a cycle needs at least three vertices")
-        vertex_set = frozenset(self.order)
-        if len(vertex_set) < len(self.order):
+        vertex_set = frozenset(order)
+        if len(vertex_set) < len(order):
             seen: set[int] = set()
-            for v in self.order:
+            for v in order:
                 if v in seen:
                     raise InputError(f"repeated vertex {v} in cycle")
                 seen.add(v)
-        object.__setattr__(self, "vertex_set", vertex_set)
+        self.order = order
+        self.vertex_set = vertex_set
 
     def __len__(self) -> int:
         return len(self.order)
@@ -370,13 +404,17 @@ class Cycle:
         ]
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Record):
     """Outcome of :func:`verify_cycle`."""
 
-    ok: bool
-    reason: str | None = None
-    is_hamiltonian: bool = False
+    __slots__ = _fields = ("ok", "reason", "is_hamiltonian")
+
+    def __init__(
+        self, ok: bool, reason: str | None = None, is_hamiltonian: bool = False
+    ) -> None:
+        self.ok = ok
+        self.reason = reason
+        self.is_hamiltonian = is_hamiltonian
 
 
 def verify_cycle(G: GraphLike, C: Cycle) -> CycleReport:

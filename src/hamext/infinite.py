@@ -47,7 +47,6 @@ iteration's cost does not grow with |C| beyond those operations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from itertools import filterfalse
 
 from .conditions import star_on_ball
@@ -66,6 +65,7 @@ from .graphcore import (
     Edge,
     FiniteGraph,
     LazyGraph,
+    Record,
     Region,
     ball,
     canonical_edge,
@@ -291,8 +291,7 @@ def _edge_from_json_obj(obj: object) -> Edge:
     return canonical_edge(*ends)
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(Record):
     """Membership description of one M set and its two crossing edges.
 
     The set itself is (K_j with ``included`` added) minus ``excluded``;
@@ -301,12 +300,25 @@ class CutWitness:
     0-based.
     """
 
-    j: int
-    part: frozenset[int]
-    piece: frozenset[int]
-    included: frozenset[int]
-    excluded: frozenset[int]
-    crossing_edges: tuple[Edge, ...]
+    __slots__ = _fields = (
+        "j", "part", "piece", "included", "excluded", "crossing_edges"
+    )
+
+    def __init__(
+        self,
+        j: int,
+        part: frozenset[int],
+        piece: frozenset[int],
+        included: frozenset[int],
+        excluded: frozenset[int],
+        crossing_edges: tuple[Edge, ...],
+    ) -> None:
+        self.j = j
+        self.part = part
+        self.piece = piece
+        self.included = included
+        self.excluded = excluded
+        self.crossing_edges = crossing_edges
 
     def membership(self, in_component) -> "_Membership":
         return _Membership(self.included, self.excluded, in_component)
@@ -356,8 +368,7 @@ class _Membership:
         return v in self.included or self.in_component(v)
 
 
-@dataclass(frozen=True)
-class SequenceTrace:
+class SequenceTrace(Record):
     """Everything the checker needs about one constructed sequence.
 
     cycles has depth+1 entries; blockers, ks, k0s and witnesses have
@@ -365,13 +376,27 @@ class SequenceTrace:
     0-based component index it selects at each iteration.
     """
 
-    descriptor: dict | None
-    cycles: tuple[Cycle, ...]
-    blockers: tuple[frozenset[int], ...]
-    ks: tuple[int, ...]
-    k0s: tuple[frozenset[int], ...]
-    witnesses: tuple[tuple[CutWitness, ...], ...]
-    end_selectors: dict[str, tuple[int, ...]]
+    __slots__ = _fields = (
+        "descriptor", "cycles", "blockers", "ks", "k0s", "witnesses", "end_selectors"
+    )
+
+    def __init__(
+        self,
+        descriptor: dict | None,
+        cycles: tuple[Cycle, ...],
+        blockers: tuple[frozenset[int], ...],
+        ks: tuple[int, ...],
+        k0s: tuple[frozenset[int], ...],
+        witnesses: tuple[tuple[CutWitness, ...], ...],
+        end_selectors: dict[str, tuple[int, ...]],
+    ) -> None:
+        self.descriptor = descriptor
+        self.cycles = cycles
+        self.blockers = blockers
+        self.ks = ks
+        self.k0s = k0s
+        self.witnesses = witnesses
+        self.end_selectors = end_selectors
 
     @property
     def depth(self) -> int:
@@ -461,10 +486,12 @@ class SequenceTrace:
 # Steiner trees
 
 
-@dataclass(frozen=True)
-class SteinerTree:
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
+class SteinerTree(Record):
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[int], edges: frozenset[Edge]) -> None:
+        self.vertices = vertices
+        self.edges = edges
 
     def path(self, a: int, b: int) -> tuple[int, ...]:
         """The unique a-b path along tree edges."""
@@ -1488,36 +1515,53 @@ def _persistence_failure(
     return None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    ok: bool
-    detail: str
+class ConditionReport(Record):
+    __slots__ = _fields = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: str) -> None:
+        self.ok = ok
+        self.detail = detail
 
     def to_json_obj(self) -> dict:
         return {"ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class HCExtractVerdict:
+class HCExtractVerdict(Record):
     """One report per limit condition; names follow the checker order:
     vertex persistence, finite cuts (with blocker minimality and the
     coverage of blocker, K0 and N^3 of the blocker), nested M sets per
     end, edge persistence, and cut agreement across iterations."""
 
-    vertex_persistence: ConditionReport
-    finite_cuts: ConditionReport
-    nested_msets: ConditionReport
-    edge_persistence: ConditionReport
-    cut_agreement: ConditionReport
+    __slots__ = _fields = (
+        "vertex_persistence",
+        "finite_cuts",
+        "nested_msets",
+        "edge_persistence",
+        "cut_agreement",
+    )
+
+    def __init__(
+        self,
+        vertex_persistence: ConditionReport,
+        finite_cuts: ConditionReport,
+        nested_msets: ConditionReport,
+        edge_persistence: ConditionReport,
+        cut_agreement: ConditionReport,
+    ) -> None:
+        self.vertex_persistence = vertex_persistence
+        self.finite_cuts = finite_cuts
+        self.nested_msets = nested_msets
+        self.edge_persistence = edge_persistence
+        self.cut_agreement = cut_agreement
 
     @property
     def all_ok(self) -> bool:
-        return all(getattr(self, f.name).ok for f in fields(self))
+        return all(report.ok for report in self._values())
 
     def to_json_obj(self) -> dict:
         return {
             "all_ok": self.all_ok,
-            **{f.name: getattr(self, f.name).to_json_obj() for f in fields(self)},
+            **{f: getattr(self, f).to_json_obj() for f in self._fields},
         }
 
 

@@ -10,14 +10,13 @@ infinite component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .conditions import claw_free_on_ball
 from .errors import InputError, InvariantViolation
 from .graphcore import (
     Cycle,
     FiniteGraph,
     LazyGraph,
+    Record,
     Region,
     _ball_radius_cap,
     _components_within,
@@ -172,8 +171,7 @@ class ComponentHandle:
         return f"ComponentHandle(rep={self.representative}, |piece|={len(self.piece)})"
 
 
-@dataclass(frozen=True)
-class SeparatorDecomposition:
+class SeparatorDecomposition(Record):
     """Separator structure around a seed set X.
 
     parts[j] is the minimal separator facing infinite_components[j];
@@ -182,12 +180,25 @@ class SeparatorDecomposition:
     working ball every later computation stays inside.
     """
 
-    script_S: frozenset[int]
-    k: int
-    parts: tuple[frozenset[int], ...]
-    infinite_components: tuple[ComponentHandle, ...]
-    finite_component: frozenset[int]
-    ball: FiniteGraph
+    __slots__ = _fields = (
+        "script_S", "k", "parts", "infinite_components", "finite_component", "ball"
+    )
+
+    def __init__(
+        self,
+        script_S: frozenset[int],
+        k: int,
+        parts: tuple[frozenset[int], ...],
+        infinite_components: tuple[ComponentHandle, ...],
+        finite_component: frozenset[int],
+        ball: FiniteGraph,
+    ) -> None:
+        self.script_S = script_S
+        self.k = k
+        self.parts = parts
+        self.infinite_components = infinite_components
+        self.finite_component = finite_component
+        self.ball = ball
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from enum import IntEnum
@@ -32,6 +31,7 @@ from hamext.infinite import (
     verify_hc_extract,
 )
 from cycles import edge_set, edges_outside
+from records import rebuilt
 from separators import components
 from wholeball import distances_from
 
@@ -165,10 +165,10 @@ def test_cycle_equality_hash_and_replace_ignore_the_index():
     assert C == D and hash(C) == hash(D) and len({C, D}) == 1
     assert C != Cycle((1, 2, 4, 3))
     assert repr(C) == "Cycle(order=(1, 2, 3, 4))"
-    E = dataclasses.replace(C, order=(5, 6, 7))
+    E = rebuilt(C, order=(5, 6, 7))
     assert E.vertex_set == {5, 6, 7} and 1 not in E and E.pred(5) == 7
     with pytest.raises(InputError, match="^repeated vertex 6 in cycle$"):
-        dataclasses.replace(C, order=(5, 6, 6))
+        rebuilt(C, order=(5, 6, 6))
 
 
 def test_verify_builds_no_cycle_index():

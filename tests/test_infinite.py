@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +30,7 @@ from hamext.infinite import (
 )
 from hamext.structure import decompose, minimal_ray_blocker
 from cycles import edge_set, live_following
+from records import rebuilt
 
 
 def gz_fiber(n, f):
@@ -364,7 +364,7 @@ def test_stages_a_and_c_match_rescan_loops(n):
                     tree_vertices)[trial % 4]
             if pool:
                 # one frontier vertex on the start cycle, in K0 or in a tree
-                b.B = replace(b.B, frontier=b.B.frontier | {rng.choice(pool)})
+                b.B = rebuilt(b.B, frontier=b.B.frontier | {rng.choice(pool)})
             got = _outcome(_rescan_stage_a, b)
             assert _outcome(b.stage_fill_finite) == got
             if got[0] == "ok":
@@ -512,10 +512,10 @@ def test_verify_runs_from_stored_form(gz2_trace):
 def test_verify_catches_corrupted_mset(gz2_trace):
     w = gz2_trace.witnesses[1][0]
     victim = sorted(w.piece)[len(w.piece) // 2]
-    bad_w = replace(w, excluded=w.excluded | {victim})
+    bad_w = rebuilt(w, excluded=w.excluded | {victim})
     wits = [list(per) for per in gz2_trace.witnesses]
     wits[1][0] = bad_w
-    bad = replace(gz2_trace, witnesses=tuple(tuple(p) for p in wits))
+    bad = rebuilt(gz2_trace, witnesses=tuple(tuple(p) for p in wits))
     verdict = verify_hc_extract(bad)
     assert not verdict.all_ok
     assert not verdict.cut_agreement.ok
@@ -527,7 +527,7 @@ def test_verify_catches_tampered_cycle(gz2_trace):
     order[0], order[2] = order[2], order[0]
     cycles = list(gz2_trace.cycles)
     cycles[1] = Cycle(tuple(order))
-    bad = replace(gz2_trace, cycles=tuple(cycles))
+    bad = rebuilt(gz2_trace, cycles=tuple(cycles))
     with pytest.raises(InputError, match="cycle 1 invalid"):
         verify_hc_extract(bad)
 
@@ -548,7 +548,7 @@ def first_cycle_failure(G, trace):
 def with_cycle(trace, idx, order):
     cycles = list(trace.cycles)
     cycles[idx] = Cycle(tuple(order))
-    return replace(trace, cycles=tuple(cycles))
+    return rebuilt(trace, cycles=tuple(cycles))
 
 
 @pytest.mark.parametrize("idx", [0, 2, 4])
@@ -608,7 +608,7 @@ def test_verify_catches_dropped_vertices(gz2_trace):
     order = tuple(v for v in gz2_trace.cycles[3].order if v != dropped)
     cycles = list(gz2_trace.cycles)
     cycles[3] = Cycle(order)
-    bad = replace(gz2_trace, cycles=tuple(cycles))
+    bad = rebuilt(gz2_trace, cycles=tuple(cycles))
     try:
         verdict = verify_hc_extract(bad)
     except InputError:
@@ -618,7 +618,7 @@ def test_verify_catches_dropped_vertices(gz2_trace):
 
 def test_verify_requires_iterations():
     trace = hamilton_sequence(gen_G_inf(2), 1)
-    empty = replace(
+    empty = rebuilt(
         trace,
         cycles=trace.cycles[:1],
         blockers=(),
@@ -783,7 +783,7 @@ def test_stable_limit_rechecks_edge_persistence(gz2_trace):
     # break persistence: give the last cycle a rotated copy of an early
     # cycle, erasing edges shared by the two before it
     cycles[-1] = Cycle(tuple(reversed(cycles[0].order)))
-    bad = replace(gz2_trace, cycles=tuple(cycles))
+    bad = rebuilt(gz2_trace, cycles=tuple(cycles))
     with pytest.raises(InvariantViolation):
         stable_limit(bad, range(0, 50))
 

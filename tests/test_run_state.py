@@ -601,7 +601,7 @@ def test_iteration_work_does_not_read_the_whole_cycle(monkeypatch, n, depth):
         return enlarge(self, C)
 
     monkeypatch.setattr(infinite._RunState, "enlarge", next_iteration)
-    monkeypatch.setattr(Cycle, "__post_init__", counting("Cycle", Cycle.__post_init__))
+    monkeypatch.setattr(Cycle, "__init__", counting("Cycle", Cycle.__init__))
     monkeypatch.setattr(Cycle, "edges", counting("edges", Cycle.edges))
     monkeypatch.setattr(LiveCycle, "__init__", counting("live", LiveCycle.__init__))
     for name in G.end_rays:

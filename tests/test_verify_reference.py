@@ -13,7 +13,6 @@ into one copied set, and every side of a cut asked afresh."""
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,7 @@ from hamext.infinite import (
     verify_hc_extract,
 )
 from cycles import edge_set
+from records import rebuilt
 
 
 def _component_membership(G, blocker, home, foreign):
@@ -378,7 +378,7 @@ def _reorderings(order, rng):
 def _with_cycle(trace, idx, C):
     cycles = list(trace.cycles)
     cycles[idx] = C
-    return replace(trace, cycles=tuple(cycles))
+    return rebuilt(trace, cycles=tuple(cycles))
 
 
 def _recording(base, dropped=None):
