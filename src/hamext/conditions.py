@@ -373,7 +373,14 @@ def star_on_ball(
     would be alone.  With ``limit`` 0, or a ball without classes, each
     vertex is a class of its own.
     """
-    eligible = frozenset().union(*layers[: limit + 1])
+    # the centre itself, and the shell of the eligible layers around it:
+    # a vertex is eligible when it lies in either, and of the centre only
+    # the vertices not certified are read
+    X, shell = layers[0], set().union(*layers[1 : limit + 1])
+
+    def eligible(v: int) -> bool:
+        return v in X or v in shell
+
     # layer by layer: each intersection runs over the smaller set
     close = sorted(
         set().union(*map(B.frontier.intersection, layers[: limit + 2]))
@@ -383,11 +390,11 @@ def star_on_ball(
             f"frontier vertices {close[:6]} lie closer than {limit + 2} "
             "to the centre"
         )
-    centers = sorted(eligible - certified)
+    centers = sorted(X.difference(certified).union(shell.difference(certified)))
     node, row, size = _classes(B, B.twins if limit >= 1 else None)
     first = _first_of_class(centers, node)
     rows = {c: row(c) for c in first}
-    ends = {c: [e for e in rows[c] if e in eligible] for c in first}
+    ends = {c: list(filter(eligible, rows[c])) for c in first}
     # masks of the centres and their ends; the ends' neighbours only
     # take ranks
     for es in ends.values():
@@ -403,7 +410,7 @@ def star_on_ball(
     failed = None
     for c, v in first.items():
         if _star_fails_near(table, c, ends[c]):
-            found = _star_scan_at(B, v, [u for u in B.adj[v] if u in eligible])
+            found = _star_scan_at(B, v, list(filter(eligible, B.adj[v])))
             if found is not None:
                 failed = v
                 break
@@ -489,10 +496,10 @@ def claw_free_on_ball(
     tested once, at its first centre in id order, which is the one
     scanned when it has a claw.
     """
-    centers = frozenset(centers)
+    centers = set(centers)
     todo = sorted(centers - certified if certified else centers)
     # the first frontier centre ends the scan, certified or not
-    close = centers & B.frontier
+    close = B.frontier.intersection(centers)
     stop = min(close) if close else None
     if stop is not None:
         todo = todo[: bisect_left(todo, stop)]

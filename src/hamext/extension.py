@@ -130,17 +130,16 @@ class LiveCycle:
     ``order``); find_extension reads the successor map itself, as it
     reads a Cycle's vertex set.  ``order`` is walked from ``head`` on demand
     and cached until the next rewiring; freeze() returns it as a Cycle.
-    last_edge_diff() says which edges the last rewiring swapped.
+    apply() returns the edges a rewiring swapped.
     """
 
-    __slots__ = ("head", "_succ", "_order", "_last")
+    __slots__ = ("head", "_succ", "_order")
 
     def __init__(self, C: Cycle) -> None:
         order = C.order
         self.head = order[0]
         self._succ = dict(zip(order, order[1:] + order[:1]))
         self._order: tuple[int, ...] | None = order
-        self._last: tuple[Extension, int, int | None] | None = None
 
     def __len__(self) -> int:
         return len(self._succ)
@@ -169,47 +168,38 @@ class LiveCycle:
     def freeze(self) -> Cycle:
         return Cycle(self.order)
 
-    def apply(self, e: Extension) -> None:
+    def apply(self, e: Extension) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """Rewire in place according to e, after the structural checks
-        of _check_rewiring.  Kinds I and II keep the head; kind III
-        makes the target the head and reverses the arc u+ .. y.
+        of _check_rewiring, and return the cycle edges it removed and
+        added, each as a pair (a, b) with b the successor of a before or
+        after.  Kinds I and II keep the head; kind III makes the target
+        the head and reverses the arc u+ .. y.
         """
         v, u, succ = e.target, e.u, self._succ
         _check_rewiring(e, succ, succ.__getitem__)
         up = succ[u]
-        yp = None
-
+        self._order = None
         if e.kind == "I":
             succ[u], succ[v] = v, up
-        elif e.kind == "II":
-            succ[u], succ[v], succ[e.x] = v, e.x, up
-        else:
-            y = e.y
-            # u v y .. u+ y+ .. u: point each arc vertex back at its
-            # predecessor, u+ at y+
-            yp = succ[y]
-            prev, w = yp, up
-            while True:
-                nxt = succ[w]
-                succ[w] = prev
-                if w == y:
-                    break
-                prev, w = w, nxt
-            succ[u], succ[v] = v, y
-            self.head = v
-        self._order = None
-        self._last = (e, up, yp)
-
-    def last_edge_diff(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-        """The cycle edges the last apply removed and added, each as a
-        pair (a, b) with b the successor of a before or after it."""
-        e, up, yp = self._last
-        u, v = e.u, e.target
-        if e.kind == "I":
             return ((u, up),), ((u, v), (v, up))
         if e.kind == "II":
-            return ((u, up),), ((u, v), (v, e.x), (e.x, up))
-        return ((u, up), (e.y, yp)), ((u, v), (v, e.y), (up, yp))
+            x = e.x
+            succ[u], succ[v], succ[x] = v, x, up
+            return ((u, up),), ((u, v), (v, x), (x, up))
+        # u v y .. u+ y+ .. u: point each arc vertex back at its
+        # predecessor, u+ at y+
+        y = e.y
+        yp = succ[y]
+        prev, w = yp, up
+        while True:
+            nxt = succ[w]
+            succ[w] = prev
+            if w == y:
+                break
+            prev, w = w, nxt
+        succ[u], succ[v] = v, y
+        self.head = v
+        return ((u, up), (y, yp)), ((u, v), (v, y), (up, yp))
 
 
 def _check_rewiring(e: Extension, on, succ) -> None:

@@ -24,8 +24,9 @@ lists ascending, components ordered by smallest member.
 from __future__ import annotations
 
 import json
+import weakref
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
@@ -89,12 +90,17 @@ class FiniteGraph(Record):
     (family generators use coordinate labels); it never affects equality
     of the combinatorial data callers should rely on.  ``twins`` holds
     the closed-twin classes of the region a ball came from (see
-    :class:`Region`); it takes no part in equality or repr.
+    :class:`Region`); it takes no part in equality or repr.  A ball a
+    region hands out sorts ``vertices`` on the first read.
     """
 
     _fields = ("vertices", "adj", "frontier", "labels")
-    # the instance dict holds the cached properties
-    __slots__ = _fields + ("_adjsets", "twins", "__dict__")
+    # the instance dict holds the cached properties; a region keeps a
+    # weak reference to the last ball it handed out
+    __slots__ = (
+        "_vertices", "adj", "frontier", "labels", "_adjsets", "twins",
+        "__dict__", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -103,7 +109,7 @@ class FiniteGraph(Record):
         frontier: frozenset[int] = frozenset(),
         labels: Mapping[int, str] | None = None,
     ) -> None:
-        self.vertices = vertices
+        self._vertices = vertices
         self.adj = adj
         self.frontier = frontier
         self.labels = labels
@@ -113,18 +119,17 @@ class FiniteGraph(Record):
     @classmethod
     def _with_sets(
         cls,
-        vertices: tuple[int, ...],
         adj: Mapping[int, tuple[int, ...]],
         frontier: frozenset[int],
         adjsets: Mapping[int, frozenset[int]],
-        vertex_set: frozenset[int],
+        vertex_set: Set[int],
         twins: TwinClasses | None,
     ) -> "FiniteGraph":
         """The graph with these fields, for a caller (a Region) that
         already holds the neighbour sets and the vertex set: they are
-        not built again."""
+        not built again, and the sorted vertices wait for a read."""
         G = cls.__new__(cls)
-        G.vertices = vertices
+        G._vertices = None
         G.adj = adj
         G.frontier = frontier
         G.labels = None
@@ -177,6 +182,13 @@ class FiniteGraph(Record):
             adj={v: tuple(sorted(nbrs[v])) for v in sorted(vset)},
             labels=dict(labels) if labels is not None else None,
         )
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self._vertices = tuple(sorted(self.adj))
+        return vertices
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         try:
@@ -363,6 +375,16 @@ class Cycle(Record):
                 seen.add(v)
         self.order = order
         self.vertex_set = vertex_set
+
+    @classmethod
+    def _of(cls, order: tuple[int, ...], vertex_set: frozenset[int]) -> "Cycle":
+        """The cycle of ``order``, for a caller (a live cycle) that
+        knows it repeats no vertex and already holds its vertex set:
+        nothing is checked or built."""
+        C = cls.__new__(cls)
+        C.order = order
+        C.vertex_set = vertex_set
+        return C
 
     def __len__(self) -> int:
         return len(self.order)
@@ -560,7 +582,7 @@ class Region:
     The region keeps the distance from X of every vertex within
     ``reach`` of it: ``dist`` maps each such vertex to its distance and
     ``layers[d]`` holds the vertices at distance d, so ``layers[0]`` is
-    X and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
+    X, whose smallest vertex is ``least``, and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
     every vertex closer than ``reach``, and ``sets`` the same as
     frozensets; ``held`` counts their entries, which may not pass
     MAX_REGION_NEIGHBORS.  ``twins`` holds the closed-twin classes of
@@ -574,8 +596,9 @@ class Region:
     neighbour tuples off ``nbrs``; it checks the neighbour oracle's
     symmetry only on the pairs whose ends are interior for the first
     time.  ``radius`` is the radius of the last ball handed out.  Per
-    call, Python-level work is bounded by what X gained and by the
-    ball's frontier, not by the size of X.
+    call, work is bounded by what X gained and by the shell of layers
+    between X and the frontier, not by the size of X: no pass, Python
+    or set operation, runs over X or the whole ball.
     """
 
     def __init__(self, G: GraphLike, X: Iterable[int]) -> None:
@@ -583,27 +606,32 @@ class Region:
         self.G = G
         self.dist: dict[int, int] = dict.fromkeys(X, 0)
         self.layers: list[set[int]] = [set(X)]
+        self.least = X[0] if X else None
         self.reach = 0
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
         self.held = 0
         self.twins = TwinClasses(self.nbrs, self.sets)
         # vertices interior to some ball handed out, and the pairs
-        # (v, w) with w listed by v but v not by w found at them
+        # (v, w) with w listed by v but v not by w found at them; X's
+        # vertices gained since the last ball of radius >= 1, which are
+        # the only ones of X that can be interior for the first time
         self._interior: set[int] = set()
         self._asymmetric: list[Edge] = []
+        self._new_x: set[int] = set(X)
         # vertices of X not yet checked to connect to the rest of X
         self._loose: set[int] = set(X)
         # the last cycle whose edges minimal_ray_blocker found in G
         self.checked_cycle: Cycle | None = None
-        # the radius of the last ball, its sorted vertices, vertex set,
-        # adjacency rows, neighbour sets and frontier rows
+        # the radius of the last ball, its tables (vertex set, adjacency
+        # rows, neighbour sets), its frontier rows and a weak reference
+        # to it
         self.radius = -1
-        self._vertices: list[int] = []
         self._members: set[int] = set()
         self._adj: dict[int, tuple[int, ...]] = {}
         self._sets: dict[int, frozenset[int]] = {}
         self._frontier_rows: dict[int, tuple[int, ...]] = {}
+        self._handed: Callable[[], FiniteGraph | None] = lambda: None
 
     def _fetch(self, u: int) -> tuple[int, ...]:
         row = self.nbrs.get(u)
@@ -646,6 +674,9 @@ class Region:
             dist[v] = 0
             layers[0].add(v)
             self._loose.add(v)
+            self._new_x.add(v)
+            if self.least is None or v < self.least:
+                self.least = v
             queue.append(v)
         while queue:
             u = queue.popleft()
@@ -664,77 +695,89 @@ class Region:
     def ball(self, radius: int) -> FiniteGraph:
         """The ball of ``radius`` around X: equal to ``ball(G, X, radius)``.
 
-        The region keeps the last ball's sorted vertices, vertex set and
-        two dicts.  At the same radius the ball only gains vertices, and
-        of its old ones only the frontier's rows change, so those are
-        updated in place and the ball gets copies of them."""
+        The ball's tables (its vertex set, rows and neighbour sets) are
+        the region's own, handed out without a copy.  At the radius of
+        the last ball the ball only gains vertices, and of its old ones
+        only the frontier's rows change, so the tables are updated in
+        place from X's gains, the shell of layers 1 .. radius - 1 and
+        the frontier.  While the last ball handed out is still alive
+        they are copied first, so that it does not change; a new radius
+        starts new tables."""
         _check_ball_radius(radius)
         layers = self.layers
         if not layers[0]:
             raise InputError("ball needs a non-empty center")
         self.extend(radius)
-        interior = set().union(*layers[:radius])
-        fresh = interior - self._interior
+        shell = set().union(*layers[1:radius])
+        new_x = set()
+        if radius:
+            new_x, self._new_x = self._new_x, new_x
+        if len(layers[0]) + len(shell) >> 2 > len(self._interior):
+            # few vertices were interior before: the set difference of
+            # the whole interior, built as it is when most are fresh
+            fresh = set().union(*layers[:radius]) - self._interior
+        else:
+            fresh = shell.union(new_x) - self._interior
         self._interior |= fresh
         self.twins.add(fresh)
-        self._check_symmetry(fresh, interior)
+        self._check_symmetry(fresh, radius)
         dist, outer = self.dist, radius + 1
         rows = {
             v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) < outer)
             for v in sorted(layers[radius])
         }
+        adj, sets, members = self._adj, self._sets, self._members
         if radius != self.radius:
             self.radius = radius
-            self._vertices, self._adj, self._sets = [], {}, {}
-            self._members = set()
-            inside = interior
+            adj, sets, members = {}, {}, set()
+            inside = layers[0].union(shell) if radius else shell
         else:
-            # the old frontier rows that are interior now, and the
-            # vertices new to the ball
-            inside = interior.intersection(self._frontier_rows)
-            inside.update(interior.difference(self._adj))
+            if self._handed() is not None:
+                adj, sets, members = adj.copy(), sets.copy(), members.copy()
+            # the old frontier's vertices that are interior now, and the
+            # interior vertices new to the ball
+            old = self._frontier_rows
+            inside = {v for v in shell.union(new_x) if v in old or v not in adj}
+        self._adj, self._sets, self._members = adj, sets, members
         self._frontier_rows = rows
-        vertices, adj, sets = self._vertices, self._adj, self._sets
-        new = inside.union(rows).difference(adj)
-        if new:
-            vertices += new
-            vertices.sort()
-            self._members |= new
+        members.update(inside, rows)
         adj.update(zip(inside, map(self.nbrs.get, inside)))
         adj.update(rows)
         sets.update(zip(inside, map(self.sets.get, inside)))
         sets.update(zip(rows, map(frozenset, rows.values())))
-        return FiniteGraph._with_sets(
-            tuple(vertices),
-            adj.copy(),
-            frozenset(rows),
-            sets.copy(),
-            frozenset(self._members),
-            self.twins if radius >= 2 else None,
+        B = FiniteGraph._with_sets(
+            adj, frozenset(rows), sets, members, self.twins if radius >= 2 else None
         )
+        self._handed = weakref.ref(B)
+        return B
 
-    def _check_symmetry(self, fresh: set[int], interior: set[int]) -> None:
-        """Raise at the first pair (v, w) of ``interior``, in id and
-        adjacency order, where v lists w but w does not list v: the pair
-        a whole-ball scan names.  Each vertex's list is compared with its
-        neighbours' once, when it is first interior (it is in ``fresh``);
-        the asymmetric pairs found are kept, and raised once both ends
-        are interior in one ball, which a smaller radius than before may
-        delay.  A neighbour's list is read as its set when the region
-        holds it, so a pair costs O(1)."""
+    def _check_symmetry(self, fresh: set[int], radius: int) -> None:
+        """Raise at the first pair (v, w) interior to the ball of
+        ``radius``, in id and adjacency order, where v lists w but w does
+        not list v: the pair a whole-ball scan names.  Each vertex's list
+        is compared with its neighbours' once, when it is first interior
+        (it is in ``fresh``); the asymmetric pairs found are kept, and
+        raised once both ends are interior in one ball, which a smaller
+        radius than before may delay.  A neighbour's list is read as its
+        set when the region holds it, so a pair costs O(1)."""
         nbrs, sets, asymmetric = self.nbrs, self.sets, self._asymmetric
         for x in fresh:
             for w in nbrs[x]:
                 row = sets.get(w)
                 if x not in (self.G.neighbors(w) if row is None else row):
                     asymmetric.append((x, w))
-        bad = [(v, w) for v, w in asymmetric if v in interior and w in interior]
-        if bad:
-            # neighbour tuples are sorted, so adjacency order is id order
-            v, w = min(bad)
-            raise InvariantViolation(
-                f"neighbor oracle is asymmetric on pair ({v}, {w})"
-            )
+        if asymmetric:
+            d = self.dist.get
+            bad = [
+                (v, w) for v, w in asymmetric
+                if d(v, radius) < radius and d(w, radius) < radius
+            ]
+            if bad:
+                # neighbour tuples are sorted, so adjacency order is id order
+                v, w = min(bad)
+                raise InvariantViolation(
+                    f"neighbor oracle is asymmetric on pair ({v}, {w})"
+                )
 
     def require_connected(self) -> None:
         """Raise InputError unless X induces a connected subgraph.  Only

@@ -47,7 +47,8 @@ iteration's cost does not grow with |C| beyond those operations.
 from __future__ import annotations
 
 import json
-from itertools import filterfalse
+from collections.abc import Iterator, Set
+from itertools import chain, filterfalse, islice
 
 from .conditions import star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -126,17 +127,39 @@ def remove_cycle_vertex(C: Cycle, h: int) -> Cycle:
     return Cycle(tuple(v for v in C.order if v != h))
 
 
-def protected_vertices(G, cycle_vertices, nc=None) -> frozenset[int]:
+class _Outside(Set):
+    """The vertices of ``inside`` not in ``out``, read in place: a set
+    difference that costs what ``out`` holds, not what ``inside`` does.
+    Set operations with it build frozensets."""
+
+    __slots__ = ("inside", "out", "_len")
+
+    def __init__(self, inside: Set[int], out: Set[int]) -> None:
+        self.inside, self.out = inside, out
+        self._len = len(inside) - len(out & inside)
+
+    def __contains__(self, v: object) -> bool:
+        return v in self.inside and v not in self.out
+
+    def __iter__(self) -> Iterator[int]:
+        return filterfalse(self.out.__contains__, self.inside)
+
+    def __len__(self) -> int:
+        return self._len
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[int]:
+        return frozenset(it)
+
+
+def protected_vertices(G, cycle_vertices, nc=None) -> Set[int]:
     """Cycle vertices outside N(C) and N(N(C)); an enlargement never
     rewires an edge between two of them.  ``nc`` is N(C) when the
-    caller already has it."""
+    caller already has it.  The set is read in place off the cycle's
+    vertex set, which must not change while it is read."""
     if nc is None:
         nc = neighborhood_k(G, cycle_vertices, 1)
-    return frozenset(cycle_vertices) - (neighborhood_k(G, nc, 1) | nc)
-
-
-def _canonical_pairs(pairs) -> set[Edge]:
-    return {(a, b) if a <= b else (b, a) for a, b in pairs}
+    return _Outside(cycle_vertices, neighborhood_k(G, nc, 1) | nc)
 
 
 class _RunCycle(LiveCycle):
@@ -145,25 +168,33 @@ class _RunCycle(LiveCycle):
 
     Beside the successor map it keeps each vertex's predecessor, and a
     ledger of the net change since ``base``, the enlargement's start
-    cycle: ``gained`` holds the edges it has and ``base`` lacks, and
-    ``lost`` the edges of ``base`` it lacks, as canonical pairs, so an
-    edge added and then removed cancels out.  apply() keeps both up to
-    date with O(1) work for kinds I and II; kind III also walks the
+    cycle: ``gained`` holds the edges it has and ``base`` lacks, as
+    canonical pairs, and ``lost`` maps each edge of ``base`` it lacks to
+    the pair as it was removed, so an edge added and then removed
+    cancels out.  apply() feeds both, and ``step``, the canonical edges
+    the step removed and added, from the one diff LiveCycle.apply
+    returns: O(1) work for kinds I and II; kind III also walks the
     reversed arc, as LiveCycle.apply does.  The cold branches of the
     construction freeze it, run the Cycle functions and reset() it to
     their result.
 
     While only kinds I and II have rewired it since ``base`` (``kept``),
-    the head and the order of base's vertices stay, and every vertex
-    gained lies on the path that replaced a lost edge of base; ``order``
-    is then base's order with those paths spliced in, not a walk.
+    the head and the order of base's vertices stay, every vertex gained
+    lies on the path that replaced a lost edge of base, and each lost
+    pair is as base walks it; ``order`` is then base's order with those
+    paths spliced in, not a walk.  The splice also lists the gained
+    pairs in the order the cycle walks them (``walked``) and the
+    positions of the vertices it placed, which are where the next
+    enlargement, started at this cycle, finds its lost edges.
     """
 
-    __slots__ = ("_pred", "base", "gained", "lost", "kept")
+    __slots__ = ("_pred", "base", "gained", "lost", "kept", "step", "walked",
+                 "_placed", "_at")
 
     def __init__(self, C: Cycle) -> None:
         super().__init__(C)
         self._pred_from(C.order)
+        self._placed: dict[int, int] = {}
         self.start(C)
 
     def _pred_from(self, order: tuple[int, ...]) -> None:
@@ -171,30 +202,60 @@ class _RunCycle(LiveCycle):
 
     def start(self, C: Cycle) -> None:
         """Start an empty ledger at C, which is this cycle frozen."""
+        # the positions the last splice placed are C's when C is its result
+        self._at = self._placed if C.order is self._order else {}
         self.base = C
         self.gained: set[Edge] = set()
-        self.lost: set[Edge] = set()
+        self.lost: dict[Edge, Edge] = {}
+        self.walked: list[Edge] = []
         self.kept = True
 
     @property
     def order(self) -> tuple[int, ...]:
-        if self._order is None and self.kept:
-            base, succ = self.base, self._succ
+        if self._order is None:
+            if not self.kept:
+                order = LiveCycle.order.fget(self)
+                self._placed = {}
+                self.walked = [
+                    p for p in zip(order, order[1:] + order[:1])
+                    if canonical_edge(*p) in self.gained
+                ]
+                return order
+            succ, placed, walked = self._succ, {}, []
             cuts = []
-            for a, b in self.lost:
-                if base.succ(a) != b:
-                    a, b = b, a
+            for a, b in self.lost.values():
                 path = []
                 w = succ[a]
                 while w != b:
                     path.append(w)
                     w = succ[w]
-                cuts.append((base.index(a) + 1, path))
-            order = list(base.order)
-            for i, path in sorted(cuts, reverse=True):
-                order[i:i] = path
-            self._order = tuple(order)
-        return LiveCycle.order.fget(self)
+                cuts.append((self.base_index(a) + 1, a, path, b))
+            # one pass over base's order, each path read in after the
+            # vertex it follows
+            rest, parts, at, shift = iter(self.base.order), [], 0, 0
+            for i, a, path, b in sorted(cuts):
+                parts += (islice(rest, i - at), path)
+                placed.update(zip(path, range(i + shift, i + shift + len(path))))
+                walked += zip((a, *path), (*path, b))
+                at, shift = i, shift + len(path)
+            parts.append(rest)
+            order = tuple(chain.from_iterable(parts))
+            self._order, self._placed, self.walked = order, placed, walked
+        return self._order
+
+    def freeze(self) -> Cycle:
+        """The cycle as a Cycle.  While ``kept``, its vertex set is
+        base's with the vertices the splice placed."""
+        order = self.order
+        if self.kept:
+            return Cycle._of(order, self.base.vertex_set.union(self._placed))
+        return Cycle(order)
+
+    def base_index(self, v: int) -> int:
+        """The position of v in base's order: off the last splice when
+        it placed v, else found in the order."""
+        i = self._at.get(v)
+        return self.base.order.index(v) if i is None else i
 
     def pred(self, v: int) -> int:
         try:
@@ -203,8 +264,7 @@ class _RunCycle(LiveCycle):
             raise InputError(f"vertex {v} not on cycle") from None
 
     def apply(self, e: Extension) -> None:
-        super().apply(e)
-        removed, added = self.last_edge_diff()
+        removed, added = super().apply(e)
         pred = self._pred
         for a, b in added:
             pred[b] = a
@@ -219,25 +279,34 @@ class _RunCycle(LiveCycle):
 
     def _record(self, removed, added) -> None:
         gained, lost = self.gained, self.lost
-        for e in _canonical_pairs(removed):
+        out, into = [], []
+        for a, b in removed:
+            e = (a, b) if a <= b else (b, a)
+            out.append(e)
             if e in gained:
                 gained.remove(e)
             else:
-                lost.add(e)
-        for e in _canonical_pairs(added):
+                lost[e] = (a, b)
+        for a, b in added:
+            e = (a, b) if a <= b else (b, a)
+            into.append(e)
             if e in lost:
-                lost.remove(e)
+                del lost[e]
             else:
                 gained.add(e)
+        self.step = out, into
 
     def reset(self, C: Cycle) -> None:
         """Become C, which a cold branch built from this cycle frozen;
-        the ledger takes in the change from a whole-cycle diff."""
+        the ledger and ``step`` take in the change from a whole-cycle
+        diff."""
         before, after = set(self.freeze().edges()), set(C.edges())
         self._record(before - after, after - before)
         LiveCycle.__init__(self, C)
         self._pred_from(C.order)
         self.kept = False
+        # walked and the order are read off a walk of C
+        self._order = None
 
     def rank(self, v: int):
         """A key that orders the vertices as ``order`` does.  While
@@ -246,16 +315,16 @@ class _RunCycle(LiveCycle):
         back to it."""
         if not self.kept:
             return self.order.index(v)
-        base, pred, steps = self.base, self._pred, 0
-        while v not in base:
+        on, pred, steps = self.base.vertex_set, self._pred, 0
+        while v not in on:
             v = pred[v]
             steps += 1
-        return base.index(v), steps
+        return self.base_index(v), steps
 
     def new_vertices(self) -> set[int]:
         """The vertices on this cycle and not on ``base``."""
-        base = self.base
-        return {v for e in self.gained for v in e if v not in base}
+        on = self.base.vertex_set
+        return {v for e in self.gained for v in e if v not in on}
 
 
 class _Rim:
@@ -600,26 +669,30 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
 
 
 class _MState:
-    """Mutable membership state of one M set during construction."""
+    """Mutable membership state of one M set during construction.
+
+    ``members`` is the set itself, (piece | included) - excluded, as one
+    frozenset: stage C never changes it, and each stage D step that
+    moves vertices builds it again."""
+
+    __slots__ = ("piece", "part", "included", "excluded", "members")
 
     def __init__(self, piece: frozenset[int], part: frozenset[int]) -> None:
         self.piece = piece
         self.part = part
         self.included = set(part)
         self.excluded: set[int] = set()
-
-    def __contains__(self, v: int) -> bool:
-        if v in self.excluded:
-            return False
-        return v in self.included or v in self.piece
+        self.members = piece | part
 
     def add(self, vs) -> None:
         self.included |= set(vs)
         self.excluded -= set(vs)
+        self.members = self.members.union(vs)
 
     def discard(self, vs) -> None:
         self.excluded |= set(vs)
         self.included -= set(vs)
+        self.members = self.members.difference(vs)
 
 
 def require_twice(crossing, C, label: str, j: int) -> None:
@@ -695,40 +768,48 @@ class _CutBuilder:
     def guard_cycle(self, cur: _RunCycle) -> None:
         """guard(cur.order), with the cycle walked only when one of its
         vertices lies on the frontier or outside the ball, to name the
-        first.  C's vertices are tested as one set, and the ones cur
-        gained since are read off the ledger."""
-        B = self.B
-        for on in (self.C.vertex_set, cur.new_vertices()):
-            if not (B.frontier.isdisjoint(on) and on <= B.vertex_set):
-                self.guard(cur.order)
-                return
+        first.  C lies in K0, inside the ball, so only its meeting the
+        frontier is tested, over the frontier; the vertices cur gained
+        since are read off the ledger and tested whole."""
+        B, new = self.B, cur.new_vertices()
+        if not (
+            B.frontier.isdisjoint(self.C.vertex_set)
+            and B.frontier.isdisjoint(new)
+            and new <= B.vertex_set
+        ):
+            self.guard(cur.order)
 
     def read_cuts(self, cur: _RunCycle) -> None:
         """Read the cycle edges crossing each M set off the cycle, once
         per enlargement, after stage B; stages C and D keep them up to
         date.  Only the cycle edges at members of each M set are read."""
         self.cuts: list[set[Edge]] = []
+        pred, succ = cur._pred, cur._succ
         for m in self.msets:
-            cut = set()
-            for v in (m.included | m.piece) - m.excluded:
-                if v in cur:
-                    for w in (cur.pred(v), cur.succ(v)):
-                        if w not in m:
+            members, cut = m.members, set()
+            for v in members:
+                if v in succ:
+                    for w in (pred[v], succ[v]):
+                        if w not in members:
                             cut.add(canonical_edge(v, w))
             self.cuts.append(cut)
 
-    def recount_cuts(self, cur: _RunCycle, swapped, gained) -> None:
-        """Bring the kept crossing sets up to date after a step that
-        swapped the cycle edges ``swapped`` and moved ``gained`` into
-        the M sets by update_msets; no other edge changes its crossing."""
-        touched = list(swapped)
-        for v in gained:
-            touched += ((cur.pred(v), v), (v, cur.succ(v)))
-        for a, b in touched:
-            e = canonical_edge(a, b)
-            on = a in cur and b in cur and (cur.succ(a) == b or cur.succ(b) == a)
-            for m, cut in zip(self.msets, self.cuts):
-                if on and (a in m) != (b in m):
+    def recount_cuts(self, cur: _RunCycle, moved=()) -> None:
+        """Bring the kept crossing sets up to date after a step, from
+        the edges it removed and added (``cur.step``) and the cycle
+        edges at the vertices ``moved`` between M sets by update_msets;
+        no other edge changes its crossing."""
+        removed, touched = cur.step
+        if moved:
+            pred, succ = cur._pred, cur._succ
+            touched = [*touched, *(
+                canonical_edge(v, w) for v in moved for w in (pred[v], succ[v])
+            )]
+        for m, cut in zip(self.msets, self.cuts):
+            members = m.members
+            cut.difference_update(removed)
+            for e in touched:
+                if (e[0] in members) != (e[1] in members):
                     cut.add(e)
                 else:
                     cut.discard(e)
@@ -765,7 +846,9 @@ class _CutBuilder:
                     helper=e.x,
                 )
             self.guard(e.new_vertices())
-        if live._succ.keys() != self.K0:
+        # C lies in K0 and every target does, so the cycle holds K0 when
+        # it is as large
+        if len(live) != len(self.K0):
             raise InvariantViolation(
                 "finite component not exhausted",
                 missing=sorted(self.K0.difference(live._succ)),
@@ -967,8 +1050,7 @@ class _CutBuilder:
             t for t in missing if any(w in cur for w in self.B.neighbors(t))
         ]
         for e, live in iter_extensions(self.B, cur, wanted.__contains__, targets):
-            removed, added = live.last_edge_diff()
-            self.recount_cuts(live, removed + added, ())
+            self.recount_cuts(live)
             self.require_cuts(live, "separator-plus-component cut")
             missing.difference_update(e.new_vertices())
             if not missing:
@@ -988,15 +1070,16 @@ class _CutBuilder:
         self, cur: _RunCycle, nbrs: set[int]
     ) -> tuple[int, int] | None:
         """The first a in cycle order with a and its successor in nbrs."""
-        firsts = [a for a in nbrs if a in cur and cur.succ(a) in nbrs]
+        succ = cur._succ
+        firsts = [a for a in nbrs if succ.get(a) in nbrs]
         if not firsts:
             return None
         a = min(firsts, key=cur.rank)
-        return a, cur.succ(a)
+        return a, succ[a]
 
     def update_msets(self, w1: int, w2: int, gained: tuple[int, ...]) -> None:
         for m in self.msets:
-            if w1 in m or w2 in m:
+            if w1 in m.members or w2 in m.members:
                 m.add(gained)
             else:
                 m.discard(gained)
@@ -1022,23 +1105,21 @@ class _CutBuilder:
                 cur.apply(Extension("I", u, w1))
                 gained = (u,)
                 self.update_msets(w1, w2, gained)
-                swapped = ((w1, w2), (w1, u), (u, w2))
             else:
-                D, swapped, gained = self.absorb_isolated_separator_vertex(
+                D, gained = self.absorb_isolated_separator_vertex(
                     cur.freeze(), u, nbrs_on
                 )
                 cur.reset(D)
-            self.recount_cuts(cur, swapped, gained)
+            self.recount_cuts(cur, gained)
             self.require_cuts(cur, "M cut")
 
     def absorb_isolated_separator_vertex(
         self, cur: Cycle, u: int, nbrs_on: set[int]
-    ) -> tuple[Cycle, tuple[Edge, ...], tuple[int, int]]:
+    ) -> tuple[Cycle, tuple[int, int]]:
         """No two cycle neighbours of u are consecutive: shortcut all but
         the smallest, force the two-vertex absorption there, then redo
-        the shortcuts on the real cycle.  Returns the new cycle, the
-        cycle edges it swapped and the two vertices gained.  No shipped
-        family gets here."""
+        the shortcuts on the real cycle.  Returns the new cycle and the
+        two vertices gained.  No shipped family gets here."""
         if not nbrs_on:
             raise InvariantViolation(
                 f"separator vertex {u} has no neighbour on the cycle"
@@ -1068,9 +1149,7 @@ class _CutBuilder:
                 raise InvariantViolation(
                     f"fresh helper {h} is not a separator vertex", u=u
                 )
-            w1p = cur.succ(w1)
             cur = apply_extension(cur, Extension("II", u, w1, x=h))
-            swapped = ((w1, w1p), (w1, u), (u, h), (h, w1p))
         else:
             hp, hm = cur.succ(h), cur.pred(h)
             if not self.B.adjacent(hp, hm):
@@ -1080,11 +1159,8 @@ class _CutBuilder:
                 )
             cur = remove_cycle_vertex(cur, h)
             cur = replace_arc(cur, (w1, w2), (w1, u, h, w2))
-            swapped = (
-                (hm, h), (h, hp), (hm, hp), (w1, w2), (w1, u), (u, h), (h, w2)
-            )
         self.update_msets(w1, w2, (u, h))
-        return cur, swapped, (u, h)
+        return cur, (u, h)
 
     # -- stage E: output clauses -------------------------------------------
 
@@ -1097,9 +1173,10 @@ class _CutBuilder:
                 f"{sorted(contaminated)[:6]}"
             )
         missing = (self.script_S | n3).difference(cur._succ)
-        lacking = self.K0.difference(cur._succ)
-        if lacking:
-            missing |= lacking
+        # stage A left K0 on the cycle, and while only kinds I and II
+        # rewire it since, no vertex leaves it
+        if not cur.kept:
+            missing |= self.K0.difference(cur._succ)
         if missing:
             raise InvariantViolation(
                 "coverage clause failed",
@@ -1253,7 +1330,7 @@ def _select_end(
     ray = G.end_rays[name]
     B = decomp.ball
     t, last = walked
-    cap = len(B.vertices) + 1
+    cap = len(B.adj) + 1
     while t <= cap:
         v = ray(t)
         if not B.has_vertex(v):
@@ -1334,13 +1411,13 @@ class _RunState:
         region, live = self.region, self.live
         X = C.vertex_set
         if live is not None and C is self.last:
-            gained = live.gained
+            walked = live.walked
             region.grow(live.new_vertices())
         else:
-            gained = None
+            walked = None
             region.grow(X - region.layers[0])
             live = self.live = _RunCycle(C)
-        blocker = minimal_ray_blocker(self.G, C, region, gained)
+        blocker = minimal_ray_blocker(self.G, C, region, walked)
         decomp = decompose(
             self.G, X, blocker, certified=self.claw_certified, region=region
         )
@@ -1410,6 +1487,9 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
         k0s.append(decomp.finite_component)
         witnesses.append(wits)
         C = C2
+        # the region's next ball takes over this one's tables once
+        # nothing holds it
+        del decomp
 
     return SequenceTrace(
         descriptor=getattr(G, "descriptor", None),

@@ -35,33 +35,32 @@ def require_claw_free(
 
 
 def _require_cycle_edges(
-    G: LazyGraph, C: Cycle, region: Region, gained=None
+    G: LazyGraph, C: Cycle, region: Region, walked=None
 ) -> None:
     """Raise InputError at the first edge of C, in cycle order, missing
     in G.  Edges the region has already seen checked are skipped, so a
     run checks each edge of each cycle once: when it first appears.
-    ``gained``, when given, holds the edges of C that the region's last
-    checked cycle lacks, as canonical pairs; otherwise they are found
-    from both cycles' edge lists."""
+    ``walked``, when given, holds the pairs C walks whose edges the
+    region's last checked cycle lacks, in C's order; otherwise they are
+    found from both cycles' edge lists."""
     order, last = C.order, region.checked_cycle
     if last is None:
-        fresh = zip(order, order[1:] + order[:1])
-    else:
-        if gained is None:
-            gained = set(C.edges()).difference(last.edges())
+        walked = zip(order, order[1:] + order[:1])
+    elif walked is None:
+        gained = set(C.edges()).difference(last.edges())
         # each pair as C walks it, in C's order
-        fresh = sorted(
+        walked = sorted(
             ((u, v) if C.succ(u) == v else (v, u) for u, v in gained),
             key=lambda pair: C.index(pair[0]),
         )
-    for u, v in fresh:
+    for u, v in walked:
         if not G.adjacent(u, v):
             raise InputError(f"cycle edge ({u}, {v}) missing in graph")
     region.checked_cycle = C
 
 
 def minimal_ray_blocker(
-    G: LazyGraph, C: Cycle, region: Region | None = None, gained=None
+    G: LazyGraph, C: Cycle, region: Region | None = None, walked=None
 ) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
@@ -71,14 +70,14 @@ def minimal_ray_blocker(
     needed; monotonicity of blocking makes the single pass sufficient.
 
     N(C) is layer 1 of ``region``, whose X must be V(C); without one, a
-    fresh region is grown from V(C).  ``gained`` is passed on to
+    fresh region is grown from V(C).  ``walked`` is passed on to
     _require_cycle_edges.
     """
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
     if region is None:
         region = Region(G, C.order)
-    _require_cycle_edges(G, C, region, gained)
+    _require_cycle_edges(G, C, region, walked)
     region.extend(1)
     candidates = sorted(region.layers[1])
     # the cycle is connected and disjoint from every candidate set, so
@@ -159,10 +158,8 @@ class ComponentHandle:
         self.piece = frozenset(piece)
         self.representative = min(self.piece)
         # the piece is asked first, so the ball's other vertices are
-        # the foreign ones: the ball stands in for them
-        self._member = component_membership(
-            G, blocker, self.piece, (frozenset(ball_vertices),)
-        )
+        # the foreign ones: the ball's vertex set stands in for them
+        self._member = component_membership(G, blocker, self.piece, (ball_vertices,))
 
     def __contains__(self, v: int) -> bool:
         return self._member(v)
@@ -211,26 +208,29 @@ class SeparatorDecomposition(Record):
 
 
 def _pieces(
-    B: FiniteGraph, X: frozenset[int], nx, script_S: frozenset[int]
-) -> list[frozenset[int]]:
-    """Components of B - script_S, ordered by smallest member, for a
-    connected X inside B with neighbourhood ``nx``.
+    B: FiniteGraph, region: Region, script_S: frozenset[int]
+) -> tuple[set[int], list[frozenset[int]]]:
+    """The components of B - script_S, for B the region's last ball and
+    a connected X: X's piece, as the vertices it holds beside X, and the
+    others, ordered by smallest member.
 
     X's piece is X plus what a search from N(X) - script_S reaches
-    without entering X; the rest of the ball splits into the others.
-    Only the ball outside X is searched.
+    without entering X; the rest of the ball, the layers 1 .. radius
+    around X, splits into the others.  Only the ball outside X is
+    searched.
     """
-    adj = B.adj
-    home = set(nx) - script_S
+    adj, X, layers = B.adj, region.layers[0], region.layers
+    home = layers[1] - script_S
     stack = list(home)
     while stack:
         for w in adj[stack.pop()]:
             if w not in home and w not in X and w not in script_S:
                 home.add(w)
                 stack.append(w)
-    own = X.union(home)
-    rest = B.vertex_set - own - script_S
-    return sorted([own, *_components_within(adj, rest)], key=min)
+    rest = set().union(*layers[1 : region.radius + 1])
+    rest -= home
+    rest -= script_S
+    return home, _components_within(adj, rest)
 
 
 # how far past the deepest separator vertex decompose's first ball
@@ -269,16 +269,15 @@ def decompose(
         raise InputError("decompose needs non-empty X and blocker")
     if X & script_S:
         raise InputError(f"blocker overlaps X: {sorted(X & script_S)}")
-
-    probe = min(X)
+    if region is None:
+        region = Region(G, X)
+    probe = region.least
     if G.escapes(script_S, probe):
         raise InputError("blocker is not ray-blocking for X")
     for s in sorted(script_S):
         if not G.escapes(script_S - {s}, probe):
             raise InputError(f"blocker is not inclusion-minimal: {s} is removable")
 
-    if region is None:
-        region = Region(G, X)
     dist = region.dist
     cap = _ball_radius_cap()
     while True:
@@ -301,18 +300,22 @@ def decompose(
                 "blocker vertex unreachable from X", missing=sorted(missing)
             )
         region.require_connected()
-        pieces = _pieces(B, X, region.layers[1], script_S)
+        home, others = _pieces(B, region, script_S)
+        # X's piece, whose smallest member is X's or home's
+        own = X.union(home)
+        least = min(probe, min(home, default=probe))
         finite_pieces = []
         infinite_pieces = []
         ambiguous = False
-        for piece in pieces:
+        for piece in sorted([own, *others], key=lambda p: least if p is own else min(p)):
             if not piece & B.frontier:
                 finite_pieces.append(piece)
-            elif G.escapes(script_S, min(piece)):
+            elif G.escapes(script_S, least if piece is own else min(piece)):
                 infinite_pieces.append(piece)
             else:
                 ambiguous = True
-        k0_candidates = [p for p in finite_pieces if X <= p]
+        # X lies in its own piece only, as the pieces are disjoint
+        k0_candidates = [p for p in finite_pieces if p is own]
         if not ambiguous and k0_candidates:
             break
         if not ambiguous and not k0_candidates:
@@ -324,7 +327,14 @@ def decompose(
                 f"decomposition ball exceeded radius cap {_ball_radius_cap()}"
             )
 
-    require_claw_free(B, B.vertex_set - B.frontier, certified)
+    # the interior is X and the layers short of the frontier; X's
+    # vertices in ``certified`` passed before, so they are left out
+    interior = set().union(*region.layers[1:radius])
+    if certified is None:
+        interior |= X
+    else:
+        interior |= X.difference(certified)
+    require_claw_free(B, interior, certified)
 
     K0 = k0_candidates[0]
     stray = [p for p in finite_pieces if p is not K0]

@@ -238,15 +238,17 @@ def test_iter_extensions_matches_rescan_loop_through_kind_three():
     assert "III" in kinds and "II" in kinds
 
 
-def test_last_edge_diff_is_the_edge_swap():
+def test_apply_returns_the_edge_swap():
     # removed and added edges, oriented along the cycle after the step,
     # are exactly what separates consecutive edge sets
     G = relabelled_G(40, 3, seed=27)
     prev = find_initial_cycle(G)
+    replay = LiveCycle(prev)
     kinds = set()
     for e, live in iter_extensions(G, prev):
-        removed, added = live.last_edge_diff()
+        removed, added = replay.apply(e)
         C = live.freeze()
+        assert replay.order == C.order
         assert all(C.succ(a) == b for a, b in added)
         assert {canonical_edge(*p) for p in removed} == edge_set(prev) - edge_set(C)
         assert {canonical_edge(*p) for p in added} == edge_set(C) - edge_set(prev)

@@ -377,7 +377,7 @@ def test_stages_a_and_c_match_rescan_loops(n):
                     moved = set(rng.sample(tree_vertices, rng.randint(1, 4)))
                     b.pieces = tuple(p - moved for p in b.pieces)
                     for m, piece in zip(b.msets, b.pieces):
-                        m.piece = piece
+                        m.piece, m.members = piece, m.members - moved
                 # the reference starts from a frozen copy, as the stage
                 # rewires the live cycle in place
                 got = _outcome(_rescan_stage_c, b, cur.freeze())

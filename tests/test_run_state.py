@@ -68,7 +68,8 @@ def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
         centers = sorted(centers)
         unchecked = sum(1 for v in centers if v not in certified)
         verdict = claw_free_on_ball(B, centers, certified)
-        claw_calls.append((B, centers, verdict, unchecked, len(centers)))
+        interior = len(B.vertex_set - B.frontier)
+        claw_calls.append((B, centers, verdict, unchecked, interior))
         return verdict
 
     monkeypatch.setattr(infinite, "star_on_ball", recording_star)
@@ -81,11 +82,14 @@ def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
     for B, centers, verdict, _, _ in claw_calls:
         assert verdict == claw_free_on_ball(B, centers)
     # from the second iteration on each ball checks only the annulus it
-    # adds, which is the same size at every depth of GZn
+    # adds, which is the same size at every depth of GZn, and the claw
+    # scan is handed only the centres that may be left, as many at every
+    # depth: the layers short of the frontier and X's uncertified vertices
     for calls in (star_calls, claw_calls):
         unchecked = {call[-2] for call in calls[2:]}
         assert len(unchecked) == 1
         assert unchecked.pop() < calls[-1][-1] / 2
+    assert len({len(call[1]) for call in claw_calls[2:]}) == 1
 
 
 def test_certified_centres_skip_work():
@@ -391,7 +395,8 @@ def test_steiner_search_for_a_goal_away_from_the_tree():
 
 
 def _recount(C, m):
-    return {e for e in edge_set(C) if (e[0] in m) != (e[1] in m)}
+    members = m.members
+    return {e for e in edge_set(C) if (e[0] in members) != (e[1] in members)}
 
 
 M_LABELS = ("initial M cut", "M cut", "final M cut")
@@ -602,6 +607,9 @@ def test_iteration_work_does_not_read_the_whole_cycle(monkeypatch, n, depth):
 
     monkeypatch.setattr(infinite._RunState, "enlarge", next_iteration)
     monkeypatch.setattr(Cycle, "__init__", counting("Cycle", Cycle.__init__))
+    # the live cycle freezes itself through the constructor that builds
+    # nothing, which counts as a Cycle too
+    monkeypatch.setattr(Cycle, "_of", classmethod(counting("Cycle", Cycle._of.__func__)))
     monkeypatch.setattr(Cycle, "edges", counting("edges", Cycle.edges))
     monkeypatch.setattr(LiveCycle, "__init__", counting("live", LiveCycle.__init__))
     for name in G.end_rays:
