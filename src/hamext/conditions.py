@@ -340,7 +340,11 @@ def _first_of_class(centers: Sequence[int], node) -> dict[int, int]:
 
 
 def star_on_ball(
-    B: FiniteGraph, layers: Sequence[Set[int]], limit: int, certified: set[int]
+    B: FiniteGraph,
+    layers: Sequence[Set[int]],
+    limit: int,
+    certified: set[int],
+    fresh: Set[int] | None = None,
 ) -> StarVerdict:
     """The degree condition on the induced paths of a ball whose three
     vertices lie at distance <= ``limit`` from its centre.
@@ -354,7 +358,9 @@ def star_on_ball(
     a centre that passes with all of its neighbours eligible has been
     checked on every induced path through it, so it passes on every
     later ball and is added.  A centre with ineligible neighbours is
-    checked again next time.  Skipping certified centres leaves the
+    checked again next time.  ``fresh``, when given, holds the vertices
+    of the centre ``layers[0]`` that may be missing from ``certified``,
+    so that the rest of the centre is not read.  Skipping certified centres leaves the
     first failing centre, and so the witness, unchanged, since centres
     are visited in id order either way.
 
@@ -374,8 +380,7 @@ def star_on_ball(
     vertex is a class of its own.
     """
     # the centre itself, and the shell of the eligible layers around it:
-    # a vertex is eligible when it lies in either, and of the centre only
-    # the vertices not certified are read
+    # a vertex is eligible when it lies in either
     X, shell = layers[0], set().union(*layers[1 : limit + 1])
 
     def eligible(v: int) -> bool:
@@ -390,7 +395,10 @@ def star_on_ball(
             f"frontier vertices {close[:6]} lie closer than {limit + 2} "
             "to the centre"
         )
-    centers = sorted(X.difference(certified).union(shell.difference(certified)))
+    centers = sorted(
+        (X if fresh is None else fresh).difference(certified)
+        | shell.difference(certified)
+    )
     node, row, size = _classes(B, B.twins if limit >= 1 else None)
     first = _first_of_class(centers, node)
     rows = {c: row(c) for c in first}

@@ -356,12 +356,14 @@ class Cycle(Record):
     vertices are required.  ``vertex_set`` is built with the cycle and
     answers ``in``; the position index behind ``index``/``succ``/``pred``
     is built on the first of those calls, so a cycle that is only
-    stored, compared or tested for membership never builds it.
+    stored, compared or tested for membership never builds it.  A cycle
+    a live cycle freezes (``_of``) builds its vertex set on the first
+    read too.
     """
 
     _fields = ("order",)
-    # the instance dict holds the cached index
-    __slots__ = _fields + ("vertex_set", "__dict__")
+    # the instance dict holds the vertex set and the cached index
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, order: tuple[int, ...]) -> None:
         if len(order) < 3:
@@ -377,14 +379,16 @@ class Cycle(Record):
         self.vertex_set = vertex_set
 
     @classmethod
-    def _of(cls, order: tuple[int, ...], vertex_set: frozenset[int]) -> "Cycle":
+    def _of(cls, order: tuple[int, ...]) -> "Cycle":
         """The cycle of ``order``, for a caller (a live cycle) that
-        knows it repeats no vertex and already holds its vertex set:
-        nothing is checked or built."""
+        knows it repeats no vertex: nothing is checked or built."""
         C = cls.__new__(cls)
         C.order = order
-        C.vertex_set = vertex_set
         return C
+
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(self.order)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -582,7 +586,9 @@ class Region:
     The region keeps the distance from X of every vertex within
     ``reach`` of it: ``dist`` maps each such vertex to its distance and
     ``layers[d]`` holds the vertices at distance d, so ``layers[0]`` is
-    X, whose smallest vertex is ``least``, and ``layers[1]`` is N(X).  ``nbrs`` holds the neighbour tuple of
+    X, whose smallest vertex is ``least``, and ``layers[1]`` is N(X).
+    ``grown`` holds the vertices the last grow() added to X (all of X
+    before the first).  ``nbrs`` holds the neighbour tuple of
     every vertex closer than ``reach``, and ``sets`` the same as
     frozensets; ``held`` counts their entries, which may not pass
     MAX_REGION_NEIGHBORS.  ``twins`` holds the closed-twin classes of
@@ -607,6 +613,7 @@ class Region:
         self.dist: dict[int, int] = dict.fromkeys(X, 0)
         self.layers: list[set[int]] = [set(X)]
         self.least = X[0] if X else None
+        self.grown: set[int] = set(X)
         self.reach = 0
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
@@ -665,10 +672,12 @@ class Region:
         """Add ``gained`` to X and lower the labels around it."""
         dist, layers, reach = self.dist, self.layers, self.reach
         queue: deque[int] = deque()
+        self.grown = set()
         for v in sorted(gained):
             d = dist.get(v)
             if d == 0:
                 continue
+            self.grown.add(v)
             if d is not None:
                 layers[d].discard(v)
             dist[v] = 0

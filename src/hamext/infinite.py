@@ -178,6 +178,9 @@ class _RunCycle(LiveCycle):
     construction freeze it, run the Cycle functions and reset() it to
     their result.
 
+    ``base_vertices`` is V(base), kept up to date from the ledger when a
+    new ledger starts at the cycle reached, while no vertex has left.
+
     While only kinds I and II have rewired it since ``base`` (``kept``),
     the head and the order of base's vertices stay, every vertex gained
     lies on the path that replaced a lost edge of base, and each lost
@@ -188,13 +191,14 @@ class _RunCycle(LiveCycle):
     enlargement, started at this cycle, finds its lost edges.
     """
 
-    __slots__ = ("_pred", "base", "gained", "lost", "kept", "step", "walked",
-                 "_placed", "_at")
+    __slots__ = ("_pred", "base", "base_vertices", "gained", "lost", "kept",
+                 "step", "walked", "_placed", "_at")
 
     def __init__(self, C: Cycle) -> None:
         super().__init__(C)
         self._pred_from(C.order)
         self._placed: dict[int, int] = {}
+        self.kept = False
         self.start(C)
 
     def _pred_from(self, order: tuple[int, ...]) -> None:
@@ -204,6 +208,11 @@ class _RunCycle(LiveCycle):
         """Start an empty ledger at C, which is this cycle frozen."""
         # the positions the last splice placed are C's when C is its result
         self._at = self._placed if C.order is self._order else {}
+        if self.kept:
+            # kinds I and II only add vertices
+            self.base_vertices.update(self.new_vertices())
+        else:
+            self.base_vertices = set(C.order)
         self.base = C
         self.gained: set[Edge] = set()
         self.lost: dict[Edge, Edge] = {}
@@ -244,12 +253,10 @@ class _RunCycle(LiveCycle):
         return self._order
 
     def freeze(self) -> Cycle:
-        """The cycle as a Cycle.  While ``kept``, its vertex set is
-        base's with the vertices the splice placed."""
+        """The cycle as a Cycle; while ``kept`` its order is spliced
+        from distinct vertices, so it is not checked again."""
         order = self.order
-        if self.kept:
-            return Cycle._of(order, self.base.vertex_set.union(self._placed))
-        return Cycle(order)
+        return Cycle._of(order) if self.kept else Cycle(order)
 
     def base_index(self, v: int) -> int:
         """The position of v in base's order: off the last splice when
@@ -315,7 +322,7 @@ class _RunCycle(LiveCycle):
         back to it."""
         if not self.kept:
             return self.order.index(v)
-        on, pred, steps = self.base.vertex_set, self._pred, 0
+        on, pred, steps = self.base_vertices, self._pred, 0
         while v not in on:
             v = pred[v]
             steps += 1
@@ -323,7 +330,7 @@ class _RunCycle(LiveCycle):
 
     def new_vertices(self) -> set[int]:
         """The vertices on this cycle and not on ``base``."""
-        on = self.base.vertex_set
+        on = self.base_vertices
         return {v for e in self.gained for v in e if v not in on}
 
 
@@ -768,14 +775,13 @@ class _CutBuilder:
     def guard_cycle(self, cur: _RunCycle) -> None:
         """guard(cur.order), with the cycle walked only when one of its
         vertices lies on the frontier or outside the ball, to name the
-        first.  C lies in K0, inside the ball, so only its meeting the
-        frontier is tested, over the frontier; the vertices cur gained
-        since are read off the ledger and tested whole."""
-        B, new = self.B, cur.new_vertices()
-        if not (
-            B.frontier.isdisjoint(self.C.vertex_set)
-            and B.frontier.isdisjoint(new)
-            and new <= B.vertex_set
+        first.  The cycle holds C and what it gained since, and C lies in
+        K0, inside the ball: so the frontier is looked up on the cycle,
+        and only the vertices gained, read off the ledger, are looked up
+        in the ball."""
+        B = self.B
+        if any(map(cur._succ.__contains__, B.frontier)) or not (
+            cur.new_vertices() <= B.vertex_set
         ):
             self.guard(cur.order)
 
@@ -1222,7 +1228,7 @@ class _CutBuilder:
 
         # the ledger's lost edges, first in C's order, and its gained
         # edges, in canonical order
-        C, protected = self.C, self.rim.protected
+        C, protected, old = self.C, self.rim.protected, cur.base_vertices
         vanished = [(a, b) for a, b in cur.lost if a in protected and b in protected]
         if vanished:
             raise InvariantViolation(
@@ -1232,7 +1238,7 @@ class _CutBuilder:
         n2_nc = self.rim.near
         for a, b in sorted(cur.gained):
             for end in (a, b):
-                if end in C and end not in n2_nc:
+                if end in old and end not in n2_nc:
                     raise InvariantViolation(
                         "new edge lands on a protected old vertex",
                         edge=(a, b),
@@ -1378,7 +1384,12 @@ class _RunState:
         self.walks: dict[str, tuple[int, int | None, int]] = {}
 
     def require_star(self, B: FiniteGraph, limit: int) -> None:
-        star = star_on_ball(B, self.region.layers, limit, self.star_certified)
+        # every vertex X had before the region's last grow was certified
+        # by the scan of the ball before
+        region = self.region
+        star = star_on_ball(
+            B, region.layers, limit, self.star_certified, fresh=region.grown
+        )
         if not star.holds:
             raise InputError(
                 f"local degree condition fails near the cycle at "
@@ -1409,14 +1420,15 @@ class _RunState:
         read off the live cycle's ledger; otherwise (the saturated seed)
         off V(C), and the live cycle starts from C."""
         region, live = self.region, self.live
-        X = C.vertex_set
         if live is not None and C is self.last:
             walked = live.walked
             region.grow(live.new_vertices())
         else:
             walked = None
-            region.grow(X - region.layers[0])
+            region.grow(C.vertex_set - region.layers[0])
             live = self.live = _RunCycle(C)
+        # V(C), kept by the region, which changes it at the next grow
+        X = region.layers[0]
         blocker = minimal_ray_blocker(self.G, C, region, walked)
         decomp = decompose(
             self.G, X, blocker, certified=self.claw_certified, region=region

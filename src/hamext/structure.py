@@ -258,19 +258,24 @@ def decompose(
 
     A claw centred in the ball's interior is refused with InputError;
     ``certified`` is passed on to :func:`claw_free_on_ball`, which
-    skips the centres in it and adds those that pass.
+    skips the centres in it and adds those that pass.  It must hold the
+    vertices of X the region had before its last grow (as in a run,
+    where each iteration's scan certified its whole interior), so only
+    ``region.grown`` and the layers short of the frontier are handed to
+    the scan.
 
     The balls come from ``region``, whose X must be X; without one, a
     fresh region is grown from X.
     """
-    X = frozenset(X)
     script_S = frozenset(script_S)
+    if region is None:
+        region = Region(G, X)
+    # X as the region keeps it, not copied
+    X = region.layers[0]
     if not X or not script_S:
         raise InputError("decompose needs non-empty X and blocker")
     if X & script_S:
         raise InputError(f"blocker overlaps X: {sorted(X & script_S)}")
-    if region is None:
-        region = Region(G, X)
     probe = region.least
     if G.escapes(script_S, probe):
         raise InputError("blocker is not ray-blocking for X")
@@ -302,7 +307,7 @@ def decompose(
         region.require_connected()
         home, others = _pieces(B, region, script_S)
         # X's piece, whose smallest member is X's or home's
-        own = X.union(home)
+        own = frozenset().union(X, home)
         least = min(probe, min(home, default=probe))
         finite_pieces = []
         infinite_pieces = []
@@ -327,13 +332,10 @@ def decompose(
                 f"decomposition ball exceeded radius cap {_ball_radius_cap()}"
             )
 
-    # the interior is X and the layers short of the frontier; X's
-    # vertices in ``certified`` passed before, so they are left out
+    # the interior is X and the layers short of the frontier; with
+    # ``certified``, of X only what the region grew by last can be left
     interior = set().union(*region.layers[1:radius])
-    if certified is None:
-        interior |= X
-    else:
-        interior |= X.difference(certified)
+    interior |= X if certified is None else region.grown.difference(certified)
     require_claw_free(B, interior, certified)
 
     K0 = k0_candidates[0]

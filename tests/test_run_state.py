@@ -56,10 +56,10 @@ def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
     G = gen_G_inf(n)
     star_calls, claw_calls = [], []
 
-    def recording_star(B, layers, limit, certified):
+    def recording_star(B, layers, limit, certified, **fresh):
         eligible = set().union(*layers[: limit + 1])
         unchecked = sum(1 for v in eligible if v not in certified)
-        verdict = star_on_ball(B, layers, limit, certified)
+        verdict = star_on_ball(B, layers, limit, certified, **fresh)
         center = sorted(layers[0])
         star_calls.append((center, limit, verdict, unchecked, len(eligible)))
         return verdict

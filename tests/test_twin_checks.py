@@ -281,10 +281,10 @@ def test_run_checks_match_vertex_loops(monkeypatch, n, depth):
     # every ball check of a run, with the run's own certified sets
     calls = Counter()
 
-    def star(B, layers, limit, certified):
+    def star(B, layers, limit, certified, **fresh):
         want_cert = set(certified)
         want = outcome(reference_star_on_ball, B, layers, limit, want_cert)
-        verdict = star_on_ball(B, layers, limit, certified)
+        verdict = star_on_ball(B, layers, limit, certified, **fresh)
         assert outcome(lambda: verdict) == want and certified == want_cert
         calls["star"] += 1
         return verdict
