@@ -32,14 +32,10 @@ from .graphcore import (
     graph_to_dot,
     graph_to_json_obj,
 )
-from .infinite import (
-    SequenceTrace,
-    hamilton_sequence,
-    stable_limit,
-    verify_hc_extract,
-)
-from .oracle import hamilton_oracle, random_star_clawfree
-from .structure import decompose, minimal_ray_blocker
+
+# the infinite construction, the separator structure and the oracle are
+# imported by the subcommands that use them, so that the others do not
+# compile them on every start
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILS = 1
@@ -120,6 +116,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 raise InputError("family rand takes no --q")
             if args.seed is None:
                 raise InputError("family rand needs --seed")
+            from .oracle import random_star_clawfree
+
             G = random_star_clawfree(args.seed, args.n if args.n is not None else 14)
         else:
             if args.q is None or args.n is None:
@@ -182,6 +180,8 @@ def _cmd_ham(args: argparse.Namespace) -> int:
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
+    from .structure import decompose, minimal_ray_blocker
+
     desc = _load_json_file(args.input)
     if not isinstance(desc, dict):
         raise InputError("structure input must be a descriptor JSON object")
@@ -196,6 +196,8 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
 
 def _cmd_infham(args: argparse.Namespace) -> int:
+    from .infinite import hamilton_sequence, stable_limit
+
     desc = _load_json_file(args.descriptor)
     if not isinstance(desc, dict):
         raise InputError("descriptor must be a JSON object")
@@ -214,6 +216,8 @@ def _cmd_infham(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .infinite import SequenceTrace, verify_hc_extract
+
     obj = _load_json_file(args.trace)
     trace = SequenceTrace.from_json_obj(obj)
     verdict = verify_hc_extract(trace)
@@ -222,6 +226,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import hamilton_oracle
+
     G = graph_from_json_obj(_load_json_file(args.input))
     C = hamilton_oracle(G)
     if args.dot is not None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 
 from .errors import InputError
-from .graphcore import FiniteGraph, LazyGraph
+from .graphcore import MAX_REGION_NEIGHBORS, FiniteGraph, LazyGraph
 
 # The most vertices and the most edges a finite generator builds.  An
 # edge costs about 500 bytes on its way into a FiniteGraph and out as
@@ -191,7 +191,8 @@ def _make_double_ray_family(
     without any edge list.  Each fiber's ids are one range, so a
     neighbour tuple is up to three ranges, sorted.  Every vertex of a
     complete fiber has the same closed neighbourhood: it is sorted once
-    per fiber, and a vertex's neighbours are that tuple without it."""
+    per fiber, and a vertex's neighbours are that tuple without it.  A
+    row longer than MAX_REGION_NEIGHBORS is refused before it is built."""
 
     def encode(f: int, i: int) -> int:
         return zigzag(f) * width + i
@@ -222,6 +223,13 @@ def _make_double_ray_family(
             f, i = decode(v)
             base = v - i
             inner = fiber_edges(f)
+            own = fiber_size(f) - 1 if inner is None else sum(i in e for e in inner)
+            length = fiber_size(f - 1) + own + fiber_size(f + 1)
+            if length > MAX_REGION_NEIGHBORS:
+                raise InputError(
+                    f"vertex {v} has {length} neighbours, over the "
+                    f"{MAX_REGION_NEIGHBORS} neighbour entries a run may hold"
+                )
             if inner is not None:
                 out = [*fiber(f - 1), *fiber(f + 1)]
                 out += [base + b for a, b in inner if a == i]

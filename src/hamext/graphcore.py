@@ -289,7 +289,8 @@ class LazyGraph:
     """Locally finite infinite graph behind a pair of pure oracles.
 
     ``neighbor_oracle(v)`` returns the full sorted neighbour tuple of
-    ``v``; ``escape_oracle(F, v)`` decides whether ``v`` lies in an
+    ``v``, and the cache of those tuples holds at most
+    MAX_CACHED_NEIGHBORS entries; ``escape_oracle(F, v)`` decides whether ``v`` lies in an
     infinite component of ``G - F`` for finite ``F`` not containing
     ``v``.  Both must be pure, which lets this wrapper memoize them;
     shared concurrent reads are safe in the usual CPython sense.
@@ -316,6 +317,7 @@ class LazyGraph:
         self.descriptor = dict(descriptor) if descriptor is not None else None
         self._nbr_cache: dict[int, tuple[int, ...]] = {}
         self._esc_cache: dict[tuple[frozenset[int], int], bool] = {}
+        self._held = 0
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         cached = self._nbr_cache.get(v)
@@ -323,6 +325,12 @@ class LazyGraph:
             cached = tuple(self._neighbor_oracle(v))
             if v in cached:
                 raise InvariantViolation(f"neighbor oracle reports a self-loop at {v}")
+            self._held += len(cached)
+            if self._held > MAX_CACHED_NEIGHBORS:
+                raise InputError(
+                    f"the graph's neighbour cache would hold over "
+                    f"{MAX_CACHED_NEIGHBORS} entries"
+                )
             self._nbr_cache[v] = cached
         return cached
 
@@ -523,8 +531,12 @@ def _ball_radius_cap() -> int:
 
 # The most neighbour entries one Region holds.  An entry costs about
 # 60 bytes with its frozenset, so a region at the budget holds about
-# 0.25 GB; GZ80 at depth 4 holds 745,680 entries.
+# 0.25 GB; GZ80 at depth 4 holds 745,680 entries.  A lazy graph's
+# cache also holds the rows of ball frontiers and of the verifier's
+# searches, so it may hold twice as many, which a run's region refuses
+# first.
 MAX_REGION_NEIGHBORS = 4 * 10**6
+MAX_CACHED_NEIGHBORS = 2 * MAX_REGION_NEIGHBORS
 
 
 class TwinClasses:
@@ -877,9 +889,10 @@ def dumps_json(obj: object) -> str:
 
     With ``indent`` set, ``json`` encodes in pure Python; this walks the
     lists, tuples and str-keyed dicts itself and writes a list of plain
-    ints in one ``join``, so a trace's long id arrays cost C time.  A
-    plain int is written by ``int.__repr__`` and a plain str, value or
-    key, by ``encode_basestring_ascii``, as ``json`` writes them.
+    ints with one ``%`` format, so a trace's long id arrays cost C time
+    and no call per id.  A plain int is written as ``%d`` writes it,
+    which is ``int.__repr__``, and a plain str, value or key, by
+    ``encode_basestring_ascii``, as ``json`` writes them.
     """
     return _dumps_at(obj, "\n")
 
@@ -896,9 +909,10 @@ def _dumps_at(x: object, nl: str) -> str:
             return "[]"
         inner = nl + " "
         if set(map(type, x)) == {int}:
-            items = map(int.__repr__, x)
-        else:
-            items = [_dumps_at(v, inner) for v in x]
+            # one format for the whole list, not a call per item
+            body = ("%d," + inner) * (len(x) - 1) + "%d"
+            return "[" + inner + body % tuple(x) + nl + "]"
+        items = [_dumps_at(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict and set(map(type, x)) <= {str}:
         if not x:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hamext import cli, extension, graphcore
+from hamext import cli, extension, graphcore, infinite
 from hamext.errors import InvariantViolation
 from hamext.families import gen_G, gen_G_inf, gen_H, unzigzag
 from hamext.graphcore import (
@@ -343,7 +343,8 @@ def test_infham_refuses_negative_window_before_building(
     def unreachable(*args):
         raise AssertionError("the construction ran")
 
-    monkeypatch.setattr(cli, "hamilton_sequence", unreachable)
+    # infham imports the construction when it runs
+    monkeypatch.setattr(infinite, "hamilton_sequence", unreachable)
     out = tmp_path / "trace.json"
     code, payload = run(
         capsys, "infham", "--descriptor", str(desc), "--depth", "30",
@@ -628,7 +629,8 @@ def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")
 
-    monkeypatch.setattr(cli, "hamilton_sequence", boom)
+    # infham imports the construction when it runs
+    monkeypatch.setattr(infinite, "hamilton_sequence", boom)
     code, payload = run(
         capsys, "infham", "--descriptor", str(gz2_file), "--depth", "1"
     )

@@ -483,3 +483,39 @@ def test_fiber_count_escape_edge_cases():
         G.escapes(frozenset({-3}), -2)
     with pytest.raises(InputError):
         gen_H_inf(2).escapes(frozenset({6}), 0)  # inner 2 of a 2-vertex fiber
+
+
+# ---------------------------------------------------------------------------
+# fibers too wide to hold
+
+
+def test_rows_over_the_budget_are_refused_before_they_are_built():
+    # a row of 3 * 10**8 entries would exhaust memory; the oracle refuses
+    # it from the fiber sizes, as input, before building it
+    with pytest.raises(InputError, match="vertex 0 has 299999999 neighbours"):
+        gen_G_inf(10**8).neighbors(0)
+    # the star centre of HZn's fiber 0: both neighbouring fibers and its leaves
+    with pytest.raises(InputError, match="vertex 0 has 200000003 neighbours"):
+        gen_H_inf(10**8).neighbors(0)
+    from hamext.infinite import hamilton_sequence
+
+    with pytest.raises(InputError, match="299999999 neighbours"):
+        hamilton_sequence(gen_G_inf(10**8), 1)
+
+
+def test_the_neighbour_cache_is_refused_past_its_budget(monkeypatch):
+    # a GZ2 trace read as a GZ10 one: every id lies in fiber 0 or 1, whose
+    # rows hold 29 entries, so the verifier's third row passes a budget of 60
+    from hamext import graphcore
+    from hamext.infinite import SequenceTrace, hamilton_sequence, verify_hc_extract
+
+    obj = hamilton_sequence(gen_G_inf(2), 3).to_json_obj()
+    obj["descriptor"]["params"]["n"] = 10
+    trace = SequenceTrace.from_json_obj(obj)
+    monkeypatch.setattr(graphcore, "MAX_CACHED_NEIGHBORS", 60)
+    with pytest.raises(InputError, match="neighbour cache would hold over 60 entries"):
+        verify_hc_extract(trace)
+    G = gen_G_inf(10)
+    assert len(G.neighbors(0)) + len(G.neighbors(1)) == 58
+    with pytest.raises(InputError, match="over 60 entries"):
+        G.neighbors(2)

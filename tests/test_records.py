@@ -231,3 +231,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["ham", "check"])
+def test_finite_commands_load_no_infinite_construction(tmp_path, command):
+    """ham and check on a finite graph import neither the infinite
+    construction nor the separator structure."""
+    graph = tmp_path / "g.json"
+    graph.write_text(
+        '{"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]}'
+    )
+    args = ["--input", str(graph)] + (["--what", "star"] if command == "check" else [])
+    code = (
+        "import sys; from hamext.cli import main; code = main(sys.argv[1:]); "
+        "print(sorted({'hamext.infinite', 'hamext.structure'} & set(sys.modules))); "
+        "sys.exit(code)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, command, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
