@@ -358,11 +358,11 @@ def star_on_ball(
     a centre that passes with all of its neighbours eligible has been
     checked on every induced path through it, so it passes on every
     later ball and is added.  A centre with ineligible neighbours is
-    checked again next time.  ``fresh``, when given, holds the vertices
-    of the centre ``layers[0]`` that may be missing from ``certified``,
-    so that the rest of the centre is not read.  Skipping certified centres leaves the
+    checked again next time.  Skipping certified centres leaves the
     first failing centre, and so the witness, unchanged, since centres
-    are visited in id order either way.
+    are visited in id order either way.  ``fresh``, when given, holds
+    the vertices of the centre ``layers[0]`` that may be missing from
+    ``certified``, so that the rest of the centre is not read.
 
     The check runs on the ball's closed-twin classes (``B.twins``), as
     check_star does on a finite graph.  An eligible vertex and its

@@ -733,9 +733,9 @@ class Region:
         new_x = set()
         if radius:
             new_x, self._new_x = self._new_x, new_x
-        if len(layers[0]) + len(shell) >> 2 > len(self._interior):
-            # few vertices were interior before: the set difference of
-            # the whole interior, built as it is when most are fresh
+        if (len(layers[0]) + len(shell)) // 4 > len(self._interior):
+            # most of the interior is fresh: its set difference, built as
+            # set difference builds it then
             fresh = set().union(*layers[:radius]) - self._interior
         else:
             fresh = shell.union(new_x) - self._interior
@@ -787,18 +787,16 @@ class Region:
                 row = sets.get(w)
                 if x not in (self.G.neighbors(w) if row is None else row):
                     asymmetric.append((x, w))
-        if asymmetric:
-            d = self.dist.get
-            bad = [
-                (v, w) for v, w in asymmetric
-                if d(v, radius) < radius and d(w, radius) < radius
-            ]
-            if bad:
-                # neighbour tuples are sorted, so adjacency order is id order
-                v, w = min(bad)
-                raise InvariantViolation(
-                    f"neighbor oracle is asymmetric on pair ({v}, {w})"
-                )
+        d = self.dist.get
+        bad = [
+            (v, w) for v, w in asymmetric if d(v, radius) < radius > d(w, radius)
+        ]
+        if bad:
+            # neighbour tuples are sorted, so adjacency order is id order
+            v, w = min(bad)
+            raise InvariantViolation(
+                f"neighbor oracle is asymmetric on pair ({v}, {w})"
+            )
 
     def require_connected(self) -> None:
         """Raise InputError unless X induces a connected subgraph.  Only

@@ -306,16 +306,16 @@ def decompose(
             )
         region.require_connected()
         home, others = _pieces(B, region, script_S)
-        # X's piece, whose smallest member is X's or home's
         own = frozenset().union(X, home)
-        least = min(probe, min(home, default=probe))
+        # each piece with its smallest member; X's is X's or home's
+        pieces = sorted([(min([probe, *home]), own), *((min(p), p) for p in others)])
         finite_pieces = []
         infinite_pieces = []
         ambiguous = False
-        for piece in sorted([own, *others], key=lambda p: least if p is own else min(p)):
+        for least, piece in pieces:
             if not piece & B.frontier:
                 finite_pieces.append(piece)
-            elif G.escapes(script_S, least if piece is own else min(piece)):
+            elif G.escapes(script_S, least):
                 infinite_pieces.append(piece)
             else:
                 ambiguous = True

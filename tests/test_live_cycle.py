@@ -96,11 +96,15 @@ def test_live_cycle_follows_the_cycle_functions(case):
             if done is None:
                 continue
             fresh += 4
-            C, e = done
+            prev, (C, e) = C, done
             if e is None:
                 live.reset(step(live.freeze(), kind, a, b, width, fresh - 4)[0])
             else:
                 live.apply(e)
+            # the step's diff, as canonical pairs, is what separates the cycles
+            removed, added = live.step
+            assert set(removed) == {tuple(sorted(p)) for p in edges_outside(prev, C)}
+            assert set(added) == {tuple(sorted(p)) for p in edges_outside(C, prev)}
         assert live.order == C.order == walk(live)
         assert len(live) == len(C)
         assert all(live.pred(v) == C.pred(v) for v in C.order)

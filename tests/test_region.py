@@ -18,6 +18,7 @@ import pytest
 
 import hamext
 import hamext.infinite as infinite
+import hamext.structure as structure
 from hamext.conditions import _claw_at, claw_free_on_ball
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.extension import (
@@ -33,6 +34,7 @@ from hamext.graphcore import (
     Cycle,
     LazyGraph,
     Region,
+    TwinClasses,
     ball,
     canonical_edge,
 )
@@ -590,3 +592,70 @@ def test_iteration_lines_do_not_grow_with_the_cycle(monkeypatch, n):
     # across iterations and its order spliced, GZn's translation-periodic
     # iterations run the same lines at every depth
     assert l23 == l5
+
+
+def _ball_work_per_enlarge(monkeypatch, n, depth):
+    """Per iteration: the centres the claw scan is handed, the centres
+    of the star scan's centre layer it may read (``fresh``) with its
+    eligible shell, and for each Region.ball call the vertices it takes
+    as interior for the first time, the vertices new to the ball, the
+    frontier rows it writes, and whether the ball's tables are the
+    region's own rather than copies."""
+    work = []
+    enlarge, ball, add = infinite._RunState.enlarge, Region.ball, TwinClasses.add
+    claw, star = structure.claw_free_on_ball, infinite.star_on_ball
+
+    def counting_enlarge(self, C):
+        work.append(Counter())
+        return enlarge(self, C)
+
+    def counting_ball(self, radius):
+        before = len(self._adj) if radius == self.radius else 0
+        B = ball(self, radius)
+        if work:
+            w = work[-1]
+            w["new"] += len(B.adj) - before
+            w["frontier"] += len(B.frontier)
+            w["own"] += (
+                B.adj is self._adj
+                and B._adjsets is self._sets
+                and B.vertex_set is self._members
+            )
+        return B
+
+    def counting_add(self, vertices):
+        if work:
+            work[-1]["fresh"] += len(vertices)
+        return add(self, vertices)
+
+    def counting_claw(B, centers, certified=None):
+        centers = list(centers)
+        if work:
+            work[-1]["claw"] += len(centers)
+        return claw(B, centers, certified)
+
+    def counting_star(B, layers, limit, certified, fresh=None):
+        if work:
+            shell = sum(map(len, layers[1 : limit + 1]))
+            work[-1]["star"] += len(fresh) + shell
+        return star(B, layers, limit, certified, fresh)
+
+    monkeypatch.setattr(infinite._RunState, "enlarge", counting_enlarge)
+    monkeypatch.setattr(Region, "ball", counting_ball)
+    monkeypatch.setattr(TwinClasses, "add", counting_add)
+    monkeypatch.setattr(structure, "claw_free_on_ball", counting_claw)
+    monkeypatch.setattr(infinite, "star_on_ball", counting_star)
+    trace = hamilton_sequence(gen_G_inf(n), depth)
+    return work, [len(C) for C in trace.cycles]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_work_does_not_grow_with_the_cycle(monkeypatch, n):
+    # the ball checks are handed only the centres that may be left, and
+    # a ball is built from what changed around the cycle: no set, dict
+    # or tuple over the whole cycle or ball is built or copied, so these
+    # counts are the same at every depth of GZn
+    work, sizes = _ball_work_per_enlarge(monkeypatch, n, 24)
+    assert sizes[23] > 3 * sizes[5]
+    assert work[23] == work[5]
+    assert work[5]["own"] == 1 and work[5]["claw"] and work[5]["star"]
