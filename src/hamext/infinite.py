@@ -186,9 +186,9 @@ class _RunCycle(LiveCycle):
     lies on the path that replaced a lost edge of base, and each lost
     pair is as base walks it; ``order`` is then base's order with those
     paths spliced in, not a walk.  The splice also lists the gained
-    pairs in the order the cycle walks them (``walked``) and the
-    positions of the vertices it placed, which are where the next
-    enlargement, started at this cycle, finds its lost edges.
+    pairs in the order the cycle walks them (``walked``), and the
+    positions of the vertices it placed, where the next enlargement
+    finds its lost edges.
     """
 
     __slots__ = ("_pred", "base", "base_vertices", "gained", "lost", "kept",
@@ -207,7 +207,7 @@ class _RunCycle(LiveCycle):
     def start(self, C: Cycle) -> None:
         """Start an empty ledger at C, which is this cycle frozen."""
         # the positions the last splice placed are C's when C is its result
-        self._at = self._placed if C.order is self._order else {}
+        self._at = self._placed if self.kept and C.order is self._order else {}
         if self.kept:
             # kinds I and II only add vertices
             self.base_vertices.update(self.new_vertices())
@@ -221,15 +221,7 @@ class _RunCycle(LiveCycle):
 
     @property
     def order(self) -> tuple[int, ...]:
-        if self._order is None:
-            if not self.kept:
-                order = LiveCycle.order.fget(self)
-                self._placed = {}
-                self.walked = [
-                    p for p in zip(order, order[1:] + order[:1])
-                    if canonical_edge(*p) in self.gained
-                ]
-                return order
+        if self._order is None and self.kept:
             succ, placed, walked = self._succ, {}, []
             cuts = []
             for a, b in self.lost.values():
@@ -250,7 +242,7 @@ class _RunCycle(LiveCycle):
             parts.append(rest)
             order = tuple(chain.from_iterable(parts))
             self._order, self._placed, self.walked = order, placed, walked
-        return self._order
+        return LiveCycle.order.fget(self)
 
     def freeze(self) -> Cycle:
         """The cycle as a Cycle; while ``kept`` its order is spliced
@@ -312,8 +304,6 @@ class _RunCycle(LiveCycle):
         LiveCycle.__init__(self, C)
         self._pred_from(C.order)
         self.kept = False
-        # walked and the order are read off a walk of C
-        self._order = None
 
     def rank(self, v: int):
         """A key that orders the vertices as ``order`` does.  While
@@ -1421,7 +1411,7 @@ class _RunState:
         off V(C), and the live cycle starts from C."""
         region, live = self.region, self.live
         if live is not None and C is self.last:
-            walked = live.walked
+            walked = live.walked if live.kept else None
             region.grow(live.new_vertices())
         else:
             walked = None
