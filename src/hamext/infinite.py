@@ -36,12 +36,13 @@ centre certified once is never checked again.  The run keeps one live
 cycle across its iterations and freezes it once per iteration for the
 trace; the ledger of what an enlargement gained and lost is what the
 next one grows the region by and checks for edges in G, and each end's
-ray walk resumes where it stopped.  No step of an iteration walks all
-of V(C) or the ball's interior in Python: whole-set work is done by
-set, dict and tuple operations (the frozen cycle's order, vertex set
-and index among them), and Python loops run over what the cycle gained, the
-ball's frontier and the shell between V(C) and the frontier, so an
-iteration's cost does not grow with |C| beyond those operations.
+ray walk resumes where it stopped.  No step of an iteration walks,
+copies or sets apart all of V(C) or the ball, in Python or at C
+speed: its loops and set operations run over what the cycle gained,
+the ball's frontier and the shell between V(C) and the frontier, so
+an iteration costs the same at every depth but for the two copies the
+trace keeps, the new cycle's order and K0, and the tables of a ball
+whose radius changed.
 """
 
 from __future__ import annotations
