@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 
 from .conditions import check_star
 from .errors import InputError, InvariantViolation
-from .graphcore import Cycle, Edge, FiniteGraph, LazyGraph, Record, verify_cycle
+from .graphcore import Cycle, FiniteGraph, LazyGraph, Record, verify_cycle
 
 Graph = FiniteGraph | LazyGraph
 
@@ -130,7 +130,6 @@ class LiveCycle:
     ``order``); find_extension reads the successor map itself, as it
     reads a Cycle's vertex set.  ``order`` is walked from ``head`` on demand
     and cached until the next rewiring; freeze() returns it as a Cycle.
-    apply() returns the edges a rewiring swapped.
     """
 
     __slots__ = ("head", "_succ", "_order")
@@ -168,12 +167,10 @@ class LiveCycle:
     def freeze(self) -> Cycle:
         return Cycle(self.order)
 
-    def apply(self, e: Extension) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    def apply(self, e: Extension) -> None:
         """Rewire in place according to e, after the structural checks
-        of _check_rewiring, and return the cycle edges it removed and
-        added, each as a pair (a, b) with b the successor of a before or
-        after.  Kinds I and II keep the head; kind III makes the target
-        the head and reverses the arc u+ .. y.
+        of _check_rewiring.  Kinds I and II keep the head; kind III
+        makes the target the head and reverses the arc u+ .. y.
         """
         v, u, succ = e.target, e.u, self._succ
         _check_rewiring(e, succ, succ.__getitem__)
@@ -181,25 +178,21 @@ class LiveCycle:
         self._order = None
         if e.kind == "I":
             succ[u], succ[v] = v, up
-            return ((u, up),), ((u, v), (v, up))
-        if e.kind == "II":
-            x = e.x
-            succ[u], succ[v], succ[x] = v, x, up
-            return ((u, up),), ((u, v), (v, x), (x, up))
-        # u v y .. u+ y+ .. u: point each arc vertex back at its
-        # predecessor, u+ at y+
-        y = e.y
-        yp = succ[y]
-        prev, w = yp, up
-        while True:
-            nxt = succ[w]
-            succ[w] = prev
-            if w == y:
-                break
-            prev, w = w, nxt
-        succ[u], succ[v] = v, y
-        self.head = v
-        return ((u, up), (y, yp)), ((u, v), (v, y), (up, yp))
+        elif e.kind == "II":
+            succ[u], succ[v], succ[e.x] = v, e.x, up
+        else:
+            y = e.y
+            # u v y .. u+ y+ .. u: point each arc vertex back at its
+            # predecessor, u+ at y+
+            prev, w = succ[y], up
+            while True:
+                nxt = succ[w]
+                succ[w] = prev
+                if w == y:
+                    break
+                prev, w = w, nxt
+            succ[u], succ[v] = v, y
+            self.head = v
 
 
 def _check_rewiring(e: Extension, on, succ) -> None:

@@ -172,10 +172,11 @@ class _RunCycle(LiveCycle):
     cycle: ``gained`` holds the edges it has and ``base`` lacks, as
     canonical pairs, and ``lost`` maps each edge of ``base`` it lacks to
     the pair as it was removed, so an edge added and then removed
-    cancels out.  apply() feeds both, and ``step``, the canonical edges
-    the step removed and added, from the one diff LiveCycle.apply
-    returns: O(1) work for kinds I and II; kind III also walks the
-    reversed arc, as LiveCycle.apply does.  The cold branches of the
+    cancels out.  apply() reads the edges a step swaps once, before
+    LiveCycle.apply rewires, and feeds both and ``step``, the canonical
+    edges the step removed and added, from that one diff: O(1) work for
+    kinds I and II; kind III also walks the reversed arc, as
+    LiveCycle.apply does.  The cold branches of the
     construction freeze it, run the Cycle functions and reset() it to
     their result.
 
@@ -264,14 +265,25 @@ class _RunCycle(LiveCycle):
             raise InputError(f"vertex {v} not on cycle") from None
 
     def apply(self, e: Extension) -> None:
-        removed, added = super().apply(e)
+        # the edges the step swaps, each as a pair (a, b) with b the
+        # successor of a before or after; LiveCycle.apply checks e
+        u, v, succ = e.u, e.target, self._succ
+        up = succ.get(u)
+        if e.kind == "I":
+            removed, added = ((u, up),), ((u, v), (v, up))
+        elif e.kind == "II":
+            removed, added = ((u, up),), ((u, v), (v, e.x), (e.x, up))
+        else:
+            y, yp = e.y, succ.get(e.y)
+            removed, added = ((u, up), (y, yp)), ((u, v), (v, y), (up, yp))
+        super().apply(e)
         pred = self._pred
         for a, b in added:
             pred[b] = a
         if e.kind == "III":
             self.kept = False
             # the arc now runs from y back to u+
-            succ, up, w = self._succ, added[2][0], e.y
+            w = y
             while w != up:
                 pred[succ[w]] = w
                 w = succ[w]

@@ -238,21 +238,27 @@ def test_iter_extensions_matches_rescan_loop_through_kind_three():
     assert "III" in kinds and "II" in kinds
 
 
-def test_apply_returns_the_edge_swap():
-    # removed and added edges, oriented along the cycle after the step,
-    # are exactly what separates consecutive edge sets
+def test_run_cycle_step_is_the_edge_swap():
+    # the edges the infinite run's live cycle reads off each step, as
+    # the finite loop takes them through all three kinds, are exactly
+    # what separates consecutive edge sets; each lost edge keeps its
+    # orientation on the start cycle, and the predecessors follow
+    from hamext.infinite import _RunCycle
+
     G = relabelled_G(40, 3, seed=27)
-    prev = find_initial_cycle(G)
-    replay = LiveCycle(prev)
+    prev = start = find_initial_cycle(G)
+    replay = _RunCycle(start)
     kinds = set()
     for e, live in iter_extensions(G, prev):
-        removed, added = replay.apply(e)
+        replay.apply(e)
+        removed, added = replay.step
         C = live.freeze()
         assert replay.order == C.order
-        assert all(C.succ(a) == b for a, b in added)
-        assert {canonical_edge(*p) for p in removed} == edge_set(prev) - edge_set(C)
-        assert {canonical_edge(*p) for p in added} == edge_set(C) - edge_set(prev)
-        assert all(prev.succ(a) == b for a, b in removed)
+        assert all(replay.pred(C.succ(v)) == v for v in C.order)
+        assert set(removed) == edge_set(prev) - edge_set(C)
+        assert set(added) == edge_set(C) - edge_set(prev)
+        if replay.kept:
+            assert all(start.succ(a) == b for a, b in replay.lost.values())
         kinds.add(e.kind)
         prev = C
     assert kinds == {"I", "II", "III"}
