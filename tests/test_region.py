@@ -7,6 +7,7 @@ the first failure of each incremental check, with its message and
 context.  The flatness test counts the Python lines one iteration runs.
 """
 
+import operator
 import os
 import random
 import sys
@@ -277,6 +278,25 @@ def test_symmetry_check_names_the_whole_ball_pair(shape):
                 break
         outcomes[got[0]] += 1
     assert outcomes["raise"] > 20 and outcomes["ok"] > 0
+
+
+def test_a_ball_still_held_keeps_its_tables():
+    # the region updates its ball's tables in place only when nothing
+    # holds the last ball; a ball still held is left as it was
+    G = gen_G_inf(3)
+    X = fiber_vertices(G.descriptor, 0)
+    region = Region(G, X)
+    held = region.ball(3)
+    region.grow(fiber_vertices(G.descriptor, 1))
+    B = region.ball(3)
+    assert held == reference_ball(G, X, 3)[0] and held.adj is not B.adj
+    assert B == reference_ball(G, region.layers[0], 3)[0]
+    tables = B.adj, B._adjsets, B.vertex_set
+    del B
+    region.grow(fiber_vertices(G.descriptor, -1))
+    B = region.ball(3)
+    assert all(map(operator.is_, (B.adj, B._adjsets, B.vertex_set), tables))
+    assert B == reference_ball(G, region.layers[0], 3)[0]
 
 
 def test_region_refuses_past_its_neighbour_budget(monkeypatch):
