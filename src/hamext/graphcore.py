@@ -616,7 +616,8 @@ class Region:
     time.  ``radius`` is the radius of the last ball handed out.  Per
     call, work is bounded by what X gained and by the shell of layers
     between X and the frontier, not by the size of X: no pass, Python
-    or set operation, runs over X or the whole ball.
+    or set operation, runs over X or the whole ball, but for a ball at
+    a new radius or one whose tables are copied.
     """
 
     def __init__(self, G: GraphLike, X: Iterable[int]) -> None:

@@ -173,10 +173,10 @@ class _RunCycle(LiveCycle):
     canonical pairs, and ``lost`` maps each edge of ``base`` it lacks to
     the pair as it was removed, so an edge added and then removed
     cancels out.  apply() reads the edges a step swaps once, before
-    LiveCycle.apply rewires, and feeds both and ``step``, the canonical
-    edges the step removed and added, from that one diff: O(1) work for
-    kinds I and II; kind III also walks the reversed arc, as
-    LiveCycle.apply does.  The cold branches of the
+    LiveCycle.apply rewires, and feeds the predecessors, the ledger and
+    ``step``, the canonical edges the step removed and added, from that
+    one diff: O(1) work for kinds I and II; kind III also walks the
+    reversed arc, as LiveCycle.apply does.  The cold branches of the
     construction freeze it, run the Cycle functions and reset() it to
     their result.
 
