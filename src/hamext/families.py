@@ -243,13 +243,18 @@ def _make_double_ray_family(
         return near[:at] + near[at + 1 :]
 
     def escapes(blocked: frozenset[int], v: int) -> bool:
-        # the fiber-count rule of the module docstring
+        # the fiber-count rule of the module docstring; each blocked id
+        # is decoded inline, and one that decode refuses is handed to
+        # it, in the set's order, for its message
         f, _ = decode(v)
         if not blocked:
             return True
         counts: dict[int, int] = {}
         for b in blocked:
-            g = decode(b)[0]
+            z, i = divmod(b, width)
+            g = (z >> 1) ^ -(z & 1)  # unzigzag(z)
+            if b < 0 or i >= fiber_size(g):
+                decode(b)
             counts[g] = counts.get(g, 0) + 1
         full = [g for g, c in counts.items() if c == fiber_size(g)]
         return not (any(g < f for g in full) and any(g > f for g in full))

@@ -741,6 +741,8 @@ class Region:
         else:
             fresh = shell.union(new_x) - self._interior
         self._interior |= fresh
+        # in id order, so the oracle's first calls come in that order
+        fresh = sorted(fresh)
         self.twins.add(fresh)
         self._check_symmetry(fresh, radius)
         dist, outer = self.dist, radius + 1
@@ -773,14 +775,14 @@ class Region:
         self._handed = weakref.ref(B)
         return B
 
-    def _check_symmetry(self, fresh: set[int], radius: int) -> None:
+    def _check_symmetry(self, fresh: list[int], radius: int) -> None:
         """Raise at the first pair (v, w) interior to the ball of
         ``radius``, in id and adjacency order, where v lists w but w does
         not list v: the pair a whole-ball scan names.  Each vertex's list
         is compared with its neighbours' once, when it is first interior
-        (it is in ``fresh``); the asymmetric pairs found are kept, and
-        raised once both ends are interior in one ball, which a smaller
-        radius than before may delay.  A neighbour's list is read as its
+        (it is in ``fresh``, in id order); the asymmetric pairs found are
+        kept, and raised once both ends are interior in one ball, which a
+        smaller radius than before may delay.  A neighbour's list is read as its
         set when the region holds it, so a pair costs O(1)."""
         nbrs, sets, asymmetric = self.nbrs, self.sets, self._asymmetric
         for x in fresh:
@@ -896,6 +898,15 @@ def dumps_json(obj: object) -> str:
     return _dumps_at(obj, "\n")
 
 
+def _ids_format(n: int, nl: str) -> str:
+    """The %-format of a list of n plain ints as :func:`dumps_json`
+    writes it where each line starts with ``nl``."""
+    if not n:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("%d," + inner) * (n - 1) + "%d" + nl + "]"
+
+
 def _dumps_at(x: object, nl: str) -> str:
     """``x`` encoded as if nested where each line starts with ``nl``."""
     t = type(x)
@@ -906,11 +917,10 @@ def _dumps_at(x: object, nl: str) -> str:
     if t is list or t is tuple:
         if not x:
             return "[]"
-        inner = nl + " "
         if set(map(type, x)) == {int}:
             # one format for the whole list, not a call per item
-            body = ("%d," + inner) * (len(x) - 1) + "%d"
-            return "[" + inner + body % tuple(x) + nl + "]"
+            return _ids_format(len(x), nl) % tuple(x)
+        inner = nl + " "
         items = [_dumps_at(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict and set(map(type, x)) <= {str}:

@@ -69,11 +69,12 @@ from .graphcore import (
     LazyGraph,
     Record,
     Region,
+    _dumps_at,
+    _ids_format,
     ball,
     canonical_edge,
     cycle_from_json_obj,
     cycle_to_json_obj,
-    dumps_json,
     ids_from_json_obj,
     neighborhood_k,
 )
@@ -81,6 +82,7 @@ from .structure import (
     BALL_MARGIN,
     SeparatorDecomposition,
     component_membership,
+    component_walk,
     decompose,
     minimal_ray_blocker,
     require_claw_free,
@@ -399,9 +401,6 @@ class CutWitness(Record):
         self.excluded = excluded
         self.crossing_edges = crossing_edges
 
-    def membership(self, in_component) -> "_Membership":
-        return _Membership(self.included, self.excluded, in_component)
-
     def to_json_obj(self) -> dict:
         return {
             "j": self.j,
@@ -433,18 +432,49 @@ class CutWitness(Record):
             raise InputError(f"malformed cut witness: {exc}") from None
 
 
-class _Membership:
-    """Callable deciding v in M given a component membership test."""
+def _witness_format(edges: tuple[int, ...], *sizes: int) -> str:
+    """The %-format of a witness inside a trace, given the length of
+    each crossing edge and of its sorted excluded, included, part and
+    piece lists; j takes the fourth place."""
+    nl = "\n    "
+    inner = nl + " "
+    crossing = "[]"
+    if edges:
+        rows = ("," + inner).join(_ids_format(k, inner) for k in edges)
+        crossing = "[" + inner + rows + nl + "]"
+    excluded, included, part, piece = (_ids_format(k, nl) for k in sizes)
+    return (
+        f'{{{nl}"crossing_edges": {crossing},{nl}"excluded": {excluded},'
+        f'{nl}"included": {included},{nl}"j": %d,{nl}"part": {part},'
+        f'{nl}"piece": {piece}\n   }}'
+    )
 
-    def __init__(self, included, excluded, in_component) -> None:
-        self.included = included
-        self.excluded = excluded
-        self.in_component = in_component
 
-    def __call__(self, v: int) -> bool:
-        if v in self.excluded:
-            return False
-        return v in self.included or self.in_component(v)
+def _witnesses_json(witnesses) -> str:
+    """The text ``dumps_json`` writes for a trace's witness lists as a
+    top-level value, one format per witness.  A witness holding
+    anything but plain ints is written by ``dumps_json`` from its JSON
+    object, so the text is exact either way."""
+    formats: dict[tuple, str] = {}
+
+    def text(w: CutWitness) -> str:
+        edges = w.crossing_edges
+        lists = sorted(w.excluded), sorted(w.included), sorted(w.part), sorted(w.piece)
+        exc, inc, part, piece = lists
+        values = (*chain.from_iterable(edges), *exc, *inc, w.j, *part, *piece)
+        if set(map(type, values)) != {int}:
+            return _dumps_at(w.to_json_obj(), "\n   ")
+        shape = (tuple(map(len, edges)), *map(len, lists))
+        fmt = formats.get(shape)
+        if fmt is None:
+            fmt = formats[shape] = _witness_format(*shape)
+        return fmt % values
+
+    rows = [
+        "[\n   " + ",\n   ".join(map(text, per_i)) + "\n  ]" if per_i else "[]"
+        for per_i in witnesses
+    ]
+    return "[\n  " + ",\n  ".join(rows) + "\n ]" if rows else "[]"
 
 
 class SequenceTrace(Record):
@@ -481,7 +511,8 @@ class SequenceTrace(Record):
     def depth(self) -> int:
         return len(self.blockers)
 
-    def to_json_obj(self) -> dict:
+    def _json_fields(self) -> dict:
+        """The JSON object of the trace but its witnesses."""
         return {
             "descriptor": self.descriptor,
             "depth": self.depth,
@@ -489,16 +520,28 @@ class SequenceTrace(Record):
             "blockers": [sorted(b) for b in self.blockers],
             "ks": list(self.ks),
             "k0s": [sorted(p) for p in self.k0s],
-            "witnesses": [
-                [w.to_json_obj() for w in per_i] for per_i in self.witnesses
-            ],
             "end_selectors": {
                 name: list(sel) for name, sel in sorted(self.end_selectors.items())
             },
         }
 
+    def to_json_obj(self) -> dict:
+        obj = self._json_fields()
+        obj["witnesses"] = [
+            [w.to_json_obj() for w in per_i] for per_i in self.witnesses
+        ]
+        return obj
+
     def to_json(self) -> str:
-        return dumps_json(self.to_json_obj())
+        """Exactly ``dumps_json(self.to_json_obj())``, joined once from
+        its parts; each witness is written straight from its record."""
+        obj = self._json_fields()
+        parts = ["{"]
+        for key in sorted(obj):
+            parts += ('\n "', key, '": ', _dumps_at(obj[key], "\n "), ",")
+        # "witnesses" sorts after every other key
+        parts += ('\n "witnesses": ', _witnesses_json(self.witnesses), "\n}")
+        return "".join(parts)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SequenceTrace":
@@ -1523,9 +1566,10 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 
 def _cycle_steps(
     cycles, G: LazyGraph | None = None
-) -> tuple[list[set[Edge]], list[tuple[set[Edge], set[Edge]]]]:
-    """Every cycle's edge set, and the edges each step C_i -> C_{i+1}
-    gains and loses, from one successor map per cycle.
+) -> tuple[list[set[Edge]], list[tuple[set[Edge], set[Edge]]], int | None]:
+    """Every cycle's edge set, the edges each step C_i -> C_{i+1} gains
+    and loses, and the first step i whose C_{i+1} lacks a vertex of C_i
+    (None if no step drops one), from one successor map per cycle.
 
     The pairs (u, v) that C_{i+1} walks and C_i does not are found by
     looking each pair up in C_i's map at C speed.  C_i's pairs that
@@ -1543,6 +1587,7 @@ def _cycle_steps(
     """
     edge_sets: list[set[Edge]] = []
     steps: list[tuple[set[Edge], set[Edge]]] = []
+    dropped = None
     prev: dict[int, int] = {}
     for idx, C in enumerate(cycles):
         order = C.order
@@ -1562,6 +1607,8 @@ def _cycle_steps(
             old = [(u, prev[u]) for u, _ in new if u in prev]
             if not prev.keys() <= succ.keys():
                 old += [(u, w) for u, w in prev.items() if u not in succ]
+                if dropped is None:
+                    dropped = idx - 1
             lost = {(u, w) if u <= w else (w, u) for u, w in old}
             gained, lost = gained - lost, lost - gained
             E = set(edge_sets[-1])
@@ -1572,7 +1619,7 @@ def _cycle_steps(
         else:
             edge_sets.append(gained)
         prev = succ
-    return edge_sets, steps
+    return edge_sets, steps, dropped
 
 
 def first_persistence_failure(
@@ -1673,14 +1720,32 @@ def _trace_graph(trace: SequenceTrace, G: LazyGraph | None) -> LazyGraph:
 
 
 def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
-    """Membership test for M at iteration i, part j, plus the bare
-    component test (both as callables)."""
+    """Membership test for M at iteration i, part j, the bare component
+    test (both as callables), and the vertices M's test knows to be in M.
+
+    M is (K_j with ``included`` added) minus ``excluded``, and K_j is
+    the component of G - blocker that meets the piece.  A vertex in
+    included - excluded or piece - blocker - excluded is in M; one in
+    excluded or blocker - included is not, nor is one in K0 or another
+    piece, which are consulted in place; any other vertex is decided by
+    the component's walk."""
     per_i = trace.witnesses[i]
-    w = per_i[j]
-    # K0 and the other pieces lie outside, and are consulted in place
+    w, blocker = per_i[j], trace.blockers[i]
     foreign = [trace.k0s[i], *(o.piece for jj, o in enumerate(per_i) if jj != j)]
-    in_component = component_membership(G, trace.blockers[i], w.piece, foreign)
-    return w.membership(in_component), in_component
+    in_component = component_membership(G, blocker, w.piece, foreign)
+    walk = component_walk(G, blocker, w.piece, foreign)
+    inside = (w.included | w.piece - blocker) - w.excluded
+    known_out = (w.excluded | blocker - w.included, *foreign)
+
+    def member(v: int) -> bool:
+        if v in inside:
+            return True
+        for out in known_out:
+            if v in out:
+                return False
+        return walk(v)
+
+    return member, in_component, inside
 
 
 def _blocker_failure(G: LazyGraph, trace: SequenceTrace, i: int) -> str | None:
@@ -1707,9 +1772,12 @@ def _coverage_failure(G: LazyGraph, trace: SequenceTrace) -> str | None:
     """Why some cycle C_{i+1} misses a vertex of blocker_i, K0_i or
     N^3(blocker_i), or None when every cycle covers all three."""
     for i, S in enumerate(trace.blockers):
-        needed = S | trace.k0s[i] | neighborhood_k(G, S, 3)
-        missing = sorted(needed - trace.cycles[i + 1].vertex_set)
-        if missing:
+        K0, N3 = trace.k0s[i], neighborhood_k(G, S, 3)
+        V = trace.cycles[i + 1].vertex_set
+        # K0 is about as large as the cycle: no union is built for it
+        # unless something is missing
+        if not (S <= V and K0 <= V and N3 <= V):
+            missing = sorted((S | K0 | N3) - V)
             return (
                 f"cycle {i + 1} misses {missing[:6]} of the blocker, K0 and "
                 f"third neighbourhood of iteration {i + 1}"
@@ -1744,16 +1812,16 @@ def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
     return frozenset(edges)
 
 
-def _vertex_persistence(trace: SequenceTrace) -> ConditionReport:
+def _vertex_persistence(trace: SequenceTrace, dropped: int | None) -> ConditionReport:
     """Once on a cycle, on every later cycle; then the last cycle holds
-    every vertex reached."""
-    for i in range(trace.depth):
-        here, after = trace.cycles[i].vertex_set, trace.cycles[i + 1].vertex_set
-        if not here <= after:
-            lost = sorted(here - after)
-            return ConditionReport(
-                False, f"vertices {lost[:6]} fell out of cycle {i + 1}"
-            )
+    every vertex reached.  ``dropped`` is the first step i whose cycle
+    C_{i+1} lacks a vertex of C_i, as :func:`_cycle_steps` finds it."""
+    if dropped is not None:
+        here = trace.cycles[dropped].vertex_set
+        lost = sorted(here - trace.cycles[dropped + 1].vertex_set)
+        return ConditionReport(
+            False, f"vertices {lost[:6]} fell out of cycle {dropped + 1}"
+        )
     return ConditionReport(
         True, f"{len(trace.cycles[-1])} vertices reached, monotone"
     )
@@ -1767,14 +1835,14 @@ def _finite_cuts(
     check; of several failing witnesses the last is reported."""
     if failure:
         return ConditionReport(False, failure)
-    for (i, j), (_, _, cut) in reversed(cuts.items()):
+    for (i, j), (*_, cut) in reversed(cuts.items()):
         if not set(trace.witnesses[i][j].crossing_edges) <= cut:
             return ConditionReport(
                 False,
                 f"stored crossing edges of iteration {i + 1} part {j} "
                 "are not boundary edges",
             )
-    sizes = sorted({len(cut) for _, _, cut in cuts.values()})
+    sizes = sorted({len(entry[-1]) for entry in cuts.values()})
     return ConditionReport(True, f"all {len(cuts)} cuts explicit, sizes {sizes}")
 
 
@@ -1789,8 +1857,8 @@ def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionRe
         for i in range(d - 1):
             fi, fn = sel[i], sel[i + 1]
             w_next = trace.witnesses[i + 1][fn]
-            member_next = cuts[(i + 1, fn)][0]
-            member_here, in_comp_here, _ = cuts[(i, fi)]
+            member_next, _, inside_next, _ = cuts[(i + 1, fn)]
+            member_here, in_comp_here, inside_here, _ = cuts[(i, fi)]
             rep = min(w_next.piece)
             if not in_comp_here(rep):
                 return ConditionReport(
@@ -1822,8 +1890,13 @@ def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionRe
                     f"end {name!r}: next M set reaches the separator "
                     f"neighbourhood at {touching[:4]}",
                 )
-            sample = sorted(w_next.piece | w_next.included)
-            broken = [v for v in sample if member_next(v) and not member_here(v)]
+            # a vertex of the next witness's piece or additions is in
+            # M_{i+2} exactly when it is one of its known members; of
+            # those, M_{i+1} is asked about the ones it does not know as
+            # members, in ascending order, and walks for the ones in none
+            # of its sets
+            fresh = sorted(inside_next - inside_here)
+            broken = [v for v in fresh if not member_here(v)]
             if broken:
                 return ConditionReport(
                     False,
@@ -1850,7 +1923,7 @@ def _edge_persistence(trace: SequenceTrace, edge_sets, steps) -> ConditionReport
 def _cut_agreement(trace: SequenceTrace, edge_sets, cuts: dict) -> ConditionReport:
     """Every later cycle crosses each frozen cut in the same two edges."""
     checked = 0
-    for (p, j), (_, _, cut) in cuts.items():
+    for (p, j), (*_, cut) in cuts.items():
         base = edge_sets[p + 1] & cut
         if len(base) != 2 or base != set(trace.witnesses[p][j].crossing_edges):
             return ConditionReport(
@@ -1879,27 +1952,33 @@ def verify_hc_extract(
     the construction is consulted.  Infinite set relations are rendered
     finitely: component containments reduce to one representative plus
     disjointness from the finitely many relevant vertices, and every
-    cut is materialized through :func:`_explicit_cut`.
+    cut is materialized through :func:`_explicit_cut`.  Each M set is
+    asked through one test built from its witness's own sets, the
+    blocker, K0 and the other pieces (:func:`_witness_membership`); a
+    vertex in none of them is walked to.  The nesting check asks M_i
+    only about the known members of M_{i+1} that are not known members
+    of M_i, so it walks only where the trace is silent.
     """
     G = _trace_graph(trace, G)
     d = trace.depth
     if d < 1:
         raise InputError("trace has no iterations to verify")
 
-    edge_sets, steps = _cycle_steps(trace.cycles, G)
+    edge_sets, steps, dropped = _cycle_steps(trace.cycles, G)
     # the blocker ids are known vertices once they passed, so coverage
     # runs only then; every cut is materialized after both, into one
-    # (i, j) -> (M membership, component test, explicit cut) map
+    # (i, j) -> (M membership, component test, M's known members,
+    # explicit cut) map
     failure = next(
         filter(None, (_blocker_failure(G, trace, i) for i in range(d))), None
     ) or _coverage_failure(G, trace)
     cuts = {}
     for i in range(d):
         for j, w in enumerate(trace.witnesses[i]):
-            member, in_component = _witness_membership(G, trace, i, j)
-            cuts[(i, j)] = member, in_component, _explicit_cut(G, w, member)
+            member, in_component, inside = _witness_membership(G, trace, i, j)
+            cuts[(i, j)] = member, in_component, inside, _explicit_cut(G, w, member)
     return HCExtractVerdict(
-        vertex_persistence=_vertex_persistence(trace),
+        vertex_persistence=_vertex_persistence(trace, dropped),
         finite_cuts=_finite_cuts(trace, cuts, failure),
         nested_msets=_nested_msets(G, trace, cuts),
         edge_persistence=_edge_persistence(trace, edge_sets, steps),
@@ -1917,7 +1996,7 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
     loses, not off the whole edge sets.
     """
     wset = frozenset(window)
-    edge_sets, steps = _cycle_steps(trace.cycles)
+    edge_sets, steps, _ = _cycle_steps(trace.cycles)
     failure = _persistence_failure(edge_sets, steps)
     if failure is not None:
         raise InvariantViolation(

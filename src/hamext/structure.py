@@ -102,15 +102,12 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
 
     ``foreign`` is a sequence of sets, each consulted in place: none is
     copied or merged, so a caller may pass large sets it already holds.
-    A query outside the known sets walks toward them and answers from
-    the first one it reaches.  The walk is capped at
-    ``HAMEXT_BALL_RADIUS_MAX`` rings, read once here, so a query far
-    from both sets fails fast instead of looping.
+    A query outside the known sets runs :func:`component_walk`.
     """
     blocker = frozenset(blocker)
     home = frozenset(home)
     foreign = tuple(foreign)
-    cap = _ball_radius_cap()
+    walk = component_walk(G, blocker, home, foreign)
 
     def member(v: int) -> bool:
         if v in blocker:
@@ -120,13 +117,32 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
         for out in foreign:
             if v in out:
                 return False
-        seen = {v}
+        return walk(v)
+
+    return member
+
+
+def component_walk(G: LazyGraph, blocker, home, foreign):
+    """The search behind :func:`component_membership`, for a vertex in
+    none of ``blocker``, ``home`` and the ``foreign`` sets: it walks
+    G - blocker ring by ring, in ascending id order within a ring, and
+    answers from the first known set it reaches.  The walk is capped at
+    ``HAMEXT_BALL_RADIUS_MAX`` rings, read once here, so a query far
+    from every known set fails fast instead of looping.
+    """
+    neighbors = G.neighbors
+    cap = _ball_radius_cap()
+
+    def walk(v: int) -> bool:
+        # the blocker is never entered, so it starts as seen
+        seen = set(blocker)
+        seen.add(v)
         ring = [v]
         for _ in range(cap):
             nxt = []
             for u in ring:
-                for w in G.neighbors(u):
-                    if w in blocker or w in seen:
+                for w in neighbors(u):
+                    if w in seen:
                         continue
                     if w in home:
                         return True
@@ -142,7 +158,7 @@ def component_membership(G: LazyGraph, blocker, home, foreign):
             f"component membership query for {v} exceeded the search cap {cap}"
         )
 
-    return member
+    return walk
 
 
 class ComponentHandle:

@@ -485,6 +485,76 @@ def test_fiber_count_escape_edge_cases():
         gen_H_inf(2).escapes(frozenset({6}), 0)  # inner 2 of a 2-vertex fiber
 
 
+def frozen_decode_escapes(fiber_size, width):
+    """The double-ray escape oracle as it was before it decoded blocked
+    ids inline: one decode call per id, counted per fiber."""
+
+    def decode(v):
+        if v < 0:
+            raise InputError(f"invalid vertex id {v}")
+        f = unzigzag(v // width)
+        i = v % width
+        if i >= fiber_size(f):
+            raise InputError(f"invalid vertex id {v} (inner index out of range)")
+        return f, i
+
+    def escapes(blocked, v):
+        f, _ = decode(v)
+        if not blocked:
+            return True
+        counts = {}
+        for b in blocked:
+            g = decode(b)[0]
+            counts[g] = counts.get(g, 0) + 1
+        full = [g for g, c in counts.items() if c == fiber_size(g)]
+        return not (any(g < f for g in full) and any(g > f for g in full))
+
+    return escapes
+
+
+@pytest.mark.parametrize(
+    "make, n", [(gen_G_inf, 2), (gen_G_inf, 3), (gen_H_inf, 2), (gen_H_inf, 3)]
+)
+def test_inline_escape_oracle_matches_decoding_one(make, n):
+    G = make(n)
+    oracle, desc = G._escape_oracle, G.descriptor
+    width = family_width(desc)
+    reference = frozen_decode_escapes(
+        lambda f: len(fiber_vertices(desc, f)), width
+    )
+    fibers = {f: fiber_vertices(desc, f) for f in range(-8, 9)}
+    valid = [v for ids in fibers.values() for v in ids]
+    # ids no vertex has: negative ones, and on HZ2 and HZ3 the slots of
+    # a clique fiber past n
+    invalid = [-1, -2, -width - 1] + [
+        zigzag(f) * width + i
+        for f in range(-8, 9)
+        for i in range(len(fibers[f]), width)
+    ]
+    rng = random.Random(90 + n)
+    seen = Counter()
+    for _ in range(600):
+        blocked = set()
+        for f in range(rng.randint(-7, 3), rng.randint(-3, 8)):
+            if rng.random() < 0.4:
+                blocked.update(fibers[f])
+            else:
+                blocked.update(rng.sample(fibers[f], rng.randint(0, len(fibers[f]))))
+        blocked.update(rng.sample(invalid, rng.choice((0, 0, 0, 1, 2))))
+        blocked = frozenset(blocked)
+        v = rng.choice(valid) if rng.random() < 0.95 else rng.choice(invalid)
+        want = _oracle_outcome(lambda u: reference(blocked, u), v)
+        got = _oracle_outcome(lambda u: oracle(blocked, u), v)
+        assert got == want, (sorted(blocked), v)
+        if isinstance(want, bool):
+            seen[want] += 1
+        else:
+            seen["empty slot" if "inner index" in want[1] else "negative id"] += 1
+    # both verdicts, and refusals of negative ids and of empty slots
+    assert len(seen) == 3 + (make is gen_H_inf), seen
+    assert min(seen.values()) > 10, seen
+
+
 # ---------------------------------------------------------------------------
 # fibers too wide to hold
 

@@ -637,12 +637,12 @@ def test_witness_membership_search_is_capped(gz2_trace, monkeypatch):
     right = gz2_trace.end_selectors["right"][0]
     far_left = gz_fiber(2, -20)[0]
     monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
-    _, in_left = _witness_membership(G, gz2_trace, 0, left)
+    _, in_left, _ = _witness_membership(G, gz2_trace, 0, left)
     with pytest.raises(InputError, match="search cap 3"):
         in_left(far_left)
     monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
-    _, in_left = _witness_membership(G, gz2_trace, 0, left)
-    _, in_right = _witness_membership(G, gz2_trace, 0, right)
+    _, in_left, _ = _witness_membership(G, gz2_trace, 0, left)
+    _, in_right, _ = _witness_membership(G, gz2_trace, 0, right)
     assert in_left(far_left)
     assert not in_right(far_left)
 
@@ -737,7 +737,7 @@ def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
         scanned, passed = [], []
         want = first_cycle_failure(graph(scanned), SimpleNamespace(cycles=cycles))
         try:
-            edge_sets, steps = _cycle_steps(cycles, graph(passed))
+            edge_sets, steps, dropped = _cycle_steps(cycles, graph(passed))
             got = None
         except InputError as exc:
             got = str(exc)
@@ -751,6 +751,15 @@ def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
         rebuilt = [edge_set(C) for C in cycles]
         assert edge_sets == rebuilt, seed
         assert steps == [(b - a, a - b) for a, b in zip(rebuilt, rebuilt[1:])], seed
+        # the first step that drops a vertex, as whole vertex sets show it
+        assert dropped == next(
+            (
+                i
+                for i, (a, b) in enumerate(zip(cycles, cycles[1:]))
+                if not a.vertex_set <= b.vertex_set
+            ),
+            None,
+        ), seed
         failure = first_persistence_failure(rebuilt)
         searched.clear()
         assert _persistence_failure(edge_sets, steps) == failure, seed

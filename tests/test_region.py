@@ -280,6 +280,38 @@ def test_symmetry_check_names_the_whole_ball_pair(shape):
     assert outcomes["raise"] > 20 and outcomes["ok"] > 0
 
 
+@pytest.mark.parametrize("n, depth", [(2, 12), (5, 12)])
+def test_symmetry_check_asks_the_oracle_in_id_order(monkeypatch, n, depth):
+    # per ball, the fresh vertex whose comparison made each first call
+    # of the neighbour oracle during the symmetry check; on GZ5 a set's
+    # own order would put a larger vertex first in the fourteenth ball
+    base = gen_G_inf(n)
+    code = Region._check_symmetry.__code__
+    balls = []
+
+    def neighbors(v):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if frame is not None:
+            balls[-1].append(frame.f_locals["x"])
+        return base.neighbors(v)
+
+    check = Region._check_symmetry
+
+    def recording(self, fresh, radius):
+        balls.append([])
+        return check(self, fresh, radius)
+
+    monkeypatch.setattr(Region, "_check_symmetry", recording)
+    G = LazyGraph(
+        neighbors, base.escapes, base.root, base.end_rays, descriptor=base.descriptor
+    )
+    hamilton_sequence(G, depth)
+    assert all(calls == sorted(calls) for calls in balls), balls
+    assert sum(map(len, balls)) > 40
+
+
 def test_a_ball_still_held_keeps_its_tables():
     # the region updates its ball's tables in place only when nothing
     # holds the last ball; a ball still held is left as it was

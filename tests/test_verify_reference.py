@@ -8,7 +8,9 @@ trace, and reordered cycles of GZ2 and GZ3 traces, must give both the
 same verdict JSON, or the same exception type and message.  The
 helpers that build each cut's membership test and explicit cut are
 frozen here too, as they stood then: K0 and the other pieces merged
-into one copied set, and every side of a cut asked afresh."""
+into one copied set, every side of a cut asked afresh, and M's test a
+callable object over the witness's corrections and the component
+test."""
 
 import json
 import random
@@ -77,6 +79,20 @@ def _component_membership(G, blocker, home, foreign):
     return member
 
 
+class _Membership:
+    """Callable deciding v in M given a component membership test."""
+
+    def __init__(self, included, excluded, in_component):
+        self.included = included
+        self.excluded = excluded
+        self.in_component = in_component
+
+    def __call__(self, v):
+        if v in self.excluded:
+            return False
+        return v in self.included or self.in_component(v)
+
+
 def _witness_membership(G, trace, i, j):
     w = trace.witnesses[i][j]
     foreign = set(trace.k0s[i])
@@ -84,7 +100,7 @@ def _witness_membership(G, trace, i, j):
         if jj != j:
             foreign |= other.piece
     in_component = _component_membership(G, trace.blockers[i], w.piece, foreign)
-    return w.membership(in_component), in_component
+    return _Membership(w.included, w.excluded, in_component), in_component
 
 
 def _explicit_cut(G, w, member):

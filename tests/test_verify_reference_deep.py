@@ -6,18 +6,23 @@ have few cycles to persist through.  Here a GZ3 trace of depth 6 is
 mutated field by field, and its late cycles are reordered; both
 verifiers must give the same verdict JSON, or the same exception type
 and message, asking the neighbour oracle the same vertices in the same
-order."""
+order.  Targeted changes of the witnesses along each tracked end then
+send the nesting check down each of its paths: a vertex M's test knows
+to be in or out of M, one in K0 or another piece, and one it walks."""
 
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+import hamext.infinite as infinite
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
-from hamext.graphcore import Cycle
+from hamext.graphcore import Cycle, neighborhood_k
 from hamext.infinite import SequenceTrace, hamilton_sequence
+from records import rebuilt
 from test_verify_reference import _mutate, _reorderings, _same_outcome, _with_cycle
 
 
@@ -81,3 +86,95 @@ def test_deep_reordered_cycles_match_reference(gz3_depth6):
     # old, and move a cut frozen four iterations before
     assert any(d.startswith("edges ") and "missing from cycle" in d for d in details)
     assert any("crossing edges changed" in d for d in details), details
+
+
+# ---------------------------------------------------------------------------
+# the nesting check's paths
+
+
+def _with_witness(trace, i, j, **changes):
+    per = [list(row) for row in trace.witnesses]
+    per[i][j] = rebuilt(per[i][j], **changes)
+    return rebuilt(trace, witnesses=tuple(map(tuple, per)))
+
+
+def _nesting_cases(G, trace):
+    """Changes of witness i or i + 1 along each end: a vertex of both
+    pieces excluded at i; additions at i + 1 of a K0_i vertex, a vertex
+    of the other piece of i, a blocker_i vertex, a blocker_{i+1} vertex
+    and a neighbour of the separator part of i; vertices shared by both
+    pieces taken out of piece_i, one or all, so that they are walked;
+    and a vertex of the other piece put into piece_i as well, so that
+    its neighbours, foreign to M_i, reach the piece at once."""
+    for name, sel in sorted(trace.end_selectors.items()):
+        for i in range(trace.depth - 1):
+            fi, fn = sel[i], sel[i + 1]
+            here, nxt = trace.witnesses[i][fi], trace.witnesses[i + 1][fn]
+            other = next(w for w in trace.witnesses[i] if w is not here)
+            shared = sorted(here.piece & nxt.piece)
+            shield = sorted(neighborhood_k(G, here.part, 1) & here.piece)
+            label = f"{name} {i}"
+            yield f"{label} excluded", _with_witness(
+                trace, i, fi, excluded=here.excluded | {shared[-1]}
+            )
+            for what, v in (
+                ("K0", max(trace.k0s[i])),
+                ("other piece", min(other.piece)),
+                ("blocker", max(trace.blockers[i])),
+                ("next blocker", max(trace.blockers[i + 1] - nxt.included)),
+                ("shield", shield[0]),
+            ):
+                yield f"{label} {what} added", _with_witness(
+                    trace, i + 1, fn, included=nxt.included | {v}
+                )
+            yield f"{label} one walked", _with_witness(
+                trace, i, fi, piece=here.piece - {shared[0]}
+            )
+            yield f"{label} all walked", _with_witness(
+                trace, i, fi, piece=here.piece - set(shared)
+            )
+            yield f"{label} other piece shared", _with_witness(
+                trace, i, fi, piece=here.piece | {min(other.piece)}
+            )
+
+
+def test_nesting_paths_match_reference(gz3_depth6, monkeypatch):
+    base, trace = gz3_depth6
+    # each query the nesting check makes of an M set, by the path M's
+    # test answers it on: a known member, a known non-member, a vertex
+    # of K0 or another piece, or a walk
+    paths = Counter()
+    witness_membership = infinite._witness_membership
+
+    def recording(G, t, i, j):
+        member, in_component, inside = witness_membership(G, t, i, j)
+        w, blocker = t.witnesses[i][j], t.blockers[i]
+        outside = w.excluded | (blocker - w.included)
+        foreign = set(t.k0s[i]).union(
+            *(o.piece for jj, o in enumerate(t.witnesses[i]) if jj != j)
+        )
+
+        def query(v):
+            if any(
+                f.f_code.co_name == "_nested_msets"
+                for f in (sys._getframe(1), sys._getframe(2))
+            ):
+                path = (
+                    "in" if v in inside
+                    else "out" if v in outside
+                    else "foreign" if v in foreign
+                    else "walk"
+                )
+                paths[path] += 1
+            return member(v)
+
+        return query, in_component, inside
+
+    monkeypatch.setattr(infinite, "_witness_membership", recording)
+    seen, details = Counter(), set()
+    for label, bad in _nesting_cases(base, trace):
+        _tally(seen, details, _same_outcome(bad, base, label=label))
+    assert set(paths) == {"in", "out", "foreign", "walk"}, paths
+    assert seen["all_ok"] and any("nested_msets" in key for key in seen), seen
+    for start in ("nesting fails at", "M additions", "next M set reaches"):
+        assert any(d.startswith("end 'left': " + start) for d in details), details
