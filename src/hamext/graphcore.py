@@ -782,8 +782,8 @@ class Region:
         is compared with its neighbours' once, when it is first interior
         (it is in ``fresh``, in id order); the asymmetric pairs found are
         kept, and raised once both ends are interior in one ball, which a
-        smaller radius than before may delay.  A neighbour's list is read as its
-        set when the region holds it, so a pair costs O(1)."""
+        smaller radius than before may delay.  A neighbour's list is read
+        as its set when the region holds it, so a pair costs O(1)."""
         nbrs, sets, asymmetric = self.nbrs, self.sets, self._asymmetric
         for x in fresh:
             for w in nbrs[x]:
