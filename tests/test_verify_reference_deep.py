@@ -147,8 +147,9 @@ def test_nesting_paths_match_reference(gz3_depth6, monkeypatch):
     witness_membership = infinite._witness_membership
 
     def recording(G, t, i, j):
-        member, in_component, inside = witness_membership(G, t, i, j)
+        member, in_component, known = witness_membership(G, t, i, j)
         w, blocker = t.witnesses[i][j], t.blockers[i]
+        inside = (w.included - w.excluded) | (w.piece - blocker - w.excluded)
         outside = w.excluded | (blocker - w.included)
         foreign = set(t.k0s[i]).union(
             *(o.piece for jj, o in enumerate(t.witnesses[i]) if jj != j)
@@ -168,7 +169,7 @@ def test_nesting_paths_match_reference(gz3_depth6, monkeypatch):
                 paths[path] += 1
             return member(v)
 
-        return query, in_component, inside
+        return query, in_component, known
 
     monkeypatch.setattr(infinite, "_witness_membership", recording)
     seen, details = Counter(), set()
