@@ -13,6 +13,7 @@ from hamext.extension import apply_extension, find_extension
 from hamext.families import fiber_window, gen_G_inf, gen_H_inf, zigzag
 from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
 from hamext.infinite import (
+    CutWitness,
     SequenceTrace,
     _cycle_steps,
     _persistence_failure,
@@ -465,6 +466,26 @@ def test_trace_round_trip():
     assert again.descriptor == trace.descriptor
     assert again.cycles == trace.cycles
     assert again.witnesses == trace.witnesses
+
+
+@pytest.mark.parametrize("n, depth", [(2, 32), (3, 28)])
+def test_trace_text_equals_indented_json_dumps(n, depth):
+    # the witnesses are written from their records, one format each; a
+    # witness of empty sets, an empty witness list, no witnesses at all
+    # and a witness of bools and floats are written as json writes them
+    trace = hamilton_sequence(gen_G_inf(n), depth)
+    empty = CutWitness(0, frozenset(), frozenset(), frozenset(), frozenset(), ())
+    odd = CutWitness(
+        True, frozenset({1.5}), frozenset({True}), frozenset(), frozenset(), ((1, 2), [3])
+    )
+    for t in (
+        trace,
+        rebuilt(trace, witnesses=((empty,),) * depth),
+        rebuilt(trace, witnesses=((),) * depth),
+        rebuilt(trace, witnesses=()),
+        rebuilt(trace, witnesses=((odd, trace.witnesses[0][0]),)),
+    ):
+        assert t.to_json() == json.dumps(t.to_json_obj(), sort_keys=True, indent=1)
 
 
 def test_trace_rejects_malformed_json():
