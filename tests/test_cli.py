@@ -245,6 +245,23 @@ def test_ham_trace_matches_rescan_loop(capsys, tmp_path):
     assert trace_file.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
 
 
+def test_ham_trace_golden(capsys, tmp_path):
+    # sha256 of the `ham --trace` file on the generated G(9, 20): every
+    # step's extension and cycle, pinned byte for byte
+    graph_file = tmp_path / "g920.json"
+    code, _ = run(
+        capsys, "gen", "--family", "Gqn", "--q", "9", "--n", "20",
+        "--out", str(graph_file),
+    )
+    assert code == 0
+    trace_file = tmp_path / "steps.json"
+    code, _ = run(capsys, "ham", "--input", str(graph_file), "--trace", str(trace_file))
+    assert code == 0
+    assert hashlib.sha256(trace_file.read_bytes()).hexdigest() == (
+        "8ed941f6df4ba5411b73eaf4ad7ac4b0386cf4d01b6a2d8a9d6c0447603de4f0"
+    )
+
+
 def test_ham_rejects_bad_seed(capsys, g42_file):
     code, payload = run(
         capsys, "ham", "--input", str(g42_file), "--seed-cycle", "0,1,99"

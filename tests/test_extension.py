@@ -1,6 +1,8 @@
 """Extension operators: hand-built witness instances first, then the
 constructor on generated and sampled graphs."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -289,6 +291,26 @@ def test_iter_extensions_reads_each_neighbourhood_boundedly_often():
         pass
     assert len(live) == len(G.vertices)
     assert counted.calls <= 4 * len(G.vertices)
+
+
+# sha256 of the JSON list of extend_to_hamilton(G).order on the
+# benchmark's six shapes G(q, n), relabelled with seed 1; a change to
+# the extension loop must leave every order as it is
+GOLDEN_ORDERS = {
+    (100, 4): "2d1b778fd934810e223c87174a4d6279fd405f851c63b5bf3990095dba52ad84",
+    (400, 3): "2853105cf019686acc61e66c02533a2a634945743574ebcabdff3c8e32076414",
+    (500, 4): "79fd4c282a9719d67bbcedfce5ea5189f881e8b272bf8e4b39e79347c8d33c2a",
+    (14, 12): "1db689c9d8c7755f6dc31864d65a592b00c3d199e777532639d0ddf6c7bed56e",
+    (11, 16): "bb029dbe954d124965686719800fd552d855ece5b70c3d402719b3d425c717bc",
+    (9, 20): "aaef87a2164eedbed84f25820eb31ce17e8be8922b24c156bed89566be52a55b",
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(GOLDEN_ORDERS))
+def test_extend_to_hamilton_order_golden(q, n):
+    C = extend_to_hamilton(relabelled_G(q, n, seed=1))
+    digest = hashlib.sha256(json.dumps(C.order).encode()).hexdigest()
+    assert digest == GOLDEN_ORDERS[(q, n)]
 
 
 def test_initial_cycle_prefers_triangle():
