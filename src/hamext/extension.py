@@ -16,10 +16,11 @@ treats exhaustion as an invariant violation rather than a result.
 The finite constructor is one loop, iter_extensions: absorb the
 smallest admissible target, rewire, repeat.  It keeps the admissible
 targets in a min-heap fed only from the neighbours of newly absorbed
-vertices, and rewires one LiveCycle (a successor map) in place, so a
-whole run costs O(|E| log |V|) plus the witness searches and the arc
-reversals of kind III steps.  It yields that live cycle after every
-step; callers that keep a cycle must freeze() it.
+vertices, one row per closed-twin class of a finite graph, and
+rewires one LiveCycle (a successor map) in place, so a whole run costs
+O(|E| log |V|) plus the witness searches and the arc reversals of kind
+III steps.  It yields that live cycle after every step; callers that
+keep a cycle must freeze() it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ class Extension(Record):
 
 def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     """Find the first applicable extension absorbing v, in kind order
-    I, III, II with witnesses tried in ascending id order.
+    I, III, II with witnesses tried in ascending id order; v's row must
+    be sorted, as FiniteGraph and the neighbour-oracle contract promise,
+    for kind I to return at the first anchor that fits.
 
     The degree condition guarantees success for any v with a neighbour
     on C; running out of candidates therefore signals a precondition
@@ -93,15 +96,13 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     if v in on:
         raise InputError(f"target {v} already lies on the cycle")
     nbrs = G.neighbors(v)
-    anchors = sorted(filter(on.__contains__, nbrs))
-    if not anchors:
-        raise InputError(f"target {v} has no neighbour on the cycle")
-
-    # kind I mostly fits at the first anchor, so its successors are read
-    # one at a time; kinds III and II read them all, once
-    for u in anchors:
+    anchors = []
+    for u in filter(on.__contains__, nbrs):
         if G.adjacent(v, succ(u)):
             return Extension("I", v, u)
+        anchors.append(u)
+    if not anchors:
+        raise InputError(f"target {v} has no neighbour on the cycle")
     ups = list(map(succ, anchors))
     for u, up in zip(anchors, ups):
         for y, yp in zip(anchors, ups):
@@ -252,6 +253,8 @@ def iter_extensions(
     admissible until it is absorbed.  The heap therefore takes each
     vertex once, when the first cycle vertex next to it is absorbed,
     and drops entries already on the cycle when they reach the top.
+    On a finite graph one row is read per closed-twin class: a twin of
+    a vertex whose row was read has every neighbour seen already.
 
     ``targets``, when given, must be the admissible targets of C0; the
     heap starts from them instead of from a scan of C0's neighbours, so
@@ -263,10 +266,16 @@ def iter_extensions(
     """
     seen: set[int] = set()
     heap: list[int] = []
+    # a finite graph's closed-twin classes, and each class read with the
+    # member read; a ball's small classes would save less than lookups cost
+    of = G.twin_of if isinstance(G, FiniteGraph) and not G.frontier else None
+    done: dict[int, int] = {}
 
     def admit(absorbed) -> None:
         seen.update(absorbed)
         for u in absorbed:
+            if of is not None and done.setdefault(of.get(u, u), u) != u:
+                continue
             for w in G.neighbors(u):
                 if w not in seen:
                     seen.add(w)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from bisect import bisect
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from functools import cached_property
@@ -213,6 +214,18 @@ class FiniteGraph(Record):
         return frozenset(self.vertices)
 
     @cached_property
+    def twin_of(self) -> Mapping[int, int] | None:
+        """Each vertex's closed-twin class (equal N[v]), named by its
+        first vertex, or None without twins.  A class is keyed by N[v]
+        as a tuple: the sorted row with v put in place by bisection."""
+        vertices, adj, first = self.vertices, self.adj, {}
+        named = [
+            first.setdefault(row[: (i := bisect(row, v))] + (v,) + row[i:], v)
+            for v, row in zip(vertices, map(adj.__getitem__, vertices))
+        ]
+        return dict(zip(vertices, named)) if len(first) < len(named) else None
+
+    @cached_property
     def twin_quotient(
         self,
     ) -> tuple[Sequence[int], Mapping[int, Sequence[int]], Mapping[int, int] | None]:
@@ -222,19 +235,13 @@ class FiniteGraph(Record):
         adjacency (for each of them, the first vertices of the
         neighbouring classes, in adjacency order) and the class sizes.
         Without twins that is ``vertices``, ``adj`` and None.  Built once
-        per graph, with C-level passes over the neighbour sets; every
-        finite check reads it.
+        per graph from ``twin_of``; every finite check reads it.
         """
-        vertices, adj = self.vertices, self.adj
-        closed = list(
-            map(frozenset.union, map(self._adjsets.__getitem__, vertices), zip(vertices))
-        )
-        # later pairs overwrite earlier ones, so each class keeps its first vertex
-        first = dict(zip(reversed(closed), reversed(vertices)))
-        if len(first) == len(closed):
-            return vertices, adj, None
+        of, adj = self.twin_of, self.adj
+        if of is None:
+            return self.vertices, adj, None
         # counted in vertex order, so its keys are the classes in id order
-        size = Counter(map(first.__getitem__, closed))
+        size = Counter(of.values())
         # a class next to r lies wholly in N(r), its first vertex too
         is_first = size.__contains__
         quotient = {r: tuple(filter(is_first, adj[r])) for r in size}
@@ -970,10 +977,14 @@ def graph_from_json_obj(obj: object) -> FiniteGraph:
             raise InputError("graph JSON: 'labels' must be an object")
         labels = {}
         for k, s in labels_raw.items():
+            # int() reads "00", " 0" and "+0" as 0 too
             try:
-                labels[int(k)] = str(s)
+                v = int(k)
             except ValueError:
-                raise InputError(f"label key {k!r} is not an integer id") from None
+                v = None
+            if str(v) != k:
+                raise InputError(f"label key {k!r} is not a canonical integer id")
+            labels[v] = str(s)
     return FiniteGraph.from_edges(vertices, edges, labels=labels)
 
 

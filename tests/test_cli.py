@@ -262,6 +262,24 @@ def test_ham_trace_golden(capsys, tmp_path):
     )
 
 
+def test_ham_refuses_two_labels_for_one_vertex(capsys, tmp_path):
+    # "0" and "00" both name vertex 0; the second label used to replace
+    # the first, and --dot wrote only it
+    graph_file = tmp_path / "dup.json"
+    graph_file.write_text(json.dumps({
+        "vertices": [0, 1, 2],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "labels": {"0": "a", "00": "b", "1": "c", "2": "d"},
+    }))
+    dot = tmp_path / "ham.dot"
+    code, payload = run(capsys, "ham", "--input", str(graph_file), "--dot", str(dot))
+    assert code == 2
+    assert payload == {
+        "error": "label key '00' is not a canonical integer id", "kind": "input"
+    }
+    assert not dot.exists()
+
+
 def test_ham_rejects_bad_seed(capsys, g42_file):
     code, payload = run(
         capsys, "ham", "--input", str(g42_file), "--seed-cycle", "0,1,99"

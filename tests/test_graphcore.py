@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from enum import IntEnum
 
 import pytest
@@ -295,6 +296,21 @@ def test_graph_json_rejects_malformed():
         graph_from_json(json.dumps({"vertices": [0], "edges": [[0, 0]]}))
     with pytest.raises(InputError):
         graph_from_json(json.dumps({"vertices": [0, 1], "edges": [], "junk": 1}))
+
+
+def test_graph_json_refuses_label_keys_not_in_canonical_form():
+    # int() reads all of these as 0, so a second key would overwrite the
+    # first label without a word
+    base = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}
+    for key in ("00", " 0", "0 ", "+0", "-0", "0_0", "\u0660", "0.0", "a", ""):
+        with pytest.raises(
+            InputError, match=f"^label key {re.escape(repr(key))} is not a canonical"
+        ):
+            graph_from_json_obj({**base, "labels": {"1": "b", key: "a"}})
+    G = graph_from_json_obj(
+        {"vertices": [-1, 0, 1], "edges": [[-1, 0], [0, 1]], "labels": {"-1": "d", "0": "a"}}
+    )
+    assert G.labels == {-1: "d", 0: "a"}
 
 
 def test_cycle_json_round_trip():
