@@ -216,8 +216,8 @@ class FiniteGraph(Record):
     @cached_property
     def twin_of(self) -> Mapping[int, int] | None:
         """Each vertex's closed-twin class (equal N[v]), named by its
-        first vertex, or None without twins.  A class is keyed by N[v]
-        as a tuple: the sorted row with v put in place by bisection."""
+        first vertex in id order, or None without twins.  A class is keyed
+        by N[v] as a tuple: the sorted row with v put in place by bisection."""
         vertices, adj, first = self.vertices, self.adj, {}
         named = [
             first.setdefault(row[: (i := bisect(row, v))] + (v,) + row[i:], v)

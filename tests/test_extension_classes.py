@@ -123,6 +123,10 @@ def reference_twin_quotient(G):
 # comparisons
 
 
+def failure(err):
+    return type(err).__name__, str(err), getattr(err, "context", None)
+
+
 def steps(loop, G, order, target_filter=None, targets=None):
     """The (kind, target, u, x, y) tuples of a run from a fresh live
     cycle of ``order``, ended by the exception that stops it, if any."""
@@ -131,7 +135,7 @@ def steps(loop, G, order, target_filter=None, targets=None):
         for e, _ in loop(G, LiveCycle(Cycle(order)), target_filter, targets):
             out.append(e._values())
     except (InputError, InvariantViolation) as err:
-        out.append((type(err).__name__, str(err), getattr(err, "context", None)))
+        out.append(failure(err))
     return out
 
 
@@ -153,7 +157,7 @@ def finder_outcome(finder, G, C, v):
     try:
         return finder(G, C, v)._values()
     except (InputError, InvariantViolation) as err:
-        return type(err).__name__, str(err), getattr(err, "context", None)
+        return failure(err)
 
 
 def same_finders(G, C, targets):
@@ -218,16 +222,22 @@ def test_graphs_that_take_kinds_two_and_three():
     assert kinds["II"] >= 5 and kinds["III"] >= 4
 
 
-def test_seeded_cycles_and_filters():
-    # runs from other start cycles, with and without a target filter
+def test_other_start_cycles_filters_and_targets():
+    # runs from random triangles, unfiltered, under a target filter, and
+    # started from the filtered admissible targets, so no class of the
+    # start cycle has had its row read
     rng = random.Random(19)
     for G in [gen_H(2, 6), relabelled_G(12, 4, seed=5), relabelled_G(9, 6, seed=3)]:
-        C0 = find_initial_cycle(G)
-        near = {w for u in C0.order for w in G.neighbors(u)}
-        same_run(G, C0.order, near.__contains__)
-        for _ in range(5):
+        triangles = [
+            t for t in itertools.combinations(G.vertices, 3)
+            if G.adjacent(t[0], t[1]) and G.adjacent(t[1], t[2]) and G.adjacent(t[0], t[2])
+        ]
+        for order in rng.sample(triangles, 4):
+            same_run(G, order)
             keep = set(rng.sample(G.vertices, len(G.vertices) // 2))
-            same_run(G, C0.order, keep.__contains__)
+            same_run(G, order, keep.__contains__)
+            near = {w for u in order for w in G.neighbors(u)} - set(order)
+            same_run(G, order, keep.__contains__, sorted(near & keep))
 
 
 # ---------------------------------------------------------------------------
