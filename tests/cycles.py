@@ -1,12 +1,18 @@
-"""Whole-cycle reads that only the tests need: the edge set of a cycle,
-the pairs of one cycle whose edges another lacks (both take anything
-with an ``order``, a Cycle or a live cycle), and a live cycle to hand a
-construction stage in place of a frozen one."""
+"""Whole-cycle reads and rewirings that only the tests need: the edge
+set of a cycle, the pairs of one cycle whose edges another lacks (both
+take anything with an ``order``, a Cycle or a live cycle), a live cycle
+to hand a construction stage in place of a frozen one, and the frozen
+cycle surgery the construction's cold branches once ran on (an arc
+replaced, a vertex shortcut, and a live cycle reset to the result by a
+whole-cycle edge diff), kept as references for the live cycle's own
+operations."""
 
 from itertools import compress, repeat
 from operator import not_, sub
 
-from hamext.graphcore import Edge
+from hamext.errors import InputError
+from hamext.extension import LiveCycle
+from hamext.graphcore import Cycle, Edge
 from hamext.infinite import _RunCycle
 
 
@@ -40,5 +46,53 @@ def live_following(builder, C) -> _RunCycle:
     """A live cycle equal to the frozen cycle C, whose ledger starts at
     the builder's start cycle, as the stages after stage A take it."""
     live = _RunCycle(builder.C)
-    live.reset(C)
+    reset(live, C)
     return live
+
+
+def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cycle:
+    """Replace a consecutive arc of C (either direction) by a new path
+    with the same endpoints whose interior avoids the cycle."""
+    if len(arc) < 2 or len(new_arc) < 2:
+        raise InputError("arcs need at least two vertices")
+    if arc[0] != new_arc[0] or arc[-1] != new_arc[-1]:
+        raise InputError("replacement arc must keep its endpoints")
+    order = C.order
+    n = len(order)
+    i = order.index(arc[0]) if arc[0] in C else -1
+    if i < 0:
+        raise InputError(f"{arc[0]} is not on the cycle")
+    forward = tuple(order[(i + t) % n] for t in range(len(arc)))
+    if forward != arc:
+        backward = tuple(order[(i - t) % n] for t in range(len(arc)))
+        if backward != arc:
+            raise InputError("arc is not consecutive on the cycle")
+        order = tuple(reversed(order))
+        i = order.index(arc[0])
+    rotated = order[i:] + order[:i]
+    interior = set(new_arc[1:-1])
+    if any(v in C for v in interior):
+        raise InputError("replacement interior collides with the cycle")
+    if len(interior) != len(new_arc) - 2:
+        raise InputError("replacement interior repeats a vertex")
+    return Cycle(tuple(new_arc) + rotated[len(arc):])
+
+
+def remove_cycle_vertex(C: Cycle, h: int) -> Cycle:
+    """Shortcut h out of the cycle, joining its two neighbours."""
+    if h not in C:
+        raise InputError(f"{h} is not on the cycle")
+    if len(C) < 4:
+        raise InputError("cannot shorten a triangle")
+    return Cycle(tuple(v for v in C.order if v != h))
+
+
+def reset(live: _RunCycle, C: Cycle) -> None:
+    """Make the live cycle C, built from it frozen; the ledger and
+    ``step`` take in the change from a whole-cycle diff."""
+    before, after = set(live.freeze().edges()), set(C.edges())
+    live._record(before - after, after - before)
+    LiveCycle.__init__(live, C)
+    order = C.order
+    live._pred = dict(zip(order, order[-1:] + order[:-1]))
+    live.kept = False
