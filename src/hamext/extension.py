@@ -130,7 +130,8 @@ class LiveCycle:
     It answers what a Cycle does (``in``, ``len``, ``succ`` and
     ``order``); find_extension reads the successor map itself, as it
     reads a Cycle's vertex set.  ``order`` is walked from ``head`` on demand
-    and cached until the next rewiring; freeze() returns it as a Cycle.
+    and cached until the next rewiring; freeze() returns it as a Cycle,
+    unchecked, as every rewiring keeps the vertices distinct.
     """
 
     __slots__ = ("head", "_succ", "_order")
@@ -166,7 +167,7 @@ class LiveCycle:
         return self._order
 
     def freeze(self) -> Cycle:
-        return Cycle(self.order)
+        return Cycle._of(self.order)
 
     def apply(self, e: Extension) -> None:
         """Rewire in place according to e, after the structural checks
@@ -233,7 +234,7 @@ def _rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
 
 def apply_extension(C: Cycle, e: Extension) -> Cycle:
     """The cycle LiveCycle.apply would leave after rewiring C according
-    to e, cut and pasted from C's order."""
+    to e, cut and pasted from C's order; only tests and the tracer call it."""
     _check_rewiring(e, C, C.succ)
     return Cycle(_rewired(C.order, e))
 

@@ -17,9 +17,9 @@ The construction follows five stages:
 
 The cycle edges crossing each M set are read from the cycle once per
 enlargement, after stage B; stages C and D update them from the edges
-each step swaps, and stage E reads them.  All five stages rewire one
-live cycle in place (_RunCycle), whose ledger of edges gained and lost
-feeds stage E's edge clauses.
+each step swaps, and stage E reads them.  All five stages, the cold
+branches of B and D too, rewire one live cycle in place (_RunCycle),
+whose ledger of edges gained and lost feeds stage E's edge clauses.
 
 Everything works inside one finite ball; frontier contamination is an
 error, never silently tolerated.  The driver keeps one run state
@@ -56,7 +56,6 @@ from .errors import FrontierContamination, InputError, InvariantViolation
 from .extension import (
     Extension,
     LiveCycle,
-    apply_extension,
     find_extension,
     find_initial_cycle,
     iter_extensions,
@@ -91,43 +90,6 @@ from .structure import (
 
 # ---------------------------------------------------------------------------
 # cycle surgery
-
-
-def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cycle:
-    """Replace a consecutive arc of C (either direction) by a new path
-    with the same endpoints whose interior avoids the cycle."""
-    if len(arc) < 2 or len(new_arc) < 2:
-        raise InputError("arcs need at least two vertices")
-    if arc[0] != new_arc[0] or arc[-1] != new_arc[-1]:
-        raise InputError("replacement arc must keep its endpoints")
-    order = C.order
-    n = len(order)
-    i = order.index(arc[0]) if arc[0] in C else -1
-    if i < 0:
-        raise InputError(f"{arc[0]} is not on the cycle")
-    forward = tuple(order[(i + t) % n] for t in range(len(arc)))
-    if forward != arc:
-        backward = tuple(order[(i - t) % n] for t in range(len(arc)))
-        if backward != arc:
-            raise InputError("arc is not consecutive on the cycle")
-        order = tuple(reversed(order))
-        i = order.index(arc[0])
-    rotated = order[i:] + order[:i]
-    interior = set(new_arc[1:-1])
-    if any(v in C for v in interior):
-        raise InputError("replacement interior collides with the cycle")
-    if len(interior) != len(new_arc) - 2:
-        raise InputError("replacement interior repeats a vertex")
-    return Cycle(tuple(new_arc) + rotated[len(arc):])
-
-
-def remove_cycle_vertex(C: Cycle, h: int) -> Cycle:
-    """Shortcut h out of the cycle, joining its two neighbours."""
-    if h not in C:
-        raise InputError(f"{h} is not on the cycle")
-    if len(C) < 4:
-        raise InputError("cannot shorten a triangle")
-    return Cycle(tuple(v for v in C.order if v != h))
 
 
 class _Outside(Set):
@@ -179,8 +141,8 @@ class _RunCycle(LiveCycle):
     ``step``, the canonical edges the step removed and added, from that
     one diff: O(1) work for kinds I and II; kind III also walks the
     reversed arc, as LiveCycle.apply does.  The cold branches of the
-    construction freeze it, run the Cycle functions and reset() it to
-    their result.
+    construction rewire it in place too, with apply(), reroute() and
+    drop(), and hand on their net change with join().
 
     ``base_vertices`` is V(base), kept up to date from the ledger when a
     new ledger starts at the cycle reached, while no vertex has left.
@@ -200,13 +162,11 @@ class _RunCycle(LiveCycle):
 
     def __init__(self, C: Cycle) -> None:
         super().__init__(C)
-        self._pred_from(C.order)
+        order = C.order
+        self._pred = dict(zip(order, order[-1:] + order[:-1]))
         self._placed: dict[int, int] = {}
         self.kept = False
         self.start(C)
-
-    def _pred_from(self, order: tuple[int, ...]) -> None:
-        self._pred = dict(zip(order, order[-1:] + order[:-1]))
 
     def start(self, C: Cycle) -> None:
         """Start an empty ledger at C, which is this cycle frozen."""
@@ -248,12 +208,6 @@ class _RunCycle(LiveCycle):
             self._order, self._placed, self.walked = order, placed, walked
         return LiveCycle.order.fget(self)
 
-    def freeze(self) -> Cycle:
-        """The cycle as a Cycle; while ``kept`` its order is spliced
-        from distinct vertices, so it is not checked again."""
-        order = self.order
-        return Cycle._of(order) if self.kept else Cycle(order)
-
     def base_index(self, v: int) -> int:
         """The position of v in base's order: off the last splice when
         it placed v, else found in the order."""
@@ -266,7 +220,7 @@ class _RunCycle(LiveCycle):
         except KeyError:
             raise InputError(f"vertex {v} not on cycle") from None
 
-    def apply(self, e: Extension) -> None:
+    def apply(self, e: Extension) -> tuple[list[Edge], list[Edge]]:
         # the edges the step swaps, each as a pair (a, b) with b the
         # successor of a before or after; LiveCycle.apply checks e
         u, v, succ = e.u, e.target, self._succ
@@ -289,9 +243,11 @@ class _RunCycle(LiveCycle):
             while w != up:
                 pred[succ[w]] = w
                 w = succ[w]
-        self._record(removed, added)
+        return self._record(removed, added)
 
-    def _record(self, removed, added) -> None:
+    def _record(self, removed, added) -> tuple[list[Edge], list[Edge]]:
+        """Take the pairs a step removed and added into the ledger;
+        returns ``step``."""
         gained, lost = self.gained, self.lost
         out, into = [], []
         for a, b in removed:
@@ -309,16 +265,66 @@ class _RunCycle(LiveCycle):
             else:
                 gained.add(e)
         self.step = out, into
+        return self.step
 
-    def reset(self, C: Cycle) -> None:
-        """Become C, which a cold branch built from this cycle frozen;
-        the ledger and ``step`` take in the change from a whole-cycle
-        diff."""
-        before, after = set(self.freeze().edges()), set(C.edges())
-        self._record(before - after, after - before)
-        LiveCycle.__init__(self, C)
-        self._pred_from(C.order)
-        self.kept = False
+    def reroute(self, arc, path) -> tuple[list[Edge], list[Edge]]:
+        """Replace the consecutive arc ``arc``, walked either way, by
+        ``path``, with the same ends and an interior off the cycle.  The
+        cycle then starts at arc[0] and walks the path first: a backward
+        arc swaps the successor and predecessor maps.  Returns ``step``."""
+        if len(arc) < 2 or len(path) < 2:
+            raise InputError("arcs need at least two vertices")
+        if arc[0] != path[0] or arc[-1] != path[-1]:
+            raise InputError("replacement arc must keep its endpoints")
+        succ, pred = self._succ, self._pred
+        if arc[0] not in succ:
+            raise InputError(f"{arc[0]} is not on the cycle")
+        pairs = list(zip(arc, arc[1:]))
+        forward = all(succ[a] == b for a, b in pairs)
+        if len(arc) > len(succ) or not (
+            forward or all(pred[a] == b for a, b in pairs)
+        ):
+            raise InputError("arc is not consecutive on the cycle")
+        interior = set(path[1:-1])
+        if any(v in succ for v in interior):
+            raise InputError("replacement interior collides with the cycle")
+        if len(interior) != len(path) - 2:
+            raise InputError("replacement interior repeats a vertex")
+        if len(succ) - len(arc) + len(path) < 3:
+            raise InputError("a cycle needs at least three vertices")
+        if not forward:
+            self._succ, self._pred = succ, pred = pred, succ
+        for v in arc[1:-1]:
+            del succ[v], pred[v]
+        for a, b in zip(path, path[1:]):
+            succ[a], pred[b] = b, a
+        self.head, self._order, self.kept = arc[0], None, False
+        return self._record(pairs, zip(path, path[1:]))
+
+    def drop(self, h: int) -> tuple[list[Edge], list[Edge]]:
+        """Shortcut h out of the cycle, joining its two neighbours; a
+        cycle that started at h starts at its successor.  Returns
+        ``step``."""
+        if h not in self._succ:
+            raise InputError(f"{h} is not on the cycle")
+        if len(self) < 4:
+            raise InputError("cannot shorten a triangle")
+        head, a, b = self.head, self._pred[h], self._succ[h]
+        step = self.reroute((a, h, b), (a, b))
+        self.head = b if head == h else head
+        return step
+
+    def join(self, *steps) -> None:
+        """Make ``step`` the net change of ``steps``, taken one after
+        another, as a branch that rewires in several steps hands it on."""
+        out, into = set(), set()
+        for removed, added in steps:
+            removed, added = set(removed), set(added)
+            out |= removed - into
+            into -= removed
+            into |= added - out
+            out -= added
+        self.step = out, into
 
     def rank(self, v: int):
         """A key that orders the vertices as ``order`` does.  While
@@ -870,6 +876,10 @@ class _CutBuilder:
         for j, cut in enumerate(self.cuts):
             require_twice(cut, cur, label, j)
 
+    def entry(self, v: int, j: int) -> int:
+        """v's smallest neighbour in piece j."""
+        return min(w for w in self.guarded_neighbors(v) if w in self.pieces[j])
+
     def part_index(self, v: int) -> int | None:
         for j, part in enumerate(self.parts):
             if v in part:
@@ -946,19 +956,18 @@ class _CutBuilder:
             e, self.paths[j] = self.forced_two_step(cur, s1, j)
             cur.apply(e)
         else:
-            cur.reset(self.thread_through_helper(cur.freeze(), j, s1, e))
+            self.thread_through_helper(cur, j, s1, e)
         return cur
 
     def thread_through_helper(
-        self, cur: Cycle, j: int, s1: int, e: Extension
-    ) -> Cycle:
+        self, cur: _RunCycle, j: int, s1: int, e: Extension
+    ) -> None:
         """thread_part when absorbing s1 pulled in a helper x, necessarily
-        a separator vertex of some part: the Cycle it leaves.  No shipped
-        family gets here."""
+        a separator vertex of some part: rewire cur in place, with
+        ``step`` the net change.  No shipped family gets here."""
         y = e.u
         z = cur.succ(y)
         x = e.x
-        D = apply_extension(cur, e)
         ell = self.part_index(x)
         if ell is None:
             raise InvariantViolation(
@@ -968,17 +977,11 @@ class _CutBuilder:
             )
 
         if ell == j:
-            a = min(
-                w for w in self.guarded_neighbors(s1) if w in self.pieces[j]
-            )
-            b = min(
-                w for w in self.guarded_neighbors(x) if w in self.pieces[j]
-            )
-            through = self.trees[j].path(a, b)
+            through = self.trees[j].path(self.entry(s1, j), self.entry(x, j))
             new_arc = (s1, *through, x)
-            cur = replace_arc(D, (s1, x), new_arc)
+            cur.join(cur.apply(e), cur.reroute((s1, x), new_arc))
             self.paths[j] = new_arc
-            return cur
+            return
 
         if z in self.parts[ell]:
             if ell >= j:
@@ -997,29 +1000,23 @@ class _CutBuilder:
                 )
             oriented = old_path if old_path[-1] == z else tuple(reversed(old_path))
             s_other = oriented[0]
-            a2 = min(
-                w for w in self.guarded_neighbors(s_other) if w in self.pieces[ell]
-            )
-            b2 = min(
-                w for w in self.guarded_neighbors(x) if w in self.pieces[ell]
-            )
-            through = self.trees[ell].path(a2, b2)
+            through = self.trees[ell].path(self.entry(s_other, ell), self.entry(x, ell))
             new_arc = (s_other, *through, x)
-            D2 = replace_arc(D, oriented + (x,), new_arc)
+            # after e, x precedes z: the arc runs back from x, and
+            # reroute turns the cycle round
+            steps = [cur.apply(e), cur.reroute(oriented + (x,), new_arc)]
             self.paths[ell] = new_arc
-            e2, self.paths[j] = self.forced_two_step(D2, s1, j)
-            return apply_extension(D2, e2)
-
         # remaining situation: the helper belongs to a foreign part and
-        # the displaced edge endpoint z is no separator vertex of it
-        if z not in self.pieces[ell]:
+        # the displaced edge endpoint z is no separator vertex of it; s1
+        # goes in next to y or its predecessor, and e is not applied
+        elif z not in self.pieces[ell]:
             if not self.B.adjacent(s1, z):
                 raise InvariantViolation(
                     "complete attachment missing between target and successor",
                     s1=s1,
                     z=z,
                 )
-            D3 = apply_extension(cur, Extension("I", s1, y))
+            steps = [cur.apply(Extension("I", s1, y))]
         else:
             if y not in self.parts[ell]:
                 raise InvariantViolation(
@@ -1041,9 +1038,9 @@ class _CutBuilder:
                     s1=s1,
                     w=w,
                 )
-            D3 = apply_extension(cur, Extension("I", s1, w))
-        e3, self.paths[j] = self.forced_two_step(D3, s1, j)
-        return apply_extension(D3, e3)
+            steps = [cur.apply(Extension("I", s1, w))]
+        e2, self.paths[j] = self.forced_two_step(cur, s1, j)
+        cur.join(*steps, cur.apply(e2))
 
     def check_threading_invariants(self, cur: _RunCycle, upto: int) -> None:
         for ell in range(upto + 1):
@@ -1158,26 +1155,24 @@ class _CutBuilder:
                 gained = (u,)
                 self.update_msets(w1, w2, gained)
             else:
-                D, gained = self.absorb_isolated_separator_vertex(
-                    cur.freeze(), u, nbrs_on
-                )
-                cur.reset(D)
+                gained = self.absorb_isolated_separator_vertex(cur, u, nbrs_on)
             self.recount_cuts(cur, gained)
             self.require_cuts(cur, "M cut")
 
     def absorb_isolated_separator_vertex(
-        self, cur: Cycle, u: int, nbrs_on: set[int]
-    ) -> tuple[Cycle, tuple[int, int]]:
-        """No two cycle neighbours of u are consecutive: shortcut all but
-        the smallest, force the two-vertex absorption there, then redo
-        the shortcuts on the real cycle.  Returns the new cycle and the
-        two vertices gained.  No shipped family gets here."""
+        self, cur: _RunCycle, u: int, nbrs_on: set[int]
+    ) -> tuple[int, int]:
+        """No two cycle neighbours of u are consecutive: on a copy of
+        the cycle, shortcut all but the smallest and force the
+        two-vertex absorption there, then take in u and the helper on
+        cur, with ``step`` the net change.  Returns the two vertices
+        gained.  No shipped family gets here."""
         if not nbrs_on:
             raise InvariantViolation(
                 f"separator vertex {u} has no neighbour on the cycle"
             )
         w1 = min(nbrs_on)
-        aux = cur
+        aux = _RunCycle(cur.freeze())
         for w in sorted(nbrs_on - {w1}):
             wp, wm = aux.succ(w), aux.pred(w)
             if not self.B.adjacent(wp, wm):
@@ -1186,7 +1181,7 @@ class _CutBuilder:
                     around=w,
                     pair=(wm, wp),
                 )
-            aux = remove_cycle_vertex(aux, w)
+            aux.drop(w)
         e = find_extension(self.B, aux, u)
         if e.kind != "II" or e.u != w1:
             raise InvariantViolation(
@@ -1201,7 +1196,7 @@ class _CutBuilder:
                 raise InvariantViolation(
                     f"fresh helper {h} is not a separator vertex", u=u
                 )
-            cur = apply_extension(cur, Extension("II", u, w1, x=h))
+            cur.apply(Extension("II", u, w1, x=h))
         else:
             hp, hm = cur.succ(h), cur.pred(h)
             if not self.B.adjacent(hp, hm):
@@ -1209,10 +1204,9 @@ class _CutBuilder:
                     "claw-freeness did not close the relocation shortcut",
                     around=h,
                 )
-            cur = remove_cycle_vertex(cur, h)
-            cur = replace_arc(cur, (w1, w2), (w1, u, h, w2))
+            cur.join(cur.drop(h), cur.reroute((w1, w2), (w1, u, h, w2)))
         self.update_msets(w1, w2, (u, h))
-        return cur, (u, h)
+        return u, h
 
     # -- stage E: output clauses -------------------------------------------
 

@@ -22,15 +22,13 @@ from hamext.infinite import (
     construct_cut1,
     first_persistence_failure,
     hamilton_sequence,
-    remove_cycle_vertex,
-    replace_arc,
     require_twice,
     stable_limit,
     steiner_tree_T,
     verify_hc_extract,
 )
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set, live_following
+from cycles import edge_set, live_following, remove_cycle_vertex, replace_arc
 from records import rebuilt
 
 

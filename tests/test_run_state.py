@@ -24,13 +24,11 @@ from hamext.infinite import (
     construct_cut1,
     hamilton_sequence,
     protected_vertices,
-    remove_cycle_vertex,
-    replace_arc,
     require_twice,
     steiner_tree_T,
 )
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set, live_following
+from cycles import edge_set, live_following, remove_cycle_vertex, replace_arc
 from test_infinite import rim_of
 from wholeball import distances_from
 
