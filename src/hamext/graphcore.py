@@ -984,7 +984,9 @@ def graph_from_json_obj(obj: object) -> FiniteGraph:
                 v = None
             if str(v) != k:
                 raise InputError(f"label key {k!r} is not a canonical integer id")
-            labels[v] = str(s)
+            if not isinstance(s, str):
+                raise InputError(f"label of vertex {k} must be a string, got {s!r}")
+            labels[v] = s
     return FiniteGraph.from_edges(vertices, edges, labels=labels)
 
 
@@ -1009,12 +1011,14 @@ def cycle_from_json_obj(obj: object) -> Cycle:
 def graph_to_dot(
     G: FiniteGraph, highlight: Iterable[Edge] = (), name: str = "G"
 ) -> str:
-    """Graphviz source for the graph, optionally bolding a set of edges."""
+    """Graphviz source for the graph, optionally bolding a set of edges;
+    each label is quoted, with its backslashes and double quotes escaped."""
     hset = {canonical_edge(*e) for e in highlight}
     lines = [f"graph {name} {{"]
     for v in G.vertices:
         if G.labels is not None and v in G.labels:
-            lines.append(f'  {v} [label="{G.labels[v]}"];')
+            label = G.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in G.edges():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -278,6 +279,41 @@ def test_ham_refuses_two_labels_for_one_vertex(capsys, tmp_path):
         "error": "label key '00' is not a canonical integer id", "kind": "input"
     }
     assert not dot.exists()
+
+
+def test_ham_refuses_a_label_that_is_not_a_string(capsys, tmp_path):
+    # str(None) used to be written as the label "None"
+    graph_file = tmp_path / "null.json"
+    graph_file.write_text(json.dumps({
+        "vertices": [0, 1, 2],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "labels": {"0": None},
+    }))
+    dot = tmp_path / "ham.dot"
+    code, payload = run(capsys, "ham", "--input", str(graph_file), "--dot", str(dot))
+    assert code == 2
+    assert payload == {
+        "error": "label of vertex 0 must be a string, got None", "kind": "input"
+    }
+    assert not dot.exists()
+
+
+def test_ham_dot_keeps_a_hostile_label_inside_its_quotes(capsys, tmp_path):
+    # unescaped, the label closed its quote and added the edge 9 -- 8
+    graph_file = tmp_path / "hostile.json"
+    graph_file.write_text(json.dumps({
+        "vertices": [0, 1, 2],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "labels": {"0": 'a"]; 9 -- 8; x [label="b'},
+    }))
+    dot = tmp_path / "ham.dot"
+    code, _ = run(capsys, "ham", "--input", str(graph_file), "--dot", str(dot))
+    assert code == 0
+    text = dot.read_text()
+    assert '  0 [label="a\\"]; 9 -- 8; x [label=\\"b"];' in text.splitlines()
+    # the edges a DOT reader finds once the quoted strings are taken out
+    statements = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)
+    assert re.findall(r"(\d+) -- (\d+)", statements) == [("0", "1"), ("0", "2"), ("1", "2")]
 
 
 def test_ham_rejects_bad_seed(capsys, g42_file):

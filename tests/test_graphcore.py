@@ -313,6 +313,17 @@ def test_graph_json_refuses_label_keys_not_in_canonical_form():
     assert G.labels == {-1: "d", 0: "a"}
 
 
+def test_graph_json_refuses_labels_that_are_not_strings():
+    # str() turned these into "None", "['x']", "{'a': 1}", "1" and "True"
+    base = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}
+    for label in (None, ["x"], {"a": 1}, 1, True):
+        with pytest.raises(
+            InputError,
+            match=f"^label of vertex 0 must be a string, got {re.escape(repr(label))}$",
+        ):
+            graph_from_json_obj({**base, "labels": {"1": "b", "0": label}})
+
+
 def test_cycle_json_round_trip():
     C = Cycle((2, 0, 1))
     assert cycle_from_json_obj(cycle_to_json_obj(C)).order == (2, 0, 1)
@@ -374,6 +385,24 @@ def test_dot_output_mentions_all_edges():
     dot = graph_to_dot(G, highlight=[(0, 1)])
     assert "0 -- 1" in dot and "1 -- 2" in dot
     assert dot.count("penwidth") == 1
+
+
+def test_dot_labels_cannot_add_edges():
+    # a label closing its quote could write statements of its own
+    G = graph_from_json_obj({
+        "vertices": [0, 1, 2],
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "labels": {"0": 'a"]; 9 -- 8; x [label="b', "1": "back\\slash\\", "2": "\u00e9"},
+    })
+    lines = graph_to_dot(G).splitlines()
+    assert lines[1:4] == [
+        '  0 [label="a\\"]; 9 -- 8; x [label=\\"b"];',
+        '  1 [label="back\\\\slash\\\\"];',
+        '  2 [label="\u00e9"];',
+    ]
+    assert [line for line in lines if "--" in line and "label" not in line] == [
+        "  0 -- 1;", "  0 -- 2;", "  1 -- 2;"
+    ]
 
 
 @given(st.integers(), st.integers())
