@@ -269,9 +269,10 @@ class _RunCycle(LiveCycle):
 
     def reroute(self, arc, path) -> tuple[list[Edge], list[Edge]]:
         """Replace the consecutive arc ``arc``, walked either way, by
-        ``path``, with the same ends and an interior off the cycle.  The
-        cycle then starts at arc[0] and walks the path first: a backward
-        arc swaps the successor and predecessor maps.  Returns ``step``."""
+        ``path``, with the same ends and an interior off the cycle outside
+        the arc.  The cycle then starts at arc[0] and walks the path
+        first: a backward arc swaps the successor and predecessor maps.
+        Returns ``step``."""
         if len(arc) < 2 or len(path) < 2:
             raise InputError("arcs need at least two vertices")
         if arc[0] != path[0] or arc[-1] != path[-1]:
@@ -285,8 +286,8 @@ class _RunCycle(LiveCycle):
             forward or all(pred[a] == b for a, b in pairs)
         ):
             raise InputError("arc is not consecutive on the cycle")
-        interior = set(path[1:-1])
-        if any(v in succ for v in interior):
+        interior, leaving = set(path[1:-1]), set(arc[1:-1])
+        if any(v in succ and v not in leaving for v in interior):
             raise InputError("replacement interior collides with the cycle")
         if len(interior) != len(path) - 2:
             raise InputError("replacement interior repeats a vertex")
@@ -964,7 +965,11 @@ class _CutBuilder:
     ) -> None:
         """thread_part when absorbing s1 pulled in a helper x, necessarily
         a separator vertex of some part: rewire cur in place, with
-        ``step`` the net change.  No shipped family gets here."""
+        ``step`` the net change.  x lies in s1's part, or in an earlier
+        part whose stored path ends at z = succ(y).  No shipped family
+        gets here.  With x in a foreign part, z off its separator, no
+        rewiring finishes: s1 would go in beside y and z or pred(y),
+        where find_extension, trying kind I first, found no place."""
         y = e.u
         z = cur.succ(y)
         x = e.x
@@ -983,62 +988,21 @@ class _CutBuilder:
             self.paths[j] = new_arc
             return
 
-        if z in self.parts[ell]:
-            if ell >= j:
-                raise InvariantViolation(
-                    "helper part was not processed yet", ell=ell, j=j
-                )
-            old_path = self.paths[ell]
-            if old_path is None or len(old_path) < 3:
-                raise InvariantViolation(
-                    "stored path through the component is degenerate",
-                    ell=ell,
-                )
-            if z not in (old_path[0], old_path[-1]):
-                raise InvariantViolation(
-                    f"{z} is not an endpoint of the stored path", ell=ell
-                )
-            oriented = old_path if old_path[-1] == z else tuple(reversed(old_path))
-            s_other = oriented[0]
-            through = self.trees[ell].path(self.entry(s_other, ell), self.entry(x, ell))
-            new_arc = (s_other, *through, x)
-            # after e, x precedes z: the arc runs back from x, and
-            # reroute turns the cycle round
-            steps = [cur.apply(e), cur.reroute(oriented + (x,), new_arc)]
-            self.paths[ell] = new_arc
-        # remaining situation: the helper belongs to a foreign part and
-        # the displaced edge endpoint z is no separator vertex of it; s1
-        # goes in next to y or its predecessor, and e is not applied
-        elif z not in self.pieces[ell]:
-            if not self.B.adjacent(s1, z):
-                raise InvariantViolation(
-                    "complete attachment missing between target and successor",
-                    s1=s1,
-                    z=z,
-                )
-            steps = [cur.apply(Extension("I", s1, y))]
-        else:
-            if y not in self.parts[ell]:
-                raise InvariantViolation(
-                    f"cycle vertex {y} next to the component is not in its "
-                    "separator",
-                    ell=ell,
-                )
-            w = cur.pred(y)
-            if w in self.pieces[ell] or w in self.parts[ell]:
-                raise InvariantViolation(
-                    "both cycle neighbours lean into the same component",
-                    w=w,
-                    ell=ell,
-                )
-            if not self.B.adjacent(s1, w):
-                raise InvariantViolation(
-                    "complete attachment missing between target and "
-                    "predecessor",
-                    s1=s1,
-                    w=w,
-                )
-            steps = [cur.apply(Extension("I", s1, w))]
+        if z not in self.parts[ell]:
+            raise InvariantViolation(
+                f"helper {x} is in foreign part {ell}", s1=s1, y=y, z=z, ell=ell, x=x
+            )
+        # by stage A (cycle in K0) and check_threading_invariants after each
+        # earlier part, ell < j and z ends paths[ell], which has an interior
+        old_path = self.paths[ell]
+        oriented = old_path if old_path[-1] == z else tuple(reversed(old_path))
+        s_other = oriented[0]
+        through = self.trees[ell].path(self.entry(s_other, ell), self.entry(x, ell))
+        new_arc = (s_other, *through, x)
+        # after e, x precedes z: the arc runs back from x, and
+        # reroute turns the cycle round
+        steps = [cur.apply(e), cur.reroute(oriented + (x,), new_arc)]
+        self.paths[ell] = new_arc
         e2, self.paths[j] = self.forced_two_step(cur, s1, j)
         cur.join(*steps, cur.apply(e2))
 
@@ -1166,7 +1130,12 @@ class _CutBuilder:
         the cycle, shortcut all but the smallest and force the
         two-vertex absorption there, then take in u and the helper on
         cur, with ``step`` the net change.  Returns the two vertices
-        gained.  No shipped family gets here."""
+        gained; the helper is fresh or moves from its place on cur.  No
+        shipped family gets here.  As no two of ``nbrs_on`` are
+        consecutive, w1 is u's only neighbour on the copy, so
+        find_extension gives kind II at w1 or raises, and a helper on
+        cur was shortcut on the copy between its neighbours on cur,
+        which the loop checked are adjacent."""
         if not nbrs_on:
             raise InvariantViolation(
                 f"separator vertex {u} has no neighbour on the cycle"
@@ -1183,12 +1152,6 @@ class _CutBuilder:
                 )
             aux.drop(w)
         e = find_extension(self.B, aux, u)
-        if e.kind != "II" or e.u != w1:
-            raise InvariantViolation(
-                "isolated separator vertex was not absorbed by the forced "
-                "two-vertex kind",
-                extension=e.to_json_obj(),
-            )
         w2 = aux.succ(w1)
         h = e.x
         if h not in cur:
@@ -1196,14 +1159,8 @@ class _CutBuilder:
                 raise InvariantViolation(
                     f"fresh helper {h} is not a separator vertex", u=u
                 )
-            cur.apply(Extension("II", u, w1, x=h))
+            cur.apply(e)
         else:
-            hp, hm = cur.succ(h), cur.pred(h)
-            if not self.B.adjacent(hp, hm):
-                raise InvariantViolation(
-                    "claw-freeness did not close the relocation shortcut",
-                    around=h,
-                )
             cur.join(cur.drop(h), cur.reroute((w1, w2), (w1, u, h, w2)))
         self.update_msets(w1, w2, (u, h))
         return u, h
@@ -1313,12 +1270,19 @@ def construct_cut1(
         )
     builder = _CutBuilder(G, C, decomp, rim, live)
     cur = builder.stage_fill_finite()
-    for j in range(decomp.k):
-        cur = builder.thread_part(cur, j)
-        builder.check_threading_invariants(cur, j)
-    builder.read_cuts(cur)
-    cur = builder.stage_absorb_trees(cur)
-    cur = builder.stage_absorb_separator(cur)
+    # past the seed checks, an InputError in stages B-D is a broken invariant
+    stage = "B"
+    try:
+        for j in range(decomp.k):
+            cur = builder.thread_part(cur, j)
+            builder.check_threading_invariants(cur, j)
+        builder.read_cuts(cur)
+        stage = "C"
+        cur = builder.stage_absorb_trees(cur)
+        stage = "D"
+        cur = builder.stage_absorb_separator(cur)
+    except InputError as exc:
+        raise InvariantViolation(str(exc), stage=stage) from exc
     witnesses = builder.check_output_clauses(cur)
     return cur.freeze(), witnesses
 

@@ -52,7 +52,8 @@ def live_following(builder, C) -> _RunCycle:
 
 def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cycle:
     """Replace a consecutive arc of C (either direction) by a new path
-    with the same endpoints whose interior avoids the cycle."""
+    with the same endpoints whose interior avoids the cycle outside the
+    arc's own interior."""
     if len(arc) < 2 or len(new_arc) < 2:
         raise InputError("arcs need at least two vertices")
     if arc[0] != new_arc[0] or arc[-1] != new_arc[-1]:
@@ -71,7 +72,7 @@ def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cyc
         i = order.index(arc[0])
     rotated = order[i:] + order[:i]
     interior = set(new_arc[1:-1])
-    if any(v in C for v in interior):
+    if any(v in C and v not in arc[1:-1] for v in interior):
         raise InputError("replacement interior collides with the cycle")
     if len(interior) != len(new_arc) - 2:
         raise InputError("replacement interior repeats a vertex")

@@ -2,8 +2,9 @@
 replaced.
 
 Stage B threads through a helper vertex (``thread_through_helper``:
-the helper in the same part, in an earlier part whose path ends at the
-displaced successor, or in a foreign part) and stage D absorbs a
+the helper in the same part, or in an earlier part whose path ends at
+the displaced successor; with the helper in a foreign part no rewiring
+finishes, and one InvariantViolation says so) and stage D absorbs a
 separator vertex whose cycle neighbours are never consecutive
 (``absorb_isolated_separator_vertex``: a fresh helper, or a helper
 moved off the cycle).  The references below are those branches as they
@@ -25,24 +26,41 @@ the same exception with the same message and ``context``.  The inputs:
 - stage D on the windows of ``test_run_state``'s stage D trials, which
   reach the moved helper;
 - small balls built by hand (``HAND_BUILT``) for what no family
-  reaches: the helper in an earlier part, in a foreign part beside a
-  vertex that lies outside that part's piece and beside one on its
-  path, the fresh helper, and the exits of each.
+  reaches: the helper in an earlier part, once with a new path back
+  through the old path's interior, the fresh helper, and the exits of
+  each.  Where the helper lies in a foreign part, the reference refused
+  by an adjacency check that always fails there, and the current code
+  by its one message; the states before it are the same.
+
+The exits the reference had for states no decomposition leaves are
+gone.  The balls built for them (``REFUSED``) now show the kept check
+that refuses their state: decompose's guarantees (K0, the parts and
+the pieces pairwise disjoint, no separator vertex next to two pieces),
+``check_threading_invariants`` after each part, or, in stage D, a
+cycle neighbourhood of u with two consecutive vertices, which stage D
+takes u in beside by kind I.
 """
 
 import copy
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cycles import remove_cycle_vertex, replace_arc, reset
-from hamext.errors import HamextError, InvariantViolation
+from hamext.errors import HamextError, InputError, InvariantViolation
 from hamext.extension import Extension, LiveCycle, apply_extension, find_extension
 from hamext.families import gen_G_inf
 from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, neighborhood_k
-from hamext.infinite import _CutBuilder, _Rim, _RunCycle, hamilton_sequence
+from hamext.infinite import (
+    _CutBuilder,
+    _Rim,
+    _RunCycle,
+    construct_cut1,
+    hamilton_sequence,
+)
 from hamext.structure import (
     ComponentHandle,
     SeparatorDecomposition,
@@ -454,7 +472,8 @@ def test_stage_d_matches_reference(n):
 # lost before part 1 ("lost path"); or stages A to
 # C and then stage D's branch called for u with the cycle neighbours
 # ``nbrs`` ("absorb", u, nbrs).  ``case`` is the case the branch takes,
-# and ``outcome`` how the run ends, "ok" or the start of the message.
+# and ``outcome`` how the run ends, "ok" or the start of the message;
+# for a ball in REFUSED, how the reference's run ends.
 HAND_BUILT = {
     "helper in an earlier part": (
         [(0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (0, 8), (0, 9), (1, 2), (1, 4),
@@ -479,7 +498,7 @@ HAND_BUILT = {
          (4, 5), (4, 6), (4, 9), (4, 10), (5, 6), (5, 9), (5, 10), (6, 7), (6, 8),
          (6, 9), (6, 10), (7, 11), (8, 9), (8, 10), (9, 10), (11, 12)],
         (0, 1, 2, 3), [(4, 5, 6), (7,)], [(8, 9, 10), (11, 12)],
-        "stages", "earlier part", "replacement interior collides with the cycle",
+        "stages", "earlier part", "no extension absorbs target 11",
     ),
     "later part": (
         [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (2, 6),
@@ -498,16 +517,14 @@ HAND_BUILT = {
         [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (4, 5), (4, 6), (5, 8),
          (6, 7), (8, 9)],
         (0, 1, 2, 3), [(4,), (5,)], [(6, 7), (8, 9)],
-        "stages", "foreign part",
-        "complete attachment missing between target and successor",
+        "stages", "foreign part", "helper 5 is in foreign part 1",
     ),
     "foreign part beside its path": (
         [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (3, 7), (4, 6),
          (4, 7), (4, 8), (5, 6), (5, 7), (5, 8), (6, 9), (7, 10), (7, 11), (8, 9),
          (10, 11)],
         (0, 1, 2, 3), [(4, 5, 6), (7,)], [(8, 9), (10, 11)],
-        "stages", "foreign part",
-        "complete attachment missing between target and predecessor",
+        "stages", "foreign part", "helper 5 is in foreign part 0",
     ),
     "foreign part, y off its separator": (
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 4), (2, 8), (3, 8), (4, 5),
@@ -612,23 +629,29 @@ def hand_built(edges, cycle, parts, pieces):
     return G, C, decomp, _Rim(F, C.vertex_set, neighborhood_k(F, C.vertex_set, 1))
 
 
+def through_stage_c(b):
+    """Stages A to C on the builder b, with the cuts read after stage B."""
+    cur = b.stage_fill_finite()
+    for j in range(b.k):
+        cur = b.thread_part(cur, j)
+    b.read_cuts(cur)
+    return b.stage_absorb_trees(cur)
+
+
 def hand_built_run(name, reference):
     edges, cycle, parts, pieces, how, _, _ = HAND_BUILT[name]
     b = _CutBuilder(*hand_built(edges, cycle, parts, pieces))
     counting(b)
-    cur = b.stage_fill_finite()
     if how in ("stages", "unchecked", "from part 1"):
         first = 1 if how == "from part 1" else 0
+        cur = b.stage_fill_finite()
         return b, run_stages(b, cur, reference, check=how == "stages", first=first)
     if how == "lost path":
-        cur = b.thread_part(cur, 0)
+        cur = b.thread_part(b.stage_fill_finite(), 0)
         b.paths[0] = None
         return b, run_stages(b, cur, reference, first=1)
     _, u, nbrs = how
-    for j in range(b.k):
-        cur = b.thread_part(cur, j)
-    b.read_cuts(cur)
-    cur = b.stage_absorb_trees(cur)
+    cur = through_stage_c(b)
     try:
         if reference:
             D, gained = reference_absorb_isolated_separator_vertex(
@@ -642,11 +665,128 @@ def hand_built_run(name, reference):
         return b, ([], (type(exc).__name__, str(exc), getattr(exc, "context", None)))
 
 
+# The balls whose reference exit needs a state that a check the
+# construction keeps refuses, with what that check finds: "decompose",
+# the guarantees of decompose that the ball's decomposition breaks (its
+# cycle is K0); "threads", check_threading_invariants' message after
+# part 0 once that part's stored path is lost; or "kind I", the first
+# consecutive pair of u's cycle neighbours after stage C, beside which
+# stage D takes u in without calling the branch.
+REFUSED = {
+    "earlier part, stored path lost": ("threads", "missing path"),
+    "later part": ("decompose", ["K0 meets part 1"]),
+    "earlier part, z off the path's ends": ("decompose", ["K0 meets part 0"]),
+    "foreign part, y off its separator": ("decompose", ["K0 meets piece 1"]),
+    "foreign part, w leaning in": ("decompose", ["K0 meets piece 0"]),
+    "foreign part, w in its separator": (
+        "decompose", ["K0 meets part 0", "K0 meets piece 0"]
+    ),
+    "isolated vertex taken in by another kind": ("kind I", (8, 7)),
+    "moved helper, shortcut not closed": ("kind I", (0, 1)),
+}
+
+
+def broken_guarantees(decomp):
+    """What decompose guarantees and decomp breaks: K0, the parts and
+    the pieces pairwise disjoint, and no separator vertex next to two
+    pieces."""
+    pieces = [h.piece for h in decomp.infinite_components]
+    sets = [
+        ("K0", decomp.finite_component),
+        *((f"part {j}", part) for j, part in enumerate(decomp.parts)),
+        *((f"piece {j}", piece) for j, piece in enumerate(pieces)),
+    ]
+    broken = [f"{a} meets {b}" for (a, x), (b, y) in combinations(sets, 2) if x & y]
+    for s in sorted(decomp.script_S):
+        near = [
+            j for j, piece in enumerate(pieces)
+            if any(w in piece for w in decomp.ball.neighbors(s))
+        ]
+        if len(near) > 1:
+            broken.append(f"{s} is next to pieces {near}")
+    return broken
+
+
+def refusal(name):
+    """What the kept check that REFUSED names finds on the ball."""
+    edges, cycle, parts, pieces, how, _, _ = HAND_BUILT[name]
+    inputs = hand_built(edges, cycle, parts, pieces)
+    check = REFUSED[name][0]
+    if check == "decompose":
+        return broken_guarantees(inputs[2])
+    b = _CutBuilder(*inputs)
+    counting(b)
+    if check == "threads":
+        cur = b.thread_part(b.stage_fill_finite(), 0)
+        b.check_threading_invariants(cur, 0)
+        b.paths[0] = None
+        with pytest.raises(InvariantViolation) as refused:
+            b.check_threading_invariants(cur, 0)
+        return str(refused.value)
+    _, u, _ = how
+    cur = through_stage_c(b)
+    pair = b.consecutive_pair(cur, {w for w in b.B.neighbors(u) if w in cur})
+    b.stage_absorb_separator(cur)
+    assert u in cur and "isolated vertex" not in b.cases
+    return pair
+
+
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_ball_matches_reference(name):
     *_, case, outcome = HAND_BUILT[name]
-    b, got = hand_built_run(name, reference=False)
     _, want = hand_built_run(name, reference=True)
-    assert got == want
+    if name in REFUSED:
+        # the reference's exit, on a state the construction never reaches
+        assert want[1][1].startswith(outcome)
+        assert refusal(name) == REFUSED[name][1]
+        return
+    b, got = hand_built_run(name, reference=False)
+    if case == "foreign part":
+        # the reference refused by an adjacency check that always fails
+        # here, and the current code by its one message
+        assert got[0] == want[0] and got[1][0] == want[1][0]
+        assert want[1][1].startswith("complete attachment missing")
+    else:
+        assert got == want
     assert b.cases[-1] == case
     assert got[1][0] == "ok" if outcome == "ok" else got[1][1].startswith(outcome)
+
+
+def test_stage_balls_keep_the_decomposition_guarantees():
+    # the balls that run the stages as construct_cut1 does are states a
+    # decomposition can leave, so the refusals above are not vacuous
+    for edges, cycle, parts, pieces, how, _, _ in HAND_BUILT.values():
+        if how == "stages":
+            assert broken_guarantees(hand_built(edges, cycle, parts, pieces)[2]) == []
+
+
+def test_stage_errors_after_the_seed_checks_are_invariant_violations():
+    # a refused rewiring in stage B names its stage, chained from the
+    # InputError the live cycle raised
+    edges, cycle, parts, pieces, *_ = HAND_BUILT["same part, new path on the cycle"]
+    with pytest.raises(InvariantViolation) as raised:
+        construct_cut1(*hand_built(edges, cycle, parts, pieces))
+    assert str(raised.value) == "replacement interior collides with the cycle"
+    assert raised.value.context == {"stage": "B"}
+    assert isinstance(raised.value.__cause__, InputError)
+    # the earlier-part ball's new path runs back through the old one's
+    # interior: stage B finishes, and stage C finds no place for vertex 11
+    edges, cycle, parts, pieces, *_ = HAND_BUILT["earlier part, new path on the cycle"]
+    with pytest.raises(InvariantViolation, match="no extension absorbs target 11"):
+        construct_cut1(*hand_built(edges, cycle, parts, pieces))
+
+
+@pytest.mark.parametrize(
+    "method, stage", [("stage_absorb_trees", "C"), ("stage_absorb_separator", "D")]
+)
+def test_stage_boundary_names_stages_c_and_d(monkeypatch, method, stage):
+    # no ball built so far makes stages C or D raise an InputError, so
+    # one is raised in their place, on the first enlargement of GZ2
+    def refuse(self, cur):
+        raise InputError("refused")
+
+    G, C, decomp, rim, _ = after_stage_a(2, 0)
+    monkeypatch.setattr(_CutBuilder, method, refuse)
+    with pytest.raises(InvariantViolation, match="refused") as raised:
+        construct_cut1(G, C, decomp, rim)
+    assert raised.value.context == {"stage": stage}

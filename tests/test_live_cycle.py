@@ -11,7 +11,7 @@ or walked, and its predecessors equal the Cycle the references build,
 its step equals edges_outside taken both ways against the cycle before,
 and its ledger equals edges_outside taken both ways against the base.
 Arc replacements and removals that do not fit raise the references'
-InputErrors.  No shipped family reaches the arc replacements or the
+InputErrors; a new path may run back through the arc's own interior.  No shipped family reaches the arc replacements or the
 removals (the cold branches of the construction), so the golden
 digests do not cover them.
 """
@@ -204,3 +204,26 @@ def test_join_cancels_what_a_later_step_undoes():
     live.join(live.drop(1), live.reroute((0, 2), (0, 1, 2)))
     assert live.step == (set(), set())
     assert live.order == (0, 1, 2, 3) and not live.gained and not live.lost
+
+
+@pytest.mark.parametrize(
+    "arc, new_arc",
+    [((0, 1, 2, 3), (0, 2, 1, 9, 3)), ((3, 2, 1, 0), (3, 1, 2, 9, 0))],
+)
+def test_arc_replacement_may_reuse_the_arc_interior(arc, new_arc):
+    # the arc's interior leaves the cycle in the same rewiring, so the
+    # new path may run back through it; the edge 1-2, which both walk,
+    # is removed and added again by the step, and the ledger nets it out
+    C = Cycle((0, 1, 2, 3, 4, 5))
+    D = replace_arc(C, arc, new_arc)
+    live = _RunCycle(C)
+    removed, added = live.reroute(arc, new_arc)
+    assert live.order == D.order == walk(live)
+    assert all(live.pred(v) == D.pred(v) for v in D.order)
+    assert live.lost.keys() == set(removed) - set(added) == {
+        tuple(sorted(p)) for p in edges_outside(C, D)
+    }
+    assert live.gained == set(added) - set(removed) == {
+        tuple(sorted(p)) for p in edges_outside(D, C)
+    }
+    assert set(removed) & set(added) == {(1, 2)}

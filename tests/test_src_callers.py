@@ -1,0 +1,76 @@
+"""Every function and method in ``src/hamext`` has a caller in ``src``.
+
+Code that only the tests call is not part of what the package ships.
+The scan reads each module of the package with ``ast``.  A definition
+counts as called when its name appears anywhere in the package as a
+name or an attribute: a call, a reference handed on, a decorator or a
+property read.  Methods that Python calls itself (``__init__``,
+``__contains__`` and the like) are exempt, and so are the names below.
+"""
+
+import ast
+from pathlib import Path
+
+import hamext
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hamext"
+
+# qualified name (module, class, function): why nothing in src calls it
+EXEMPT = {
+    "cli.main": "the console script that pyproject.toml installs",
+    "infinite._Outside._from_iterable": (
+        "the collections.abc.Set hook that Set's operators build results with"
+    ),
+}
+# called or wrapped by name only by the benchmark in perfbench/; once it
+# times the CLI's own write and read paths, these leave src or this list
+BENCHMARK_ONLY = {
+    "extension.apply_extension",
+    "extension.extension_sequence",
+    "infinite.SequenceTrace.to_json",
+    "infinite.SequenceTrace.from_json",
+    "conditions.check_star_ball",
+}
+
+
+def definitions_and_names():
+    """The package's module-level functions and class methods, by
+    qualified name, and every name it reads as a name or attribute."""
+    defined, names = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return defined, names
+
+
+def test_every_function_in_src_has_a_caller_in_src():
+    defined, names = definitions_and_names()
+    exempt = EXEMPT.keys() | BENCHMARK_ONLY
+    uncalled = [
+        qualified
+        for qualified, name in defined.items()
+        if name not in names
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in hamext.__all__
+        and qualified not in exempt
+    ]
+    assert uncalled == []
+
+
+def test_exempt_names_are_defined_and_the_benchmark_ones_uncalled():
+    # the lists shrink as code leaves: a name that is gone, or that src
+    # now calls, comes off them
+    defined, names = definitions_and_names()
+    assert (EXEMPT.keys() | BENCHMARK_ONLY) <= defined.keys()
+    assert [q for q in sorted(BENCHMARK_ONLY) if defined[q] in names] == []
