@@ -48,7 +48,11 @@ INFINITE_FAMILIES = ("GZn", "HZn")
 
 def _emit(obj: object, out: str | None = None) -> None:
     """Print ``obj`` as JSON; with ``out``, also write the same text there."""
-    text = dumps_json(obj)
+    _print(dumps_json(obj), out)
+
+
+def _print(text: str, out: str | None = None) -> None:
+    """Print ``text``; with ``out``, also write it there."""
     if out is not None:
         _write_text(out, text + "\n")
     print(text)
@@ -68,13 +72,21 @@ def _json_safe(value: object) -> object:
     return repr(value)
 
 
-def _load_json_file(path: str) -> object:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json_file(path: str) -> object:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -205,21 +217,20 @@ def _cmd_infham(args: argparse.Namespace) -> int:
     if args.window is not None and args.window < 0:
         raise InputError("--window must be non-negative")
     trace = hamilton_sequence(G, args.depth)
-    payload = trace.to_json_obj()
+    extra = {}
     if args.window is not None:
         window = fiber_window(desc, args.window)
         stable = stable_limit(trace, window)
-        payload["stable_edges"] = [list(e) for e in sorted(stable)]
-        payload["window_half_width"] = args.window
-    _emit(payload, args.out)
+        extra["stable_edges"] = [list(e) for e in sorted(stable)]
+        extra["window_half_width"] = args.window
+    _print(trace.to_json(**extra), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .infinite import SequenceTrace, verify_hc_extract
 
-    obj = _load_json_file(args.trace)
-    trace = SequenceTrace.from_json_obj(obj)
+    trace = SequenceTrace.from_json(_read_text(args.trace))
     verdict = verify_hc_extract(trace)
     _emit(verdict.to_json_obj())
     return EXIT_OK if verdict.all_ok else EXIT_VERDICT_FAILS

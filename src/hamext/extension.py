@@ -217,26 +217,12 @@ def _check_rewiring(e: Extension, on, succ) -> None:
             raise InputError("kind III anchors overlap degenerately")
 
 
-def _rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
-    """The order LiveCycle.apply leaves when it rewires a cycle whose
-    order from its head was ``order``: what walking the successor map
-    from the head gives, cut and pasted from slices instead."""
-    i = order.index(e.u) + 1
-    if e.kind == "I":
-        return order[:i] + (e.target,) + order[i:]
-    if e.kind == "II":
-        return order[:i] + (e.target, e.x) + order[i:]
-    # the walk starts at the target: v, y back to u+, then y+ on to u
-    rot = order[i:] + order[:i]
-    k = rot.index(e.y)
-    return (e.target,) + rot[k::-1] + rot[k + 1 :]
-
-
 def apply_extension(C: Cycle, e: Extension) -> Cycle:
-    """The cycle LiveCycle.apply would leave after rewiring C according
-    to e, cut and pasted from C's order; only tests and the tracer call it."""
-    _check_rewiring(e, C, C.succ)
-    return Cycle(_rewired(C.order, e))
+    """C rewired according to e, as LiveCycle.apply leaves it; only
+    tests and perfbench/tracer.py call it."""
+    live = LiveCycle(C)
+    live.apply(e)
+    return live.freeze()
 
 
 def iter_extensions(

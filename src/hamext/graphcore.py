@@ -518,22 +518,9 @@ def neighborhood_k(G: GraphLike, X: Iterable[int], k: int) -> frozenset[int]:
     return frozenset(found)
 
 
-DEFAULT_BALL_RADIUS_MAX = 64
-
-
-def _ball_radius_cap() -> int:
-    import os
-
-    raw = os.environ.get("HAMEXT_BALL_RADIUS_MAX")
-    if raw is None:
-        return DEFAULT_BALL_RADIUS_MAX
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"HAMEXT_BALL_RADIUS_MAX must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InputError("HAMEXT_BALL_RADIUS_MAX must be non-negative")
-    return cap
+# The widest ball and the longest component search: a guard against
+# runaway queries on adversarial oracles.
+BALL_RADIUS_MAX = 64
 
 
 # The most neighbour entries one Region holds.  An entry costs about
@@ -837,10 +824,9 @@ class Region:
 def _check_ball_radius(radius: int) -> None:
     if radius < 0:
         raise InputError("ball radius must be non-negative")
-    cap = _ball_radius_cap()
-    if radius > cap:
+    if radius > BALL_RADIUS_MAX:
         raise InputError(
-            f"ball radius {radius} exceeds HAMEXT_BALL_RADIUS_MAX={cap}"
+            f"ball radius {radius} exceeds the radius cap {BALL_RADIUS_MAX}"
         )
 
 
@@ -850,9 +836,9 @@ def ball(G: LazyGraph, center: int | Iterable[int], radius: int) -> FiniteGraph:
     ``center`` may be a single vertex or a set of sources.  Vertices at
     distance exactly ``radius`` form the frontier: they are present, and
     edges among ball members are complete, but their own neighbour lists
-    extend beyond the ball.  Exploration is capped by the
-    ``HAMEXT_BALL_RADIUS_MAX`` environment variable as a guard against
-    runaway queries on adversarial oracles.
+    extend beyond the ball.  The radius is capped at
+    ``BALL_RADIUS_MAX`` as a guard against runaway queries on
+    adversarial oracles.
 
     Symmetry of the neighbour oracle is validated on every edge with
     both endpoints interior.  This is the ball of a fresh

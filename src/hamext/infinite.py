@@ -518,9 +518,11 @@ class SequenceTrace(Record):
     def depth(self) -> int:
         return len(self.blockers)
 
-    def _json_fields(self) -> dict:
-        """The JSON object of the trace but its witnesses."""
-        return {
+    def to_json(self, **extra: object) -> str:
+        """The trace as ``dumps_json`` writes its JSON object, with the
+        fields of ``extra`` added, joined once from its parts; each
+        witness is written straight from its record."""
+        obj = {
             "descriptor": self.descriptor,
             "depth": self.depth,
             "cycles": [cycle_to_json_obj(c) for c in self.cycles],
@@ -530,24 +532,14 @@ class SequenceTrace(Record):
             "end_selectors": {
                 name: list(sel) for name, sel in sorted(self.end_selectors.items())
             },
+            **extra,
         }
-
-    def to_json_obj(self) -> dict:
-        obj = self._json_fields()
-        obj["witnesses"] = [
-            [w.to_json_obj() for w in per_i] for per_i in self.witnesses
-        ]
-        return obj
-
-    def to_json(self) -> str:
-        """Exactly ``dumps_json(self.to_json_obj())``, joined once from
-        its parts; each witness is written straight from its record."""
-        obj = self._json_fields()
+        texts = {key: _dumps_at(value, "\n ") for key, value in obj.items()}
+        texts["witnesses"] = _witnesses_json(self.witnesses)
         parts = ["{"]
-        for key in sorted(obj):
-            parts += ('\n "', key, '": ', _dumps_at(obj[key], "\n "), ",")
-        # "witnesses" sorts after every other key
-        parts += ('\n "witnesses": ', _witnesses_json(self.witnesses), "\n}")
+        for key in sorted(texts):
+            parts += ('\n "', key, '": ', texts[key], ",")
+        parts[-1] = "\n}"
         return "".join(parts)
 
     @staticmethod
@@ -604,7 +596,7 @@ class SequenceTrace(Record):
     def from_json(text: str) -> "SequenceTrace":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"trace is not valid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise InputError("trace JSON must be an object")
@@ -969,18 +961,16 @@ class _CutBuilder:
         part whose stored path ends at z = succ(y).  No shipped family
         gets here.  With x in a foreign part, z off its separator, no
         rewiring finishes: s1 would go in beside y and z or pred(y),
-        where find_extension, trying kind I first, found no place."""
+        where find_extension, trying kind I first, found no place.
+
+        The same raise covers x off the separator, which no decomposition
+        leaves: x is next to s1 and off the cycle, which holds K0, so it
+        lies in s1's piece j, as no separator vertex is next to two pieces;
+        but x is next to z, and no cycle vertex is next to piece j yet."""
         y = e.u
         z = cur.succ(y)
         x = e.x
         ell = self.part_index(x)
-        if ell is None:
-            raise InvariantViolation(
-                f"helper vertex {x} is not a separator vertex",
-                target=s1,
-                j=j,
-            )
-
         if ell == j:
             through = self.trees[j].path(self.entry(s1, j), self.entry(x, j))
             new_arc = (s1, *through, x)
@@ -988,7 +978,7 @@ class _CutBuilder:
             self.paths[j] = new_arc
             return
 
-        if z not in self.parts[ell]:
+        if ell is None or z not in self.parts[ell]:
             raise InvariantViolation(
                 f"helper {x} is in foreign part {ell}", s1=s1, y=y, z=z, ell=ell, x=x
             )
@@ -1270,7 +1260,8 @@ def construct_cut1(
         )
     builder = _CutBuilder(G, C, decomp, rim, live)
     cur = builder.stage_fill_finite()
-    # past the seed checks, an InputError in stages B-D is a broken invariant
+    # past the seed checks, an InputError in stages B-D is a broken
+    # invariant, and every error leaving them names its stage
     stage = "B"
     try:
         for j in range(decomp.k):
@@ -1283,6 +1274,9 @@ def construct_cut1(
         cur = builder.stage_absorb_separator(cur)
     except InputError as exc:
         raise InvariantViolation(str(exc), stage=stage) from exc
+    except InvariantViolation as exc:
+        exc.context.setdefault("stage", stage)
+        raise
     witnesses = builder.check_output_clauses(cur)
     return cur.freeze(), witnesses
 

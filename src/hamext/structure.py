@@ -13,12 +13,12 @@ from __future__ import annotations
 from .conditions import claw_free_on_ball
 from .errors import InputError, InvariantViolation
 from .graphcore import (
+    BALL_RADIUS_MAX,
     Cycle,
     FiniteGraph,
     LazyGraph,
     Record,
     Region,
-    _ball_radius_cap,
     _components_within,
 )
 
@@ -127,18 +127,17 @@ def component_walk(G: LazyGraph, blocker, home, foreign):
     none of ``blocker``, ``home`` and the ``foreign`` sets: it walks
     G - blocker ring by ring, in ascending id order within a ring, and
     answers from the first known set it reaches.  The walk is capped at
-    ``HAMEXT_BALL_RADIUS_MAX`` rings, read once here, so a query far
-    from every known set fails fast instead of looping.
+    ``BALL_RADIUS_MAX`` rings, so a query far from every known set
+    fails fast instead of looping.
     """
     neighbors = G.neighbors
-    cap = _ball_radius_cap()
 
     def walk(v: int) -> bool:
         # the blocker is never entered, so it starts as seen
         seen = set(blocker)
         seen.add(v)
         ring = [v]
-        for _ in range(cap):
+        for _ in range(BALL_RADIUS_MAX):
             nxt = []
             for u in ring:
                 for w in neighbors(u):
@@ -155,7 +154,8 @@ def component_walk(G: LazyGraph, blocker, home, foreign):
                 return False
             ring = sorted(nxt)
         raise InputError(
-            f"component membership query for {v} exceeded the search cap {cap}"
+            f"component membership query for {v} exceeded the search cap "
+            f"{BALL_RADIUS_MAX}"
         )
 
     return walk
@@ -300,7 +300,7 @@ def decompose(
             raise InputError(f"blocker is not inclusion-minimal: {s} is removable")
 
     dist = region.dist
-    cap = _ball_radius_cap()
+    cap = BALL_RADIUS_MAX
     while True:
         missing = [s for s in script_S if dist.get(s, cap + 1) > cap]
         if not missing:
@@ -343,9 +343,9 @@ def decompose(
             # X's own piece still leaks through the frontier
             ambiguous = True
         radius += 2
-        if radius > _ball_radius_cap():
+        if radius > BALL_RADIUS_MAX:
             raise InputError(
-                f"decomposition ball exceeded radius cap {_ball_radius_cap()}"
+                f"decomposition ball exceeded radius cap {BALL_RADIUS_MAX}"
             )
 
     # the interior is X and the layers short of the frontier; with

@@ -1,17 +1,17 @@
 """Whole-cycle reads and rewirings that only the tests need: the edge
 set of a cycle, the pairs of one cycle whose edges another lacks (both
 take anything with an ``order``, a Cycle or a live cycle), a live cycle
-to hand a construction stage in place of a frozen one, and the frozen
-cycle surgery the construction's cold branches once ran on (an arc
-replaced, a vertex shortcut, and a live cycle reset to the result by a
-whole-cycle edge diff), kept as references for the live cycle's own
-operations."""
+to hand a construction stage in place of a frozen one, an extension
+applied by slicing a frozen cycle's order, and the frozen cycle surgery
+the construction's cold branches once ran on (an arc replaced, a vertex
+shortcut, and a live cycle reset to the result by a whole-cycle edge
+diff), kept as references for the live cycle's own operations."""
 
 from itertools import compress, repeat
 from operator import not_, sub
 
 from hamext.errors import InputError
-from hamext.extension import LiveCycle
+from hamext.extension import Extension, LiveCycle, _check_rewiring
 from hamext.graphcore import Cycle, Edge
 from hamext.infinite import _RunCycle
 
@@ -48,6 +48,28 @@ def live_following(builder, C) -> _RunCycle:
     live = _RunCycle(builder.C)
     reset(live, C)
     return live
+
+
+def rewired(order: tuple[int, ...], e: Extension) -> tuple[int, ...]:
+    """The order LiveCycle.apply leaves when it rewires a cycle whose
+    order from its head was ``order``: what walking the successor map
+    from the head gives, cut and pasted from slices instead."""
+    i = order.index(e.u) + 1
+    if e.kind == "I":
+        return order[:i] + (e.target,) + order[i:]
+    if e.kind == "II":
+        return order[:i] + (e.target, e.x) + order[i:]
+    # the walk starts at the target: v, y back to u+, then y+ on to u
+    rot = order[i:] + order[:i]
+    k = rot.index(e.y)
+    return (e.target,) + rot[k::-1] + rot[k + 1 :]
+
+
+def rewire(C: Cycle, e: Extension) -> Cycle:
+    """The cycle LiveCycle.apply leaves after rewiring C according to
+    e, after the same structural checks, cut and pasted from C's order."""
+    _check_rewiring(e, C, C.succ)
+    return Cycle(rewired(C.order, e))
 
 
 def replace_arc(C: Cycle, arc: tuple[int, ...], new_arc: tuple[int, ...]) -> Cycle:

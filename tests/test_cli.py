@@ -489,6 +489,45 @@ def test_verify_rejects_malformed_trace(capsys, tmp_path):
     assert payload["kind"] == "input"
 
 
+def test_verify_reads_through_the_trace_reader(capsys, tmp_path):
+    # verify parses with SequenceTrace.from_json, so its refusals are the
+    # reader's own
+    bad = tmp_path / "t.json"
+    bad.write_text("{oops")
+    code, payload = run(capsys, "verify", "--trace", str(bad))
+    assert code == 2
+    assert payload["error"].startswith("trace is not valid JSON: ")
+    bad.write_text("[1, 2]")
+    code, payload = run(capsys, "verify", "--trace", str(bad))
+    assert code == 2
+    assert payload["error"] == "trace JSON must be an object"
+
+
+# each subcommand that reads a file, with the flags it needs besides it
+FILE_READERS = {
+    "check": ["check", "--what", "star", "--input"],
+    "ham": ["ham", "--input"],
+    "structure": ["structure", "--cycle", "0,2,1,3", "--input"],
+    "infham": ["infham", "--depth", "2", "--descriptor"],
+    "verify": ["verify", "--trace"],
+    "oracle": ["oracle", "--input"],
+}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{\x00}\x00", b"[" * 200_000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+@pytest.mark.parametrize("command", sorted(FILE_READERS))
+def test_undecodable_files_are_input_errors(capsys, tmp_path, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, payload = run(capsys, *FILE_READERS[command], str(path))
+    assert code == 2
+    assert payload["kind"] == "input"
+
+
 _DROP = object()
 
 
@@ -732,6 +771,24 @@ def test_invariant_violation_reports_context(capsys, g42_file, monkeypatch):
         "edges": [[0, 1], [2, 3]],
         "nested": {"path": [0, 1]},
     }
+
+
+@pytest.mark.parametrize(
+    "method, stage", [("stage_absorb_trees", "C"), ("stage_absorb_separator", "D")]
+)
+def test_invariant_violation_names_its_stage(capsys, gz2_file, monkeypatch, method, stage):
+    # a violation raised inside a stage of the enlargement reaches the
+    # exit-3 payload with that stage added to its own context
+    def boom(self, cur):
+        raise InvariantViolation("forced inside a stage", where=method)
+
+    monkeypatch.setattr(infinite._CutBuilder, method, boom)
+    code, payload = run(
+        capsys, "infham", "--descriptor", str(gz2_file), "--depth", "1"
+    )
+    assert code == 3
+    assert payload["error"] == "forced inside a stage"
+    assert payload["context"] == {"where": method, "stage": stage}
 
 
 # sha256 of the stdout of `infham --depth D --window 5` and of `verify`

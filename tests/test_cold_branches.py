@@ -8,9 +8,9 @@ finishes, and one InvariantViolation says so) and stage D absorbs a
 separator vertex whose cycle neighbours are never consecutive
 (``absorb_isolated_separator_vertex``: a fresh helper, or a helper
 moved off the cycle).  The references below are those branches as they
-were: each froze the live cycle, rebuilt Cycles with ``apply_extension``
-and the cycle surgery of ``tests/cycles.py``, and reset the live cycle
-to the result by a whole-cycle edge diff.
+were: each froze the live cycle, rebuilt Cycles with the frozen
+rewiring and cycle surgery of ``tests/cycles.py``, and reset the live
+cycle to the result by a whole-cycle edge diff.
 
 Every test runs the current stages and the references from equal
 copies of one live cycle and requires, after each part of stage B and
@@ -49,9 +49,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from cycles import remove_cycle_vertex, replace_arc, reset
+from cycles import remove_cycle_vertex, replace_arc, reset, rewire
 from hamext.errors import HamextError, InputError, InvariantViolation
-from hamext.extension import Extension, LiveCycle, apply_extension, find_extension
+from hamext.extension import Extension, LiveCycle, find_extension
 from hamext.families import gen_G_inf
 from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, neighborhood_k
 from hamext.infinite import (
@@ -91,7 +91,7 @@ def reference_thread_through_helper(b, cur, j, s1, e):
     y = e.u
     z = cur.succ(y)
     x = e.x
-    D = apply_extension(cur, e)
+    D = rewire(cur, e)
     ell = b.part_index(x)
     if ell is None:
         raise InvariantViolation(
@@ -133,7 +133,7 @@ def reference_thread_through_helper(b, cur, j, s1, e):
         D2 = replace_arc(D, oriented + (x,), new_arc)
         b.paths[ell] = new_arc
         e2, b.paths[j] = b.forced_two_step(D2, s1, j)
-        return apply_extension(D2, e2)
+        return rewire(D2, e2)
 
     if z not in b.pieces[ell]:
         if not b.B.adjacent(s1, z):
@@ -142,7 +142,7 @@ def reference_thread_through_helper(b, cur, j, s1, e):
                 s1=s1,
                 z=z,
             )
-        D3 = apply_extension(cur, Extension("I", s1, y))
+        D3 = rewire(cur, Extension("I", s1, y))
     else:
         if y not in b.parts[ell]:
             raise InvariantViolation(
@@ -164,9 +164,9 @@ def reference_thread_through_helper(b, cur, j, s1, e):
                 s1=s1,
                 w=w,
             )
-        D3 = apply_extension(cur, Extension("I", s1, w))
+        D3 = rewire(cur, Extension("I", s1, w))
     e3, b.paths[j] = b.forced_two_step(D3, s1, j)
-    return apply_extension(D3, e3)
+    return rewire(D3, e3)
 
 
 def reference_stage_absorb_separator(b, cur):
@@ -229,7 +229,7 @@ def reference_absorb_isolated_separator_vertex(b, cur, u, nbrs_on):
             raise InvariantViolation(
                 f"fresh helper {h} is not a separator vertex", u=u
             )
-        cur = apply_extension(cur, Extension("II", u, w1, x=h))
+        cur = rewire(cur, Extension("II", u, w1, x=h))
     else:
         hp, hm = cur.succ(h), cur.pred(h)
         if not b.B.adjacent(hp, hm):
@@ -681,6 +681,7 @@ REFUSED = {
     "foreign part, w in its separator": (
         "decompose", ["K0 meets part 0", "K0 meets piece 0"]
     ),
+    "helper off the separator": ("decompose", ["K0 meets piece 0"]),
     "isolated vertex taken in by another kind": ("kind I", (8, 7)),
     "moved helper, shortcut not closed": ("kind I", (0, 1)),
 }
@@ -770,10 +771,18 @@ def test_stage_errors_after_the_seed_checks_are_invariant_violations():
     assert raised.value.context == {"stage": "B"}
     assert isinstance(raised.value.__cause__, InputError)
     # the earlier-part ball's new path runs back through the old one's
-    # interior: stage B finishes, and stage C finds no place for vertex 11
+    # interior: the rewiring goes through, and part 1's forced two-step
+    # then finds no place for vertex 11 of its piece, still in stage B;
+    # find_extension's violation leaves with its own context and the
+    # stage added
     edges, cycle, parts, pieces, *_ = HAND_BUILT["earlier part, new path on the cycle"]
-    with pytest.raises(InvariantViolation, match="no extension absorbs target 11"):
+    with pytest.raises(InvariantViolation, match="no extension absorbs target 11") as raised:
         construct_cut1(*hand_built(edges, cycle, parts, pieces))
+    context = raised.value.context
+    assert context["stage"] == "B"
+    assert context.keys() == {"stage", "cycle", "target", "anchors", "neighborhood"}
+    assert context["target"] == 11
+    assert raised.value.__cause__ is None
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ star/clique family has three distinct degrees; its degree condition
 holds exactly when n is large enough to cover the cross-fiber cases.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -579,7 +580,7 @@ def test_the_neighbour_cache_is_refused_past_its_budget(monkeypatch):
     from hamext import graphcore
     from hamext.infinite import SequenceTrace, hamilton_sequence, verify_hc_extract
 
-    obj = hamilton_sequence(gen_G_inf(2), 3).to_json_obj()
+    obj = json.loads(hamilton_sequence(gen_G_inf(2), 3).to_json())
     obj["descriptor"]["params"]["n"] = 10
     trace = SequenceTrace.from_json_obj(obj)
     monkeypatch.setattr(graphcore, "MAX_CACHED_NEIGHBORS", 60)

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.families import gen_G_inf
 from hamext.graphcore import (
+    BALL_RADIUS_MAX,
     Cycle,
     FiniteGraph,
     LazyGraph,
@@ -241,14 +242,10 @@ def test_ball_accepts_multiple_sources():
     assert B.frontier
 
 
-def test_ball_radius_cap(monkeypatch):
+def test_ball_radius_cap():
     G = gen_G_inf(2)
-    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
-    with pytest.raises(InputError):
-        ball(G, G.root, 4)
-    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "nope")
-    with pytest.raises(InputError):
-        ball(G, G.root, 1)
+    with pytest.raises(InputError, match=f"exceeds the radius cap {BALL_RADIUS_MAX}"):
+        ball(G, G.root, BALL_RADIUS_MAX + 1)
 
 
 def test_ball_detects_asymmetric_oracle():
@@ -376,7 +373,7 @@ def test_dumps_json_equals_indented_json_dumps(x):
 
 @pytest.mark.parametrize("n, depth", [(2, 32), (3, 28)])
 def test_dumps_json_equals_json_dumps_on_traces(n, depth):
-    obj = hamilton_sequence(gen_G_inf(n), depth).to_json_obj()
+    obj = json.loads(hamilton_sequence(gen_G_inf(n), depth).to_json())
     assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
 

@@ -11,7 +11,13 @@ import hamext.infinite as infinite
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import fiber_window, gen_G_inf, gen_H_inf, zigzag
-from hamext.graphcore import Cycle, LazyGraph, neighborhood_k, verify_cycle
+from hamext.graphcore import (
+    BALL_RADIUS_MAX,
+    Cycle,
+    LazyGraph,
+    neighborhood_k,
+    verify_cycle,
+)
 from hamext.infinite import (
     CutWitness,
     SequenceTrace,
@@ -29,7 +35,7 @@ from hamext.infinite import (
 )
 from hamext.structure import decompose, minimal_ray_blocker
 from cycles import edge_set, live_following, remove_cycle_vertex, replace_arc
-from records import rebuilt
+from records import rebuilt, trace_json_obj
 
 
 def gz_fiber(n, f):
@@ -470,7 +476,8 @@ def test_trace_round_trip():
 def test_trace_text_equals_indented_json_dumps(n, depth):
     # the witnesses are written from their records, one format each; a
     # witness of empty sets, an empty witness list, no witnesses at all
-    # and a witness of bools and floats are written as json writes them
+    # and a witness of bools and floats are written as json writes them,
+    # and so are extra fields, wherever they sort among the trace's own
     trace = hamilton_sequence(gen_G_inf(n), depth)
     empty = CutWitness(0, frozenset(), frozenset(), frozenset(), frozenset(), ())
     odd = CutWitness(
@@ -483,12 +490,23 @@ def test_trace_text_equals_indented_json_dumps(n, depth):
         rebuilt(trace, witnesses=()),
         rebuilt(trace, witnesses=((odd, trace.witnesses[0][0]),)),
     ):
-        assert t.to_json() == json.dumps(t.to_json_obj(), sort_keys=True, indent=1)
+        assert t.to_json() == json.dumps(trace_json_obj(t), sort_keys=True, indent=1)
+    extra = {
+        "stable_edges": [[0, 1], [1, 2]],
+        "window_half_width": 5,
+        "a": {"b": [True, 1.5, None]},
+        "zz": [],
+    }
+    assert trace.to_json(**extra) == json.dumps(
+        trace_json_obj(trace, **extra), sort_keys=True, indent=1
+    )
 
 
 def test_trace_rejects_malformed_json():
     with pytest.raises(InputError):
         SequenceTrace.from_json("{not json")
+    with pytest.raises(InputError, match="not valid JSON"):
+        SequenceTrace.from_json("[" * 200_000)
     with pytest.raises(InputError):
         SequenceTrace.from_json("[1, 2]")
     with pytest.raises(InputError):
@@ -497,7 +515,7 @@ def test_trace_rejects_malformed_json():
 
 def test_trace_rejects_inconsistent_lengths():
     trace = hamilton_sequence(gen_G_inf(2), 2)
-    obj = trace.to_json_obj()
+    obj = json.loads(trace.to_json())
     obj["cycles"] = obj["cycles"][:-1]
     with pytest.raises(InputError, match="depth"):
         SequenceTrace.from_json_obj(obj)
@@ -650,18 +668,18 @@ def test_verify_requires_iterations():
         verify_hc_extract(empty)
 
 
-def test_witness_membership_search_is_capped(gz2_trace, monkeypatch):
+def test_witness_membership_search_is_capped(gz2_trace):
+    # the first witnesses' sets reach a few fibers from fiber 0, so fiber
+    # -20 is answered within the cap and fiber -(cap + 20) is not
     G = gen_G_inf(2)
     left = gz2_trace.end_selectors["left"][0]
     right = gz2_trace.end_selectors["right"][0]
     far_left = gz_fiber(2, -20)[0]
-    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
-    _, in_left, _ = _witness_membership(G, gz2_trace, 0, left)
-    with pytest.raises(InputError, match="search cap 3"):
-        in_left(far_left)
-    monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
+    beyond = gz_fiber(2, -BALL_RADIUS_MAX - 20)[0]
     _, in_left, _ = _witness_membership(G, gz2_trace, 0, left)
     _, in_right, _ = _witness_membership(G, gz2_trace, 0, right)
+    with pytest.raises(InputError, match=f"search cap {BALL_RADIUS_MAX}"):
+        in_left(beyond)
     assert in_left(far_left)
     assert not in_right(far_left)
 

@@ -5,7 +5,7 @@ extensions (kinds I, II and III), arc replacements walked forwards or
 backwards (``reroute``), vertex removals (``drop``, of the newest
 vertex too, which brings back an edge the ledger lost), two of these
 joined into one step (``join``) and new ledger starts.  The references
-are apply_extension and the frozen cycle surgery of ``tests/cycles.py``.
+are the frozen rewiring and cycle surgery of ``tests/cycles.py``.
 After every step the live cycle's order, whether spliced from its base
 or walked, and its predecessors equal the Cycle the references build,
 its step equals edges_outside taken both ways against the cycle before,
@@ -19,9 +19,9 @@ digests do not cover them.
 import pytest
 from hypothesis import given, strategies as st
 
-from cycles import edges_outside, remove_cycle_vertex, replace_arc
+from cycles import edges_outside, remove_cycle_vertex, replace_arc, rewire
 from hamext.errors import InputError
-from hamext.extension import Extension, apply_extension
+from hamext.extension import Extension
 from hamext.graphcore import Cycle
 from hamext.infinite import _RunCycle
 
@@ -95,7 +95,7 @@ def step(C, kind, a, b, width, fresh):
             arc = arc[::-1]
         new_arc = (arc[0], *range(fresh, fresh + 1 + width % 3), arc[-1])
         return replace_arc(C, arc, new_arc), lambda live: live.reroute(arc, new_arc)
-    return apply_extension(C, e), lambda live: live.apply(e)
+    return rewire(C, e), lambda live: live.apply(e)
 
 
 @given(rewirings())

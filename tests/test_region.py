@@ -25,8 +25,6 @@ from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.extension import (
     Extension,
     LiveCycle,
-    _rewired,
-    apply_extension,
     find_initial_cycle,
     iter_extensions,
 )
@@ -42,7 +40,7 @@ from hamext.graphcore import (
 from hamext.infinite import _CutBuilder, hamilton_sequence
 from hamext.oracle import random_star_clawfree
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set
+from cycles import edge_set, rewire, rewired
 from separators import components
 from test_infinite import rim_of
 from wholeball import reference_ball
@@ -573,8 +571,8 @@ def test_order_after_one_rewiring_equals_the_walk():
         walk = [live.head]
         while live.succ(walk[-1]) != live.head:
             walk.append(live.succ(walk[-1]))
-        assert _rewired(order, e) == tuple(walk) == live.order
-        assert apply_extension(C, e).order == live.order
+        assert rewired(order, e) == tuple(walk) == live.order
+        assert rewire(C, e).order == live.order
         kinds[kind] += 1
     assert len(kinds) == 3
 

@@ -22,13 +22,11 @@ EXEMPT = {
         "the collections.abc.Set hook that Set's operators build results with"
     ),
 }
-# called or wrapped by name only by the benchmark in perfbench/; once it
-# times the CLI's own write and read paths, these leave src or this list
+# called or wrapped by name only by the benchmark in perfbench/; once its
+# tracer wraps what the package runs instead, these leave src or this list
 BENCHMARK_ONLY = {
     "extension.apply_extension",
     "extension.extension_sequence",
-    "infinite.SequenceTrace.to_json",
-    "infinite.SequenceTrace.from_json",
     "conditions.check_star_ball",
 }
 

@@ -2,7 +2,7 @@ import pytest
 
 from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
-from hamext.graphcore import Cycle, FiniteGraph, LazyGraph
+from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph
 from hamext.oracle import random_star_clawfree
 from hamext.structure import ComponentHandle, decompose, minimal_ray_blocker
 from separators import (
@@ -191,12 +191,13 @@ def test_empty_set_never_blocks_rays():
     assert G.escapes(frozenset(), 0)
 
 
-def test_component_membership_search_is_capped(monkeypatch):
+def test_component_membership_search_is_capped():
     G = gen_G_inf(2)
     desc = G.descriptor
     C = four_cycle_on_home_fibers(G)
     S = minimal_ray_blocker(G, C)
     far = fiber_vertices(desc, -8)[0]
+    beyond = fiber_vertices(desc, -BALL_RADIUS_MAX - 8)[0]
 
     def handles():
         # the two components as a ball of radius 2 sees them: it holds
@@ -206,14 +207,11 @@ def test_component_membership_search_is_capped(monkeypatch):
             ComponentHandle(G, S, fiber_vertices(desc, f), seen) for f in (-2, 3)
         )
 
-    monkeypatch.setenv("HAMEXT_BALL_RADIUS_MAX", "3")
+    # fiber -(cap + 8) is cap + 6 hops out
     left, right = handles()
-    with pytest.raises(InputError, match="search cap 3"):
-        far in left
-    monkeypatch.delenv("HAMEXT_BALL_RADIUS_MAX")
-    # the cap is read when the handle is built, not on each query
-    with pytest.raises(InputError, match="search cap 3"):
-        far in right
-    left, right = handles()
+    with pytest.raises(InputError, match=f"search cap {BALL_RADIUS_MAX}"):
+        beyond in left
+    with pytest.raises(InputError, match=f"search cap {BALL_RADIUS_MAX}"):
+        beyond in right
     assert far in left
     assert far not in right

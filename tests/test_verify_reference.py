@@ -21,9 +21,9 @@ import pytest
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
 from hamext.graphcore import (
+    BALL_RADIUS_MAX,
     Cycle,
     LazyGraph,
-    _ball_radius_cap,
     canonical_edge,
     neighborhood_k,
     verify_cycle,
@@ -46,7 +46,7 @@ def _component_membership(G, blocker, home, foreign):
     blocker = frozenset(blocker)
     home = frozenset(home)
     foreign = frozenset(foreign)
-    cap = _ball_radius_cap()
+    cap = BALL_RADIUS_MAX
 
     def member(v):
         if v in blocker:
@@ -339,7 +339,7 @@ def _outcome(verify, trace):
 
 @pytest.fixture(scope="module")
 def gz2_depth3_obj():
-    return hamilton_sequence(gen_G_inf(2), 3).to_json_obj()
+    return json.loads(hamilton_sequence(gen_G_inf(2), 3).to_json())
 
 
 def test_clause_functions_match_reference_on_mutations(gz2_depth3_obj):
