@@ -182,9 +182,15 @@ def _make_double_ray_family(
     fiber_edges: Callable[[int], list[tuple[int, int]] | None],
     width: int,
     descriptor: Mapping[str, object],
+    period: int | None = None,
 ) -> LazyGraph:
     """Shared machinery: fibers indexed by all integers, consecutive
     fibers completely joined, inner structure per fiber.
+
+    ``period`` is a p such that ``fiber_size(f)`` and ``fiber_edges(f)``
+    depend only on f mod p.  Shifting every fiber by p is then an
+    automorphism, so every vertex is the image of one in fibers 0 ..
+    p - 1, and the graph lists those as its representatives.
 
     ``fiber_edges(f)`` lists the inner edges of fiber f, or is None for
     a complete fiber, whose inner neighbours come from its index range
@@ -268,6 +274,9 @@ def _make_double_ray_family(
             "right": lambda t: encode(t, 0),
         },
         descriptor=descriptor,
+        representatives=(
+            None if period is None else tuple(map(fiber, range(period)))
+        ),
     )
 
 
@@ -281,6 +290,7 @@ def gen_G_inf(n: int) -> LazyGraph:
         fiber_edges=lambda f: None,
         width=n,
         descriptor={"family": "GZn", "params": {"n": n}},
+        period=1,
     )
 
 
@@ -295,6 +305,7 @@ def gen_H_inf(n: int) -> LazyGraph:
         fiber_edges=lambda f: star if f % 2 == 0 else None,
         width=max(4, n),
         descriptor={"family": "HZn", "params": {"n": n}},
+        period=2,
     )
 
 

@@ -307,6 +307,11 @@ class LazyGraph:
     double-ray families expose ``left`` and ``right``).  ``descriptor``
     carries the construction recipe when the graph came from a family
     generator, so traces can be re-verified from serialized form.
+    ``representatives``, set only by the double-ray family constructor,
+    is a tuple of ranges of vertex ids, in increasing order, such that
+    every vertex of G is the image of one of their ids under an
+    automorphism of G; a run decides the local conditions for all of G
+    on them.  None means no such set is known.
     """
 
     def __init__(
@@ -316,12 +321,14 @@ class LazyGraph:
         root: int,
         end_rays: Mapping[str, Callable[[int], int]] | None = None,
         descriptor: Mapping[str, object] | None = None,
+        representatives: tuple[range, ...] | None = None,
     ) -> None:
         self._neighbor_oracle = neighbor_oracle
         self._escape_oracle = escape_oracle
         self.root = root
         self.end_rays = dict(end_rays) if end_rays else {}
         self.descriptor = dict(descriptor) if descriptor is not None else None
+        self.representatives = representatives
         self._nbr_cache: dict[int, tuple[int, ...]] = {}
         self._esc_cache: dict[tuple[frozenset[int], int], bool] = {}
         self._held = 0

@@ -25,12 +25,16 @@ Everything works inside one finite ball; frontier contamination is an
 error, never silently tolerated.  The driver keeps one run state
 (_RunState) per run, and in it one growing region (graphcore.Region):
 V(C), the distance layers around it and their adjacency, which each
-iteration updates from the vertices the cycle gained.  The run checks
-the ball saturation starts from for claws and the degree condition
-first, so an input failing either is refused before saturation.  Each
-iteration then takes N(C) for the blocker, and the ball for decompose,
-off the region, checks claw-freeness and the degree condition on that
-ball, and reads N(C), its second neighbourhood and the protected
+iteration updates from the vertices the cycle gained.  Both local
+conditions, claw-freeness and the degree condition, are decided first.
+A graph that lists representatives (the periodic families list fibers
+0 .. p-1) is decided once, on them, before the ball saturation starts
+from is grown (decide_by_period), and no ball is checked after that.
+Otherwise the run checks the ball saturation starts from, so an input
+failing either is refused before saturation, and then each
+iteration's ball.  Each
+iteration takes N(C) for the blocker, and the ball for decompose, off
+the region, and reads N(C), its second neighbourhood and the protected
 vertices once.  Both conditions are properties of the graph, so a
 centre certified once is never checked again.  The run keeps one live
 cycle across its iterations and freezes it once per iteration for the
@@ -51,7 +55,7 @@ import json
 from collections.abc import Iterator, Set
 from itertools import chain, filterfalse, islice
 
-from .conditions import star_on_ball
+from .conditions import check_star_ball, star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
 from .extension import (
     Extension,
@@ -1300,6 +1304,52 @@ def _initial_cycle(G: LazyGraph) -> Cycle:
 _SEED_RADIUS = 4
 
 
+def _require_star(star) -> None:
+    """Raise InputError when the degree-condition verdict ``star`` fails."""
+    if not star.holds:
+        raise InputError(
+            f"local degree condition fails near the cycle at {star.witness}"
+        )
+
+
+def decide_by_period(G: LazyGraph) -> bool:
+    """Decide claw-freeness and the local degree condition for all of G
+    on G's representatives, when it has them: refuse G with InputError
+    at the first failure, and return whether G was decided.
+
+    Both conditions at a vertex v read only its ball of radius 2.  A
+    claw at v is v, three of its neighbours and the non-edges among
+    them.  An induced path u-v-w with middle v compares d(u) + d(w)
+    with |N(u) | N(v) | N(w)|, and N(u), N(w) lie within distance 2 of
+    v.  An automorphism carries that ball onto the ball of v's image,
+    and with it both verdicts.  Every vertex of G is the image of a
+    representative (for the double-ray families, the shift of a vertex
+    of fibers 0 .. p - 1 by a multiple of the period p), and every claw
+    and induced path has a centre or middle.  So both conditions hold
+    on G exactly when they hold at the representatives.
+
+    The claw scan runs first, at the representatives, on the ball of
+    radius 3 around them.  Then check_star_ball grows that ball again
+    from the cached neighbour rows and tests the induced paths within
+    distance 1 of the representatives, whose neighbourhoods it holds in
+    full.  Those paths include every path with a representative as its
+    middle, and a failure among the others is a failure in G too.  The
+    messages are those of the per-ball checks.
+    """
+    if G.representatives is None:
+        return False
+    # their rows are read one at a time first, so that a row or the
+    # neighbour cache over its budget is refused before anything is
+    # built over all of them
+    for v in chain.from_iterable(G.representatives):
+        G.neighbors(v)
+    centers = [v for ids in G.representatives for v in ids]
+    B = Region(G, centers).ball(3)
+    require_claw_free(B, centers)
+    _require_star(check_star_ball(G, centers, 3))
+    return True
+
+
 def _saturate_initial(G: LazyGraph, seed: Cycle, B: FiniteGraph) -> Cycle:
     """Saturate N(seed) in B, the ball of radius _SEED_RADIUS around
     the seed, growing the ball until the result clears its frontier."""
@@ -1357,12 +1407,17 @@ class _RunState:
     ``region`` is grown from the seed cycle and then follows the cycle:
     each iteration adds what the cycle gained, and the blocker's N(C),
     decompose's balls and distances, and the degree condition's layers
-    are read off it.  The local degree condition and claw-freeness are
-    properties of G, so a centre that passes once passes in every later
-    iteration.  ``star_certified`` and ``claw_certified`` hold the
-    centres already certified, and each ball checks only the others
-    (see star_on_ball and claw_free_on_ball for when a centre counts as
-    certified).
+    are read off it.
+
+    ``decided`` says that claw-freeness and the local degree condition
+    were decided for all of G on its representatives, first thing (see
+    decide_by_period); the seed ball and the iterations then check
+    neither.  Otherwise
+    every ball is checked.  Both conditions are properties of G, so a
+    centre that passes once passes in every later iteration.
+    ``star_certified`` and ``claw_certified`` hold the centres already
+    certified, and each ball checks only the others (see star_on_ball
+    and claw_free_on_ball for when a centre counts as certified).
 
     ``live`` is the run's one live cycle (see _RunCycle), from the first
     enlargement on: each enlargement rewires it in place, and its
@@ -1374,6 +1429,7 @@ class _RunState:
 
     def __init__(self, G: LazyGraph, seed: Cycle) -> None:
         self.G = G
+        self.decided = decide_by_period(G)
         self.star_certified: set[int] = set()
         self.claw_certified: set[int] = set()
         self.region = Region(G, seed.order)
@@ -1385,23 +1441,21 @@ class _RunState:
         # every vertex X had before the region's last grow was certified
         # by the scan of the ball before
         region = self.region
-        star = star_on_ball(
-            B, region.layers, limit, self.star_certified, fresh=region.grown
-        )
-        if not star.holds:
-            raise InputError(
-                f"local degree condition fails near the cycle at "
-                f"{star.witness}"
+        _require_star(
+            star_on_ball(
+                B, region.layers, limit, self.star_certified, fresh=region.grown
             )
+        )
 
     def check_seed(self) -> FiniteGraph:
         """The claw scan, then the degree condition, on the ball that
         saturation starts from, so that an input failing either is
-        refused before saturation can trip over it.  Returns that ball,
-        the region's first."""
+        refused before saturation can trip over it; a decided run skips
+        both.  Returns that ball, the region's first."""
         B = self.region.ball(_SEED_RADIUS)
-        require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
-        self.require_star(B, _SEED_RADIUS - 2)
+        if not self.decided:
+            require_claw_free(B, B.vertex_set - B.frontier, self.claw_certified)
+            self.require_star(B, _SEED_RADIUS - 2)
         return B
 
     def enlarge(
@@ -1412,7 +1466,8 @@ class _RunState:
         """One iteration: grow the region by what C gained, block C,
         decompose (which scans its ball for claws), check the degree
         condition on the same ball, and enlarge; the crossing sets of
-        the M sets are read off the cycle once, in construct_cut1.
+        the M sets are read off the cycle once, in construct_cut1.  A
+        decided run checks neither condition.
 
         When C is the cycle the last enlargement left, what C gained is
         read off the live cycle's ledger; otherwise (the saturated seed)
@@ -1429,18 +1484,24 @@ class _RunState:
         X = region.layers[0]
         blocker = minimal_ray_blocker(self.G, C, region, walked)
         decomp = decompose(
-            self.G, X, blocker, certified=self.claw_certified, region=region
+            self.G,
+            X,
+            blocker,
+            certified=self.claw_certified,
+            region=region,
+            claw_free=self.decided,
         )
         rim = _Rim(decomp.ball, X, region.layers[1])
         if not rim.protected:
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
             )
-        # the ball reaches at least blocker_depth + BALL_MARGIN from C,
-        # so the paths within blocker_depth + BALL_MARGIN - 3 are
-        # complete in it
-        blocker_depth = max(region.dist[s] for s in blocker)
-        self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
+        if not self.decided:
+            # the ball reaches at least blocker_depth + BALL_MARGIN from
+            # C, so the paths within blocker_depth + BALL_MARGIN - 3 are
+            # complete in it
+            blocker_depth = max(region.dist[s] for s in blocker)
+            self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
         C2, wits = construct_cut1(self.G, C, decomp, rim, live)
         # a vertex of C off C2 lost both its cycle edges
         if any(v not in live for e in live.lost for v in e):
@@ -1467,10 +1528,13 @@ class _RunState:
 def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     """Run the full construction for ``depth`` iterations.
 
-    The seed ball is checked first.  Each iteration then blocks the
-    current cycle, decomposes, certifies the degree condition and
-    claw-freeness on the decomposition's ball, and enlarges.  The trace
-    is deterministic for identical inputs.
+    A graph with representatives is checked for claws and the degree
+    condition once, on them, before the seed ball is grown.  Otherwise
+    the seed ball is checked first, and each iteration
+    certifies the degree condition and claw-freeness on the
+    decomposition's ball.  Each iteration blocks the current cycle,
+    decomposes and enlarges.  The trace is deterministic for identical
+    inputs.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")

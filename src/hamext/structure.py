@@ -261,6 +261,7 @@ def decompose(
     *,
     certified: set[int] | None = None,
     region: Region | None = None,
+    claw_free: bool = False,
 ) -> SeparatorDecomposition:
     """Split G along a minimal ray blocker of X.
 
@@ -278,7 +279,8 @@ def decompose(
     vertices of X the region had before its last grow (as in a run,
     where each iteration's scan certified its whole interior), so only
     ``region.grown`` and the layers short of the frontier are handed to
-    the scan.
+    the scan.  With ``claw_free``, G is known to be claw-free and the
+    scan is skipped.
 
     The balls come from ``region``, whose X must be X; without one, a
     fresh region is grown from X.
@@ -348,11 +350,12 @@ def decompose(
                 f"decomposition ball exceeded radius cap {BALL_RADIUS_MAX}"
             )
 
-    # the interior is X and the layers short of the frontier; with
-    # ``certified``, of X only what the region grew by last can be left
-    interior = set().union(*region.layers[1:radius])
-    interior |= X if certified is None else region.grown.difference(certified)
-    require_claw_free(B, interior, certified)
+    if not claw_free:
+        # the interior is X and the layers short of the frontier; with
+        # ``certified``, of X only what the region grew by last can be left
+        interior = set().union(*region.layers[1:radius])
+        interior |= X if certified is None else region.grown.difference(certified)
+        require_claw_free(B, interior, certified)
 
     K0 = k0_candidates[0]
     stray = [p for p in finite_pieces if p is not K0]

@@ -43,6 +43,7 @@ from hamext.structure import decompose, minimal_ray_blocker
 from cycles import edge_set, rewire, rewired
 from separators import components
 from test_infinite import rim_of
+from test_run_state import without_period
 from wholeball import reference_ball
 
 
@@ -82,15 +83,15 @@ def checking_balls(monkeypatch, radii):
 
 @pytest.mark.parametrize("n, depth", [(2, 10), (3, 8), (4, 5)])
 def test_run_region_equals_fresh_balls_and_decompositions(monkeypatch, n, depth):
-    G = gen_G_inf(n)
+    G = without_period(gen_G_inf(n))
     radii = []
     checking_balls(monkeypatch, radii)
     seen = []
     run_decompose = infinite.decompose
 
-    def comparing(G, X, script_S, *, certified=None, region=None):
+    def comparing(G, X, script_S, *, certified=None, region=None, claw_free=False):
         got = run_decompose(G, X, script_S, certified=certified, region=region)
-        assert region is not None and region.layers[0] == X
+        assert region is not None and region.layers[0] == X and not claw_free
         fresh = decompose(G, X, script_S)
         assert decomp_key(got) == decomp_key(fresh)
         # the pieces are the components of the whole ball minus S
@@ -695,7 +696,7 @@ def _ball_work_per_enlarge(monkeypatch, n, depth):
     monkeypatch.setattr(TwinClasses, "add", counting_add)
     monkeypatch.setattr(structure, "claw_free_on_ball", counting_claw)
     monkeypatch.setattr(infinite, "star_on_ball", counting_star)
-    trace = hamilton_sequence(gen_G_inf(n), depth)
+    trace = hamilton_sequence(without_period(gen_G_inf(n)), depth)
     return work, [len(C) for C in trace.cycles]
 
 

@@ -47,11 +47,17 @@ def layers_of(dist):
 # certified centres
 
 
+def without_period(G):
+    """G behind a LazyGraph that states no representatives, so that a
+    run on it checks claws and the degree condition on every ball."""
+    return LazyGraph(G.neighbors, G.escapes, G.root, G.end_rays, G.descriptor)
+
+
 @pytest.mark.parametrize("n, depth", RUNS)
 def test_run_state_verdicts_match_fresh_checks(monkeypatch, n, depth):
     # every ball check of a run, skipping its certified centres, gives
     # the verdict of a fresh check of the whole ball
-    G = gen_G_inf(n)
+    G = without_period(gen_G_inf(n))
     star_calls, claw_calls = [], []
 
     def recording_star(B, layers, limit, certified, **fresh):
@@ -171,6 +177,8 @@ def _reference_failure(G, depth):
 @pytest.mark.parametrize("f0", [6, -6, 20, -20])
 def test_defects_fail_where_full_checks_fail(monkeypatch, kind, f0):
     G = _defect_family(2, f0, kind)
+    # it states no period, so the run checks its balls
+    assert G.representatives is None and not infinite.decide_by_period(G)
     want = _reference_failure(G, 12)
     assert want is not None
     iterations = []

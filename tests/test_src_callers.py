@@ -27,7 +27,6 @@ EXEMPT = {
 BENCHMARK_ONLY = {
     "extension.apply_extension",
     "extension.extension_sequence",
-    "conditions.check_star_ball",
 }
 
 

@@ -20,15 +20,17 @@ from hamext.conditions import (
     _RankTable,
     _star_fails_near,
     _star_scan_at,
+    check_star_ball,
     claw_free_on_ball,
     star_on_ball,
     StarVerdict,
     ClawVerdict,
 )
-from hamext.errors import FrontierContamination
-from hamext.families import gen_G_inf, gen_H_inf
+from hamext.errors import FrontierContamination, InputError
+from hamext.families import fiber_vertices, fiber_window, gen_G_inf, gen_H_inf
 from hamext.graphcore import FiniteGraph, Region, ball, neighborhood_k
-from hamext.infinite import hamilton_sequence
+from hamext.infinite import decide_by_period, hamilton_sequence
+from test_run_state import without_period
 
 
 # ---------------------------------------------------------------------------
@@ -300,5 +302,50 @@ def test_run_checks_match_vertex_loops(monkeypatch, n, depth):
 
     monkeypatch.setattr(infinite, "star_on_ball", star)
     monkeypatch.setattr(structure, "claw_free_on_ball", claw)
-    hamilton_sequence(gen_G_inf(n), depth)
+    hamilton_sequence(without_period(gen_G_inf(n)), depth)
     assert calls["star"] == calls["claw"] == depth + 1
+
+
+@pytest.mark.parametrize("family, n", FAMILIES)
+def test_period_decision_matches_vertex_loops_on_a_wide_ball(monkeypatch, family, n):
+    # the representatives are fibers 0 .. p - 1; the period decision
+    # refuses G as the per-vertex loops at those centres do on a ball
+    # reaching fibers -6 .. 6, and it passes G exactly when every centre
+    # of fibers -4 .. 4 passes on that ball
+    G, period = (gen_G_inf(n), 1) if family == "GZn" else (gen_H_inf(n), 2)
+    reps = [v for ids in G.representatives for v in ids]
+    assert reps == [v for f in range(period) for v in fiber_vertices(G.descriptor, f)]
+    near = Region(G, reps)
+    wide = near.ball(6)
+    claw = outcome(reference_claw_free_on_ball, wide, reps)
+    star = outcome(reference_star_on_ball, wide, near.layers, 1, set())
+    assert outcome(check_star_ball, G, reps, 3) == star
+    window = fiber_window(G.descriptor, 4)
+    region = Region(G, window)
+    B = region.ball(2)
+    everywhere = (
+        outcome(reference_claw_free_on_ball, B, window)[0],
+        outcome(reference_star_on_ball, B, region.layers, 0, set())[0],
+    )
+    assert everywhere == (claw[0], star[0])
+    if family == "HZn":
+        center, leaves = claw[1].witness
+        with pytest.raises(InputError) as info:
+            decide_by_period(G)
+        assert str(info.value) == f"graph has a claw at {center} with leaves {leaves}"
+        return
+    assert (claw, star) == (("free",), ("holds",))
+    # a decided run scans no ball of its own for either condition
+    calls = Counter()
+    for module, name in ((infinite, "star_on_ball"), (structure, "claw_free_on_ball")):
+        check = getattr(module, name)
+
+        def counting(*args, check=check, name=name, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert decide_by_period(G)
+    assert calls == {"claw_free_on_ball": 1}
+    hamilton_sequence(G, 2)
+    assert calls == {"claw_free_on_ball": 2}
