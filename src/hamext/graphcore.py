@@ -93,6 +93,11 @@ class FiniteGraph(Record):
     the closed-twin classes of the region a ball came from (see
     :class:`Region`); it takes no part in equality or repr.  A ball a
     region hands out sorts ``vertices`` on the first read.
+
+    ``_adjsets`` holds each vertex's neighbours as a set, for
+    ``adjacent``, ``has_vertex`` and :func:`verify_cycle`.  It may be
+    the builder's own sets (the ones ``from_edges`` filled, or a
+    region's), so it is private: never handed out, never changed.
     """
 
     _fields = ("vertices", "adj", "frontier", "labels")
@@ -122,18 +127,23 @@ class FiniteGraph(Record):
         cls,
         adj: Mapping[int, tuple[int, ...]],
         frontier: frozenset[int],
-        adjsets: Mapping[int, frozenset[int]],
+        adjsets: Mapping[int, Set[int]],
         vertex_set: Set[int],
         twins: TwinClasses | None,
+        vertices: tuple[int, ...] | None = None,
+        labels: Mapping[int, str] | None = None,
     ) -> "FiniteGraph":
-        """The graph with these fields, for a caller (a Region) that
-        already holds the neighbour sets and the vertex set: they are
-        not built again, and the sorted vertices wait for a read."""
+        """The graph with these fields, for a caller that already holds
+        the neighbour sets and the vertex set: a Region, or from_edges
+        with the sets it filled.  They are not built again; the graph
+        keeps ``adjsets`` as its own, so the caller must not change
+        them after.  Without ``vertices``, the sorted vertices wait for
+        a read."""
         G = cls.__new__(cls)
-        G._vertices = None
+        G._vertices = vertices
         G.adj = adj
         G.frontier = frontier
-        G.labels = None
+        G.labels = labels
         G._adjsets = adjsets
         G.twins = twins
         G.vertex_set = vertex_set
@@ -178,9 +188,15 @@ class FiniteGraph(Record):
             unknown = set(labels) - vset
             if unknown:
                 raise InputError(f"labels for unknown vertices: {sorted(unknown)}")
-        return FiniteGraph(
-            vertices=tuple(sorted(vset)),
-            adj={v: tuple(sorted(nbrs[v])) for v in sorted(vset)},
+        vertices = tuple(sorted(vset))
+        # the neighbour sets filled above become the graph's own
+        return FiniteGraph._with_sets(
+            {v: tuple(sorted(nbrs[v])) for v in vertices},
+            frozenset(),
+            nbrs,
+            frozenset(vertices),
+            None,
+            vertices=vertices,
             labels=dict(labels) if labels is not None else None,
         )
 

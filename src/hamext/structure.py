@@ -81,8 +81,9 @@ def minimal_ray_blocker(
     region.extend(1)
     candidates = sorted(region.layers[1])
     # the cycle is connected and disjoint from every candidate set, so
-    # all its vertices share one escape verdict; testing one suffices
-    probe = C.order[0]
+    # all its vertices share one escape verdict; testing one suffices:
+    # the least, which decompose probes too, so its queries are cached
+    probe = region.least
     blocker = set(candidates)
     if G.escapes(frozenset(blocker), probe):
         raise InvariantViolation(

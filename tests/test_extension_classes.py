@@ -108,7 +108,7 @@ def reference_iter_extensions(G, C0, target_filter=None, targets=None):
 def reference_twin_quotient(G):
     vertices, adj = G.vertices, G.adj
     closed = list(
-        map(frozenset.union, map(G._adjsets.__getitem__, vertices), zip(vertices))
+        map(frozenset.union, map(frozenset, map(adj.__getitem__, vertices)), zip(vertices))
     )
     first = dict(zip(reversed(closed), reversed(vertices)))
     if len(first) == len(closed):

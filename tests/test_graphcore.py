@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -64,6 +65,86 @@ def test_from_edges_rejects_bad_input():
         FiniteGraph.from_edges([0, 0, 1], [])
     with pytest.raises(InputError):
         k4().neighbors(99)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, labels, message",
+    [
+        ([0, 1, 1, 2, 2], [], None, "duplicate vertex id 1"),
+        ([0, "1", 2.0], [], None, "vertex ids must be integers, got '1'"),
+        ([0, 2.0, "1"], [], None, "vertex ids must be integers, got 2.0"),
+        ([1, True], [], None, "vertex ids must be integers, got True"),
+        ([0, 1, 0, True], [], None, "duplicate vertex id 0"),
+        ([0, 1, 2], [(0, 1), (0, 1, 2), 5], None, "edge must be a pair, got (0, 1, 2)"),
+        ([0, 1, 2], [(0, 1), 5], None, "edge must be a pair, got 5"),
+        ([0, 1, 2], [[0, 1], [2]], None, "edge must be a pair, got [2]"),
+        (
+            [0, 1, 2], [(0, True), (1.0, 2)], None,
+            "edge endpoints must be integer ids, got (0, True)",
+        ),
+        (
+            [0, 1, 2], [(1.0, 2), (0, True)], None,
+            "edge endpoints must be integer ids, got (1.0, 2)",
+        ),
+        ([0, 1, 2], [(0, 1), (2, 2), (0, 9)], None, "self-loop at vertex 2"),
+        (
+            [0, 1, 2], [(0, 9), (2, 2)], None,
+            "edge (0, 9) has an endpoint outside the vertex set",
+        ),
+        ([0, 1, 2], [(9, 9)], None, "self-loop at vertex 9"),
+        (
+            [0, 1, 2], [(9, 0)], None,
+            "edge (9, 0) has an endpoint outside the vertex set",
+        ),
+        (
+            [0, 1, 2], [(0, 1), (1, 0)], {0: "a", 7: "b", 5: "c"},
+            "labels for unknown vertices: [5, 7]",
+        ),
+        (
+            [0, 1, 2], [(0, 9)], {7: "b"},
+            "edge (0, 9) has an endpoint outside the vertex set",
+        ),
+    ],
+)
+def test_from_edges_refusals_name_the_first_offender(vertices, edges, labels, message):
+    # vertices are checked in their order, then edges in theirs, then labels
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        FiniteGraph.from_edges(vertices, edges, labels)
+
+
+def test_from_edges_equals_the_graph_built_from_its_rows():
+    rng = random.Random(24)
+    for trial in range(60):
+        n = rng.randint(0, 30)
+        ids = rng.sample(range(-40, 60), n)
+        pairs = [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < 0.3]
+        # each edge in either direction, some twice
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        edges += rng.sample(edges, len(edges) // 4)
+        rng.shuffle(edges)
+        labels = {v: f"v{v}" for v in ids if rng.random() < 0.3} if trial % 2 else None
+        vertices = tuple(sorted(ids))
+        rows = {v: set() for v in vertices}
+        for u, v in edges:
+            rows[u].add(v)
+            rows[v].add(u)
+        want = FiniteGraph(vertices, {v: tuple(sorted(rows[v])) for v in vertices}, labels=labels)
+        obj = {"vertices": ids, "edges": [list(e) for e in edges]}
+        if labels is not None:
+            obj["labels"] = {str(v): s for v, s in labels.items()}
+        for G in (FiniteGraph.from_edges(ids, edges, labels), graph_from_json_obj(obj)):
+            assert G == want
+            assert G.adj == want.adj and list(G.adj) == list(want.adj)
+            assert G.vertices == want.vertices
+            assert G.vertex_set == want.vertex_set
+            assert list(G.vertex_set) == list(want.vertex_set)
+            assert G.labels == want.labels
+            probe = [*vertices, 100]
+            for u in vertices:
+                assert [G.adjacent(u, v) for v in probe] == [want.adjacent(u, v) for v in probe]
+            assert [G.has_vertex(v) for v in probe] == [want.has_vertex(v) for v in probe]
+            with pytest.raises(InputError, match="^unknown vertex 100$"):
+                G.adjacent(100, vertices[0] if vertices else 0)
 
 
 def test_induced_subgraph():

@@ -1,5 +1,6 @@
 import pytest
 
+import hamext.infinite as infinite
 from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
 from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph
@@ -30,6 +31,38 @@ def test_blocker_on_width_two_family():
     # inclusion-minimal: every vertex is load-bearing
     for s in S:
         assert any(G.escapes(S - {s}, v) for v in C.order)
+
+
+def test_decompose_after_blocker_asks_the_oracle_only_about_pieces(monkeypatch):
+    # minimal_ray_blocker probes from the least vertex of C, as decompose
+    # does, so decompose's blocking and minimality queries are answered
+    # from the cache: the oracle is asked only whether a piece escapes
+    base = gen_G_inf(2)
+    calls = []
+
+    def oracle(blocked, v):
+        calls.append((blocked, v))
+        return base._escape_oracle(blocked, v)
+
+    G = LazyGraph(
+        base.neighbors, oracle, base.root, base.end_rays, base.descriptor,
+        base.representatives,
+    )
+    asked = []
+
+    def recording(G, X, script_S, **kw):
+        start = len(calls)
+        decomp = decompose(G, X, script_S, **kw)
+        asked.append((frozenset(X), frozenset(script_S), calls[start:]))
+        return decomp
+
+    monkeypatch.setattr(infinite, "decompose", recording)
+    infinite.hamilton_sequence(G, 12)
+    assert len(asked) == 12
+    for X, S, queries in asked:
+        assert queries
+        for blocked, v in queries:
+            assert blocked == S and v not in X and v not in S
 
 
 def test_blocker_on_width_three_family():
