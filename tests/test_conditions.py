@@ -1,5 +1,6 @@
 import random
 from functools import cached_property
+from itertools import combinations, product
 
 import pytest
 
@@ -552,3 +553,76 @@ def test_quotient_connectivity_matches_components():
     assert FiniteGraph.from_edges([], []).is_connected()
     assert FiniteGraph.from_edges([5], []).is_connected()
     assert not FiniteGraph.from_edges([5, 7], []).is_connected()
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sweep: the finite checks against the reference scans on every
+# small graph, and on every small blow-up with classes of unequal sizes
+
+
+def sweep_graphs(order):
+    """Every labelled graph on 1 .. ``order`` vertices, then every blow-up
+    of every labelled graph on 1 .. ``order`` - 2 vertices, each vertex a
+    clique of 1, 2 or 3 twins; a blow-up's ids are shuffled, so the class
+    named first is not always the first class built."""
+    for n in range(1, order + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+            yield FiniteGraph.from_edges(range(n), edges)
+    rng = random.Random(25)
+    for k in range(1, order - 1):
+        pairs = list(combinations(range(k), 2))
+        for bits in range(1 << len(pairs)):
+            base = [p for i, p in enumerate(pairs) if bits >> i & 1]
+            for sizes in product((1, 2, 3), repeat=k):
+                ids = rng.sample(range(sum(sizes)), sum(sizes))
+                yield FiniteGraph.from_edges(ids, blow_up(base, sizes, ids))
+
+
+def sweep_count(order):
+    labelled = sum(2 ** (n * (n - 1) // 2) for n in range(1, order + 1))
+    blown = sum(2 ** (k * (k - 1) // 2) * 3**k for k in range(1, order - 1))
+    return labelled + blown
+
+
+def test_finite_checks_match_scans_on_every_small_graph(request):
+    # --sweep-order (tests/conftest.py) sets the order: 5 by default,
+    # 1,336 graphs; 6 runs 39,288
+    order = request.config.getoption("--sweep-order")
+    count = 0
+    outcomes = set()
+    for G in sweep_graphs(order):
+        star, claw = check_star(G), is_claw_free(G)
+        assert star == ref_check_star(G)
+        assert claw == ref_claw_scan(G, G.vertices)
+        assert chain_outcome(G) == ref_check_ungl_kette(G)
+        outcomes.add((star.holds, claw.claw_free, G.twin_quotient[2] is not None))
+        count += 1
+    assert count == sweep_count(order)
+    # with twins and without: both conditions fail, the degree condition
+    # fails on a claw-free graph, and both hold (on five vertices, a claw
+    # always fails the degree condition)
+    both = {(False, False), (False, True), (True, True)}
+    assert {(*o, twins) for o in both for twins in (False, True)} <= outcomes
+    print(f"\nswept {count} graphs of order <= {order}")
+
+
+def class_path(sizes):
+    """The blow-up of the path U-V-W by class sizes ``sizes``, ids in
+    class order."""
+    ids = list(range(sum(sizes)))
+    return FiniteGraph.from_edges(ids, blow_up([(0, 1), (1, 2)], sizes, ids))
+
+
+def test_class_sizes_on_the_bound():
+    # sizes (1, 2, 1): d(v) = 3 = 2 * (|V| + |U| - 2) + 1, and the
+    # condition holds with equality, d(u) + d(w) = 4 = |N(u) | N(v) | N(w)|
+    G = class_path((1, 2, 1))
+    assert check_star(G) == ref_check_star(G) == StarVerdict(True)
+    assert (G.degree(0), G.degree(1)) == (2, 3)
+    # sizes (2, 1, 2): d(v) = 4 > 3 and the condition fails, 4 < 5
+    G = class_path((2, 1, 2))
+    want = StarVerdict(False, witness=(0, 2, 3), lhs=4, rhs=5)
+    assert check_star(G) == ref_check_star(G) == want
+    assert is_claw_free(G) == ClawVerdict(True)
