@@ -23,7 +23,7 @@ import sys
 from .conditions import check_star, check_ungl_kette, is_claw_free
 from .errors import InputError, InvariantViolation, SamplingExhausted
 from .extension import extend_to_hamilton, find_initial_cycle, iter_extensions
-from .families import descriptor_to_lazy, fiber_window, gen_G, gen_H
+from .families import descriptor_to_lazy, fiber_of, fiber_window, gen_G, gen_H
 from .graphcore import (
     Cycle,
     cycle_to_json_obj,
@@ -219,7 +219,10 @@ def _cmd_infham(args: argparse.Namespace) -> int:
     trace = hamilton_sequence(G, args.depth)
     extra = {}
     if args.window is not None:
-        window = fiber_window(desc, args.window)
+        # stable edges lie on the last cycle, so the window needs no
+        # fiber beyond the farthest one it reaches
+        reach = max(abs(fiber_of(desc, v)) for v in trace.cycles[-1].order)
+        window = fiber_window(desc, min(args.window, reach))
         stable = stable_limit(trace, window)
         extra["stable_edges"] = [list(e) for e in sorted(stable)]
         extra["window_half_width"] = args.window

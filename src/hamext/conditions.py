@@ -9,34 +9,43 @@ the shipped families is directly assertable in tests.
 For infinite graphs the check runs on a ball and only evaluates triples
 whose neighbourhoods are provably complete; the verdict says so.
 
-Cost.  Each check builds a table of BFS ranks and neighbourhood bit
-masks in O(|E|) (``_RankTable``) and then tests each centre with a few
-mask operations per neighbour or per non-adjacent neighbour pair.  A
-mask spans only the BFS layers its neighbourhood touches, so the table
-holds the sum of those window widths in bits, not |V|^2.  The table is
-built per call and not kept.  Witnesses and both compared numbers come
-from the exact scan, in id order, of the first centre the masks flag,
-so they are the ones a triple-by-triple scan of the whole graph finds.
+Cost.  A check tests each centre with a few mask operations per
+neighbour or per non-adjacent neighbour pair, over a table of BFS
+ranks and neighbourhood bit masks (``_RankTable``).  A mask spans only
+the BFS layers its neighbourhood touches, so the table holds the sum
+of those window widths in bits, not |V|^2.  Witnesses and both
+compared numbers come from the exact scan, in id order, of the first
+centre the masks flag, so they are the ones a triple-by-triple scan of
+the whole graph finds.
 
 On a finite graph both checks read the graph's closed-twin quotient
 (``FiniteGraph.twin_quotient``: vertices with equal N[v] merged, built
 once per graph and shared with the connectivity test and the chain
 check).  Both conditions are the same at twins, and the ends of an
 induced path or the leaves of a claw lie in distinct classes, none of
-them the centre's.  So the table is built over the classes, with one
-centre per class (its smallest id, where the first failure in id order
-always lies) and one end per neighbouring class; for the degree
-condition each class takes a block of ranks, one bit per vertex, so
-the compared numbers stay exact.  A blow-up G0[K_n] costs what G0
-does, and a twin-free graph keeps the per-vertex table.
+them the centre's.  So one centre per class is tested (its smallest
+id, where the first failure in id order always lies), with one end
+per neighbouring class.  A centre is first certified from the class
+sizes: with fewer than three neighbouring classes it centres no claw,
+and the twins of its class and of an end's class bound the common
+neighbours from below (``_star_certain``), which settles the degree
+condition when the classes are large enough.  A certified centre would
+pass the mask test, so the table (``_table_near``) is built only over
+the centres left, their ends and the ends' neighbours, or not at all
+when none is left; for the degree condition each class takes a block
+of ranks, one bit per vertex, so the compared numbers stay exact.  A
+ring of cliques G(q, n) with n >= 2 builds no table; a twin-free graph
+has no class sizes to certify with, and every vertex is a centre, so it
+keeps the per-vertex table over the whole graph, built directly.
 
 The ball checks take a set of certified centres: a centre that passed
 with its whole neighbourhood in view passes on every later ball of the
-same graph, so it is skipped, and the table covers only the centres
-left and the vertices their masks can mark.  They run on closed-twin
-classes too, those the ball's region keeps (``graphcore.TwinClasses``),
-with the table built from the classes' quotient rows: one centre and
-one end per class, in the same forms as on a finite graph.
+same graph, so it is skipped.  They run on closed-twin classes too,
+those the ball's region keeps (``graphcore.TwinClasses``), with rows
+read from the classes' quotient rows: one centre and one end per
+class, certified from the class sizes as on a finite graph, and the
+same ``_table_near`` over the centres left and the vertices their
+masks can mark, or no table when no centre is left.
 """
 
 from __future__ import annotations
@@ -301,15 +310,57 @@ def _star_scan_at(
     return None
 
 
+def _star_certain(v: int, ends, size: Mapping[int, int], degree: int) -> bool:
+    """Whether centre class v, of ``degree`` d(v), passes the degree
+    condition on its class sizes alone.
+
+    The |U| - 1 twins of an end u and the |V| - 1 twins of v are common
+    neighbours of u and v, so c(u) >= |U| + |V| - 2.  When 2 * (|V| +
+    min |U| - 2) + 1 >= d(v), every end meets _star_fails_near's skip
+    test c(u) + min c + 1 >= d(v), and so does a class with fewer than
+    two ends, which has no induced path."""
+    if len(ends) < 2:
+        return True
+    return 2 * (size[v] + min(map(size.__getitem__, ends)) - 2) + 1 >= degree
+
+
+def _table_near(centers: Sequence[int], ends, row, size=None) -> _RankTable | None:
+    """The rank table that tests ``centers``: the masks of the centres and
+    of their ``ends`` (a mapping from each centre to its ends), from the
+    rows ``row`` reads; the ends' neighbours only take ranks.  So it
+    spans the centres' second neighbourhoods, not the whole graph.  With
+    no centre there is nothing to test, and no table."""
+    if not centers:
+        return None
+    rows = dict(zip(centers, map(row, centers)))
+    for e in set().union(*map(ends.__getitem__, centers)).difference(rows):
+        rows[e] = row(e)
+    holders = list(rows)
+    rows.update(dict.fromkeys(set().union(*rows.values()).difference(rows), ()))
+    return _RankTable(holders, rows, size)
+
+
 def check_star(G: FiniteGraph) -> StarVerdict:
     """Check the degree condition on every induced path of a finite graph.
 
     The condition is the same at closed twins, so centres are the first
     vertices of the twin classes, in id order, and the mask test takes
-    one end per neighbouring class; only the first centre it flags is
-    scanned triple by triple, over all its neighbours."""
+    one end per neighbouring class.  A centre its class sizes certify
+    (_star_certain) would pass the mask test, so it is skipped, and the
+    table covers only the centres left; only the first centre the masks
+    flag is scanned triple by triple, over all its neighbours."""
     centers, quotient, size = G.twin_quotient
-    table = _RankTable(centers, quotient, size)
+    if size is None:
+        # every vertex is a centre, so the table spans the graph
+        table = _RankTable(centers, quotient)
+    else:
+        adj = G.adj
+        centers = [
+            v
+            for v in centers
+            if not _star_certain(v, quotient[v], size, len(adj[v]))
+        ]
+        table = _table_near(centers, quotient, quotient.__getitem__, size)
     for v in centers:
         if _star_fails_near(table, v, quotient[v]):
             found = _star_scan_at(G, v, G.adj[v])
@@ -376,8 +427,11 @@ def star_on_ball(
     flagged class is scanned exactly at that centre, over all its
     eligible neighbours, and every centre left of a class that passes
     with all its neighbours eligible is certified, as each of them
-    would be alone.  With ``limit`` 0, or a ball without classes, each
-    vertex is a class of its own.
+    would be alone.  A class its sizes certify (_star_certain) is
+    skipped before any mask is built, as check_star does, since the
+    mask test would pass it.  With ``limit`` 0, or a ball without
+    classes, each vertex is a class of its own, and none is certified
+    that way.
     """
     # the centre itself, and the shell of the eligible layers around it:
     # a vertex is eligible when it lies in either
@@ -403,20 +457,18 @@ def star_on_ball(
     first = _first_of_class(centers, node)
     rows = {c: row(c) for c in first}
     ends = {c: list(filter(eligible, rows[c])) for c in first}
-    # masks of the centres and their ends; the ends' neighbours only
-    # take ranks
-    for es in ends.values():
-        for e in es:
-            if e not in rows:
-                rows[e] = row(e)
-    holders = list(rows)
-    for x in holders:
-        for w in rows[x]:
-            if w not in rows:
-                rows[w] = ()
-    table = _RankTable(holders, rows, size)
+    left = list(first)
+    if size is not None:
+        adj = B.adj
+        left = [
+            c
+            for c in left
+            if not _star_certain(c, ends[c], size, len(adj[first[c]]))
+        ]
+    table = _table_near(left, ends, row, size)
     failed = None
-    for c, v in first.items():
+    for c in left:
+        v = first[c]
         if _star_fails_near(table, c, ends[c]):
             found = _star_scan_at(B, v, list(filter(eligible, B.adj[v])))
             if found is not None:
@@ -471,10 +523,17 @@ def is_claw_free(G: FiniteGraph) -> ClawVerdict:
 
     A claw's leaves lie in distinct closed-twin classes, none of them
     the centre's, so the mask test runs on the quotient by those
-    classes, one centre per class in id order; the first centre it
-    flags is scanned over all its neighbours."""
-    centers, quotient, _ = G.twin_quotient
-    table = _RankTable(centers, quotient)
+    classes, one centre per class in id order.  A class with fewer than
+    three neighbouring classes centres no claw (_claw_near's own first
+    test), so it is skipped, and the table covers only the centres
+    left; the first centre the masks flag is scanned over all its
+    neighbours."""
+    centers, quotient, size = G.twin_quotient
+    if size is None:
+        table = _RankTable(centers, quotient)
+    else:
+        centers = [v for v in centers if len(quotient[v]) >= 3]
+        table = _table_near(centers, quotient, quotient.__getitem__)
     for v in centers:
         if _claw_near(table, v):
             leaves = _claw_at(G, v)
@@ -502,7 +561,8 @@ def claw_free_on_ball(
     one bit per class as in is_claw_free: a claw's leaves lie in
     distinct classes, none of them the centre's, so each class is
     tested once, at its first centre in id order, which is the one
-    scanned when it has a claw.
+    scanned when it has a claw.  As in is_claw_free, a class with fewer
+    than three neighbouring classes is skipped and builds no masks.
     """
     centers = set(centers)
     todo = sorted(centers - certified if certified else centers)
@@ -511,19 +571,15 @@ def claw_free_on_ball(
     stop = min(close) if close else None
     if stop is not None:
         todo = todo[: bisect_left(todo, stop)]
-    node, row, _ = _classes(B, B.twins)
+    node, row, size = _classes(B, B.twins)
     first = _first_of_class(todo, node)
     rows = {c: row(c) for c in first}
-    for c in first:
-        for u in rows[c]:
-            if u not in rows:
-                rows[u] = None
-    # the neighbouring classes' masks need only their rows in the window
-    for u, r in rows.items():
-        if r is None:
-            rows[u] = tuple(w for w in row(u) if w in rows)
-    table = _RankTable(list(rows), rows)
-    for c, v in first.items():
+    left = list(first)
+    if size is not None:
+        left = [c for c in left if len(rows[c]) >= 3]
+    table = _table_near(left, rows, row)
+    for c in left:
+        v = first[c]
         if _claw_near(table, c):
             leaves = _claw_at(B, v)
             if leaves is not None:

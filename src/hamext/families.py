@@ -355,6 +355,11 @@ def fiber_vertices(desc: Mapping[str, object], f: int) -> tuple[int, ...]:
     return tuple(zigzag(f) * width + i for i in range(size))
 
 
+def fiber_of(desc: Mapping[str, object], v: int) -> int:
+    """The fiber of vertex id ``v`` of an infinite family."""
+    return unzigzag(v // family_width(desc))
+
+
 def fiber_window(desc: Mapping[str, object], half_width: int) -> frozenset[int]:
     """Vertex ids of fibers -half_width .. half_width."""
     if half_width < 0:

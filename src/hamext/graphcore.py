@@ -555,6 +555,13 @@ BALL_RADIUS_MAX = 64
 MAX_REGION_NEIGHBORS = 4 * 10**6
 MAX_CACHED_NEIGHBORS = 2 * MAX_REGION_NEIGHBORS
 
+# The most vertex ids a trace stores in its cycles and K0 sets.  Both
+# grow with the depth, so the trace grows with its square: GZ2 and GZ3
+# at depth 100 store 161,608 and 241,809 ids, GZ4 at depth 40 52,172.
+# A run that would store more is refused before the iteration that
+# passes the budget is kept.
+MAX_TRACE_IDS = 4 * 10**6
+
 
 class TwinClasses:
     """The closed-twin classes (equal N[v]) of the vertices a Region has

@@ -66,6 +66,7 @@ from .extension import (
     saturate,
 )
 from .graphcore import (
+    MAX_TRACE_IDS,
     Cycle,
     Edge,
     FiniteGraph,
@@ -1534,7 +1535,8 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     certifies the degree condition and claw-freeness on the
     decomposition's ball.  Each iteration blocks the current cycle,
     decomposes and enlarges.  The trace is deterministic for identical
-    inputs.
+    inputs.  A run whose cycles and K0 sets would hold more than
+    MAX_TRACE_IDS vertex ids is refused with InputError.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -1551,8 +1553,15 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     witnesses: list[tuple[CutWitness, ...]] = []
     selectors: dict[str, list[int]] = {name: [] for name in sorted(G.end_rays)}
 
-    for _ in range(depth):
+    stored = len(C)
+    for i in range(depth):
         blocker, decomp, C2, wits = state.enlarge(C)
+        stored += len(C2) + len(decomp.finite_component)
+        if stored > MAX_TRACE_IDS:
+            raise InputError(
+                f"a trace of depth {depth} would store more than {MAX_TRACE_IDS} "
+                f"vertex ids in its cycles and K0 sets, from iteration {i}"
+            )
         for name in selectors:
             selectors[name].append(state.select_end(name, decomp))
         cycles.append(C2)

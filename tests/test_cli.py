@@ -735,6 +735,48 @@ def test_infham_refuses_a_region_over_the_budget(capsys, gz2_file, monkeypatch):
     assert "over 200 neighbour entries" in payload["error"]
 
 
+def test_infham_window_is_clipped_to_the_fibers_the_trace_reaches(
+    capsys, gz2_file, monkeypatch
+):
+    # GZ2 at depth 2 reaches fiber 10 and no farther, so every wider
+    # window gives the stable edges of --window 10, and a window of 10**8
+    # fibers is never built
+    built = []
+    window = cli.fiber_window
+    monkeypatch.setattr(
+        cli, "fiber_window", lambda desc, w: built.append(w) or window(desc, w)
+    )
+    outs = {}
+    for w in (3, 10, 11, 40, 10**8):
+        argv = ["infham", "--descriptor", str(gz2_file), "--depth", "2"]
+        code, payload = run(capsys, *argv, "--window", str(w))
+        assert code == 0 and payload["window_half_width"] == w
+        outs[w] = payload["stable_edges"]
+    assert built == [3, 10, 10, 10, 10]
+    assert outs[10] == outs[11] == outs[40] == outs[10**8] != outs[3]
+    trace = infinite.hamilton_sequence(gen_G_inf(2), 2)
+    wide = infinite.stable_limit(trace, window(trace.descriptor, 40))
+    assert outs[10**8] == [list(e) for e in sorted(wide)]
+
+
+def test_infham_refuses_a_trace_over_the_budget(capsys, gz2_file, monkeypatch):
+    trace = infinite.hamilton_sequence(gen_G_inf(2), 5)
+    stored = sum(map(len, trace.cycles)) + sum(map(len, trace.k0s))
+    assert graphcore.MAX_TRACE_IDS == infinite.MAX_TRACE_IDS > 20 * stored
+    # a budget the depth-5 trace meets exactly
+    monkeypatch.setattr(infinite, "MAX_TRACE_IDS", stored)
+    argv = ["infham", "--descriptor", str(gz2_file)]
+    code, payload = run(capsys, *argv, "--depth", "5")
+    assert code == 0 and len(payload["cycles"]) == 6
+    code, payload = run(capsys, *argv, "--depth", "6")
+    assert code == 2
+    assert payload == {
+        "error": f"a trace of depth 6 would store more than {stored} vertex ids "
+        "in its cycles and K0 sets, from iteration 5",
+        "kind": "input",
+    }
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, gz2_file, monkeypatch):
     def boom(G, depth):
         raise InvariantViolation("forced for the exit-code test")

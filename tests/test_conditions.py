@@ -626,3 +626,63 @@ def test_class_sizes_on_the_bound():
     want = StarVerdict(False, witness=(0, 2, 3), lhs=4, rhs=5)
     assert check_star(G) == ref_check_star(G) == want
     assert is_claw_free(G) == ClawVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# centres certified by their class sizes build no rank table
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    built = []
+
+    class Counting(_RankTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(conditions, "_RankTable", Counting)
+    return built
+
+
+# the finite benchmark's shapes (perfbench/workloads.py): G(q, n) for the
+# rings and the dense short rings
+BENCHMARK_SHAPES = ((100, 4), (400, 3), (500, 4), (14, 12), (11, 16), (9, 20))
+
+
+@pytest.mark.parametrize("q, n", BENCHMARK_SHAPES)
+def test_benchmark_shapes_build_no_rank_table(q, n, tables_built):
+    # relabelled as the benchmark does: ids and edge order shuffled
+    rng = random.Random(q * n)
+    G = gen_G(q, n)
+    perm = rng.sample(range(q * n), q * n)
+    edges = [(perm[u], perm[v]) for u, v in G.edges()]
+    rng.shuffle(edges)
+    G = FiniteGraph.from_edges(range(q * n), edges)
+    assert is_claw_free(G).claw_free
+    assert check_star(G).holds
+    assert tables_built == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_period_decision_builds_no_rank_table(n, tables_built):
+    from hamext.infinite import decide_by_period
+
+    assert decide_by_period(gen_G_inf(n))
+    assert tables_built == []
+
+
+def test_centres_left_still_build_a_table(tables_built):
+    # H(3, 5): the star fibers' leaves are classes of one vertex
+    G = gen_H(3, 5)
+    assert check_star(G) == StarVerdict(False, witness=(1, 4, 10), lhs=22, rhs=23)
+    assert len(tables_built) == 1
+    assert not is_claw_free(G).claw_free
+    assert len(tables_built) == 2
+    # without twins, every vertex is a centre, as before
+    tables_built.clear()
+    C = FiniteGraph.from_edges(range(9), [(i, (i + d) % 9) for i in range(9) for d in (1, 2)])
+    assert C.twin_quotient[2] is None
+    assert check_star(C) == ref_check_star(C)
+    assert is_claw_free(C) == ref_claw_scan(C, C.vertices)
+    assert [len(args[0]) for args in tables_built] == [9, 9]
