@@ -34,9 +34,9 @@ pass the mask test, so the table (``_table_near``) is built only over
 the centres left, their ends and the ends' neighbours, or not at all
 when none is left; for the degree condition each class takes a block
 of ranks, one bit per vertex, so the compared numbers stay exact.  A
-ring of cliques G(q, n) with n >= 2 builds no table; a twin-free graph
-has no class sizes to certify with, and every vertex is a centre, so it
-keeps the per-vertex table over the whole graph, built directly.
+ring of cliques G(q, n) with n >= 2 builds no table; on a twin-free
+graph every vertex is a class of one, so only the claw check's length
+test certifies, and the table spans what the centres left reach.
 
 The ball checks take a set of certified centres: a centre that passed
 with its whole neighbourhood in view passes on every later ball of the
@@ -350,17 +350,14 @@ def check_star(G: FiniteGraph) -> StarVerdict:
     table covers only the centres left; only the first centre the masks
     flag is scanned triple by triple, over all its neighbours."""
     centers, quotient, size = G.twin_quotient
-    if size is None:
-        # every vertex is a centre, so the table spans the graph
-        table = _RankTable(centers, quotient)
-    else:
+    if size is not None:
         adj = G.adj
         centers = [
             v
             for v in centers
             if not _star_certain(v, quotient[v], size, len(adj[v]))
         ]
-        table = _table_near(centers, quotient, quotient.__getitem__, size)
+    table = _table_near(centers, quotient, quotient.__getitem__, size)
     for v in centers:
         if _star_fails_near(table, v, quotient[v]):
             found = _star_scan_at(G, v, G.adj[v])
@@ -528,12 +525,9 @@ def is_claw_free(G: FiniteGraph) -> ClawVerdict:
     test), so it is skipped, and the table covers only the centres
     left; the first centre the masks flag is scanned over all its
     neighbours."""
-    centers, quotient, size = G.twin_quotient
-    if size is None:
-        table = _RankTable(centers, quotient)
-    else:
-        centers = [v for v in centers if len(quotient[v]) >= 3]
-        table = _table_near(centers, quotient, quotient.__getitem__)
+    centers, quotient, _ = G.twin_quotient
+    centers = [v for v in centers if len(quotient[v]) >= 3]
+    table = _table_near(centers, quotient, quotient.__getitem__)
     for v in centers:
         if _claw_near(table, v):
             leaves = _claw_at(G, v)
@@ -571,12 +565,10 @@ def claw_free_on_ball(
     stop = min(close) if close else None
     if stop is not None:
         todo = todo[: bisect_left(todo, stop)]
-    node, row, size = _classes(B, B.twins)
+    node, row, _ = _classes(B, B.twins)
     first = _first_of_class(todo, node)
     rows = {c: row(c) for c in first}
-    left = list(first)
-    if size is not None:
-        left = [c for c in left if len(rows[c]) >= 3]
+    left = [c for c in first if len(rows[c]) >= 3]
     table = _table_near(left, rows, row)
     for c in left:
         v = first[c]

@@ -558,9 +558,13 @@ MAX_CACHED_NEIGHBORS = 2 * MAX_REGION_NEIGHBORS
 # The most vertex ids a trace stores in its cycles and K0 sets.  Both
 # grow with the depth, so the trace grows with its square: GZ2 and GZ3
 # at depth 100 store 161,608 and 241,809 ids, GZ4 at depth 40 52,172.
-# A run that would store more is refused before the iteration that
-# passes the budget is kept.
-MAX_TRACE_IDS = 4 * 10**6
+# With the trace written out, `infham --out` peaks at about 64 bytes
+# per stored id on 64-bit CPython 3.11 (GZ2 at depth 700, GZ3 at 600,
+# GZ4 at 500: 7.9 to 8.7 million ids, 509 to 552 MB), so a run at the
+# budget stays near half of a 1 GiB address-space limit.  A run that
+# would store more is refused before the iteration that passes the
+# budget is kept.
+MAX_TRACE_IDS = 8 * 10**6
 
 
 class TwinClasses:
