@@ -23,7 +23,7 @@ import sys
 from .conditions import check_star, check_ungl_kette, is_claw_free
 from .errors import InputError, InvariantViolation, SamplingExhausted
 from .extension import extend_to_hamilton, find_initial_cycle, iter_extensions
-from .families import descriptor_to_lazy, fiber_of, fiber_window, gen_G, gen_H
+from .families import DOUBLE_RAYS, RINGS, descriptor_to_lazy, fiber_of, fiber_window
 from .graphcore import (
     Cycle,
     cycle_to_json_obj,
@@ -42,8 +42,8 @@ EXIT_VERDICT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-FINITE_FAMILIES = ("Gqn", "H2qn", "rand")
-INFINITE_FAMILIES = ("GZn", "HZn")
+FINITE_FAMILIES = (*RINGS, "rand")
+INFINITE_FAMILIES = tuple(DOUBLE_RAYS)
 
 
 def _emit(obj: object, out: str | None = None) -> None:
@@ -136,7 +136,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 raise InputError(f"family {family} needs --q and --n")
             if args.seed is not None:
                 raise InputError(f"family {family} takes no --seed")
-            G = gen_G(args.q, args.n) if family == "Gqn" else gen_H(args.q, args.n)
+            G = RINGS[family][0](args.q, args.n)
         payload = graph_to_json_obj(G)
         if args.dot is not None:
             _write_text(args.dot, graph_to_dot(G))

@@ -1,32 +1,34 @@
 """Example-family generators, finite and infinite.
 
-The finite families are lexicographic products of a cycle with a
-complete graph, and an alternating construction that glues four-vertex
-star fibers (class A) to complete fibers (class B) around an even
-cycle.  The infinite variants replace the cycle by a double ray.
+Every family is a sequence of fibers, each a complete graph or a
+four-vertex star, with consecutive fibers completely joined.  One table
+gives each double-ray family's fibers for its parameter n: the ids per
+fiber (its width), the size of fiber f, its inner edges and a period p
+such that fiber f looks like fiber f mod p.  GZn has complete fibers of
+size n; HZn alternates stars (class A, on even fibers, inner index 0 the
+centre) with complete fibers of size n (class B).  The finite families
+close q periods of those fibers into a cycle: G(q,n) is q fibers of
+GZn, H(q,n) is 2q fibers of HZn.
 
 Vertex ids follow documented bijections from (fiber, inner) coordinates:
 
-* finite products: ``id = fiber * n + inner``;
-* the alternating family: fibers are laid out consecutively, class A
-  fibers contributing 4 ids and class B fibers ``n`` ids;
+* finite rings: fibers are laid out consecutively from id 0, fiber f
+  labelled ``"f:i"``, so G(q,n) has ``id = fiber * n + inner``;
 * double-ray families: the fiber index is folded to a non-negative
   integer by the zigzag map ``f >= 0 -> 2f``, ``f < 0 -> -2f - 1`` and
-  the id is ``zigzag(f) * width + inner`` with a fixed per-family width.
+  the id is ``zigzag(f) * width + inner``.
 
-Class A fibers sit on even fiber indices, and inner index 0 is the star
-center.  Escape oracles for the double-ray families are exact and walk
-no graph.  Edges stay inside a fiber or join consecutive fibers, and
-consecutive fibers are completely joined, so a free vertex reaches every
-free vertex of both neighbouring fibers and only a fully blocked fiber
-stops it: ``v`` escapes ``F`` iff no fiber on one of the two sides of
-``v``'s fiber is fully blocked.  The answer comes from per-fiber blocked
-counts in O(|F|).
+Escape oracles for the double-ray families are exact and walk no graph.
+A free vertex reaches every free vertex of both neighbouring fibers and
+only a fully blocked fiber stops it: ``v`` escapes ``F`` iff no fiber on
+one of the two sides of ``v``'s fiber is fully blocked.  The answer
+comes from per-fiber blocked counts in O(|F|).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
+from itertools import accumulate, combinations, product
 
 from .errors import InputError
 from .graphcore import MAX_REGION_NEIGHBORS, FiniteGraph, LazyGraph
@@ -48,121 +50,54 @@ def _within_budget(what: str, vertices: int, edges: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# small building blocks
+# finite rings
 
 
-def complete_graph(n: int) -> FiniteGraph:
-    if n < 1:
-        raise InputError("complete graph needs at least one vertex")
-    return FiniteGraph.from_edges(
-        range(n), [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
-
-
-def cycle_graph(q: int) -> FiniteGraph:
-    if q < 3:
-        raise InputError("cycle graph needs at least three vertices")
-    return FiniteGraph.from_edges(range(q), [(i, (i + 1) % q) for i in range(q)])
-
-
-# ---------------------------------------------------------------------------
-# lexicographic product
-
-
-def lexicographic_product(G: FiniteGraph, H: FiniteGraph) -> FiniteGraph:
-    """Graph on V(G) x V(H); (u1,h1)(u2,h2) is an edge iff u1u2 is an
-    edge of G, or u1 = u2 and h1h2 is an edge of H.
-
-    Ids are ``index(u) * |V(H)| + index(h)`` over the sorted vertex
-    orders, labelled ``"u:h"`` with the original ids.
-    """
-    if not G.vertices or not H.vertices:
-        raise InputError("lexicographic product needs non-empty factors")
-    ng, nh = len(G.vertices), len(H.vertices)
-    eg, eh = (sum(map(len, F.adj.values())) // 2 for F in (G, H))
-    _within_budget("the lexicographic product", ng * nh, eg * nh * nh + ng * eh)
-    gidx = {u: i for i, u in enumerate(G.vertices)}
-    hidx = {h: i for i, h in enumerate(H.vertices)}
-    ids = {}
-    labels = {}
-    for u in G.vertices:
-        for h in H.vertices:
-            vid = gidx[u] * nh + hidx[h]
-            ids[(u, h)] = vid
-            labels[vid] = f"{u}:{h}"
-    edges = []
-    for u1, u2 in G.edges():
-        for h1 in H.vertices:
-            for h2 in H.vertices:
-                edges.append((ids[(u1, h1)], ids[(u2, h2)]))
-    for u in G.vertices:
-        for h1, h2 in H.edges():
-            edges.append((ids[(u, h1)], ids[(u, h2)]))
-    return FiniteGraph.from_edges(ids.values(), edges, labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# finite families
+def _ring(family: str, q: int, n: int) -> FiniteGraph:
+    """q periods of a double ray's fibers around a cycle, consecutive
+    fibers completely joined.  Fibers take consecutive ids from 0, and
+    vertex i of fiber f is labelled ``"f:i"``."""
+    maker, name, least_q, ray = RINGS[family]
+    if q < least_q:
+        raise InputError(f"{maker.__name__} requires q >= {least_q}")
+    if n < 2:
+        raise InputError(f"{maker.__name__} requires n >= 2")
+    _, size, inner, period = DOUBLE_RAYS[ray][1](n)
+    # one period's vertices, and its fibers' inner edges and edges to the
+    # next fiber, q times
+    per_edges = sum(
+        size(f) * (size(f) - 1) // 2 if inner(f) is None else len(inner(f))
+        for f in range(period)
+    ) + sum(size(f) * size(f + 1) for f in range(period))
+    per_vertices = sum(map(size, range(period)))
+    _within_budget(f"{name}({q},{n})", q * per_vertices, q * per_edges)
+    starts = list(accumulate(map(size, range(q * period)), initial=0))
+    fibers = [range(a, b) for a, b in zip(starts, starts[1:])]
+    labels = {
+        v: f"{f}:{i}" for f, ids in enumerate(fibers) for i, v in enumerate(ids)
+    }
+    edges: list[tuple[int, int]] = []
+    for f, ids in enumerate(fibers):
+        pairs = inner(f)
+        if pairs is None:
+            edges += combinations(ids, 2)
+        else:
+            edges += [(ids[a], ids[b]) for a, b in pairs]
+        edges += product(ids, fibers[(f + 1) % len(fibers)])
+    return FiniteGraph.from_edges(range(starts[-1]), edges, labels=labels)
 
 
 def gen_G(q: int, n: int) -> FiniteGraph:
-    """Ring-of-cliques family: cycle of length q, complete fibers of
-    size n, consecutive fibers completely joined.  Every vertex has
-    degree 3n - 1.  Vertex id = fiber * n + inner.
-    """
-    if q < 3:
-        raise InputError("gen_G requires q >= 3")
-    if n < 2:
-        raise InputError("gen_G requires n >= 2")
-    # n(n-1)/2 edges inside each fiber, n^2 to the next one
-    _within_budget(f"G({q},{n})", q * n, q * (n * (n - 1) // 2 + n * n))
-    return lexicographic_product(cycle_graph(q), complete_graph(n))
-
-
-def _h_fiber_size(f: int, n: int) -> int:
-    return 4 if f % 2 == 0 else n
+    """Ring of cliques G(q,n): q complete fibers of size n around a
+    cycle.  Every vertex has degree 3n - 1.  Vertex id = fiber * n +
+    inner."""
+    return _ring("Gqn", q, n)
 
 
 def gen_H(q: int, n: int) -> FiniteGraph:
-    """Alternating star/clique family over a cycle of length 2q.
-
-    Even fibers are class A (a 4-vertex star: inner 0 the center, 1..3
-    the leaves), odd fibers are class B (complete on n vertices), and
-    consecutive fibers are completely joined.
-    """
-    if q < 2:
-        raise InputError("gen_H requires q >= 2")
-    if n < 2:
-        raise InputError("gen_H requires n >= 2")
-    # per pair of fibers: a star, a clique, and 4n edges to each neighbour
-    _within_budget(f"H({q},{n})", q * (4 + n), q * (3 + n * (n - 1) // 2 + 8 * n))
-    fibers = 2 * q
-    offsets = []
-    total = 0
-    for f in range(fibers):
-        offsets.append(total)
-        total += _h_fiber_size(f, n)
-
-    def vid(f: int, i: int) -> int:
-        return offsets[f] + i
-
-    labels = {}
-    edges = []
-    for f in range(fibers):
-        size = _h_fiber_size(f, n)
-        for i in range(size):
-            labels[vid(f, i)] = f"{f}:{i}"
-        if f % 2 == 0:
-            edges.extend((vid(f, 0), vid(f, leaf)) for leaf in (1, 2, 3))
-        else:
-            edges.extend(
-                (vid(f, i), vid(f, j)) for i in range(size) for j in range(i + 1, size)
-            )
-        g = (f + 1) % fibers
-        for i in range(size):
-            for j in range(_h_fiber_size(g, n)):
-                edges.append((vid(f, i), vid(g, j)))
-    return FiniteGraph.from_edges(range(total), edges, labels=labels)
+    """H(q,n): 2q fibers around a cycle, alternating a 4-vertex star
+    (even fibers, inner 0 the centre) and a complete fiber of size n."""
+    return _ring("H2qn", q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +114,7 @@ def unzigzag(z: int) -> int:
 
 def _make_double_ray_family(
     fiber_size: Callable[[int], int],
-    fiber_edges: Callable[[int], list[tuple[int, int]] | None],
+    fiber_edges: Callable[[int], Sequence[tuple[int, int]] | None],
     width: int,
     descriptor: Mapping[str, object],
     period: int | None = None,
@@ -283,76 +218,87 @@ def _make_double_ray_family(
 def gen_G_inf(n: int) -> LazyGraph:
     """Double-ray-of-cliques family: complete fibers of size n over the
     integers.  Id bijection: ``zigzag(f) * n + i``."""
-    if n < 2:
-        raise InputError("gen_G_inf requires n >= 2")
-    return _make_double_ray_family(
-        fiber_size=lambda f: n,
-        fiber_edges=lambda f: None,
-        width=n,
-        descriptor={"family": "GZn", "params": {"n": n}},
-        period=1,
-    )
+    return descriptor_to_lazy({"family": "GZn", "params": {"n": n}})
 
 
 def gen_H_inf(n: int) -> LazyGraph:
     """Alternating star/clique fibers over the integers; even fibers are
     class A stars.  Id bijection: ``zigzag(f) * max(4, n) + i``."""
-    if n < 2:
-        raise InputError("gen_H_inf requires n >= 2")
-    star = [(0, 1), (0, 2), (0, 3)]
-    return _make_double_ray_family(
-        fiber_size=lambda f: _h_fiber_size(f, n),
-        fiber_edges=lambda f: star if f % 2 == 0 else None,
-        width=max(4, n),
-        descriptor={"family": "HZn", "params": {"n": n}},
-        period=2,
-    )
+    return descriptor_to_lazy({"family": "HZn", "params": {"n": n}})
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+_STAR = ((0, 1), (0, 2), (0, 3))
+
+# double-ray family -> its generator, and its layout for n: the ids per
+# fiber (width), the size of fiber f, the inner edges of fiber f (None
+# for a complete fiber) and a period p, such that fiber f looks like
+# fiber f mod p
+DOUBLE_RAYS = {
+    "GZn": (gen_G_inf, lambda n: (n, lambda f: n, lambda f: None, 1)),
+    "HZn": (
+        gen_H_inf,
+        lambda n: (
+            max(4, n),
+            lambda f: n if f % 2 else 4,
+            lambda f: None if f % 2 else _STAR,
+            2,
+        ),
+    ),
+}
+
+# finite family -> its generator, the graph's name in messages, the
+# least number q of periods, and the double ray whose periods it closes
+# into a cycle
+RINGS = {"Gqn": (gen_G, "G", 3, "GZn"), "H2qn": (gen_H, "H", 2, "HZn")}
 
 
 # ---------------------------------------------------------------------------
 # descriptors and coordinate helpers
 
-_INFINITE_FAMILIES = {"GZn": gen_G_inf, "HZn": gen_H_inf}
-_FINITE_FAMILIES = {"Gqn": gen_G, "H2qn": gen_H}
 
-
-def _infinite_family(desc: Mapping[str, object]) -> str:
-    """The descriptor's family name, refused unless it is a known string."""
+def _layout(desc: Mapping[str, object]) -> tuple:
+    """The family and n of a double-ray descriptor, then its layout,
+    ``(family, n, width, fiber_size, fiber_edges, period)``.  Every
+    reader of a descriptor goes through here, so each refuses what
+    descriptor_to_lazy refuses, with its message."""
+    if not isinstance(desc, Mapping):
+        raise InputError("descriptor must be a JSON object")
     family = desc.get("family")
     if not isinstance(family, str):
         raise InputError(f"descriptor family must be a string, got {family!r}")
-    if family not in _INFINITE_FAMILIES:
+    if family not in DOUBLE_RAYS:
         raise InputError(f"unknown infinite family {family!r}")
-    return family
-
-
-def descriptor_to_lazy(desc: Mapping[str, object]) -> LazyGraph:
-    """Rebuild an infinite family from its descriptor JSON object."""
-    if not isinstance(desc, Mapping):
-        raise InputError("descriptor must be a JSON object")
-    family = _infinite_family(desc)
     params = desc.get("params")
     if not isinstance(params, Mapping) or "n" not in params:
         raise InputError("descriptor params must contain n")
     n = params["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError("descriptor parameter n must be an integer")
-    return _INFINITE_FAMILIES[family](n)
+    maker, layout = DOUBLE_RAYS[family]
+    if n < 2:
+        raise InputError(f"{maker.__name__} requires n >= 2")
+    return (family, n, *layout(n))
+
+
+def descriptor_to_lazy(desc: Mapping[str, object]) -> LazyGraph:
+    """Rebuild an infinite family from its descriptor JSON object."""
+    family, n, width, size, inner, period = _layout(desc)
+    descriptor = {"family": family, "params": {"n": n}}
+    return _make_double_ray_family(size, inner, width, descriptor, period)
 
 
 def family_width(desc: Mapping[str, object]) -> int:
-    family = _infinite_family(desc)
-    n = int(desc["params"]["n"])  # type: ignore[index, arg-type]
-    return n if family == "GZn" else max(4, n)
+    return _layout(desc)[2]
 
 
 def fiber_vertices(desc: Mapping[str, object], f: int) -> tuple[int, ...]:
     """All vertex ids of one fiber of an infinite family."""
-    width = family_width(desc)
-    family = desc["family"]
-    n = int(desc["params"]["n"])  # type: ignore[index, arg-type]
-    size = n if family == "GZn" else _h_fiber_size(f, n)
-    return tuple(zigzag(f) * width + i for i in range(size))
+    _, _, width, size, _, _ = _layout(desc)
+    base = zigzag(f) * width
+    return tuple(range(base, base + size(f)))
 
 
 def fiber_of(desc: Mapping[str, object], v: int) -> int:

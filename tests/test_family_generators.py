@@ -5,8 +5,10 @@ star/clique family has three distinct degrees; its degree condition
 holds exactly when n is large enough to cover the cross-fiber cases.
 """
 
+import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -19,17 +21,17 @@ from hamext.families import (
     _make_double_ray_family,
     descriptor_to_lazy,
     family_width,
+    fiber_of,
     fiber_vertices,
     fiber_window,
     gen_G,
     gen_G_inf,
     gen_H,
     gen_H_inf,
-    lexicographic_product,
     unzigzag,
     zigzag,
 )
-from hamext.graphcore import FiniteGraph, LazyGraph, ball
+from hamext.graphcore import LazyGraph, ball, dumps_json, graph_to_json_obj
 
 
 def test_gen_G_small_sizes():
@@ -61,15 +63,6 @@ def test_gen_G_rejects_small_params():
         gen_G(3, 1)
 
 
-def test_lexicographic_product_matches_hand_count():
-    P2 = FiniteGraph.from_edges(range(2), [(0, 1)])
-    K2 = FiniteGraph.from_edges(range(2), [(0, 1)])
-    G = lexicographic_product(P2, K2)
-    # two fiber edges plus the complete join: 2 + 4
-    assert len(G.edges()) == 6
-    assert len(G.vertices) == 4
-
-
 def test_gen_H_sizes():
     H = gen_H(2, 6)
     assert len(H.vertices) == 20 and len(H.edges()) == 132
@@ -93,6 +86,49 @@ def test_gen_H_rejects_small_params():
         gen_H(2, 1)
 
 
+@pytest.mark.parametrize(
+    "make, q, n, digest",
+    [
+        (gen_G, 9, 20, "9fb6bddfd9b79bca2986a3ce0325f672"),
+        (gen_G, 500, 4, "095f4abb7febbca5d9e5813e199cda1c"),
+        (gen_G, 30, 3, "0777baa6c46ff762a2a7e246e4bb30d2"),
+        (gen_H, 3, 5, "277c3e22ef8c7b193234247afc62f642"),
+        (gen_H, 40, 7, "4717549dacda4061e730a5d0f1f13df4"),
+    ],
+)
+def test_finite_generators_keep_their_bytes(make, q, n, digest):
+    # the md5 of the JSON that `gen` prints, ids, edges and labels, as
+    # recorded before both rings were built from the fiber layout table
+    text = dumps_json(graph_to_json_obj(make(q, n)))
+    assert hashlib.md5(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ring, ray, period", [(gen_G, gen_G_inf, 1), (gen_H, gen_H_inf, 2)]
+)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rings_are_the_double_rays_cyclic_quotients(ring, ray, period, n):
+    # each ring vertex's row, in (fiber, inner) coordinates, is the row of
+    # the same vertex of the double ray with fibers taken mod the ring's
+    q = 4
+    G, lazy = ring(q, n), ray(n)
+    fibers = q * period
+    width = family_width(lazy.descriptor)
+
+    def ring_coordinates(v):
+        f, i = G.labels[v].split(":")
+        return int(f), int(i)
+
+    def ray_coordinates(v):
+        return unzigzag(v // width) % fibers, v % width
+
+    for v in G.vertices:
+        f, i = ring_coordinates(v)
+        row = lazy.neighbors(zigzag(f) * width + i)
+        want = sorted(map(ray_coordinates, row))
+        assert sorted(map(ring_coordinates, G.neighbors(v))) == want, (f, i)
+
+
 def test_finite_generators_refuse_graphs_over_the_budget():
     # refused from the counts alone: building these would take terabytes
     for make in (gen_G, gen_H):
@@ -104,15 +140,11 @@ def test_finite_generators_refuse_graphs_over_the_budget():
 def test_budget_counts_match_the_graphs_built(monkeypatch):
     # with the budget set to a graph's exact size it is built, one less
     # and it is refused
-    K3 = FiniteGraph.from_edges(range(3), [(0, 1), (1, 2), (0, 2)])
-    C5 = FiniteGraph.from_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
     cases = [
         (lambda: gen_G(5, 3), gen_G(5, 3)),
         (lambda: gen_G(3, 4), gen_G(3, 4)),
         (lambda: gen_H(3, 5), gen_H(3, 5)),
         (lambda: gen_H(2, 2), gen_H(2, 2)),
-        (lambda: lexicographic_product(C5, K3), lexicographic_product(C5, K3)),
-        (lambda: lexicographic_product(K3, C5), lexicographic_product(K3, C5)),
     ]
     for make, G in cases:
         size = max(len(G.vertices), len(G.edges()))
@@ -391,6 +423,34 @@ def test_descriptor_round_trip():
         descriptor_to_lazy({"family": "nope", "params": {"n": 2}})
     with pytest.raises(InputError):
         descriptor_to_lazy({"family": "GZn", "params": {}})
+
+
+# descriptors that name no graph: each coordinate helper and generator
+# refuses them with descriptor_to_lazy's message
+REFUSED_DESCRIPTORS = [{"family": "GZn"}, {"family": "HZn", "params": {}}] + [
+    {"family": family, "params": {"n": n}}
+    for family in ("GZn", "HZn")
+    for n in (0, 1, -2, "3", 2.5, True)
+]
+
+
+@pytest.mark.parametrize("desc", REFUSED_DESCRIPTORS, ids=repr)
+def test_coordinate_helpers_refuse_what_descriptor_to_lazy_refuses(desc):
+    with pytest.raises(InputError) as refused:
+        descriptor_to_lazy(desc)
+    message = f"^{re.escape(str(refused.value))}$"
+    readers = [
+        family_width,
+        lambda d: fiber_of(d, 5),
+        lambda d: fiber_vertices(d, 1),
+        lambda d: fiber_window(d, 2),
+    ]
+    if "n" in desc.get("params", {}):
+        make = {"GZn": gen_G_inf, "HZn": gen_H_inf}[desc["family"]]
+        readers.append(lambda d: make(d["params"]["n"]))
+    for read in readers:
+        with pytest.raises(InputError, match=message):
+            read(desc)
 
 
 def _walk_escapes(G, blocked, v):

@@ -1,4 +1,5 @@
-"""Every function and method in ``src/hamext`` has a caller in ``src``.
+"""Every function and method in ``src/hamext`` has a caller in ``src``,
+and every name a module binds at module level is read in ``src``.
 
 Code that only the tests call is not part of what the package ships.
 The scan reads each module of the package with ``ast``.  A definition
@@ -6,6 +7,9 @@ counts as called when its name appears anywhere in the package as a
 name or an attribute: a call, a reference handed on, a decorator or a
 property read.  Methods that Python calls itself (``__init__``,
 ``__contains__`` and the like) are exempt, and so are the names below.
+A module-level name counts as read when it is loaded anywhere in the
+package, as a name or an attribute; dunders such as ``__all__`` and
+``__version__`` are exempt.
 """
 
 import ast
@@ -71,3 +75,39 @@ def test_exempt_names_are_defined_and_the_benchmark_ones_uncalled():
     defined, names = definitions_and_names()
     assert (EXEMPT.keys() | BENCHMARK_ONLY) <= defined.keys()
     assert [q for q in sorted(BENCHMARK_ONLY) if defined[q] in names] == []
+
+
+def module_level_names_and_reads():
+    """The names each module binds by a module-level assignment, by
+    qualified name, and every name the package loads as a name or
+    attribute."""
+    bound, reads = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[f"{path.stem}.{name.id}"] = name.id
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return bound, reads
+
+
+def test_every_module_level_name_in_src_is_read_in_src():
+    bound, reads = module_level_names_and_reads()
+    unread = [
+        qualified
+        for qualified, name in bound.items()
+        if name not in reads and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unread == []
