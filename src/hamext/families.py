@@ -31,7 +31,7 @@ from collections.abc import Callable, Mapping, Sequence
 from itertools import accumulate, combinations, product
 
 from .errors import InputError
-from .graphcore import MAX_REGION_NEIGHBORS, FiniteGraph, LazyGraph
+from .graphcore import MAX_REGION_NEIGHBORS, MAX_TRACE_IDS, FiniteGraph, LazyGraph
 
 # The most vertices and the most edges a finite generator builds.  An
 # edge costs about 500 bytes on its way into a FiniteGraph and out as
@@ -294,9 +294,20 @@ def family_width(desc: Mapping[str, object]) -> int:
     return _layout(desc)[2]
 
 
+def _ids_within_budget(what: str, ids: int) -> None:
+    """Refuse a list of more than MAX_TRACE_IDS vertex ids, from its
+    count, before any id of it is built."""
+    if ids > MAX_TRACE_IDS:
+        raise InputError(
+            f"{what} would hold {ids} vertex ids; at most {MAX_TRACE_IDS} are listed"
+        )
+
+
 def fiber_vertices(desc: Mapping[str, object], f: int) -> tuple[int, ...]:
-    """All vertex ids of one fiber of an infinite family."""
+    """All vertex ids of one fiber of an infinite family; a fiber of
+    more than MAX_TRACE_IDS ids is refused before any is built."""
     _, _, width, size, _, _ = _layout(desc)
+    _ids_within_budget(f"fiber {f}", size(f))
     base = zigzag(f) * width
     return tuple(range(base, base + size(f)))
 
@@ -307,9 +318,19 @@ def fiber_of(desc: Mapping[str, object], v: int) -> int:
 
 
 def fiber_window(desc: Mapping[str, object], half_width: int) -> frozenset[int]:
-    """Vertex ids of fibers -half_width .. half_width."""
+    """Vertex ids of fibers -half_width .. half_width.  A window of more
+    than MAX_TRACE_IDS ids is refused before any is built.  The ids are
+    counted from one period p, with no loop over the fibers: fiber r,
+    for r = 0 .. p - 1, is as large as each fiber f of the window with
+    f = r mod p."""
     if half_width < 0:
         raise InputError("window half-width must be non-negative")
+    _, _, _, size, _, period = _layout(desc)
+    ids = sum(
+        size(r) * ((half_width - r) // period - (-half_width - 1 - r) // period)
+        for r in range(period)
+    )
+    _ids_within_budget(f"the window of fibers -{half_width} .. {half_width}", ids)
     out: set[int] = set()
     for f in range(-half_width, half_width + 1):
         out.update(fiber_vertices(desc, f))

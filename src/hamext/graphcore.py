@@ -326,8 +326,11 @@ class LazyGraph:
     ``representatives``, set only by the double-ray family constructor,
     is a tuple of ranges of vertex ids, in increasing order, such that
     every vertex of G is the image of one of their ids under an
-    automorphism of G; a run decides the local conditions for all of G
-    on them.  None means no such set is known.
+    automorphism of G, which carries each vertex's oracle row onto its
+    image's.  A run decides the local conditions for all of G on them,
+    and with them the neighbour oracle's symmetry: they vouch for it,
+    so the run's regions check it on no ball of their own.  None means
+    no such set is known.
     """
 
     def __init__(
@@ -509,24 +512,26 @@ def verify_cycle(G: GraphLike, C: Cycle) -> CycleReport:
 # traversals
 
 
-def neighborhood_k(G: GraphLike, X: Iterable[int], k: int) -> frozenset[int]:
-    """Vertices at distance between 1 and ``k`` from the set ``X``.
+def neighborhood_rings(
+    G: GraphLike, X: Iterable[int], k: int
+) -> tuple[frozenset[int], ...]:
+    """The ``k`` rings around the set ``X``: for d = 1 .. k, the
+    vertices at distance d from X (empty once the search runs out).
 
-    Finitely many neighbour queries on a lazy graph; ``X`` itself is
-    excluded, matching the convention used by the separator machinery.
+    Finitely many neighbour queries on a lazy graph, asked ring by ring
+    and in id order within a ring, so a caller that needs several
+    neighbourhoods of one set searches once.
     """
     if k < 0:
         raise InputError("neighbourhood depth must be non-negative")
     xset = set(X)
-    if not xset:
-        return frozenset()
     if isinstance(G, FiniteGraph):
         for v in xset:
             if not G.has_vertex(v):
                 raise InputError(f"unknown vertex {v}")
     seen = set(xset)
     ring = sorted(xset)
-    found: set[int] = set()
+    rings = []
     for _ in range(k):
         nxt: set[int] = set()
         for u in ring:
@@ -534,11 +539,18 @@ def neighborhood_k(G: GraphLike, X: Iterable[int], k: int) -> frozenset[int]:
                 if w not in seen:
                     seen.add(w)
                     nxt.add(w)
-        found |= nxt
+        rings.append(frozenset(nxt))
         ring = sorted(nxt)
-        if not ring:
-            break
-    return frozenset(found)
+    return tuple(rings)
+
+
+def neighborhood_k(G: GraphLike, X: Iterable[int], k: int) -> frozenset[int]:
+    """Vertices at distance between 1 and ``k`` from the set ``X``: the
+    union of its rings (see :func:`neighborhood_rings`).  ``X`` itself
+    is excluded, matching the convention used by the separator
+    machinery.
+    """
+    return frozenset().union(*neighborhood_rings(G, X, k))
 
 
 # The widest ball and the longest component search: a guard against
@@ -635,22 +647,29 @@ class Region:
     the vertices interior to its balls (see TwinClasses); a ball of
     radius >= 2 carries them for the ball checks.
 
+    ``decided`` says that both local conditions and the neighbour
+    oracle's symmetry were decided for all of G on its representatives
+    (see infinite.decide_by_period), as a run does first.  No ball is
+    then checked for either condition, so the region keeps no twin
+    classes (``twins`` is None) and checks no symmetry.
+
     As X grows, distances only fall: grow() runs a breadth-first search
     from the gained vertices that stops wherever no label improves.
     ball(r) extends the labels outward when r exceeds ``reach`` and
     returns what ``ball(G, X, r)`` returns, reading the interior's
-    neighbour tuples off ``nbrs``; it checks the neighbour oracle's
-    symmetry only on the pairs whose ends are interior for the first
-    time.  ``radius`` is the radius of the last ball handed out.  Per
-    call, work is bounded by what X gained and by the shell of layers
-    between X and the frontier, not by the size of X: no pass, Python
-    or set operation, runs over X or the whole ball, but for a ball at
-    a new radius or one whose tables are copied.
+    neighbour tuples off ``nbrs``; unless ``decided``, it checks the
+    neighbour oracle's symmetry only on the pairs whose ends are
+    interior for the first time.  ``radius`` is the radius of the last
+    ball handed out.  Per call, work is bounded by what X gained and by
+    the shell of layers between X and the frontier, not by the size of
+    X: no pass, Python or set operation, runs over X or the whole ball,
+    but for a ball at a new radius or one whose tables are copied.
     """
 
-    def __init__(self, G: GraphLike, X: Iterable[int]) -> None:
+    def __init__(self, G: GraphLike, X: Iterable[int], decided: bool = False) -> None:
         X = sorted(set(X))
         self.G = G
+        self.decided = decided
         self.dist: dict[int, int] = dict.fromkeys(X, 0)
         self.layers: list[set[int]] = [set(X)]
         self.least = X[0] if X else None
@@ -659,7 +678,7 @@ class Region:
         self.nbrs: dict[int, tuple[int, ...]] = {}
         self.sets: dict[int, frozenset[int]] = {}
         self.held = 0
-        self.twins = TwinClasses(self.nbrs, self.sets)
+        self.twins = None if decided else TwinClasses(self.nbrs, self.sets)
         # vertices interior to some ball handed out, and the pairs
         # (v, w) with w listed by v but v not by w found at them; X's
         # vertices gained since the last ball of radius >= 1, which are
@@ -669,7 +688,8 @@ class Region:
         self._new_x: set[int] = set(X)
         # vertices of X not yet checked to connect to the rest of X
         self._loose: set[int] = set(X)
-        # the last cycle whose edges minimal_ray_blocker found in G
+        # the last cycle whose edges minimal_ray_blocker found in G (see
+        # spanned_by)
         self.checked_cycle: Cycle | None = None
         # the radius of the last ball, its tables (vertex set, adjacency
         # rows, neighbour sets), its frontier rows and a weak reference
@@ -762,17 +782,18 @@ class Region:
         new_x = set()
         if radius:
             new_x, self._new_x = self._new_x, new_x
-        if (len(layers[0]) + len(shell)) // 4 > len(self._interior):
-            # most of the interior is fresh: its set difference, built as
-            # set difference builds it then
-            fresh = set().union(*layers[:radius]) - self._interior
-        else:
-            fresh = shell.union(new_x) - self._interior
-        self._interior |= fresh
-        # in id order, so the oracle's first calls come in that order
-        fresh = sorted(fresh)
-        self.twins.add(fresh)
-        self._check_symmetry(fresh, radius)
+        if not self.decided:
+            if (len(layers[0]) + len(shell)) // 4 > len(self._interior):
+                # most of the interior is fresh: its set difference, built
+                # as set difference builds it then
+                fresh = set().union(*layers[:radius]) - self._interior
+            else:
+                fresh = shell.union(new_x) - self._interior
+            self._interior |= fresh
+            # in id order, so the oracle's first calls come in that order
+            fresh = sorted(fresh)
+            self.twins.add(fresh)
+            self._check_symmetry(fresh, radius)
         dist, outer = self.dist, radius + 1
         rows = {
             v: tuple(w for w in self.G.neighbors(v) if dist.get(w, outer) < outer)
@@ -829,11 +850,19 @@ class Region:
                 f"neighbor oracle is asymmetric on pair ({v}, {w})"
             )
 
+    def spanned_by(self, C: Cycle) -> None:
+        """Record that every edge of C, a cycle with V(C) = X, was found
+        in G.  C's edges then join X into one connected subgraph, so
+        require_connected has nothing to search until X grows again."""
+        self.checked_cycle = C
+        self._loose.clear()
+
     def require_connected(self) -> None:
         """Raise InputError unless X induces a connected subgraph.  Only
-        the vertices gained since the last check are searched: they must
-        all reach the part of X checked before (or, on the first check,
-        the smallest vertex of X) inside X."""
+        the vertices gained since the last check, or since a cycle
+        spanning X was checked (spanned_by), are searched: they must all
+        reach the part of X checked before (or, on the first check, the
+        smallest vertex of X) inside X."""
         loose = self._loose
         if not loose:
             return

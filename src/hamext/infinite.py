@@ -28,14 +28,17 @@ V(C), the distance layers around it and their adjacency, which each
 iteration updates from the vertices the cycle gained.  Both local
 conditions, claw-freeness and the degree condition, are decided first.
 A graph that lists representatives (the periodic families list fibers
-0 .. p-1) is decided once, on them, before the ball saturation starts
-from is grown (decide_by_period), and no ball is checked after that.
-Otherwise the run checks the ball saturation starts from, so an input
-failing either is refused before saturation, and then each
-iteration's ball.  Each
-iteration takes N(C) for the blocker, and the ball for decompose, off
-the region, and reads N(C), its second neighbourhood and the protected
-vertices once.  Both conditions are properties of the graph, so a
+0 .. p-1) is decided once, on them, before any ball of the run is
+grown (decide_by_period), the neighbour oracle's symmetry with them,
+and after that no ball is checked, classified into twin classes or
+checked for symmetry.  Otherwise the run checks the ball saturation
+starts from, so an input failing either is refused before
+saturation, and then each iteration's ball.  Each iteration takes
+N(C) for the blocker, and the ball for decompose, off the region.
+It searches the graph twice: two rings around N(C) give the
+vertices near C and the protected ones, and three rings around the
+blocker give every connector tree's required vertices and stage E's
+neighbourhoods.  Both conditions are properties of the graph, so a
 centre certified once is never checked again.  The run keeps one live
 cycle across its iterations and freezes it once per iteration for the
 trace; the ledger of what an enlargement gained and lost is what the
@@ -75,12 +78,12 @@ from .graphcore import (
     Region,
     _dumps_at,
     _ids_format,
-    ball,
     canonical_edge,
     cycle_from_json_obj,
     cycle_to_json_obj,
     ids_from_json_obj,
     neighborhood_k,
+    neighborhood_rings,
 )
 from .structure import (
     BALL_MARGIN,
@@ -122,14 +125,17 @@ class _Outside(Set):
         return frozenset(it)
 
 
-def protected_vertices(G, cycle_vertices, nc=None) -> Set[int]:
+def protected_vertices(G, cycle_vertices, nc=None, nnc=None) -> Set[int]:
     """Cycle vertices outside N(C) and N(N(C)); an enlargement never
-    rewires an edge between two of them.  ``nc`` is N(C) when the
-    caller already has it.  The set is read in place off the cycle's
-    vertex set, which must not change while it is read."""
+    rewires an edge between two of them.  ``nc`` is N(C) and ``nnc``
+    N(N(C)) when the caller already has them.  The set is read in place
+    off the cycle's vertex set, which must not change while it is
+    read."""
     if nc is None:
         nc = neighborhood_k(G, cycle_vertices, 1)
-    return _Outside(cycle_vertices, neighborhood_k(G, nc, 1) | nc)
+    if nnc is None:
+        nnc = neighborhood_k(G, nc, 1)
+    return _Outside(cycle_vertices, nnc | nc)
 
 
 class _RunCycle(LiveCycle):
@@ -355,14 +361,16 @@ class _Rim:
     """What an enlargement of C may rewire, read once off a ball B
     around C that reaches three steps past N(C): ``nc`` is N(C),
     ``near`` is N(C) with its second neighbourhood, ``protected`` the
-    cycle vertices outside N(C) and N(N(C))."""
+    cycle vertices outside N(C) and N(N(C)).  Both come from one search
+    of two rings around N(C)."""
 
     __slots__ = ("nc", "near", "protected")
 
     def __init__(self, B: FiniteGraph, cycle_vertices, nc) -> None:
         self.nc = nc = frozenset(nc)
-        self.near = nc | neighborhood_k(B, nc, 2)
-        self.protected = protected_vertices(B, cycle_vertices, nc)
+        first, second = neighborhood_rings(B, nc, 2)
+        self.near = nc | first | second
+        self.protected = protected_vertices(B, cycle_vertices, nc, first)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +653,7 @@ class SteinerTree(Record):
         return tuple(reversed(out))
 
 
-def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
+def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3=None) -> SteinerTree:
     """Finite tree inside the component K_j covering N_3(S_j) there.
 
     Required vertices are joined one at a time by shortest paths that
@@ -664,8 +672,19 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S) -> SteinerTree:
     through its entry, and only a goal farther away is searched for,
     from the ring outward.  The tree, and the order of the neighbour
     oracle's calls, are the search's.
+
+    ``n3``, when given, is N_3(script_S), and its vertices in K_j are
+    the required ones: they are those of N_3(S_j).  A vertex w of K_j at
+    distance d from script_S ends a path of length d from some s of
+    script_S that meets script_S only at s.  The rest of the path lies
+    in G - script_S and ends in K_j, so it lies in K_j; so s is next to
+    K_j and is a vertex of S_j, the separator vertices facing K_j, and
+    w is at distance d from S_j too.  One search from script_S then
+    serves every part.
     """
-    required = {w for w in neighborhood_k(G, S_j, 3) if w in K_j}
+    if n3 is None:
+        n3 = neighborhood_k(G, S_j, 3)
+    required = {w for w in n3 if w in K_j}
     if not required:
         raise InvariantViolation(
             "separator has no third neighbourhood inside its component",
@@ -789,9 +808,13 @@ class _CutBuilder:
         self.pieces = tuple(h.piece for h in decomp.infinite_components)
         self.script_S = decomp.script_S
         self.k = decomp.k
+        # the one search from the blocker, in G: N(S), which stage E
+        # reads, and N_3(S), which every tree and stage E read
+        rings = neighborhood_rings(G, self.script_S, 3)
+        self.n1, self.n3 = rings[0], frozenset().union(*rings)
         self.trees = tuple(
             steiner_tree_T(
-                G, self.parts[j], decomp.infinite_components[j], self.script_S
+                G, self.parts[j], decomp.infinite_components[j], self.script_S, self.n3
             )
             for j in range(self.k)
         )
@@ -1163,14 +1186,18 @@ class _CutBuilder:
     # -- stage E: output clauses -------------------------------------------
 
     def check_output_clauses(self, cur: _RunCycle) -> tuple[CutWitness, ...]:
-        n3 = neighborhood_k(self.B, self.script_S, 3)
-        contaminated = (n3 | self.script_S) & self.B.frontier
-        if contaminated:
+        B, script_S, n3 = self.B, self.script_S, self.n3
+        # the search in G meets the frontier exactly when the search in B
+        # does: up to its first frontier vertex, a path from script_S
+        # runs through the ball's interior, whose rows are G's.  Beyond
+        # it the two may differ, so the vertices named are B's
+        if not B.frontier.isdisjoint(n3 | script_S):
+            contaminated = (neighborhood_k(B, script_S, 3) | script_S) & B.frontier
             raise FrontierContamination(
                 f"third neighbourhood reaches the frontier: "
                 f"{sorted(contaminated)[:6]}"
             )
-        missing = (self.script_S | n3).difference(cur._succ)
+        missing = (script_S | n3).difference(cur._succ)
         # stage A left K0 on the cycle, and while only kinds I and II
         # rewire it since, no vertex leaves it
         if not cur.kept:
@@ -1181,10 +1208,11 @@ class _CutBuilder:
                 missing=sorted(missing),
             )
 
-        n_script = neighborhood_k(self.B, self.script_S, 1)
         witnesses = []
         for j, m in enumerate(self.msets):
-            n_sj = neighborhood_k(self.B, self.parts[j], 1)
+            # S_j's rows are whole in B, as S misses the frontier; their
+            # union may hold vertices of S, but it is read on piece j only
+            n_sj = set().union(*map(B.adj.__getitem__, self.parts[j]))
             bad_excluded = m.excluded & (self.pieces[j] - n_sj)
             if bad_excluded:
                 raise InvariantViolation(
@@ -1197,7 +1225,7 @@ class _CutBuilder:
                 for v in m.included
                 if v not in self.pieces[j]
                 and v not in self.script_S
-                and v not in n_script
+                and v not in self.n1
             }
             if stray:
                 raise InvariantViolation(
@@ -1290,8 +1318,11 @@ def construct_cut1(
 # the driver
 
 
-def _initial_cycle(G: LazyGraph) -> Cycle:
-    B = ball(G, G.root, 3)
+def _initial_cycle(G: LazyGraph, decided: bool = False) -> Cycle:
+    """A cycle near the root, found in the ball of radius 3 around it;
+    ``decided`` is the run's period verdict, handed to that ball's
+    region (see Region)."""
+    B = Region(G, (G.root,), decided).ball(3)
     interior = B.induced(sorted(B.vertex_set - B.frontier))
     try:
         return find_initial_cycle(interior)
@@ -1316,7 +1347,9 @@ def _require_star(star) -> None:
 def decide_by_period(G: LazyGraph) -> bool:
     """Decide claw-freeness and the local degree condition for all of G
     on G's representatives, when it has them: refuse G with InputError
-    at the first failure, and return whether G was decided.
+    at the first failure, and return whether G was decided.  The
+    neighbour oracle's symmetry is decided with them: an asymmetric
+    pair is refused with InvariantViolation.
 
     Both conditions at a vertex v read only its ball of radius 2.  A
     claw at v is v, three of its neighbours and the non-edges among
@@ -1336,6 +1369,16 @@ def decide_by_period(G: LazyGraph) -> bool:
     full.  Those paths include every path with a representative as its
     middle, and a failure among the others is a failure in G too.  The
     messages are those of the per-ball checks.
+
+    Symmetry is a property of G's neighbour oracle too, and the region
+    that grows the radius-3 ball checks it on every pair whose ends are
+    both interior, so on every pair (r, w) with r a representative and w
+    listed by r.  An automorphism carries each vertex's row onto its
+    image's row.  So an asymmetric pair (v, w), v listing w and w not
+    listing v, goes under an automorphism taking v to a representative
+    r to an asymmetric pair (r, w'), with w' listed by r: G has none
+    when none is found there.  A decided run's regions then check no
+    symmetry of their own.
     """
     if G.representatives is None:
         return False
@@ -1351,9 +1394,12 @@ def decide_by_period(G: LazyGraph) -> bool:
     return True
 
 
-def _saturate_initial(G: LazyGraph, seed: Cycle, B: FiniteGraph) -> Cycle:
+def _saturate_initial(
+    G: LazyGraph, seed: Cycle, B: FiniteGraph, decided: bool = False
+) -> Cycle:
     """Saturate N(seed) in B, the ball of radius _SEED_RADIUS around
-    the seed, growing the ball until the result clears its frontier."""
+    the seed, growing the ball until the result clears its frontier;
+    ``decided`` is handed to the region of each ball grown."""
     radius = _SEED_RADIUS
     while True:
         fixed = neighborhood_k(B, seed.vertex_set, 1)
@@ -1367,7 +1413,7 @@ def _saturate_initial(G: LazyGraph, seed: Cycle, B: FiniteGraph) -> Cycle:
                 )
             return C0
         radius += 2
-        B = ball(G, seed.vertex_set, radius)
+        B = Region(G, seed.order, decided).ball(radius)
 
 
 def _select_end(
@@ -1410,12 +1456,13 @@ class _RunState:
     decompose's balls and distances, and the degree condition's layers
     are read off it.
 
-    ``decided`` says that claw-freeness and the local degree condition
-    were decided for all of G on its representatives, first thing (see
-    decide_by_period); the seed ball and the iterations then check
-    neither.  Otherwise
-    every ball is checked.  Both conditions are properties of G, so a
-    centre that passes once passes in every later iteration.
+    ``decided`` says that claw-freeness, the local degree condition and
+    the neighbour oracle's symmetry were decided for all of G on its
+    representatives, first thing (decide_by_period's verdict); the seed
+    ball and the iterations then check none of them, and the region
+    keeps no twin classes.  Otherwise every ball is checked.  Both
+    conditions are properties of G, so a centre that passes once passes
+    in every later iteration.
     ``star_certified`` and ``claw_certified`` hold the centres already
     certified, and each ball checks only the others (see star_on_ball
     and claw_free_on_ball for when a centre counts as certified).
@@ -1428,12 +1475,12 @@ class _RunState:
     of that ball.
     """
 
-    def __init__(self, G: LazyGraph, seed: Cycle) -> None:
+    def __init__(self, G: LazyGraph, seed: Cycle, decided: bool) -> None:
         self.G = G
-        self.decided = decide_by_period(G)
+        self.decided = decided
         self.star_certified: set[int] = set()
         self.claw_certified: set[int] = set()
-        self.region = Region(G, seed.order)
+        self.region = Region(G, seed.order, decided)
         self.live: _RunCycle | None = None
         self.last: Cycle | None = None
         self.walks: dict[str, tuple[int, int | None, int]] = {}
@@ -1529,23 +1576,25 @@ class _RunState:
 def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     """Run the full construction for ``depth`` iterations.
 
-    A graph with representatives is checked for claws and the degree
-    condition once, on them, before the seed ball is grown.  Otherwise
-    the seed ball is checked first, and each iteration
-    certifies the degree condition and claw-freeness on the
-    decomposition's ball.  Each iteration blocks the current cycle,
-    decomposes and enlarges.  The trace is deterministic for identical
-    inputs.  A run whose cycles and K0 sets would hold more than
-    MAX_TRACE_IDS vertex ids is refused with InputError.
+    A graph with representatives is checked for claws, the degree
+    condition and the neighbour oracle's symmetry once, on them, before
+    the seed cycle is looked for.  Otherwise the seed ball is checked
+    first, and each iteration certifies the degree condition and
+    claw-freeness on the decomposition's ball.  Each iteration blocks
+    the current cycle, decomposes and enlarges.  The trace is
+    deterministic for identical inputs.  A run whose cycles and K0 sets
+    would hold more than MAX_TRACE_IDS vertex ids is refused with
+    InputError.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
 
-    seed = _initial_cycle(G)
-    state = _RunState(G, seed)
-    C = _saturate_initial(G, seed, state.check_seed())
+    decided = decide_by_period(G)
+    seed = _initial_cycle(G, decided)
+    state = _RunState(G, seed, decided)
+    C = _saturate_initial(G, seed, state.check_seed(), decided)
     cycles = [C]
     blockers: list[frozenset[int]] = []
     ks: list[int] = []

@@ -42,7 +42,8 @@ def _require_cycle_edges(
     run checks each edge of each cycle once: when it first appears.
     ``walked``, when given, holds the pairs C walks whose edges the
     region's last checked cycle lacks, in C's order; otherwise they are
-    found from both cycles' edge lists."""
+    found from both cycles' edge lists.  The region's X must be V(C):
+    once every edge is found, C spans it (Region.spanned_by)."""
     order, last = C.order, region.checked_cycle
     if last is None:
         walked = zip(order, order[1:] + order[:1])
@@ -56,7 +57,7 @@ def _require_cycle_edges(
     for u, v in walked:
         if not G.adjacent(u, v):
             raise InputError(f"cycle edge ({u}, {v}) missing in graph")
-    region.checked_cycle = C
+    region.spanned_by(C)
 
 
 def minimal_ray_blocker(
@@ -284,7 +285,11 @@ def decompose(
     scan is skipped.
 
     The balls come from ``region``, whose X must be X; without one, a
-    fresh region is grown from X.
+    fresh region is grown from X.  X must induce a connected subgraph,
+    which is searched only over what the region gained since a cycle
+    spanning X was found edge by edge in G (Region.spanned_by).  In a
+    run, minimal_ray_blocker has just done that for C with V(C) = X, so
+    nothing is searched; on a fresh region all of X is.
     """
     script_S = frozenset(script_S)
     if region is None:

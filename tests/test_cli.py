@@ -865,6 +865,14 @@ GOLDEN_DIGESTS = {
         "b68395e42bb186562f0531e00114cec55da62819dcf292f5a68e34af9dc180a0",
         "b30620db5d3cb8cdf9aa45075dc67446c05dc311f7812c0589c21199f70fc48d",
     ),
+    (5, 8): (
+        "d3b186a38fcd8d8da1117af31e201f72eea48f57b9223edf25870057413a4883",
+        "b28f1bd8c8df9fe755bd3f34aed0cddbf7418554c65c375059903de13ff7442b",
+    ),
+    (8, 4): (
+        "6b14e7979fe5fb48fda6054b9717c77452d590f549518b76e78682ed9eb41ce2",
+        "4a5631e24558c8da5af936e857cd3f6708caf94d15a26bc488b57a5c6c4de048",
+    ),
 }
 
 

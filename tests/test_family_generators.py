@@ -620,6 +620,44 @@ def test_inline_escape_oracle_matches_decoding_one(make, n):
 # fibers too wide to hold
 
 
+def test_fiber_helpers_refuse_id_lists_over_the_trace_budget():
+    # gen accepts GZn with n = 10**9; a fiber of it, or a window, holds
+    # more ids than a trace may store, and both are refused from the
+    # layout's counts before any id is built
+    import time
+    import tracemalloc
+
+    desc = {"family": "GZn", "params": {"n": 10**9}}
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InputError, match="fiber -1 would hold 1000000000 "):
+            fiber_vertices(desc, -1)
+        with pytest.raises(InputError, match="-2 .. 2 would hold 5000000000 "):
+            fiber_window(desc, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("family", ["GZn", "HZn"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_window_id_count_is_exact(monkeypatch, family, n):
+    # the count from one period's fiber sizes is the window's size: a
+    # budget of exactly that passes, one id less is refused
+    desc = {"family": family, "params": {"n": n}}
+    for half_width in range(6):
+        ids = len(fiber_window(desc, half_width))
+        monkeypatch.setattr(families, "MAX_TRACE_IDS", ids)
+        assert len(fiber_window(desc, half_width)) == ids
+        monkeypatch.setattr(families, "MAX_TRACE_IDS", ids - 1)
+        with pytest.raises(InputError, match=f"would hold {ids} vertex ids"):
+            fiber_window(desc, half_width)
+        monkeypatch.undo()
+
+
 def test_rows_over_the_budget_are_refused_before_they_are_built():
     # a row of 3 * 10**8 entries would exhaust memory; the oracle refuses
     # it from the fiber sizes, as input, before building it

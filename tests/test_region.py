@@ -170,7 +170,7 @@ def test_resumed_end_walk_equals_the_walk_from_zero():
     G = LazyGraph(
         P._neighbor_oracle, P._escape_oracle, P.root, gen_G_inf(2).end_rays
     )
-    state = infinite._RunState(G, Cycle((a, c, b, d)))
+    state = infinite._RunState(G, Cycle((a, c, b, d)), infinite.decide_by_period(G))
     region, resumed = state.region, Counter()
     for C, radius in (
         (Cycle((a, c, b, d)), None),

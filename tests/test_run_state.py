@@ -15,7 +15,16 @@ from hamext.conditions import check_star_ball, claw_free_on_ball, star_on_ball
 from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.extension import Extension, LiveCycle, apply_extension, find_extension
 from hamext.families import _make_double_ray_family, gen_G_inf, gen_H_inf
-from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, ball, canonical_edge, neighborhood_k
+from hamext.graphcore import (
+    Cycle,
+    FiniteGraph,
+    LazyGraph,
+    Region,
+    TwinClasses,
+    ball,
+    canonical_edge,
+    neighborhood_k,
+)
 from hamext.infinite import (
     SteinerTree,
     _CutBuilder,
@@ -205,6 +214,78 @@ def test_hz_seed_ball_is_refused_before_saturation(n):
 
 
 # ---------------------------------------------------------------------------
+# the decided path
+
+
+def _ball_work(monkeypatch, G, depth):
+    """Per kind, the Region.ball calls, symmetry checks and twin-class
+    additions of a run, split by whether decide_by_period made them."""
+    calls, deciding = Counter(), []
+    decide = infinite.decide_by_period
+
+    def counted(kind, method):
+        def counting(*args):
+            calls[kind, bool(deciding)] += 1
+            return method(*args)
+
+        return counting
+
+    def recording_decide(G):
+        deciding.append(G)
+        try:
+            return decide(G)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(infinite, "decide_by_period", recording_decide)
+    monkeypatch.setattr(Region, "ball", counted("ball", Region.ball))
+    monkeypatch.setattr(
+        Region, "_check_symmetry", counted("symmetry", Region._check_symmetry)
+    )
+    monkeypatch.setattr(TwinClasses, "add", counted("twins", TwinClasses.add))
+    hamilton_sequence(G, depth)
+    return calls
+
+
+@pytest.mark.parametrize("n, depth", [(2, 12), (8, 4)])
+def test_decided_run_checks_and_classifies_only_in_the_decision(monkeypatch, n, depth):
+    # the period decision checks the oracle's symmetry and classifies
+    # twins on its own balls; the run's balls do neither
+    calls = _ball_work(monkeypatch, gen_G_inf(n), depth)
+    assert calls["ball", True] == calls["symmetry", True] == calls["twins", True] > 0
+    assert calls["ball", False] > depth
+    assert calls["symmetry", False] == calls["twins", False] == 0
+    # behind a graph stating no period, every ball does both
+    calls = _ball_work(monkeypatch, without_period(gen_G_inf(n)), depth)
+    assert calls["ball", False] == calls["symmetry", False] == calls["twins", False]
+    assert calls["ball", False] > depth and calls["ball", True] == 0
+
+
+def test_asymmetric_row_at_a_representative_is_refused_by_the_decision(monkeypatch):
+    # vertex 0 of GZ2's fiber 0 drops 2, of fiber -1, from its row, and 2
+    # still lists 0: the decision refuses the pair before the run looks
+    # for its seed cycle or grows its seed ball
+    base = gen_G_inf(2)
+    assert base.representatives == (range(0, 2),) and 2 in base.neighbors(0)
+
+    def neighbors(v):
+        return tuple(w for w in base.neighbors(v) if (v, w) != (0, 2))
+
+    G = LazyGraph(
+        neighbors, base.escapes, base.root, base.end_rays, base.descriptor,
+        base.representatives,
+    )
+    grown = []
+    monkeypatch.setattr(infinite, "_initial_cycle", lambda *args: grown.append(args))
+    monkeypatch.setattr(infinite._RunState, "check_seed", lambda self: grown.append(self))
+    for decide in (infinite.decide_by_period, lambda G: hamilton_sequence(G, 3)):
+        with pytest.raises(InvariantViolation) as info:
+            decide(G)
+        assert str(info.value) == "neighbor oracle is asymmetric on pair (2, 0)"
+    assert grown == []
+
+
+# ---------------------------------------------------------------------------
 # one rim per iteration
 
 
@@ -295,8 +376,8 @@ def test_trees_match_handle_membership(monkeypatch):
     checked = []
     steiner = infinite.steiner_tree_T
 
-    def comparing(G, S_j, K_j, script_S):
-        tree = steiner(G, S_j, K_j, script_S)
+    def comparing(G, S_j, K_j, script_S, n3=None):
+        tree = steiner(G, S_j, K_j, script_S, n3)
         assert tree == _tree_by_handle(G, S_j, K_j)
         checked.append(len(tree.vertices))
         return tree
@@ -307,9 +388,10 @@ def test_trees_match_handle_membership(monkeypatch):
     assert len(checked) == 2 * sum(depth for _, depth in RUNS)
 
 
-def restarted_steiner_tree_T(G, S_j, K_j, script_S):
+def restarted_steiner_tree_T(G, S_j, K_j, script_S, n3=None):
     """steiner_tree_T with one search from the whole tree per goal, a
-    goal next to the tree included."""
+    goal next to the tree included; it searches from S_j for the
+    required vertices, whatever ``n3`` the run hands it."""
     required = {w for w in neighborhood_k(G, S_j, 3) if w in K_j}
     todo = sorted(required)
     tree_vertices = {todo[0]}
@@ -354,6 +436,32 @@ def recording_graph(G):
     lazy = LazyGraph(oracle, G.escapes, G.root, G.end_rays, G.descriptor)
     lazy.calls = calls
     return lazy
+
+
+@pytest.mark.parametrize(
+    "n, depth, want", [(2, 32, (532, 225)), (3, 28, (699, 253)), (8, 4, (328, 77))]
+)
+def test_oracle_calls_of_a_build_are_pinned(n, depth, want):
+    # the neighbour and escape oracle calls of a decided run, counted
+    # past the graph's caches; a change to what an iteration reads must
+    # leave both as they were
+    base = gen_G_inf(n)
+    calls = Counter()
+
+    def neighbors(v):
+        calls["neighbors"] += 1
+        return base.neighbors(v)
+
+    def escapes(blocked, v):
+        calls["escapes"] += 1
+        return base.escapes(blocked, v)
+
+    G = LazyGraph(
+        neighbors, escapes, base.root, base.end_rays, base.descriptor,
+        base.representatives,
+    )
+    hamilton_sequence(G, depth)
+    assert (calls["neighbors"], calls["escapes"]) == want
 
 
 def _steiner_run(monkeypatch, n, depth, tree_of):
