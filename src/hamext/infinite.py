@@ -88,7 +88,6 @@ from .graphcore import (
 from .structure import (
     BALL_MARGIN,
     SeparatorDecomposition,
-    component_membership,
     component_walk,
     decompose,
     minimal_ray_blocker,
@@ -653,15 +652,15 @@ class SteinerTree(Record):
         return tuple(reversed(out))
 
 
-def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3=None) -> SteinerTree:
+def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
     """Finite tree inside the component K_j covering N_3(S_j) there.
 
     Required vertices are joined one at a time by shortest paths that
     stay inside the component; connectivity of the component guarantees
-    termination.  ``K_j`` decides which of N_3(S_j) is required.  The
-    path search only steps from a vertex of K_j to a neighbour, which
-    lies in K_j iff it is not in the whole separator ``script_S``, so it
-    tests that instead of asking K_j.
+    termination.  ``K_j`` is the component's piece, which decides which
+    of N_3(S_j) is required.  The path search only steps from a vertex
+    of K_j to a neighbour, which lies in K_j iff it is not in the whole
+    separator ``script_S``, so it tests that instead of asking K_j.
 
     A search from the whole tree would first scan the tree in id order,
     and so find each vertex next to the tree from its smallest tree
@@ -673,18 +672,19 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3=None) -> SteinerTree:
     from the ring outward.  The tree, and the order of the neighbour
     oracle's calls, are the search's.
 
-    ``n3``, when given, is N_3(script_S), and its vertices in K_j are
-    the required ones: they are those of N_3(S_j).  A vertex w of K_j at
-    distance d from script_S ends a path of length d from some s of
-    script_S that meets script_S only at s.  The rest of the path lies
-    in G - script_S and ends in K_j, so it lies in K_j; so s is next to
-    K_j and is a vertex of S_j, the separator vertices facing K_j, and
-    w is at distance d from S_j too.  One search from script_S then
-    serves every part.
+    ``n3`` is N_3(script_S), and its vertices in K_j are the required
+    ones: they are those of N_3(S_j).  A vertex w of K_j at distance d
+    from script_S ends a path of length d from some s of script_S that
+    meets script_S only at s.  The rest of the path lies in G - script_S
+    and ends in K_j, so it lies in K_j; so s is next to K_j and is a
+    vertex of S_j, the separator vertices facing K_j, and w is at
+    distance d from S_j too.  One search from script_S then serves every
+    part.  The piece answers for its whole component on N_3(script_S):
+    decompose's ball reaches ``BALL_MARGIN`` = 6 past the deepest
+    separator vertex, so N_3(script_S) lies inside the ball's interior,
+    where decompose identifies each component with its piece.
     """
-    if n3 is None:
-        n3 = neighborhood_k(G, S_j, 3)
-    required = {w for w in n3 if w in K_j}
+    required = n3 & K_j
     if not required:
         raise InvariantViolation(
             "separator has no third neighbourhood inside its component",
@@ -805,7 +805,7 @@ class _CutBuilder:
         self.B = decomp.ball
         self.K0 = decomp.finite_component
         self.parts = decomp.parts
-        self.pieces = tuple(h.piece for h in decomp.infinite_components)
+        self.pieces = decomp.infinite_components
         self.script_S = decomp.script_S
         self.k = decomp.k
         # the one search from the blocker, in G: N(S), which stage E
@@ -813,9 +813,7 @@ class _CutBuilder:
         rings = neighborhood_rings(G, self.script_S, 3)
         self.n1, self.n3 = rings[0], frozenset().union(*rings)
         self.trees = tuple(
-            steiner_tree_T(
-                G, self.parts[j], decomp.infinite_components[j], self.script_S, self.n3
-            )
+            steiner_tree_T(G, self.parts[j], self.pieces[j], self.script_S, self.n3)
             for j in range(self.k)
         )
         self.msets = [
@@ -1440,8 +1438,8 @@ def _select_end(
         t += 1
     if last is None:
         raise InvariantViolation(f"ray {name!r} never enters the ball")
-    for j, handle in enumerate(decomp.infinite_components):
-        if last in handle.piece:
+    for j, piece in enumerate(decomp.infinite_components):
+        if last in piece:
             return j, (t, last)
     raise InvariantViolation(
         f"ray {name!r} representative {last} sits outside every component"
@@ -1799,27 +1797,32 @@ def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
 
     M is (K_j with ``included`` added) minus ``excluded``, and K_j is
     the component of G - blocker that meets the piece.  A vertex in
-    included - excluded or piece - blocker - excluded is in M; one in
-    excluded or blocker - included is not, nor is one in K0 or another
-    piece, which are consulted in place; any other vertex is decided by
-    the component's walk."""
+    piece - blocker is in K_j; one in the blocker, K0 or another piece,
+    consulted in place, is not.  A vertex in included - excluded or
+    piece - blocker - excluded is in M; one in excluded or
+    blocker - included is not, nor is one in K0 or another piece.  Both
+    tests decide any other vertex by the component's one walk
+    (:func:`component_walk`)."""
     per_i = trace.witnesses[i]
     w, blocker = per_i[j], trace.blockers[i]
     foreign = [trace.k0s[i], *(o.piece for jj, o in enumerate(per_i) if jj != j)]
-    in_component = component_membership(G, blocker, w.piece, foreign)
     walk = component_walk(G, blocker, w.piece, foreign)
-    inside = (w.included | w.piece - blocker) - w.excluded
-    known_out = (w.excluded | blocker - w.included, *foreign)
 
-    def member(v: int) -> bool:
-        if v in inside:
-            return True
-        for out in known_out:
-            if v in out:
-                return False
-        return walk(v)
+    def test(known_in, known_out):
+        def answer(v: int) -> bool:
+            if v in known_in:
+                return True
+            for out in known_out:
+                if v in out:
+                    return False
+            return walk(v)
 
-    return member, in_component, inside
+        return answer
+
+    core = w.piece - blocker
+    inside = (w.included | core) - w.excluded
+    member = test(inside, (w.excluded | blocker - w.included, *foreign))
+    return member, test(core, (blocker, *foreign)), inside
 
 
 def _blocker_failure(G: LazyGraph, trace: SequenceTrace, i: int) -> str | None:
@@ -2026,12 +2029,12 @@ def verify_hc_extract(
     the construction is consulted.  Infinite set relations are rendered
     finitely: component containments reduce to one representative plus
     disjointness from the finitely many relevant vertices, and every
-    cut is materialized through :func:`_explicit_cut`.  Each M set is
-    asked through one test built from its witness's own sets, the
-    blocker, K0 and the other pieces (:func:`_witness_membership`); a
-    vertex in none of them is walked to.  The nesting check asks M_i
-    only about the known members of M_{i+1} that are not known members
-    of M_i, so it walks only where the trace is silent.
+    cut is materialized through :func:`_explicit_cut`.  Each M set and
+    its component are asked through tests built from the witness's own
+    sets, the blocker, K0 and the other pieces; they share one walk, for
+    a vertex in none of them (:func:`_witness_membership`).  The nesting
+    check asks M_i only about the known members of M_{i+1} that are not
+    known members of M_i, so it walks only where the trace is silent.
     """
     G = _trace_graph(trace, G)
     d = trace.depth

@@ -98,39 +98,15 @@ def minimal_ray_blocker(
     return frozenset(blocker)
 
 
-def component_membership(G: LazyGraph, blocker, home, foreign):
-    """Membership test for the component of G - blocker that meets
-    ``home``, given vertex sets ``foreign`` known to lie outside it.
-
-    ``foreign`` is a sequence of sets, each consulted in place: none is
-    copied or merged, so a caller may pass large sets it already holds.
-    A query outside the known sets runs :func:`component_walk`.
-    """
-    blocker = frozenset(blocker)
-    home = frozenset(home)
-    foreign = tuple(foreign)
-    walk = component_walk(G, blocker, home, foreign)
-
-    def member(v: int) -> bool:
-        if v in blocker:
-            return False
-        if v in home:
-            return True
-        for out in foreign:
-            if v in out:
-                return False
-        return walk(v)
-
-    return member
-
-
 def component_walk(G: LazyGraph, blocker, home, foreign):
-    """The search behind :func:`component_membership`, for a vertex in
-    none of ``blocker``, ``home`` and the ``foreign`` sets: it walks
-    G - blocker ring by ring, in ascending id order within a ring, and
-    answers from the first known set it reaches.  The walk is capped at
-    ``BALL_RADIUS_MAX`` rings, so a query far from every known set
-    fails fast instead of looping.
+    """Membership test for the component of G - blocker that meets
+    ``home``, for a vertex in none of ``blocker``, ``home`` and the sets
+    ``foreign``, known to lie outside it.  It walks G - blocker ring by
+    ring, in ascending id order within a ring, and answers from the
+    first known set it reaches, each consulted in place.  The walk is
+    capped at ``BALL_RADIUS_MAX`` rings, so a query far from every known
+    set fails fast instead of looping.  It is the package's one search
+    of G - blocker that reaches past a ball.
     """
     neighbors = G.neighbors
 
@@ -163,36 +139,13 @@ def component_walk(G: LazyGraph, blocker, home, foreign):
     return walk
 
 
-class ComponentHandle:
-    """One infinite component of G - blocker, seen through a ball.
-
-    ``piece`` is the part inside the working ball; membership outside
-    it is decided by :func:`component_membership`.
-    """
-
-    def __init__(self, G: LazyGraph, blocker, piece, ball_vertices) -> None:
-        if not piece:
-            raise InputError("component handle needs a non-empty piece")
-        self.piece = frozenset(piece)
-        self.representative = min(self.piece)
-        # the piece is asked first, so the ball's other vertices are
-        # the foreign ones: the ball's vertex set stands in for them
-        self._member = component_membership(G, blocker, self.piece, (ball_vertices,))
-
-    def __contains__(self, v: int) -> bool:
-        return self._member(v)
-
-    def __repr__(self) -> str:
-        return f"ComponentHandle(rep={self.representative}, |piece|={len(self.piece)})"
-
-
 class SeparatorDecomposition(Record):
     """Separator structure around a seed set X.
 
-    parts[j] is the minimal separator facing infinite_components[j];
-    the parts partition script_S.  finite_component is the unique
-    finite component of G - script_S and contains X.  ball is the
-    working ball every later computation stays inside.
+    parts[j] is the minimal separator facing infinite_components[j],
+    a component's piece in the ball; the parts partition script_S.
+    finite_component is the unique finite component of G - script_S
+    and contains X.  ball is the working ball every later step stays in.
     """
 
     __slots__ = _fields = (
@@ -204,7 +157,7 @@ class SeparatorDecomposition(Record):
         script_S: frozenset[int],
         k: int,
         parts: tuple[frozenset[int], ...],
-        infinite_components: tuple[ComponentHandle, ...],
+        infinite_components: tuple[frozenset[int], ...],
         finite_component: frozenset[int],
         ball: FiniteGraph,
     ) -> None:
@@ -221,38 +174,35 @@ class SeparatorDecomposition(Record):
             "k": self.k,
             "parts": [sorted(p) for p in self.parts],
             "finite_component": sorted(self.finite_component),
-            "infinite_pieces": [sorted(h.piece) for h in self.infinite_components],
+            "infinite_pieces": [sorted(p) for p in self.infinite_components],
         }
 
 
 def _pieces(
     B: FiniteGraph, region: Region, script_S: frozenset[int]
-) -> tuple[set[int], list[frozenset[int]]]:
-    """The components of B - script_S, for B the region's last ball and
-    a connected X: X's piece, as the vertices it holds beside X, and the
-    others, ordered by smallest member.
-
-    X's piece is X plus what a search from N(X) - script_S reaches
-    without entering X; the rest of the ball, the layers 1 .. radius
-    around X, splits into the others.  Only the ball outside X is
-    searched.
+) -> tuple[frozenset[int], list[tuple[int, frozenset[int]]]]:
+    """X's piece, and every component of B - script_S with its smallest
+    member, in ascending order of it, for B the region's last ball and a
+    connected X.  Only the ball outside X is split, once; the components
+    there that meet N(X) join X, and as they come in ascending order, X's
+    piece has X's smallest member or the first one's.
     """
-    adj, X, layers = B.adj, region.layers[0], region.layers
-    home = layers[1] - script_S
-    stack = list(home)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in home and w not in X and w not in script_S:
-                home.add(w)
-                stack.append(w)
-    rest = set().union(*layers[1 : region.radius + 1])
-    rest -= home
+    X, near = region.layers[0], region.layers[1]
+    rest = set().union(*region.layers[1 : region.radius + 1])
     rest -= script_S
-    return home, _components_within(adj, rest)
+    joined, pieces = [], []
+    for comp in _components_within(B.adj, rest):
+        if comp.isdisjoint(near):
+            pieces.append((min(comp), comp))
+        else:
+            joined.append(comp)
+    own = frozenset().union(X, *joined)
+    least = min(region.least, min(joined[0])) if joined else region.least
+    return own, sorted([*pieces, (least, own)])
 
 
 # how far past the deepest separator vertex decompose's first ball
-# reaches; the degree-condition check of hamilton_sequence relies on it
+# reaches; the degree-condition check and the Steiner trees rely on it
 BALL_MARGIN = 6
 
 
@@ -274,6 +224,11 @@ def decompose(
     components are identified with components of G - script_S, which
     holds once the ball is grown past every finite bridge between
     pieces; the invariant checks below catch violations in practice.
+
+    Each infinite component comes out as its piece, its part in the
+    ball, in ascending order of smallest member.  The ball reaches
+    ``BALL_MARGIN`` past every separator vertex, so a piece answers for
+    its component within distance BALL_MARGIN - 1 of script_S.
 
     A claw centred in the ball's interior is refused with InputError;
     ``certified`` is passed on to :func:`claw_free_on_ball`, which
@@ -329,10 +284,7 @@ def decompose(
                 "blocker vertex unreachable from X", missing=sorted(missing)
             )
         region.require_connected()
-        home, others = _pieces(B, region, script_S)
-        own = frozenset().union(X, home)
-        # each piece with its smallest member; X's is X's or home's
-        pieces = sorted([(min([probe, *home]), own), *((min(p), p) for p in others)])
+        own, pieces = _pieces(B, region, script_S)
         finite_pieces = []
         infinite_pieces = []
         ambiguous = False
@@ -343,13 +295,10 @@ def decompose(
                 infinite_pieces.append(piece)
             else:
                 ambiguous = True
-        # X lies in its own piece only, as the pieces are disjoint
-        k0_candidates = [p for p in finite_pieces if p is own]
-        if not ambiguous and k0_candidates:
+        # X lies in its own piece only, as the pieces are disjoint; while
+        # that piece still leaks through the frontier, the ball grows
+        if not ambiguous and any(p is own for p in finite_pieces):
             break
-        if not ambiguous and not k0_candidates:
-            # X's own piece still leaks through the frontier
-            ambiguous = True
         radius += 2
         if radius > BALL_RADIUS_MAX:
             raise InputError(
@@ -363,8 +312,7 @@ def decompose(
         interior |= X if certified is None else region.grown.difference(certified)
         require_claw_free(B, interior, certified)
 
-    K0 = k0_candidates[0]
-    stray = [p for p in finite_pieces if p is not K0]
+    stray = [p for p in finite_pieces if p is not own]
     if stray:
         raise InvariantViolation(
             "more than one finite component beside the blocker",
@@ -373,7 +321,6 @@ def decompose(
     if not infinite_pieces:
         raise InvariantViolation("no infinite component faces the blocker")
 
-    infinite_pieces.sort(key=min)
     parts = []
     assigned: dict[int, int] = {}
     for j, piece in enumerate(infinite_pieces):
@@ -395,20 +342,16 @@ def decompose(
             vertices=sorted(unassigned),
         )
     for s in sorted(script_S):
-        if not any(w in K0 for w in B.neighbors(s)):
+        if not any(w in own for w in B.neighbors(s)):
             raise InvariantViolation(
                 f"separator vertex {s} has no neighbour in the finite component"
             )
 
-    handles = tuple(
-        ComponentHandle(G, script_S, piece, B.vertex_set)
-        for piece in infinite_pieces
-    )
     return SeparatorDecomposition(
         script_S=script_S,
         k=len(infinite_pieces),
         parts=tuple(parts),
-        infinite_components=handles,
-        finite_component=K0,
+        infinite_components=tuple(infinite_pieces),
+        finite_component=own,
         ball=B,
     )

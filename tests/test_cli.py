@@ -347,6 +347,68 @@ def test_structure_decomposes_gz2(capsys, gz2_file):
     assert payload["finite_component"] == [0, 1, 2, 3, 4, 5, 6, 7]
 
 
+# the whole `structure` payload, each infinite piece as the decomposition
+# ball holds it, and the md5 of the printed text where one is given
+STRUCTURE_PAYLOADS = {
+    (2, "0,2,1,3"): (
+        {
+            "blocker": [4, 5, 6, 7],
+            "finite_component": [0, 1, 2, 3],
+            "infinite_pieces": [
+                [8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29],
+                [10, 11, 14, 15, 18, 19, 22, 23, 26, 27, 30, 31],
+            ],
+            "k": 2,
+            "parts": [[4, 5], [6, 7]],
+            "script_S": [4, 5, 6, 7],
+        },
+        "242d82d000b2e7238eebc3a14802d2a5",
+    ),
+    (2, "6,2,0,4,5,1,3,7"): (
+        {
+            "blocker": [8, 9, 10, 11],
+            "finite_component": [0, 1, 2, 3, 4, 5, 6, 7],
+            "infinite_pieces": [
+                [12, 13, 16, 17, 20, 21, 24, 25, 28, 29, 32, 33],
+                [14, 15, 18, 19, 22, 23, 26, 27, 30, 31, 34, 35],
+            ],
+            "k": 2,
+            "parts": [[8, 9], [10, 11]],
+            "script_S": [8, 9, 10, 11],
+        },
+        None,
+    ),
+    (3, "0,3,1,4,2,5"): (
+        {
+            "blocker": [6, 7, 8, 9, 10, 11],
+            "finite_component": [0, 1, 2, 3, 4, 5],
+            "infinite_pieces": [
+                [12, 13, 14, 18, 19, 20, 24, 25, 26, 30, 31, 32, 36, 37, 38, 42, 43, 44],
+                [15, 16, 17, 21, 22, 23, 27, 28, 29, 33, 34, 35, 39, 40, 41, 45, 46, 47],
+            ],
+            "k": 2,
+            "parts": [[6, 7, 8], [9, 10, 11]],
+            "script_S": [6, 7, 8, 9, 10, 11],
+        },
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, cycle", sorted(STRUCTURE_PAYLOADS))
+def test_structure_payload_golden(capsys, tmp_path, n, cycle):
+    desc = tmp_path / f"gz{n}.json"
+    assert cli.main(["gen", "--family", "GZn", "--n", str(n), "--out", str(desc)]) == 0
+    capsys.readouterr()
+    code = cli.main(["structure", "--input", str(desc), "--cycle", cycle])
+    out = capsys.readouterr().out
+    want, digest = STRUCTURE_PAYLOADS[(n, cycle)]
+    assert code == 0
+    assert json.loads(out) == want
+    if digest is not None:
+        assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_structure_rejects_non_cycle(capsys, gz2_file):
     code, payload = run(
         capsys, "structure", "--input", str(gz2_file), "--cycle", "0,1"

@@ -62,7 +62,6 @@ from hamext.infinite import (
     hamilton_sequence,
 )
 from hamext.structure import (
-    ComponentHandle,
     SeparatorDecomposition,
     decompose,
     minimal_ray_blocker,
@@ -622,9 +621,13 @@ def hand_built(edges, cycle, parts, pieces):
     G = LazyGraph(F.neighbors, lambda blocker, v: True, 0)
     C = Cycle(cycle)
     script_S = frozenset().union(*parts)
-    handles = tuple(ComponentHandle(G, script_S, p, F.vertex_set) for p in pieces)
     decomp = SeparatorDecomposition(
-        script_S, len(parts), tuple(map(frozenset, parts)), handles, C.vertex_set, F
+        script_S,
+        len(parts),
+        tuple(map(frozenset, parts)),
+        tuple(map(frozenset, pieces)),
+        C.vertex_set,
+        F,
     )
     return G, C, decomp, _Rim(F, C.vertex_set, neighborhood_k(F, C.vertex_set, 1))
 
@@ -691,7 +694,7 @@ def broken_guarantees(decomp):
     """What decompose guarantees and decomp breaks: K0, the parts and
     the pieces pairwise disjoint, and no separator vertex next to two
     pieces."""
-    pieces = [h.piece for h in decomp.infinite_components]
+    pieces = decomp.infinite_components
     sets = [
         ("K0", decomp.finite_component),
         *((f"part {j}", part) for j, part in enumerate(decomp.parts)),

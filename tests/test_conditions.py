@@ -8,7 +8,7 @@ from hamext import conditions
 from hamext.errors import FrontierContamination, InputError
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
 from hamext.extension import extend_to_hamilton
-from hamext.graphcore import FiniteGraph, ball
+from hamext.graphcore import FiniteGraph, ball, verify_cycle
 from hamext.oracle import random_star_clawfree
 from hamext.conditions import (
     ChainVerdict,
@@ -586,11 +586,17 @@ def sweep_count(order):
     return labelled + blown
 
 
+# of the swept graphs, by order, the connected ones on at least three
+# vertices that meet the degree condition, each of which has a Hamilton
+# cycle
+HAMILTONIAN_IN_SWEEP = {5: 187, 6: 4149}
+
+
 def test_finite_checks_match_scans_on_every_small_graph(request):
     # --sweep-order (tests/conftest.py) sets the order: 5 by default,
     # 1,336 graphs; 6 runs 39,288
     order = request.config.getoption("--sweep-order")
-    count = 0
+    count = cycles = 0
     outcomes = set()
     for G in sweep_graphs(order):
         star, claw = check_star(G), is_claw_free(G)
@@ -599,13 +605,17 @@ def test_finite_checks_match_scans_on_every_small_graph(request):
         assert chain_outcome(G) == ref_check_ungl_kette(G)
         outcomes.add((star.holds, claw.claw_free, G.twin_quotient[2] is not None))
         count += 1
+        if star.holds and len(G.vertices) >= 3 and G.is_connected():
+            assert verify_cycle(G, extend_to_hamilton(G)).is_hamiltonian
+            cycles += 1
     assert count == sweep_count(order)
+    assert cycles == HAMILTONIAN_IN_SWEEP.get(order, cycles)
     # with twins and without: both conditions fail, the degree condition
     # fails on a claw-free graph, and both hold (on five vertices, a claw
     # always fails the degree condition)
     both = {(False, False), (False, True), (True, True)}
     assert {(*o, twins) for o in both for twins in (False, True)} <= outcomes
-    print(f"\nswept {count} graphs of order <= {order}")
+    print(f"\nswept {count} graphs of order <= {order}; built {cycles} Hamilton cycles")
 
 
 def class_path(sizes):

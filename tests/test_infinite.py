@@ -117,13 +117,20 @@ class TestRemoveCycleVertex:
 # connector trees
 
 
+def tree_of_part(G, decomp, j):
+    """The Steiner tree of part j, with N_3 of the blocker as a run
+    hands it over."""
+    S = decomp.script_S
+    return steiner_tree_T(
+        G, decomp.parts[j], decomp.infinite_components[j], S, neighborhood_k(G, S, 3)
+    )
+
+
 def test_steiner_tree_covers_third_neighbourhood_gz2():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
-    tree = steiner_tree_T(
-        G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
-    )
+    tree = tree_of_part(G, decomp, 0)
     assert sorted(tree.vertices) == [12, 13, 16, 17, 20, 21]
     assert len(tree.edges) == 5
     assert tree.path(12, 21) == (12, 16, 21)
@@ -135,22 +142,18 @@ def test_steiner_tree_gz3_both_sides():
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
     assert decomp.k == 2
     for j in range(decomp.k):
-        tree = steiner_tree_T(
-            G, decomp.parts[j], decomp.infinite_components[j], decomp.script_S
-        )
+        tree = tree_of_part(G, decomp, j)
         # three fibers of three vertices each, spanned without detours
         assert len(tree.vertices) == 9
         assert len(tree.edges) == 8
-        assert tree.vertices <= decomp.infinite_components[j].piece
+        assert tree.vertices <= decomp.infinite_components[j]
 
 
 def test_steiner_tree_path_rejects_foreign_endpoint():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
     decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
-    tree = steiner_tree_T(
-        G, decomp.parts[0], decomp.infinite_components[0], decomp.script_S
-    )
+    tree = tree_of_part(G, decomp, 0)
     with pytest.raises(InputError):
         tree.path(12, 23)
 

@@ -62,7 +62,7 @@ def decomp_key(decomp):
         decomp.k,
         decomp.parts,
         decomp.finite_component,
-        tuple(h.piece for h in decomp.infinite_components),
+        decomp.infinite_components,
         decomp.ball,
     )
 
@@ -97,7 +97,7 @@ def test_run_region_equals_fresh_balls_and_decompositions(monkeypatch, n, depth)
         # the pieces are the components of the whole ball minus S
         pieces = components(got.ball, removed=script_S)
         assert got.finite_component in pieces
-        assert {h.piece for h in got.infinite_components} <= set(pieces)
+        assert set(got.infinite_components) <= set(pieces)
         seen.append(len(X))
         return got
 
@@ -182,11 +182,8 @@ def test_resumed_end_walk_equals_the_walk_from_zero():
         decomp = decompose(G, C.vertex_set, blocker, region=region)
         if radius is not None:
             B = region.ball(radius)
-            pieces = (
-                SimpleNamespace(piece=h.piece & B.vertex_set)
-                for h in decomp.infinite_components
-            )
-            decomp = SimpleNamespace(ball=B, infinite_components=tuple(pieces))
+            pieces = tuple(p & B.vertex_set for p in decomp.infinite_components)
+            decomp = SimpleNamespace(ball=B, infinite_components=pieces)
         assert region.radius == (radius or 11)
         for name in sorted(G.end_rays):
             before = state.walks.get(name)

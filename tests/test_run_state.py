@@ -323,8 +323,8 @@ def test_rim_matches_lazy_graph_sets(n):
 # connector trees
 
 
-def _tree_by_handle(G, S_j, K_j):
-    """The tree search asking the component handle at every step."""
+def _tree_by_piece(G, S_j, K_j):
+    """The tree search asking the component's piece at every step."""
     required = set()
     layer, seen = set(S_j), set(S_j)
     for _ in range(3):
@@ -367,18 +367,18 @@ def test_tree_search_never_steps_through_the_separator():
         range(6), [(0, 1), (0, 2), (1, 3), (3, 5), (5, 4), (4, 2)]
     )
     K = frozenset({1, 2, 3, 4, 5})
-    tree = steiner_tree_T(G, {0}, K, frozenset({0}))
-    assert tree == _tree_by_handle(G, {0}, K)
+    tree = steiner_tree_T(G, {0}, K, frozenset({0}), neighborhood_k(G, {0}, 3))
+    assert tree == _tree_by_piece(G, {0}, K)
     assert tree.vertices == K and tree.path(1, 2) == (1, 3, 5, 4, 2)
 
 
-def test_trees_match_handle_membership(monkeypatch):
+def test_trees_match_piece_membership(monkeypatch):
     checked = []
     steiner = infinite.steiner_tree_T
 
-    def comparing(G, S_j, K_j, script_S, n3=None):
+    def comparing(G, S_j, K_j, script_S, n3):
         tree = steiner(G, S_j, K_j, script_S, n3)
-        assert tree == _tree_by_handle(G, S_j, K_j)
+        assert tree == _tree_by_piece(G, S_j, K_j)
         checked.append(len(tree.vertices))
         return tree
 
@@ -388,7 +388,7 @@ def test_trees_match_handle_membership(monkeypatch):
     assert len(checked) == 2 * sum(depth for _, depth in RUNS)
 
 
-def restarted_steiner_tree_T(G, S_j, K_j, script_S, n3=None):
+def restarted_steiner_tree_T(G, S_j, K_j, script_S, n3):
     """steiner_tree_T with one search from the whole tree per goal, a
     goal next to the tree included; it searches from S_j for the
     required vertices, whatever ``n3`` the run hands it."""
@@ -498,7 +498,8 @@ def test_steiner_search_for_a_goal_away_from_the_tree():
     for tree_of in (steiner_tree_T, restarted_steiner_tree_T):
         G = LazyGraph(finite.neighbors, lambda F, v: True, 0)
         G = recording_graph(G)
-        runs.append((tree_of(G, {0}, K, frozenset({0})), G.calls))
+        n3 = neighborhood_k(G, {0}, 3)
+        runs.append((tree_of(G, {0}, K, frozenset({0}), n3), G.calls))
     assert runs[0] == runs[1]
     tree = runs[0][0]
     assert tree.path(1, 2) == (1, 3, 5, 4, 2)

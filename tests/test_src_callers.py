@@ -2,10 +2,13 @@
 and every name a module binds at module level is read in ``src``.
 
 Code that only the tests call is not part of what the package ships.
-The scan reads each module of the package with ``ast``.  A definition
-counts as called when its name appears anywhere in the package as a
-name or an attribute: a call, a reference handed on, a decorator or a
-property read.  Methods that Python calls itself (``__init__``,
+The scan reads each module of the package with ``ast``.  A module-level
+function counts as called when another module of the package imports
+it by name, or when its own module loads it as a bare name: a call, a
+reference handed on or a decorator.  A method counts as called when its
+name appears anywhere in the package as a name or an attribute, a
+property read included, as the scan cannot tell which class an
+attribute belongs to.  Methods that Python calls itself (``__init__``,
 ``__contains__`` and the like) are exempt, and so are the names below.
 A module-level name counts as read when it is loaded anywhere in the
 package, as a name or an attribute; dunders such as ``__all__`` and
@@ -31,37 +34,46 @@ EXEMPT = {
 BENCHMARK_ONLY = {
     "extension.apply_extension",
     "extension.extension_sequence",
+    "graphcore.ball",
 }
 
 
-def definitions_and_names():
+def definitions_and_calls():
     """The package's module-level functions and class methods, by
-    qualified name, and every name it reads as a name or attribute."""
-    defined, names = {}, set()
+    qualified name, and the qualified names of those called in it."""
+    functions, methods, imported, loaded, names = {}, {}, set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
+        module = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                functions[f"{module}.{node.name}"] = node.name
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                        methods[f"{module}.{node.name}.{item.name}"] = item.name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Name):
                 names.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(f"{module}.{node.id}")
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    return defined, names
+    called = (functions.keys() & (imported | loaded)) | {
+        qualified for qualified, name in methods.items() if name in names
+    }
+    return {**functions, **methods}, called
 
 
 def test_every_function_in_src_has_a_caller_in_src():
-    defined, names = definitions_and_names()
+    defined, called = definitions_and_calls()
     exempt = EXEMPT.keys() | BENCHMARK_ONLY
     uncalled = [
         qualified
         for qualified, name in defined.items()
-        if name not in names
+        if qualified not in called
         and not (name.startswith("__") and name.endswith("__"))
         and name not in hamext.__all__
         and qualified not in exempt
@@ -72,9 +84,9 @@ def test_every_function_in_src_has_a_caller_in_src():
 def test_exempt_names_are_defined_and_the_benchmark_ones_uncalled():
     # the lists shrink as code leaves: a name that is gone, or that src
     # now calls, comes off them
-    defined, names = definitions_and_names()
+    defined, called = definitions_and_calls()
     assert (EXEMPT.keys() | BENCHMARK_ONLY) <= defined.keys()
-    assert [q for q in sorted(BENCHMARK_ONLY) if defined[q] in names] == []
+    assert sorted(BENCHMARK_ONLY & called) == []
 
 
 def module_level_names_and_reads():

@@ -5,7 +5,7 @@ from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
 from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph
 from hamext.oracle import random_star_clawfree
-from hamext.structure import ComponentHandle, decompose, minimal_ray_blocker
+from hamext.structure import component_walk, decompose, minimal_ray_blocker
 from separators import (
     minimal_separators,
     verify_complete_attachment,
@@ -107,21 +107,23 @@ def test_decompose_width_two():
     # the parts partition the blocker
     assert frozenset().union(*D.parts) == D.script_S
     assert sum(len(p) for p in D.parts) == len(D.script_S)
+    # each infinite component is handed out as its piece in the ball
     left, right = D.infinite_components
+    assert type(left) is type(right) is frozenset
+    assert left | right <= D.ball.vertex_set
     assert fiber_vertices(desc, -2)[0] in left
     assert fiber_vertices(desc, 3)[0] in right
     assert fiber_vertices(desc, 3)[0] not in left
     assert min(S) not in left
 
 
-def test_decompose_component_handles_enumerate():
+def test_decompose_pieces_enumerate():
     G = gen_G_inf(2)
     C = four_cycle_on_home_fibers(G)
     D = decompose(G, C.order, minimal_ray_blocker(G, C))
     left = D.infinite_components[0]
-    assert left.representative in left
-    # fibers -5..-2 lie in the negative-side component, the separator
-    # fiber -1 does not
+    # fibers -5..-2 lie in the negative-side piece, the separator fiber
+    # -1 does not
     for f in (-5, -4, -3, -2):
         assert all(v in left for v in fiber_vertices(G.descriptor, f))
     assert not any(v in left for v in fiber_vertices(G.descriptor, -1))
@@ -224,27 +226,23 @@ def test_empty_set_never_blocks_rays():
     assert G.escapes(frozenset(), 0)
 
 
-def test_component_membership_search_is_capped():
+def test_component_walk_search_is_capped():
     G = gen_G_inf(2)
     desc = G.descriptor
     C = four_cycle_on_home_fibers(G)
     S = minimal_ray_blocker(G, C)
     far = fiber_vertices(desc, -8)[0]
     beyond = fiber_vertices(desc, -BALL_RADIUS_MAX - 8)[0]
-
-    def handles():
-        # the two components as a ball of radius 2 sees them: it holds
-        # fibers -2..3, and fiber -8 is six hops out
-        seen = [v for f in range(-2, 4) for v in fiber_vertices(desc, f)]
-        return tuple(
-            ComponentHandle(G, S, fiber_vertices(desc, f), seen) for f in (-2, 3)
-        )
-
+    # the two components as a ball of radius 2 sees them: it holds
+    # fibers -2..3, and fiber -8 is six hops out
+    seen = frozenset(v for f in range(-2, 4) for v in fiber_vertices(desc, f))
+    left, right = (
+        component_walk(G, S, frozenset(fiber_vertices(desc, f)), (seen,))
+        for f in (-2, 3)
+    )
     # fiber -(cap + 8) is cap + 6 hops out
-    left, right = handles()
-    with pytest.raises(InputError, match=f"search cap {BALL_RADIUS_MAX}"):
-        beyond in left
-    with pytest.raises(InputError, match=f"search cap {BALL_RADIUS_MAX}"):
-        beyond in right
-    assert far in left
-    assert far not in right
+    for walk in (left, right):
+        with pytest.raises(InputError, match="search cap 64$"):
+            walk(beyond)
+    assert left(far)
+    assert not right(far)
