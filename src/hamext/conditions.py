@@ -168,6 +168,8 @@ class _RankTable:
     consecutive ranks, starting at ``rank[v]`` with v itself.  Then
     ``bits[v]`` marks v's neighbours in the graph the classes come from:
     the blocks of the neighbouring classes, and v's own block but v.
+    A vertex that ``size`` lacks, every vertex without it, is a class
+    of one.
     """
 
     __slots__ = ("adj", "rank", "lo", "bits")
@@ -191,32 +193,22 @@ class _RankTable:
                         queue.append(w)
         lo: dict[int, int] = {}
         bits: dict[int, int] = {}
-        ranked = rank.__getitem__
-        if size is None:
-            for v in vertices:
-                ranks = list(map(ranked, adj[v]))
-                first = min(ranks) if ranks else 0
-                mask = 0
-                for r in ranks:
-                    mask |= 1 << (r - first)
-                lo[v] = first
-                bits[v] = mask
-        else:
-            # rank holds the BFS order; each class gets a block from there
-            start = 0
-            for v in rank:
-                rank[v] = start
-                start += size[v]
-            for v in vertices:
-                blocks = [(rank[w], size[w]) for w in adj[v]]
-                if size[v] > 1:
-                    blocks.append((rank[v] + 1, size[v] - 1))
-                first = min([r for r, _ in blocks], default=0)
-                mask = 0
-                for r, k in blocks:
-                    mask |= ((1 << k) - 1) << (r - first)
-                lo[v] = first
-                bits[v] = mask
+        # rank holds the BFS order; each class gets a block from there
+        count = (size or {}).get
+        start = 0
+        for v in rank:
+            rank[v] = start
+            start += count(v, 1)
+        for v in vertices:
+            blocks = [(rank[w], count(w, 1)) for w in adj[v]]
+            if count(v, 1) > 1:
+                blocks.append((rank[v] + 1, count(v, 1) - 1))
+            first = min([r for r, _ in blocks], default=0)
+            mask = 0
+            for r, k in blocks:
+                mask |= ((1 << k) - 1) << (r - first)
+            lo[v] = first
+            bits[v] = mask
         self.adj, self.rank, self.lo, self.bits = adj, rank, lo, bits
 
     def base(self, v: int, ends) -> int:

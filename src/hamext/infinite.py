@@ -55,8 +55,10 @@ whose radius changed.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from collections.abc import Iterator, Set
 from itertools import chain, filterfalse, islice
+from operator import sub
 
 from .conditions import check_star_ball, star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -1636,20 +1638,22 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 # verification, independent of the construction
 
 
-def _cycle_steps(
+def _cycle_lifetimes(
     cycles, G: LazyGraph | None = None
-) -> tuple[list[set[Edge]], list[tuple[set[Edge], set[Edge]]], int | None]:
-    """Every cycle's edge set, the edges each step C_i -> C_{i+1} gains
-    and loses, and the first step i whose C_{i+1} lacks a vertex of C_i
-    (None if no step drops one), from one successor map per cycle.
+) -> tuple[dict[Edge, list[int]], int | None]:
+    """Each cycle edge's lifetime, the sorted cycle indices at which it
+    joins the cycles (even positions) and leaves them (odd ones), so it
+    is on C_k when an odd number of them are at most k; and the first
+    step i whose C_{i+1} lacks a vertex of C_i (None if no step drops
+    one); from one successor map per cycle.
 
     The pairs (u, v) that C_{i+1} walks and C_i does not are found by
     looking each pair up in C_i's map at C speed.  C_i's pairs that
     C_{i+1} does not walk are (u, succ_i(u)) for the first vertices u
     of those new pairs, plus the pairs of the vertices C_{i+1} dropped.
     A cycle walks each of its edges in one direction, so an edge among
-    the new pairs and not the old ones is gained, the reverse lost, and
-    E_{i+1} is (E_i - lost) | gained.
+    the new pairs and not the old ones joins at i + 1, and the reverse
+    leaves; an edge among both stays.
 
     With ``G``, each new pair is checked for adjacency in cycle order,
     so the first failing pair is the one a whole-cycle scan names: a
@@ -1657,76 +1661,52 @@ def _cycle_steps(
     vertex's neighbours are cached, so the oracle is asked what a scan
     would ask it, in the same order.  Cycle 0's pairs are all new.
     """
-    edge_sets: list[set[Edge]] = []
-    steps: list[tuple[set[Edge], set[Edge]]] = []
+    life: dict[Edge, list[int]] = {}
     dropped = None
     prev: dict[int, int] = {}
     for idx, C in enumerate(cycles):
         order = C.order
-        nxt = order[1:] + order[:1]
-        succ = dict(zip(order, nxt))
-        new = list(filterfalse(prev.items().__contains__, zip(order, nxt)))
+        succ = dict(zip(order, order[1:] + order[:1]))
+        new = list(filterfalse(prev.items().__contains__, succ.items()))
         if G is not None:
-            adjacent = G.adjacent
             for u, v in new:
-                if not adjacent(u, v):
+                if not G.adjacent(u, v):
                     raise InputError(
                         f"trace cycle {idx} invalid: consecutive cycle "
                         f"vertices {u}, {v} not adjacent"
                     )
+        old = [(u, prev[u]) for u, _ in new if u in prev]
+        if not prev.keys() <= succ.keys():
+            old += [(u, w) for u, w in prev.items() if u not in succ]
+            if dropped is None:
+                dropped = idx - 1
         gained = {(u, v) if u <= v else (v, u) for u, v in new}
-        if idx:
-            old = [(u, prev[u]) for u, _ in new if u in prev]
-            if not prev.keys() <= succ.keys():
-                old += [(u, w) for u, w in prev.items() if u not in succ]
-                if dropped is None:
-                    dropped = idx - 1
-            lost = {(u, w) if u <= w else (w, u) for u, w in old}
-            gained, lost = gained - lost, lost - gained
-            E = set(edge_sets[-1])
-            E -= lost
-            E |= gained
-            edge_sets.append(E)
-            steps.append((gained, lost))
-        else:
-            edge_sets.append(gained)
+        lost = {(u, w) if u <= w else (w, u) for u, w in old}
+        for e in gained ^ lost:
+            life.setdefault(e, []).append(idx)
         prev = succ
-    return edge_sets, steps, dropped
+    return life, dropped
 
 
-def first_persistence_failure(
-    edge_sets,
-) -> tuple[int, int, list[Edge]] | None:
+def _persistence_failure(life) -> tuple[int, int, list[Edge]] | None:
     """First pair i < j of cycles sharing an edge that cycle j+1 lacks.
 
-    Pairs are ordered by j, then i, and the lost edges come sorted.
-    One pass keeps the union E_0 | ... | E_{j-1}: an edge of E_j seen
-    earlier must survive into E_{j+1}.  Only a failing j is searched
-    for its smallest i.
+    Pairs are ordered by j, then i, and the lost edges come sorted.  An
+    edge that leaves at j + 1 was on C_j, and it was on an earlier cycle
+    when it first joined before j, at i; so every leave of an edge that
+    was on two cycles is a failing pair, and the least one is reported
+    with the edges that left there and first joined at its i.
     """
-    earlier: set[Edge] = set()
-    for j in range(len(edge_sets) - 1):
-        if not (earlier & edge_sets[j]) <= edge_sets[j + 1]:
-            for i in range(j):
-                lost = (edge_sets[i] & edge_sets[j]) - edge_sets[j + 1]
-                if lost:
-                    return i, j, sorted(lost)
-        earlier |= edge_sets[j]
-    return None
-
-
-def _persistence_failure(
-    edge_sets, steps
-) -> tuple[int, int, list[Edge]] | None:
-    """first_persistence_failure(edge_sets), searched only when a step
-    fails: step j loses an edge of E_0 | ... | E_{j-1}, which is
-    E_0 | gained_0 | ... | gained_{j-2}, the gains of the steps before."""
-    first, reached = edge_sets[0], set()
-    for (gained, _), (_, lost) in zip(steps, steps[1:]):
-        if not (lost.isdisjoint(first) and lost.isdisjoint(reached)):
-            return first_persistence_failure(edge_sets)
-        reached |= gained
-    return None
+    failures = [
+        (leave - 1, times[0], e)
+        for e, times in life.items()
+        for leave in times[1::2]
+        if leave > times[0] + 1
+    ]
+    if not failures:
+        return None
+    j, i, _ = min(failures)
+    return i, j, sorted(e for jj, ii, e in failures if jj == j and ii == i)
 
 
 class ConditionReport(Record):
@@ -1892,7 +1872,7 @@ def _explicit_cut(G: LazyGraph, w: CutWitness, member) -> frozenset[Edge]:
 def _vertex_persistence(trace: SequenceTrace, dropped: int | None) -> ConditionReport:
     """Once on a cycle, on every later cycle; then the last cycle holds
     every vertex reached.  ``dropped`` is the first step i whose cycle
-    C_{i+1} lacks a vertex of C_i, as :func:`_cycle_steps` finds it."""
+    C_{i+1} lacks a vertex of C_i, as :func:`_cycle_lifetimes` finds it."""
     if dropped is not None:
         here = trace.cycles[dropped].vertex_set
         lost = sorted(here - trace.cycles[dropped + 1].vertex_set)
@@ -1985,9 +1965,9 @@ def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionRe
     )
 
 
-def _edge_persistence(trace: SequenceTrace, edge_sets, steps) -> ConditionReport:
+def _edge_persistence(trace: SequenceTrace, life) -> ConditionReport:
     """Shared edges never disappear again."""
-    failure = _persistence_failure(edge_sets, steps)
+    failure = _persistence_failure(life)
     if failure is None:
         d = trace.depth
         return ConditionReport(True, f"checked {d * (d + 1) // 2} cycle pairs")
@@ -1997,26 +1977,33 @@ def _edge_persistence(trace: SequenceTrace, edge_sets, steps) -> ConditionReport
     )
 
 
-def _cut_agreement(trace: SequenceTrace, edge_sets, cuts: dict) -> ConditionReport:
-    """Every later cycle crosses each frozen cut in the same two edges."""
+def _cut_agreement(trace: SequenceTrace, life, cuts: dict) -> ConditionReport:
+    """Every later cycle crosses each frozen cut in the same two edges.
+
+    The cut's edges on cycle p + 1 are the base; the crossing edges
+    first change at the earliest join or leave after p + 1 among the
+    cut's edges, which bisection finds in each lifetime."""
     checked = 0
     for (p, j), (*_, cut) in cuts.items():
-        base = edge_sets[p + 1] & cut
+        # each cut edge ever on a cycle, its lifetime, and how many of
+        # its joins and leaves come by cycle p + 1
+        on = [(e, ts, bisect(ts, p + 1)) for e in cut if (ts := life.get(e))]
+        base = {e for e, _, k in on if k & 1}
         if len(base) != 2 or base != set(trace.witnesses[p][j].crossing_edges):
             return ConditionReport(
                 False,
                 f"triple (i={p + 1}, p={p + 1}, j={j}): constructing "
                 f"cycle crosses its own cut in {sorted(base)}",
             )
-        for i in range(p + 1, trace.depth):
-            checked += 1
-            later = edge_sets[i + 1] & cut
-            if later != base:
-                return ConditionReport(
-                    False,
-                    f"triple (i={i + 1}, p={p + 1}, j={j}): crossing "
-                    f"edges changed to {sorted(later)}",
-                )
+        t = min((ts[k] for _, ts, k in on if k < len(ts)), default=None)
+        if t is not None:
+            later = {e for e, ts, _ in on if bisect(ts, t) & 1}
+            return ConditionReport(
+                False,
+                f"triple (i={t}, p={p + 1}, j={j}): crossing "
+                f"edges changed to {sorted(later)}",
+            )
+        checked += trace.depth - p - 1
     return ConditionReport(True, f"{checked} later-cycle agreements plus base cuts")
 
 
@@ -2035,13 +2022,16 @@ def verify_hc_extract(
     a vertex in none of them (:func:`_witness_membership`).  The nesting
     check asks M_i only about the known members of M_{i+1} that are not
     known members of M_i, so it walks only where the trace is silent.
+    Edge persistence and cut agreement read each edge's lifetime off
+    one pass over consecutive cycles (:func:`_cycle_lifetimes`); no
+    cycle's edge set is built.
     """
     G = _trace_graph(trace, G)
     d = trace.depth
     if d < 1:
         raise InputError("trace has no iterations to verify")
 
-    edge_sets, steps, dropped = _cycle_steps(trace.cycles, G)
+    life, dropped = _cycle_lifetimes(trace.cycles, G)
     # the blocker ids are known vertices once they passed, so coverage
     # runs only then; every cut is materialized after both, into one
     # (i, j) -> (M membership, component test, M's known members,
@@ -2058,8 +2048,8 @@ def verify_hc_extract(
         vertex_persistence=_vertex_persistence(trace, dropped),
         finite_cuts=_finite_cuts(trace, cuts, failure),
         nested_msets=_nested_msets(G, trace, cuts),
-        edge_persistence=_edge_persistence(trace, edge_sets, steps),
-        cut_agreement=_cut_agreement(trace, edge_sets, cuts),
+        edge_persistence=_edge_persistence(trace, life),
+        cut_agreement=_cut_agreement(trace, life, cuts),
     )
 
 
@@ -2068,28 +2058,23 @@ def stable_limit(trace: SequenceTrace, window) -> frozenset[Edge]:
 
     An edge on two distinct cycles of the trace stays on every later
     cycle by edge persistence, which is re-checked here as a
-    precondition, so these edges belong to the limit object.  Which
-    edges lie on two cycles is read off the edges each step gains and
-    loses, not off the whole edge sets.
+    precondition, so these edges belong to the limit object.  The
+    cycles an edge is on are counted off its lifetime, as the spans
+    from each join to the next leave, or to the end of the trace.
     """
     wset = frozenset(window)
-    edge_sets, steps, _ = _cycle_steps(trace.cycles)
-    failure = _persistence_failure(edge_sets, steps)
+    life, _ = _cycle_lifetimes(trace.cycles)
+    failure = _persistence_failure(life)
     if failure is not None:
         raise InvariantViolation(
             "edge persistence fails; trace is not limit-ready",
             cycles=failure[:2],
         )
-    # an edge lies on two cycles when it stays on for the step after
-    # the one that brought it (fresh), or comes back after it was lost;
-    # an edge that stayed before was counted then
-    seen, fresh = set(edge_sets[0]), edge_sets[0]
-    seen_twice: set[Edge] = set()
-    for gained, lost in steps:
-        seen_twice |= fresh - lost
-        seen_twice |= gained & seen
-        seen |= gained
-        fresh = gained
+    end = [len(trace.cycles)]
     return frozenset(
-        e for e in seen_twice if e[0] in wset and e[1] in wset
+        e
+        for e, ts in life.items()
+        if e[0] in wset
+        and e[1] in wset
+        and sum(map(sub, ts[1::2] + end, ts[::2])) >= 2
     )

@@ -1,11 +1,13 @@
 """Whole-cycle reads and rewirings that only the tests need: the edge
-set of a cycle, the pairs of one cycle whose edges another lacks (both
-take anything with an ``order``, a Cycle or a live cycle), a live cycle
-to hand a construction stage in place of a frozen one, an extension
-applied by slicing a frozen cycle's order, and the frozen cycle surgery
-the construction's cold branches once ran on (an arc replaced, a vertex
-shortcut, and a live cycle reset to the result by a whole-cycle edge
-diff), kept as references for the live cycle's own operations."""
+set of a cycle, the first pair of cycles whose shared edge a later
+cycle lacks, read off whole edge sets, the pairs of one cycle whose
+edges another lacks (both take anything with an ``order``, a Cycle or
+a live cycle), a live cycle to hand a construction stage in place of
+a frozen one, an extension applied by slicing a frozen cycle's order,
+and the frozen cycle surgery the construction's cold branches once ran
+on (an arc replaced, a vertex shortcut, and a live cycle reset to the
+result by a whole-cycle edge diff), kept as references for the live
+cycle's own operations."""
 
 from itertools import compress, repeat
 from operator import not_, sub
@@ -22,6 +24,27 @@ def edge_set(C) -> frozenset[Edge]:
     return frozenset(
         (u, v) if u <= v else (v, u) for u, v in zip(order, order[1:] + order[:1])
     )
+
+
+def first_persistence_failure(
+    edge_sets,
+) -> tuple[int, int, list[Edge]] | None:
+    """First pair i < j of cycles sharing an edge that cycle j+1 lacks.
+
+    Pairs are ordered by j, then i, and the lost edges come sorted.
+    One pass keeps the union E_0 | ... | E_{j-1}: an edge of E_j seen
+    earlier must survive into E_{j+1}.  Only a failing j is searched
+    for its smallest i.
+    """
+    earlier: set[Edge] = set()
+    for j in range(len(edge_sets) - 1):
+        if not (earlier & edge_sets[j]) <= edge_sets[j + 1]:
+            for i in range(j):
+                lost = (edge_sets[i] & edge_sets[j]) - edge_sets[j + 1]
+                if lost:
+                    return i, j, sorted(lost)
+        earlier |= edge_sets[j]
+    return None
 
 
 def edges_outside(C, other) -> list[Edge]:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from bisect import bisect
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,14 +20,14 @@ from hamext.graphcore import (
     verify_cycle,
 )
 from hamext.infinite import (
+    ConditionReport,
     CutWitness,
     SequenceTrace,
-    _cycle_steps,
+    _cycle_lifetimes,
     _persistence_failure,
     _Rim,
     _witness_membership,
     construct_cut1,
-    first_persistence_failure,
     hamilton_sequence,
     require_twice,
     stable_limit,
@@ -34,7 +35,13 @@ from hamext.infinite import (
     verify_hc_extract,
 )
 from hamext.structure import decompose, minimal_ray_blocker
-from cycles import edge_set, live_following, remove_cycle_vertex, replace_arc
+from cycles import (
+    edge_set,
+    first_persistence_failure,
+    live_following,
+    remove_cycle_vertex,
+    replace_arc,
+)
 from records import rebuilt, trace_json_obj
 
 
@@ -697,6 +704,21 @@ def pairwise_persistence_failure(edge_sets):
     return None
 
 
+def lifetimes_of(edge_sets):
+    """Each edge's lifetime read off whole edge sets: the indices k at
+    which the edge is in one of E_{k-1} and E_k and not the other."""
+    life = {}
+    for k, E in enumerate(edge_sets):
+        for e in E ^ (edge_sets[k - 1] if k else frozenset()):
+            life.setdefault(e, []).append(k)
+    return life
+
+
+def alive_at(life, k):
+    """The edges a lifetime table puts on cycle k."""
+    return {e for e, times in life.items() if bisect(times, k) & 1}
+
+
 def random_edge_sets(rng):
     # each next set keeps what persistence demands, plus random edges;
     # sometimes one demanded edge is dropped to break persistence
@@ -713,12 +735,15 @@ def random_edge_sets(rng):
     return sets
 
 
-def test_persistence_pass_matches_pairwise_loop():
+def test_persistence_from_lifetimes_matches_pairwise_loop():
     outcomes = Counter()
     for seed in range(400):
         sets = random_edge_sets(random.Random(seed))
+        life = lifetimes_of(sets)
+        assert [alive_at(life, k) for k in range(len(sets))] == sets, seed
         want = pairwise_persistence_failure(sets)
         assert first_persistence_failure(sets) == want, seed
+        assert _persistence_failure(life) == want, seed
         outcomes[want is None] += 1
     # both persistent and broken sequences were exercised
     assert outcomes[True] > 50 and outcomes[False] > 50
@@ -750,14 +775,7 @@ def random_cycle_sequence(rng):
     return [Cycle(tuple(c)) for c in cycles]
 
 
-def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
-    # the pairwise search runs only for a sequence that fails
-    searched = []
-    monkeypatch.setattr(
-        infinite,
-        "first_persistence_failure",
-        lambda sets: searched.append(sets) or first_persistence_failure(sets),
-    )
+def test_cycle_lifetimes_match_whole_cycle_scans():
     outcomes = Counter()
     for seed in range(600):
         rng = random.Random(seed)
@@ -777,7 +795,7 @@ def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
         scanned, passed = [], []
         want = first_cycle_failure(graph(scanned), SimpleNamespace(cycles=cycles))
         try:
-            edge_sets, steps, dropped = _cycle_steps(cycles, graph(passed))
+            life, dropped = _cycle_lifetimes(cycles, graph(passed))
             got = None
         except InputError as exc:
             got = str(exc)
@@ -787,10 +805,10 @@ def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
         if want is not None:
             outcomes["refused"] += 1
             continue
-        assert edge_sets == _cycle_steps(cycles)[0]
-        rebuilt = [edge_set(C) for C in cycles]
-        assert edge_sets == rebuilt, seed
-        assert steps == [(b - a, a - b) for a, b in zip(rebuilt, rebuilt[1:])], seed
+        assert (life, dropped) == _cycle_lifetimes(cycles)
+        sets = [edge_set(C) for C in cycles]
+        assert life == lifetimes_of(sets), seed
+        assert [alive_at(life, k) for k in range(len(cycles))] == sets, seed
         # the first step that drops a vertex, as whole vertex sets show it
         assert dropped == next(
             (
@@ -800,12 +818,108 @@ def test_cycle_steps_match_whole_cycle_scans_and_rebuilds(monkeypatch):
             ),
             None,
         ), seed
-        failure = first_persistence_failure(rebuilt)
-        searched.clear()
-        assert _persistence_failure(edge_sets, steps) == failure, seed
-        assert len(searched) == (failure is not None), seed
+        failure = first_persistence_failure(sets)
+        assert _persistence_failure(life) == failure, seed
         outcomes["persistent" if failure is None else "broken"] += 1
     assert min(outcomes.values()) > 30, outcomes
+
+
+def whole_set_cut_agreement(trace, edge_sets, cuts):
+    """Cut agreement read off every later cycle's whole edge set."""
+    checked = 0
+    for (p, j), (*_, cut) in cuts.items():
+        base = edge_sets[p + 1] & cut
+        if len(base) != 2 or base != set(trace.witnesses[p][j].crossing_edges):
+            return ConditionReport(
+                False,
+                f"triple (i={p + 1}, p={p + 1}, j={j}): constructing "
+                f"cycle crosses its own cut in {sorted(base)}",
+            )
+        for i in range(p + 1, trace.depth):
+            checked += 1
+            later = edge_sets[i + 1] & cut
+            if later != base:
+                return ConditionReport(
+                    False,
+                    f"triple (i={i + 1}, p={p + 1}, j={j}): crossing "
+                    f"edges changed to {sorted(later)}",
+                )
+    return ConditionReport(True, f"{checked} later-cycle agreements plus base cuts")
+
+
+def edited_cycles(trace, rng):
+    """The trace's cycles with up to three of them edited: rotated,
+    reversed, two neighbours swapped, a segment reversed, a vertex
+    dropped, or replaced by the cycle two steps back, so that edges
+    leave and come back."""
+    cycles = list(trace.cycles)
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(len(cycles))
+        order = list(cycles[k].order)
+        i, j = sorted(rng.sample(range(len(order)), 2))
+        op = rng.randrange(6)
+        if op == 0:
+            order = order[i:] + order[:i]
+        elif op == 1:
+            order.reverse()
+        elif op == 2:
+            order[i], order[i + 1] = order[i + 1], order[i]
+        elif op == 3:
+            order[i : j + 1] = reversed(order[i : j + 1])
+        elif op == 4:
+            del order[i]
+        elif k >= 2:
+            order = cycles[k - 2].order
+        cycles[k] = Cycle(tuple(order))
+    return tuple(cycles)
+
+
+def opened(C, edge):
+    """C with the vertex after ``edge`` and the one after it swapped, so
+    that ``edge`` leaves the cycle."""
+    v = edge[1] if C.succ(edge[0]) == edge[1] else edge[0]
+    i = C.order.index(v)
+    rot = C.order[i:] + C.order[:i]
+    return Cycle((rot[1], rot[0]) + rot[2:])
+
+
+@pytest.mark.parametrize("n, depth", [(2, 8), (3, 6)])
+def test_lifetime_checks_match_whole_edge_sets(n, depth):
+    G = gen_G_inf(n)
+    trace = hamilton_sequence(G, depth)
+    window = fiber_window(G.descriptor, 4)
+    cuts = {}
+    for i, per_i in enumerate(trace.witnesses):
+        for j, w in enumerate(per_i):
+            member, _, _ = _witness_membership(G, trace, i, j)
+            cuts[(i, j)] = (infinite._explicit_cut(G, w, member),)
+    sequences = [edited_cycles(trace, random.Random(seed)) for seed in range(60)]
+    # one crossing edge of the first cut leaves at cycle 2, the other at
+    # cycle 3, so the first change is not the last
+    a, b = sorted(trace.witnesses[0][0].crossing_edges)
+    staggered = list(trace.cycles)
+    staggered[2], staggered[3] = opened(staggered[2], a), opened(staggered[3], b)
+    sequences.append(tuple(staggered))
+    outcomes = Counter()
+    for seed, cycles in enumerate(sequences):
+        edited = rebuilt(trace, cycles=cycles)
+        life, _ = _cycle_lifetimes(cycles)
+        sets = [edge_set(C) for C in edited.cycles]
+        assert [alive_at(life, k) for k in range(len(sets))] == sets, seed
+        failure = first_persistence_failure(sets)
+        assert _persistence_failure(life) == failure, seed
+        agreement = infinite._cut_agreement(edited, life, cuts)
+        assert agreement == whole_set_cut_agreement(edited, sets, cuts), seed
+        if failure is None:
+            assert stable_limit(edited, window) == union_stable_limit(edited, window)
+        else:
+            with pytest.raises(InvariantViolation) as info:
+                stable_limit(edited, window)
+            assert info.value.context["cycles"] == failure[:2]
+        outcomes[failure is None, agreement.ok] += 1
+    # persistent and broken sequences, with cut agreement kept and lost
+    assert len(outcomes) >= 3 and outcomes[True, True] >= 5, outcomes
+    assert agreement.detail.startswith("triple (i=2, p=1, j=0): crossing")
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +966,7 @@ def union_stable_limit(trace, window):
 
 
 @pytest.mark.parametrize("n, depth", [(2, 32), (3, 28)])
-def test_stable_limit_from_steps_equals_union_form(n, depth):
+def test_stable_limit_from_lifetimes_equals_union_form(n, depth):
     G = gen_G_inf(n)
     trace = hamilton_sequence(G, depth)
     for half_width in range(3, 7):

@@ -34,11 +34,10 @@ from hamext.infinite import (
     _blocker_failure,
     _coverage_failure,
     _trace_graph,
-    first_persistence_failure,
     hamilton_sequence,
     verify_hc_extract,
 )
-from cycles import edge_set
+from cycles import edge_set, first_persistence_failure
 from records import rebuilt
 
 
@@ -468,3 +467,44 @@ def test_one_way_oracle_matches_reference():
     first = next(i for i, C in enumerate(trace.cycles) if u in C and C.succ(u) == v)
     kind, message = _same_outcome(flipped, base, dropped=(u, v))
     assert (kind, message.split(":")[0]) == ("InputError", f"trace cycle {first} invalid")
+
+
+# ---------------------------------------------------------------------------
+# the nesting check's refusal of a blocker vertex in the next M set
+
+
+def test_blocker_vertex_in_next_m_set_matches_reference(gz2_depth3_obj):
+    base = gen_G_inf(2)
+    left = gz2_depth3_obj["end_selectors"]["left"]
+    blocker = gz2_depth3_obj["blockers"][1]
+    piece = gz2_depth3_obj["witnesses"][2][left[2]]["piece"]
+    # GZ2's vertex ids grow away from fiber 0, so the blocker of
+    # iteration 2 lies in K0 of iteration 3, below every vertex of the
+    # next piece: moved from K0 into that piece, one of its vertices
+    # becomes the piece's representative, which the component test
+    # refuses before the blocker is looked at
+    assert set(blocker) <= set(gz2_depth3_obj["k0s"][2])
+    assert max(blocker) < min(piece)
+    moved = json.loads(json.dumps(gz2_depth3_obj))
+    s = blocker[-1]
+    moved["k0s"][2].remove(s)
+    moved["witnesses"][2][left[2]]["piece"].append(s)
+    kind, verdict = _same_outcome(SequenceTrace.from_json_obj(moved), base)
+    assert verdict["nested_msets"]["detail"] == (
+        f"end 'left': component representative {s} of iteration 3 left "
+        "the selected component"
+    )
+    # a vertex of the next piece above its minimum, added to the
+    # blocker, is in the next M set and keeps the representative
+    grown = json.loads(json.dumps(gz2_depth3_obj))
+    s = max(piece)
+    grown["blockers"][1].append(s)
+    kind, verdict = _same_outcome(SequenceTrace.from_json_obj(grown), base)
+    assert (kind, verdict["all_ok"]) == ("verdict", False)
+    assert verdict["nested_msets"]["detail"] == (
+        f"end 'left': blocker vertices [{s}] of iteration 2 survive in the "
+        "next M set"
+    )
+    assert verdict["finite_cuts"]["detail"] == (
+        f"blocker vertex {s} of iteration 2 is removable"
+    )
