@@ -1782,7 +1782,9 @@ def _witness_membership(G: LazyGraph, trace: SequenceTrace, i: int, j: int):
     piece - blocker - excluded is in M; one in excluded or
     blocker - included is not, nor is one in K0 or another piece.  Both
     tests decide any other vertex by the component's one walk
-    (:func:`component_walk`)."""
+    (:func:`component_walk`), which searches past a vertex's own row
+    once per closed-twin class: GZn's walked vertices come a fiber at a
+    time, and a fiber is one class."""
     per_i = trace.witnesses[i]
     w, blocker = per_i[j], trace.blockers[i]
     foreign = [trace.k0s[i], *(o.piece for jj, o in enumerate(per_i) if jj != j)]
@@ -1904,9 +1906,13 @@ def _finite_cuts(
 
 
 def _nested_msets(G: LazyGraph, trace: SequenceTrace, cuts: dict) -> ConditionReport:
-    """Along each tracked end, each M set lies in the previous one."""
+    """Along each tracked end, each M set lies in the previous one.  The
+    trace must track every end of the graph, and no other."""
     d = trace.depth
-    if not trace.end_selectors:
+    names, ends = sorted(trace.end_selectors), sorted(G.end_rays)
+    if names != ends:
+        raise InputError(f"trace tracks ends {names}, the graph has ends {ends}")
+    if not names:
         return ConditionReport(True, "no tracked ends in trace")
     for name, sel in sorted(trace.end_selectors.items()):
         if len(sel) != d:
@@ -2019,8 +2025,11 @@ def verify_hc_extract(
     cut is materialized through :func:`_explicit_cut`.  Each M set and
     its component are asked through tests built from the witness's own
     sets, the blocker, K0 and the other pieces; they share one walk, for
-    a vertex in none of them (:func:`_witness_membership`).  The nesting
-    check asks M_i only about the known members of M_{i+1} that are not
+    a vertex in none of them, which searches G - blocker once per
+    closed-twin class of the vertices it is asked about
+    (:func:`_witness_membership`).  The nesting check refuses a trace
+    that does not track every end of the graph, and no other, as input.
+    It asks M_i only about the known members of M_{i+1} that are not
     known members of M_i, so it walks only where the trace is silent.
     Edge persistence and cut agreement read each edge's lifetime off
     one pass over consecutive cycles (:func:`_cycle_lifetimes`); no

@@ -107,34 +107,64 @@ def component_walk(G: LazyGraph, blocker, home, foreign):
     capped at ``BALL_RADIUS_MAX`` rings, so a query far from every known
     set fails fast instead of looping.  It is the package's one search
     of G - blocker that reaches past a ball.
+
+    A walk searches past its first ring, v's own row, once per closed
+    neighbourhood N[v]: a later vertex with the same N[v] takes the
+    answer of the closed twin t that searched.  That is exact, and asks
+    the neighbour oracle the same rows in the same order as a search
+    from every vertex, for any row order.  t's first ring met no known
+    set, and v's row is t's with t, in no known set either, in place of
+    v; so v's first ring meets none.  Both walks have then seen
+    blocker | N[v].  From the second ring on they meet the same unseen
+    vertices in the same order: their rings differ only in t and v,
+    whose rows hold only vertices of N[v], already seen.  So the later
+    rings, empty or not, the first known vertex met and a cap error
+    agree, and every row v's search would read after its own row was
+    read by t's.
     """
     neighbors = G.neighbors
+    # N[t] -> the answer of t's search past its first ring
+    searched: dict[frozenset[int], bool] = {}
 
-    def walk(v: int) -> bool:
+    def search(v: int, row) -> tuple[bool, int]:
+        """The walk from v, whose row is ``row``: its answer, and the
+        ring it stopped in, 0 for the first."""
         # the blocker is never entered, so it starts as seen
         seen = set(blocker)
         seen.add(v)
-        ring = [v]
-        for _ in range(BALL_RADIUS_MAX):
+        rows = (row,)
+        for depth in range(BALL_RADIUS_MAX):
             nxt = []
-            for u in ring:
-                for w in neighbors(u):
+            for r in rows:
+                for w in r:
                     if w in seen:
                         continue
                     if w in home:
-                        return True
+                        return True, depth
                     for out in foreign:
                         if w in out:
-                            return False
+                            return False, depth
                     seen.add(w)
                     nxt.append(w)
             if not nxt:
-                return False
-            ring = sorted(nxt)
+                return False, depth
+            rows = map(neighbors, sorted(nxt))
         raise InputError(
             f"component membership query for {v} exceeded the search cap "
             f"{BALL_RADIUS_MAX}"
         )
+
+    def walk(v: int) -> bool:
+        row = neighbors(v)
+        twins = frozenset(row) | {v}
+        answer = searched.get(twins)
+        if answer is None:
+            answer, depth = search(v, row)
+            # which known vertex a first ring meets first depends on the
+            # order of its row, so only a search past it is shared
+            if depth:
+                searched[twins] = answer
+        return answer
 
     return walk
 

@@ -324,6 +324,20 @@ def test_ham_rejects_bad_seed(capsys, g42_file):
     assert payload["kind"] == "input"
 
 
+def test_ham_refuses_a_seed_vertex_outside_the_graph(capsys, tmp_path):
+    path = tmp_path / "g52.json"
+    code, _ = run(
+        capsys, "gen", "--family", "Gqn", "--q", "5", "--n", "2",
+        "--out", str(path),
+    )
+    assert code == 0
+    code, payload = run(capsys, "ham", "--input", str(path), "--seed-cycle", "99,0,1")
+    assert (code, payload) == (2, {
+        "error": "seed cycle invalid: vertex 99 not in graph",
+        "kind": "input",
+    })
+
+
 def test_ham_dot_highlights_cycle(capsys, g42_file, tmp_path):
     dot = tmp_path / "ham.dot"
     code, _ = run(capsys, "ham", "--input", str(g42_file), "--dot", str(dot))
@@ -516,6 +530,31 @@ def test_verify_flags_corrupted_trace(capsys, gz2_file, tmp_path):
     assert code == 1
     assert verdict["all_ok"] is False
     assert verdict["cut_agreement"]["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "dropped, names", [(("left", "right"), "[]"), (("right",), "['left']")]
+)
+def test_verify_refuses_a_trace_missing_an_end(
+    capsys, gz2_file, tmp_path, dropped, names
+):
+    # both copies verified all_ok while the nesting check read only the
+    # ends the trace named
+    out = tmp_path / "trace.json"
+    code, _ = run(
+        capsys, "infham", "--descriptor", str(gz2_file),
+        "--depth", "6", "--out", str(out),
+    )
+    assert code == 0
+    obj = json.loads(out.read_text())
+    for name in dropped:
+        del obj["end_selectors"][name]
+    out.write_text(json.dumps(obj))
+    code, payload = run(capsys, "verify", "--trace", str(out))
+    assert (code, payload) == (2, {
+        "error": f"trace tracks ends {names}, the graph has ends ['left', 'right']",
+        "kind": "input",
+    })
 
 
 def test_verify_fails_a_moved_crossing_edge(capsys, gz2_file, tmp_path):

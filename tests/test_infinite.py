@@ -678,6 +678,34 @@ def test_verify_requires_iterations():
         verify_hc_extract(empty)
 
 
+def test_verify_requires_every_end_of_the_graph():
+    # each of these verified all_ok while the nesting check read only the
+    # ends the trace named
+    trace = hamilton_sequence(gen_G_inf(2), 6)
+    left = trace.end_selectors["left"]
+    for selectors, names in (
+        ({}, "[]"),
+        ({"left": left}, "['left']"),
+        ({**trace.end_selectors, "up": left}, "['left', 'right', 'up']"),
+    ):
+        with pytest.raises(InputError) as refused:
+            verify_hc_extract(rebuilt(trace, end_selectors=selectors))
+        assert str(refused.value) == (
+            f"trace tracks ends {names}, the graph has ends ['left', 'right']"
+        )
+
+
+def test_verify_tracks_no_end_of_a_graph_without_ends(gz2_trace):
+    G = gen_G_inf(2)
+    endless = LazyGraph(G.neighbors, G.escapes, G.root)
+    verdict = verify_hc_extract(rebuilt(gz2_trace, end_selectors={}), endless)
+    assert verdict.all_ok
+    assert verdict.nested_msets.detail == "no tracked ends in trace"
+    # the graph's ends are what the trace must track, not the descriptor's
+    with pytest.raises(InputError, match="the graph has ends \\[\\]$"):
+        verify_hc_extract(gz2_trace, endless)
+
+
 def test_witness_membership_search_is_capped(gz2_trace):
     # the first witnesses' sets reach a few fibers from fiber 0, so fiber
     # -20 is answered within the cap and fiber -(cap + 20) is not
