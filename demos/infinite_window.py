@@ -11,7 +11,8 @@ re-running the construction.
 """
 
 from hamext.families import fiber_window, gen_G_inf
-from hamext.infinite import hamilton_sequence, stable_limit, verify_hc_extract
+from hamext.infinite import hamilton_sequence
+from hamext.verify import stable_limit, verify_hc_extract
 
 # The double ladder: fibers of width 2 indexed by the integers,
 # consecutive fibers completely joined.  Two ends, one left, one right.

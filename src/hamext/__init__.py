@@ -2,8 +2,9 @@
 
 The package splits into finite-graph primitives (graphcore, families,
 conditions), an exhaustive oracle used as test ground truth, the
-cycle-extension engine, separator structure analysis, and the infinite
-construction that chains the extension engine through nested cuts.
+cycle-extension engine, separator structure analysis, the infinite
+construction that chains the extension engine through nested cuts, and
+its trace records (trace) with their independent checker (verify).
 """
 
 from .errors import (

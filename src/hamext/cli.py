@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .conditions import check_star, check_ungl_kette, is_claw_free
 from .errors import InputError, InvariantViolation, SamplingExhausted
-from .extension import extend_to_hamilton, find_initial_cycle, iter_extensions
 from .families import DOUBLE_RAYS, RINGS, descriptor_to_lazy, fiber_of, fiber_window
 from .graphcore import (
     Cycle,
@@ -33,9 +32,10 @@ from .graphcore import (
     graph_to_json_obj,
 )
 
-# the infinite construction, the separator structure and the oracle are
-# imported by the subcommands that use them, so that the others do not
-# compile them on every start
+# the condition checks, the extension engine, the separator structure,
+# the infinite construction, the verifier and the oracle are imported by
+# the subcommands that use them, so that the others do not compile them
+# on every start: verify loads none of the construction
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILS = 1
@@ -52,10 +52,19 @@ def _emit(obj: object, out: str | None = None) -> None:
 
 
 def _print(text: str, out: str | None = None) -> None:
-    """Print ``text``; with ``out``, also write it there."""
+    """Print ``text``; with ``out``, also write it there.  A reader that
+    closes standard output early ends the printing, not the command,
+    which returns the code it would have returned."""
     if out is not None:
         _write_text(out, text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes standard output again at exit: point it
+        # at the null device, so that flush neither fails nor prints
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_safe(value: object) -> object:
@@ -145,6 +154,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .conditions import check_star, check_ungl_kette, is_claw_free
+
     G = graph_from_json_obj(_load_json_file(args.input))
     if args.what == "star":
         verdict = check_star(G)
@@ -161,6 +172,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _replay_extensions(G, C0: Cycle) -> list[dict]:
     """Re-run the extension loop recording each step for --trace."""
+    from .extension import iter_extensions
+
     return [
         {"extension": ext.to_json_obj(), "cycle": cycle_to_json_obj(C.freeze())}
         for ext, C in iter_extensions(G, C0)
@@ -168,6 +181,8 @@ def _replay_extensions(G, C0: Cycle) -> list[dict]:
 
 
 def _cmd_ham(args: argparse.Namespace) -> int:
+    from .extension import extend_to_hamilton, find_initial_cycle
+
     G = graph_from_json_obj(_load_json_file(args.input))
     seed = _parse_cycle(args.seed_cycle) if args.seed_cycle else None
     C = extend_to_hamilton(G, seed)
@@ -208,7 +223,8 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
 
 def _cmd_infham(args: argparse.Namespace) -> int:
-    from .infinite import hamilton_sequence, stable_limit
+    from .infinite import hamilton_sequence
+    from .verify import stable_limit
 
     desc = _load_json_file(args.descriptor)
     if not isinstance(desc, dict):
@@ -231,7 +247,8 @@ def _cmd_infham(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .infinite import SequenceTrace, verify_hc_extract
+    from .trace import SequenceTrace
+    from .verify import verify_hc_extract
 
     trace = SequenceTrace.from_json(_read_text(args.trace))
     verdict = verify_hc_extract(trace)

@@ -18,12 +18,9 @@ from hamext.errors import InputError
 from hamext.extension import extend_to_hamilton
 from hamext.families import fiber_window, gen_G, gen_G_inf, gen_H
 from hamext.graphcore import ball, neighborhood_k, verify_cycle
-from hamext.infinite import (
-    SequenceTrace,
-    hamilton_sequence,
-    stable_limit,
-    verify_hc_extract,
-)
+from hamext.infinite import hamilton_sequence
+from hamext.trace import SequenceTrace
+from hamext.verify import stable_limit, verify_hc_extract
 from hamext.oracle import hamilton_oracle, random_star_clawfree
 from cycles import edge_set
 from separators import (

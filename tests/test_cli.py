@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hamext import cli, extension, graphcore, infinite
+from hamext import cli, extension, graphcore, infinite, verify
 from hamext.errors import InvariantViolation
 from hamext.families import gen_G, gen_G_inf, gen_H, unzigzag
 from hamext.graphcore import (
@@ -16,7 +20,7 @@ from hamext.graphcore import (
     graph_to_json_obj,
     verify_cycle,
 )
-from hamext.infinite import SequenceTrace
+from hamext.trace import SequenceTrace
 from test_extension import reference_steps, relabelled_G
 
 
@@ -856,7 +860,7 @@ def test_infham_window_is_clipped_to_the_fibers_the_trace_reaches(
     assert built == [3, 10, 10, 10, 10]
     assert outs[10] == outs[11] == outs[40] == outs[10**8] != outs[3]
     trace = infinite.hamilton_sequence(gen_G_inf(2), 2)
-    wide = infinite.stable_limit(trace, window(trace.descriptor, 40))
+    wide = verify.stable_limit(trace, window(trace.descriptor, 40))
     assert outs[10**8] == [list(e) for e in sorted(wide)]
 
 
@@ -1042,3 +1046,57 @@ def test_unknown_flag_exits_2(capsys):
 def test_missing_required_flag_exits_2(capsys):
     assert cli.main(["check", "--what", "star"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes standard output early
+
+
+def _closed_early(argv, read):
+    """Run the CLI in a fresh interpreter whose standard output is a pipe
+    that is closed after ``read`` bytes, with 0 before the command writes
+    anything; its exit code and standard error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    main = "import sys; from hamext.cli import main; sys.exit(main(sys.argv[1:]))"
+    r, w = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", main, *argv],
+        stdout=w,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(w)
+    if read:
+        assert len(os.read(r, read)) == read
+    os.close(r)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+def test_a_closed_pipe_ends_the_printing_not_the_command(capsys, tmp_path, gz2_file):
+    """A reader that stops early, as ``| head -c 1`` does, leaves each
+    command's own exit code and no traceback.  The trace of GZ2 at depth
+    32 is larger than a pipe holds, so its writer is still writing when
+    the pipe closes after one byte; the other payloads fit in a pipe, so
+    it closes before they are written."""
+    graph, trace, moved = (tmp_path / f for f in ("g.json", "t.json", "moved.json"))
+    assert run(capsys, "gen", "--family", "Gqn", "--q", "6", "--n", "3", "--out", str(graph))[0] == 0
+    assert run(capsys, "infham", "--descriptor", str(gz2_file), "--depth", "12", "--out", str(trace))[0] == 0
+    obj = json.loads(trace.read_text())
+    crossing, order = obj["witnesses"][9][0]["crossing_edges"], obj["cycles"][10]
+    crossing[0] = next(
+        e for e in map(sorted, zip(order, order[1:] + order[:1])) if e not in crossing
+    )
+    moved.write_text(json.dumps(obj))
+    infham = ["infham", "--descriptor", str(gz2_file), "--depth"]
+    cases = [
+        (["ham", "--input", str(graph)], 0, 0),
+        ([*infham, "3"], 0, 0),
+        ([*infham, "32"], 1, 0),
+        ([*infham, "0"], 0, 2),
+        (["verify", "--trace", str(trace)], 0, 0),
+        (["verify", "--trace", str(moved)], 0, 1),
+    ]
+    for argv, read, want in cases:
+        code, err = _closed_early(argv, read)
+        assert (code, err) == (want, ""), argv

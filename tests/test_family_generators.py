@@ -676,7 +676,9 @@ def test_the_neighbour_cache_is_refused_past_its_budget(monkeypatch):
     # a GZ2 trace read as a GZ10 one: every id lies in fiber 0 or 1, whose
     # rows hold 29 entries, so the verifier's third row passes a budget of 60
     from hamext import graphcore
-    from hamext.infinite import SequenceTrace, hamilton_sequence, verify_hc_extract
+    from hamext.infinite import hamilton_sequence
+    from hamext.trace import SequenceTrace
+    from hamext.verify import verify_hc_extract
 
     obj = json.loads(hamilton_sequence(gen_G_inf(2), 3).to_json())
     obj["descriptor"]["params"]["n"] = 10

@@ -26,13 +26,9 @@ from hamext.graphcore import (
     neighborhood_k,
     verify_cycle,
 )
-from hamext.infinite import (
-    CutWitness,
-    SequenceTrace,
-    _explicit_cut,
-    hamilton_sequence,
-    verify_hc_extract,
-)
+from hamext.infinite import hamilton_sequence
+from hamext.trace import CutWitness, SequenceTrace
+from hamext.verify import _explicit_cut, verify_hc_extract
 from cycles import edge_set, edges_outside
 from records import rebuilt
 from separators import components

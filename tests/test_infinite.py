@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import hamext.infinite as infinite
+import hamext.verify as verify
 from hamext.errors import InputError, InvariantViolation
 from hamext.extension import apply_extension, find_extension
 from hamext.families import fiber_window, gen_G_inf, gen_H_inf, zigzag
@@ -20,21 +21,22 @@ from hamext.graphcore import (
     verify_cycle,
 )
 from hamext.infinite import (
-    ConditionReport,
-    CutWitness,
-    SequenceTrace,
-    _cycle_lifetimes,
-    _persistence_failure,
     _Rim,
-    _witness_membership,
     construct_cut1,
     hamilton_sequence,
     require_twice,
-    stable_limit,
     steiner_tree_T,
-    verify_hc_extract,
 )
 from hamext.structure import decompose, minimal_ray_blocker
+from hamext.trace import CutWitness, SequenceTrace
+from hamext.verify import (
+    ConditionReport,
+    _cycle_lifetimes,
+    _persistence_failure,
+    _witness_membership,
+    stable_limit,
+    verify_hc_extract,
+)
 from cycles import (
     edge_set,
     first_persistence_failure,
@@ -920,7 +922,7 @@ def test_lifetime_checks_match_whole_edge_sets(n, depth):
     for i, per_i in enumerate(trace.witnesses):
         for j, w in enumerate(per_i):
             member, _, _ = _witness_membership(G, trace, i, j)
-            cuts[(i, j)] = (infinite._explicit_cut(G, w, member),)
+            cuts[(i, j)] = (verify._explicit_cut(G, w, member),)
     sequences = [edited_cycles(trace, random.Random(seed)) for seed in range(60)]
     # one crossing edge of the first cut leaves at cycle 2, the other at
     # cycle 3, so the first change is not the last
@@ -936,7 +938,7 @@ def test_lifetime_checks_match_whole_edge_sets(n, depth):
         assert [alive_at(life, k) for k in range(len(sets))] == sets, seed
         failure = first_persistence_failure(sets)
         assert _persistence_failure(life) == failure, seed
-        agreement = infinite._cut_agreement(edited, life, cuts)
+        agreement = verify._cut_agreement(edited, life, cuts)
         assert agreement == whole_set_cut_agreement(edited, sets, cuts), seed
         if failure is None:
             assert stable_limit(edited, window) == union_stable_limit(edited, window)

@@ -12,13 +12,9 @@ from hamext.conditions import ChainVerdict, ClawVerdict, StarVerdict
 from hamext.errors import InputError
 from hamext.extension import Extension
 from hamext.graphcore import Cycle, CycleReport, FiniteGraph
-from hamext.infinite import (
-    ConditionReport,
-    CutWitness,
-    HCExtractVerdict,
-    SequenceTrace,
-    SteinerTree,
-)
+from hamext.infinite import SteinerTree
+from hamext.trace import CutWitness, SequenceTrace
+from hamext.verify import ConditionReport, HCExtractVerdict
 from hamext.structure import SeparatorDecomposition
 
 TRIANGLE = "FiniteGraph(vertices=(0, 1, 2), adj={0: (1, 2), 1: (0, 2), 2: (0, 1)}, frontier=frozenset(), labels=None)"
@@ -235,8 +231,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 @pytest.mark.parametrize("command", ["ham", "check"])
 def test_finite_commands_load_no_infinite_construction(tmp_path, command):
-    """ham and check on a finite graph import neither the infinite
-    construction nor the separator structure."""
+    """ham and check on a finite graph import none of the infinite
+    construction, the separator structure and the oracle."""
     graph = tmp_path / "g.json"
     graph.write_text(
         '{"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]}'
@@ -244,7 +240,7 @@ def test_finite_commands_load_no_infinite_construction(tmp_path, command):
     args = ["--input", str(graph)] + (["--what", "star"] if command == "check" else [])
     code = (
         "import sys; from hamext.cli import main; code = main(sys.argv[1:]); "
-        "print(sorted({'hamext.infinite', 'hamext.structure'} & set(sys.modules))); "
+        "print(sorted({'hamext.infinite', 'hamext.structure', 'hamext.oracle'} & set(sys.modules))); "
         "sys.exit(code)"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -5,7 +5,8 @@ from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
 from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph
 from hamext.oracle import random_star_clawfree
-from hamext.structure import component_walk, decompose, minimal_ray_blocker
+from hamext.structure import decompose, minimal_ray_blocker
+from hamext.verify import component_walk
 from separators import (
     minimal_separators,
     verify_complete_attachment,

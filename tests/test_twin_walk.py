@@ -20,13 +20,13 @@ from types import SimpleNamespace
 
 import pytest
 
-import hamext.infinite as infinite
-import hamext.structure as structure
+import hamext.verify as verify
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
 from hamext.graphcore import BALL_RADIUS_MAX
-from hamext.infinite import SequenceTrace, hamilton_sequence, verify_hc_extract
-from hamext.structure import component_walk
+from hamext.infinite import hamilton_sequence
+from hamext.trace import SequenceTrace
+from hamext.verify import component_walk, verify_hc_extract
 from test_verify_reference import _mutate, _same_outcome
 
 
@@ -141,7 +141,7 @@ def test_twin_walk_matches_reference_on_blow_ups(monkeypatch):
             continue
         queries = [rng.choice(unknown) for _ in range(2 * len(vertices))]
         cap = rng.choice((1, 2, 3, BALL_RADIUS_MAX))
-        monkeypatch.setattr(structure, "BALL_RADIUS_MAX", cap)
+        monkeypatch.setattr(verify, "BALL_RADIUS_MAX", cap)
         want_G, got_G = _Rows(rows), _Rows(rows)
         want = _answers(reference_walk(want_G, blocker, home, foreign, cap), queries)
         got = _answers(component_walk(got_G, blocker, home, foreign), queries)
@@ -180,7 +180,7 @@ def _tallying(monkeypatch):
     answered, and the most walked vertices of one closed-twin class that
     the first ring left undecided, in one walk closure."""
     tally = Counter()
-    make = structure.component_walk
+    make = verify.component_walk
 
     def tallied(G, blocker, home, foreign):
         read, got = [], {}
@@ -210,7 +210,7 @@ def _tallying(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(infinite, "component_walk", tallied)
+    monkeypatch.setattr(verify, "component_walk", tallied)
     return tally
 
 

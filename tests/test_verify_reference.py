@@ -28,13 +28,13 @@ from hamext.graphcore import (
     neighborhood_k,
     verify_cycle,
 )
-from hamext.infinite import (
+from hamext.infinite import hamilton_sequence
+from hamext.trace import SequenceTrace
+from hamext.verify import (
     ConditionReport,
-    SequenceTrace,
     _blocker_failure,
     _coverage_failure,
     _trace_graph,
-    hamilton_sequence,
     verify_hc_extract,
 )
 from cycles import edge_set, first_persistence_failure

@@ -17,11 +17,12 @@ from collections import Counter
 
 import pytest
 
-import hamext.infinite as infinite
+import hamext.verify as verify
 from hamext.errors import InputError
 from hamext.families import gen_G_inf
 from hamext.graphcore import Cycle, neighborhood_k
-from hamext.infinite import SequenceTrace, hamilton_sequence
+from hamext.infinite import hamilton_sequence
+from hamext.trace import SequenceTrace
 from records import rebuilt
 from test_verify_reference import _mutate, _reorderings, _same_outcome, _with_cycle
 
@@ -144,7 +145,7 @@ def test_nesting_paths_match_reference(gz3_depth6, monkeypatch):
     # test answers it on: a known member, a known non-member, a vertex
     # of K0 or another piece, or a walk
     paths = Counter()
-    witness_membership = infinite._witness_membership
+    witness_membership = verify._witness_membership
 
     def recording(G, t, i, j):
         member, in_component, known = witness_membership(G, t, i, j)
@@ -171,7 +172,7 @@ def test_nesting_paths_match_reference(gz3_depth6, monkeypatch):
 
         return query, in_component, known
 
-    monkeypatch.setattr(infinite, "_witness_membership", recording)
+    monkeypatch.setattr(verify, "_witness_membership", recording)
     seen, details = Counter(), set()
     for label, bad in _nesting_cases(base, trace):
         _tally(seen, details, _same_outcome(bad, base, label=label))
