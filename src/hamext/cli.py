@@ -25,6 +25,7 @@ from .errors import InputError, InvariantViolation, SamplingExhausted
 from .families import DOUBLE_RAYS, RINGS, descriptor_to_lazy, fiber_of, fiber_window
 from .graphcore import (
     Cycle,
+    Region,
     cycle_to_json_obj,
     dumps_json,
     graph_from_json_obj,
@@ -207,17 +208,16 @@ def _cmd_ham(args: argparse.Namespace) -> int:
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
-    from .structure import decompose, minimal_ray_blocker
+    from .structure import decompose
 
     desc = _load_json_file(args.input)
     if not isinstance(desc, dict):
         raise InputError("structure input must be a descriptor JSON object")
     G = descriptor_to_lazy(desc)
     C = _parse_cycle(args.cycle)
-    blocker = minimal_ray_blocker(G, C)
-    decomp = decompose(G, C.vertex_set, blocker)
+    decomp = decompose(G, C, Region(G, C.order), set())
     payload = decomp.to_json_obj()
-    payload["blocker"] = sorted(blocker)
+    payload["blocker"] = sorted(decomp.script_S)
     _emit(payload)
     return EXIT_OK
 
@@ -354,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_INPUT
+        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
     except (InputError, SamplingExhausted) as exc:

@@ -686,11 +686,6 @@ class Region:
         self._interior: set[int] = set()
         self._asymmetric: list[Edge] = []
         self._new_x: set[int] = set(X)
-        # vertices of X not yet checked to connect to the rest of X
-        self._loose: set[int] = set(X)
-        # the last cycle whose edges minimal_ray_blocker found in G (see
-        # spanned_by)
-        self.checked_cycle: Cycle | None = None
         # the radius of the last ball, its tables (vertex set, adjacency
         # rows, neighbour sets), its frontier rows and a weak reference
         # to it
@@ -743,7 +738,6 @@ class Region:
                 layers[d].discard(v)
             dist[v] = 0
             layers[0].add(v)
-            self._loose.add(v)
             self._new_x.add(v)
             if self.least is None or v < self.least:
                 self.least = v
@@ -849,39 +843,6 @@ class Region:
             raise InvariantViolation(
                 f"neighbor oracle is asymmetric on pair ({v}, {w})"
             )
-
-    def spanned_by(self, C: Cycle) -> None:
-        """Record that every edge of C, a cycle with V(C) = X, was found
-        in G.  C's edges then join X into one connected subgraph, so
-        require_connected has nothing to search until X grows again."""
-        self.checked_cycle = C
-        self._loose.clear()
-
-    def require_connected(self) -> None:
-        """Raise InputError unless X induces a connected subgraph.  Only
-        the vertices gained since the last check, or since a cycle
-        spanning X was checked (spanned_by), are searched: they must all
-        reach the part of X checked before (or, on the first check, the
-        smallest vertex of X) inside X."""
-        loose = self._loose
-        if not loose:
-            return
-        X, nbrs = self.layers[0], self.nbrs
-        if len(loose) < len(X):
-            reached = {
-                v for v in loose if any(w in X and w not in loose for w in nbrs[v])
-            }
-        else:
-            reached = {min(loose)}
-        stack = list(reached)
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w in loose and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != len(loose):
-            raise InputError("X does not induce a connected subgraph")
-        loose.clear()
 
 
 def _check_ball_radius(radius: int) -> None:

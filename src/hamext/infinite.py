@@ -82,7 +82,6 @@ from .structure import (
     BALL_MARGIN,
     SeparatorDecomposition,
     decompose,
-    minimal_ray_blocker,
     require_claw_free,
 )
 from .trace import CutWitness, SequenceTrace
@@ -159,14 +158,13 @@ class _RunCycle(LiveCycle):
     the head and the order of base's vertices stay, every vertex gained
     lies on the path that replaced a lost edge of base, and each lost
     pair is as base walks it; ``order`` is then base's order with those
-    paths spliced in, not a walk.  The splice also lists the gained
-    pairs in the order the cycle walks them (``walked``), and the
+    paths spliced in, not a walk.  The splice also records the
     positions of the vertices it placed, where the next enlargement
     finds its lost edges.
     """
 
     __slots__ = ("_pred", "base", "base_vertices", "gained", "lost", "kept",
-                 "step", "walked", "_placed", "_at")
+                 "step", "_placed", "_at")
 
     def __init__(self, C: Cycle) -> None:
         super().__init__(C)
@@ -188,13 +186,12 @@ class _RunCycle(LiveCycle):
         self.base = C
         self.gained: set[Edge] = set()
         self.lost: dict[Edge, Edge] = {}
-        self.walked: list[Edge] = []
         self.kept = True
 
     @property
     def order(self) -> tuple[int, ...]:
         if self._order is None and self.kept:
-            succ, placed, walked = self._succ, {}, []
+            succ, placed = self._succ, {}
             cuts = []
             for a, b in self.lost.values():
                 path = []
@@ -209,11 +206,10 @@ class _RunCycle(LiveCycle):
             for i, a, path, b in sorted(cuts):
                 parts += (islice(rest, i - at), path)
                 placed.update(zip(path, range(i + shift, i + shift + len(path))))
-                walked += zip((a, *path), (*path, b))
                 at, shift = i, shift + len(path)
             parts.append(rest)
             order = tuple(chain.from_iterable(parts))
-            self._order, self._placed, self.walked = order, placed, walked
+            self._order, self._placed = order, placed
         return LiveCycle.order.fget(self)
 
     def base_index(self, v: int) -> int:
@@ -1261,38 +1257,29 @@ class _RunState:
 
     def enlarge(
         self, C: Cycle
-    ) -> tuple[
-        frozenset[int], SeparatorDecomposition, Cycle, tuple[CutWitness, ...]
-    ]:
-        """One iteration: grow the region by what C gained, block C,
-        decompose (which scans its ball for claws), check the degree
+    ) -> tuple[SeparatorDecomposition, Cycle, tuple[CutWitness, ...]]:
+        """One iteration: grow the region by what C gained, decompose
+        along C's blocker (scanning the ball for claws), check the degree
         condition on the same ball, and enlarge; the crossing sets of
         the M sets are read off the cycle once, in construct_cut1.  A
         decided run checks neither condition.
 
         When C is the cycle the last enlargement left, what C gained is
-        read off the live cycle's ledger; otherwise (the saturated seed)
-        off V(C), and the live cycle starts from C."""
+        read off the live cycle's ledger, vertices and edges, and only
+        the edges gained are checked in G; otherwise (the saturated seed)
+        off V(C), every edge is checked, and the live cycle starts from
+        C."""
         region, live = self.region, self.live
         if live is not None and C is self.last:
-            walked = live.walked if live.kept else None
+            gained = live.gained
             region.grow(live.new_vertices())
         else:
-            walked = None
+            gained = None
             region.grow(C.vertex_set - region.layers[0])
             live = self.live = _RunCycle(C)
+        decomp = decompose(self.G, C, region, self.claw_certified, gained)
         # V(C), kept by the region, which changes it at the next grow
-        X = region.layers[0]
-        blocker = minimal_ray_blocker(self.G, C, region, walked)
-        decomp = decompose(
-            self.G,
-            X,
-            blocker,
-            certified=self.claw_certified,
-            region=region,
-            claw_free=self.decided,
-        )
-        rim = _Rim(decomp.ball, X, region.layers[1])
+        rim = _Rim(decomp.ball, region.layers[0], region.layers[1])
         if not rim.protected:
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
@@ -1301,14 +1288,14 @@ class _RunState:
             # the ball reaches at least blocker_depth + BALL_MARGIN from
             # C, so the paths within blocker_depth + BALL_MARGIN - 3 are
             # complete in it
-            blocker_depth = max(region.dist[s] for s in blocker)
+            blocker_depth = max(region.dist[s] for s in decomp.script_S)
             self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
         C2, wits = construct_cut1(self.G, C, decomp, rim, live)
         # a vertex of C off C2 lost both its cycle edges
         if any(v not in live for e in live.lost for v in e):
             raise InvariantViolation("enlargement dropped cycle vertices")
         self.last = C2
-        return blocker, decomp, C2, wits
+        return decomp, C2, wits
 
     def select_end(self, name: str, decomp: SeparatorDecomposition) -> int:
         """_select_end, resumed where this end's last walk stopped.
@@ -1357,7 +1344,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
 
     stored = len(C)
     for i in range(depth):
-        blocker, decomp, C2, wits = state.enlarge(C)
+        decomp, C2, wits = state.enlarge(C)
         stored += len(C2) + len(decomp.finite_component)
         if stored > MAX_TRACE_IDS:
             raise InputError(
@@ -1367,7 +1354,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
         for name in selectors:
             selectors[name].append(state.select_end(name, decomp))
         cycles.append(C2)
-        blockers.append(blocker)
+        blockers.append(decomp.script_S)
         ks.append(decomp.k)
         k0s.append(decomp.finite_component)
         witnesses.append(wits)

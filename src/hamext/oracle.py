@@ -39,11 +39,10 @@ def hamilton_oracle(G: FiniteGraph, bound: int = DEFAULT_ORACLE_BOUND) -> Cycle 
     full = (1 << n) - 1
 
     def feasible(visited: int, cur: int) -> bool:
-        # Every unvisited vertex must be reachable from cur through
-        # unvisited vertices, and must keep two usable cycle slots.
+        # Every unvisited vertex (backtrack leaves at least one) must be
+        # reachable from cur through unvisited vertices, and must keep
+        # two usable cycle slots.
         remaining = full & ~visited
-        if remaining == 0:
-            return True
         reach = adj_mask[cur] & remaining
         frontier = reach
         while frontier:

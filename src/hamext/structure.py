@@ -34,34 +34,21 @@ def require_claw_free(
         raise InputError(f"graph has a claw at {center} with leaves {leaves}")
 
 
-def _require_cycle_edges(
-    G: LazyGraph, C: Cycle, region: Region, walked=None
-) -> None:
-    """Raise InputError at the first edge of C, in cycle order, missing
-    in G.  Edges the region has already seen checked are skipped, so a
-    run checks each edge of each cycle once: when it first appears.
-    ``walked``, when given, holds the pairs C walks whose edges the
-    region's last checked cycle lacks, in C's order; otherwise they are
-    found from both cycles' edge lists.  The region's X must be V(C):
-    once every edge is found, C spans it (Region.spanned_by)."""
-    order, last = C.order, region.checked_cycle
-    if last is None:
-        walked = zip(order, order[1:] + order[:1])
-    elif walked is None:
-        gained = set(C.edges()).difference(last.edges())
-        # each pair as C walks it, in C's order
-        walked = sorted(
-            ((u, v) if C.succ(u) == v else (v, u) for u, v in gained),
-            key=lambda pair: C.index(pair[0]),
-        )
-    for u, v in walked:
+def _require_cycle_edges(G: LazyGraph, C: Cycle, gained=None) -> None:
+    """Raise InputError at the first edge of C missing in G: of every
+    pair of C, in cycle order, or, given ``gained``, of those canonical
+    pairs only, in ascending order.  A run passes the pairs its live
+    cycle gained since the cycle whose edges were checked before, so it
+    checks each edge of each cycle once: when it first appears."""
+    order = C.order
+    pairs = zip(order, order[1:] + order[:1]) if gained is None else sorted(gained)
+    for u, v in pairs:
         if not G.adjacent(u, v):
             raise InputError(f"cycle edge ({u}, {v}) missing in graph")
-    region.spanned_by(C)
 
 
 def minimal_ray_blocker(
-    G: LazyGraph, C: Cycle, region: Region | None = None, walked=None
+    G: LazyGraph, C: Cycle, region: Region, gained=None
 ) -> frozenset[int]:
     """Inclusion-minimal subset of N(C) meeting every ray leaving C.
 
@@ -70,15 +57,12 @@ def minimal_ray_blocker(
     greedy pass in ascending id order then removes whatever is not
     needed; monotonicity of blocking makes the single pass sufficient.
 
-    N(C) is layer 1 of ``region``, whose X must be V(C); without one, a
-    fresh region is grown from V(C).  ``walked`` is passed on to
-    _require_cycle_edges.
+    N(C) is layer 1 of ``region``, whose X must be V(C).  ``gained`` is
+    passed on to _require_cycle_edges.
     """
     if not G.escapes(frozenset(), G.root):
         raise InputError("graph not infinite")
-    if region is None:
-        region = Region(G, C.order)
-    _require_cycle_edges(G, C, region, walked)
+    _require_cycle_edges(G, C, gained)
     region.extend(1)
     candidates = sorted(region.layers[1])
     # the cycle is connected and disjoint from every candidate set, so
@@ -99,12 +83,13 @@ def minimal_ray_blocker(
 
 
 class SeparatorDecomposition(Record):
-    """Separator structure around a seed set X.
+    """Separator structure around a cycle C.
 
-    parts[j] is the minimal separator facing infinite_components[j],
-    a component's piece in the ball; the parts partition script_S.
-    finite_component is the unique finite component of G - script_S
-    and contains X.  ball is the working ball every later step stays in.
+    script_S is the minimal ray blocker of C, and parts[j] the minimal
+    separator facing infinite_components[j], a component's piece in the
+    ball; the parts partition script_S.  finite_component is the unique
+    finite component of G - script_S and contains V(C).  ball is the
+    working ball every later step stays in.
     """
 
     __slots__ = _fields = (
@@ -167,16 +152,20 @@ BALL_MARGIN = 6
 
 def decompose(
     G: LazyGraph,
-    X,
-    script_S,
-    *,
-    certified: set[int] | None = None,
-    region: Region | None = None,
-    claw_free: bool = False,
+    C: Cycle,
+    region: Region,
+    certified: set[int],
+    gained=None,
 ) -> SeparatorDecomposition:
-    """Split G along a minimal ray blocker of X.
+    """Split G along the minimal ray blocker of C.
 
-    Works on a ball around X that starts ``BALL_MARGIN`` past the
+    The blocker is minimal_ray_blocker(G, C, region, gained), handed
+    out as ``script_S``.  It is checked for inclusion-minimality once
+    more, and refused when empty: the escape oracle is input, and one
+    that is not monotone, or that disagrees across a connected set,
+    can break either.  C's edges, all found in G, make V(C) connected.
+
+    Works on a ball around V(C) that starts ``BALL_MARGIN`` past the
     deepest separator vertex and grows while any ball component that
     touches the frontier fails to certify as escaping; a component
     fully inside the ball is a true component of G - script_S.  Ball
@@ -189,34 +178,21 @@ def decompose(
     ``BALL_MARGIN`` past every separator vertex, so a piece answers for
     its component within distance BALL_MARGIN - 1 of script_S.
 
-    A claw centred in the ball's interior is refused with InputError;
+    The balls come from ``region``, whose X must be V(C).  Unless the
+    region is ``decided`` (G is then known to be claw-free), a claw
+    centred in the ball's interior is refused with InputError;
     ``certified`` is passed on to :func:`claw_free_on_ball`, which
     skips the centres in it and adds those that pass.  It must hold the
     vertices of X the region had before its last grow (as in a run,
-    where each iteration's scan certified its whole interior), so only
+    where each iteration's scan certified its whole interior, or as for
+    a fresh region, whose first grow is all of X), so only
     ``region.grown`` and the layers short of the frontier are handed to
-    the scan.  With ``claw_free``, G is known to be claw-free and the
-    scan is skipped.
-
-    The balls come from ``region``, whose X must be X; without one, a
-    fresh region is grown from X.  X must induce a connected subgraph,
-    which is searched only over what the region gained since a cycle
-    spanning X was found edge by edge in G (Region.spanned_by).  In a
-    run, minimal_ray_blocker has just done that for C with V(C) = X, so
-    nothing is searched; on a fresh region all of X is.
+    the scan.
     """
-    script_S = frozenset(script_S)
-    if region is None:
-        region = Region(G, X)
-    # X as the region keeps it, not copied
-    X = region.layers[0]
-    if not X or not script_S:
-        raise InputError("decompose needs non-empty X and blocker")
-    if X & script_S:
-        raise InputError(f"blocker overlaps X: {sorted(X & script_S)}")
+    script_S = minimal_ray_blocker(G, C, region, gained)
+    if not script_S:
+        raise InputError("decompose needs a non-empty blocker")
     probe = region.least
-    if G.escapes(script_S, probe):
-        raise InputError("blocker is not ray-blocking for X")
     for s in sorted(script_S):
         if not G.escapes(script_S - {s}, probe):
             raise InputError(f"blocker is not inclusion-minimal: {s} is removable")
@@ -242,7 +218,6 @@ def decompose(
             raise InvariantViolation(
                 "blocker vertex unreachable from X", missing=sorted(missing)
             )
-        region.require_connected()
         own, pieces = _pieces(B, region, script_S)
         finite_pieces = []
         infinite_pieces = []
@@ -264,11 +239,11 @@ def decompose(
                 f"decomposition ball exceeded radius cap {BALL_RADIUS_MAX}"
             )
 
-    if not claw_free:
-        # the interior is X and the layers short of the frontier; with
-        # ``certified``, of X only what the region grew by last can be left
+    if not region.decided:
+        # the interior is X and the layers short of the frontier; of X
+        # only what the region grew by last can be left uncertified
         interior = set().union(*region.layers[1:radius])
-        interior |= X if certified is None else region.grown.difference(certified)
+        interior |= region.grown.difference(certified)
         require_claw_free(B, interior, certified)
 
     stray = [p for p in finite_pieces if p is not own]

@@ -53,7 +53,7 @@ from cycles import remove_cycle_vertex, replace_arc, reset, rewire
 from hamext.errors import HamextError, InputError, InvariantViolation
 from hamext.extension import Extension, LiveCycle, find_extension
 from hamext.families import gen_G_inf
-from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, neighborhood_k
+from hamext.graphcore import Cycle, FiniteGraph, LazyGraph, Region, neighborhood_k
 from hamext.infinite import (
     _CutBuilder,
     _Rim,
@@ -61,11 +61,7 @@ from hamext.infinite import (
     construct_cut1,
     hamilton_sequence,
 )
-from hamext.structure import (
-    SeparatorDecomposition,
-    decompose,
-    minimal_ray_blocker,
-)
+from hamext.structure import SeparatorDecomposition, decompose
 from test_infinite import rim_of
 from test_run_state import _without_edges
 
@@ -356,7 +352,7 @@ def after_stage_a(n, i):
     if (n, i) not in _after_a:
         G = gen_G_inf(n)
         C = hamilton_sequence(G, 3).cycles[i]
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         live = _CutBuilder(G, C, decomp, rim).stage_fill_finite()
         _after_a[(n, i)] = (G, C, decomp, rim, live)
@@ -418,7 +414,7 @@ def test_stage_d_matches_reference(n):
     rng = random.Random(n)
     seen = Counter()
     for C in trace.cycles[:2]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         b = _CutBuilder(G, C, decomp, rim)
         cur = b.stage_fill_finite()

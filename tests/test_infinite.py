@@ -17,6 +17,7 @@ from hamext.graphcore import (
     BALL_RADIUS_MAX,
     Cycle,
     LazyGraph,
+    Region,
     neighborhood_k,
     verify_cycle,
 )
@@ -27,7 +28,7 @@ from hamext.infinite import (
     require_twice,
     steiner_tree_T,
 )
-from hamext.structure import decompose, minimal_ray_blocker
+from hamext.structure import decompose
 from hamext.trace import CutWitness, SequenceTrace
 from hamext.verify import (
     ConditionReport,
@@ -138,7 +139,7 @@ def tree_of_part(G, decomp, j):
 def test_steiner_tree_covers_third_neighbourhood_gz2():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+    decomp = decompose(G, C, Region(G, C.order), set())
     tree = tree_of_part(G, decomp, 0)
     assert sorted(tree.vertices) == [12, 13, 16, 17, 20, 21]
     assert len(tree.edges) == 5
@@ -148,7 +149,7 @@ def test_steiner_tree_covers_third_neighbourhood_gz2():
 def test_steiner_tree_gz3_both_sides():
     G = gen_G_inf(3)
     C = hamilton_sequence(G, 1).cycles[0]
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+    decomp = decompose(G, C, Region(G, C.order), set())
     assert decomp.k == 2
     for j in range(decomp.k):
         tree = tree_of_part(G, decomp, j)
@@ -161,7 +162,7 @@ def test_steiner_tree_gz3_both_sides():
 def test_steiner_tree_path_rejects_foreign_endpoint():
     G = gen_G_inf(2)
     C = home_cycle_gz2()
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+    decomp = decompose(G, C, Region(G, C.order), set())
     tree = tree_of_part(G, decomp, 0)
     with pytest.raises(InputError):
         tree.path(12, 23)
@@ -175,8 +176,7 @@ class TestConstructCut1:
     def setup_method(self):
         self.G = gen_G_inf(2)
         self.C = home_cycle_gz2()
-        self.blocker = minimal_ray_blocker(self.G, self.C)
-        self.decomp = decompose(self.G, self.C.vertex_set, self.blocker)
+        self.decomp = decompose(self.G, self.C, Region(self.G, self.C.order), set())
 
     def test_result_covers_required_region(self):
         C2, _ = construct_cut1(
@@ -218,8 +218,7 @@ class TestConstructCut1:
 
     def test_rejects_cycle_without_protected_vertex(self):
         C_flat = Cycle((0, 4, 1, 5))
-        blocker = minimal_ray_blocker(self.G, C_flat)
-        decomp = decompose(self.G, C_flat.vertex_set, blocker)
+        decomp = decompose(self.G, C_flat, Region(self.G, C_flat.order), set())
         with pytest.raises(InputError, match="second neighbourhood"):
             construct_cut1(self.G, C_flat, decomp, rim_of(decomp, C_flat))
 
@@ -372,7 +371,7 @@ def test_stages_a_and_c_match_rescan_loops(n):
     rng = random.Random(n)
     seen = Counter()
     for C in (*trace.cycles[:3], partial):
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         for trial in range(12):
             b = _CutBuilder(G, C, decomp, rim)
@@ -409,7 +408,7 @@ def test_construct_cut1_gz3():
     G = gen_G_inf(3)
     trace = hamilton_sequence(G, 1)
     C = trace.cycles[0]
-    decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+    decomp = decompose(G, C, Region(G, C.order), set())
     C2, wits = construct_cut1(G, C, decomp, rim_of(decomp, C))
     want = set()
     for f in range(-5, 6):

@@ -89,16 +89,16 @@ def test_run_region_equals_fresh_balls_and_decompositions(monkeypatch, n, depth)
     seen = []
     run_decompose = infinite.decompose
 
-    def comparing(G, X, script_S, *, certified=None, region=None, claw_free=False):
-        got = run_decompose(G, X, script_S, certified=certified, region=region)
-        assert region is not None and region.layers[0] == X and not claw_free
-        fresh = decompose(G, X, script_S)
+    def comparing(G, C, region, certified, gained=None):
+        got = run_decompose(G, C, region, certified, gained)
+        assert region.layers[0] == C.vertex_set and not region.decided
+        fresh = decompose(G, C, Region(G, C.order), set())
         assert decomp_key(got) == decomp_key(fresh)
         # the pieces are the components of the whole ball minus S
-        pieces = components(got.ball, removed=script_S)
+        pieces = components(got.ball, removed=got.script_S)
         assert got.finite_component in pieces
         assert set(got.infinite_components) <= set(pieces)
-        seen.append(len(X))
+        seen.append(len(C))
         return got
 
     monkeypatch.setattr(infinite, "decompose", comparing)
@@ -147,13 +147,12 @@ def test_regrowth_and_a_smaller_radius_after_it(monkeypatch):
         # fiber 2 joins: vertices 8 and 9
         Cycle((a, -1, c, 8, 9, d, b)),
     ]
-    region = Region(G, cycles[0].order)
+    region, certified = Region(G, cycles[0].order), set()
     for C in cycles:
         region.grow(C.vertex_set - region.layers[0])
-        blocker = minimal_ray_blocker(G, C, region)
-        assert blocker == minimal_ray_blocker(G, C)
-        got = decompose(G, C.vertex_set, blocker, region=region)
-        assert decomp_key(got) == decomp_key(decompose(G, C.vertex_set, blocker))
+        got = decompose(G, C, region, certified)
+        assert got.script_S == minimal_ray_blocker(G, C, Region(G, C.order))
+        assert decomp_key(got) == decomp_key(decompose(G, C, Region(G, C.order), set()))
         assert set(range(-10, 0)) <= got.finite_component
     # the run region's balls: 7, 9, 11 for the first cycle, then again
     # from 7 for each later one, each time after a fresh decompose's
@@ -178,8 +177,7 @@ def test_resumed_end_walk_equals_the_walk_from_zero():
         (Cycle((a, -1, c, 8, 9, d, b)), 11),
     ):
         region.grow(C.vertex_set - region.layers[0])
-        blocker = minimal_ray_blocker(G, C, region)
-        decomp = decompose(G, C.vertex_set, blocker, region=region)
+        decomp = decompose(G, C, region, state.claw_certified)
         if radius is not None:
             B = region.ball(radius)
             pieces = tuple(p & B.vertex_set for p in decomp.infinite_components)
@@ -351,89 +349,60 @@ def test_region_refuses_past_its_neighbour_budget(monkeypatch):
         hamilton_sequence(gen_G_inf(2), 3)
 
 
-def _connected(adj, X):
-    start = min(X)
-    seen, stack = {start}, [start]
-    while stack:
-        for w in adj(stack.pop()):
-            if w in X and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(X)
-
-
-def test_connectivity_check_on_gained_vertices_matches_whole_check():
-    G = gen_G_inf(2)
-    rng = random.Random(3)
-    outcomes = Counter()
-    for trial in range(60):
-        X = set(fiber_vertices(G.descriptor, 0))
-        region = Region(G, X)
-        region.extend(1)
-        lo = hi = 0
-        for step in range(6):
-            # part of the next fiber on one side, or of the one after it
-            gap = 1 if rng.random() < 0.85 else 2
-            if rng.random() < 0.5:
-                lo = f = lo - gap
-            else:
-                hi = f = hi + gap
-            gained = set(rng.sample(fiber_vertices(G.descriptor, f), rng.randint(1, 2)))
-            X |= gained
-            region.grow(gained)
-            region.extend(1)
-            want = _connected(G.neighbors, X)
-            try:
-                region.require_connected()
-                got = True
-            except InputError as exc:
-                assert str(exc) == "X does not induce a connected subgraph"
-                got = False
-            assert got == want
-            if not got:
-                break
-        outcomes[got] += 1
-    assert outcomes[True] and outcomes[False]
-
-
 def test_cycle_edge_check_reads_new_edges_only(monkeypatch):
+    # a run checks every edge of its first cycle, then of each later one
+    # only the edges its live cycle gained, in G
     G = gen_G_inf(3)
-    trace = hamilton_sequence(G, 4)
-    region = Region(G, trace.cycles[0].order)
-    asked = []
+    asked, checked = [], []
     adjacent = LazyGraph.adjacent
+    blocker = structure.minimal_ray_blocker
 
     def counting(self, u, v):
-        asked.append((u, v))
+        asked.append(canonical_edge(u, v))
         return adjacent(self, u, v)
 
-    monkeypatch.setattr(LazyGraph, "adjacent", counting)
-    before = set()
-    for C in trace.cycles:
-        region.grow(C.vertex_set - region.layers[0])
+    def recording(*args):
         asked.clear()
-        minimal_ray_blocker(G, C, region)
-        new = {canonical_edge(*e) for e in asked}
+        S = blocker(*args)
+        checked.append(set(asked))
+        return S
+
+    monkeypatch.setattr(LazyGraph, "adjacent", counting)
+    monkeypatch.setattr(structure, "minimal_ray_blocker", recording)
+    trace = hamilton_sequence(G, 4)
+    monkeypatch.undo()
+    assert len(checked) == 4
+    before = set()
+    for C, new in zip(trace.cycles, checked):
         assert new == edge_set(C) - before
         before = edge_set(C)
-    # a cycle whose edges are not all in G: the same first edge is named
-    # as by a fresh check of the whole cycle
-    last = trace.cycles[-1].order
+    # a cycle whose edges are not all in G: checked on the pairs it
+    # gained, the least missing one is named, and a fresh check of the
+    # whole cycle fails too
+    last = trace.cycles[-1]
     rng = random.Random(2)
     seen = Counter()
     for _ in range(20):
         i, j = sorted(rng.sample(range(len(last)), 2))
-        order = list(last)
+        order = list(last.order)
         order[i], order[j] = order[j], order[i]
         bad = Cycle(tuple(order))
+        missing = sorted(e for e in edge_set(bad) if not G.adjacent(*e))
         outcomes = []
-        for args in ((G, bad), (G, bad, region)):
+        for args in (
+            (G, bad, Region(G, bad.order)),
+            (G, bad, Region(G, last.order), edge_set(bad) - edge_set(last)),
+        ):
             try:
                 outcomes.append(minimal_ray_blocker(*args))
             except InputError as exc:
                 outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        seen[isinstance(outcomes[0], str)] += 1
+        if missing:
+            assert outcomes[1] == f"cycle edge {missing[0]} missing in graph"
+            assert outcomes[0].startswith("cycle edge")
+        else:
+            assert outcomes[0] == outcomes[1]
+        seen[bool(missing)] += 1
     assert seen[True] > 10
 
 
@@ -519,7 +488,7 @@ def test_stage_e_edge_clauses_match_whole_cycle_scan(n):
     rng = random.Random(n)
     seen = Counter()
     for C in trace.cycles[:3]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         b = _CutBuilder(G, C, decomp, rim)
         cur = b.stage_fill_finite()

@@ -36,7 +36,7 @@ from hamext.infinite import (
     require_twice,
     steiner_tree_T,
 )
-from hamext.structure import decompose, minimal_ray_blocker
+from hamext.structure import decompose
 from cycles import edge_set, live_following, remove_cycle_vertex, replace_arc
 from test_infinite import rim_of
 from wholeball import distances_from
@@ -164,12 +164,11 @@ def _reference_failure(G, depth):
     for i in range(depth):
         if not protected_vertices(G, C.vertex_set):
             raise AssertionError("no protected vertex")
-        blocker = minimal_ray_blocker(G, C)
         try:
-            decomp = decompose(G, C.vertex_set, blocker)
+            decomp = decompose(G, C, Region(G, C.order), set())
             dist = distances_from(decomp.ball, C.vertex_set)
             star = check_star_ball(
-                G, C.vertex_set, max(dist[s] for s in blocker) + 5
+                G, C.vertex_set, max(dist[s] for s in decomp.script_S) + 5
             )
             if not star.holds:
                 raise InputError(
@@ -191,13 +190,13 @@ def test_defects_fail_where_full_checks_fail(monkeypatch, kind, f0):
     want = _reference_failure(G, 12)
     assert want is not None
     iterations = []
-    blocker = infinite.minimal_ray_blocker
+    blocker = structure.minimal_ray_blocker
 
-    def counting_blocker(G, C, *region):
+    def counting_blocker(G, C, *rest):
         iterations.append(C)
-        return blocker(G, C, *region)
+        return blocker(G, C, *rest)
 
-    monkeypatch.setattr(infinite, "minimal_ray_blocker", counting_blocker)
+    monkeypatch.setattr(structure, "minimal_ray_blocker", counting_blocker)
     with pytest.raises(InputError) as info:
         hamilton_sequence(_defect_family(2, f0, kind), 12)
     assert (len(iterations) - 1, type(info.value), str(info.value)) == want
@@ -310,7 +309,7 @@ def test_rim_matches_lazy_graph_sets(n):
     G = gen_G_inf(n)
     trace = hamilton_sequence(G, 3)
     for C in trace.cycles[:3]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         nc = frozenset(w for v in C.order for w in G.neighbors(v)) - C.vertex_set
         second = frozenset(w for v in nc for w in G.neighbors(v)) - nc
@@ -650,7 +649,7 @@ def test_stage_d_matches_rescan_loop(n):
     rng = random.Random(n)
     seen = Counter()
     for C in trace.cycles[:2]:
-        decomp = decompose(G, C.vertex_set, minimal_ray_blocker(G, C))
+        decomp = decompose(G, C, Region(G, C.order), set())
         rim = rim_of(decomp, C)
         b = _CutBuilder(G, C, decomp, rim)
         cur = b.stage_fill_finite()

@@ -1,9 +1,10 @@
 import pytest
 
 import hamext.infinite as infinite
+import hamext.structure as structure
 from hamext.errors import InputError, InvariantViolation
 from hamext.families import fiber_vertices, gen_G, gen_G_inf, gen_H_inf
-from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph
+from hamext.graphcore import BALL_RADIUS_MAX, Cycle, FiniteGraph, LazyGraph, Region
 from hamext.oracle import random_star_clawfree
 from hamext.structure import decompose, minimal_ray_blocker
 from hamext.verify import component_walk
@@ -12,6 +13,7 @@ from separators import (
     verify_complete_attachment,
     verify_two_components,
 )
+from test_oracle_calls import recording_graph
 
 
 def four_cycle_on_home_fibers(G):
@@ -23,11 +25,11 @@ def four_cycle_on_home_fibers(G):
 def test_blocker_on_width_two_family():
     G = gen_G_inf(2)
     C = four_cycle_on_home_fibers(G)
-    S = minimal_ray_blocker(G, C)
+    S = minimal_ray_blocker(G, C, Region(G, C.order))
     want = set(fiber_vertices(G.descriptor, -1)) | set(fiber_vertices(G.descriptor, 2))
     assert S == frozenset(want)
-    # decompose refuses a blocker that does not block or is not minimal
-    decompose(G, C.order, S)
+    # decompose splits along the same blocker
+    assert decompose(G, C, Region(G, C.order), set()).script_S == S
     assert not any(G.escapes(S, v) for v in C.order)
     # inclusion-minimal: every vertex is load-bearing
     for s in S:
@@ -35,35 +37,33 @@ def test_blocker_on_width_two_family():
 
 
 def test_decompose_after_blocker_asks_the_oracle_only_about_pieces(monkeypatch):
-    # minimal_ray_blocker probes from the least vertex of C, as decompose
-    # does, so decompose's blocking and minimality queries are answered
-    # from the cache: the oracle is asked only whether a piece escapes
-    base = gen_G_inf(2)
-    calls = []
-
-    def oracle(blocked, v):
-        calls.append((blocked, v))
-        return base._escape_oracle(blocked, v)
-
-    G = LazyGraph(
-        base.neighbors, oracle, base.root, base.end_rays, base.descriptor,
-        base.representatives,
-    )
+    # minimal_ray_blocker probes from the least vertex of C, as
+    # decompose's minimality check does, so that check is answered from
+    # the cache: once the blocker is found, the oracle is asked only
+    # whether a piece escapes, in the first run the oracle test pins
+    G, calls = recording_graph(2)
+    blocker, run_decompose = structure.minimal_ray_blocker, infinite.decompose
     asked = []
 
-    def recording(G, X, script_S, **kw):
-        start = len(calls)
-        decomp = decompose(G, X, script_S, **kw)
-        asked.append((frozenset(X), frozenset(script_S), calls[start:]))
+    def blocking(G, C, region, gained=None):
+        S = blocker(G, C, region, gained)
+        asked.append((C.vertex_set, S, len(calls)))
+        return S
+
+    def decomposing(*args):
+        decomp = run_decompose(*args)
+        X, S, start = asked[-1]
+        asked[-1] = (X, S, [call[1:] for call in calls[start:] if call[0] == "e"])
         return decomp
 
-    monkeypatch.setattr(infinite, "decompose", recording)
+    monkeypatch.setattr(structure, "minimal_ray_blocker", blocking)
+    monkeypatch.setattr(infinite, "decompose", decomposing)
     infinite.hamilton_sequence(G, 12)
     assert len(asked) == 12
     for X, S, queries in asked:
         assert queries
         for blocked, v in queries:
-            assert blocked == S and v not in X and v not in S
+            assert frozenset(blocked) == S and v not in X and v not in S
 
 
 def test_blocker_on_width_three_family():
@@ -73,7 +73,7 @@ def test_blocker_on_width_three_family():
     for v0, v1 in zip(fiber_vertices(desc, 0), fiber_vertices(desc, 1)):
         order += [v0, v1]
     C = Cycle(tuple(order))
-    S = minimal_ray_blocker(G, C)
+    S = minimal_ray_blocker(G, C, Region(G, C.order))
     want = set(fiber_vertices(desc, -1)) | set(fiber_vertices(desc, 2))
     assert S == frozenset(want)
     assert len(S) == 6
@@ -85,26 +85,26 @@ def test_blocker_rejects_finite_graph():
         finite.neighbors, lambda blocked, v: False, root=0
     )
     with pytest.raises(InputError, match="not infinite"):
-        minimal_ray_blocker(G, Cycle((0, 1, 2, 3)))
+        minimal_ray_blocker(G, Cycle((0, 1, 2, 3)), Region(G, (0, 1, 2, 3)))
 
 
 def test_blocker_rejects_broken_cycle():
     G = gen_G_inf(2)
     with pytest.raises(InputError):
-        minimal_ray_blocker(G, Cycle((0, 1, 8)))
+        minimal_ray_blocker(G, Cycle((0, 1, 8)), Region(G, (0, 1, 8)))
 
 
 def test_decompose_width_two():
     G = gen_G_inf(2)
     desc = G.descriptor
     C = four_cycle_on_home_fibers(G)
-    S = minimal_ray_blocker(G, C)
-    D = decompose(G, C.order, S)
+    D = decompose(G, C, Region(G, C.order), set())
+    S = D.script_S
     assert D.k == 2
     assert D.finite_component == frozenset(C.order)
     assert D.parts[0] == frozenset(fiber_vertices(desc, -1))
     assert D.parts[1] == frozenset(fiber_vertices(desc, 2))
-    assert D.script_S == S
+    assert S == minimal_ray_blocker(G, C, Region(G, C.order))
     # the parts partition the blocker
     assert frozenset().union(*D.parts) == D.script_S
     assert sum(len(p) for p in D.parts) == len(D.script_S)
@@ -121,7 +121,7 @@ def test_decompose_width_two():
 def test_decompose_pieces_enumerate():
     G = gen_G_inf(2)
     C = four_cycle_on_home_fibers(G)
-    D = decompose(G, C.order, minimal_ray_blocker(G, C))
+    D = decompose(G, C, Region(G, C.order), set())
     left = D.infinite_components[0]
     # fibers -5..-2 lie in the negative-side piece, the separator fiber
     # -1 does not
@@ -130,41 +130,49 @@ def test_decompose_pieces_enumerate():
     assert not any(v in left for v in fiber_vertices(G.descriptor, -1))
 
 
-def test_decompose_rejects_one_sided_blocker():
-    G = gen_G_inf(2)
-    C = four_cycle_on_home_fibers(G)
-    one_side = frozenset(fiber_vertices(G.descriptor, 2))
-    with pytest.raises(InputError, match="not ray-blocking"):
-        decompose(G, C.order, one_side)
+def test_decompose_refuses_a_blocker_a_non_monotone_oracle_left_removable():
+    # N(C) of the triangle (0, 1, 4) is 2, 3, 5, 8, 9; the greedy pass
+    # keeps 2 and 3, then drops 5.  An escape oracle that says {3, 8, 9}
+    # blocks as well, a set the pass never asks about, is not monotone,
+    # and decompose refuses the blocker it leaves
+    base = gen_G_inf(2)
+    C = Cycle((0, 1, 4))
+    assert minimal_ray_blocker(base, C, Region(base, C.order)) == {2, 3, 8, 9}
+    lie = frozenset({3, 8, 9})
+    G = LazyGraph(
+        base.neighbors,
+        lambda blocked, v: blocked != lie and base.escapes(blocked, v),
+        base.root,
+    )
+    with pytest.raises(InputError, match="not inclusion-minimal: 2 is removable"):
+        decompose(G, C, Region(G, C.order), set())
 
 
-def test_decompose_rejects_bloated_blocker():
-    G = gen_G_inf(2)
-    C = four_cycle_on_home_fibers(G)
-    S = minimal_ray_blocker(G, C)
-    fat = S | {fiber_vertices(G.descriptor, 3)[0]}
-    with pytest.raises(InputError, match="not inclusion-minimal"):
-        decompose(G, C.order, fat)
-
-
-def test_decompose_rejects_overlap_and_empty():
-    G = gen_G_inf(2)
-    C = four_cycle_on_home_fibers(G)
-    S = minimal_ray_blocker(G, C)
-    with pytest.raises(InputError):
-        decompose(G, C.order, S | {C.order[0]})
-    with pytest.raises(InputError):
-        decompose(G, (), S)
+def test_decompose_refuses_an_empty_blocker():
+    # an escape oracle by which only the root escapes: G is infinite,
+    # but no ray leaves a cycle off the root, so the greedy pass drops
+    # every vertex of N(C)
+    base = gen_G_inf(2)
+    G = LazyGraph(
+        base.neighbors,
+        lambda blocked, v: v == base.root and base.escapes(blocked, v),
+        base.root,
+    )
+    C = Cycle((4, 5, 8))
+    with pytest.raises(InputError, match="decompose needs a non-empty blocker"):
+        decompose(G, C, Region(G, C.order), set())
 
 
 def test_decompose_stress_family_with_claws():
     # the alternating family is not claw-free, and decompose refuses it
     G = gen_H_inf(6)
     desc = G.descriptor
-    X = tuple(fiber_vertices(desc, 0)) + tuple(fiber_vertices(desc, 1))
-    S = set(fiber_vertices(desc, -1)) | set(fiber_vertices(desc, 2))
+    # fiber 0 is a star, fiber 1 a clique, and every vertex of one is
+    # adjacent to every vertex of the other
+    a, b = fiber_vertices(desc, 0), fiber_vertices(desc, 1)
+    C = Cycle((a[0], b[0], a[1], b[1], a[2], b[2], a[3], *b[3:]))
     with pytest.raises(InputError, match="claw"):
-        decompose(G, X, S)
+        decompose(G, C, Region(G, C.order), set())
 
 
 def test_two_components_on_path():
@@ -231,7 +239,7 @@ def test_component_walk_search_is_capped():
     G = gen_G_inf(2)
     desc = G.descriptor
     C = four_cycle_on_home_fibers(G)
-    S = minimal_ray_blocker(G, C)
+    S = minimal_ray_blocker(G, C, Region(G, C.order))
     far = fiber_vertices(desc, -8)[0]
     beyond = fiber_vertices(desc, -BALL_RADIUS_MAX - 8)[0]
     # the two components as a ball of radius 2 sees them: it holds
