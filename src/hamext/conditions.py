@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence, Set
-from .errors import FrontierContamination, InputError
+from .errors import FrontierContamination, InputError, InvariantViolation
 from .graphcore import FiniteGraph, LazyGraph, Record, Region, TwinClasses
 
 
@@ -632,11 +632,13 @@ def _chain_on_classes(G: FiniteGraph) -> ChainVerdict:
 
 def _chain_scan(G: FiniteGraph) -> ChainVerdict:
     """The chain on every induced path of G, in ``induced_paths_3``
-    order; the verdict names the first path that fails."""
+    order; the verdict names the first path that fails.  It runs only
+    after _chain_on_classes found a failing class triple, which stands
+    for a failing path of G, so the scan finds one."""
     for u, v, w in induced_paths_3(G):
         nu, nv, nw = set(G.adj[u]), set(G.adj[v]), set(G.adj[w])
         common = len(nu & nw)
         private = len(nv - (nu | nw))
         if not (common >= private >= 2):
             return ChainVerdict(False, witness=(u, v, w), common=common, private=private)
-    return ChainVerdict(True)
+    raise InvariantViolation("a failing class triple stands for no failing path")

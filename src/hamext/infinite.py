@@ -431,9 +431,10 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
     vertex of S_j, the separator vertices facing K_j, and w is at
     distance d from S_j too.  One search from script_S then serves every
     part.  The piece answers for its whole component on N_3(script_S):
-    decompose's ball reaches ``BALL_MARGIN`` = 6 past the deepest
-    separator vertex, so N_3(script_S) lies inside the ball's interior,
-    where decompose identifies each component with its piece.
+    decompose's ball reaches 1 + ``BALL_MARGIN`` = 7 past C, and
+    script_S lies in N(C), so N_3(script_S) lies within 4 of C, inside
+    the ball's interior, where decompose identifies each component with
+    its piece.
     """
     required = n3 & K_j
     if not required:
@@ -1067,7 +1068,7 @@ def construct_cut1(
 # the driver
 
 
-def _initial_cycle(G: LazyGraph, decided: bool = False) -> Cycle:
+def _initial_cycle(G: LazyGraph, decided: bool) -> Cycle:
     """A cycle near the root, found in the ball of radius 3 around it;
     ``decided`` is the run's period verdict, handed to that ball's
     region (see Region)."""
@@ -1143,33 +1144,33 @@ def decide_by_period(G: LazyGraph) -> bool:
     return True
 
 
-def _saturate_initial(
-    G: LazyGraph, seed: Cycle, B: FiniteGraph, decided: bool = False
-) -> Cycle:
+def _saturate_initial(seed: Cycle, B: FiniteGraph) -> Cycle:
     """Saturate N(seed) in B, the ball of radius _SEED_RADIUS around
-    the seed, growing the ball until the result clears its frontier;
-    ``decided`` is handed to the region of each ball grown."""
-    radius = _SEED_RADIUS
-    while True:
-        fixed = neighborhood_k(B, seed.vertex_set, 1)
-        C0 = saturate(B, seed, target_filter=fixed.__contains__)
-        reach = C0.vertex_set | neighborhood_k(B, C0.vertex_set, 2)
-        if not reach & B.frontier:
-            if not seed.vertex_set <= protected_vertices(B, C0.vertex_set):
-                raise InvariantViolation(
-                    "saturation left the seed exposed",
-                    seed=seed.order,
-                )
-            return C0
-        radius += 2
-        B = Region(G, seed.order, decided).ball(radius)
+    the seed, whose interior is claw-free (check_seed scanned it, or
+    the run is decided).
+
+    The result C0 and its second neighbourhood lie within distance 3 of
+    the seed, short of B's frontier.  Targets lie in N(seed), and only
+    a kind II helper x can lie at distance 2.  x joins between its
+    target v and a cycle vertex w = u+ that v misses (kind I failed at
+    the anchor u), so as x is no claw centre, each other neighbour of x
+    is next to v, at distance 1, or to w.  w is a seed vertex, a target
+    or an earlier helper, so by induction over the helpers every
+    neighbour of a vertex of C0 lies within distance 2 of the seed."""
+    fixed = neighborhood_k(B, seed.vertex_set, 1)
+    C0 = saturate(B, seed, target_filter=fixed.__contains__)
+    if not B.frontier.isdisjoint(neighborhood_k(B, C0.vertex_set, 2)):
+        raise InvariantViolation("saturation reached the seed ball's frontier")
+    if not seed.vertex_set <= protected_vertices(B, C0.vertex_set):
+        raise InvariantViolation("saturation left the seed exposed", seed=seed.order)
+    return C0
 
 
 def _select_end(
     G: LazyGraph,
     name: str,
     decomp: SeparatorDecomposition,
-    walked: tuple[int, int | None] = (0, None),
+    walked: tuple[int, int | None],
 ) -> tuple[int, tuple[int, int | None]]:
     """The component the end's ray settles in: the one holding the last
     ray vertex before the ray first leaves the ball, with the walk
@@ -1285,11 +1286,9 @@ class _RunState:
                 "cycle has no protected vertex; enlargement hypothesis broken"
             )
         if not self.decided:
-            # the ball reaches at least blocker_depth + BALL_MARGIN from
-            # C, so the paths within blocker_depth + BALL_MARGIN - 3 are
-            # complete in it
-            blocker_depth = max(region.dist[s] for s in decomp.script_S)
-            self.require_star(decomp.ball, blocker_depth + BALL_MARGIN - 3)
+            # the ball reaches at least 1 + BALL_MARGIN from C, so the
+            # paths within BALL_MARGIN - 2 are complete in it
+            self.require_star(decomp.ball, BALL_MARGIN - 2)
         C2, wits = construct_cut1(self.G, C, decomp, rim, live)
         # a vertex of C off C2 lost both its cycle edges
         if any(v not in live for e in live.lost for v in e):
@@ -1334,7 +1333,7 @@ def hamilton_sequence(G: LazyGraph, depth: int) -> SequenceTrace:
     decided = decide_by_period(G)
     seed = _initial_cycle(G, decided)
     state = _RunState(G, seed, decided)
-    C = _saturate_initial(G, seed, state.check_seed(), decided)
+    C = _saturate_initial(seed, state.check_seed())
     cycles = [C]
     blockers: list[frozenset[int]] = []
     ks: list[int] = []

@@ -145,7 +145,7 @@ def _pieces(
     return own, sorted([*pieces, (least, own)])
 
 
-# how far past the deepest separator vertex decompose's first ball
+# how far past the blocker, which lies in N(C), decompose's first ball
 # reaches; the degree-condition check and the Steiner trees rely on it
 BALL_MARGIN = 6
 
@@ -165,18 +165,19 @@ def decompose(
     that is not monotone, or that disagrees across a connected set,
     can break either.  C's edges, all found in G, make V(C) connected.
 
-    Works on a ball around V(C) that starts ``BALL_MARGIN`` past the
-    deepest separator vertex and grows while any ball component that
-    touches the frontier fails to certify as escaping; a component
-    fully inside the ball is a true component of G - script_S.  Ball
-    components are identified with components of G - script_S, which
-    holds once the ball is grown past every finite bridge between
-    pieces; the invariant checks below catch violations in practice.
+    Works on a ball around V(C) of radius 1 + BALL_MARGIN that grows
+    while any ball component that touches the frontier fails to certify
+    as escaping; a component fully inside the ball is a true component
+    of G - script_S.  Ball components are identified with components of
+    G - script_S, which holds once the ball is grown past every finite
+    bridge between pieces; the invariant checks below catch violations
+    in practice.
 
     Each infinite component comes out as its piece, its part in the
-    ball, in ascending order of smallest member.  The ball reaches
-    ``BALL_MARGIN`` past every separator vertex, so a piece answers for
-    its component within distance BALL_MARGIN - 1 of script_S.
+    ball, in ascending order of smallest member.  The blocker lies in
+    N(C), so the ball reaches ``BALL_MARGIN`` past every separator
+    vertex, and a piece answers for its component within distance
+    BALL_MARGIN - 1 of script_S.
 
     The balls come from ``region``, whose X must be V(C).  Unless the
     region is ``decided`` (G is then known to be claw-free), a claw
@@ -197,27 +198,10 @@ def decompose(
         if not G.escapes(script_S - {s}, probe):
             raise InputError(f"blocker is not inclusion-minimal: {s} is removable")
 
-    dist = region.dist
-    cap = BALL_RADIUS_MAX
-    while True:
-        missing = [s for s in script_S if dist.get(s, cap + 1) > cap]
-        if not missing:
-            break
-        if region.reach >= cap:
-            raise InvariantViolation(
-                "blocker vertex unreachable from X", missing=sorted(missing)
-            )
-        region.extend(region.reach + 1)
-    depth = max(dist[s] for s in script_S)
-    radius = max(depth, 1) + BALL_MARGIN
-    # first ball big enough to see all of script_S plus slack
+    # script_S lies in N(C), the region's layer 1
+    radius = 1 + BALL_MARGIN
     while True:
         B = region.ball(radius)
-        missing = script_S - B.vertex_set
-        if missing:
-            raise InvariantViolation(
-                "blocker vertex unreachable from X", missing=sorted(missing)
-            )
         own, pieces = _pieces(B, region, script_S)
         finite_pieces = []
         infinite_pieces = []

@@ -110,6 +110,31 @@ def test_gen_rand_requires_seed(capsys):
     assert "seed" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["GZn", "--n", "2", "--seed", "1"], "family GZn takes no --seed"),
+        (["GZn"], "family GZn needs --n"),
+        (["rand", "--seed", "1", "--q", "3"], "family rand takes no --q"),
+        (["Gqn", "--n", "2"], "family Gqn needs --q and --n"),
+        (["Gqn", "--q", "4"], "family Gqn needs --q and --n"),
+        (["Gqn", "--q", "4", "--n", "2", "--seed", "1"], "family Gqn takes no --seed"),
+    ],
+)
+def test_gen_refuses_parameters_its_family_does_not_take(capsys, argv, error):
+    code, payload = run(capsys, "gen", "--family", *argv)
+    assert (code, payload) == (2, {"error": error, "kind": "input"})
+
+
+def test_gen_refuses_an_out_file_in_a_missing_directory(capsys, tmp_path):
+    out = tmp_path / "missing" / "g.json"
+    code, payload = run(capsys, "gen", "--family", "GZn", "--n", "2", "--out", str(out))
+    assert (code, payload) == (2, {
+        "error": f"cannot write {out}: [Errno 2] No such file or directory: '{out}'",
+        "kind": "input",
+    })
+
+
 def test_gen_dot_output(capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, _ = run(
@@ -173,6 +198,21 @@ def test_check_missing_file(capsys, tmp_path):
     )
     assert code == 2
     assert payload["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        ({"vertices": [0, 1]}, "graph JSON missing key 'edges'"),
+        ({"vertices": {"0": 1}, "edges": []}, "graph JSON: 'vertices' and 'edges' must be arrays"),
+        ({"vertices": [0, 1], "edges": [[0, 1]], "labels": ["a", "b"]}, "graph JSON: 'labels' must be an object"),
+    ],
+)
+def test_check_refuses_graph_json_of_the_wrong_shape(capsys, tmp_path, graph, error):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, payload = run(capsys, "check", "--input", str(path), "--what", "star")
+    assert (code, payload) == (2, {"error": error, "kind": "input"})
 
 
 def test_check_rejects_malformed_json(capsys, tmp_path):
@@ -328,6 +368,16 @@ def test_ham_rejects_bad_seed(capsys, g42_file):
     assert payload["kind"] == "input"
 
 
+def test_ham_refuses_a_seed_cycle_that_is_not_integers(capsys, g42_file):
+    code, payload = run(
+        capsys, "ham", "--input", str(g42_file), "--seed-cycle", "0,x,2"
+    )
+    assert (code, payload) == (2, {
+        "error": "cycle must be comma-separated integers, got '0,x,2'",
+        "kind": "input",
+    })
+
+
 def test_ham_refuses_a_seed_vertex_outside_the_graph(capsys, tmp_path):
     path = tmp_path / "g52.json"
     code, _ = run(
@@ -425,6 +475,21 @@ def test_structure_payload_golden(capsys, tmp_path, n, cycle):
     assert json.loads(out) == want
     if digest is not None:
         assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["structure", "--cycle", "0,2,1", "--input"], "structure input must be a descriptor JSON object"),
+        (["infham", "--depth", "1", "--descriptor"], "descriptor must be a JSON object"),
+    ],
+    ids=["structure", "infham"],
+)
+def test_descriptor_readers_refuse_a_json_array(capsys, tmp_path, argv, error):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"family": "GZn", "params": {"n": 2}}]))
+    code, payload = run(capsys, *argv, str(path))
+    assert (code, payload) == (2, {"error": error, "kind": "input"})
 
 
 def test_structure_rejects_non_cycle(capsys, gz2_file):
@@ -584,6 +649,19 @@ def test_verify_fails_a_moved_crossing_edge(capsys, gz2_file, tmp_path):
         "ok": False,
         "detail": "stored crossing edges of iteration 10 part 0 are not boundary edges",
     }
+
+
+def test_verify_refuses_a_trace_without_descriptor(capsys, gz2_file, tmp_path):
+    trace = tmp_path / "t.json"
+    assert run(capsys, "infham", "--descriptor", str(gz2_file), "--depth", "2", "--out", str(trace))[0] == 0
+    obj = json.loads(trace.read_text())
+    obj["descriptor"] = None
+    trace.write_text(json.dumps(obj))
+    code, payload = run(capsys, "verify", "--trace", str(trace))
+    assert (code, payload) == (2, {
+        "error": "trace has no descriptor; pass the graph explicitly",
+        "kind": "input",
+    })
 
 
 def test_verify_rejects_malformed_trace(capsys, tmp_path):
@@ -904,6 +982,7 @@ def test_invariant_violation_reports_context(capsys, g42_file, monkeypatch):
             anchors=frozenset({3, 1, 2}),
             edges={(2, 3), (0, 1)},
             nested={"path": (0, 1)},
+            span=range(2),
         )
 
     monkeypatch.setattr(extension, "find_extension", boom)
@@ -917,6 +996,7 @@ def test_invariant_violation_reports_context(capsys, g42_file, monkeypatch):
         "anchors": [1, 2, 3],
         "edges": [[0, 1], [2, 3]],
         "nested": {"path": [0, 1]},
+        "span": "range(0, 2)",
     }
 
 
@@ -1027,6 +1107,20 @@ def test_oracle_reports_no_cycle(capsys, claw_file):
     assert code == 1
     assert payload["hamiltonian"] is False
     assert payload["cycle"] is None
+
+
+def test_oracle_dot_highlights_the_cycle_it_finds(capsys, g42_file, claw_file, tmp_path):
+    dot = tmp_path / "oracle.dot"
+    code, payload = run(capsys, "oracle", "--input", str(g42_file), "--dot", str(dot))
+    assert code == 0
+    order = payload["cycle"]
+    cycle = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
+    bold = re.findall(r"(\d+) -- (\d+) \[color=red, penwidth=2.0\]", dot.read_text())
+    assert {(int(u), int(v)) for u, v in bold} == cycle
+    code, _ = run(capsys, "oracle", "--input", str(claw_file), "--dot", str(dot))
+    assert code == 1
+    text = dot.read_text()
+    assert "0 -- 1;" in text and "penwidth" not in text
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from hamext import conditions
-from hamext.errors import FrontierContamination, InputError
+from hamext.errors import FrontierContamination, InputError, InvariantViolation
 from hamext.families import gen_G, gen_G_inf, gen_H, gen_H_inf
 from hamext.extension import extend_to_hamilton
 from hamext.graphcore import FiniteGraph, ball, verify_cycle
@@ -497,8 +497,22 @@ def test_chain_failure_is_the_first_failing_path():
     # the claw fails the chain at its first induced path, as the scan does
     v = _chain_on_classes(star_k13())
     assert v == ChainVerdict(False, witness=(1, 0, 2), common=1, private=3)
+    assert v.to_json_obj() == {
+        "holds": False,
+        "witness": [1, 0, 2],
+        "common_endpoint_neighbors": 1,
+        "private_middle_neighbors": 3,
+    }
     v = _chain_on_classes(bull())
     assert v == ref_chain_scan(bull()) and not v.holds
+
+
+def test_chain_scan_refuses_a_graph_with_no_failing_path():
+    # _chain_on_classes calls the scan only for a failing class triple,
+    # which stands for a failing path; a scan that finds none is a bug
+    K3 = FiniteGraph.from_edges(range(3), [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(InvariantViolation, match="^a failing class triple stands for no failing path$"):
+        conditions._chain_scan(K3)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,11 @@ def test_induced_subgraph():
     assert G.vertices == (0, 1, 2)
     assert len(G.edges()) == 3
     assert G.is_connected()
+    assert G.labels is None
+    # a labelled graph's subgraph keeps the labels of its vertices
+    G = FiniteGraph.from_edges(range(4), k4().edges(), labels={0: "a", 3: "d"})
+    assert G.induced([0, 1, 2]).labels == {0: "a"}
+    assert G.induced([1, 2]).labels == {}
 
 
 def test_cycle_navigation():

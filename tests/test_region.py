@@ -186,7 +186,7 @@ def test_resumed_end_walk_equals_the_walk_from_zero():
         for name in sorted(G.end_rays):
             before = state.walks.get(name)
             j = state.select_end(name, decomp)
-            assert (j, state.walks[name][:2]) == infinite._select_end(G, name, decomp)
+            assert (j, state.walks[name][:2]) == infinite._select_end(G, name, decomp, (0, None))
             resumed[before is not None and before[2] <= region.radius] += 1
     assert resumed == {False: 4, True: 2}
 

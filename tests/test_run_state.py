@@ -159,8 +159,8 @@ def _defect_family(n, f0, kind):
 def _reference_failure(G, depth):
     """Today's per-iteration checks, done in full every time: a fresh
     degree-condition ball and a claw scan of the whole interior."""
-    seed = _initial_cycle(G)
-    C = _saturate_initial(G, seed, ball(G, seed.vertex_set, infinite._SEED_RADIUS))
+    seed = _initial_cycle(G, False)
+    C = _saturate_initial(seed, ball(G, seed.vertex_set, infinite._SEED_RADIUS))
     for i in range(depth):
         if not protected_vertices(G, C.vertex_set):
             raise AssertionError("no protected vertex")
