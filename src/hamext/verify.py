@@ -30,6 +30,79 @@ from .graphcore import (
 from .trace import CutWitness, SequenceTrace
 
 
+def _splices(P: tuple, Q: tuple, on_P) -> tuple[list, list] | None:
+    """When the cycle order Q is P with runs of vertices off P (``on_P``
+    is P's vertex set) inserted between neighbours, and starts where P
+    does: Q's pairs that touch an inserted vertex, in Q's order, and for
+    each run the pair (a, b) of P it was inserted between.  Otherwise
+    None.
+
+    Stretches that P and Q share alternate with runs, a run being Q's
+    vertices before P's next vertex b (``tuple.index``), or Q's rest
+    once P is used up.  On a splice, Q[j + t] == P[i + t] holds from a
+    stretch's start up to the next run and fails after it, so bisection
+    on single entries finds the stretch's end, and one slice comparison
+    checks the stretch.  As Q repeats no vertex, checked stretches and
+    runs that avoid P make a splice.  The loops turn about log2 |P|
+    times a run; the rest is C work.
+    """
+    if Q[0] != P[0]:
+        return None
+    new, old = [], []
+    m, n = len(P), len(Q)
+    i = j = 0
+    while n - j > m - i:
+        # P[i] == Q[j]; every probe at or past hi found a difference
+        lo, hi = 1, m - i
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if P[i + mid] == Q[j + mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if P[i : i + lo] != Q[j : j + lo]:
+            return None
+        i += lo
+        j += lo
+        if i == m:
+            a, b, end = P[-1], P[0], n
+        else:
+            a, b = P[i - 1], P[i]
+            try:
+                end = Q.index(b, j)
+            except ValueError:
+                return None
+        run = Q[j:end]
+        if not on_P.isdisjoint(run):
+            return None
+        new += zip((a, *run), (*run, b))
+        old.append((a, b))
+        j = end
+    if P[i:] != Q[j:]:
+        return None
+    return new, old
+
+
+def _diffed_pairs(P: tuple, Q: tuple) -> tuple[list, list, bool]:
+    """Q's pairs that P does not walk, in Q's order; P's pairs that Q
+    does not walk; and whether Q lacks a vertex of P, from one
+    successor map per cycle order.
+
+    The pairs (u, v) that Q walks and P does not are found by looking
+    each pair up in P's map at C speed.  P's pairs that Q does not walk
+    are (u, succ_P(u)) for the first vertices u of those new pairs,
+    plus the pairs of the vertices Q dropped.
+    """
+    prev = dict(zip(P, P[1:] + P[:1]))
+    succ = dict(zip(Q, Q[1:] + Q[:1]))
+    new = list(filterfalse(prev.items().__contains__, succ.items()))
+    old = [(u, prev[u]) for u, _ in new if u in prev]
+    drops = not prev.keys() <= succ.keys()
+    if drops:
+        old += [(u, w) for u, w in prev.items() if u not in succ]
+    return new, old, drops
+
+
 def _cycle_lifetimes(
     cycles, G: LazyGraph | None = None
 ) -> tuple[dict[Edge, list[int]], int | None]:
@@ -37,15 +110,26 @@ def _cycle_lifetimes(
     joins the cycles (even positions) and leaves them (odd ones), so it
     is on C_k when an odd number of them are at most k; and the first
     step i whose C_{i+1} lacks a vertex of C_i (None if no step drops
-    one); from one successor map per cycle.
+    one).
 
-    The pairs (u, v) that C_{i+1} walks and C_i does not are found by
-    looking each pair up in C_i's map at C speed.  C_i's pairs that
-    C_{i+1} does not walk are (u, succ_i(u)) for the first vertices u
-    of those new pairs, plus the pairs of the vertices C_{i+1} dropped.
-    A cycle walks each of its edges in one direction, so an edge among
-    the new pairs and not the old ones joins at i + 1, and the reverse
-    leaves; an edge among both stays.
+    Each step is read from C_i's pairs that C_{i+1} does not walk and
+    C_{i+1}'s pairs that C_i does not walk.  A cycle walks each of its
+    edges in one direction, so an edge among the new pairs and not the
+    old ones joins at i + 1, and the reverse leaves; an edge among both
+    stays.
+
+    A step that splices runs into C_i is read as splices
+    (:func:`_splices`): C_{i+1} starts where C_i does, keeps C_i's
+    order, and adds runs of vertices off C_i.  Then two vertices of C_i
+    next to each other on C_{i+1} are next to each other on C_i, in the
+    same direction, as no vertex of C_i lies between them; so C_{i+1}'s
+    new pairs are exactly those that touch an inserted vertex.  Every
+    pair of C_i survives but the pair (a, b) each run was inserted
+    between, and no vertex drops.  Any other step (a reversal, a
+    rotation, a dropped or moved vertex) is read from the two cycles'
+    successor maps (:func:`_diffed_pairs`), the general rule, which
+    gives the same pairs on a splice.  The orders decide which reader
+    runs.
 
     With ``G``, each new pair is checked for adjacency in cycle order,
     so the first failing pair is the one a whole-cycle scan names: a
@@ -55,11 +139,16 @@ def _cycle_lifetimes(
     """
     life: dict[Edge, list[int]] = {}
     dropped = None
-    prev: dict[int, int] = {}
+    prev = None
     for idx, C in enumerate(cycles):
         order = C.order
-        succ = dict(zip(order, order[1:] + order[:1]))
-        new = list(filterfalse(prev.items().__contains__, succ.items()))
+        step = None if prev is None else _splices(prev.order, order, prev.vertex_set)
+        if step is None:
+            new, old, drops = _diffed_pairs(() if prev is None else prev.order, order)
+            if drops and dropped is None:
+                dropped = idx - 1
+        else:
+            new, old = step
         if G is not None:
             for u, v in new:
                 if not G.adjacent(u, v):
@@ -67,16 +156,11 @@ def _cycle_lifetimes(
                         f"trace cycle {idx} invalid: consecutive cycle "
                         f"vertices {u}, {v} not adjacent"
                     )
-        old = [(u, prev[u]) for u, _ in new if u in prev]
-        if not prev.keys() <= succ.keys():
-            old += [(u, w) for u, w in prev.items() if u not in succ]
-            if dropped is None:
-                dropped = idx - 1
         gained = {(u, v) if u <= v else (v, u) for u, v in new}
         lost = {(u, w) if u <= w else (w, u) for u, w in old}
         for e in gained ^ lost:
             life.setdefault(e, []).append(idx)
-        prev = succ
+        prev = C
     return life, dropped
 
 
@@ -494,7 +578,13 @@ def verify_hc_extract(
     known members of M_i, so it walks only where the trace is silent.
     Edge persistence and cut agreement read each edge's lifetime off
     one pass over consecutive cycles (:func:`_cycle_lifetimes`); no
-    cycle's edge set is built.
+    cycle's edge set is built.  A step that splices runs of vertices off
+    C_i into C_i, keeping its first vertex and its order, is read as
+    those splices: C_{i+1}'s new pairs are exactly those that touch an
+    inserted vertex, the lost pairs are the pairs each run was inserted
+    between, and no vertex drops, as two vertices of C_i next to each
+    other on C_{i+1} have no vertex of C_i between them.  Only another
+    step builds the two cycles' successor maps.
     """
     G = _trace_graph(trace, G)
     d = trace.depth

@@ -33,7 +33,9 @@ from hamext.trace import CutWitness, SequenceTrace
 from hamext.verify import (
     ConditionReport,
     _cycle_lifetimes,
+    _diffed_pairs,
     _persistence_failure,
+    _splices,
     _witness_membership,
     stable_limit,
     verify_hc_extract,
@@ -46,6 +48,7 @@ from cycles import (
     replace_arc,
 )
 from records import rebuilt, trace_json_obj
+from test_cli import GOLDEN_DIGESTS
 
 
 def gz_fiber(n, f):
@@ -804,6 +807,97 @@ def random_cycle_sequence(rng):
     return [Cycle(tuple(c)) for c in cycles]
 
 
+def spliced_cycle_sequence(rng):
+    """A few cycles on ids 0..39, each the one before with runs of new
+    vertices spliced in, or kept as it is, or one of the near misses of
+    a splice: a run that takes a vertex of the cycle before along, a
+    vertex moved or dropped, a new first vertex, an arc reversed past
+    the first vertex, or the cycle before cut short and closed through
+    new vertices.  Most edits splice runs as well, so the new cycle is
+    longer than the one before."""
+    order = rng.sample(range(40), rng.randint(3, 5))
+    cycles = [order]
+    for _ in range(rng.randint(1, 5)):
+        order = list(order)
+        fresh = [v for v in range(40) if v not in order]
+        rng.shuffle(fresh)
+        op = rng.choice(
+            ["keep", "splice", "splice", "take", "move", "drop", "head", "reverse", "cut"]
+        )
+        if op == "cut":
+            order = order[: rng.randint(1, len(order) - 1)] + fresh[:3]
+            fresh = fresh[3:]
+        elif op in ("take", "move", "drop"):
+            # a vertex other than the first leaves its place
+            v = order.pop(rng.randrange(1, len(order)))
+            if op == "take":
+                order.insert(rng.randint(1, len(order)), [fresh.pop(), v, fresh.pop()])
+            elif op == "move":
+                order.insert(rng.randint(1, len(order)), v)
+        elif op == "reverse":
+            i, j = sorted(rng.sample(range(1, len(order)), 2))
+            order[i : j + 1] = reversed(order[i : j + 1])
+        elif op == "head":
+            order.insert(0, [fresh.pop()])
+        if op != "keep" and len(fresh) >= 9:
+            # runs between neighbours of the cycle before, the last one
+            # possibly between its last vertex and its first
+            gaps = rng.sample(range(1, len(order) + 1), rng.randint(1, min(3, len(order))))
+            for gap in sorted(gaps, reverse=True):
+                order.insert(gap, [fresh.pop() for _ in range(rng.randint(1, 3))])
+        order = [w for v in order for w in (v if isinstance(v, list) else [v])]
+        if len(order) < 3:
+            order += fresh[:3 - len(order)]
+        cycles.append(order)
+    return [Cycle(tuple(c)) for c in cycles]
+
+
+def is_splice(P, Q):
+    """Whether Q is P with runs of vertices off P inserted: Q starts
+    where P does and holds P's vertices in P's order."""
+    on_P = set(P)
+    return Q[0] == P[0] and [v for v in Q if v in on_P] == list(P)
+
+
+def check_lifetimes(cycles, adj, outcomes):
+    """Compare _cycle_lifetimes on ``cycles`` and a lazy graph on the
+    neighbour lists ``adj`` with whole-cycle scans, and count the
+    outcome: the refusal, a persistent or a broken sequence."""
+
+    def graph(asked):
+        return LazyGraph(lambda v: asked.append(v) or adj[v], lambda F, v: True, 0)
+
+    scanned, passed = [], []
+    want = first_cycle_failure(graph(scanned), SimpleNamespace(cycles=cycles))
+    try:
+        life, dropped = _cycle_lifetimes(cycles, graph(passed))
+        got = None
+    except InputError as exc:
+        got = str(exc)
+    assert got == want
+    # the oracle is asked the same vertices in the same order
+    assert passed == scanned
+    if want is not None:
+        outcomes["refused"] += 1
+        return
+    assert (life, dropped) == _cycle_lifetimes(cycles)
+    sets = [edge_set(C) for C in cycles]
+    assert life == lifetimes_of(sets)
+    assert [alive_at(life, k) for k in range(len(cycles))] == sets
+    # the first step that drops a vertex, as whole vertex sets show it
+    assert dropped == next(
+        (
+            i
+            for i, (a, b) in enumerate(zip(cycles, cycles[1:]))
+            if not a.vertex_set <= b.vertex_set
+        ),
+        None,
+    )
+    failure = first_persistence_failure(sets)
+    assert _persistence_failure(life) == failure
+    outcomes["persistent" if failure is None else "broken"] += 1
+
+
 def test_cycle_lifetimes_match_whole_cycle_scans():
     outcomes = Counter()
     for seed in range(600):
@@ -815,42 +909,46 @@ def test_cycle_lifetimes_match_whole_cycle_scans():
             v: tuple(w for w in range(8) if w != v and rng.random() < 0.9)
             for v in range(8)
         }
-
-        def graph(asked):
-            return LazyGraph(
-                lambda v: asked.append(v) or adj[v], lambda F, v: True, 0
-            )
-
-        scanned, passed = [], []
-        want = first_cycle_failure(graph(scanned), SimpleNamespace(cycles=cycles))
-        try:
-            life, dropped = _cycle_lifetimes(cycles, graph(passed))
-            got = None
-        except InputError as exc:
-            got = str(exc)
-        assert got == want, seed
-        # the oracle is asked the same vertices in the same order
-        assert passed == scanned, seed
-        if want is not None:
-            outcomes["refused"] += 1
-            continue
-        assert (life, dropped) == _cycle_lifetimes(cycles)
-        sets = [edge_set(C) for C in cycles]
-        assert life == lifetimes_of(sets), seed
-        assert [alive_at(life, k) for k in range(len(cycles))] == sets, seed
-        # the first step that drops a vertex, as whole vertex sets show it
-        assert dropped == next(
-            (
-                i
-                for i, (a, b) in enumerate(zip(cycles, cycles[1:]))
-                if not a.vertex_set <= b.vertex_set
-            ),
-            None,
-        ), seed
-        failure = first_persistence_failure(sets)
-        assert _persistence_failure(life) == failure, seed
-        outcomes["persistent" if failure is None else "broken"] += 1
+        check_lifetimes(cycles, adj, outcomes)
     assert min(outcomes.values()) > 30, outcomes
+    # splice-shaped steps and their near misses, on a graph dense enough
+    # that most sequences pass
+    outcomes, steps = Counter(), Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        cycles = spliced_cycle_sequence(rng)
+        adj = {
+            v: tuple(w for w in range(40) if w != v and rng.random() < 0.99)
+            for v in range(40)
+        }
+        for a, b in zip(cycles, cycles[1:]):
+            P, Q = a.order, b.order
+            read = _splices(P, Q, a.vertex_set)
+            new, old, drops = _diffed_pairs(P, Q)
+            assert (read is not None) == is_splice(P, Q), (seed, P, Q)
+            if read is not None:
+                # the same pairs in the same order as the successor maps
+                # give, and no vertex drops
+                assert read == (new, old) and not drops, seed
+            steps[read is not None, len(Q) > len(P)] += 1
+        check_lifetimes(cycles, adj, outcomes)
+    assert min(outcomes.values()) > 30, outcomes
+    # splices, identical cycles, and longer cycles read as no splice
+    assert min(steps[True, True], steps[True, False], steps[False, True]) > 100, steps
+
+
+# the infinite-deep benchmark's shapes and those of the golden traces
+SPLICED_RUNS = sorted({(2, 24), (2, 32), (3, 28), *GOLDEN_DIGESTS})
+
+
+@pytest.mark.parametrize("n, depth", SPLICED_RUNS)
+def test_run_steps_are_read_as_splices(n, depth):
+    """Each step of these runs splices runs of new vertices into the
+    cycle before, so the verifier reads every one of them as splices
+    and none from successor maps."""
+    cycles = hamilton_sequence(gen_G_inf(n), depth).cycles
+    for k, (a, b) in enumerate(zip(cycles, cycles[1:])):
+        assert _splices(a.order, b.order, a.vertex_set) is not None, k
 
 
 def whole_set_cut_agreement(trace, edge_sets, cuts):
