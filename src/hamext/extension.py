@@ -80,7 +80,7 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     """Find the first applicable extension absorbing v, in kind order
     I, III, II with witnesses tried in ascending id order; v's row must
     be sorted, as FiniteGraph and the neighbour-oracle contract promise,
-    for kind I to return at the first anchor that fits.
+    for kinds I and II to try the anchors and helpers in that order.
 
     The degree condition guarantees success for any v with a neighbour
     on C; running out of candidates therefore signals a precondition
@@ -110,7 +110,7 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
                 continue
             if G.adjacent(up, yp):
                 return Extension("III", v, u, y=y)
-    outside = [x for x in sorted(nbrs) if x not in on and x != v]
+    outside = [x for x in nbrs if x not in on and x != v]
     for u, up in zip(anchors, ups):
         for x in outside:
             if G.adjacent(x, up):

@@ -34,27 +34,27 @@ checked for symmetry.  Otherwise the run checks the ball saturation
 starts from, so an input failing either is refused before
 saturation, and then each iteration's ball.  Each iteration takes
 N(C) for the blocker, and the ball for decompose, off the region.
-It searches the graph twice: two rings around N(C) give the
-vertices near C and the protected ones, and three rings around the
-blocker give every connector tree's required vertices and stage E's
-neighbourhoods.  Both conditions are properties of the graph, so a
-centre certified once is never checked again.  The run keeps one live
-cycle across its iterations and freezes it once per iteration for the
-trace; the ledger of what an enlargement gained and lost is what the
-next one grows the region by and checks for edges in G, and each end's
-ray walk resumes where it stopped.  No step of an iteration walks,
-copies or sets apart all of V(C) or the ball, in Python or at C
-speed: its loops and set operations run over what the cycle gained,
-the ball's frontier and the shell between V(C) and the frontier, so
-an iteration costs the same at every depth but for the two copies the
-trace keeps, the new cycle's order and K0, and the tables of a ball
-whose radius changed.
+It searches the graph twice: two rings around N(C) give the vertices
+near C and the cycle vertices an enlargement may rewire, and three
+rings around the blocker give every connector tree's required vertices
+and the ones stage E's coverage clause asks for; decompose's ball
+keeps both sets of rings off its frontier.  Both conditions are
+properties of the graph, so a centre certified once is never checked
+again.  The run keeps one live cycle across its iterations and freezes
+it once per iteration for the trace; the ledger of what an enlargement
+gained and lost is what the next one grows the region by and checks
+for edges in G, and each end's ray walk resumes where it stopped.  No
+step of an iteration walks, copies or sets apart all of V(C) or the
+ball, in Python or at C speed: its loops and set operations run over
+what the cycle gained, the ball's frontier and the shell between V(C)
+and the frontier, so an iteration costs the same at every depth but
+for the two copies the trace keeps, the new cycle's order and K0, and
+the tables of a ball whose radius changed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Set
-from itertools import chain, filterfalse, islice
+from itertools import chain, islice
 
 from .conditions import check_star_ball, star_on_ball
 from .errors import FrontierContamination, InputError, InvariantViolation
@@ -94,44 +94,6 @@ from .verify import verify_hc_extract
 
 # ---------------------------------------------------------------------------
 # cycle surgery
-
-
-class _Outside(Set):
-    """The vertices of ``inside`` not in ``out``, read in place: a set
-    difference that costs what ``out`` holds, not what ``inside`` does.
-    Set operations with it build frozensets."""
-
-    __slots__ = ("inside", "out", "_len")
-
-    def __init__(self, inside: Set[int], out: Set[int]) -> None:
-        self.inside, self.out = inside, out
-        self._len = len(inside) - len(out & inside)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.inside and v not in self.out
-
-    def __iter__(self) -> Iterator[int]:
-        return filterfalse(self.out.__contains__, self.inside)
-
-    def __len__(self) -> int:
-        return self._len
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset[int]:
-        return frozenset(it)
-
-
-def protected_vertices(G, cycle_vertices, nc=None, nnc=None) -> Set[int]:
-    """Cycle vertices outside N(C) and N(N(C)); an enlargement never
-    rewires an edge between two of them.  ``nc`` is N(C) and ``nnc``
-    N(N(C)) when the caller already has them.  The set is read in place
-    off the cycle's vertex set, which must not change while it is
-    read."""
-    if nc is None:
-        nc = neighborhood_k(G, cycle_vertices, 1)
-    if nnc is None:
-        nnc = neighborhood_k(G, nc, 1)
-    return _Outside(cycle_vertices, nnc | nc)
 
 
 class _RunCycle(LiveCycle):
@@ -353,17 +315,20 @@ class _RunCycle(LiveCycle):
 class _Rim:
     """What an enlargement of C may rewire, read once off a ball B
     around C that reaches three steps past N(C): ``nc`` is N(C),
-    ``near`` is N(C) with its second neighbourhood, ``protected`` the
-    cycle vertices outside N(C) and N(N(C)).  Both come from one search
-    of two rings around N(C)."""
+    ``near`` is N(C) with its second neighbourhood, and ``exposed`` the
+    cycle vertices in N(N(C)).  Both come from one search of two rings
+    around N(C).  N(C) misses C, so every other cycle vertex is
+    protected: an enlargement never rewires an edge between two of
+    them.  ``any_protected`` says whether C has one."""
 
-    __slots__ = ("nc", "near", "protected")
+    __slots__ = ("nc", "near", "exposed", "any_protected")
 
     def __init__(self, B: FiniteGraph, cycle_vertices, nc) -> None:
         self.nc = nc = frozenset(nc)
         first, second = neighborhood_rings(B, nc, 2)
         self.near = nc | first | second
-        self.protected = protected_vertices(B, cycle_vertices, nc, first)
+        self.exposed = first & cycle_vertices
+        self.any_protected = len(self.exposed) < len(cycle_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +395,9 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
     and ends in K_j, so it lies in K_j; so s is next to K_j and is a
     vertex of S_j, the separator vertices facing K_j, and w is at
     distance d from S_j too.  One search from script_S then serves every
-    part.  The piece answers for its whole component on N_3(script_S):
-    decompose's ball reaches 1 + ``BALL_MARGIN`` = 7 past C, and
-    script_S lies in N(C), so N_3(script_S) lies within 4 of C, inside
-    the ball's interior, where decompose identifies each component with
-    its piece.
+    part.  The piece answers for its whole component on N_3(script_S),
+    which lies inside the ball's interior (see decompose), where
+    decompose identifies each component with its piece.
     """
     required = n3 & K_j
     if not required:
@@ -501,7 +464,8 @@ class _MState:
 
     ``members`` is the set itself, (piece | included) - excluded, as one
     frozenset: stage C never changes it, and each stage D step that
-    moves vertices builds it again."""
+    moves vertices builds it again.  ``included`` starts as the part and
+    gains only what update_msets hands it, so it lies in S | N(S)."""
 
     __slots__ = ("piece", "part", "included", "excluded", "members")
 
@@ -560,10 +524,9 @@ class _CutBuilder:
         self.pieces = decomp.infinite_components
         self.script_S = decomp.script_S
         self.k = decomp.k
-        # the one search from the blocker, in G: N(S), which stage E
-        # reads, and N_3(S), which every tree and stage E read
-        rings = neighborhood_rings(G, self.script_S, 3)
-        self.n1, self.n3 = rings[0], frozenset().union(*rings)
+        # the one search from the blocker, in G: N_3(S), which every
+        # tree and stage E's coverage clause read
+        self.n3 = neighborhood_k(G, self.script_S, 3)
         self.trees = tuple(
             steiner_tree_T(G, self.parts[j], self.pieces[j], self.script_S, self.n3)
             for j in range(self.k)
@@ -859,6 +822,9 @@ class _CutBuilder:
         return a, succ[a]
 
     def update_msets(self, w1: int, w2: int, gained: tuple[int, ...]) -> None:
+        """Move ``gained``, stage D's separator vertex u and, when u came
+        in through a kind II step, its helper, a neighbour of u, into the
+        M sets of w1 or w2 and out of the others."""
         for m in self.msets:
             if w1 in m.members or w2 in m.members:
                 m.add(gained)
@@ -936,17 +902,9 @@ class _CutBuilder:
     # -- stage E: output clauses -------------------------------------------
 
     def check_output_clauses(self, cur: _RunCycle) -> tuple[CutWitness, ...]:
+        # S and N_3(S) lie within 4 of C, short of the ball's frontier
+        # (see decompose)
         B, script_S, n3 = self.B, self.script_S, self.n3
-        # the search in G meets the frontier exactly when the search in B
-        # does: up to its first frontier vertex, a path from script_S
-        # runs through the ball's interior, whose rows are G's.  Beyond
-        # it the two may differ, so the vertices named are B's
-        if not B.frontier.isdisjoint(n3 | script_S):
-            contaminated = (neighborhood_k(B, script_S, 3) | script_S) & B.frontier
-            raise FrontierContamination(
-                f"third neighbourhood reaches the frontier: "
-                f"{sorted(contaminated)[:6]}"
-            )
         missing = (script_S | n3).difference(cur._succ)
         # stage A left K0 on the cycle, and while only kinds I and II
         # rewire it since, no vertex leaves it
@@ -970,19 +928,6 @@ class _CutBuilder:
                     j=j,
                     vertices=sorted(bad_excluded),
                 )
-            stray = {
-                v
-                for v in m.included
-                if v not in self.pieces[j]
-                and v not in self.script_S
-                and v not in self.n1
-            }
-            if stray:
-                raise InvariantViolation(
-                    "M set contains vertices far from the separator",
-                    j=j,
-                    vertices=sorted(stray),
-                )
             crossing = self.cuts[j]
             require_twice(crossing, cur, "final M cut", j)
             witnesses.append(
@@ -997,9 +942,12 @@ class _CutBuilder:
             )
 
         # the ledger's lost edges, first in C's order, and its gained
-        # edges, in canonical order
-        C, protected, old = self.C, self.rim.protected, cur.base_vertices
-        vanished = [(a, b) for a, b in cur.lost if a in protected and b in protected]
+        # edges, in canonical order; a lost edge is an edge of C, so an
+        # end the rim does not expose is protected
+        C, exposed, old = self.C, self.rim.exposed, cur.base_vertices
+        vanished = [
+            (a, b) for a, b in cur.lost if a not in exposed and b not in exposed
+        ]
         if vanished:
             raise InvariantViolation(
                 "protected cycle edge vanished",
@@ -1037,7 +985,7 @@ def construct_cut1(
     cycle equal to C; it is rewired into the new cycle in place, and its
     ledger then holds the edges the new cycle gained and lost.
     """
-    if not rim.protected:
+    if not rim.any_protected:
         raise InputError(
             "every cycle vertex touches the cycle's second neighbourhood"
         )
@@ -1161,7 +1109,8 @@ def _saturate_initial(seed: Cycle, B: FiniteGraph) -> Cycle:
     C0 = saturate(B, seed, target_filter=fixed.__contains__)
     if not B.frontier.isdisjoint(neighborhood_k(B, C0.vertex_set, 2)):
         raise InvariantViolation("saturation reached the seed ball's frontier")
-    if not seed.vertex_set <= protected_vertices(B, C0.vertex_set):
+    # the seed misses N(N(C0)) exactly when N(seed) lies in C0
+    if not fixed <= C0.vertex_set:
         raise InvariantViolation("saturation left the seed exposed", seed=seed.order)
     return C0
 
@@ -1281,7 +1230,7 @@ class _RunState:
         decomp = decompose(self.G, C, region, self.claw_certified, gained)
         # V(C), kept by the region, which changes it at the next grow
         rim = _Rim(decomp.ball, region.layers[0], region.layers[1])
-        if not rim.protected:
+        if not rim.any_protected:
             raise InvariantViolation(
                 "cycle has no protected vertex; enlargement hypothesis broken"
             )

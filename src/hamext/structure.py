@@ -146,7 +146,8 @@ def _pieces(
 
 
 # how far past the blocker, which lies in N(C), decompose's first ball
-# reaches; the degree-condition check and the Steiner trees rely on it
+# reaches; the degree-condition check, the Steiner trees and stage E
+# of the enlargement rely on it
 BALL_MARGIN = 6
 
 
@@ -177,7 +178,11 @@ def decompose(
     ball, in ascending order of smallest member.  The blocker lies in
     N(C), so the ball reaches ``BALL_MARGIN`` past every separator
     vertex, and a piece answers for its component within distance
-    BALL_MARGIN - 1 of script_S.
+    BALL_MARGIN - 1 of script_S.  So script_S and its third
+    neighbourhood N_3(script_S) lie within 4 of C, and the frontier
+    lies at 1 + BALL_MARGIN = 7 or more.  The enlargement reads both
+    sets in the ball, where their rows are G's, and does not check
+    again that they miss the frontier.
 
     The balls come from ``region``, whose X must be V(C).  Unless the
     region is ``decided`` (G is then known to be claw-free), a claw

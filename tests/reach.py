@@ -53,21 +53,6 @@ ALLOWED = (
         "sys.exit(main())",
         "runs only when cli.py is the main program; the tests call main()",
     ),
-    (
-        "infinite._CutBuilder.check_output_clauses",
-        "contaminated = (neighborhood_k(B, script_S, 3) | script_S) & B.frontier",
-        "stage E's frontier check, before its raise: construct_cut1 takes "
-        "the decomposition decompose made, whose ball reaches 1 + "
-        "BALL_MARGIN = 7 past C, while S and N_3(S) lie within 4 of C",
-    ),
-    (
-        "infinite._CutBuilder.check_output_clauses",
-        "v",
-        "the element of the stray M-set members, which are raised on: an "
-        "M set starts as its part, in S, and gains only stage D's separator "
-        "vertex u and u's kind II helper, a neighbour of u, so all lie in "
-        "S or N(S)",
-    ),
 )
 
 

@@ -422,6 +422,32 @@ def test_construct_cut1_gz3():
         assert len(w.crossing_edges) == 2
 
 
+@pytest.mark.parametrize("n, depth", [(2, 12), (3, 8), (5, 4)])
+def test_stage_e_reads_what_decompose_and_stage_d_fix(monkeypatch, n, depth):
+    # stage E checks neither: decompose's ball keeps S and N_3(S) within
+    # 4 of C and off its frontier, and stage D adds to an M set only
+    # vertices of S and their neighbours
+    G = gen_G_inf(n)
+    blockers = []
+
+    def checked(G, C, region, *rest):
+        decomp = decompose(G, C, region, *rest)
+        S = decomp.script_S
+        near = S | neighborhood_k(G, S, 3)
+        assert near <= set().union(*region.layers[:5])
+        assert near.isdisjoint(decomp.ball.frontier)
+        blockers.append(S)
+        return decomp
+
+    monkeypatch.setattr(infinite, "decompose", checked)
+    trace = hamilton_sequence(G, depth)
+    assert list(trace.blockers) == blockers
+    for S, wits in zip(trace.blockers, trace.witnesses):
+        around = S | neighborhood_k(G, S, 1)
+        for w in wits:
+            assert w.included <= w.part | around
+
+
 # ---------------------------------------------------------------------------
 # the driver
 

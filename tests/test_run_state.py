@@ -32,7 +32,6 @@ from hamext.infinite import (
     _saturate_initial,
     construct_cut1,
     hamilton_sequence,
-    protected_vertices,
     require_twice,
     steiner_tree_T,
 )
@@ -154,6 +153,12 @@ def _defect_family(n, f0, kind):
         return None
 
     return _make_double_ray_family(size, edges, max(4, n), {"family": "test"})
+
+
+def protected_vertices(G, cycle_vertices):
+    """The cycle vertices outside N(C) and N(N(C)), as whole sets."""
+    nc = neighborhood_k(G, cycle_vertices, 1)
+    return set(cycle_vertices) - nc - neighborhood_k(G, nc, 1)
 
 
 def _reference_failure(G, depth):
@@ -288,20 +293,19 @@ def test_asymmetric_row_at_a_representative_is_refused_by_the_decision(monkeypat
 # one rim per iteration
 
 
-def test_protected_vertices_runs_once_per_iteration(monkeypatch):
+def test_rim_is_built_once_per_iteration(monkeypatch):
     calls = []
-    protected = infinite.protected_vertices
+    rim = infinite._Rim
 
     def counting(*args):
-        calls.append(len(args[1]))
-        return protected(*args)
+        calls.append(args)
+        return rim(*args)
 
-    monkeypatch.setattr(infinite, "protected_vertices", counting)
+    monkeypatch.setattr(infinite, "_Rim", counting)
     for n, depth in RUNS:
         calls.clear()
         hamilton_sequence(gen_G_inf(n), depth)
-        # one for the saturated seed, then one per iteration
-        assert len(calls) == depth + 1
+        assert len(calls) == depth
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -315,7 +319,8 @@ def test_rim_matches_lazy_graph_sets(n):
         second = frozenset(w for v in nc for w in G.neighbors(v)) - nc
         third = frozenset(w for v in second for w in G.neighbors(v)) - nc
         assert rim.near == nc | second | third
-        assert rim.protected == C.vertex_set - nc - second
+        assert rim.exposed == C.vertex_set & second
+        assert rim.any_protected == (rim.exposed != C.vertex_set)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hamext"
 # qualified name (module, class, function): why nothing in src calls it
 EXEMPT = {
     "cli.main": "the console script that pyproject.toml installs",
-    "infinite._Outside._from_iterable": (
-        "the collections.abc.Set hook that Set's operators build results with"
-    ),
 }
 # called or wrapped by name only by the benchmark in perfbench/; once its
 # tracer wraps what the package runs instead, these leave src or this list
