@@ -189,14 +189,11 @@ def _cmd_ham(args: argparse.Namespace) -> int:
     C = extend_to_hamilton(G, seed)
     if args.trace is not None:
         C0 = seed if seed is not None else find_initial_cycle(G)
-        steps = _replay_extensions(G, C0)
-        final = steps[-1]["cycle"] if steps else cycle_to_json_obj(C0)
-        if tuple(final) != C.order:
-            raise InvariantViolation("extension replay diverged from result")
+        # saturate's loop, run again from the same start cycle, ends on C
         trace = {
             "graph": graph_to_json_obj(G),
             "initial": cycle_to_json_obj(C0),
-            "steps": steps,
+            "steps": _replay_extensions(G, C0),
         }
         _write_text(args.trace, dumps_json(trace) + "\n")
     if args.dot is not None:

@@ -182,7 +182,10 @@ def decompose(
     neighbourhood N_3(script_S) lie within 4 of C, and the frontier
     lies at 1 + BALL_MARGIN = 7 or more.  The enlargement reads both
     sets in the ball, where their rows are G's, and does not check
-    again that they miss the frontier.
+    again that they miss the frontier.  K0, X's piece, misses the
+    frontier, or the ball would grow, and is connected through V(C), as
+    only components that meet N(C) join it (see _pieces); each separator
+    vertex lies in N(C), so it has a neighbour on C, in K0.
 
     The balls come from ``region``, whose X must be V(C).  Unless the
     region is ``decided`` (G is then known to be claw-free), a claw
@@ -264,11 +267,6 @@ def decompose(
             "separator vertices facing no infinite component",
             vertices=sorted(unassigned),
         )
-    for s in sorted(script_S):
-        if not any(w in own for w in B.neighbors(s)):
-            raise InvariantViolation(
-                f"separator vertex {s} has no neighbour in the finite component"
-            )
 
     return SeparatorDecomposition(
         script_S=script_S,

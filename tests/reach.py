@@ -17,10 +17,12 @@ lines are reported by statement: each joins the widest statement or
 ``except`` clause around it that no test enters, and is named by that
 statement's first line.  Lines of a ``raise`` statement, and of an
 ``except`` clause whose body is a single ``raise``, are refusals and
-are exempt.  The check fails when any other statement is reached by no
-test and is not on ``ALLOWED``, when a line that ``ALLOWED`` names is
-reached, and when an entry of ``ALLOWED`` names no unreached statement.
-``--list`` prints every unreached statement, the exempt ones included.
+are exempt, up to ``UNREACHED_RAISES`` of them.  The check fails when
+more raise statements than that are reached by no test, when any other
+statement is reached by no test and is not on ``ALLOWED``, when a line
+that ``ALLOWED`` names is reached, and when an entry of ``ALLOWED``
+names no unreached statement.  ``--list`` prints every unreached
+statement, the exempt ones included.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ ALLOWED = (
         "runs only when cli.py is the main program; the tests call main()",
     ),
 )
+
+# how many raise statements may go unreached: a raise no test reaches
+# is argued beside it, and a new one needs a test or this bound raised
+UNREACHED_RAISES = 37
 
 
 def _statements(tree: ast.AST):
@@ -212,7 +218,7 @@ def check(reached: dict[str, set[int]], verbose: bool = False) -> list[str]:
     counts, and with ``verbose`` every unreached line."""
     allowed = {(name, text) for name, text, _ in ALLOWED}
     used, failures = set(), []
-    total = unreached = exempt_lines = allowed_lines = 0
+    total = unreached = exempt_lines = allowed_lines = raises = 0
     for path in sorted(SRC.glob("*.py")):
         hit = reached.get(path.name, set())
         lines, spans = source_lines(path)
@@ -235,6 +241,7 @@ def check(reached: dict[str, set[int]], verbose: bool = False) -> list[str]:
             if verbose:
                 print(f"unreached{' (raise)' if exempt else ''}: {where}")
             if exempt:
+                raises += 1
                 exempt_lines += len(group)
             elif key in allowed:
                 used.add(key)
@@ -245,10 +252,15 @@ def check(reached: dict[str, set[int]], verbose: bool = False) -> list[str]:
         f"allowed statement not found unreached: [{name}] {text}"
         for name, text in sorted(allowed - used)
     ]
+    if raises > UNREACHED_RAISES:
+        failures.append(
+            f"{raises} raise statements reached by no test, over the "
+            f"{UNREACHED_RAISES} UNREACHED_RAISES allows"
+        )
     print(
         f"{total} executable lines in src/hamext, {unreached} reached by no "
-        f"test: {exempt_lines} in raises, {allowed_lines} allowed, "
-        f"{unreached - exempt_lines - allowed_lines} elsewhere"
+        f"test: {exempt_lines} in {raises} raise statements, {allowed_lines} "
+        f"allowed, {unreached - exempt_lines - allowed_lines} elsewhere"
     )
     return failures
 

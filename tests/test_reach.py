@@ -1,6 +1,6 @@
 """The reach check of ``tests/reach.py``, without its traced runs: how it
-reads a source file, and that its allow-list names statements of
-``src/hamext``."""
+reads a source file, that its allow-list names statements of
+``src/hamext``, and that it bounds the unreached raise statements."""
 
 import textwrap
 
@@ -45,6 +45,9 @@ def test_raises_are_exempt_and_unreached_lines_join_their_statement(tmp_path):
 
 def test_allow_list_is_short_and_names_statements_of_src():
     assert len(reach.ALLOWED) <= 2
+    # the unreached raise statements may not grow: a new one needs a
+    # test, or an argued edit of this bound
+    assert reach.UNREACHED_RAISES <= 37
     found = set()
     for path in sorted(reach.SRC.glob("*.py")):
         lines, _ = reach.source_lines(path)
@@ -52,3 +55,15 @@ def test_allow_list_is_short_and_names_statements_of_src():
     for name, text, why in reach.ALLOWED:
         assert (name, text) in found, (name, text)
         assert why.strip()
+
+
+def test_check_fails_past_the_unreached_raise_bound(monkeypatch, capsys):
+    # every line of src reached but the raises'
+    reached = {}
+    for path in sorted(reach.SRC.glob("*.py")):
+        lines, _ = reach.source_lines(path)
+        reached[path.name] = {line for line, row in lines.items() if not row[2]}
+    message = f"over the {reach.UNREACHED_RAISES} UNREACHED_RAISES allows"
+    assert [f for f in reach.check(reached) if message in f]
+    monkeypatch.setattr(reach, "UNREACHED_RAISES", 10**6)
+    assert not [f for f in reach.check(reached) if "UNREACHED_RAISES" in f]
