@@ -11,7 +11,8 @@ rewirings, each anchored at cycle vertices adjacent to v:
 
 Under the degree condition at least one of the three always applies, so
 the finder does a plain exhaustive witness search in a fixed order and
-treats exhaustion as an invariant violation rather than a result.
+treats exhaustion as an invariant violation rather than a result.  It
+checks each fact of a step once, and applying the step checks none again.
 
 The finite constructor is one loop, iter_extensions: absorb the
 smallest admissible target, rewire, repeat.  It keeps the admissible
@@ -35,6 +36,7 @@ from .graphcore import Cycle, FiniteGraph, LazyGraph, Record, verify_cycle
 Graph = FiniteGraph | LazyGraph
 
 KINDS = ("I", "II", "III")
+_new = object.__new__
 
 
 class Extension(Record):
@@ -82,6 +84,8 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     be sorted, as FiniteGraph and the neighbour-oracle contract promise,
     for kinds I and II to try the anchors and helpers in that order.
 
+    It checks every fact of the step it returns, so LiveCycle.apply and the
+    loop do not: v off C, anchors on C and apart, helper off C, edges in G.
     The degree condition guarantees success for any v with a neighbour
     on C; running out of candidates therefore signals a precondition
     failure or a bug and raises InvariantViolation.
@@ -96,10 +100,13 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
     if v in on:
         raise InputError(f"target {v} already lies on the cycle")
     nbrs = G.neighbors(v)
+    # b in near(a) is G.adjacent(a, b), read off a finite graph's sets
+    near = G._adjsets.__getitem__ if isinstance(G, FiniteGraph) else G.neighbors
+    row = near(v)
     anchors = []
     for u in filter(on.__contains__, nbrs):
-        if G.adjacent(v, succ(u)):
-            return Extension("I", v, u)
+        if succ(u) in row:
+            return _found("I", v, u)
         anchors.append(u)
     if not anchors:
         raise InputError(f"target {v} has no neighbour on the cycle")
@@ -108,20 +115,31 @@ def find_extension(G: Graph, C: Cycle | LiveCycle, v: int) -> Extension:
         for y, yp in zip(anchors, ups):
             if y == u or y == up or yp == u:
                 continue
-            if G.adjacent(up, yp):
-                return Extension("III", v, u, y=y)
+            if yp in near(up):
+                return _found("III", v, u, None, y)
     outside = [x for x in nbrs if x not in on and x != v]
     for u, up in zip(anchors, ups):
         for x in outside:
-            if G.adjacent(x, up):
-                return Extension("II", v, u, x=x)
+            if up in near(x):
+                return _found("II", v, u, x)
     raise InvariantViolation(
         f"no extension absorbs target {v}; the degree condition cannot hold here",
         cycle=C.order,
         target=v,
         anchors=tuple(anchors),
-        neighborhood=tuple(G.neighbors(v)),
+        neighborhood=tuple(nbrs),
     )
+
+
+def _found(kind: str, v: int, u: int, x: int | None = None, y: int | None = None):
+    """find_extension's Extension, without the checks of the kind it chose."""
+    e = _new(Extension)
+    e.kind = kind
+    e.target = v
+    e.u = u
+    e.x = x
+    e.y = y
+    return e
 
 
 class LiveCycle:
@@ -170,12 +188,11 @@ class LiveCycle:
         return Cycle._of(self.order)
 
     def apply(self, e: Extension) -> None:
-        """Rewire in place according to e, after the structural checks
-        of _check_rewiring.  Kinds I and II keep the head; kind III
-        makes the target the head and reverses the arc u+ .. y.
+        """Rewire in place according to e, unchecked, as find_extension
+        checked it (apply_extension checks others).  Kinds I and II keep
+        the head; kind III makes the target the head and reverses u+ .. y.
         """
         v, u, succ = e.target, e.u, self._succ
-        _check_rewiring(e, succ, succ.__getitem__)
         up = succ[u]
         self._order = None
         if e.kind == "I":
@@ -218,9 +235,10 @@ def _check_rewiring(e: Extension, on, succ) -> None:
 
 
 def apply_extension(C: Cycle, e: Extension) -> Cycle:
-    """C rewired according to e, as LiveCycle.apply leaves it; only
-    tests and perfbench/tracer.py call it."""
+    """C rewired according to e, after _check_rewiring, as LiveCycle.apply
+    leaves it; only tests and perfbench/tracer.py call it."""
     live = LiveCycle(C)
+    _check_rewiring(e, live._succ, live._succ.__getitem__)
     live.apply(e)
     return live.freeze()
 
@@ -277,13 +295,11 @@ def iter_extensions(
         # C0 a later step reaches is dropped when it reaches the top
         heap.extend(sorted(targets))
         seen.update(heap)
-    if isinstance(C0, LiveCycle):
-        C = C0
-    else:
-        C = LiveCycle(C0) if heap else None
+    C = C0 if isinstance(C0, LiveCycle) else LiveCycle(C0)
+    on = C._succ
     while heap:
         v = heappop(heap)
-        if v in C:
+        if v in on:
             continue
         e = find_extension(G, C, v)
         C.apply(e)
@@ -345,8 +361,8 @@ def extend_to_hamilton(G: FiniteGraph, seed: Cycle | None = None) -> Cycle:
     """Hamilton cycle of a connected graph meeting the degree condition.
 
     Starts from seed (or a smallest triangle / 4-cycle) and runs the
-    unrestricted extension loop to the end.  The result is re-validated before
-    it is returned.
+    unrestricted extension loop to the end.  Each edge was checked in G as
+    it came in, and no step repeats a vertex, so |V| vertices span G.
     """
     if len(G.vertices) < 3:
         raise InputError("need at least three vertices")
@@ -363,8 +379,7 @@ def extend_to_hamilton(G: FiniteGraph, seed: Cycle | None = None) -> Cycle:
         if not report.ok:
             raise InputError(f"seed cycle invalid: {report.reason}")
     C = saturate(G, seed or find_initial_cycle(G))
-    report = verify_cycle(G, C)
-    if not report.is_hamiltonian:
+    if len(C) != len(G.vertices):
         raise InvariantViolation(
             "extension sequence stalled before spanning",
             cycle=C.order,

@@ -189,7 +189,7 @@ class _RunCycle(LiveCycle):
 
     def apply(self, e: Extension) -> tuple[list[Edge], list[Edge]]:
         # the edges the step swaps, each as a pair (a, b) with b the
-        # successor of a before or after; LiveCycle.apply checks e
+        # successor of a before or after; e's finder checked it
         u, v, succ = e.u, e.target, self._succ
         up = succ.get(u)
         if e.kind == "I":
@@ -544,20 +544,16 @@ class _CutBuilder:
 
     # -- shared helpers ----------------------------------------------------
 
-    def guarded_neighbors(self, v: int) -> tuple[int, ...]:
-        if v in self.B.frontier:
-            raise FrontierContamination(
-                f"construction touched frontier vertex {v}"
-            )
-        return self.B.neighbors(v)
-
     def guard(self, vertices) -> None:
-        """Read the neighbours of each vertex, in order, through the
-        frontier guard.  Cycle vertices never leave, so guarding the
-        start cycle and then each newly absorbed vertex raises on the
-        same vertex and step as guarding the whole cycle every step."""
+        """Read each vertex's row, in order, unless it is on the frontier.
+        Cycle vertices never leave, so guarding the start cycle and then
+        each newly absorbed vertex raises on the same vertex and step as
+        guarding the whole cycle every step.  Stages B and D read rows of
+        S unguarded: decompose puts S in N(C), 7 or more from the frontier."""
         for v in vertices:
-            self.guarded_neighbors(v)
+            if v in self.B.frontier:
+                raise FrontierContamination(f"construction touched frontier vertex {v}")
+            self.B.neighbors(v)
 
     def guard_cycle(self, cur: _RunCycle) -> None:
         """guard(cur.order), with the cycle walked only when one of its
@@ -613,7 +609,7 @@ class _CutBuilder:
 
     def entry(self, v: int, j: int) -> int:
         """v's smallest neighbour in piece j."""
-        return min(w for w in self.guarded_neighbors(v) if w in self.pieces[j])
+        return min(w for w in self.B.neighbors(v) if w in self.pieces[j])
 
     def part_index(self, v: int) -> int | None:
         for j, part in enumerate(self.parts):
@@ -654,14 +650,11 @@ class _CutBuilder:
         """The extension absorbing a component vertex next to s1, with
         the path it threads: the second separator vertex comes in for
         free and closes the path."""
-        inside = sorted(
-            w for w in self.guarded_neighbors(s1) if w in self.pieces[j]
-        )
-        if not inside:
+        a = min((w for w in self.B.neighbors(s1) if w in self.pieces[j]), default=None)
+        if a is None:
             raise InvariantViolation(
                 f"separator vertex {s1} sees nothing in its component", j=j
             )
-        a = inside[0]
         e = find_extension(self.B, D, a)
         if e.kind != "II" or e.u != s1:
             raise InvariantViolation(
@@ -837,10 +830,11 @@ class _CutBuilder:
             if not leftovers:
                 return cur
             u = leftovers[0]
-            nbrs_on = {w for w in self.guarded_neighbors(u) if w in cur}
+            nbrs_on = {w for w in self.B.neighbors(u) if w in cur}
             pair = self.consecutive_pair(cur, nbrs_on)
             if pair is not None:
                 w1, w2 = pair
+                # u is off the cycle, w1 on it, and u sees w1 and w2
                 cur.apply(Extension("I", u, w1))
                 gained = (u,)
                 self.update_msets(w1, w2, gained)
@@ -885,6 +879,7 @@ class _CutBuilder:
                 raise InvariantViolation(
                     f"fresh helper {h} is not a separator vertex", u=u
                 )
+            # e fits cur as aux: u, h are off cur, w1 and its successor w2 on
             cur.apply(e)
         else:
             cur.join(cur.drop(h), cur.reroute((w1, w2), (w1, u, h, w2)))

@@ -96,8 +96,8 @@ def reference_thread_through_helper(b, cur, j, s1, e):
         )
 
     if ell == j:
-        a = min(w for w in b.guarded_neighbors(s1) if w in b.pieces[j])
-        bb = min(w for w in b.guarded_neighbors(x) if w in b.pieces[j])
+        a = min(w for w in b.B.neighbors(s1) if w in b.pieces[j])
+        bb = min(w for w in b.B.neighbors(x) if w in b.pieces[j])
         through = b.trees[j].path(a, bb)
         new_arc = (s1, *through, x)
         cur = replace_arc(D, (s1, x), new_arc)
@@ -121,8 +121,8 @@ def reference_thread_through_helper(b, cur, j, s1, e):
             )
         oriented = old_path if old_path[-1] == z else tuple(reversed(old_path))
         s_other = oriented[0]
-        a2 = min(w for w in b.guarded_neighbors(s_other) if w in b.pieces[ell])
-        b2 = min(w for w in b.guarded_neighbors(x) if w in b.pieces[ell])
+        a2 = min(w for w in b.B.neighbors(s_other) if w in b.pieces[ell])
+        b2 = min(w for w in b.B.neighbors(x) if w in b.pieces[ell])
         through = b.trees[ell].path(a2, b2)
         new_arc = (s_other, *through, x)
         D2 = replace_arc(D, oriented + (x,), new_arc)
@@ -178,7 +178,7 @@ def reference_stage_absorb_separator(b, cur):
                 leftovers=leftovers,
             )
         u = leftovers[0]
-        nbrs_on = {w for w in b.guarded_neighbors(u) if w in cur}
+        nbrs_on = {w for w in b.B.neighbors(u) if w in cur}
         pair = b.consecutive_pair(cur, nbrs_on)
         if pair is not None:
             w1, w2 = pair

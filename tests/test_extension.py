@@ -490,3 +490,51 @@ def test_find_extension_matches_reference_on_gz2():
         G, Cycle((0, 2, 1, 3)), targets, window.__contains__, frozen=False
     )
     assert {"I", "InputError"} <= seen
+
+
+def checked_finder(monkeypatch):
+    """Route every find_extension call through one that asserts that
+    the reference finds the same witnesses, on the cycle as it stands
+    before the step.  Returns the kinds found, in call order, for each
+    module whose binding was called: the extension loop's, which stages
+    A and C and the finite constructor run, and the infinite module's
+    own, which stages B and D call."""
+    import hamext.extension
+    import hamext.infinite
+
+    found = {}
+    for module in (hamext.extension, hamext.infinite):
+        kinds = found[module.__name__] = []
+
+        def checking(G, C, v, kinds=kinds):
+            e = find_extension(G, C, v)
+            assert e == reference_find_extension(G, C, v)
+            kinds.append(e.kind)
+            return e
+
+        monkeypatch.setattr(module, "find_extension", checking)
+    return found
+
+
+@pytest.mark.parametrize("q, n", sorted(GOLDEN_ORDERS))
+def test_every_step_matches_reference_on_benchmark_shapes(q, n, monkeypatch):
+    # GOLDEN_ORDERS pins the final orders; this pins each step's witnesses
+    found = checked_finder(monkeypatch)
+    G = relabelled_G(q, n, seed=1)
+    start = find_initial_cycle(G)
+    C = extend_to_hamilton(G)
+    kinds = found["hamext.extension"]
+    # every vertex off the start cycle came in through a checked step
+    assert len(start) + len(kinds) + kinds.count("II") == len(C) == len(G.vertices)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 6), (3, 4)])
+def test_every_stage_step_matches_reference_on_gz(n, depth, monkeypatch):
+    from hamext.infinite import hamilton_sequence
+
+    found = checked_finder(monkeypatch)
+    hamilton_sequence(gen_G_inf(n), depth)
+    # the loop ran, and at every iteration stage B threaded both ends'
+    # parts, each through one forced kind II step
+    assert "I" in found["hamext.extension"]
+    assert found["hamext.infinite"].count("II") == 2 * depth

@@ -327,8 +327,9 @@ def _rescan_stage_c(b, cur):
         missing = wanted - cur.vertex_set
         if not missing:
             return cur
+        b.guard(cur.order)
         targets = sorted(
-            v for u in cur.order for v in b.guarded_neighbors(u) if v in missing
+            v for u in cur.order for v in b.B.neighbors(u) if v in missing
         )
         if not targets:
             raise InvariantViolation(

@@ -568,7 +568,7 @@ def _rescan_stage_d(b, cur):
                 "separator absorption failed to terminate", leftovers=leftovers
             )
         u = leftovers[0]
-        nbrs_on = {w for w in b.guarded_neighbors(u) if w in cur.vertex_set}
+        nbrs_on = {w for w in b.B.neighbors(u) if w in cur.vertex_set}
         pair = next(
             (
                 (a, cur.succ(a))
