@@ -1018,13 +1018,11 @@ def cycle_from_json_obj(obj: object) -> Cycle:
     return Cycle(ids_from_json_obj(obj, "cycle"))
 
 
-def graph_to_dot(
-    G: FiniteGraph, highlight: Iterable[Edge] = (), name: str = "G"
-) -> str:
+def graph_to_dot(G: FiniteGraph, highlight: Iterable[Edge] = ()) -> str:
     """Graphviz source for the graph, optionally bolding a set of edges;
     each label is quoted, with its backslashes and double quotes escaped."""
     hset = {canonical_edge(*e) for e in highlight}
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in G.vertices:
         if G.labels is not None and v in G.labels:
             label = G.labels[v].replace("\\", "\\\\").replace('"', '\\"')

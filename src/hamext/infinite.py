@@ -14,6 +14,10 @@ The construction follows five stages:
   D  absorb leftover separator vertices, maintaining the M sets,
   E  check the three output clauses and freeze the certificates.
 
+Stages B and C and the Steiner trees do not check again what decompose
+or the step before settles; thread_part, steiner_tree_T and
+stage_absorb_trees argue it once.
+
 The cycle edges crossing each M set are read from the cycle once per
 enlargement, after stage B; stages C and D update them from the edges
 each step swaps and check them, and stage E reads what stage D checked
@@ -344,9 +348,9 @@ class SteinerTree(Record):
         self.edges = edges
 
     def path(self, a: int, b: int) -> tuple[int, ...]:
-        """The unique a-b path along tree edges."""
-        if a not in self.vertices or b not in self.vertices:
-            raise InputError("path endpoints must be tree vertices")
+        """The unique a-b path along tree edges: stage B asks only for
+        entry vertices of the tree's part, which the tree holds, and the
+        tree is connected (see steiner_tree_T)."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             adj[u].append(v)
@@ -361,8 +365,6 @@ class SteinerTree(Record):
                         parent[w] = u
                         nxt.append(w)
             ring = nxt
-        if b not in parent:
-            raise InvariantViolation("tree is not connected", a=a, b=b)
         out = [b]
         while out[-1] != a:
             out.append(parent[out[-1]])
@@ -373,11 +375,12 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
     """Finite tree inside the component K_j covering N_3(S_j) there.
 
     Required vertices are joined one at a time by shortest paths that
-    stay inside the component; connectivity of the component guarantees
-    termination.  ``K_j`` is the component's piece, which decides which
-    of N_3(S_j) is required.  The path search only steps from a vertex
-    of K_j to a neighbour, which lies in K_j iff it is not in the whole
-    separator ``script_S``, so it tests that instead of asking K_j.
+    stay inside the component, which is connected, so every goal is
+    found and the tree is connected.  ``K_j`` is the component's piece,
+    which decides which of N_3(S_j) is required.  The path search only
+    steps from a vertex of K_j to a neighbour, which lies in K_j iff it
+    is not in the whole separator ``script_S``, so it tests that instead
+    of asking K_j.
 
     A search from the whole tree would first scan the tree in id order,
     and so find each vertex next to the tree from its smallest tree
@@ -399,14 +402,12 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
     part.  The piece answers for its whole component on N_3(script_S),
     which lies inside the ball's interior (see decompose), where
     decompose identifies each component with its piece.
+
+    The required set is not empty and holds every entry vertex stage B
+    asks the tree for: a neighbour in K_j of S_j, the non-empty set of
+    separator vertices next to K_j, lies in N_1(script_S).
     """
-    required = n3 & K_j
-    if not required:
-        raise InvariantViolation(
-            "separator has no third neighbourhood inside its component",
-            part=sorted(S_j),
-        )
-    todo = sorted(required)
+    todo = sorted(n3 & K_j)
     tree_vertices = {todo[0]}
     tree_edges: set[Edge] = set()
     touch: dict[int, int] = {}
@@ -427,13 +428,7 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
             parent = dict(zip(tree_vertices, tree_vertices))
             parent.update(touch)
             ring = sorted(touch)
-            found = False
-            while not found:
-                if not ring:
-                    raise InvariantViolation(
-                        "required vertex unreachable inside its component",
-                        goal=goal,
-                    )
+            while ring and goal not in parent:
                 nxt = []
                 for u in ring:
                     for w in G.neighbors(u):
@@ -441,8 +436,6 @@ def steiner_tree_T(G: LazyGraph, S_j, K_j, script_S, n3) -> SteinerTree:
                             continue
                         parent[w] = u
                         nxt.append(w)
-                        if w == goal:
-                            found = True
                 ring = sorted(nxt)
         v = goal
         while v not in tree_vertices:
@@ -647,30 +640,29 @@ class _CutBuilder:
     def forced_two_step(
         self, D, s1: int, j: int
     ) -> tuple[Extension, tuple[int, ...]]:
-        """The extension absorbing a component vertex next to s1, with
-        the path it threads: the second separator vertex comes in for
-        free and closes the path."""
-        a = min((w for w in self.B.neighbors(s1) if w in self.pieces[j]), default=None)
-        if a is None:
-            raise InvariantViolation(
-                f"separator vertex {s1} sees nothing in its component", j=j
-            )
+        """The kind II step at s1 that absorbs a = entry(s1, j) once s1
+        is on D, and the path (s1, a, s2) it threads, with its helper s2
+        in S_j (see thread_part)."""
+        a = self.entry(s1, j)
         e = find_extension(self.B, D, a)
-        if e.kind != "II" or e.u != s1:
-            raise InvariantViolation(
-                "component absorption was not the forced two-vertex kind",
-                extension=e.to_json_obj(),
-                j=j,
-            )
-        s2 = e.x
-        if s2 not in self.parts[j]:
-            raise InvariantViolation(
-                f"second endpoint {s2} is not in the expected separator part",
-                j=j,
-            )
-        return e, (s1, a, s2)
+        return e, (s1, a, e.x)
 
     def thread_part(self, cur: _RunCycle, j: int) -> _RunCycle:
+        """Absorb s1 = min(S_j) and thread a path from it through piece j
+        back to S_j, stored in paths[j].
+
+        Stage A adds only K0, and each part only s1, a helper from its
+        own part and the path between them through its piece; the
+        earlier-part branch swaps z for x in S_ell and re-ends paths[ell]
+        through tree ell.  So before part j the cycle meets each S_ell,
+        ell < j, in the two ends of paths[ell], and no later part or
+        piece.  entry(s1, j) finds a, as S_j is the separator vertices
+        next to piece j; a's neighbours off the piece lie in S_j, as
+        decompose refuses a separator vertex next to two pieces, so s1 is
+        a's only cycle neighbour.  find_extension then returns neither
+        kind I (s1's successor would be a second one) nor kind III (it
+        needs two anchors), and its kind II helper, next to a and to s1's
+        successor, which is off piece j and S_j, lies in S_j."""
         s1 = min(self.parts[j])
         e = find_extension(self.B, cur, s1)
         if e.kind in ("I", "III"):
@@ -711,8 +703,8 @@ class _CutBuilder:
             raise InvariantViolation(
                 f"helper {x} is in foreign part {ell}", s1=s1, y=y, z=z, ell=ell, x=x
             )
-        # by stage A (cycle in K0) and check_threading_invariants after each
-        # earlier part, ell < j and z ends paths[ell], which has an interior
+        # z is a cycle vertex of S_ell, so (see thread_part) ell < j and z
+        # ends paths[ell], which has an interior
         old_path = self.paths[ell]
         oriented = old_path if old_path[-1] == z else tuple(reversed(old_path))
         s_other = oriented[0]
@@ -725,54 +717,16 @@ class _CutBuilder:
         e2, self.paths[j] = self.forced_two_step(cur, s1, j)
         cur.join(*steps, cur.apply(e2))
 
-    def check_threading_invariants(self, cur: _RunCycle, upto: int) -> None:
-        for ell in range(upto + 1):
-            path = self.paths[ell]
-            if path is None:
-                raise InvariantViolation("missing path", ell=ell)
-            for a, b in zip(path, path[1:]):
-                if not (
-                    a in cur and b in cur and b in (cur.succ(a), cur.pred(a))
-                ):
-                    raise InvariantViolation(
-                        "stored path edge left the cycle",
-                        ell=ell,
-                        edge=canonical_edge(a, b),
-                    )
-            seen_sep = sorted(s for s in self.parts[ell] if s in cur)
-            if len(seen_sep) != 2:
-                raise InvariantViolation(
-                    f"cycle holds {len(seen_sep)} vertices of part {ell}, "
-                    "expected 2",
-                    vertices=seen_sep,
-                )
-            if set(seen_sep) != {path[0], path[-1]}:
-                raise InvariantViolation(
-                    "path endpoints disagree with separator vertices on cycle",
-                    ell=ell,
-                )
-            interior = set(path[1:-1])
-            if not interior:
-                raise InvariantViolation("path has empty interior", ell=ell)
-            if not interior <= self.pieces[ell]:
-                raise InvariantViolation(
-                    "path interior left its component", ell=ell
-                )
-        for later in range(upto + 1, self.k):
-            spill = {v for v in self.parts[later] | self.pieces[later] if v in cur}
-            if spill:
-                raise InvariantViolation(
-                    "cycle entered an unprocessed part",
-                    later=later,
-                    vertices=sorted(spill),
-                )
-
     # -- stage C: absorb the trees, cuts stay tight ------------------------
     # One iter_extensions run over the tree vertices.  No vertex changes
     # its M set here, so msets[j] is parts[j] | pieces[j] throughout and
     # the kept cuts follow the edges each rewiring swaps.
 
     def stage_absorb_trees(self, cur: _RunCycle) -> _RunCycle:
+        """Absorb every tree vertex, checking the cuts after each step.
+        Each tree is connected and holds paths[j][1], an entry vertex on
+        the cycle, so the loop admits every tree vertex before its heap
+        runs out."""
         wanted = frozenset().union(*(tree.vertices for tree in self.trees))
         missing = set(wanted.difference(cur._succ))
         if not missing:
@@ -786,12 +740,9 @@ class _CutBuilder:
             self.require_cuts(live, "separator-plus-component cut")
             missing.difference_update(e.new_vertices())
             if not missing:
-                return live
+                break
             self.guard(e.new_vertices())
-        raise InvariantViolation(
-            "tree vertices unreachable as extension targets",
-            missing=sorted(missing),
-        )
+        return cur
 
     # -- stage D: mop up the separator, maintaining the M sets -------------
     # It keeps stage C's cuts up to date on the edges each step swaps and
@@ -972,7 +923,6 @@ def construct_cut1(
     try:
         for j in range(decomp.k):
             cur = builder.thread_part(cur, j)
-            builder.check_threading_invariants(cur, j)
         builder.read_cuts(cur)
         stage = "C"
         cur = builder.stage_absorb_trees(cur)

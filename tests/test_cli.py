@@ -119,6 +119,8 @@ def test_gen_rand_requires_seed(capsys):
         (["Gqn", "--n", "2"], "family Gqn needs --q and --n"),
         (["Gqn", "--q", "4"], "family Gqn needs --q and --n"),
         (["Gqn", "--q", "4", "--n", "2", "--seed", "1"], "family Gqn takes no --seed"),
+        (["rand", "--seed", "0", "--n", "3"], "random_star_clawfree bound must be >= 4"),
+        (["rand", "--seed", "0", "--n", "15"], "random_star_clawfree bound must be <= 14"),
     ],
 )
 def test_gen_refuses_parameters_its_family_does_not_take(capsys, argv, error):

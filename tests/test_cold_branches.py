@@ -33,10 +33,11 @@ the same exception with the same message and ``context``.  The inputs:
   by its one message; the states before it are the same.
 
 The exits the reference had for states no decomposition leaves are
-gone.  The balls built for them (``REFUSED``) now show the kept check
-that refuses their state: decompose's guarantees (K0, the parts and
-the pieces pairwise disjoint, no separator vertex next to two pieces),
-``check_threading_invariants`` after each part, or, in stage D, a
+gone.  The balls built for them (``REFUSED``) now show what rules
+their state out: decompose's guarantees (K0, the parts and the pieces
+pairwise disjoint, no separator vertex next to two pieces), the facts
+each part of stage B leaves (``thread_part`` argues them, and
+``test_iterations.threading_faults`` checks them), or, in stage D, a
 cycle neighbourhood of u with two consecutive vertices, which stage D
 takes u in beside by kind I.
 """
@@ -63,6 +64,7 @@ from hamext.infinite import (
 )
 from hamext.structure import SeparatorDecomposition, decompose
 from test_infinite import rim_of
+from test_iterations import threading_faults
 from test_run_state import _without_edges
 
 
@@ -275,7 +277,8 @@ def run_stages(b, cur, reference, check=True, first=0):
     with the states after each part of stage B and after stages C and
     D, then the witnesses or the exception raised: the package's own,
     or a ValueError from min() over a vertex with no neighbour in its
-    piece."""
+    piece.  With ``check``, each part of stage B must leave none of
+    threading_faults' faults."""
     thread = reference_thread_part if reference else _CutBuilder.thread_part
     absorb = (
         reference_stage_absorb_separator
@@ -288,7 +291,7 @@ def run_stages(b, cur, reference, check=True, first=0):
             cur = thread(b, cur, j)
             states.append(state(b, cur))
             if check:
-                b.check_threading_invariants(cur, j)
+                assert threading_faults(b, cur, j) == []
         b.read_cuts(cur)
         cur = b.stage_absorb_trees(cur)
         states.append(state(b, cur))
@@ -664,15 +667,15 @@ def hand_built_run(name, reference):
         return b, ([], (type(exc).__name__, str(exc), getattr(exc, "context", None)))
 
 
-# The balls whose reference exit needs a state that a check the
-# construction keeps refuses, with what that check finds: "decompose",
-# the guarantees of decompose that the ball's decomposition breaks (its
-# cycle is K0); "threads", check_threading_invariants' message after
-# part 0 once that part's stored path is lost; or "kind I", the first
-# consecutive pair of u's cycle neighbours after stage C, beside which
-# stage D takes u in without calling the branch.
+# The balls whose reference exit needs a state that the construction
+# never leaves, with what rules it out: "decompose", the guarantees of
+# decompose that the ball's decomposition breaks (its cycle is K0);
+# "threads", the faults threading_faults finds after part 0 once that
+# part's stored path is lost; or "kind I", the first consecutive pair
+# of u's cycle neighbours after stage C, beside which stage D takes u
+# in without calling the branch.
 REFUSED = {
-    "earlier part, stored path lost": ("threads", "missing path"),
+    "earlier part, stored path lost": ("threads", ["path 0 missing"]),
     "later part": ("decompose", ["K0 meets part 1"]),
     "earlier part, z off the path's ends": ("decompose", ["K0 meets part 0"]),
     "foreign part, y off its separator": ("decompose", ["K0 meets piece 1"]),
@@ -708,7 +711,7 @@ def broken_guarantees(decomp):
 
 
 def refusal(name):
-    """What the kept check that REFUSED names finds on the ball."""
+    """What the check that REFUSED names finds on the ball."""
     edges, cycle, parts, pieces, how, _, _ = HAND_BUILT[name]
     inputs = hand_built(edges, cycle, parts, pieces)
     check = REFUSED[name][0]
@@ -718,11 +721,9 @@ def refusal(name):
     counting(b)
     if check == "threads":
         cur = b.thread_part(b.stage_fill_finite(), 0)
-        b.check_threading_invariants(cur, 0)
+        assert threading_faults(b, cur, 0) == []
         b.paths[0] = None
-        with pytest.raises(InvariantViolation) as refused:
-            b.check_threading_invariants(cur, 0)
-        return str(refused.value)
+        return threading_faults(b, cur, 0)
     _, u, _ = how
     cur = through_stage_c(b)
     pair = b.consecutive_pair(cur, {w for w in b.B.neighbors(u) if w in cur})

@@ -162,15 +162,6 @@ def test_steiner_tree_gz3_both_sides():
         assert tree.vertices <= decomp.infinite_components[j]
 
 
-def test_steiner_tree_path_rejects_foreign_endpoint():
-    G = gen_G_inf(2)
-    C = home_cycle_gz2()
-    decomp = decompose(G, C, Region(G, C.order), set())
-    tree = tree_of_part(G, decomp, 0)
-    with pytest.raises(InputError):
-        tree.path(12, 23)
-
-
 # ---------------------------------------------------------------------------
 # the enlargement
 

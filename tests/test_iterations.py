@@ -62,18 +62,67 @@ def stage_d_rounds(monkeypatch):
     return rounds
 
 
+def threading_faults(b, cur, upto):
+    """The facts stage B leaves after part ``upto`` on the builder b and
+    its live cycle, as the faults found: for each part ell so far, its
+    stored path's edges lie on the cycle, its two ends are the only
+    vertices of S_ell on the cycle, its interior is non-empty and in
+    piece ell, and its second vertex is the entry vertex of its first,
+    which tree ell holds; no vertex of a later part or piece is on the
+    cycle."""
+    faults = []
+    for ell in range(upto + 1):
+        path = b.paths[ell]
+        if path is None:
+            faults.append(f"path {ell} missing")
+            continue
+        edges = zip(path, path[1:])
+        if not all(x in cur and y in (cur.succ(x), cur.pred(x)) for x, y in edges):
+            faults.append(f"path {ell} left the cycle")
+        ends = {s for s in b.parts[ell] if s in cur}
+        if ends != {path[0], path[-1]} or path[0] == path[-1]:
+            faults.append(f"part {ell} on the cycle is not the ends of path {ell}")
+        interior = set(path[1:-1])
+        if not interior or not interior <= b.pieces[ell]:
+            faults.append(f"path {ell} has no interior in piece {ell}")
+        elif path[1] != b.entry(path[0], ell) or path[1] not in b.trees[ell].vertices:
+            faults.append(f"tree {ell} misses the entry vertex of path {ell}")
+    for later in range(upto + 1, b.k):
+        if any(v in cur for v in b.parts[later] | b.pieces[later]):
+            faults.append(f"part or piece {later} on the cycle")
+    return faults
+
+
+def threading_checked(monkeypatch):
+    """Fail as soon as a part of stage B leaves a fault of
+    threading_faults; returns the parts checked."""
+    checked = []
+    thread_part = _CutBuilder.thread_part
+
+    def checked_part(self, cur, j):
+        cur = thread_part(self, cur, j)
+        assert threading_faults(self, cur, j) == []
+        checked.append(j)
+        return cur
+
+    monkeypatch.setattr(_CutBuilder, "thread_part", checked_part)
+    return checked
+
+
 @pytest.mark.parametrize(
     "n, depth, cleared", [*((n, depth, False) for n, depth in RUNS), (2, 8, True)]
 )
 def test_enlargement_facts_hold_at_every_iteration(monkeypatch, n, depth, cleared):
-    # the facts that decompose, stages A, D and E and the run state rely
-    # on without checking them again
+    # the facts that decompose, stages A, B, D and E and the run state
+    # rely on without checking them again
     G = gen_G_inf(n)
     if cleared:
         G = without_period(G)
     rounds = stage_d_rounds(monkeypatch)
-    cycles = []
+    checked = threading_checked(monkeypatch)
+    cycles, parts = [], []
     for C, decomp, C2, wits in iterations(G, depth):
+        parts.extend(range(decomp.k))
         on, S, K0 = C.vertex_set, decomp.script_S, decomp.finite_component
         B = decomp.ball
         nc = neighborhood_k(G, on, 1)
@@ -87,6 +136,7 @@ def test_enlargement_facts_hold_at_every_iteration(monkeypatch, n, depth, cleare
         assert on | nc <= C2.vertex_set
         cycles.append(C2.order)
     assert len(rounds) == depth and any(r for r, _ in rounds) == (n > 2)
+    assert checked == parts
     # the driver is the run's
     monkeypatch.undo()
     assert cycles == [c.order for c in hamilton_sequence(G, depth).cycles[1:]]

@@ -47,7 +47,7 @@ def test_allow_list_is_short_and_names_statements_of_src():
     assert len(reach.ALLOWED) <= 2
     # the unreached raise statements may not grow: a new one needs a
     # test, or an argued edit of this bound
-    assert reach.UNREACHED_RAISES <= 37
+    assert reach.UNREACHED_RAISES <= 23
     found = set()
     for path in sorted(reach.SRC.glob("*.py")):
         lines, _ = reach.source_lines(path)
